@@ -9,8 +9,10 @@ list is taken from inputs to verdicts once per pass, one item at a time.
 
 ``--trace 0``: set-up time is measured in fresh child interpreters, then one
 coarse warm-up pass runs, then full passes repeat until ``--seconds`` have
-passed.  ``--trace 1``: after the warm-up, half the time goes to untraced
-passes and half to traced passes, whose spans give the per-layer metrics.
+passed.  ``--trace 1``: after the warm-up, untraced and traced passes
+alternate; the traced passes' spans give the per-layer metrics.  Times are
+rescaled to a reference host speed by the probe in ``speed.py``; the
+measured times are printed and recorded beside them.
 
 Human-readable lines come first; the last stdout line is one JSON object
 with the keys correct, attempted, failed and metrics, where metrics are the
@@ -20,8 +22,6 @@ goes to ``.perfbench_out/`` in the checkout.
 """
 
 import argparse
-import ctypes
-import ctypes.util
 import json
 import os
 import platform
@@ -39,24 +39,25 @@ OUT = os.path.join(ROOT, ".perfbench_out")
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS")
-SETUP_REPEATS = 3
-SETUP_PROBE = ("import sys; sys.path[:0] = sys.argv[1:3]; import freqlab, "
-               "workloads; workloads.build_inputs(sys.argv[3], int(sys.argv[4]))")
+SETUP_REPEATS = 7
+SETUP_SENSITIVITY = 0.8
+SETUP_CODE = ("import sys; sys.path[:0] = sys.argv[1:3]; import freqlab, "
+              "workloads; workloads.build_inputs(sys.argv[3], int(sys.argv[4]))")
 
-UNITS = {"setup_s": "s", "wall_s": "s", "slowest_verdict_s": "s",
-         "peak_rss_mb": "MB", "failed_frac": "fraction", "mms_error": "abs",
-         "energy_drift": "abs", "odes.us_per_step": "us",
-         "fields.per_iteration_ms": "ms"}
+# units of the metrics that are printed but not declared in BENCHMARK.json
+PRINTED_UNITS = {"failed_frac": "fraction", "mms_error": "abs",
+                 "energy_drift": "abs", "host_slowdown": "ratio",
+                 "odes.us_per_step": "us", "fields.per_iteration_ms": "ms"}
 
 
-def unit_of(name):
-    if name in UNITS:
-        return UNITS[name]
-    if name.endswith("_s"):
-        return "s"
-    if name.endswith("bytes"):
-        return "bytes"
-    return "count"
+def units_of(declared):
+    """Metric name -> unit: BENCHMARK.json's, else the printed-only table;
+    the rest of the printed metrics are seconds (``_s``) or counts."""
+    units = dict(PRINTED_UNITS)
+    units.update((m["name"], m["unit"])
+                 for m in declared["end_to_end"] + declared["per_layer"])
+    return lambda name: units.get(name, "s" if name.endswith("_s")
+                                  else "count")
 
 
 def environment():
@@ -83,35 +84,30 @@ def environment():
             "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS}}
 
 
-def measure_setup(workload, seed):
-    """Median wall time of fresh interpreters importing freqlab and building
-    the workload's inputs; one unmeasured run first fills the bytecode cache."""
-    argv = [sys.executable, "-c", SETUP_PROBE, SRC, BENCH, workload, str(seed)]
-    samples = []
+def measure_setup(workload, seed, probe):
+    """Median time, at reference speed, of fresh interpreters importing
+    freqlab and building the workload's inputs; one unmeasured run first
+    fills the bytecode cache.  Also returns the measured times.
+
+    The probe samples just before and after each child, not while it runs,
+    when it would compete with it.  Interpreter start-up and imports slow
+    as the probe's kernel to the power SETUP_SENSITIVITY, fitted on the
+    reference machine: with another process streaming through memory, the
+    measured median rose from 0.42 to 0.55 s and the rescaled one read
+    0.36 and 0.37 s."""
+    argv = [sys.executable, "-c", SETUP_CODE, SRC, BENCH, workload, str(seed)]
+    samples, rescaled = [], []
     for k in range(SETUP_REPEATS + 1):
+        probe.sample()
         t0 = time.perf_counter()
         subprocess.run(argv, check=True, timeout=120, cwd=ROOT,
                        stdout=subprocess.DEVNULL)
+        t1 = time.perf_counter()
+        probe.sample()
         if k:
-            samples.append(time.perf_counter() - t0)
-    return statistics.median(samples), samples
-
-
-def pin_allocator():
-    """Fix glibc's mmap threshold at its default of 128 KiB.
-
-    glibc raises the threshold after the first large block is freed, after
-    which large arrays come from the heap and the peak resident memory of a
-    long process depends on how earlier passes fragmented it (430-620 MB for
-    the same grid2d pass).  Pinned, every large array is mapped and unmapped
-    on its own, as in a fresh ``freq-lab`` process.
-    """
-    name = ctypes.util.find_library("c")
-    libc = ctypes.CDLL(name) if name else None
-    if libc is not None and hasattr(libc, "mallopt"):  # glibc only
-        libc.mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-        libc.mallopt.restype = ctypes.c_int
-        libc.mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD
+            samples.append(t1 - t0)
+            rescaled.append(probe.rescale(t0, t1, SETUP_SENSITIVITY))
+    return statistics.median(rescaled), samples
 
 
 LAYERS = ("odes", "fields", "model", "frequency", "audit", "io", "bench")
@@ -160,39 +156,45 @@ EXACT_COUNTS = ("odes.steps", "odes.crossings", "fields.fp_iterations",
                 "audit.contradiction", "audit.veto", "audit.inconclusive")
 
 
-def measure(args, items, run_dir):
-    """Warm-up, untraced passes, and with --trace 1 traced passes.
+def measure(args, items, run_dir, probe):
+    """Warm-up, then untraced passes, alternating with traced passes under
+    --trace 1 so that both sample the same stretch of host speed.
 
     Returns (untraced, traced, per-layer metrics of each traced pass, peak
     RSS in MB, spans of the last traced pass)."""
     import spans
     import workloads
 
-    workloads.run_pass(items, workloads.WARM, run_dir)
+    workloads.run_pass(items, workloads.WARM, run_dir, probe)
     untraced, traced, layers, last_spans = [], [], [], []
-    budget = args.seconds / 2 if args.trace else args.seconds
+    specs = [s for it in items for s in it.specs]
     start = time.perf_counter()
-    while not untraced or time.perf_counter() - start < budget:
-        untraced.append(workloads.run_pass(items, workloads.FULL, run_dir))
+    while not untraced or time.perf_counter() - start < args.seconds:
+        untraced.append(workloads.run_pass(items, workloads.FULL, run_dir,
+                                           probe))
         untraced[-1][0].grid_solves.clear()
         if len(untraced) == 1:
             # one warm-up and one full pass, as one CLI process would see;
             # later passes add allocator drift, not program memory
             peak_rss_mb = resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    start = time.perf_counter()
-    specs = [s for it in items for s in it.specs]
-    while args.trace and (not traced or time.perf_counter() - start < budget):
+        if not args.trace:
+            continue
         tracer = spans.Tracer()
         with tracer.active(specs):
             traced.append(workloads.run_pass(items, workloads.FULL, run_dir,
-                                   tracer))
+                                             probe, tracer))
         p = traced[-1][0]
         own = tracer.self_times()  # of the pass, not of the restarts
         layers.append(layer_metrics(tracer, own, p,
                                     workloads.warm_restarts(p, tracer)))
         last_spans = tracer.dump()
     return untraced, traced, layers, peak_rss_mb, last_spans
+
+
+def wall(item_s, k):
+    """Pass wall time: k = 0 measured, k = 1 at reference speed."""
+    return sum(t[k] for t in item_s.values())
 
 
 def main(argv=None):
@@ -209,13 +211,23 @@ def main(argv=None):
         return 2
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)
-    nthreads = str(min(2, os.cpu_count() or 1))
+    # one BLAS thread: SuperLU's BLAS calls are too small to gain from a
+    # second (the bowl takes the same time with two), and a second thread
+    # would run where the speed probe does not look
     for var in BLAS_THREAD_VARS:
-        os.environ.setdefault(var, nthreads)
+        os.environ.setdefault(var, "1")
 
-    pin_allocator()
-    if not args.trace:
-        setup_s, setup_samples = measure_setup(args.workload, args.seed)
+    import speed  # loads numpy, after the BLAS thread variables are set
+
+    probe = speed.SpeedProbe()
+    # set-up first, before the periodic samples start
+    setup = (None if args.trace
+             else measure_setup(args.workload, args.seed, probe))
+    with probe.running():
+        return report(args, declared, probe, setup)
+
+
+def report(args, declared, probe, setup):
     t0 = time.perf_counter()
     sys.path[:0] = [SRC, BENCH]
     import freqlab
@@ -233,29 +245,32 @@ def main(argv=None):
     os.makedirs(run_dir, exist_ok=True)
     try:
         untraced, traced, layers, peak_rss_mb, last_spans = measure(
-            args, items, run_dir)
+            args, items, run_dir, probe)
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
 
     passes = untraced + traced
-    failed = sum(len(p.failed_items()) for p, _, _ in passes)
+    failed = sum(len(p.failed_items()) for p, _ in passes)
     attempted = len(items) * len(passes)
     counts_repeat = all(
-        p.counts == passes[0][0].counts for p, _, _ in passes)
+        p.counts == passes[0][0].counts for p, _ in passes)
     counts_repeat &= all(
         all(m[k] == layers[0][k] for k in EXACT_COUNTS) for m in layers)
-    walls = [w for _, w, _ in untraced]
+    walls = [wall(t, 1) for _, t in untraced]
     values = passes[0][0].values
     e2e = {
-        "setup_s": None if args.trace else setup_s,
+        "setup_s": setup and setup[0],
         "wall_s": statistics.median(walls),
         "slowest_verdict_s": max(
-            statistics.median(t[item.name] for _, _, t in untraced)
+            statistics.median(t[item.name][1] for _, t in untraced)
             for item in items),
         "peak_rss_mb": peak_rss_mb,
         "failed_frac": failed / attempted,
         "mms_error": values.get("mms_error"),
         "energy_drift": values.get("energy_drift"),
+        "measured_setup_s": setup and statistics.median(setup[1]),
+        "measured_wall_s": statistics.median(wall(t, 0) for _, t in untraced),
+        "host_slowdown": probe.slowdown(0.0, time.perf_counter()),
     }
     if args.trace:
         shown = {k: layers[0][k] if k in EXACT_COUNTS
@@ -263,11 +278,12 @@ def main(argv=None):
                  for k in layers[0]}
         shown["import_s"] = import_s
         shown["trace_overhead_s"] = (
-            statistics.median(w for _, w, _ in traced) - e2e["wall_s"])
+            statistics.median(wall(t, 1) for _, t in traced) - e2e["wall_s"])
         wanted = declared["per_layer"]
     else:
         shown, wanted = e2e, declared["end_to_end"]
-    failed_checks = [c for p, _, _ in passes for c in p.checks if not c[2]]
+    unit_of = units_of(declared)
+    failed_checks = [c for p, _ in passes for c in p.checks if not c[2]]
     identity_failures = passes[0][0].identity_failures
 
     print(f"perfbench {args.workload} seed={args.seed} trace={args.trace}: "
@@ -288,9 +304,12 @@ def main(argv=None):
     record = {
         "workload": args.workload, "seed": args.seed, "trace": args.trace,
         "seconds": args.seconds, "env": env, "items": [i.name for i in items],
-        "setup_s_samples": None if args.trace else setup_samples,
-        "pass_wall_s": walls, "traced_wall_s": [w for _, w, _ in traced],
-        "item_s": [t for _, _, t in passes], "checks": passes[0][0].checks,
+        "setup_s_samples": setup and setup[1],
+        "pass_wall_s": walls,
+        "traced_wall_s": [wall(t, 1) for _, t in traced],
+        "measured_pass_wall_s": [wall(t, 0) for _, t in untraced],
+        "item_s": [t for _, t in passes], "probe_s": probe.durations,
+        "checks": passes[0][0].checks,
         "failed_checks": failed_checks, "identity_failures": identity_failures,
         "counts_repeat": counts_repeat, "metrics": shown, "spans": last_spans}
     with open(os.path.join(OUT, f"{args.workload}-seed{args.seed}-"

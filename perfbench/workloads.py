@@ -86,6 +86,9 @@ class Item:
     name: str
     run: object               # callable(Pass, Resolution)
     specs: tuple = ()         # ProblemSpecs whose callables the tracer wraps
+    # how the item's time grows with the speed probe's slowdown (speed.py):
+    # interpreter-bound work tracks the probe, sparse factorisation less so
+    sensitivity: float = 1.0
 
 
 @dataclass
@@ -112,14 +115,16 @@ class Pass:
         return sorted({item for item, _, ok, _ in self.checks if not ok})
 
 
-def run_pass(items, res, out_dir, tracer=None):
-    """One pass over the items; returns (Pass, wall seconds, item seconds)."""
+def run_pass(items, res, out_dir, probe, tracer=None):
+    """One pass over the items; returns (Pass, {item: (seconds, seconds at
+    reference speed)}).  The probe samples the host's speed around each
+    item (see speed.py)."""
     gc.collect()
     p = Pass(out_dir)
     item_s = {}
-    t_pass = time.perf_counter()
     for item in items:
         p.item = item.name
+        probe.sample()
         t0 = time.perf_counter()
         try:
             if tracer is None:
@@ -130,8 +135,11 @@ def run_pass(items, res, out_dir, tracer=None):
         except Exception as exc:  # an item that raises is a failed item
             traceback.print_exc(file=sys.stderr)
             p.check("raised", False, repr(exc))
-        item_s[item.name] = time.perf_counter() - t0
-    return p, time.perf_counter() - t_pass, item_s
+        t1 = time.perf_counter()
+        probe.sample()
+        item_s[item.name] = (t1 - t0,
+                             probe.rescale(t0, t1, item.sensitivity))
+    return p, item_s
 
 
 def _uniform(rng, centre, rel):
@@ -290,7 +298,7 @@ def _bowl_item(amplitude):
         # against the unforced equation and vetoes it
         analyse(p, mp.spec, fld, VETO, nonvanishing=True)
 
-    return Item("bowl-256x512", run, (mp.spec,))
+    return Item("bowl-256x512", run, (mp.spec,), sensitivity=0.5)
 
 
 def _cos_item(eps, shift):
@@ -304,7 +312,7 @@ def _cos_item(eps, shift):
         fld = _grid_solve(p, spec, lambda th: eps * np.cos(th - phase), n_r, n_t)
         analyse(p, spec, fld, GENUINE, nonvanishing=False)
 
-    return Item("model-cos1-128x256", run, (spec,))
+    return Item("model-cos1-128x256", run, (spec,), sensitivity=0.8)
 
 
 def _trace_item(amplitude):
@@ -318,7 +326,7 @@ def _trace_item(amplitude):
         fld = _grid_solve(p, spec, lambda th: np.full_like(th, trace), n_r, n_t)
         analyse(p, spec, fld, GENUINE, nonvanishing=True)
 
-    return Item("radial-trace-128x256", run, (spec,))
+    return Item("radial-trace-128x256", run, (spec,), sensitivity=0.8)
 
 
 def grid2d_items(rng):
@@ -370,7 +378,7 @@ def _sampled_item(name, spec, fn, n_r, n_theta, nonvanishing, known=()):
         if f is not None:
             p.counts["model.f_calls"] += f.calls - calls
 
-    return Item(name, run, (spec,))
+    return Item(name, run, (spec,), sensitivity=0.6)
 
 
 def tabulated_items(rng):
