@@ -623,30 +623,42 @@ def load_field(path):
         if first != "# freqlab-field 1":
             raise ValueError(f"not a freqlab field file: {path}")
         header = {}
-        pos = fh.tell()
         while True:
             line = fh.readline()
             if "=" not in line:
                 break
             key, _, val = line.strip().partition("=")
             header[key] = val
-            pos = fh.tell()
         columns = line.strip()
         rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if not len(rows) or rows.shape[1] != 3:
+        raise ValueError(f"{path}: expected data rows of 3 comma-separated values")
     rep = header["representation"]
     dim = int(header["N"])
     q = float(header["q"])
     if rep == "radial":
         if columns != "r,u,du":
             raise ValueError("bad radial column header")
+        if "count" in header and len(rows) != int(header["count"]):
+            raise ValueError(f"{path}: {len(rows)} rows, header says "
+                             f"count={header['count']}")
         fld = SolutionField.radial_from_arrays(rows[:, 0], rows[:, 1],
                                                rows[:, 2], dim, q)
     elif rep == "grid2d":
         n_r = int(header["n_r"])
         n_t = int(header["n_theta"])
         r_max = float(header["r_max"])
+        if len(rows) != (n_r + 1) * n_t:
+            raise ValueError(f"{path}: {len(rows)} rows, header says "
+                             f"{n_r + 1} x {n_t} nodes")
+        i, j = rows[:, 0].astype(int), rows[:, 1].astype(int)
+        if (np.any((i != rows[:, 0]) | (j != rows[:, 1]))
+                or np.any((i < 0) | (i > n_r) | (j < 0) | (j >= n_t))
+                or np.any(np.bincount(i * n_t + j, minlength=len(rows)) != 1)):
+            raise ValueError(f"{path}: the (i, j) rows do not cover the "
+                             f"{n_r + 1} x {n_t} grid once each")
         vals = np.empty((n_r + 1, n_t))
-        vals[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2]
+        vals[i, j] = rows[:, 2]
         r_nodes = np.linspace(0.0, r_max, n_r + 1)
         theta = np.arange(n_t) * (2.0 * math.pi / n_t)
         fld = SolutionField.grid2d_from_values(r_nodes, theta, vals, q)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from freqlab.fields import (SolverError, glued_field, load_field,
+from freqlab.fields import (SolutionField, SolverError, glued_field, load_field,
                             residual_field, sample_grid2d, save_field,
                             solve_grid_2d, solve_radial)
 from freqlab.fields import glued_residual_exact
@@ -171,6 +171,58 @@ class TestSerialization:
         path.write_text("not a field\n")
         with pytest.raises(ValueError):
             load_field(path)
+
+    @staticmethod
+    def _cut(path, n_rows):
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-n_rows]))
+
+    def test_rejects_truncated_radial_file(self, tmp_path):
+        r = np.linspace(0.0, 1.0, 101)
+        fld = SolutionField.radial_from_arrays(r, 1.0 - r ** 2, -2.0 * r, 2, 1.5)
+        path = tmp_path / "radial.txt"
+        save_field(fld, path)
+        self._cut(path, 5)
+        with pytest.raises(ValueError, match="count=101"):
+            load_field(path)
+
+    @pytest.mark.filterwarnings("ignore:loadtxt:UserWarning")  # empty data section
+    @pytest.mark.parametrize("rows", ["", "0.0,1.0\n0.1,1.0\n"])
+    def test_rejects_radial_rows_without_three_columns(self, tmp_path, rows):
+        path = tmp_path / "radial.txt"
+        path.write_text("# freqlab-field 1\nrepresentation=radial\nN=2\nq=1.5\n"
+                        "r,u,du\n" + rows)
+        with pytest.raises(ValueError, match="3 comma-separated values"):
+            load_field(path)
+
+    def test_rejects_truncated_grid_file(self, tmp_path):
+        fld = sample_grid2d(lambda x: 2.0 - np.sum(x * x, axis=-1), 1.0, 16, 32, 1.5)
+        path = tmp_path / "grid.txt"
+        save_field(fld, path)
+        self._cut(path, 40)
+        with pytest.raises(ValueError, match="17 x 32"):
+            load_field(path)
+
+    def test_rejects_grid_file_with_repeated_node(self, tmp_path):
+        fld = sample_grid2d(lambda x: 2.0 - np.sum(x * x, axis=-1), 1.0, 16, 32, 1.5)
+        path = tmp_path / "grid.txt"
+        save_field(fld, path)
+        text = path.read_text()
+        path.write_text(text.replace("\n16,31,", "\n16,30,"))
+        with pytest.raises(ValueError, match="once each"):
+            load_field(path)
+
+    def test_cli_exits_2_on_truncated_field(self, tmp_path, capsys):
+        from freqlab.cli import main
+
+        fld = sample_grid2d(lambda x: 2.0 - np.sum(x * x, axis=-1), 1.0, 16, 32, 1.5)
+        path = tmp_path / "grid.txt"
+        save_field(fld, path)
+        self._cut(path, 40)
+        out = tmp_path / "o"
+        assert main(["frequency", str(path), "--out", str(out)]) == 2
+        assert "header says 17 x 32 nodes" in capsys.readouterr().err
+        assert not (out / "profile.csv").exists()
 
 
 class TestSignChangingRadial:

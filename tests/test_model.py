@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqlab.model import (CoefficientField, NonlinearitySpec, PowerTerm,
-                           ProblemSpec, ball_grid, c_constant, check_A1,
-                           check_A3, eval_F, eval_f, normalize_coordinates,
-                           s_grid, sublinear_floor)
+                           ProblemSpec, QuadratureError, ball_grid, c_constant,
+                           check_A1, check_A3, eval_F, eval_f, grad1_F,
+                           normalize_coordinates, s_grid, sublinear_floor)
 
 ORIGIN2 = np.zeros((1, 2))
 
@@ -38,6 +38,117 @@ class TestPrimitive:
         fs = float(eval_f(nl, ORIGIN2, s)[0]) * s
         qF = q * float(eval_F(nl, ORIGIN2, s)[0])
         assert fs == pytest.approx(qF, rel=1e-14)
+
+
+class CountingF:
+    """A tabulated f that records the shape of s on every call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.s_shapes = []
+
+    def __call__(self, x, s):
+        self.s_shapes.append(np.shape(s))
+        return self.fn(x, s)
+
+
+class TestTabulatedPrimitive:
+    @settings(max_examples=80, deadline=None)
+    @given(st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+           st.floats(min_value=-5, max_value=5).filter(lambda s: abs(s) > 1e-6),
+           st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+           st.floats(min_value=0.0, max_value=2 * np.pi))
+    def test_matches_closed_forms(self, q, s, r, angle):
+        x = np.array([r * np.cos(angle), r * np.sin(angle)])
+        coef = lambda x: 1.0 + 0.5 * x[..., 0] ** 2
+        for nl in (NonlinearitySpec.homogeneous(q, eps0=10.0),
+                   NonlinearitySpec.sum_of_powers(
+                       [PowerTerm(1.0 + 0.5 * (q - 1.0), 1.0), PowerTerm(q, coef)],
+                       kappa2=0.5)):
+            tab = NonlinearitySpec.tabulated(
+                lambda x, s, nl=nl: eval_f(nl, x, s), q=q, kappa2=0.5)
+            assert float(eval_F(tab, x, s)) == pytest.approx(
+                float(eval_F(nl, x, s)), rel=1e-12)
+
+    def test_matches_per_node_reference_quadrature(self):
+        # an f with no closed-form primitive, against scipy's adaptive
+        # QUADPACK rule run on every node
+        from scipy.integrate import quad
+
+        def f(x, s):
+            return (np.exp(x[..., 0]) * np.sign(s) * np.abs(s) ** 0.3
+                    * (1.0 + 0.5 * np.sin(3.0 * s + x[..., 1])))
+
+        tab = NonlinearitySpec.tabulated(f, q=1.3, kappa2=0.5)
+        pts = ball_grid(2, 1.0, 16)
+        s = np.linspace(-2.0, 2.0, 9)
+        F = eval_F(tab, pts[:, None, :], s[None, :])
+        for i, px in enumerate(pts):
+            for j, sj in enumerate(s):
+                ref = quad(lambda t: float(f(px, t)), 0.0, sj, epsabs=0.0,
+                           epsrel=1e-13, limit=200)[0]
+                assert F[i, j] == pytest.approx(ref, rel=1e-12)
+
+    def test_kinked_f_falls_back_and_meets_tolerance(self):
+        f = CountingF(lambda x, s: np.sign(s) * np.minimum(np.abs(s), 0.7) ** 0.5)
+        tab = NonlinearitySpec.tabulated(f, q=1.5, kappa2=0.5)
+        s = np.linspace(-3.0, 3.0, 13)
+        F = eval_F(tab, np.zeros(2), s)
+        # scalar calls come from the Simpson fallback, one point at a time
+        assert any(shape == () for shape in f.s_shapes)
+        a = np.abs(s)
+        exact = np.where(a <= 0.7, a ** 1.5 / 1.5,
+                         0.7 ** 1.5 / 1.5 + 0.7 ** 0.5 * (a - 0.7))
+        assert np.all(np.abs(F - exact) <= tab.quad_rel_tol * exact)
+
+    def test_calls_f_once_per_rule_not_per_node(self):
+        nl = NonlinearitySpec.homogeneous(1.5)
+        f = CountingF(lambda x, s: eval_f(nl, x, s))
+        tab = NonlinearitySpec.tabulated(f, q=1.5, kappa2=0.5)
+        r = np.linspace(0.0, 1.0, 33)[:, None]
+        th = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)[None, :]
+        x = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+        s = 0.5 + r * np.cos(th)
+        F = eval_F(tab, x, s)
+        assert F.shape == (33, 64)
+        assert len(f.s_shapes) <= 4
+        np.testing.assert_allclose(F, eval_F(nl, x, s), rtol=1e-12)
+
+    def test_grad1_F_matches_closed_form_coefficient_gradient(self):
+        coef = lambda x: 1.0 + 0.5 * x[..., 0] ** 2 + 0.25 * x[..., 1]
+        grad = lambda x: np.stack([x[..., 0], np.full(x.shape[:-1], 0.25)], axis=-1)
+        nl = NonlinearitySpec.sum_of_powers(
+            [PowerTerm(1.5, coef, grad), PowerTerm(1.0, 1.0)], kappa2=0.5)
+        tab = NonlinearitySpec.tabulated(lambda x, s: eval_f(nl, x, s),
+                                         q=1.5, kappa2=0.5)
+        pts = ball_grid(2, 1.0, 16)[:, None, :]
+        s = s_grid(1.0, 32)[None, :]
+        np.testing.assert_allclose(grad1_F(tab, pts, s), grad1_F(nl, pts, s),
+                                   rtol=0, atol=1e-8)
+
+    def test_accepts_x_none_like_eval_f(self):
+        seen = []
+
+        def f(x, s):
+            seen.append(x)
+            return np.sign(s) * np.abs(s) ** 0.5
+
+        tab = NonlinearitySpec.tabulated(f, q=1.5, kappa2=0.5)
+        s = np.array([[0.0, 0.5], [-2.0, 1.0]])
+        np.testing.assert_allclose(eval_F(tab, None, s), np.abs(s) ** 1.5 / 1.5,
+                                   rtol=1e-14)
+        assert float(eval_F(tab, None, -0.3)) == pytest.approx(0.3 ** 1.5 / 1.5,
+                                                               rel=1e-14)
+        assert all(x is None for x in seen)
+        assert eval_f(tab, None, s).shape == s.shape
+        with pytest.raises(ValueError, match="needs the points x"):
+            grad1_F(tab, None, s)
+
+    def test_non_finite_f_raises_instead_of_recursing(self):
+        tab = NonlinearitySpec.tabulated(
+            lambda x, s: np.where(np.abs(s) < 0.5, s, np.nan), q=1.5, kappa2=0.5)
+        with pytest.raises(QuadratureError):
+            eval_F(tab, np.zeros(2), 0.9)
 
 
 class TestCheckA3:
