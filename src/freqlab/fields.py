@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .model import eval_f
 from .odes import counterexample_profile, counterexample_slope
@@ -277,102 +275,97 @@ def _assemble_operator(spec, r_nodes, theta):
 
     Returns (matrix, boundary_map) where boundary_map applied to the
     boundary values g yields the constant flux contribution to L u = b.
+    Every stencil term is one broadcast over all rings and angles.
     """
+    import scipy.sparse as sp
+
     M = len(r_nodes) - 1
     n_t = len(theta)
     dr = float(r_nodes[1] - r_nodes[0])
     dth = float(theta[1] - theta[0])
     n_unknown = 1 + (M - 1) * n_t
 
-    def unk(i, j):
-        # i in 0..M-1 (0 = pole), j angular index
-        if i == 0:
-            return np.zeros_like(np.asarray(j)) if np.ndim(j) else 0
-        return 1 + (i - 1) * n_t + (np.asarray(j) % n_t)
+    def node(i, j):
+        # column of node (i, j) in [pole, rings 1..M-1, boundary ring M]
+        return np.where(i == 0, 0, 1 + (i - 1) * n_t + j % n_t)
 
-    rows, cols, vals = [], [], []
-    brows, bcols, bvals = [], [], []  # boundary-value contributions
+    terms = []  # (equation row, neighbour ring, neighbour angle, value)
 
-    def add(r_idx, i, j, val):
-        if i == M:
-            brows.append(r_idx)
-            bcols.append(np.asarray(j) % n_t)
-            bvals.append(val)
-        else:
-            rows.append(r_idx)
-            cols.append(unk(i, j))
-            vals.append(val)
+    def add(row, i, j, val):
+        terms.append((row, i, j, val))
 
     j = np.arange(n_t)
     half_r = r_nodes[:-1] + 0.5 * dr  # faces i+1/2, i = 0..M-1
     arr_f, art_f, _ = _polar_frame_entries(spec.coefficients, half_r, theta)
     _, art_t, att_t = _polar_frame_entries(spec.coefficients, r_nodes[1:M], theta + 0.5 * dth)
 
-    # ring equations
-    for i in range(1, M):
-        r_i = r_nodes[i]
-        row = unk(i, j)
-        scale_out = half_r[i] / (r_i * dr)      # face i+1/2
-        scale_in = half_r[i - 1] / (r_i * dr)   # face i-1/2
+    # ring equations, i = 1..M-1 down the first axis
+    i = np.arange(1, M)[:, None]
+    r_i = r_nodes[1:M, None]
+    row = node(i, j)
+    scale_out = half_r[1:, None] / (r_i * dr)   # face i+1/2
+    scale_in = half_r[:-1, None] / (r_i * dr)   # face i-1/2
 
-        # outward radial flux: c_rr (u[i+1]-u[i])/dr + c_rt/r_f * dtheta-avg
-        c = arr_f[i] * scale_out / dr
-        add(row, i + 1, j, c)
-        add(row, i, j, -c)
-        cx = art_f[i] * scale_out / (half_r[i] * 4.0 * dth)
-        for di, dj, s in ((0, 1, 1.0), (0, -1, -1.0), (1, 1, 1.0), (1, -1, -1.0)):
-            add(row, i + di, j + dj, s * cx)
+    # outward radial flux: c_rr (u[i+1]-u[i])/dr + c_rt/r_f * dtheta-avg
+    c = arr_f[1:] * scale_out / dr
+    add(row, i + 1, j, c)
+    add(row, i, j, -c)
+    cx = art_f[1:] * scale_out / (half_r[1:, None] * 4.0 * dth)
+    for di, dj, s in ((0, 1, 1.0), (0, -1, -1.0), (1, 1, 1.0), (1, -1, -1.0)):
+        add(row, i + di, j + dj, s * cx)
 
-        # inward radial flux (subtract)
-        c = arr_f[i - 1] * scale_in / dr
-        add(row, i, j, -c)
-        add(row, i - 1, j, c)
-        cx = art_f[i - 1] * scale_in / (half_r[i - 1] * 4.0 * dth)
-        if i - 1 == 0:
-            # pole row is a single value: its theta-derivative vanishes
-            for dj, s in ((1, 1.0), (-1, -1.0)):
-                add(row, i, j + dj, -s * cx)
-        else:
-            for di, dj, s in ((0, 1, 1.0), (0, -1, -1.0), (-1, 1, 1.0), (-1, -1, -1.0)):
-                add(row, i + di, j + dj, -s * cx)
+    # inward radial flux (subtract)
+    c = arr_f[:-1] * scale_in / dr
+    add(row, i, j, -c)
+    add(row, i - 1, j, c)
+    cx = art_f[:-1] * scale_in / (half_r[:-1, None] * 4.0 * dth)
+    for dj, s in ((1, 1.0), (-1, -1.0)):
+        add(row, i, j + dj, -s * cx)
+        # pole row is a single value: its theta-derivative vanishes, so
+        # ring 1 takes no inward cross term
+        add(row[1:], i[1:] - 1, j + dj, -s * cx[1:])
 
-        # angular fluxes at faces j+1/2 and j-1/2
-        scale_t = 1.0 / (r_i * dth)
-        ct = att_t[i - 1] * scale_t / (r_i * dth)          # at face (i, j+1/2)
-        add(row, i, j + 1, ct)
-        add(row, i, j, -ct)
-        ctm = np.roll(att_t[i - 1], 1) * scale_t / (r_i * dth)  # face (i, j-1/2)
-        add(row, i, j, -ctm)
-        add(row, i, j - 1, ctm)
-        cxp = art_t[i - 1] * scale_t / (4.0 * dr)          # face (i, j+1/2)
-        cxm = np.roll(art_t[i - 1], 1) * scale_t / (4.0 * dr)
-        for dj_face, coefs in ((0, cxp), (-1, cxm)):
-            s = 1.0 if dj_face == 0 else -1.0
-            for di, dj2, s2 in ((1, 0, 1.0), (-1, 0, -1.0), (1, 1, 1.0), (-1, 1, -1.0)):
-                add(row, i + di, j + dj_face + dj2, s * s2 * coefs)
+    # angular fluxes at faces j+1/2 and j-1/2
+    scale_t = 1.0 / (r_i * dth)
+    ct = att_t * scale_t / (r_i * dth)                     # at face (i, j+1/2)
+    add(row, i, j + 1, ct)
+    add(row, i, j, -ct)
+    ctm = np.roll(att_t, 1, axis=1) * scale_t / (r_i * dth)  # face (i, j-1/2)
+    add(row, i, j, -ctm)
+    add(row, i, j - 1, ctm)
+    cxp = art_t * scale_t / (4.0 * dr)                     # face (i, j+1/2)
+    cxm = np.roll(art_t, 1, axis=1) * scale_t / (4.0 * dr)
+    for dj_face, coefs in ((0, cxp), (-1, cxm)):
+        s = 1.0 if dj_face == 0 else -1.0
+        for di, dj2, s2 in ((1, 0, 1.0), (-1, 0, -1.0), (1, 1, 1.0), (-1, 1, -1.0)):
+            add(row, i + di, j + dj_face + dj2, s * s2 * coefs)
 
     # pole equation: disk of radius dr/2
-    pole_row = np.zeros(n_t, dtype=int)
     disk_scale = dth / (math.pi * half_r[0])
     c = arr_f[0] * disk_scale / dr
-    add(pole_row, 1, j, c)
-    add(pole_row, 0, j, -c)
+    add(0, 1, j, c)
+    add(0, 0, j, -c)
     cx = art_f[0] * disk_scale / (half_r[0] * 4.0 * dth)
     for dj, s in ((1, 1.0), (-1, -1.0)):
-        add(pole_row, 1, j + dj, s * cx)
+        add(0, 1, j + dj, s * cx)
 
-    rows = np.concatenate([np.ravel(x) for x in rows])
-    cols = np.concatenate([np.ravel(x) for x in cols])
-    vals = np.concatenate([np.broadcast_to(v, (n_t,)).ravel() for v in vals])
-    L = sp.coo_matrix((-vals, (rows, cols)), shape=(n_unknown, n_unknown)).tocsc()
-    if brows:
-        br = np.concatenate([np.ravel(x) for x in brows])
-        bc = np.concatenate([np.ravel(x) for x in bcols])
-        bv = np.concatenate([np.broadcast_to(v, (n_t,)).ravel() for v in bvals])
-        B = sp.coo_matrix((bv, (br, bc)), shape=(n_unknown, n_t)).tocsc()
-    else:
-        B = sp.csc_matrix((n_unknown, n_t))
-    return L, B
+    # the triplets are the assembly's largest arrays: write them once, in
+    # scipy's int32 index type, so assembly stays below the factor's memory
+    shapes = [np.broadcast_shapes(*map(np.shape, term)) for term in terms]
+    n_entries = sum(math.prod(shape) for shape in shapes)
+    rows = np.empty(n_entries, dtype=np.int32)
+    cols = np.empty(n_entries, dtype=np.int32)
+    vals = np.empty(n_entries)
+    start = 0
+    for (row, ring, ang, val), shape in zip(terms, shapes):
+        stop = start + math.prod(shape)
+        rows[start:stop].reshape(shape)[...] = row
+        cols[start:stop].reshape(shape)[...] = node(ring, ang)
+        vals[start:stop].reshape(shape)[...] = val
+        start = stop
+    # columns past n_unknown hold the boundary ring's values
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n_unknown, n_unknown + n_t)).tocsc()
+    return -A[:, :n_unknown], A[:, n_unknown:]
 
 
 def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
@@ -380,13 +373,31 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     """Damped fixed-point solve of -div(A grad u) = V u + f(x, u) + source.
 
     `boundary` is a callable of the angular nodes giving Dirichlet data on
-    the outer circle.  Iterates u <- damping u + (1-damping) L^{-1}(rhs(u)).
+    the outer circle.  Iterates u <- damping u + (1-damping) L^{-1}(rhs(u)),
+    with L factored once by SuperLU under a minimum-degree ordering of
+    L^T + L.  `initial`, if given, is the unknown vector [pole, rings
+    1..n_r-1 row by row] of length 1 + (n_r - 1) n_theta.
     Raises SolverError when the sup-distance fails to reach `tol`.
     """
+    import scipy.sparse.linalg as spla
+
     if spec.dim != 2:
         raise ValueError("the grid solver is two-dimensional")
-    if n_theta % 2:
-        raise ValueError("need an even angular count")
+    if n_theta < 2 or n_theta % 2:
+        raise ValueError(f"need an even angular count of at least 2, got {n_theta}")
+    if n_r < 4:  # the residual's one-sided radial stencil spans five rows
+        raise ValueError(f"need at least 4 rings, got n_r={n_r}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    n_unknown = 1 + (n_r - 1) * n_theta
+    if initial is not None:
+        initial = np.asarray(initial, dtype=float)
+        if initial.shape != (n_unknown,):
+            raise ValueError(
+                f"initial has shape {initial.shape}; expected a vector of "
+                f"length 1 + (n_r - 1) * n_theta = {n_unknown}")
+        if not np.all(np.isfinite(initial)):
+            raise ValueError("initial must be finite")
     R = spec.outer_radius
     r_nodes = np.linspace(0.0, R, n_r + 1)
     theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
@@ -395,7 +406,9 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
         raise ValueError("boundary data must be finite")
 
     L, B = _assemble_operator(spec, r_nodes, theta)
-    lu = spla.splu(L)
+    # the stencil is nearly symmetric: ordering on the pattern of L^T + L
+    # halves the fill of the default column ordering
+    lu = spla.splu(L, permc_spec="MMD_AT_PLUS_A")
     bc_term = np.asarray(B @ g).ravel()  # known boundary columns, moved right
 
     M = n_r
@@ -411,7 +424,7 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     V0 = float(spec.V(origin[None, :])[0])
     src0 = 0.0 if source is None else float(np.asarray(source(origin[None, :]))[0])
 
-    uk = np.zeros(1 + (M - 1) * n_t) if initial is None else np.asarray(initial, float)
+    uk = np.zeros(n_unknown) if initial is None else initial
     distances = []
     for it in range(max_iters):
         pole = uk[0]
@@ -440,10 +453,13 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
                                            spec.nonlinearity.q)
     rho = residual_field(spec, fld, source=source)
     fld.residual_scale = float(np.nanmax(np.abs(rho)))
+    # factor_fill: entries SuperLU stores for L and U; reading lu.L and lu.U
+    # instead would copy both factors out and raise the solver's peak memory
     fld.meta["solver"] = {"kind": "grid2d_fixed_point", "n_r": n_r,
                           "n_theta": n_theta, "damping": damping,
                           "iterations": len(distances),
-                          "distances": distances}
+                          "distances": distances,
+                          "factor_fill": lu.nnz}
     return fld
 
 

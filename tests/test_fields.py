@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import freqlab
 from freqlab.fields import (SolutionField, SolverError, glued_field, load_field,
                             residual_field, sample_grid2d, save_field,
                             solve_grid_2d, solve_radial)
-from freqlab.fields import glued_residual_exact
+from freqlab.fields import (_assemble_operator, _polar_frame_entries,
+                            glued_residual_exact)
 from freqlab.model import (CoefficientField, NonlinearitySpec, ProblemSpec)
 
 
@@ -88,6 +93,164 @@ class TestGrid2dSolve:
                           source=bowl.source, tol=1e-14, max_iters=2)
         assert err.value.distance is not None
         assert err.value.last is not None
+
+    @pytest.mark.parametrize("n_r, n_theta, message", [
+        (3, 16, "at least 4 rings"), (8, 0, "even angular count"),
+        (8, 15, "even angular count")])
+    def test_rejects_grid_too_small_or_odd(self, bowl, n_r, n_theta, message):
+        with pytest.raises(ValueError, match=message):
+            solve_grid_2d(bowl.spec, bowl.boundary, n_r=n_r, n_theta=n_theta,
+                          source=bowl.source)
+
+    def test_rejects_max_iters_below_one(self, bowl):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            solve_grid_2d(bowl.spec, bowl.boundary, n_r=8, n_theta=16,
+                          source=bowl.source, max_iters=0)
+
+    def test_rejects_initial_of_wrong_length(self, bowl):
+        with pytest.raises(ValueError, match=r"n_theta = 113\b"):
+            solve_grid_2d(bowl.spec, bowl.boundary, n_r=8, n_theta=16,
+                          source=bowl.source, initial=np.zeros(4))
+
+    def test_rejects_non_finite_initial(self, bowl):
+        initial = np.zeros(1 + 7 * 16)
+        initial[5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            solve_grid_2d(bowl.spec, bowl.boundary, n_r=8, n_theta=16,
+                          source=bowl.source, initial=initial)
+
+    def test_factor_fill_stays_near_the_stencil(self, bowl):
+        # minimum-degree ordering on L^T + L: 7.3x nnz(L) at 64x128, where
+        # the default column ordering gives 14.2x
+        fld = solve_grid_2d(bowl.spec, bowl.boundary, n_r=64, n_theta=128,
+                            source=bowl.source)
+        r_nodes = np.linspace(0.0, bowl.spec.outer_radius, 65)
+        theta = np.arange(128) * (2.0 * math.pi / 128)
+        L, _ = _assemble_operator(bowl.spec, r_nodes, theta)
+        assert fld.meta["solver"]["factor_fill"] <= 10 * L.nnz
+
+
+def _loop_assembly(spec, r_nodes, theta):
+    """Ring-by-ring assembly of (L, B): the reference for the broadcast
+    version in freqlab.fields."""
+    import scipy.sparse as sp
+
+    M = len(r_nodes) - 1
+    n_t = len(theta)
+    dr = float(r_nodes[1] - r_nodes[0])
+    dth = float(theta[1] - theta[0])
+    n_unknown = 1 + (M - 1) * n_t
+
+    def unk(i, j):
+        if i == 0:
+            return np.zeros_like(np.asarray(j)) if np.ndim(j) else 0
+        return 1 + (i - 1) * n_t + (np.asarray(j) % n_t)
+
+    rows, cols, vals = [], [], []
+    brows, bcols, bvals = [], [], []
+
+    def add(r_idx, i, j, val):
+        if i == M:
+            brows.append(r_idx)
+            bcols.append(np.asarray(j) % n_t)
+            bvals.append(val)
+        else:
+            rows.append(r_idx)
+            cols.append(unk(i, j))
+            vals.append(val)
+
+    j = np.arange(n_t)
+    half_r = r_nodes[:-1] + 0.5 * dr
+    arr_f, art_f, _ = _polar_frame_entries(spec.coefficients, half_r, theta)
+    _, art_t, att_t = _polar_frame_entries(spec.coefficients, r_nodes[1:M], theta + 0.5 * dth)
+
+    for i in range(1, M):
+        r_i = r_nodes[i]
+        row = unk(i, j)
+        scale_out = half_r[i] / (r_i * dr)
+        scale_in = half_r[i - 1] / (r_i * dr)
+
+        c = arr_f[i] * scale_out / dr
+        add(row, i + 1, j, c)
+        add(row, i, j, -c)
+        cx = art_f[i] * scale_out / (half_r[i] * 4.0 * dth)
+        for di, dj, s in ((0, 1, 1.0), (0, -1, -1.0), (1, 1, 1.0), (1, -1, -1.0)):
+            add(row, i + di, j + dj, s * cx)
+
+        c = arr_f[i - 1] * scale_in / dr
+        add(row, i, j, -c)
+        add(row, i - 1, j, c)
+        cx = art_f[i - 1] * scale_in / (half_r[i - 1] * 4.0 * dth)
+        if i - 1 == 0:
+            for dj, s in ((1, 1.0), (-1, -1.0)):
+                add(row, i, j + dj, -s * cx)
+        else:
+            for di, dj, s in ((0, 1, 1.0), (0, -1, -1.0), (-1, 1, 1.0), (-1, -1, -1.0)):
+                add(row, i + di, j + dj, -s * cx)
+
+        scale_t = 1.0 / (r_i * dth)
+        ct = att_t[i - 1] * scale_t / (r_i * dth)
+        add(row, i, j + 1, ct)
+        add(row, i, j, -ct)
+        ctm = np.roll(att_t[i - 1], 1) * scale_t / (r_i * dth)
+        add(row, i, j, -ctm)
+        add(row, i, j - 1, ctm)
+        cxp = art_t[i - 1] * scale_t / (4.0 * dr)
+        cxm = np.roll(art_t[i - 1], 1) * scale_t / (4.0 * dr)
+        for dj_face, coefs in ((0, cxp), (-1, cxm)):
+            s = 1.0 if dj_face == 0 else -1.0
+            for di, dj2, s2 in ((1, 0, 1.0), (-1, 0, -1.0), (1, 1, 1.0), (-1, 1, -1.0)):
+                add(row, i + di, j + dj_face + dj2, s * s2 * coefs)
+
+    pole_row = np.zeros(n_t, dtype=int)
+    disk_scale = dth / (math.pi * half_r[0])
+    c = arr_f[0] * disk_scale / dr
+    add(pole_row, 1, j, c)
+    add(pole_row, 0, j, -c)
+    cx = art_f[0] * disk_scale / (half_r[0] * 4.0 * dth)
+    for dj, s in ((1, 1.0), (-1, -1.0)):
+        add(pole_row, 1, j + dj, s * cx)
+
+    rows = np.concatenate([np.ravel(x) for x in rows])
+    cols = np.concatenate([np.ravel(x) for x in cols])
+    vals = np.concatenate([np.broadcast_to(v, (n_t,)).ravel() for v in vals])
+    L = sp.coo_matrix((-vals, (rows, cols)), shape=(n_unknown, n_unknown)).tocsc()
+    br = np.concatenate([np.ravel(x) for x in brows])
+    bc = np.concatenate([np.ravel(x) for x in bcols])
+    bv = np.concatenate([np.broadcast_to(v, (n_t,)).ravel() for v in bvals])
+    B = sp.coo_matrix((bv, (br, bc)), shape=(n_unknown, n_t)).tocsc()
+    return L, B
+
+
+class TestOperatorAssembly:
+    @pytest.mark.parametrize("n_r, n_t", [(8, 16), (16, 32)])
+    @pytest.mark.parametrize("coeff", ["bowl", "identity"])
+    def test_broadcast_matches_ring_loop(self, bowl, linear_mode_spec, coeff,
+                                         n_r, n_t):
+        spec = bowl.spec if coeff == "bowl" else linear_mode_spec
+        r_nodes = np.linspace(0.0, spec.outer_radius, n_r + 1)
+        theta = np.arange(n_t) * (2.0 * math.pi / n_t)
+        if coeff == "bowl":  # θ-dependent entries, cross terms included
+            _, art, _ = _polar_frame_entries(spec.coefficients, r_nodes, theta)
+            assert np.max(np.abs(art)) > 1e-2
+        for got, ref in zip(_assemble_operator(spec, r_nodes, theta),
+                            _loop_assembly(spec, r_nodes, theta)):
+            assert got.shape == ref.shape
+            got, ref = got.toarray(), ref.toarray()
+            np.testing.assert_allclose(got, ref, rtol=1e-14,
+                                       atol=1e-14 * np.max(np.abs(ref)))
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is only needed by the 2-D solver, which imports it on first use
+    src = os.path.dirname(os.path.dirname(freqlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, freqlab, freqlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestResidualField:
