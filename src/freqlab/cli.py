@@ -290,7 +290,14 @@ def cmd_solve(cfg, q_list):
     fpath = os.path.join(out, "field.txt")
     save_field(fld, fpath)
     rec.add(fpath)
-    rec.finish({"mode": cfg.mode, "residual_scale": fld.residual_scale})
+    summary = {"mode": cfg.mode, "residual_scale": fld.residual_scale}
+    if cfg.mode == "grid2d":
+        solver = fld.meta["solver"]
+        summary["solver"] = {"iterations": solver["iterations"],
+                             "final_distance": solver["distances"][-1],
+                             "linear_solver": solver["linear_solver"],
+                             "factor_fill": solver["factor_fill"]}
+    rec.finish(summary)
     return EXIT_OK
 
 

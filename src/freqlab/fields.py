@@ -270,102 +270,196 @@ def _polar_frame_entries(coeff, r, theta):
     return arr, art, att
 
 
-def _assemble_operator(spec, r_nodes, theta):
-    """Sparse L = -div(A grad .) on [pole, rings 1..M-1]; Dirichlet row M.
+# A coefficient field counts as theta-invariant when its sampled polar-frame
+# entries vary along each ring by at most this much relative to the largest
+# entry: A = id varies by 4.4e-16 through cos^2 + sin^2, a theta-dependent
+# field at the size of its own variation.
+_THETA_INVARIANCE_TOL = 1e-13
 
-    Returns (matrix, boundary_map) where boundary_map applied to the
-    boundary values g yields the constant flux contribution to L u = b.
-    Every stencil term is one broadcast over all rings and angles.
+
+def _stencil_terms(spec, r_nodes, theta):
+    """The finite-volume stencil of div(A grad .) as broadcast terms.
+
+    Each term (ring, di, dj, value) adds value * u[ring + di, j + dj] to the
+    equation of node (ring, j) for every angle j.  `ring` is a column of
+    ring numbers, or 0 for the pole equation (a disk of radius dr/2), whose
+    rows j all land in one equation; ring 0 is the pole, a single value, and
+    ring M the Dirichlet boundary.  Also returns whether the sampled
+    polar-frame entries are independent of theta (`_THETA_INVARIANCE_TOL`).
     """
-    import scipy.sparse as sp
-
     M = len(r_nodes) - 1
-    n_t = len(theta)
     dr = float(r_nodes[1] - r_nodes[0])
     dth = float(theta[1] - theta[0])
-    n_unknown = 1 + (M - 1) * n_t
+    terms = []
 
-    def node(i, j):
-        # column of node (i, j) in [pole, rings 1..M-1, boundary ring M]
-        return np.where(i == 0, 0, 1 + (i - 1) * n_t + j % n_t)
+    def add(ring, di, dj, val):
+        terms.append((ring, di, dj, val))
 
-    terms = []  # (equation row, neighbour ring, neighbour angle, value)
-
-    def add(row, i, j, val):
-        terms.append((row, i, j, val))
-
-    j = np.arange(n_t)
     half_r = r_nodes[:-1] + 0.5 * dr  # faces i+1/2, i = 0..M-1
     arr_f, art_f, _ = _polar_frame_entries(spec.coefficients, half_r, theta)
     _, art_t, att_t = _polar_frame_entries(spec.coefficients, r_nodes[1:M], theta + 0.5 * dth)
+    sampled = (arr_f, art_f, art_t, att_t)
+    scale = max(float(np.max(np.abs(a))) for a in sampled)
+    invariant = all(float(np.max(np.ptp(a, axis=1))) <= _THETA_INVARIANCE_TOL * scale
+                    for a in sampled)
 
     # ring equations, i = 1..M-1 down the first axis
     i = np.arange(1, M)[:, None]
     r_i = r_nodes[1:M, None]
-    row = node(i, j)
     scale_out = half_r[1:, None] / (r_i * dr)   # face i+1/2
     scale_in = half_r[:-1, None] / (r_i * dr)   # face i-1/2
 
     # outward radial flux: c_rr (u[i+1]-u[i])/dr + c_rt/r_f * dtheta-avg
     c = arr_f[1:] * scale_out / dr
-    add(row, i + 1, j, c)
-    add(row, i, j, -c)
+    add(i, 1, 0, c)
+    add(i, 0, 0, -c)
     cx = art_f[1:] * scale_out / (half_r[1:, None] * 4.0 * dth)
     for di, dj, s in ((0, 1, 1.0), (0, -1, -1.0), (1, 1, 1.0), (1, -1, -1.0)):
-        add(row, i + di, j + dj, s * cx)
+        add(i, di, dj, s * cx)
 
     # inward radial flux (subtract)
     c = arr_f[:-1] * scale_in / dr
-    add(row, i, j, -c)
-    add(row, i - 1, j, c)
+    add(i, 0, 0, -c)
+    add(i, -1, 0, c)
     cx = art_f[:-1] * scale_in / (half_r[:-1, None] * 4.0 * dth)
     for dj, s in ((1, 1.0), (-1, -1.0)):
-        add(row, i, j + dj, -s * cx)
+        add(i, 0, dj, -s * cx)
         # pole row is a single value: its theta-derivative vanishes, so
         # ring 1 takes no inward cross term
-        add(row[1:], i[1:] - 1, j + dj, -s * cx[1:])
+        add(i[1:], -1, dj, -s * cx[1:])
 
     # angular fluxes at faces j+1/2 and j-1/2
     scale_t = 1.0 / (r_i * dth)
     ct = att_t * scale_t / (r_i * dth)                     # at face (i, j+1/2)
-    add(row, i, j + 1, ct)
-    add(row, i, j, -ct)
+    add(i, 0, 1, ct)
+    add(i, 0, 0, -ct)
     ctm = np.roll(att_t, 1, axis=1) * scale_t / (r_i * dth)  # face (i, j-1/2)
-    add(row, i, j, -ctm)
-    add(row, i, j - 1, ctm)
+    add(i, 0, 0, -ctm)
+    add(i, 0, -1, ctm)
     cxp = art_t * scale_t / (4.0 * dr)                     # face (i, j+1/2)
     cxm = np.roll(art_t, 1, axis=1) * scale_t / (4.0 * dr)
     for dj_face, coefs in ((0, cxp), (-1, cxm)):
         s = 1.0 if dj_face == 0 else -1.0
         for di, dj2, s2 in ((1, 0, 1.0), (-1, 0, -1.0), (1, 1, 1.0), (-1, 1, -1.0)):
-            add(row, i + di, j + dj_face + dj2, s * s2 * coefs)
+            add(i, di, dj_face + dj2, s * s2 * coefs)
 
     # pole equation: disk of radius dr/2
     disk_scale = dth / (math.pi * half_r[0])
     c = arr_f[0] * disk_scale / dr
-    add(0, 1, j, c)
-    add(0, 0, j, -c)
+    add(0, 1, 0, c)
+    add(0, 0, 0, -c)
     cx = art_f[0] * disk_scale / (half_r[0] * 4.0 * dth)
     for dj, s in ((1, 1.0), (-1, -1.0)):
-        add(0, 1, j + dj, s * cx)
+        add(0, 1, dj, s * cx)
+    return terms, invariant
+
+
+def _assemble_operator(terms, n_r, n_theta):
+    """Sparse L = -div(A grad .) on [pole, rings 1..n_r-1]; Dirichlet row n_r.
+
+    Returns (matrix, boundary_map) where boundary_map applied to the
+    boundary values g yields the constant flux contribution to L u = b.
+    """
+    import scipy.sparse as sp
+
+    n_t = n_theta
+    n_unknown = 1 + (n_r - 1) * n_t
+    j = np.arange(n_t)
+
+    def node(i, j):
+        # column of node (i, j) in [pole, rings 1..M-1, boundary ring M]
+        return np.where(i == 0, 0, 1 + (i - 1) * n_t + j % n_t)
 
     # the triplets are the assembly's largest arrays: write them once, in
     # scipy's int32 index type, so assembly stays below the factor's memory
-    shapes = [np.broadcast_shapes(*map(np.shape, term)) for term in terms]
+    shapes = [np.broadcast_shapes(np.shape(ring), (n_t,), np.shape(val))
+              for ring, _, _, val in terms]
     n_entries = sum(math.prod(shape) for shape in shapes)
     rows = np.empty(n_entries, dtype=np.int32)
     cols = np.empty(n_entries, dtype=np.int32)
     vals = np.empty(n_entries)
     start = 0
-    for (row, ring, ang, val), shape in zip(terms, shapes):
+    for (ring, di, dj, val), shape in zip(terms, shapes):
         stop = start + math.prod(shape)
-        rows[start:stop].reshape(shape)[...] = row
-        cols[start:stop].reshape(shape)[...] = node(ring, ang)
+        rows[start:stop].reshape(shape)[...] = node(ring, j)
+        cols[start:stop].reshape(shape)[...] = node(ring + di, j + dj)
         vals[start:stop].reshape(shape)[...] = val
         start = stop
     # columns past n_unknown hold the boundary ring's values
     A = sp.coo_matrix((vals, (rows, cols)), shape=(n_unknown, n_unknown + n_t)).tocsc()
     return -A[:, :n_unknown], A[:, n_unknown:]
+
+
+class _FourierFactor:
+    """L = -div(A grad .) for theta-invariant A, solved one angular mode at
+    a time.
+
+    A real FFT in theta turns each ring's equations into n_theta/2 + 1
+    independent radial systems, tridiagonal in the ring index; only mode 0
+    also couples to the pole.  Each mode's coefficients (its symbol) are the
+    theta-means of the stencil terms times exp(2 pi i k dj / n_theta).  The
+    systems are stacked mode by mode into one tridiagonal matrix, blocks
+    joined by zeros, and factored once by LAPACK's gttrf.  Like a SuperLU
+    factor, it has `solve(b)` and `nnz` (the entries the factor stores).
+    """
+
+    def __init__(self, terms, n_r, n_theta):
+        from scipy.linalg import lapack
+
+        self.n_ring = m = n_r - 1
+        self.n_theta = n_t = n_theta
+        self.n_mode = n_k = n_t // 2 + 1
+        phase = np.exp(2j * math.pi * np.arange(n_k)[:, None] / n_t)
+        # symbol of div(A grad .): bands[di] holds, for mode k and ring i,
+        # the coefficient of mode k of ring i + di in ring i's equation;
+        # bands[-1][:, 0] is the pole (mode 0 only), bands[1][:, -1] the
+        # boundary ring
+        bands = {di: np.zeros((n_k, m), dtype=complex) for di in (-1, 0, 1)}
+        pole = {0: 0.0, 1: 0.0}  # pole equation on the pole and on ring 1
+        for ring, di, dj, val in terms:
+            if np.ndim(ring) == 0:
+                # sum over the pole's rows j of val * u[di, j + dj]: the mean
+                # of val times n_theta p, or times the mode-0 sum of ring 1
+                pole[di] += np.mean(val) * (n_t if di == 0 else 1.0)
+                continue
+            rings = ring[:, 0]
+            coef = np.broadcast_to(val, (len(rings), n_t)).mean(axis=1)
+            contrib = coef * phase ** dj
+            on_pole = rings + di == 0
+            contrib[:, on_pole] = 0.0
+            contrib[0, on_pole] = n_t * coef[on_pole]
+            bands[di][:, rings - 1] += contrib
+        self._boundary = bands[1][:, -1].copy()
+        upper = bands[1].copy()
+        upper[:, -1] = 0.0  # no coupling from one mode's block to the next
+        dl = -bands[-1].ravel()
+        d = -np.concatenate(([pole[0]], bands[0].ravel()))
+        du = -np.concatenate(([pole[1]], upper.ravel()[:-1]))
+        dl, d, du, du2, ipiv, info = lapack.zgttrf(dl, d, du)
+        if info:
+            raise np.linalg.LinAlgError(f"mode system is singular (gttrf info {info})")
+        self._factor = (dl, d, du, du2, ipiv)
+        self._gttrs = lapack.zgttrs
+        self.nnz = len(dl) + len(d) + len(du) + len(du2)
+
+    def boundary_term(self, g):
+        """The boundary ring's flux into ring n_r - 1, as a right-hand side."""
+        out = np.zeros(1 + self.n_ring * self.n_theta)
+        out[-self.n_theta:] = np.fft.irfft(self._boundary * np.fft.rfft(g),
+                                           n=self.n_theta)
+        return out
+
+    def solve(self, b):
+        m, n_t, n_k = self.n_ring, self.n_theta, self.n_mode
+        bh = np.empty(1 + n_k * m, dtype=complex)
+        bh[0] = b[0]
+        bh[1:].reshape(n_k, m)[...] = np.fft.rfft(b[1:].reshape(m, n_t), axis=1).T
+        x, _ = self._gttrs(*self._factor, bh)
+        out = np.empty(len(b))
+        out[0] = x[0].real
+        out[1:].reshape(m, n_t)[...] = np.fft.irfft(x[1:].reshape(n_k, m).T,
+                                                    n=n_t, axis=1)
+        return out
 
 
 def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
@@ -374,13 +468,14 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
 
     `boundary` is a callable of the angular nodes giving Dirichlet data on
     the outer circle.  Iterates u <- damping u + (1-damping) L^{-1}(rhs(u)),
-    with L factored once by SuperLU under a minimum-degree ordering of
-    L^T + L.  `initial`, if given, is the unknown vector [pole, rings
-    1..n_r-1 row by row] of length 1 + (n_r - 1) n_theta.
+    with L factored once.  When the polar-frame entries of A do not depend
+    on theta, L is solved in Fourier space, one tridiagonal radial system
+    per angular mode (`_FourierFactor`); otherwise SuperLU factors it under
+    a minimum-degree ordering of L^T + L.  `initial`, if given, is the
+    unknown vector [pole, rings 1..n_r-1 row by row] of length
+    1 + (n_r - 1) n_theta.
     Raises SolverError when the sup-distance fails to reach `tol`.
     """
-    import scipy.sparse.linalg as spla
-
     if spec.dim != 2:
         raise ValueError("the grid solver is two-dimensional")
     if n_theta < 2 or n_theta % 2:
@@ -405,11 +500,19 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     if np.any(~np.isfinite(g)):
         raise ValueError("boundary data must be finite")
 
-    L, B = _assemble_operator(spec, r_nodes, theta)
-    # the stencil is nearly symmetric: ordering on the pattern of L^T + L
-    # halves the fill of the default column ordering
-    lu = spla.splu(L, permc_spec="MMD_AT_PLUS_A")
-    bc_term = np.asarray(B @ g).ravel()  # known boundary columns, moved right
+    terms, theta_invariant = _stencil_terms(spec, r_nodes, theta)
+    if theta_invariant:
+        lu = _FourierFactor(terms, n_r, n_theta)
+        bc_term = lu.boundary_term(g)
+    else:
+        import scipy.sparse.linalg as spla
+
+        L, B = _assemble_operator(terms, n_r, n_theta)
+        del terms  # free the stencil's arrays before the factor takes memory
+        # the stencil is nearly symmetric: ordering on the pattern of L^T + L
+        # halves the fill of the default column ordering
+        lu = spla.splu(L, permc_spec="MMD_AT_PLUS_A")
+        bc_term = np.asarray(B @ g).ravel()  # known boundary columns, moved right
 
     M = n_r
     n_t = n_theta
@@ -453,12 +556,13 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
                                            spec.nonlinearity.q)
     rho = residual_field(spec, fld, source=source)
     fld.residual_scale = float(np.nanmax(np.abs(rho)))
-    # factor_fill: entries SuperLU stores for L and U; reading lu.L and lu.U
-    # instead would copy both factors out and raise the solver's peak memory
+    # factor_fill: entries the factor stores (SuperLU: L and U; reading
+    # lu.L and lu.U instead would copy both out and raise the peak memory)
     fld.meta["solver"] = {"kind": "grid2d_fixed_point", "n_r": n_r,
                           "n_theta": n_theta, "damping": damping,
                           "iterations": len(distances),
                           "distances": distances,
+                          "linear_solver": "fourier" if theta_invariant else "superlu",
                           "factor_fill": lu.nnz}
     return fld
 
@@ -633,6 +737,11 @@ def save_field(fld, path):
         fh.write("\n".join(lines) + "\n")
 
 
+# a radial file holds r = k h, whose steps differ from h by round-off of
+# about k eps relative (1e-11 at 6e4 nodes); a larger spread is another grid
+_STEP_REL_TOL = 1e-9
+
+
 def load_field(path):
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
@@ -649,6 +758,9 @@ def load_field(path):
         rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     if not len(rows) or rows.shape[1] != 3:
         raise ValueError(f"{path}: expected data rows of 3 comma-separated values")
+    bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
+    if len(bad):
+        raise ValueError(f"{path}: non-finite value in data row {bad[0] + 1}")
     rep = header["representation"]
     dim = int(header["N"])
     q = float(header["q"])
@@ -658,12 +770,23 @@ def load_field(path):
         if "count" in header and len(rows) != int(header["count"]):
             raise ValueError(f"{path}: {len(rows)} rows, header says "
                              f"count={header['count']}")
+        # every radial quadrature takes h = r[1] - r[0] on r = 0, h, 2h, ...
+        r = rows[:, 0]
+        if r[0] != 0.0:
+            raise ValueError(f"{path}: radial r must start at 0, got {r[0]!r}")
+        steps = np.diff(r)
+        if not (len(steps) and steps[0] > 0
+                and np.all(np.abs(steps - steps[0]) <= _STEP_REL_TOL * steps[0])):
+            raise ValueError(f"{path}: radial r must be increasing with a "
+                             f"uniform step (to a relative {_STEP_REL_TOL:g})")
         fld = SolutionField.radial_from_arrays(rows[:, 0], rows[:, 1],
                                                rows[:, 2], dim, q)
     elif rep == "grid2d":
         n_r = int(header["n_r"])
         n_t = int(header["n_theta"])
         r_max = float(header["r_max"])
+        if not (math.isfinite(r_max) and r_max > 0):
+            raise ValueError(f"{path}: r_max must be finite and positive, got {r_max!r}")
         if len(rows) != (n_r + 1) * n_t:
             raise ValueError(f"{path}: {len(rows)} rows, header says "
                              f"{n_r + 1} x {n_t} nodes")
@@ -682,4 +805,6 @@ def load_field(path):
         raise ValueError(f"unknown representation {rep!r}")
     if "residual_scale" in header:
         fld.residual_scale = float(header["residual_scale"])
+        if not math.isfinite(fld.residual_scale):
+            raise ValueError(f"{path}: non-finite residual_scale")
     return fld

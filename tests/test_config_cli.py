@@ -221,3 +221,20 @@ class TestHarmonicBoundary:
                      "--angles", "48", "--radius", "1.0", "--amplitude",
                      "0.3", "--out", str(out)]) == 0
         assert (out / "field.txt").exists()
+
+    def test_solve_records_solver_summary(self, tmp_path):
+        records = []
+        for name in ("s1", "s2"):
+            out = tmp_path / name
+            assert main(["solve", "--mode", "grid2d", "--q", "1.5", "--N", "2",
+                         "--rings", "16", "--angles", "32", "--radius", "1.0",
+                         "--out", str(out)]) == 0
+            records.append(json.loads((out / "record.json").read_text()))
+        solver = records[0]["summary"]["solver"]
+        assert solver["linear_solver"] == "fourier"  # A = id, radial trace
+        assert solver["iterations"] >= 1
+        assert 0.0 <= solver["final_distance"] < 1e-10
+        assert solver["factor_fill"] == 4 * (1 + 15 * 17) - 4
+        assert records[1]["summary"]["solver"] == solver
+        assert records[0]["content_hash"] == records[1]["content_hash"]
+        assert content_hash_of_dir(tmp_path / "s1") == content_hash_of_dir(tmp_path / "s2")

@@ -10,9 +10,11 @@ import freqlab
 from freqlab.fields import (SolutionField, SolverError, glued_field, load_field,
                             residual_field, sample_grid2d, save_field,
                             solve_grid_2d, solve_radial)
-from freqlab.fields import (_assemble_operator, _polar_frame_entries,
+from freqlab.fields import (_FourierFactor, _assemble_operator,
+                            _polar_frame_entries, _stencil_terms,
                             glued_residual_exact)
-from freqlab.model import (CoefficientField, NonlinearitySpec, ProblemSpec)
+from freqlab.model import (CoefficientField, NonlinearitySpec, ProblemSpec,
+                           eval_f)
 
 
 class TestRadialSolve:
@@ -126,7 +128,9 @@ class TestGrid2dSolve:
                             source=bowl.source)
         r_nodes = np.linspace(0.0, bowl.spec.outer_radius, 65)
         theta = np.arange(128) * (2.0 * math.pi / 128)
-        L, _ = _assemble_operator(bowl.spec, r_nodes, theta)
+        L, _ = _assemble_operator(_stencil_terms(bowl.spec, r_nodes, theta)[0],
+                                  64, 128)
+        assert fld.meta["solver"]["linear_solver"] == "superlu"
         assert fld.meta["solver"]["factor_fill"] <= 10 * L.nnz
 
 
@@ -233,12 +237,134 @@ class TestOperatorAssembly:
         if coeff == "bowl":  # θ-dependent entries, cross terms included
             _, art, _ = _polar_frame_entries(spec.coefficients, r_nodes, theta)
             assert np.max(np.abs(art)) > 1e-2
-        for got, ref in zip(_assemble_operator(spec, r_nodes, theta),
+        terms, _ = _stencil_terms(spec, r_nodes, theta)
+        for got, ref in zip(_assemble_operator(terms, n_r, n_t),
                             _loop_assembly(spec, r_nodes, theta)):
             assert got.shape == ref.shape
             got, ref = got.toarray(), ref.toarray()
             np.testing.assert_allclose(got, ref, rtol=1e-14,
                                        atol=1e-14 * np.max(np.abs(ref)))
+
+
+def _spiral(c):
+    """A = I + c (x x_perp^T + x_perp x^T): theta-invariant in the polar
+    frame with a_rr = a_tt = 1 and a_rt = c |x|^2, so every cross term of
+    the stencil is non-zero."""
+    def entries(x):
+        x = np.asarray(x, dtype=float)
+        x1, x2 = x[..., 0], x[..., 1]
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0 - 2.0 * c * x1 * x2
+        out[..., 1, 1] = 1.0 + 2.0 * c * x1 * x2
+        out[..., 0, 1] = out[..., 1, 0] = c * (x1 ** 2 - x2 ** 2)
+        return out
+
+    return CoefficientField(2, entries, None, None, "spiral")
+
+
+def _grid(spec, n_r, n_t):
+    return (np.linspace(0.0, spec.outer_radius, n_r + 1),
+            np.arange(n_t) * (2.0 * math.pi / n_t))
+
+
+def _superlu(terms, n_r, n_t):
+    import scipy.sparse.linalg as spla
+
+    L, B = _assemble_operator(terms, n_r, n_t)
+    return spla.splu(L, permc_spec="MMD_AT_PLUS_A"), B
+
+
+def _rel_gap(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+class TestFourierSolve:
+    @pytest.fixture(params=["identity", "rotation_perturbed", "linear_mode",
+                            "spiral"])
+    def invariant_spec(self, request, linear_mode_spec):
+        if request.param == "linear_mode":
+            return linear_mode_spec
+        coeff = {"identity": CoefficientField.identity(2),
+                 "rotation_perturbed": CoefficientField.rotation_perturbed(0.3),
+                 "spiral": _spiral(0.4)}[request.param]
+        return ProblemSpec(2, 1.0, coeff, NonlinearitySpec.homogeneous(1.5))
+
+    @pytest.mark.parametrize("n_r, n_t", [(16, 32), (64, 128)])
+    def test_matches_superlu(self, invariant_spec, n_r, n_t):
+        terms, invariant = _stencil_terms(invariant_spec, *_grid(invariant_spec, n_r, n_t))
+        assert invariant
+        lu, B = _superlu(terms, n_r, n_t)
+        fourier = _FourierFactor(terms, n_r, n_t)
+        rng = np.random.default_rng(n_r)
+        b = rng.standard_normal(1 + (n_r - 1) * n_t)
+        g = rng.standard_normal(n_t)
+        assert _rel_gap(fourier.boundary_term(g), B @ g) <= 1e-12
+        assert _rel_gap(fourier.solve(b), lu.solve(b)) <= 1e-12
+        assert _rel_gap(fourier.solve(b + fourier.boundary_term(g)),
+                        lu.solve(b + B @ g)) <= 1e-12
+
+    def test_every_term_reaches_the_symbol(self):
+        # a symbol that drops any one stencil term no longer reproduces L
+        spec = ProblemSpec(2, 1.0, _spiral(0.4), NonlinearitySpec.zero())
+        terms, _ = _stencil_terms(spec, *_grid(spec, 16, 32))
+        lu, _ = _superlu(terms, 16, 32)
+        b = np.random.default_rng(1).standard_normal(1 + 15 * 32)
+        ref = lu.solve(b)
+        assert _rel_gap(_FourierFactor(terms, 16, 32).solve(b), ref) <= 1e-12
+        for k in range(len(terms)):
+            mutant = _FourierFactor(terms[:k] + terms[k + 1:], 16, 32)
+            assert _rel_gap(mutant.solve(b), ref) > 1e-6, f"term {k}"
+
+    def test_invariant_coefficients_take_the_fourier_path(self, invariant_spec):
+        fld = solve_grid_2d(invariant_spec, lambda th: 0.3 + 0.1 * np.cos(th),
+                            n_r=16, n_theta=32)
+        solver = fld.meta["solver"]
+        assert solver["linear_solver"] == "fourier"
+        assert solver["factor_fill"] == 4 * (1 + 15 * 17) - 4  # gttrf's four bands
+
+    @pytest.mark.parametrize("coeff", ["bowl", "diagonal"])
+    def test_theta_dependent_coefficients_take_superlu(self, bowl, coeff):
+        if coeff == "bowl":
+            spec, boundary, source = bowl.spec, bowl.boundary, bowl.source
+        else:  # constant, but a_rr = 2 cos^2 + sin^2 varies with theta
+            spec = ProblemSpec(2, 1.0, CoefficientField.diagonal([2, 1]),
+                               NonlinearitySpec.homogeneous(1.5))
+            boundary, source = (lambda th: 0.3 + 0.1 * np.cos(th)), None
+        assert not _stencil_terms(spec, *_grid(spec, 16, 32))[1]
+        fld = solve_grid_2d(spec, boundary, n_r=16, n_theta=32, source=source)
+        assert fld.meta["solver"]["linear_solver"] == "superlu"
+
+    def test_cos1_lands_on_the_superlu_fixed_point_or_its_mirror(self):
+        # the boundary 0.05 cos(theta - phi) is odd under x -> -x, and so is
+        # f, so u and -u(-x) are both fixed points; round-off picks one
+        spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
+        n_r, n_t = 32, 64
+        r_nodes, theta = _grid(spec, n_r, n_t)
+        phase = theta[5]  # a whole number of cells
+        g = 0.05 * np.cos(theta - phase)
+        lu, B = _superlu(_stencil_terms(spec, r_nodes, theta)[0], n_r, n_t)
+        bc = B @ g
+        pts = np.stack([r_nodes[1:n_r, None] * np.cos(theta),
+                        r_nodes[1:n_r, None] * np.sin(theta)], axis=-1)
+        u = np.zeros(1 + (n_r - 1) * n_t)
+        for _ in range(400):
+            rhs = np.concatenate([
+                eval_f(spec.nonlinearity, np.zeros((1, 2)), u[:1]),
+                eval_f(spec.nonlinearity, pts, u[1:].reshape(n_r - 1, n_t)).ravel()])
+            step = 0.5 * u + 0.5 * lu.solve(rhs + bc)
+            dist = np.max(np.abs(step - u))
+            u = step
+            if dist < 1e-10:
+                break
+        ref = np.vstack([np.full(n_t, u[0]), u[1:].reshape(n_r - 1, n_t), g])
+        mirror = -np.roll(ref, n_t // 2, axis=1)
+        assert np.max(np.abs(ref - mirror)) > 1e-4  # two distinct fixed points
+
+        fld = solve_grid_2d(spec, lambda th: 0.05 * np.cos(th - phase),
+                            n_r=n_r, n_theta=n_t)
+        assert fld.meta["solver"]["linear_solver"] == "fourier"
+        gap = min(np.max(np.abs(fld.u - ref)), np.max(np.abs(fld.u - mirror)))
+        assert gap <= 1e-8
 
 
 def test_import_leaves_scipy_unloaded():
@@ -374,6 +500,87 @@ class TestSerialization:
         path.write_text(text.replace("\n16,31,", "\n16,30,"))
         with pytest.raises(ValueError, match="once each"):
             load_field(path)
+
+    @staticmethod
+    def _radial_file(tmp_path, r):
+        fld = SolutionField.radial_from_arrays(r, 1.0 - r ** 2, -2.0 * r, 2, 1.5)
+        path = tmp_path / "radial.txt"
+        save_field(fld, path)
+        return path
+
+    @pytest.mark.parametrize("r, message", [
+        (np.linspace(0.01, 1.0, 101), "must start at 0"),
+        (np.linspace(0.0, 1.0, 101) ** 1.01, "uniform step"),
+        (np.concatenate([np.linspace(0.0, 0.5, 51), np.linspace(0.52, 1.0, 25)]),
+         "uniform step"),
+        (np.linspace(0.0, 1.0, 101)[::-1], "must start at 0"),
+        (np.zeros(1), "uniform step"),
+    ])
+    def test_rejects_radial_grid_that_is_not_uniform_from_zero(
+            self, tmp_path, r, message):
+        with pytest.raises(ValueError, match=message):
+            load_field(self._radial_file(tmp_path, r))
+
+    def test_accepts_radial_grid_uniform_to_round_off(self, tmp_path):
+        # r = k h with h = 1e-4 out to 6: steps spread by about 1e-11 of h
+        r = 1e-4 * np.arange(60001)
+        steps = np.diff(r)
+        assert np.ptp(steps) > 0
+        back = load_field(self._radial_file(tmp_path, r))
+        np.testing.assert_array_equal(back.r, r)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("rep", ["radial", "grid2d"])
+    def test_rejects_non_finite_values(self, tmp_path, rep, bad):
+        if rep == "radial":
+            path = self._radial_file(tmp_path, np.linspace(0.0, 1.0, 101))
+        else:
+            path = tmp_path / "grid.txt"
+            save_field(sample_grid2d(lambda x: 2.0 - np.sum(x * x, axis=-1),
+                                     1.0, 16, 32, 1.5), path)
+        lines = path.read_text().splitlines(keepends=True)
+        first = next(k for k, line in enumerate(lines) if line[0].isdigit())
+        cells = lines[first + 50].rstrip("\n").split(",")
+        cells[1 if rep == "radial" else 2] = bad  # the value u
+        lines[first + 50] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="non-finite value in data row 51"):
+            load_field(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("r_max=nan", "r_max must be finite"), ("r_max=inf", "r_max must be finite"),
+        ("r_max=-1.0", "r_max must be finite and positive"),
+        ("residual_scale=nan", "non-finite residual_scale")])
+    def test_rejects_bad_grid_header_values(self, tmp_path, line, message):
+        fld = sample_grid2d(lambda x: 2.0 - np.sum(x * x, axis=-1), 1.0, 16, 32, 1.5)
+        fld.residual_scale = 1e-3
+        path = tmp_path / "grid.txt"
+        save_field(fld, path)
+        key = line.split("=")[0] + "="
+        path.write_text("".join(line + "\n" if text.startswith(key) else text
+                                for text in path.read_text().splitlines(keepends=True)))
+        with pytest.raises(ValueError, match=message):
+            load_field(path)
+
+    @pytest.mark.parametrize("fault", ["offset", "nonuniform", "nan"])
+    def test_cli_exits_2_on_bad_radial_field(self, tmp_path, capsys, fault):
+        from freqlab.cli import main
+
+        spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
+        fld = solve_radial(spec, 0.5, h=1e-2)
+        if fault == "offset":
+            fld.r = fld.r + 1e-3
+        elif fault == "nonuniform":
+            fld.r = fld.r * (1.0 + 1e-3 * fld.r)
+        else:
+            fld.u[40] = np.nan
+        path = tmp_path / "field.txt"
+        save_field(fld, path)
+        for command in ("frequency", "audit"):
+            out = tmp_path / command
+            assert main([command, str(path), "--out", str(out)]) == 2
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists() or not any(out.iterdir())
 
     def test_cli_exits_2_on_truncated_field(self, tmp_path, capsys):
         from freqlab.cli import main
