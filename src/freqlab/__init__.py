@@ -48,7 +48,6 @@ from .frequency import (
     FrequencyProfile,
     IdentityReport,
     ProfileControls,
-    ZField,
     ball_integral,
     frequency_profile,
     run_all_identity_checks,

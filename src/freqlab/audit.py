@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import c_constant
-from .frequency import ProfileControls, frequency_profile
+from .frequency import ProfileControls, _node_data, frequency_profile
 
 __all__ = [
     "AuditControls",
@@ -360,23 +360,15 @@ def audit(spec, fld, controls=None):
                              tool_version=__version__,
                              input_hash=_field_hash(fld))
 
-    # residual gate
-    from .fields import residual_field
-
-    rho = residual_field(spec, fld)
-    measured = float(np.nanmax(np.abs(rho)))
+    # residual gate, on the node data the profile has cached
+    data = _node_data(spec, fld)
+    measured = float(np.nanmax(np.abs(data.rho)))
     gate = controls.residual_gate
     if gate is None:
         if fld.residual_scale is not None:
             gate = 10.0 * fld.residual_scale
         else:
-            from .model import eval_f
-
-            if fld.representation == "radial":
-                fscale = float(np.max(np.abs(eval_f(spec.nonlinearity, None, fld.u))))
-            else:
-                fscale = float(np.max(np.abs(eval_f(spec.nonlinearity,
-                                                    fld.points(), fld.u))))
+            fscale = float(np.max(np.abs(data.fvals)))
             gate = 1e-6 * max(fscale, 1e-30)
     gate_ok = measured <= gate
     chain.steps["residual_gate"] = StepVerdict(

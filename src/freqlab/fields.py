@@ -126,12 +126,7 @@ class SolutionField:
         """grid2d: (du_dr, du_dtheta / r) node fields; pole row zeroed."""
         self._need_grid()
         if "grad" not in self._cache:
-            ur = _radial_deriv_across_pole(self.u, self.h)
-            ut = deriv_periodic_fft(self.u, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ut_r = ut / self.r[:, None]
-            ut_r[0] = 0.0
-            self._cache["grad"] = (ur, ut_r)
+            self._cache["grad"] = _polar_gradient(self.u, self.r, self.h)
         return self._cache["grad"]
 
     def gradient_cartesian(self):
@@ -140,17 +135,15 @@ class SolutionField:
         ct, st = np.cos(self.theta)[None, :], np.sin(self.theta)[None, :]
         return ur * ct - ut_r * st, ur * st + ut_r * ct
 
-    # ---- sup norms
 
-    def sphere_sup(self):
-        """max |u| on each node sphere."""
-        if self.representation == "radial":
-            return np.abs(self.u)
-        return np.max(np.abs(self.u), axis=1)
-
-    def ball_sup(self):
-        """running max |u| over the balls B_{r_i}."""
-        return np.maximum.accumulate(self.sphere_sup())
+def _polar_gradient(values, r, h):
+    """(d/dr, (1/r) d/dtheta) of a polar node field; second one zero at the pole."""
+    vr = _radial_deriv_across_pole(values, h)
+    vt = deriv_periodic_fft(values, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vt_r = vt / r[:, None]
+    vt_r[0] = 0.0
+    return vr, vt_r
 
 
 def _radial_deriv_across_pole(u, h):
@@ -798,6 +791,11 @@ def load_field(path):
                              f"{n_r + 1} x {n_t} grid once each")
         vals = np.empty((n_r + 1, n_t))
         vals[i, j] = rows[:, 2]
+        # the pole is one node: writers give every j the same repr, so any
+        # difference in row 0 is another field, not round-off
+        if np.any(vals[0] != vals[0, 0]):
+            raise ValueError(f"{path}: the pole row (i = 0) holds more than "
+                             f"one value")
         r_nodes = np.linspace(0.0, r_max, n_r + 1)
         theta = np.arange(n_t) * (2.0 * math.pi / n_t)
         fld = SolutionField.grid2d_from_values(r_nodes, theta, vals, q)

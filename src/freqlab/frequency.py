@@ -8,6 +8,12 @@ identity these quantities satisfy is checked in residual-corrected exact
 form: the correction terms (integrals against rho = div(A grad u) + V u + f)
 restore exactness for fields that are not exact solutions, so the checks
 apply to solver output, manufactured fields and glued candidates alike.
+
+Radial profiles and polar grids go through one path: both are turned into
+the same node fields (`_NodeData`), a radial profile being a polar grid with
+one angular node and the sphere weight |S^{N-1}| r^{N-1}, and each identity
+is written once against those fields.  Only the general identities
+(`verify_rellich_general`) need a polar grid.
 """
 
 import math
@@ -17,11 +23,10 @@ import numpy as np
 
 from .model import c_constant, eval_F, eval_f, grad1_F
 from .quadrature import cumulative_uniform, unit_sphere_area
-from .fields import residual_field
+from .fields import _polar_gradient, residual_field
 
 __all__ = [
     "FrequencyProfile",
-    "ZField",
     "IdentityReport",
     "ProfileControls",
     "sphere_integral",
@@ -100,35 +105,40 @@ class IdentityReport:
         return out
 
 
-@dataclass
-class ZField:
-    """Samples of Z = A x / mu with its Jacobian and divergence."""
-
-    points: np.ndarray
-    values: np.ndarray
-    jacobian: np.ndarray  # (..., h, j) = d Z_j / d x_h
-    divergence: np.ndarray
-
-    @classmethod
-    def sample(cls, coeff, points):
-        points = np.asarray(points, dtype=float)
-        return cls(points, coeff.z_field(points), coeff.z_jacobian(points),
-                   coeff.div_z(points))
-
-    def radial_component_defect(self):
-        """<Z, x/|x|> - |x|, identically zero for symmetric A."""
-        r = np.linalg.norm(self.points, axis=-1)
-        return np.einsum("...i,...i->...", self.values, self.points) / r - r
-
-
 # --------------------------------------------------------------------------
 # node-level integrand machinery
 
 
-class _RadialData:
-    """Cached node fields for a radial-representation field."""
+class _NodeData:
+    """Cached node fields of one field under one spec.
+
+    Both representations share one vocabulary.  Every node array has rows
+    over the radial nodes and columns over the angles, shape
+    (n_r + 1, n_theta); a radial field is a polar grid with one angular
+    column, ring weight |S^{N-1}| r^{N-1} and dtheta = 1.  `sphere(rows)`
+    is ring * sum_theta rows * dtheta, and `ball(rows)` its prefix integral
+    in r.  Only this constructor looks at the representation.  A polar
+    grid also keeps `a`, `grad` and `zjac` for the general identities,
+    which need one.
+    """
 
     def __init__(self, spec, fld):
+        self.r = fld.r
+        self.h = fld.h
+        if fld.representation == "radial":
+            self._fill_radial(spec, fld)
+        else:
+            self._fill_grid(spec, fld)
+        nl = spec.nonlinearity
+        self.fvals = eval_f(nl, self.pts, self.u)
+        self.Fvals = eval_F(nl, self.pts, self.u)
+        self.rho = np.reshape(residual_field(spec, fld), self.u.shape)
+        self.rho0 = np.nan_to_num(self.rho, nan=0.0)
+
+    def _fill_radial(self, spec, fld):
+        # closed forms of the admitted kinds: A nu = nu gives A x = x, so
+        # mu = 1, Z = x, div Z = N and <A grad u, nu> = u'; with V = 0 and
+        # an x-independent f no coefficient is evaluated on the nodes
         if spec.potential is not None:
             raise ValueError("radial frequency route supports V = 0 only")
         if spec.nonlinearity.kind not in ("homogeneous", "zero"):
@@ -136,64 +146,57 @@ class _RadialData:
         if spec.coefficients.kind not in ("identity", "rotation_perturbed"):
             raise ValueError("radial frequency route needs A in {identity, "
                              "rotation_perturbed} (A nu = nu on radial fields)")
-        self.spec = spec
-        self.fld = fld
-        self.r = fld.r
-        self.h = fld.h
-        self.area = unit_sphere_area(fld.dim)
-        self.surf = self.area * self.r ** (fld.dim - 1)
-        u, du = fld.u, fld.du
-        nl = spec.nonlinearity
-        self.u, self.du = u, du
-        self.fvals = eval_f(nl, None, u)
-        self.Fvals = eval_F(nl, None, u)
-        self.rho = residual_field(spec, fld)
-        self.rho0 = np.nan_to_num(self.rho, nan=0.0)
+        n, dim = len(fld.r), fld.dim
+        self.ring = unit_sphere_area(dim) * self.r ** (dim - 1)
+        self.dtheta = 1.0
+        self.u = fld.u[:, None]
+        du = fld.du[:, None]
+        self.pts = np.zeros((n, 1, dim))
+        self.pts[:, 0, 0] = self.r
+        self.u_nu = self.flux_r = du
+        self.e_density = du * du
+        self.x_grad_u = self.z_grad_u = self.r[:, None] * du
+        self.mu = np.broadcast_to(1.0, self.u.shape)
+        self.V = np.broadcast_to(0.0, self.u.shape)
+        self.zvals = self.pts
+        self.divz = np.broadcast_to(float(dim), self.u.shape)
 
-    def sphere(self, values):
-        return self.surf * values
-
-    def ball(self, values):
-        return cumulative_uniform(self.surf * values, self.h)
-
-
-class _GridData:
-    """Cached node fields for a grid2d field."""
-
-    def __init__(self, spec, fld):
-        self.spec = spec
-        self.fld = fld
-        self.r = fld.r
-        self.h = fld.h
-        self.dtheta = float(fld.theta[1] - fld.theta[0])
-        pts = fld.points()
-        self.pts = pts
+    def _fill_grid(self, spec, fld):
         coeff = spec.coefficients
+        pts = fld.points()
+        self.ring = self.r
+        self.dtheta = float(fld.theta[1] - fld.theta[0])
+        self.u = fld.u
+        self.pts = pts
         self.a = coeff.entries(pts)
-        self.gx, self.gy = fld.gradient_cartesian()
-        self.grad = np.stack([self.gx, self.gy], axis=-1)
+        gx, gy = fld.gradient_cartesian()
+        self.grad = np.stack([gx, gy], axis=-1)
         ct, st = np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :]
-        self.nu = np.stack([np.broadcast_to(ct, fld.u.shape),
-                            np.broadcast_to(st, fld.u.shape)], axis=-1)
+        nu = np.stack([np.broadcast_to(ct, fld.u.shape),
+                       np.broadcast_to(st, fld.u.shape)], axis=-1)
         agrad = np.einsum("...ij,...j->...i", self.a, self.grad)
-        self.agrad = agrad
-        self.flux_r = np.einsum("...i,...i->...", agrad, self.nu)
+        self.flux_r = np.einsum("...i,...i->...", agrad, nu)
         self.e_density = np.einsum("...i,...i->...", agrad, self.grad)
-        self.u_nu = self.gx * ct + self.gy * st
+        self.u_nu = gx * ct + gy * st
+        self.x_grad_u = gx * pts[..., 0] + gy * pts[..., 1]
         with np.errstate(invalid="ignore"):
             self.mu = coeff.mu(pts)
         self.mu[0] = 1.0  # pole excluded from every surface quantity anyway
         self.V = spec.V(pts)
-        self.fvals = eval_f(spec.nonlinearity, pts, fld.u)
-        self.Fvals = eval_F(spec.nonlinearity, pts, fld.u)
-        self.rho = residual_field(spec, fld)
-        self.rho0 = np.nan_to_num(self.rho, nan=0.0)
+        # Z = A x / mu, its Jacobian and divergence, undefined at the pole
+        self.zvals = coeff.z_field(pts)
+        self.zjac = coeff.z_jacobian(pts)
+        self.divz = np.einsum("...hh->...", self.zjac)
+        for arr in (self.zvals, self.zjac, self.divz):
+            arr[0] = 0.0
+        self.z_grad_u = self.zvals[..., 0] * gx + self.zvals[..., 1] * gy
 
-    def sphere(self, rows):
-        return self.r * np.sum(rows, axis=1) * self.dtheta
+    def sphere(self, rows, idx=slice(None)):
+        """Sphere integrals of node rows; `rows` holds the rows `idx` only."""
+        return self.ring[idx] * np.sum(rows, axis=1) * self.dtheta
 
     def ball(self, rows):
-        g = self.r * np.sum(rows, axis=1) * self.dtheta
+        g = self.sphere(rows)
         g[0] = 0.0
         return cumulative_uniform(np.nan_to_num(g, nan=0.0), self.h)
 
@@ -205,8 +208,7 @@ def _node_data(spec, fld):
     key = id(spec)
     entry = cache.get(key)
     if entry is None or entry[0] is not spec:
-        data = (_RadialData(spec, fld) if fld.representation == "radial"
-                else _GridData(spec, fld))
+        data = _NodeData(spec, fld)
         cache[key] = (spec, data)
         return data
     return entry[1]
@@ -232,7 +234,7 @@ def sphere_integral(spec, fld, values, r=None):
     `r`, the value at the nearest node radius (error if beyond the grid).
     """
     data = _node_data(spec, fld)
-    out = data.sphere(np.asarray(values, dtype=float))
+    out = data.sphere(np.reshape(np.asarray(values, dtype=float), data.u.shape))
     return out if r is None else float(out[_radius_index(fld, r)])
 
 
@@ -242,7 +244,7 @@ def ball_integral(spec, fld, values, r=None):
     Same radius convention as `sphere_integral`.
     """
     data = _node_data(spec, fld)
-    out = data.ball(np.asarray(values, dtype=float))
+    out = data.ball(np.reshape(np.asarray(values, dtype=float), data.u.shape))
     return out if r is None else float(out[_radius_index(fld, r)])
 
 
@@ -302,25 +304,14 @@ def frequency_profile(spec, fld, controls=None):
     stride = max(1, (hi - lo) // max(count - 1, 1))
     idx = np.arange(lo, hi + 1, stride)
 
-    if fld.representation == "radial":
-        u, du = data.u, data.du
-        H_all = data.sphere(u * u)  # mu = 1 on the admitted coefficient kinds
-        S_all = data.sphere(u * du)
-        D1_all = data.ball(du * du)
-        fu_all = data.ball(data.fvals * u)
-        d_all = data.ball(data.Fvals)
-        dp_all = data.sphere(data.Fvals)
-        sup_sphere = np.abs(u)
-    else:
-        u = data.fld.u
-        H_all = data.sphere(u * u * data.mu)
-        S_all = data.sphere(u * data.flux_r)
-        D1_all = data.ball(data.e_density)
-        fu_all = data.ball(data.V * u * u + data.fvals * u)
-        d_all = data.ball(data.Fvals)
-        dp_all = data.sphere(data.Fvals)
-        sup_sphere = np.max(np.abs(u), axis=1)
-
+    u = data.u
+    H_all = data.sphere(u * u * data.mu)
+    S_all = data.sphere(u * data.flux_r)
+    D1_all = data.ball(data.e_density)
+    fu_all = data.ball(data.V * u * u + data.fvals * u)
+    d_all = data.ball(data.Fvals)
+    dp_all = data.sphere(data.Fvals)
+    sup_sphere = np.max(np.abs(u), axis=1)
     D_all = D1_all - fu_all
     H = H_all[idx]
     floor = controls.h_floor_rel * max(float(np.max(H_all)), 1e-300)
@@ -361,10 +352,6 @@ def profile_derivative(y, h):
 # identity checks
 
 
-def _report_slice(prof, sl):
-    return prof.r[sl]
-
-
 def _gradient_provenance(spec):
     """How the coefficient entry gradients were obtained."""
     return ("central_differences" if spec.coefficients.kind == "expressions"
@@ -380,18 +367,11 @@ def verify_H_prime(spec, fld, prof, tolerance=1e-6):
     data = _node_data(spec, fld)
     dH, est, sl = profile_derivative(prof.H, prof.step)
     idx = prof.indices
-    if fld.representation == "radial":
-        pts = np.zeros((len(idx), fld.dim))
-        pts[:, 0] = prof.r
-        divterm = spec.coefficients.div_a_grad_absx(pts) * prof.H
-        # mu = 1 on the admitted kinds, so H is the plain sphere mass
-    else:
-        dvals = spec.coefficients.div_a_grad_absx(data.pts[idx])
-        rows = (fld.u[idx] ** 2) * dvals
-        divterm = prof.r * np.sum(rows, axis=1) * data.dtheta
+    dvals = spec.coefficients.div_a_grad_absx(data.pts[idx])
+    divterm = data.sphere(data.u[idx] ** 2 * dvals, idx)
     rhs = 2.0 * prof.surfaceD + divterm
     model_rhs = 2.0 * prof.surfaceD + (fld.dim - 1) / prof.r * prof.H
-    rep = IdentityReport("H_prime", _report_slice(prof, sl), dH[sl], rhs[sl],
+    rep = IdentityReport("H_prime", prof.r[sl], dH[sl], rhs[sl],
                          tolerance)
     rep.details["diff_error_estimate"] = est[sl]
     rep.details["model_form_rhs"] = model_rhs[sl]
@@ -420,22 +400,13 @@ def verify_pohozaev_model(spec, fld, prof, tolerance=1e-6):
     C = c_constant(N, q)
     idx = prof.indices
     dD, est, sl = profile_derivative(prof.D, prof.step)
-
-    if fld.representation == "radial":
-        uq = q * data.Fvals  # |u|^q for the power law; 0 in linear mode
-        S2 = data.sphere(2.0 * data.du ** 2 + (2.0 - q) / q * uq)[idx]
-        X = data.ball(data.r * data.du * data.rho0)[idx]
-    else:
-        uq = q * data.Fvals
-        rows = 2.0 * data.u_nu ** 2 + (2.0 - q) / q * uq
-        S2 = (prof.r * np.sum(rows[idx], axis=1) * data.dtheta)
-        gradx = data.gx * data.pts[..., 0] + data.gy * data.pts[..., 1]
-        X = data.ball(gradx * data.rho0)[idx]
-
+    uq = q * data.Fvals  # |u|^q for the power law; 0 in linear mode
+    S2 = data.sphere(2.0 * data.u_nu ** 2 + (2.0 - q) / q * uq)[idx]
+    X = data.ball(data.x_grad_u * data.rho0)[idx]
     Q = q * prof.d  # int_B |u|^q
     base = (N - 2.0) / prof.r * prof.D - C / (q * prof.r) * Q + S2
     corr = -(2.0 / prof.r) * X
-    rep = IdentityReport("pohozaev_model", _report_slice(prof, sl),
+    rep = IdentityReport("pohozaev_model", prof.r[sl],
                          dD[sl], (base + corr)[sl], tolerance)
     rep.details["diff_error_estimate"] = est[sl]
     rep.details["uncorrected_defect"] = (dD - base)[sl]
@@ -460,28 +431,19 @@ def verify_rellich_general(spec, fld, prof, tolerance=5e-6):
     if fld.representation != "grid2d":
         raise ValueError("the general identities need a grid2d field")
     data = _node_data(spec, fld)
-    coeff = spec.coefficients
-    pts = data.pts
     idx = prof.indices
-
-    zvals = coeff.z_field(pts)
-    zvals[0] = 0.0
-    zjac = coeff.z_jacobian(pts)
-    zjac[0] = 0.0
-    divz = coeff.div_z(pts)
-    divz[0] = 0.0
-    agrads = coeff.entry_gradients(pts)
+    zvals, divz, zgradu = data.zvals, data.divz, data.z_grad_u
+    agrads = spec.coefficients.entry_gradients(data.pts)
 
     e = data.e_density
     egrad = _grid_scalar_gradient(fld, e)
     lhs9_rows = np.einsum("...i,...i->...", zvals, egrad)
 
-    zgradu = zvals[..., 0] * data.gx + zvals[..., 1] * data.gy
     t1_rows = np.einsum("...hli,...i,...h,...l->...",
                         agrads, zvals, data.grad, data.grad)
     t4_rows = -2.0 * np.einsum("...hl,...hj,...j,...l->...",
-                               data.a, zjac, data.grad, data.grad)
-    vu_f = data.V * fld.u + data.fvals
+                               data.a, data.zjac, data.grad, data.grad)
+    vu_f = data.V * data.u + data.fvals
     t3_rows = 2.0 * zgradu * vu_f
     corr_rows = -2.0 * zgradu * data.rho0
 
@@ -490,8 +452,7 @@ def verify_rellich_general(spec, fld, prof, tolerance=5e-6):
     T3 = data.ball(t3_rows)[idx]
     T4 = data.ball(t4_rows)[idx]
     CORR = data.ball(corr_rows)[idx]
-    t2_rows = 2.0 * zgradu * data.flux_r
-    T2 = (prof.r * np.sum(t2_rows[idx], axis=1) * data.dtheta)
+    T2 = data.sphere(2.0 * zgradu * data.flux_r)[idx]
 
     rhs9 = T1 + T2 + T3 + T4 + CORR
     rep9 = IdentityReport("gradient_energy_transport", prof.r, lhs9, rhs9,
@@ -504,15 +465,14 @@ def verify_rellich_general(spec, fld, prof, tolerance=5e-6):
         "residual_correction": [float(v) for v in CORR],
     }
 
-    surf_e = prof.r * np.sum(e[idx], axis=1) * data.dtheta
-    lhs10 = prof.r * surf_e
+    lhs10 = prof.r * data.sphere(e)[idx]
     DIVZ = data.ball(divz * e)[idx]
     rhs10 = DIVZ + T1 + T2 + T3 + T4 + CORR
     rep10 = IdentityReport("surface_energy_scaling", prof.r, lhs10, rhs10,
                            tolerance)
     rep10.details["div_z_term"] = DIVZ
     rep10.details["fitted_divz_O_r_constant"] = float(np.nanmax(
-        np.abs(divz[1:] - fld.dim) / np.linalg.norm(pts[1:], axis=-1)))
+        np.abs(divz[1:] - fld.dim) / np.linalg.norm(data.pts[1:], axis=-1)))
     rep9.details["coefficient_derivatives"] = _gradient_provenance(spec)
     rep10.details["coefficient_derivatives"] = _gradient_provenance(spec)
     return rep9, rep10
@@ -520,14 +480,7 @@ def verify_rellich_general(spec, fld, prof, tolerance=5e-6):
 
 def _grid_scalar_gradient(fld, values):
     """Cartesian gradient of a scalar node field on the polar grid."""
-    from .fields import _radial_deriv_across_pole
-    from .quadrature import deriv_periodic_fft
-
-    vr = _radial_deriv_across_pole(values, fld.h)
-    vt = deriv_periodic_fft(values, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vt_r = vt / fld.r[:, None]
-    vt_r[0] = 0.0
+    vr, vt_r = _polar_gradient(values, fld.r, fld.h)
     ct, st = np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :]
     return np.stack([vr * ct - vt_r * st, vr * st + vt_r * ct], axis=-1)
 
@@ -556,18 +509,9 @@ def verify_N_prime_bound(spec, fld, prof, slack=None, cs_tol=1e-10):
         rhs = (prof.r * (2.0 - q) / q * S_q - C / q * Q) / prof.H
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        if fld.representation == "radial":
-            surf_unu2 = data.sphere(data.du ** 2)[idx]
-            cs_gap = surf_unu2 - prof.surfaceD ** 2 / prof.H
-            X = data.ball(data.r * data.du * data.rho0)[idx]
-            Y = data.ball(data.u * data.rho0)[idx]
-        else:
-            surf_unu2 = prof.r * np.sum(data.u_nu[idx] ** 2, axis=1) * data.dtheta
-            cs_gap = surf_unu2 - prof.surfaceD ** 2 / prof.H
-            gradx = data.gx * data.pts[..., 0] + data.gy * data.pts[..., 1]
-            X = data.ball(gradx * data.rho0)[idx]
-            Y = data.ball(fld.u * data.rho0)[idx]
-
+        cs_gap = data.sphere(data.u_nu ** 2)[idx] - prof.surfaceD ** 2 / prof.H
+        X = data.ball(data.x_grad_u * data.rho0)[idx]
+        Y = data.ball(data.u * data.rho0)[idx]
         equality_rhs = (2.0 * prof.r / prof.H * cs_gap + rhs
                         - 2.0 / prof.H * X
                         + 2.0 * prof.r * prof.surfaceD / prof.H ** 2 * Y)
@@ -576,7 +520,7 @@ def verify_N_prime_bound(spec, fld, prof, slack=None, cs_tol=1e-10):
     ok = np.isfinite(prof.N[sl])
     margins = (dN[sl] - rhs[sl] + slack)[ok]
     rep = IdentityReport("frequency_derivative_bound",
-                         _report_slice(prof, sl), dN[sl], rhs[sl],
+                         prof.r[sl], dN[sl], rhs[sl],
                          tolerance=np.inf)
     rep.details["slack"] = float(slack)
     rep.details["inequality_margins"] = margins
@@ -597,10 +541,7 @@ def verify_u2_bounds(spec, fld, prof, tolerance=1e-12):
     data = _node_data(spec, fld)
     nl = spec.nonlinearity
     idx = prof.indices
-    if fld.representation == "radial":
-        u2_surf = data.sphere(data.u ** 2)[idx]
-    else:
-        u2_surf = prof.r * np.sum(fld.u[idx] ** 2, axis=1) * data.dtheta
+    u2_surf = data.sphere(data.u ** 2)[idx]
     ceiling = nl.eps0 ** nl.q / nl.kappa2
     bound = ceiling * prof.sphere_sup ** (2.0 - nl.q) * prof.dprime
     rep = IdentityReport("surface_mass_bound", prof.r, u2_surf, bound,
@@ -625,25 +566,11 @@ def verify_f_transport(spec, fld, prof, tolerance=5e-6):
     data = _node_data(spec, fld)
     idx = prof.indices
     q = spec.nonlinearity.q
-    if fld.representation == "radial":
-        # Z = x and grad_x F = 0 on the admitted radial coefficient kinds
-        lhs = data.ball(data.fvals * data.r * data.du)[idx]
-        divz_term = data.ball(data.Fvals * fld.dim)[idx]
-        g1_term = np.zeros_like(lhs)
-        surf_2F_fu = data.sphere(2.0 * data.Fvals - data.fvals * data.u)[idx]
-    else:
-        coeff = spec.coefficients
-        zvals = coeff.z_field(data.pts)
-        zvals[0] = 0.0
-        divz = coeff.div_z(data.pts)
-        divz[0] = 0.0
-        zgradu = zvals[..., 0] * data.gx + zvals[..., 1] * data.gy
-        lhs = data.ball(data.fvals * zgradu)[idx]
-        divz_term = data.ball(data.Fvals * divz)[idx]
-        g1 = grad1_F(spec.nonlinearity, data.pts, fld.u)
-        g1_term = data.ball(np.einsum("...i,...i->...", g1, zvals))[idx]
-        surf_2F_fu = prof.r * np.sum(
-            (2.0 * data.Fvals - data.fvals * fld.u)[idx], axis=1) * data.dtheta
+    lhs = data.ball(data.fvals * data.z_grad_u)[idx]
+    divz_term = data.ball(data.Fvals * data.divz)[idx]
+    g1 = grad1_F(spec.nonlinearity, data.pts, data.u)
+    g1_term = data.ball(np.einsum("...i,...i->...", g1, data.zvals))[idx]
+    surf_2F_fu = data.sphere(2.0 * data.Fvals - data.fvals * data.u)[idx]
     rhs = prof.r * prof.dprime - divz_term - g1_term
     rep = IdentityReport("nonlinearity_transport", prof.r, lhs, rhs, tolerance)
     margin = surf_2F_fu - (2.0 - q) * prof.dprime
@@ -659,10 +586,7 @@ def verify_surface_volume_D(spec, fld, prof, tolerance=1e-8):
     divergence defect of a non-solution is accounted for."""
     data = _node_data(spec, fld)
     idx = prof.indices
-    if fld.representation == "radial":
-        Y = data.ball(data.u * data.rho0)[idx]
-    else:
-        Y = data.ball(fld.u * data.rho0)[idx]
+    Y = data.ball(data.u * data.rho0)[idx]
     rep = IdentityReport("surface_vs_volume_energy", prof.r,
                          prof.surfaceD, prof.D + Y, tolerance)
     rep.details["divergence_defect"] = prof.surfaceD - prof.D

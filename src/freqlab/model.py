@@ -6,6 +6,8 @@ every clause reports its worst margin together with a witness point when it
 fails.
 """
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -35,9 +37,10 @@ __all__ = [
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
-    def __init__(self, message, achieved):
+    def __init__(self, message, achieved, estimate=None):
         super().__init__(f"{message} (achieved tolerance {achieved:.3e})")
         self.achieved = achieved
+        self.estimate = estimate
 
 
 # --------------------------------------------------------------------------
@@ -446,33 +449,47 @@ def _rule_sum(f_callable, xb, sb, tau, wt):
     return np.broadcast_to(fv, (len(sb), len(tau))) @ wt
 
 
-def _adaptive_simpson(fn, a, b, rel_tol, max_depth=40):
-    """Adaptive Simpson with the tolerance halved at every split, so the
-    accepted error estimates sum to at most rel_tol times the first estimate."""
+def _adaptive_simpson(fn, a, b, rel_tol, max_splits=1000):
+    """Globally adaptive Simpson on [a, b].
+
+    Every piece carries its Richardson error estimate; the piece with the
+    largest one is split until the estimates sum to at most rel_tol |F|.
+    When `max_splits` splits do not get there, QuadratureError reports that
+    sum relative to |F| as `achieved`, with the estimate of F reached.
+    """
     if a == b:
         return 0.0
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    scale = max(abs(whole), 1e-30)
 
-    def recurse(a, b, fa, fm, fb, whole, depth, tol):
+    def piece(a, b, fa, fm, fb, whole):
         m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = fn(lm), fn(rm)
+        flm, frm = fn(0.5 * (a + m)), fn(0.5 * (m + b))
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (left + right - whole) / 15.0
         if not np.isfinite(err):
             raise QuadratureError("adaptive Simpson met a non-finite value",
                                   float("inf"))
-        if abs(err) <= tol:
-            return left + right + err
-        if depth >= max_depth:
-            raise QuadratureError("adaptive Simpson hit max depth", abs(err) / scale)
-        return (recurse(a, m, fa, flm, fm, left, depth + 1, 0.5 * tol)
-                + recurse(m, b, fm, frm, fb, right, depth + 1, 0.5 * tol))
+        # heap key first; the tie-breaker a keeps the order deterministic
+        return (-abs(err), a, b, fa, flm, fm, frm, fb, left, right, err)
 
-    return recurse(a, b, fa, fm, fb, whole, 0, rel_tol * scale)
+    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
+    heap = [piece(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb))]
+    splits = 0
+    while True:
+        total = math.fsum(p[8] + p[9] + p[10] for p in heap)
+        err_sum = math.fsum(-p[0] for p in heap)
+        scale = max(abs(total), 1e-30)
+        if err_sum <= rel_tol * scale:
+            return total
+        if splits == max_splits:
+            raise QuadratureError(
+                f"adaptive Simpson ran out of its {max_splits} splits",
+                err_sum / scale, estimate=total)
+        _, a, b, fa, flm, fm, frm, fb, left, right, _ = heapq.heappop(heap)
+        m = 0.5 * (a + b)
+        heapq.heappush(heap, piece(a, m, fa, flm, fm, left))
+        heapq.heappush(heap, piece(m, b, fm, frm, fb, right))
+        splits += 1
 
 
 def grad1_F(spec, x, s):

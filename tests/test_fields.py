@@ -594,6 +594,32 @@ class TestSerialization:
         assert "header says 17 x 32 nodes" in capsys.readouterr().err
         assert not (out / "profile.csv").exists()
 
+    def test_rejects_grid_file_with_multi_valued_pole(self, tmp_path):
+        fld = sample_grid2d(lambda x: 2.0 - np.sum(x * x, axis=-1), 1.0, 16, 32, 1.5)
+        fld.u[0, 7] = np.nextafter(fld.u[0, 7], 3.0)  # one ulp is another field
+        path = tmp_path / "grid.txt"
+        save_field(fld, path)
+        with pytest.raises(ValueError, match="pole row"):
+            load_field(path)
+
+    def test_cli_exits_2_on_multi_valued_pole(self, tmp_path, capsys):
+        # a solved field whose pole row carries 1e-3 cos(theta): before the
+        # check, frequency exited 0 on it and audit 5 (residual veto)
+        from freqlab.cli import main
+
+        solved = tmp_path / "solve"
+        assert main(["solve", "--mode", "grid2d", "--rings", "32", "--angles",
+                     "64", "--out", str(solved)]) == 0
+        fld = load_field(solved / "field.txt")
+        fld.u[0] += 1e-3 * np.cos(fld.theta)
+        path = tmp_path / "field.txt"
+        save_field(fld, path)
+        for command in ("frequency", "audit"):
+            out = tmp_path / command
+            assert main([command, str(path), "--out", str(out)]) == 2
+            assert "pole row" in capsys.readouterr().err
+            assert not out.exists() or not any(out.iterdir())
+
 
 class TestSignChangingRadial:
     def test_nodal_circles_of_a_wide_solution(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freqlab.fields import sample_grid2d, solve_grid_2d, solve_radial
-from freqlab.frequency import (ProfileControls, ZField, ball_integral,
+from freqlab.frequency import (ProfileControls, ball_integral,
                                frequency_profile, run_all_identity_checks,
                                sphere_integral, verify_H_prime,
                                verify_N_prime_bound, verify_f_transport,
@@ -214,20 +214,32 @@ class TestOtherChecks:
             assert np.all(prof.dprime >= 0)
 
 
-class TestZField:
-    def test_radial_component_identity(self):
-        pts = np.array([[0.3, 0.1], [0.0, 0.5], [-0.2, -0.4]])
-        for make in (CoefficientField.identity(2),
-                     CoefficientField.rotation_perturbed(0.25, 2),
-                     CoefficientField.diagonal([2.0, 0.5])):
-            z = ZField.sample(make, pts)
-            np.testing.assert_allclose(z.radial_component_defect(), 0.0,
-                                       atol=1e-12)
+class TestSharedNodeVocabulary:
+    def test_radial_and_polar_node_data_agree(self):
+        # u = (1 - r^2)^2 with u' exact, as a radial profile and as a polar
+        # grid on the same radii: one vocabulary, the same numbers
+        from freqlab.fields import SolutionField
+        from freqlab.frequency import _node_data
 
-    def test_identity_divergence(self):
-        pts = np.array([[0.3, 0.1], [0.1, -0.5]])
-        z = ZField.sample(CoefficientField.identity(2), pts)
-        np.testing.assert_allclose(z.divergence, 2.0, atol=1e-13)
+        spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
+        r = np.linspace(0.0, 1.0, 129)
+        rad = SolutionField.radial_from_arrays(r, (1 - r ** 2) ** 2,
+                                               -4 * r * (1 - r ** 2), 2, 1.5)
+        grid = sample_grid2d(lambda x: (1 - np.sum(x * x, axis=-1)) ** 2,
+                             1.0, 128, 256, 1.5)
+        one, two = _node_data(spec, rad), _node_data(spec, grid)
+        assert one.u.shape == (129, 1) and two.u.shape == (129, 256)
+        for name in ("u_nu", "flux_r", "e_density", "x_grad_u", "z_grad_u",
+                     "divz", "mu"):
+            # the pole row is a convention (divz, mu), not a value
+            b = getattr(two, name)[1:]
+            np.testing.assert_allclose(
+                np.broadcast_to(getattr(one, name)[1:], b.shape), b,
+                rtol=0, atol=1e-8, err_msg=name)
+        np.testing.assert_allclose(one.sphere(one.u ** 2),
+                                   two.sphere(two.u ** 2), rtol=0, atol=1e-8)
+        np.testing.assert_allclose(one.ball(one.e_density),
+                                   two.ball(two.e_density), rtol=0, atol=1e-8)
 
 
 class TestRadial2dAgreement:

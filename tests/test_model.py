@@ -260,6 +260,26 @@ class TestCoefficientFields:
         np.testing.assert_allclose(A.div_a_grad_absx(pts), 2.0 / r, rtol=1e-13)
 
 
+class TestZField:
+    """Z = A x / mu sampled straight from the coefficient field."""
+
+    def test_radial_component_identity(self):
+        # <Z, x/|x|> - |x| vanishes identically for symmetric A
+        pts = np.array([[0.3, 0.1], [0.0, 0.5], [-0.2, -0.4]])
+        r = np.linalg.norm(pts, axis=-1)
+        for make in (CoefficientField.identity(2),
+                     CoefficientField.rotation_perturbed(0.25, 2),
+                     CoefficientField.diagonal([2.0, 0.5])):
+            z = make.z_field(pts)
+            defect = np.einsum("...i,...i->...", z, pts) / r - r
+            np.testing.assert_allclose(defect, 0.0, atol=1e-12)
+
+    def test_identity_divergence(self):
+        pts = np.array([[0.3, 0.1], [0.1, -0.5]])
+        np.testing.assert_allclose(CoefficientField.identity(2).div_z(pts),
+                                   2.0, atol=1e-13)
+
+
 class TestNormalizeCoordinates:
     def test_identity_at_origin_is_noop(self):
         spec = ProblemSpec.model(2, 1.5)
@@ -345,6 +365,21 @@ class TestQuadratureFailure:
         with pytest.raises(QuadratureError) as err:
             eval_F(nl, np.zeros((1, 2)), 0.7)
         assert err.value.achieved > 0.0
+
+    @pytest.mark.parametrize("budget", [8, 16, 32])
+    def test_achieved_tracks_the_true_error_of_the_integral(self, budget):
+        # kinked f with a closed-form primitive; a split budget too small
+        # for the tolerance must report the whole integral's error
+        from freqlab.model import _adaptive_simpson
+
+        f = lambda s: float(np.sign(s) * min(abs(s), 0.7) ** 0.5)
+        exact = 0.7 ** 1.5 / 1.5 + 0.7 ** 0.5 * (3.0 - 0.7)
+        with pytest.raises(QuadratureError) as err:
+            _adaptive_simpson(f, 0.0, 3.0, 1e-12, max_splits=budget)
+        achieved = err.value.achieved
+        true = abs(err.value.estimate - exact) / exact
+        assert achieved > 1e-12
+        assert true / 10.0 <= achieved <= 10.0 * true
 
 
 class TestTranslationInvariance:
