@@ -7,7 +7,6 @@ overrides the output directory.
 """
 
 import argparse
-import concurrent.futures
 import math
 import os
 import sys
@@ -50,7 +49,6 @@ def _build_parser():
         sp.add_argument("--config", help="run/problem config file (INI)")
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--jobs", type=int)
         sp.add_argument("--q", type=str, help="exponent (ode accepts a comma list)")
         sp.add_argument("--N", dest="dimension", type=int)
 
@@ -114,7 +112,7 @@ def _merge_config(args):
     for name in ("dimension", "amplitude", "radial_step", "t_max", "t0",
                  "outer_radius", "mode", "rings", "angles", "boundary",
                  "ode_task", "n_radii", "tol_d_rel", "residual_gate",
-                 "h_floor_rel", "seed", "jobs", "manufactured"):
+                 "h_floor_rel", "seed", "manufactured"):
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
@@ -215,12 +213,7 @@ def cmd_ode(cfg, q_list):
 
     runner = {"counterexample": one_counterexample, "energy": one_energy,
               "shoot": one_shoot, "pme": one_pme}[cfg.ode_task]
-    results = []
-    if cfg.jobs > 1 and len(q_list) > 1:
-        with concurrent.futures.ThreadPoolExecutor(cfg.jobs) as pool:
-            results = list(pool.map(runner, q_list))
-    else:
-        results = [runner(q) for q in q_list]
+    results = [runner(q) for q in q_list]
     ok = True
     per_q = []
     for path, info in results:
@@ -295,8 +288,8 @@ def cmd_solve(cfg, q_list):
         solver = fld.meta["solver"]
         summary["solver"] = {"iterations": solver["iterations"],
                              "final_distance": solver["distances"][-1],
-                             "linear_solver": solver["linear_solver"],
-                             "factor_fill": solver["factor_fill"]}
+                             "preconditioner_entries": solver["preconditioner_entries"],
+                             "inner_iterations": solver["inner_iterations"]}
     rec.finish(summary)
     return EXIT_OK
 

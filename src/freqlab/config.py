@@ -218,7 +218,6 @@ class RunConfig:
     max_iters: int = 400
     out_dir: str = "freq-lab-out"
     seed: int = 0
-    jobs: int = 1
     field_file: str = None
     config_path: str = None  # the file this run config was read from, if any
 
@@ -229,7 +228,7 @@ class RunConfig:
                      "tol_d_rel", "h_floor_rel"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("rings", "angles", "n_radii", "max_iters", "jobs"):
+        for name in ("rings", "angles", "n_radii", "max_iters"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.command == "ode" and self.ode_task in ("counterexample", "pme"):
@@ -245,6 +244,10 @@ def parse_run_config(text_or_path):
     cfg = RunConfig()
     if "run" in cp:
         sec = cp["run"]
+        known = {f.name for f in dataclasses.fields(RunConfig)}
+        unknown = [key for key in sec if key not in known]
+        if unknown:
+            raise ConfigError(f"unknown [run] key {unknown[0]!r}")
         for f in dataclasses.fields(RunConfig):
             if f.name not in sec:
                 continue

@@ -123,26 +123,34 @@ class SolutionField:
         return self._cache["fd"]
 
     def polar_gradient(self):
-        """grid2d: (du_dr, du_dtheta / r) node fields; pole row zeroed."""
+        """grid2d: (du_dr, du_dtheta / r) node fields."""
         self._need_grid()
         if "grad" not in self._cache:
             self._cache["grad"] = _polar_gradient(self.u, self.r, self.h)
         return self._cache["grad"]
 
     def gradient_cartesian(self):
-        """grid2d: (gx, gy) node fields (pole row not meaningful)."""
+        """grid2d: (gx, gy) node fields; the pole row holds grad u(0)."""
         ur, ut_r = self.polar_gradient()
         ct, st = np.cos(self.theta)[None, :], np.sin(self.theta)[None, :]
         return ur * ct - ut_r * st, ur * st + ut_r * ct
 
 
 def _polar_gradient(values, r, h):
-    """(d/dr, (1/r) d/dtheta) of a polar node field; second one zero at the pole."""
+    """(d/dr, (1/r) d/dtheta) of a polar node field.
+
+    At the pole both come from the gradient there, (gx, gy), read off as
+    the k = 1 mode of d/dr across the pole.
+    """
     vr = _radial_deriv_across_pole(values, h)
     vt = deriv_periodic_fft(values, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         vt_r = vt / r[:, None]
-    vt_r[0] = 0.0
+    theta = np.arange(values.shape[1]) * (2.0 * math.pi / values.shape[1])
+    ct, st = np.cos(theta), np.sin(theta)
+    gx, gy = 2.0 * np.mean(vr[0] * ct), 2.0 * np.mean(vr[0] * st)
+    vr[0] = gx * ct + gy * st
+    vt_r[0] = -gx * st + gy * ct
     return vr, vt_r
 
 
@@ -263,13 +271,6 @@ def _polar_frame_entries(coeff, r, theta):
     return arr, art, att
 
 
-# A coefficient field counts as theta-invariant when its sampled polar-frame
-# entries vary along each ring by at most this much relative to the largest
-# entry: A = id varies by 4.4e-16 through cos^2 + sin^2, a theta-dependent
-# field at the size of its own variation.
-_THETA_INVARIANCE_TOL = 1e-13
-
-
 def _stencil_terms(spec, r_nodes, theta):
     """The finite-volume stencil of div(A grad .) as broadcast terms.
 
@@ -277,8 +278,7 @@ def _stencil_terms(spec, r_nodes, theta):
     equation of node (ring, j) for every angle j.  `ring` is a column of
     ring numbers, or 0 for the pole equation (a disk of radius dr/2), whose
     rows j all land in one equation; ring 0 is the pole, a single value, and
-    ring M the Dirichlet boundary.  Also returns whether the sampled
-    polar-frame entries are independent of theta (`_THETA_INVARIANCE_TOL`).
+    ring M the Dirichlet boundary.
     """
     M = len(r_nodes) - 1
     dr = float(r_nodes[1] - r_nodes[0])
@@ -291,10 +291,6 @@ def _stencil_terms(spec, r_nodes, theta):
     half_r = r_nodes[:-1] + 0.5 * dr  # faces i+1/2, i = 0..M-1
     arr_f, art_f, _ = _polar_frame_entries(spec.coefficients, half_r, theta)
     _, art_t, att_t = _polar_frame_entries(spec.coefficients, r_nodes[1:M], theta + 0.5 * dth)
-    sampled = (arr_f, art_f, art_t, att_t)
-    scale = max(float(np.max(np.abs(a))) for a in sampled)
-    invariant = all(float(np.max(np.ptp(a, axis=1))) <= _THETA_INVARIANCE_TOL * scale
-                    for a in sampled)
 
     # ring equations, i = 1..M-1 down the first axis
     i = np.arange(1, M)[:, None]
@@ -344,56 +340,61 @@ def _stencil_terms(spec, r_nodes, theta):
     cx = art_f[0] * disk_scale / (half_r[0] * 4.0 * dth)
     for dj, s in ((1, 1.0), (-1, -1.0)):
         add(0, 1, dj, s * cx)
-    return terms, invariant
+    return terms
 
 
-def _assemble_operator(terms, n_r, n_theta):
-    """Sparse L = -div(A grad .) on [pole, rings 1..n_r-1]; Dirichlet row n_r.
+def _nodes(u, boundary):
+    """The unknown vector [pole, rings 1..n_r-1 row by row] and the boundary
+    values as the (n_r + 1, n_theta) node array, the pole repeated."""
+    n_t = len(boundary)
+    return np.vstack([np.full(n_t, u[0]), u[1:].reshape(-1, n_t), boundary])
 
-    Returns (matrix, boundary_map) where boundary_map applied to the
-    boundary values g yields the constant flux contribution to L u = b.
+
+class _Stencil:
+    """div(A grad .) on the polar grid, applied matrix-free.
+
+    The stencil terms are summed per offset (di, dj) into one coefficient
+    array of shape (n_r, n_theta): row 0 holds the pole equation's
+    contributions, summed over the angles when applied, and rows
+    1..n_r-1 the ring equations.  `apply` reads the boundary ring as the
+    last row of the node array, so the equations L u = b + B g read
+    apply(_nodes(u, g)) + b = 0.
     """
-    import scipy.sparse as sp
 
-    n_t = n_theta
-    n_unknown = 1 + (n_r - 1) * n_t
-    j = np.arange(n_t)
+    def __init__(self, terms, n_r, n_theta):
+        self.shape = (n_r, n_theta)
+        self._coef = {}
+        for ring, di, dj, val in terms:
+            coef = self._coef.setdefault((di, dj), np.zeros(self.shape))
+            coef[np.ravel(ring)] += val
 
-    def node(i, j):
-        # column of node (i, j) in [pole, rings 1..M-1, boundary ring M]
-        return np.where(i == 0, 0, 1 + (i - 1) * n_t + j % n_t)
-
-    # the triplets are the assembly's largest arrays: write them once, in
-    # scipy's int32 index type, so assembly stays below the factor's memory
-    shapes = [np.broadcast_shapes(np.shape(ring), (n_t,), np.shape(val))
-              for ring, _, _, val in terms]
-    n_entries = sum(math.prod(shape) for shape in shapes)
-    rows = np.empty(n_entries, dtype=np.int32)
-    cols = np.empty(n_entries, dtype=np.int32)
-    vals = np.empty(n_entries)
-    start = 0
-    for (ring, di, dj, val), shape in zip(terms, shapes):
-        stop = start + math.prod(shape)
-        rows[start:stop].reshape(shape)[...] = node(ring, j)
-        cols[start:stop].reshape(shape)[...] = node(ring + di, j + dj)
-        vals[start:stop].reshape(shape)[...] = val
-        start = stop
-    # columns past n_unknown hold the boundary ring's values
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n_unknown, n_unknown + n_t)).tocsc()
-    return -A[:, :n_unknown], A[:, n_unknown:]
+    def apply(self, nodes):
+        """div(A grad .) at the unknowns, as a vector like theirs."""
+        M, n_t = self.shape
+        # one ghost row above the pole (read with zero coefficients only)
+        # and one wrapped column on each side
+        ext = np.zeros((M + 2, n_t + 2))
+        ext[1:, 1:-1] = nodes
+        ext[:, 0] = ext[:, -2]
+        ext[:, -1] = ext[:, 1]
+        rows = sum(coef * ext[1 + di:1 + di + M, 1 + dj:1 + dj + n_t]
+                   for (di, dj), coef in self._coef.items())
+        return np.concatenate(([rows[0].sum()], rows[1:].ravel()))
 
 
 class _FourierFactor:
-    """L = -div(A grad .) for theta-invariant A, solved one angular mode at
-    a time.
+    """The theta-mean of L = -div(A grad .), solved one angular mode at a
+    time.
 
     A real FFT in theta turns each ring's equations into n_theta/2 + 1
     independent radial systems, tridiagonal in the ring index; only mode 0
     also couples to the pole.  Each mode's coefficients (its symbol) are the
     theta-means of the stencil terms times exp(2 pi i k dj / n_theta).  The
     systems are stacked mode by mode into one tridiagonal matrix, blocks
-    joined by zeros, and factored once by LAPACK's gttrf.  Like a SuperLU
-    factor, it has `solve(b)` and `nnz` (the entries the factor stores).
+    joined by zeros, and factored once by LAPACK's gttrf; `nnz` counts the
+    entries of its four bands.  For theta-invariant A this is L itself;
+    otherwise it is the circulant-in-theta part of L, T. Chan's optimal
+    circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).
     """
 
     def __init__(self, terms, n_r, n_theta):
@@ -422,25 +423,16 @@ class _FourierFactor:
             contrib[:, on_pole] = 0.0
             contrib[0, on_pole] = n_t * coef[on_pole]
             bands[di][:, rings - 1] += contrib
-        self._boundary = bands[1][:, -1].copy()
-        upper = bands[1].copy()
-        upper[:, -1] = 0.0  # no coupling from one mode's block to the next
+        bands[1][:, -1] = 0.0  # no coupling from one mode's block to the next
         dl = -bands[-1].ravel()
         d = -np.concatenate(([pole[0]], bands[0].ravel()))
-        du = -np.concatenate(([pole[1]], upper.ravel()[:-1]))
+        du = -np.concatenate(([pole[1]], bands[1].ravel()[:-1]))
         dl, d, du, du2, ipiv, info = lapack.zgttrf(dl, d, du)
         if info:
             raise np.linalg.LinAlgError(f"mode system is singular (gttrf info {info})")
         self._factor = (dl, d, du, du2, ipiv)
         self._gttrs = lapack.zgttrs
         self.nnz = len(dl) + len(d) + len(du) + len(du2)
-
-    def boundary_term(self, g):
-        """The boundary ring's flux into ring n_r - 1, as a right-hand side."""
-        out = np.zeros(1 + self.n_ring * self.n_theta)
-        out[-self.n_theta:] = np.fft.irfft(self._boundary * np.fft.rfft(g),
-                                           n=self.n_theta)
-        return out
 
     def solve(self, b):
         m, n_t, n_k = self.n_ring, self.n_theta, self.n_mode
@@ -455,19 +447,60 @@ class _FourierFactor:
         return out
 
 
+# Each Picard step solves L c = F only until ||F - L c|| <= _INNER_TOL ||F||:
+# the step's fixed point (F = 0) does not depend on the inner accuracy, and
+# at 0.1 the bowl takes one inner step per outer iteration and lands within
+# 4e-11 of exact inner solves.  More than _INNER_MAX_STEPS steps means the
+# preconditioner no longer describes L.
+_INNER_TOL = 0.1
+_INNER_MAX_STEPS = 40
+
+
+def _gmres(apply_L, precondition, F):
+    """c with ||F - L c||_2 <= _INNER_TOL ||F||_2, and the steps taken.
+
+    GMRES from c = 0, preconditioned on the right (Saad & Schultz, SIAM J.
+    Sci. Stat. Comput. 7, 1986): the residual it minimises and tests is the
+    true one of L c = F.  c is None when _INNER_MAX_STEPS steps fall short.
+    """
+    beta = float(np.linalg.norm(F))
+    if beta == 0.0:
+        return np.zeros_like(F), 0
+    basis, search = [F / beta], []
+    hess = np.zeros((_INNER_MAX_STEPS + 1, _INNER_MAX_STEPS))
+    rhs = np.zeros(_INNER_MAX_STEPS + 1)
+    rhs[0] = beta
+    for k in range(_INNER_MAX_STEPS):
+        search.append(precondition(basis[k]))
+        w = apply_L(search[k])
+        for i, v in enumerate(basis):  # modified Gram-Schmidt
+            hess[i, k] = v @ w
+            w -= hess[i, k] * v
+        hess[k + 1, k] = np.linalg.norm(w)
+        h = hess[:k + 2, :k + 1]
+        y = np.linalg.lstsq(h, rhs[:k + 2], rcond=None)[0]
+        if np.linalg.norm(rhs[:k + 2] - h @ y) <= _INNER_TOL * beta:
+            return sum(yi * z for yi, z in zip(y, search)), k + 1
+        basis.append(w / hess[k + 1, k])
+    return None, _INNER_MAX_STEPS
+
+
 def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
                   damping=0.5, tol=1e-10, max_iters=400, initial=None):
     """Damped fixed-point solve of -div(A grad u) = V u + f(x, u) + source.
 
     `boundary` is a callable of the angular nodes giving Dirichlet data on
-    the outer circle.  Iterates u <- damping u + (1-damping) L^{-1}(rhs(u)),
-    with L factored once.  When the polar-frame entries of A do not depend
-    on theta, L is solved in Fourier space, one tridiagonal radial system
-    per angular mode (`_FourierFactor`); otherwise SuperLU factors it under
-    a minimum-degree ordering of L^T + L.  `initial`, if given, is the
+    the outer circle.  Each iteration forms the defect F = rhs(u) + bc - L u
+    and steps u <- u + (1-damping) c with L c = F, the defect-correction
+    form of u <- damping u + (1-damping) L^{-1}(rhs(u) + bc).  L is applied
+    matrix-free from its stencil (`_Stencil`).  c comes from GMRES
+    preconditioned by the theta-mean of L (`_FourierFactor`), stopped at
+    ||F - L c|| <= _INNER_TOL ||F||; for theta-invariant A the
+    preconditioner is L and one step solves.  `initial`, if given, is the
     unknown vector [pole, rings 1..n_r-1 row by row] of length
     1 + (n_r - 1) n_theta.
-    Raises SolverError when the sup-distance fails to reach `tol`.
+    Raises SolverError when the sup-distance fails to reach `tol`, or when
+    an inner solve fails to reach _INNER_TOL in _INNER_MAX_STEPS steps.
     """
     if spec.dim != 2:
         raise ValueError("the grid solver is two-dimensional")
@@ -493,47 +526,41 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     if np.any(~np.isfinite(g)):
         raise ValueError("boundary data must be finite")
 
-    terms, theta_invariant = _stencil_terms(spec, r_nodes, theta)
-    if theta_invariant:
-        lu = _FourierFactor(terms, n_r, n_theta)
-        bc_term = lu.boundary_term(g)
-    else:
-        import scipy.sparse.linalg as spla
+    terms = _stencil_terms(spec, r_nodes, theta)
+    stencil = _Stencil(terms, n_r, n_theta)
+    precond = _FourierFactor(terms, n_r, n_theta)
+    del terms
 
-        L, B = _assemble_operator(terms, n_r, n_theta)
-        del terms  # free the stencil's arrays before the factor takes memory
-        # the stencil is nearly symmetric: ordering on the pattern of L^T + L
-        # halves the fill of the default column ordering
-        lu = spla.splu(L, permc_spec="MMD_AT_PLUS_A")
-        bc_term = np.asarray(B @ g).ravel()  # known boundary columns, moved right
+    # the equations' nodes: the pole (row 0, repeated) and rings 1..n_r-1
+    pts = np.stack([r_nodes[:n_r, None] * np.cos(theta),
+                    r_nodes[:n_r, None] * np.sin(theta)], axis=-1)
+    V = spec.V(pts)
+    src = 0.0 if source is None else np.asarray(source(pts), dtype=float)
+    zero = np.zeros(n_theta)
 
-    M = n_r
-    n_t = n_theta
-    pts_int = np.stack([
-        (r_nodes[1:M, None] * np.cos(theta)[None, :]),
-        (r_nodes[1:M, None] * np.sin(theta)[None, :]),
-    ], axis=-1)
-    V_int = spec.V(pts_int)
-    src_int = np.zeros((M - 1, n_t)) if source is None else \
-        np.asarray(source(pts_int), dtype=float)
-    origin = np.zeros(2)
-    V0 = float(spec.V(origin[None, :])[0])
-    src0 = 0.0 if source is None else float(np.asarray(source(origin[None, :]))[0])
+    def apply_L(c):  # L c, c zero on the boundary
+        return -stencil.apply(_nodes(c, zero))
 
     uk = np.zeros(n_unknown) if initial is None else initial
     distances = []
+    inner_iterations = 0
     for it in range(max_iters):
-        pole = uk[0]
-        rings = uk[1:].reshape(M - 1, n_t)
-        rhs = np.empty_like(uk)
-        rhs[0] = V0 * pole + float(eval_f(spec.nonlinearity, origin[None, :],
-                                          np.array([pole]))[0]) + src0
-        rhs[1:] = (V_int * rings + eval_f(spec.nonlinearity, pts_int, rings)
-                   + src_int).ravel()
-        unew = damping * uk + (1.0 - damping) * lu.solve(rhs + bc_term)
-        dist = float(np.max(np.abs(unew - uk)))
+        nodes = _nodes(uk, g)
+        rhs = V * nodes[:n_r] + eval_f(spec.nonlinearity, pts, nodes[:n_r]) + src
+        defect = stencil.apply(nodes)
+        defect[0] += rhs[0, 0]
+        defect[1:] += rhs[1:].ravel()
+        c, steps = _gmres(apply_L, precond.solve, defect)
+        inner_iterations += steps
+        if c is None:
+            raise SolverError(
+                f"inner GMRES did not reduce the defect to {_INNER_TOL:g} of "
+                f"its size in {_INNER_MAX_STEPS} steps (iteration {it + 1})",
+                last=uk, distance=distances[-1] if distances else None)
+        step = (1.0 - damping) * c
+        dist = float(np.max(np.abs(step)))
         distances.append(dist)
-        uk = unew
+        uk = uk + step
         if dist < tol:
             break
     else:
@@ -541,22 +568,16 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
             f"fixed point did not reach tol {tol:g} in {max_iters} iterations",
             last=uk, distance=distances[-1])
 
-    values = np.empty((M + 1, n_t))
-    values[0] = uk[0]
-    values[1:M] = uk[1:].reshape(M - 1, n_t)
-    values[M] = g
-    fld = SolutionField.grid2d_from_values(r_nodes, theta, values,
+    fld = SolutionField.grid2d_from_values(r_nodes, theta, _nodes(uk, g),
                                            spec.nonlinearity.q)
     rho = residual_field(spec, fld, source=source)
     fld.residual_scale = float(np.nanmax(np.abs(rho)))
-    # factor_fill: entries the factor stores (SuperLU: L and U; reading
-    # lu.L and lu.U instead would copy both out and raise the peak memory)
     fld.meta["solver"] = {"kind": "grid2d_fixed_point", "n_r": n_r,
                           "n_theta": n_theta, "damping": damping,
                           "iterations": len(distances),
                           "distances": distances,
-                          "linear_solver": "fourier" if theta_invariant else "superlu",
-                          "factor_fill": lu.nnz}
+                          "preconditioner_entries": precond.nnz,
+                          "inner_iterations": inner_iterations}
     return fld
 
 

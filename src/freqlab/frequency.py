@@ -281,9 +281,6 @@ class FrequencyProfile:
     def step(self):
         return float(self.r[1] - self.r[0])
 
-    def low_H_radii(self):
-        return self.r[~np.isfinite(self.N)]
-
 
 def frequency_profile(spec, fld, controls=None):
     """Sampled r -> (H, D, D1, d, d', N, surfaceD) on a uniform audit grid."""

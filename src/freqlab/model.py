@@ -765,21 +765,6 @@ def c_constant(dim, q):
     return 2.0 * dim - (dim - 2.0) * q
 
 
-def superlinear_ratio_bound(h_callable, eps0, points, count=256):
-    """Sampled sup of |h(x, s) / s|: admissibility of a superlinear term.
-
-    A term with this ratio bounded can be folded into the potential as
-    V(x) = h(x, u(x)) / u(x) instead of joining the sublinear part; returns
-    the sampled bound (inf means the term is not superlinear).
-    """
-    points = np.asarray(points, dtype=float)
-    s = s_grid(eps0, count)
-    vals = np.asarray(h_callable(points[:, None, :], s[None, :]), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(vals / s[None, :])
-    return float(np.max(np.where(np.isfinite(ratio), ratio, np.inf)))
-
-
 def normalize_coordinates(spec, x0, kappa1_safety=1.05):
     """Affine change of variables carrying x0 to the origin with A(0) = id.
 

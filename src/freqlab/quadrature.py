@@ -1,8 +1,8 @@
 """Composite quadrature and differentiation helpers on uniform grids.
 
 Everything here is fourth-order accurate: cumulative Simpson (with 3/8 and
-short-prefix closures for odd prefixes), periodic trapezoid sums for circle
-integrals, spectral angular derivatives, and five-point radial stencils.
+short-prefix closures for odd prefixes), spectral angular derivatives, and
+five-point radial stencils.
 """
 
 import numpy as np
@@ -10,7 +10,6 @@ import numpy as np
 __all__ = [
     "cumulative_uniform",
     "unit_sphere_area",
-    "periodic_trapezoid",
     "deriv_uniform",
     "deriv_periodic_fft",
 ]
@@ -49,11 +48,6 @@ def unit_sphere_area(dim):
     from math import gamma, pi
 
     return 2.0 * pi ** (dim / 2.0) / gamma(dim / 2.0)
-
-
-def periodic_trapezoid(rows, dtheta, axis=-1):
-    """Trapezoid rule on a uniform periodic angular grid (spectrally exact)."""
-    return np.sum(rows, axis=axis) * dtheta
 
 
 def deriv_uniform(g, h, axis=0):

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from freqlab.config import parse_problem_spec
 from freqlab.fields import glued_field, manufactured_bowl, solve_radial
 from freqlab.model import ProblemSpec
 
@@ -48,6 +51,14 @@ def glued_trio():
         (3, 1.5, 0.25): glued_field(3, 1.5, 0.25, 0.9, h=1e-3),
         (2, 1.6, 0.35): glued_field(2, 1.6, 0.35, 0.9, h=1e-3),
     }
+
+
+@pytest.fixture(scope="session")
+def variable_coefficients_spec():
+    """The problem of demos/configs/variable_coefficients.ini."""
+    return parse_problem_spec(os.path.join(
+        os.path.dirname(__file__), os.pardir, "demos", "configs",
+        "variable_coefficients.ini"))
 
 
 @pytest.fixture(scope="session")

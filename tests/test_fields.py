@@ -10,9 +10,8 @@ import freqlab
 from freqlab.fields import (SolutionField, SolverError, glued_field, load_field,
                             residual_field, sample_grid2d, save_field,
                             solve_grid_2d, solve_radial)
-from freqlab.fields import (_FourierFactor, _assemble_operator,
-                            _polar_frame_entries, _stencil_terms,
-                            glued_residual_exact)
+from freqlab.fields import (_FourierFactor, _nodes, _polar_frame_entries,
+                            _Stencil, _stencil_terms, glued_residual_exact)
 from freqlab.model import (CoefficientField, NonlinearitySpec, ProblemSpec,
                            eval_f)
 
@@ -121,17 +120,14 @@ class TestGrid2dSolve:
             solve_grid_2d(bowl.spec, bowl.boundary, n_r=8, n_theta=16,
                           source=bowl.source, initial=initial)
 
-    def test_factor_fill_stays_near_the_stencil(self, bowl):
-        # minimum-degree ordering on L^T + L: 7.3x nnz(L) at 64x128, where
-        # the default column ordering gives 14.2x
+    def test_bowl_takes_one_inner_step_per_iteration(self, bowl):
+        # the theta-mean of L is about 1% off L on the bowl, well inside
+        # the inner tolerance; the preconditioner stores gttrf's four bands
         fld = solve_grid_2d(bowl.spec, bowl.boundary, n_r=64, n_theta=128,
                             source=bowl.source)
-        r_nodes = np.linspace(0.0, bowl.spec.outer_radius, 65)
-        theta = np.arange(128) * (2.0 * math.pi / 128)
-        L, _ = _assemble_operator(_stencil_terms(bowl.spec, r_nodes, theta)[0],
-                                  64, 128)
-        assert fld.meta["solver"]["linear_solver"] == "superlu"
-        assert fld.meta["solver"]["factor_fill"] <= 10 * L.nnz
+        solver = fld.meta["solver"]
+        assert solver["inner_iterations"] == solver["iterations"]
+        assert solver["preconditioner_entries"] == 4 * (1 + 63 * 65) - 4
 
 
 def _loop_assembly(spec, r_nodes, theta):
@@ -228,20 +224,25 @@ def _loop_assembly(spec, r_nodes, theta):
 
 class TestOperatorAssembly:
     @pytest.mark.parametrize("n_r, n_t", [(8, 16), (16, 32)])
-    @pytest.mark.parametrize("coeff", ["bowl", "identity"])
+    @pytest.mark.parametrize("coeff", ["bowl", "identity", "spiral"])
     def test_broadcast_matches_ring_loop(self, bowl, linear_mode_spec, coeff,
                                          n_r, n_t):
-        spec = bowl.spec if coeff == "bowl" else linear_mode_spec
-        r_nodes = np.linspace(0.0, spec.outer_radius, n_r + 1)
-        theta = np.arange(n_t) * (2.0 * math.pi / n_t)
+        # the matrix-free stencil gives B g - L x for the ring-loop (L, B)
+        spec = {"bowl": bowl.spec, "identity": linear_mode_spec,
+                "spiral": ProblemSpec(2, 1.0, _spiral(0.4),
+                                      NonlinearitySpec.zero())}[coeff]
+        r_nodes, theta = _grid(spec, n_r, n_t)
         if coeff == "bowl":  # θ-dependent entries, cross terms included
             _, art, _ = _polar_frame_entries(spec.coefficients, r_nodes, theta)
             assert np.max(np.abs(art)) > 1e-2
-        terms, _ = _stencil_terms(spec, r_nodes, theta)
-        for got, ref in zip(_assemble_operator(terms, n_r, n_t),
-                            _loop_assembly(spec, r_nodes, theta)):
-            assert got.shape == ref.shape
-            got, ref = got.toarray(), ref.toarray()
+        stencil = _Stencil(_stencil_terms(spec, r_nodes, theta), n_r, n_t)
+        L, B = _loop_assembly(spec, r_nodes, theta)
+        rng = np.random.default_rng(n_r)
+        x = rng.standard_normal(L.shape[0])
+        g = rng.standard_normal(n_t)
+        for got, ref in ((stencil.apply(_nodes(x, g)), B @ g - L @ x),
+                         (stencil.apply(_nodes(x, 0.0 * g)), -(L @ x)),
+                         (stencil.apply(_nodes(0.0 * x, g)), B @ g)):
             np.testing.assert_allclose(got, ref, rtol=1e-14,
                                        atol=1e-14 * np.max(np.abs(ref)))
 
@@ -267,11 +268,39 @@ def _grid(spec, n_r, n_t):
             np.arange(n_t) * (2.0 * math.pi / n_t))
 
 
-def _superlu(terms, n_r, n_t):
+def _superlu(spec, n_r, n_t):
+    """SuperLU factor of the ring-loop L, and its B: the direct oracle."""
     import scipy.sparse.linalg as spla
 
-    L, B = _assemble_operator(terms, n_r, n_t)
+    L, B = _loop_assembly(spec, *_grid(spec, n_r, n_t))
     return spla.splu(L, permc_spec="MMD_AT_PLUS_A"), B
+
+
+def _superlu_fixed_point(spec, boundary, n_r, n_t, source=None,
+                         damping=0.5, tol=1e-10, max_iters=400):
+    """u <- damping u + (1-damping) L^{-1}(rhs(u) + B g) with L factored
+    directly: the damped Picard iteration the solver's inner GMRES must
+    reproduce.  Returns the node values and the iteration count."""
+    r_nodes, theta = _grid(spec, n_r, n_t)
+    lu, B = _superlu(spec, n_r, n_t)
+    g = boundary(theta)
+    bc = B @ g
+    pts = np.stack([r_nodes[:n_r, None] * np.cos(theta),
+                    r_nodes[:n_r, None] * np.sin(theta)], axis=-1)
+    src = np.zeros(pts.shape[:-1]) if source is None else source(pts)
+    V = spec.V(pts)
+    u = np.zeros(1 + (n_r - 1) * n_t)
+    for it in range(1, max_iters + 1):
+        nodes = np.vstack([np.full(n_t, u[0]), u[1:].reshape(n_r - 1, n_t)])
+        rows = V * nodes + eval_f(spec.nonlinearity, pts, nodes) + src
+        rhs = np.concatenate([rows[0, :1], rows[1:].ravel()])
+        step = damping * u + (1.0 - damping) * lu.solve(rhs + bc)
+        dist = np.max(np.abs(step - u))
+        u = step
+        if dist < tol:
+            break
+    values = np.vstack([np.full(n_t, u[0]), u[1:].reshape(n_r - 1, n_t), g])
+    return values, it
 
 
 def _rel_gap(got, ref):
@@ -291,23 +320,17 @@ class TestFourierSolve:
 
     @pytest.mark.parametrize("n_r, n_t", [(16, 32), (64, 128)])
     def test_matches_superlu(self, invariant_spec, n_r, n_t):
-        terms, invariant = _stencil_terms(invariant_spec, *_grid(invariant_spec, n_r, n_t))
-        assert invariant
-        lu, B = _superlu(terms, n_r, n_t)
+        terms = _stencil_terms(invariant_spec, *_grid(invariant_spec, n_r, n_t))
+        lu, _ = _superlu(invariant_spec, n_r, n_t)
         fourier = _FourierFactor(terms, n_r, n_t)
-        rng = np.random.default_rng(n_r)
-        b = rng.standard_normal(1 + (n_r - 1) * n_t)
-        g = rng.standard_normal(n_t)
-        assert _rel_gap(fourier.boundary_term(g), B @ g) <= 1e-12
+        b = np.random.default_rng(n_r).standard_normal(1 + (n_r - 1) * n_t)
         assert _rel_gap(fourier.solve(b), lu.solve(b)) <= 1e-12
-        assert _rel_gap(fourier.solve(b + fourier.boundary_term(g)),
-                        lu.solve(b + B @ g)) <= 1e-12
 
     def test_every_term_reaches_the_symbol(self):
         # a symbol that drops any one stencil term no longer reproduces L
         spec = ProblemSpec(2, 1.0, _spiral(0.4), NonlinearitySpec.zero())
-        terms, _ = _stencil_terms(spec, *_grid(spec, 16, 32))
-        lu, _ = _superlu(terms, 16, 32)
+        terms = _stencil_terms(spec, *_grid(spec, 16, 32))
+        lu, _ = _superlu(spec, 16, 32)
         b = np.random.default_rng(1).standard_normal(1 + 15 * 32)
         ref = lu.solve(b)
         assert _rel_gap(_FourierFactor(terms, 16, 32).solve(b), ref) <= 1e-12
@@ -316,67 +339,78 @@ class TestFourierSolve:
             assert _rel_gap(mutant.solve(b), ref) > 1e-6, f"term {k}"
 
     def test_invariant_coefficients_take_the_fourier_path(self, invariant_spec):
+        # the preconditioner is L itself: one inner step solves
         fld = solve_grid_2d(invariant_spec, lambda th: 0.3 + 0.1 * np.cos(th),
                             n_r=16, n_theta=32)
         solver = fld.meta["solver"]
-        assert solver["linear_solver"] == "fourier"
-        assert solver["factor_fill"] == 4 * (1 + 15 * 17) - 4  # gttrf's four bands
+        assert solver["inner_iterations"] == solver["iterations"]
+        # gttrf's four bands
+        assert solver["preconditioner_entries"] == 4 * (1 + 15 * 17) - 4
 
-    @pytest.mark.parametrize("coeff", ["bowl", "diagonal"])
-    def test_theta_dependent_coefficients_take_superlu(self, bowl, coeff):
+    @pytest.mark.parametrize("coeff", [
+        "bowl", pytest.param([5, 1], id="diagonal5"),
+        pytest.param([20, 1], id="diagonal20"), "variable_coefficients"])
+    def test_theta_dependent_coefficients_match_superlu(
+            self, bowl, variable_coefficients_spec, coeff):
+        # constant diagonal A still has a_rr = d1 cos^2 + d2 sin^2 varying
+        # with theta; at 20:1 the theta-mean is far enough from L that GMRES
+        # takes several inner steps per iteration
+        boundary, source = (lambda th: 0.3 + 0.1 * np.cos(th)), None
         if coeff == "bowl":
             spec, boundary, source = bowl.spec, bowl.boundary, bowl.source
-        else:  # constant, but a_rr = 2 cos^2 + sin^2 varies with theta
-            spec = ProblemSpec(2, 1.0, CoefficientField.diagonal([2, 1]),
+        elif coeff == "variable_coefficients":
+            spec = variable_coefficients_spec
+        else:
+            spec = ProblemSpec(2, 1.0, CoefficientField.diagonal(coeff),
                                NonlinearitySpec.homogeneous(1.5))
-            boundary, source = (lambda th: 0.3 + 0.1 * np.cos(th)), None
-        assert not _stencil_terms(spec, *_grid(spec, 16, 32))[1]
-        fld = solve_grid_2d(spec, boundary, n_r=16, n_theta=32, source=source)
-        assert fld.meta["solver"]["linear_solver"] == "superlu"
+        ref, ref_iterations = _superlu_fixed_point(spec, boundary, 64, 128,
+                                                   source=source)
+        fld = solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=source)
+        assert np.max(np.abs(fld.u - ref)) <= 1e-9
+        assert fld.meta["solver"]["iterations"] <= ref_iterations + 3
 
     def test_cos1_lands_on_the_superlu_fixed_point_or_its_mirror(self):
         # the boundary 0.05 cos(theta - phi) is odd under x -> -x, and so is
         # f, so u and -u(-x) are both fixed points; round-off picks one
         spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
         n_r, n_t = 32, 64
-        r_nodes, theta = _grid(spec, n_r, n_t)
-        phase = theta[5]  # a whole number of cells
-        g = 0.05 * np.cos(theta - phase)
-        lu, B = _superlu(_stencil_terms(spec, r_nodes, theta)[0], n_r, n_t)
-        bc = B @ g
-        pts = np.stack([r_nodes[1:n_r, None] * np.cos(theta),
-                        r_nodes[1:n_r, None] * np.sin(theta)], axis=-1)
-        u = np.zeros(1 + (n_r - 1) * n_t)
-        for _ in range(400):
-            rhs = np.concatenate([
-                eval_f(spec.nonlinearity, np.zeros((1, 2)), u[:1]),
-                eval_f(spec.nonlinearity, pts, u[1:].reshape(n_r - 1, n_t)).ravel()])
-            step = 0.5 * u + 0.5 * lu.solve(rhs + bc)
-            dist = np.max(np.abs(step - u))
-            u = step
-            if dist < 1e-10:
-                break
-        ref = np.vstack([np.full(n_t, u[0]), u[1:].reshape(n_r - 1, n_t), g])
+        phase = _grid(spec, n_r, n_t)[1][5]  # a whole number of cells
+        ref, _ = _superlu_fixed_point(
+            spec, lambda th: 0.05 * np.cos(th - phase), n_r, n_t)
         mirror = -np.roll(ref, n_t // 2, axis=1)
         assert np.max(np.abs(ref - mirror)) > 1e-4  # two distinct fixed points
 
         fld = solve_grid_2d(spec, lambda th: 0.05 * np.cos(th - phase),
                             n_r=n_r, n_theta=n_t)
-        assert fld.meta["solver"]["linear_solver"] == "fourier"
+        solver = fld.meta["solver"]
+        assert solver["inner_iterations"] == solver["iterations"]
         gap = min(np.max(np.abs(fld.u - ref)), np.max(np.abs(fld.u - mirror)))
         assert gap <= 1e-8
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is only needed by the 2-D solver, which imports it on first use
+def _scipy_modules_after(code, prefix):
+    """The loaded modules in package `prefix` after running `code` afresh."""
     src = os.path.dirname(os.path.dirname(freqlab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, freqlab, freqlab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    code += (f"; print(sorted(m for m in sys.modules "
+             f"if (m + '.').startswith({prefix + '.'!r})))")
+    out = subprocess.run([sys.executable, "-c", "import sys; " + code], env=env,
+                         check=True, capture_output=True, text=True, timeout=60)
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is only needed by the 2-D solver, which imports it on first use
+    assert _scipy_modules_after("import freqlab, freqlab.cli", "scipy") == "[]"
+
+
+def test_grid_solve_leaves_scipy_sparse_unloaded():
+    # the solver is matrix-free; scipy.linalg.lapack does not load sparse
+    code = ("from freqlab.fields import manufactured_bowl, solve_grid_2d; "
+            "b = manufactured_bowl(); "
+            "solve_grid_2d(b.spec, b.boundary, n_r=16, n_theta=32, source=b.source)")
+    assert _scipy_modules_after(code, "scipy.sparse") == "[]"
 
 
 class TestResidualField:

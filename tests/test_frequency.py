@@ -130,6 +130,23 @@ class TestRellichGeneral:
                                              tolerance=5e-6)
         assert rep9.passed and rep10.passed
 
+    def test_gradient_transport_fourth_order_through_the_pole(
+            self, variable_coefficients_spec):
+        # grad u(0) != 0 puts an angular k = 1 mode across the pole; the
+        # pole row's gradient is that mode, where zeroing its angular part
+        # left the identity second order and failing at 256 rings
+        spec = variable_coefficients_spec
+        errs = []
+        for M in (32, 64, 128, 256):
+            fld = sample_grid2d(lambda x: 1.0 + 0.3 * x[..., 0] + 0.2 * x[..., 1] ** 2,
+                                spec.outer_radius, M, 2 * M, 1.5)
+            rep = run_all_identity_checks(spec, fld, frequency_profile(spec, fld))[
+                "gradient_energy_transport"]
+            errs.append(rep.rel_residual)
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all((3.5 <= orders) & (orders <= 4.7)), orders
+        assert rep.passed
+
     def test_identity_coefficients_reduce_to_model(self, linear_mode_spec):
         fld = sample_grid2d(lambda x: x[..., 0] * x[..., 1], 1.0, 96, 192, 1.5)
         prof = frequency_profile(linear_mode_spec, fld)

@@ -419,20 +419,3 @@ class TestA1AllBuiltins:
     def test_admissibility(self, make):
         coeff = make()
         assert check_A1(coeff).passed
-
-
-class TestSuperlinearRouting:
-    def test_cubic_term_is_boundedly_linearizable(self):
-        from freqlab.model import superlinear_ratio_bound
-
-        pts = ball_grid(2, 1.0, 16)
-        bound = superlinear_ratio_bound(lambda x, s: s ** 3, 1.0, pts)
-        assert bound <= 1.0 + 1e-12  # |s^3 / s| = s^2 <= eps0^2
-
-    def test_sublinear_term_is_not(self):
-        from freqlab.model import superlinear_ratio_bound
-
-        pts = ball_grid(2, 1.0, 16)
-        bound = superlinear_ratio_bound(
-            lambda x, s: np.sign(s) * np.abs(s) ** 0.5, 1.0, pts)
-        assert bound > 1e2  # |s|^{-1/2} blows up near s = 0
