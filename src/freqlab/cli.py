@@ -324,8 +324,6 @@ def cmd_frequency(cfg, q_list):
     all_ok = True
     blob = {"schema_version": 1}
     for name, rep in sorted(reports.items()):
-        if cfg.identity_tol_scale != 1.0 and math.isfinite(rep.tolerance):
-            rep.tolerance = rep.tolerance * cfg.identity_tol_scale
         blob[name] = rep.to_dict()
         all_ok &= rep.passed
     rec.add(write_json(os.path.join(out, "identities.json"), blob))

@@ -29,9 +29,12 @@ _BUILTIN_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
 def _read_ini(text_or_path):
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keep case
+    text = str(text_or_path)
     try:
-        if "\n" in str(text_or_path) or "=" in str(text_or_path):
-            cp.read_string(str(text_or_path))
+        # INI text spans lines or opens with a section header; a path does
+        # neither, whatever characters ('=' included) its name holds
+        if "\n" in text or text.lstrip().startswith("["):
+            cp.read_string(text)
         else:
             with open(text_or_path, encoding="utf-8") as fh:
                 cp.read_file(fh)
@@ -40,17 +43,28 @@ def _read_ini(text_or_path):
     return cp
 
 
+def _converted(convert, raw, where):
+    """convert(raw), with a failure reported as a ConfigError naming `where`."""
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _value(sec, key, convert=float, fallback=None):
+    if key not in sec:
+        return fallback
+    return _converted(convert, sec[key], f"[{sec.name}] {key}")
+
+
 def parse_problem_spec(text_or_path):
     cp = _read_ini(text_or_path)
     for section in ("domain", "nonlinearity"):
         if section not in cp:
             raise ConfigError(f"missing [{section}] section")
     dom = cp["domain"]
-    try:
-        dim = dom.getint("dimension", fallback=None)
-        radius = dom.getfloat("outer_radius", fallback=None)
-    except ValueError as exc:
-        raise ConfigError(f"bad [domain] values: {exc}") from exc
+    dim = _value(dom, "dimension", int)
+    radius = _value(dom, "outer_radius")
     if dim is None or radius is None:
         raise ConfigError("[domain] needs dimension and outer_radius")
 
@@ -75,45 +89,37 @@ def _parse_coefficients(cp, dim):
     if name == "identity":
         return CoefficientField.identity(dim)
     if name == "diagonal":
-        vals = [float(v) for v in (args or "").split(",") if v.strip()]
+        vals = [_converted(float, v, "[coefficients] field")
+                for v in (args or "").split(",") if v.strip()]
         if len(vals) != dim:
             raise ConfigError(f"diagonal() needs {dim} entries")
         return CoefficientField.diagonal(vals)
     if name == "rotation_perturbed":
-        eps = float(args) if args else 0.1
+        eps = _converted(float, args, "[coefficients] field") if args else 0.1
         return CoefficientField.rotation_perturbed(eps, dim)
     if name == "expr":
         entries = {k: v for k, v in sec.items() if k.startswith("a")}
-        ell = sec.getfloat("ellipticity", fallback=0.5)
+        ell = _value(sec, "ellipticity", fallback=0.5)
         try:
             return CoefficientField.from_expressions(dim, entries, ell)
-        except Exception as exc:
-            raise ConfigError(f"bad coefficient expressions: {exc}") from exc
+        except ValueError as exc:  # names the entry at fault, e.g. "a12: ..."
+            raise ConfigError(f"[coefficients] {exc}") from exc
     raise ConfigError(f"unknown coefficient field {name!r}")
 
 
 def _parse_potential(cp, dim):
-    if "potential" not in cp:
-        return None, "0"
-    src = cp["potential"].get("field", "0").strip()
+    src = cp["potential"].get("field", "0").strip() if "potential" in cp else "0"
     if src == "0":
         return None, "0"
-    try:
-        fn = compile_expression(src, dim)
-    except Exception as exc:
-        raise ConfigError(f"bad potential expression: {exc}") from exc
-    return fn, src
+    return _converted(lambda t: compile_expression(t, dim), src, "[potential] field"), src
 
 
 def _parse_nonlinearity(sec, dim):
     kind = sec.get("kind", "homogeneous")
-    try:
-        q = sec.getfloat("q", fallback=None)
-        eps0 = sec.getfloat("eps0", fallback=1.0)
-        kappa1 = sec.getfloat("kappa1", fallback=None)
-        kappa2 = sec.getfloat("kappa2", fallback=None)
-    except ValueError as exc:
-        raise ConfigError(f"bad [nonlinearity] values: {exc}") from exc
+    q = _value(sec, "q")
+    eps0 = _value(sec, "eps0", fallback=1.0)
+    kappa1 = _value(sec, "kappa1")
+    kappa2 = _value(sec, "kappa2")
     if kind == "homogeneous":
         if q is None:
             raise ConfigError("homogeneous nonlinearity needs q")
@@ -127,21 +133,18 @@ def _parse_nonlinearity(sec, dim):
         if not terms_text:
             raise ConfigError("sum_of_powers needs terms = q1: expr | q2: expr")
         terms = []
-        for part in terms_text.split("|"):
+        for k, part in enumerate(terms_text.split("|")):
+            where = f"[nonlinearity] terms, term {k + 1} ({part.strip()!r})"
             expo_text, _, coef_text = part.partition(":")
-            try:
-                expo = float(expo_text)
-            except ValueError as exc:
-                raise ConfigError(f"bad exponent {expo_text!r}") from exc
+            expo = _converted(float, expo_text, where)
             if not 1.0 <= expo < 2.0:
-                raise ConfigError("every exponent must lie in [1, 2)")
+                raise ConfigError(f"{where}: every exponent must lie in [1, 2)")
             coef_text = coef_text.strip()
             try:
-                const = float(coef_text)
-                terms.append(PowerTerm(expo, const))
+                coef = float(coef_text)
             except ValueError:
-                fn = compile_expression(coef_text, dim)
-                terms.append(PowerTerm(expo, fn))
+                coef = _converted(lambda t: compile_expression(t, dim), coef_text, where)
+            terms.append(PowerTerm(expo, coef))
         return NonlinearitySpec.sum_of_powers(
             tuple(terms), eps0=eps0, kappa1=kappa1 if kappa1 is not None else 1.0,
             kappa2=kappa2 if kappa2 is not None else 1e-3)
@@ -212,7 +215,6 @@ class RunConfig:
     tol_d_rel: float = 1e-10
     residual_gate: float = None
     h_floor_rel: float = 1e-14
-    identity_tol_scale: float = 1.0
     damping: float = 0.5
     fp_tol: float = 1e-10
     max_iters: int = 400
@@ -239,6 +241,10 @@ class RunConfig:
         return self
 
 
+_RUN_TYPES = {int: int, float: float,
+              bool: lambda raw: raw.lower() in ("1", "true", "yes")}
+
+
 def parse_run_config(text_or_path):
     cp = _read_ini(text_or_path)
     cfg = RunConfig()
@@ -249,19 +255,10 @@ def parse_run_config(text_or_path):
         if unknown:
             raise ConfigError(f"unknown [run] key {unknown[0]!r}")
         for f in dataclasses.fields(RunConfig):
-            if f.name not in sec:
-                continue
-            raw = sec.get(f.name)
-            if raw == "none":
-                setattr(cfg, f.name, None)
-            elif f.type in ("int", int):
-                setattr(cfg, f.name, int(raw))
-            elif f.type in ("float", float):
-                setattr(cfg, f.name, float(raw))
-            elif f.type in ("bool", bool):
-                setattr(cfg, f.name, raw.lower() in ("1", "true", "yes"))
-            else:
-                setattr(cfg, f.name, raw)
+            if f.name in sec:
+                convert = _RUN_TYPES.get(f.type, str)
+                setattr(cfg, f.name, None if sec[f.name] == "none"
+                        else _value(sec, f.name, convert))
     return cfg
 
 

@@ -1,22 +1,32 @@
 """Tiny arithmetic expression grammar for config-defined scalar fields.
 
-Supported: numbers, + - * / ^, parentheses, unary minus, the functions
-exp/sin/cos, and the variables x1..xN plus s (the solution value slot).
-Expressions compile to closures that evaluate on numpy arrays.
+Supported: numbers, + - * / ^ (right-associative), parentheses, unary
+minus and plus, the functions exp/sin/cos, and the variables x1..xN plus s
+(the solution value slot).  Whitespace, line breaks included, separates
+tokens.  Python's parser reads the text with `^` spelled `**` (the same
+precedence and associativity); the tree is accepted only if every node is
+the grammar's and it nests at most `MAX_DEPTH` deep.  The checked tree
+compiles to closures over numpy arrays, every number read as a float; the
+text itself is never executed.
 """
 
+import ast
+import operator
 import re
+import warnings
 
 import numpy as np
 
-__all__ = ["ExpressionError", "compile_expression"]
+__all__ = ["ExpressionError", "compile_expression", "MAX_DEPTH"]
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+MAX_DEPTH = 200  # CPython's own limit on nested parentheses
 
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+# names match first, so the digits of x12 are never read as a number
+_WORD_RE = re.compile(r"[A-Za-z_]\w*|" + _NUMBER_RE.pattern, re.ASCII)
+_CHARS_RE = re.compile(r"[0-9A-Za-z_.+\-*/^()\s]*")
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 _FUNCTIONS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
 
 
@@ -24,112 +34,33 @@ class ExpressionError(ValueError):
     """Raised for syntax errors or unknown names in a field expression."""
 
 
-def _tokenize(text):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ExpressionError(f"bad character in expression at: {text[pos:]!r}")
-        if m.lastgroup == "num":
-            out.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-        pos = m.end()
-    out.append(("end", None))
-    return out
-
-
-class _Parser:
-    # precedence: +- (10) < */ (20) < unary minus (30) < ^ (40, right-assoc)
-
-    def __init__(self, tokens, variables):
-        self.toks = tokens
-        self.i = 0
-        self.variables = variables
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self):
-        node = self.expr(0)
-        if self.peek()[0] != "end":
-            raise ExpressionError(f"trailing input near token {self.peek()!r}")
-        return node
-
-    def expr(self, min_bp):
-        node = self.atom()
-        while True:
-            kind, val = self.peek()
-            if kind != "op" or val not in "+-*/^":
-                break
-            bp = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}[val]
-            if bp < min_bp:
-                break
-            self.next()
-            rhs = self.expr(bp if val == "^" else bp + 1)
-            node = ("bin", val, node, rhs)
-        return node
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            return ("const", val)
-        if kind == "op" and val == "-":
-            return ("neg", self.expr(30))
-        if kind == "op" and val == "+":
-            return self.expr(30)
-        if kind == "op" and val == "(":
-            node = self.expr(0)
-            kind, val = self.next()
-            if (kind, val) != ("op", ")"):
-                raise ExpressionError("missing closing parenthesis")
-            return node
-        if kind == "name":
-            if val in _FUNCTIONS:
-                kind2, val2 = self.next()
-                if (kind2, val2) != ("op", "("):
-                    raise ExpressionError(f"function {val!r} needs parentheses")
-                arg = self.expr(0)
-                kind2, val2 = self.next()
-                if (kind2, val2) != ("op", ")"):
-                    raise ExpressionError(f"unclosed call to {val!r}")
-                return ("call", val, arg)
-            if val in self.variables:
-                return ("var", val)
+def _compile(node, text, names, depth=0):
+    """Closure env -> value for a whitelisted `node`; ExpressionError otherwise."""
+    if depth > MAX_DEPTH:
+        raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels")
+    sub = lambda child: _compile(child, text, names, depth + 1)  # noqa: E731
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        op, lhs, rhs = _BINOPS[type(node.op)], sub(node.left), sub(node.right)
+        return lambda env: op(lhs(env), rhs(env))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.USub, ast.UAdd):
+        arg = sub(node.operand)
+        return (lambda env: -arg(env)) if isinstance(node.op, ast.USub) else arg
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and len(node.args) == 1
+            and not node.keywords):
+        fn, arg = _FUNCTIONS[node.func.id], sub(node.args[0])
+        return lambda env: fn(arg(env))
+    if isinstance(node, ast.Name):
+        if node.id not in names:
             raise ExpressionError(
-                f"unknown name {val!r}; allowed: {sorted(self.variables)} "
-                f"and functions {sorted(_FUNCTIONS)}"
-            )
-        raise ExpressionError(f"unexpected token {val!r}")
-
-
-def _evaluate(node, env):
-    tag = node[0]
-    if tag == "const":
-        return node[1]
-    if tag == "var":
-        return env[node[1]]
-    if tag == "neg":
-        return -_evaluate(node[1], env)
-    if tag == "call":
-        return _FUNCTIONS[node[1]](_evaluate(node[2], env))
-    op, lhs, rhs = node[1], _evaluate(node[2], env), _evaluate(node[3], env)
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        return lhs / rhs
-    return lhs ** rhs
+                f"unknown name {node.id!r}; allowed: {sorted(names)} "
+                f"and functions {sorted(_FUNCTIONS)}")
+        return lambda env: env[node.id]
+    literal = text[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Constant) and _NUMBER_RE.fullmatch(literal):
+        value = float(literal)
+        return lambda env: value
+    raise ExpressionError(f"not in the expression grammar: {literal!r}")
 
 
 def compile_expression(text, dim, with_s=False):
@@ -139,17 +70,28 @@ def compile_expression(text, dim, with_s=False):
     components.  When `with_s`, the extra variable s binds to the second
     argument.
     """
-    variables = {f"x{i + 1}" for i in range(dim)}
-    if with_s:
-        variables.add("s")
-    tree = _Parser(_tokenize(text), variables).parse()
+    names = {f"x{i + 1}" for i in range(dim)} | ({"s"} if with_s else set())
+    if not _CHARS_RE.fullmatch(text) or "**" in text:
+        raise ExpressionError(f"character or '**' outside the grammar in {text!r}")
+    # Python refuses the integers 07 and those past 4300 digits, but reads
+    # them as the grammar does (as floats) once they end in a point.
+    code = _WORD_RE.sub(lambda m: m[0] + "." if m[0].isdigit() else m[0],
+                        " ".join(text.split())).replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # e.g. "2(3)": a call, rejected below
+            tree = ast.parse(code, mode="eval")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise ExpressionError(
+            f"cannot parse expression {text!r}: {getattr(exc, 'msg', exc)}") from None
+    evaluate = _compile(tree.body, code, names)
 
     def fn(x, s=None):
         x = np.asarray(x, dtype=float)
         env = {f"x{i + 1}": x[..., i] for i in range(dim)}
         if with_s:
             env["s"] = s
-        val = _evaluate(tree, env)
+        val = evaluate(env)
         return np.broadcast_to(val, x.shape[:-1]).astype(float, copy=True) \
             if np.ndim(val) == 0 else val
 

@@ -482,13 +482,17 @@ def _grid_scalar_gradient(fld, values):
     return np.stack([vr * ct - vt_r * st, vr * st + vt_r * ct], axis=-1)
 
 
-def verify_N_prime_bound(spec, fld, prof, slack=None, cs_tol=1e-10):
+_CS_GAP_TOL = 1e-10
+
+
+def verify_N_prime_bound(spec, fld, prof):
     """Derivative lower bound for the frequency plus the quadratic-form gap.
 
     Asserts N'(r) >= (1/H)[ r (2-q)/q int_S |u|^q - C_{N,q}/q int_B |u|^q ]
-    minus a differentiation slack at every audited radius with H above the
-    floor, and that the Cauchy-Schwarz gap int_S u_nu^2 - surfaceD^2 / H is
-    nonnegative (up to cs_tol).  The exact corrected equality (with the gap
+    minus a differentiation slack (ten times the derivative's error
+    estimate) at every audited radius with H above the floor, and that the
+    Cauchy-Schwarz gap int_S u_nu^2 - surfaceD^2 / H is nonnegative (up to
+    _CS_GAP_TOL).  The exact corrected equality (with the gap
     and rho-terms reinstated) is reported alongside.
     """
     if not spec.is_model:
@@ -512,8 +516,7 @@ def verify_N_prime_bound(spec, fld, prof, slack=None, cs_tol=1e-10):
         equality_rhs = (2.0 * prof.r / prof.H * cs_gap + rhs
                         - 2.0 / prof.H * X
                         + 2.0 * prof.r * prof.surfaceD / prof.H ** 2 * Y)
-    if slack is None:
-        slack = np.nanmax(est[sl]) * 10.0 + 1e-10
+    slack = np.nanmax(est[sl]) * 10.0 + 1e-10
     ok = np.isfinite(prof.N[sl])
     margins = (dN[sl] - rhs[sl] + slack)[ok]
     rep = IdentityReport("frequency_derivative_bound",
@@ -523,13 +526,13 @@ def verify_N_prime_bound(spec, fld, prof, slack=None, cs_tol=1e-10):
     rep.details["inequality_margins"] = margins
     rep.details["inequality_ok"] = bool(np.all(margins >= 0.0))
     rep.details["cs_gap"] = cs_gap
-    rep.details["cs_gap_ok"] = bool(np.nanmin(cs_gap) >= -cs_tol)
+    rep.details["cs_gap_ok"] = bool(np.nanmin(cs_gap) >= -_CS_GAP_TOL)
     rep.details["equality_residual"] = (dN - equality_rhs)[sl]
     rep.details["diff_error_estimate"] = est[sl]
     return rep
 
 
-def verify_u2_bounds(spec, fld, prof, tolerance=1e-12):
+def verify_u2_bounds(spec, fld, prof):
     """int_{S_r} u^2 <= (eps0^q / kappa2) sup_{S_r}|u|^{2-q} int_{S_r} F.
 
     The exact intermediate form of the surface mass bound; the effective
@@ -602,33 +605,24 @@ def _grid_tolerance_factor(fld):
     return max(1.0, (fld.h / (1e-3 * R)) ** 4)
 
 
-def run_all_identity_checks(spec, fld, prof, tolerances=None):
+def run_all_identity_checks(spec, fld, prof):
     """Run every identity check that applies to this field; dict of reports.
 
-    Default tolerances hold at the reference resolutions and are scaled by
-    the fourth-order grid factor on coarser fields; tolerances passed in
-    explicitly are used as given.
+    Tolerances hold at the reference resolutions and are scaled by the
+    fourth-order grid factor on coarser fields.
     """
-    tolerances = tolerances or {}
     fac = _grid_tolerance_factor(fld)
-
-    def tol(name, base):
-        return tolerances.get(name, base * fac)
-
     out = {}
-    out["H_prime"] = verify_H_prime(spec, fld, prof, tol("H_prime", 1e-6))
+    out["H_prime"] = verify_H_prime(spec, fld, prof, 1e-6 * fac)
     out["surface_vs_volume_energy"] = verify_surface_volume_D(
-        spec, fld, prof, tol("surface_vs_volume_energy", 1e-7))
+        spec, fld, prof, 1e-7 * fac)
     out["surface_mass_bound"] = verify_u2_bounds(spec, fld, prof)
-    out["nonlinearity_transport"] = verify_f_transport(
-        spec, fld, prof, tol("nonlinearity_transport", 5e-6))
+    out["nonlinearity_transport"] = verify_f_transport(spec, fld, prof, 5e-6 * fac)
     if spec.is_model:
-        out["pohozaev_model"] = verify_pohozaev_model(
-            spec, fld, prof, tol("pohozaev_model", 1e-6))
+        out["pohozaev_model"] = verify_pohozaev_model(spec, fld, prof, 1e-6 * fac)
         out["frequency_derivative_bound"] = verify_N_prime_bound(spec, fld, prof)
     if fld.representation == "grid2d":
-        rep9, rep10 = verify_rellich_general(
-            spec, fld, prof, tol("rellich_general", 5e-6))
+        rep9, rep10 = verify_rellich_general(spec, fld, prof, 5e-6 * fac)
         out["gradient_energy_transport"] = rep9
         out["surface_energy_scaling"] = rep10
     return out

@@ -46,6 +46,8 @@ class QuadratureError(RuntimeError):
 # --------------------------------------------------------------------------
 # coefficient fields
 
+_ENTRY_FD_STEP = 1e-6  # central-difference step for expression entries and A1
+
 
 class CoefficientField:
     """Symmetric matrix field A(x) with entry gradients and ellipticity bound.
@@ -131,22 +133,25 @@ class CoefficientField:
                    "rotation_perturbed", {"eps": eps})
 
     @classmethod
-    def from_expressions(cls, dim, entry_exprs, ellipticity=0.5, fd_step=1e-6):
+    def from_expressions(cls, dim, entry_exprs, ellipticity=0.5):
         """Entries given as expression strings keyed 'a11', 'a12', ...
 
         Missing symmetric partners are filled in; entry gradients fall back
         to central differences of the compiled entries.
         """
-        from .expressions import compile_expression
+        from .expressions import ExpressionError, compile_expression
 
         fns = {}
         for i in range(dim):
             for j in range(dim):
                 key, alt = f"a{i + 1}{j + 1}", f"a{j + 1}{i + 1}"
-                text = entry_exprs.get(key, entry_exprs.get(alt))
-                if text is None:
+                name = key if key in entry_exprs else alt
+                if name not in entry_exprs:
                     raise ValueError(f"missing coefficient entry {key}")
-                fns[(i, j)] = compile_expression(str(text), dim)
+                try:
+                    fns[(i, j)] = compile_expression(str(entry_exprs[name]), dim)
+                except ExpressionError as exc:
+                    raise ExpressionError(f"{name}: {exc}") from exc
 
         def entries(x):
             x = np.asarray(x, dtype=float)
@@ -160,10 +165,10 @@ class CoefficientField:
             out = np.empty(x.shape[:-1] + (dim, dim, dim))
             for h in range(dim):
                 dx = np.zeros(dim)
-                dx[h] = fd_step
+                dx[h] = _ENTRY_FD_STEP
                 ap = entries(x + dx)
                 am = entries(x - dx)
-                out[..., h] = (ap - am) / (2.0 * fd_step)
+                out[..., h] = (ap - am) / (2.0 * _ENTRY_FD_STEP)
             return out
 
         lam = float(ellipticity)
@@ -695,15 +700,18 @@ def check_A3(spec, points=None, s_values=None, radius=1.0, slack=1e-12):
     return report
 
 
-def check_A1(coeff, points=None, radius=1.0, n_directions=16, fd_step=1e-6,
-             grad_tol=1e-4):
+_A1_DIRECTIONS = 16  # xi samples of the ellipticity sandwich
+_A1_GRAD_TOL = 1e-4  # closed-form vs central-difference entry gradients
+
+
+def check_A1(coeff, points=None, radius=1.0):
     """Symmetry, ellipticity sandwich, and entry-gradient consistency of A."""
     if points is None:
         points = ball_grid(coeff.dim, radius, 64)
     points = np.asarray(points, dtype=float)
     a = coeff.entries(points)
     report = AssumptionReport()
-    report.sample_counts = {"x": len(points), "directions": n_directions}
+    report.sample_counts = {"x": len(points), "directions": _A1_DIRECTIONS}
 
     sym = float(np.max(np.abs(a - np.swapaxes(a, -1, -2))))
     report.clauses["A1.symmetric"] = ClauseVerdict(
@@ -711,12 +719,12 @@ def check_A1(coeff, points=None, radius=1.0, n_directions=16, fd_step=1e-6,
 
     lam = coeff.ellipticity(points)
     ok_lam = bool(np.all((lam > 0) & (lam < 1)))
-    angles = np.linspace(0.0, np.pi, n_directions, endpoint=False)
+    angles = np.linspace(0.0, np.pi, _A1_DIRECTIONS, endpoint=False)
     if coeff.dim == 2:
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     else:
         rng = np.random.default_rng(12345)  # fixed direction set, deterministic
-        dirs = rng.normal(size=(n_directions, coeff.dim))
+        dirs = rng.normal(size=(_A1_DIRECTIONS, coeff.dim))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     quad = np.einsum("...ij,di,dj->...d", a, dirs, dirs)
     lower = quad - lam[..., None]
@@ -730,11 +738,12 @@ def check_A1(coeff, points=None, radius=1.0, n_directions=16, fd_step=1e-6,
     fd = np.empty_like(g)
     for h in range(coeff.dim):
         dx = np.zeros(coeff.dim)
-        dx[h] = fd_step
-        fd[..., h] = (coeff.entries(points + dx) - coeff.entries(points - dx)) / (2 * fd_step)
+        dx[h] = _ENTRY_FD_STEP
+        fd[..., h] = ((coeff.entries(points + dx) - coeff.entries(points - dx))
+                      / (2 * _ENTRY_FD_STEP))
     gerr = float(np.max(np.abs(g - fd)))
     report.clauses["A1.entry_gradients"] = ClauseVerdict(
-        "A1.entry_gradients", gerr <= grad_tol, grad_tol - gerr,
+        "A1.entry_gradients", gerr <= _A1_GRAD_TOL, _A1_GRAD_TOL - gerr,
         note="closed-form gradients match central differences")
     gsup = float(np.max(np.abs(g)))
     report.clauses["A1.lipschitz"] = ClauseVerdict(
@@ -765,7 +774,10 @@ def c_constant(dim, q):
     return 2.0 * dim - (dim - 2.0) * q
 
 
-def normalize_coordinates(spec, x0, kappa1_safety=1.05):
+_KAPPA1_SAFETY = 1.05  # margin on the sampled kappa1 after the pullback
+
+
+def normalize_coordinates(spec, x0):
     """Affine change of variables carrying x0 to the origin with A(0) = id.
 
     Uses T(x) = A(x0)^{1/2} x + x0 and the pullback
@@ -835,7 +847,7 @@ def normalize_coordinates(spec, x0, kappa1_safety=1.05):
         F = eval_F(new_nl, pts[:, None, :], sv[None, :])
         g1 = grad1_F(new_nl, pts[:, None, :], sv[None, :])
         ratio = np.sqrt(np.sum(g1 * g1, axis=-1)) / np.maximum(F, 1e-300)
-        k1 = float(np.max(ratio)) * kappa1_safety
+        k1 = float(np.max(ratio)) * _KAPPA1_SAFETY
         new_nl = NonlinearitySpec(new_nl.kind, new_nl.q, new_nl.eps0,
                                   max(k1, 1e-12), new_nl.kappa2,
                                   terms=new_nl.terms, f_callable=new_nl.f_callable)

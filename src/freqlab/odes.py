@@ -299,12 +299,17 @@ def _advance_sign_exact(u, v, h, crossings, t_now):
     return u, v
 
 
-def integrate_radial(dim, q, a, r_max, h, series_span=10):
+_SERIES_STEPS = 10  # steps of h bridged by the series at the origin
+_CROSSING_SUBSTEPS = 32  # RK4 substeps of a step that may hold a zero
+
+
+def integrate_radial(dim, q, a, r_max, h):
     """Shoot u'' + (dim-1)/r u' = -|u|^{q-2} u from u(0) = a, u'(0) = 0.
 
-    The removable singularity at r = 0 is bridged with the two-term series
-    u = a - |a|^{q-2} a r^2 / (2 dim) on [0, series_span * h]; afterwards RK4
-    with substep refinement and event alignment inside the crossing layers.
+    The removable singularity at r = 0 is bridged with the even series
+    u = a - |a|^{q-2} a r^2 / (2 dim) + c4 r^4 on [0, _SERIES_STEPS * h];
+    afterwards RK4 with substep refinement and event alignment inside the
+    crossing layers.
     """
     if a == 0.0:
         raise ValueError("initial amplitude must be nonzero")
@@ -324,7 +329,7 @@ def integrate_radial(dim, q, a, r_max, h, series_span=10):
     c2 = _f_power(a, q) / (2.0 * dim)
     fp = (q - 1.0) * abs(a) ** (q - 2.0) if q > 1.0 else 0.0
     c4 = fp * c2 / (4.0 * (dim + 2.0))
-    k0 = min(max(series_span, 1), n)
+    k0 = min(_SERIES_STEPS, n)
     rs = r[: k0 + 1]
     u[: k0 + 1] = a - c2 * rs ** 2 + c4 * rs ** 4
     du[: k0 + 1] = -2.0 * c2 * rs + 4.0 * c4 * rs ** 3
@@ -349,11 +354,11 @@ def integrate_radial(dim, q, a, r_max, h, series_span=10):
     return OdeTrajectory(r, u, du, q, dim, (a, 0.0), h, crossings)
 
 
-def _refined_crossing_step(u, v, r0, h, q, dim, crossings, n_sub=32):
+def _refined_crossing_step(u, v, r0, h, q, dim, crossings):
     """One step of size h with refined, crossing-aligned substeps."""
-    dt = h / n_sub
+    dt = h / _CROSSING_SUBSTEPS
     rr, uu, vv = r0, u, v
-    for _ in range(n_sub):
+    for _ in range(_CROSSING_SUBSTEPS):
         un, vn = _rk4(uu, vv, dt, q, r=rr, dim=dim)
         if uu * un < 0.0 or (un == 0.0 and uu != 0.0):
             # bisect the substep length to land on the zero

@@ -110,7 +110,8 @@ class TestRunConfig:
                         field_file="f.txt", radial_step=2.5e-4)
         assert parse_run_config(serialize_run_config(cfg)) == cfg
 
-    @pytest.mark.parametrize("line", ["jobs = 3", "dampng = 0.9"])
+    @pytest.mark.parametrize("line", ["jobs = 3", "dampng = 0.9",
+                                      "identity_tol_scale = 2"])
     def test_rejects_unknown_keys(self, line):
         with pytest.raises(ConfigError, match=repr(line.split(" = ")[0])):
             parse_run_config(f"[run]\ncommand = solve\n{line}\n")
@@ -129,6 +130,43 @@ class TestRunConfig:
             RunConfig(ode_task="counterexample", q=1.0).validate()
         with pytest.raises(ConfigError):
             RunConfig(rings=0).validate()
+
+
+class TestConfigInput:
+    @pytest.mark.parametrize("old, new, where", [
+        ("kappa2 = 0.4", "kappa2 = 0.4\n\n[run]\nrings = abc", "[run] rings"),
+        ("outer_radius = 0.8", "outer_radius = abc", "[domain] outer_radius"),
+        ("field = expr", "field = diagonal(2, abc)", "[coefficients] field"),
+        ("a11 = 1 + x1^2/4", "a11 = 1 + x3^2/4", "a11"),
+        ("ellipticity = 0.7", "ellipticity = abc", "[coefficients] ellipticity"),
+        ("field = 0.25*cos(x2)", "field = 0.25*cos(x2", "[potential] field"),
+        ("1.0: 1 + 0.5*x1^2", "1.0: 1 + 0.5*x3^2", "[nonlinearity] terms, term 2"),
+        ("1.5: 2.0", "abc: 2.0", "[nonlinearity] terms, term 1"),
+        ("kappa2 = 0.4", "kappa2 = abc", "[nonlinearity] kappa2"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, old, new, where):
+        assert old in VARIABLE_CONFIG
+        config = tmp_path / "bad.ini"
+        config.write_text(VARIABLE_CONFIG.replace(old, new))
+        assert main(["check", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["vc.ini", "vc=1.ini"])
+    def test_config_path_may_hold_equals_sign(self, tmp_path, name):
+        config = tmp_path / name
+        config.write_text(VARIABLE_CONFIG)
+        assert parse_problem_spec(str(config)).coefficients.kind == "expressions"
+        assert main(["check", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 0
+
+    def test_missing_config_path(self, tmp_path, capsys):
+        missing = tmp_path / "absent=1.ini"
+        assert main(["check", "--config", str(missing),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
 
 
 class TestCliExitCodes:
