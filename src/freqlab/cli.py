@@ -238,6 +238,7 @@ def cmd_ode(cfg, q_list):
 
 
 def cmd_solve(cfg, q_list):
+    spec = None if cfg.manufactured else _load_spec(cfg)  # exit 2 before any output
     rec = _record(cfg)
     out = cfg.out_dir
     if cfg.manufactured:
@@ -267,7 +268,6 @@ def cmd_solve(cfg, q_list):
         rec.finish({"mode": "manufactured", "orders": order})
         return EXIT_OK
 
-    spec = _load_spec(cfg)
     try:
         if cfg.mode == "radial":
             fld = solve_radial(spec, cfg.amplitude, h=cfg.radial_step)

@@ -98,7 +98,13 @@ def _parse_coefficients(cp, dim):
         eps = _converted(float, args, "[coefficients] field") if args else 0.1
         return CoefficientField.rotation_perturbed(eps, dim)
     if name == "expr":
-        entries = {k: v for k, v in sec.items() if k.startswith("a")}
+        keys = {f"a{i}{j}" for i in range(1, dim + 1) for j in range(1, dim + 1)}
+        unknown = [key for key in sec if key not in keys | {"field", "ellipticity"}]
+        if unknown:
+            raise ConfigError(f"unknown [coefficients] key {unknown[0]!r}; with "
+                              f"field = expr the keys are field, ellipticity "
+                              f"and a11..a{dim}{dim}")
+        entries = {k: v for k, v in sec.items() if k in keys}
         ell = _value(sec, "ellipticity", fallback=0.5)
         try:
             return CoefficientField.from_expressions(dim, entries, ell)

@@ -7,10 +7,13 @@ tokens.  Python's parser reads the text with `^` spelled `**` (the same
 precedence and associativity); the tree is accepted only if every node is
 the grammar's and it nests at most `MAX_DEPTH` deep.  The checked tree
 compiles to closures over numpy arrays, every number read as a float; the
-text itself is never executed.
+text itself is never executed.  Each subtree free of variables is evaluated
+once, at compile time, and must give a finite real number (so `1/0`,
+`(0-8)^(1/3)` and `exp(1000)` are rejected before any numerics run).
 """
 
 import ast
+import math
 import operator
 import re
 import warnings
@@ -24,6 +27,7 @@ MAX_DEPTH = 200  # CPython's own limit on nested parentheses
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 # names match first, so the digits of x12 are never read as a number
 _WORD_RE = re.compile(r"[A-Za-z_]\w*|" + _NUMBER_RE.pattern, re.ASCII)
+_POINT_RE = re.compile(r"(?<![\w.])(\d+)\.(?![\w.])", re.ASCII)
 _CHARS_RE = re.compile(r"[0-9A-Za-z_.+\-*/^()\s]*")
 _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: operator.truediv, ast.Pow: operator.pow}
@@ -35,32 +39,60 @@ class ExpressionError(ValueError):
 
 
 def _compile(node, text, names, depth=0):
-    """Closure env -> value for a whitelisted `node`; ExpressionError otherwise."""
+    """Closure env -> value for a whitelisted `node`, or its value when it
+    holds no variable; ExpressionError otherwise."""
     if depth > MAX_DEPTH:
         raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels")
     sub = lambda child: _compile(child, text, names, depth + 1)  # noqa: E731
+    literal = text[node.col_offset:node.end_col_offset]
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        op, lhs, rhs = _BINOPS[type(node.op)], sub(node.left), sub(node.right)
-        return lambda env: op(lhs(env), rhs(env))
+        return _apply(_BINOPS[type(node.op)], literal, sub(node.left), sub(node.right))
     if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.USub, ast.UAdd):
         arg = sub(node.operand)
-        return (lambda env: -arg(env)) if isinstance(node.op, ast.USub) else arg
+        return _apply(operator.neg, literal, arg) if isinstance(node.op, ast.USub) else arg
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in _FUNCTIONS and len(node.args) == 1
             and not node.keywords):
-        fn, arg = _FUNCTIONS[node.func.id], sub(node.args[0])
-        return lambda env: fn(arg(env))
+        return _apply(_FUNCTIONS[node.func.id], literal, sub(node.args[0]))
     if isinstance(node, ast.Name):
         if node.id not in names:
             raise ExpressionError(
                 f"unknown name {node.id!r}; allowed: {sorted(names)} "
                 f"and functions {sorted(_FUNCTIONS)}")
         return lambda env: env[node.id]
-    literal = text[node.col_offset:node.end_col_offset]
     if isinstance(node, ast.Constant) and _NUMBER_RE.fullmatch(literal):
-        value = float(literal)
-        return lambda env: value
+        return _finite(float(literal), literal)
     raise ExpressionError(f"not in the expression grammar: {literal!r}")
+
+
+def _apply(fn, literal, *args):
+    """fn over the compiled `args`: a closure if any of them is one, else
+    the value, computed now."""
+    if not any(map(callable, args)):
+        try:
+            with np.errstate(all="ignore"):
+                value = fn(*args)
+        except ArithmeticError as exc:  # 1/0, 10^400
+            raise ExpressionError(f"constant {_shown(literal)!r} has no value: "
+                                  f"{exc.args[-1]}") from None
+        return _finite(value, literal)
+    # a constant operand enters the closure as a function returning it
+    f, *g = [a if callable(a) else (lambda env, a=a: a) for a in args]
+    if not g:
+        return lambda env: fn(f(env))
+    return lambda env: fn(f(env), g[0](env))
+
+
+def _finite(value, literal):
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ExpressionError(f"constant {_shown(literal)!r} is {value}, "
+                              f"not a finite real number")
+    return value
+
+
+def _shown(code):
+    """`code` as the grammar spells it: ^ for **, no point after integers."""
+    return _POINT_RE.sub(r"\1", code).replace("**", "^")
 
 
 def compile_expression(text, dim, with_s=False):
@@ -85,6 +117,8 @@ def compile_expression(text, dim, with_s=False):
         raise ExpressionError(
             f"cannot parse expression {text!r}: {getattr(exc, 'msg', exc)}") from None
     evaluate = _compile(tree.body, code, names)
+    if not callable(evaluate):
+        evaluate = lambda env, value=evaluate: value  # noqa: E731
 
     def fn(x, s=None):
         x = np.asarray(x, dtype=float)

@@ -10,6 +10,7 @@ refine and align substeps inside the layer instead.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,24 +184,29 @@ def _f_power(u, q):
     return abs(u) ** (q - 2.0) * u
 
 
-def _rk4(u, v, h, q, r=None, dim=1):
-    def acc(uu, vv, rr):
-        a = -_f_power(uu, q)
-        if dim > 1:
-            a -= (dim - 1) * vv / rr
-        return a
+def _rk4(u, v, h, q, r=1.0, dim=1):
+    """One classical RK4 step of u'' = -|u|^{q-2} u - (dim-1) u'/r.
 
-    if r is None:
-        r = 1.0  # unused for dim == 1
-    k1v = acc(u, v, r)
-    k1u = v
-    k2v = acc(u + 0.5 * h * k1u, v + 0.5 * h * k1v, r + 0.5 * h)
-    k2u = v + 0.5 * h * k1v
-    k3v = acc(u + 0.5 * h * k2u, v + 0.5 * h * k2v, r + 0.5 * h)
-    k3u = v + 0.5 * h * k2v
-    k4v = acc(u + h * k3u, v + h * k3v, r + h)
-    k4u = v + h * k3v
-    return (u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u),
+    The four stages are computed inline, each operation in the textbook
+    order, so the result matches that form to the last bit.
+    """
+    hh = 0.5 * h
+    k1v = -_f_power(u, q)
+    if dim > 1:
+        k1v -= (dim - 1) * v / r
+    v2 = v + hh * k1v
+    k2v = -_f_power(u + hh * v, q)
+    if dim > 1:
+        k2v -= (dim - 1) * v2 / (r + hh)
+    v3 = v + hh * k2v
+    k3v = -_f_power(u + hh * v2, q)
+    if dim > 1:
+        k3v -= (dim - 1) * v3 / (r + hh)
+    v4 = v + h * k3v
+    k4v = -_f_power(u + h * v3, q)
+    if dim > 1:
+        k4v -= (dim - 1) * v4 / (r + h)
+    return (u + (h / 6.0) * (v + 2 * v2 + 2 * v3 + v4),
             v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v))
 
 
@@ -214,29 +220,32 @@ def integrate_plane(q, u0, du0, h, t_max, t_start=0.0):
     if h <= 0:
         raise ValueError("step must be positive")
     n = int(round((t_max - t_start) / h))
+    if n < 0:
+        raise ValueError("t_max lies before t_start")
+    # node i sits at t_start + h * i, the value t[i] holds; it is computed
+    # per step so that no list of nodes is held
     t = t_start + h * np.arange(n + 1)
-    u = np.empty(n + 1)
-    du = np.empty(n + 1)
-    u[0], du[0] = u0, du0
+    uu, vv = float(u0), float(du0)
+    u, du = array("d", [uu]), array("d", [vv])
     crossings = []
 
     if q == 1.0:
-        uu, vv = float(u0), float(du0)
         for i in range(n):
-            uu, vv = _advance_sign_exact(uu, vv, h, crossings, t[i])
-            u[i + 1], du[i + 1] = uu, vv
-        return OdeTrajectory(t, u, du, q, 1, (u0, du0), h, crossings)
+            uu, vv = _advance_sign_exact(uu, vv, h, crossings, t_start + h * i)
+            u.append(uu)
+            du.append(vv)
+        return _trajectory(t, u, du, q, 1, (u0, du0), h, crossings)
 
-    uu, vv = float(u0), float(du0)
     layer = None  # (t_star, w, sgn, coeffs, reach)
     for i in range(n):
-        ti, tnext = t[i], t[i + 1]
+        ti, tnext = t_start + h * i, t_start + h * (i + 1)
         if layer is not None:
             t_star, w, sgn, coeffs, reach = layer
             if abs(tnext - t_star) <= reach:
                 us, vs = _series_eval(tnext - t_star, coeffs, q)
-                uu, vv = sgn * us, sgn * vs
-                u[i + 1], du[i + 1] = uu, vv
+                uu, vv = float(sgn * us), float(sgn * vs)
+                u.append(uu)
+                du.append(vv)
                 continue
             layer = None
         # enter the series layer while the zero is within ~3/4 of the series
@@ -258,13 +267,20 @@ def integrate_plane(q, u0, du0, h, t_max, t_start=0.0):
                 crossings.append((t_star, sgn * w))
             layer = (t_star, w, sgn, coeffs, reach)
             us, vs = _series_eval(tnext - t_star, coeffs, q)
-            uu, vv = sgn * us, sgn * vs
+            uu, vv = float(sgn * us), float(sgn * vs)
         else:
             uu, vv = un, vn
         if not (math.isfinite(uu) and math.isfinite(vv)):
             raise IntegrationError("plane integration produced non-finite values", ti)
-        u[i + 1], du[i + 1] = uu, vv
-    return OdeTrajectory(t, u, du, q, 1, (u0, du0), h, crossings)
+        u.append(uu)
+        du.append(vv)
+    return _trajectory(t, u, du, q, 1, (u0, du0), h, crossings)
+
+
+def _trajectory(t, u, du, q, dim, initial, h, crossings):
+    """OdeTrajectory over the nodes collected in the arrays `u` and `du`."""
+    return OdeTrajectory(t, np.frombuffer(u), np.frombuffer(du), q, dim,
+                         initial, h, crossings)
 
 
 def _amplitude(u, v, q):
@@ -295,7 +311,7 @@ def _advance_sign_exact(u, v, h, crossings, t_now):
         remaining -= step
         if tau_cross is not None:
             u = 0.0
-            crossings.append((t_now + elapsed, v))
+            crossings.append((np.float64(t_now + elapsed), v))
     return u, v
 
 
@@ -322,8 +338,6 @@ def integrate_radial(dim, q, a, r_max, h):
         return integrate_plane(q, a, 0.0, h, r_max)
     n = int(round(r_max / h))
     r = h * np.arange(n + 1)
-    u = np.empty(n + 1)
-    du = np.empty(n + 1)
     # three-term even series: the r^4 term keeps the startup equation
     # residual at O(r^4), matching the integrator's order
     c2 = _f_power(a, q) / (2.0 * dim)
@@ -331,13 +345,13 @@ def integrate_radial(dim, q, a, r_max, h):
     c4 = fp * c2 / (4.0 * (dim + 2.0))
     k0 = min(_SERIES_STEPS, n)
     rs = r[: k0 + 1]
-    u[: k0 + 1] = a - c2 * rs ** 2 + c4 * rs ** 4
-    du[: k0 + 1] = -2.0 * c2 * rs + 4.0 * c4 * rs ** 3
+    u = array("d", (a - c2 * rs ** 2 + c4 * rs ** 4).tobytes())
+    du = array("d", (-2.0 * c2 * rs + 4.0 * c4 * rs ** 3).tobytes())
 
     crossings = []
     uu, vv = u[k0], du[k0]
     for i in range(k0, n):
-        ri = r[i]
+        ri = h * i  # r[i]
         near = vv != 0.0 and abs(uu) < abs(vv) * 3.0 * h
         if not near:
             un, vn = _rk4(uu, vv, h, q, r=ri, dim=dim)
@@ -345,13 +359,15 @@ def integrate_radial(dim, q, a, r_max, h):
                 uu, vv = un, vn
                 if not (math.isfinite(uu) and math.isfinite(vv)):
                     raise IntegrationError("radial integration blew up", ri)
-                u[i + 1], du[i + 1] = uu, vv
+                u.append(uu)
+                du.append(vv)
                 continue
         uu, vv = _refined_crossing_step(uu, vv, ri, h, q, dim, crossings)
         if not (math.isfinite(uu) and math.isfinite(vv)):
             raise IntegrationError("radial integration blew up", ri)
-        u[i + 1], du[i + 1] = uu, vv
-    return OdeTrajectory(r, u, du, q, dim, (a, 0.0), h, crossings)
+        u.append(uu)
+        du.append(vv)
+    return _trajectory(r, u, du, q, dim, (a, 0.0), h, crossings)
 
 
 def _refined_crossing_step(u, v, r0, h, q, dim, crossings):
@@ -373,7 +389,8 @@ def _refined_crossing_step(u, v, r0, h, q, dim, crossings):
                     if um == 0.0:
                         break
             ustar, vstar = _rk4(uu, vv, lo, q, r=rr, dim=dim)
-            crossings.append((rr + lo, vstar))
+            # crossings hold numpy scalars, as the plane integrator's do
+            crossings.append((np.float64(rr + lo), np.float64(vstar)))
             rem = dt - lo
             un, vn = _rk4(0.0, vstar, rem, q, r=rr + lo, dim=dim)
         uu, vv = un, vn
@@ -408,45 +425,42 @@ def zero_audit(traj, threshold=None):
     if scale == 0.0:
         return []
     ztol = 1e-12 * scale
-    is_zero = np.abs(u) <= ztol
-    events = []
+    zero = np.abs(u) <= ztol
     n = len(u)
-    i = 0
-    while i < n - 1:
-        if not is_zero[i] and not is_zero[i + 1] and u[i] * u[i + 1] < 0.0:
-            loc = _bisect_hermite(traj, t[i], t[i + 1])
-            _, slope = traj.hermite(loc)
-            events.append(ZeroEvent(float(loc), abs(float(slope)),
-                                    abs(slope) < threshold))
-            i += 1
+    # candidate nodes: i where u[i], u[i+1] are nonzero of opposite sign,
+    # and the first node of each run of zeros starting before the last node
+    cross = ~zero[:-1] & ~zero[1:] & (u[:-1] * u[1:] < 0.0)
+    edges = np.diff(zero.astype(np.int8), prepend=0, append=0)
+    run_end = dict(zip(np.flatnonzero(edges == 1).tolist(),
+                       np.flatnonzero(edges == -1).tolist()))
+    starts = [i for i in run_end if i < n - 1]
+    events = []
+    for i in sorted(np.flatnonzero(cross).tolist() + starts):
+        j = run_end.get(i)
+        if j is None:
+            events.append(_simple_zero(traj, t[i], t[i + 1], threshold))
             continue
-        if is_zero[i]:
-            j = i
-            while j < n and is_zero[j]:
-                j += 1
-            left_val = u[i - 1] if i > 0 else None
-            right_val = u[j] if j < n else None
-            if j - i == 1 and left_val is not None and right_val is not None \
-                    and left_val * right_val < 0.0:
-                loc = _bisect_hermite(traj, t[i - 1], t[j])
-                _, slope = traj.hermite(loc)
-                events.append(ZeroEvent(float(loc), abs(float(slope)),
-                                        abs(slope) < threshold))
-            else:
-                # plateau or touching zero: report the interior-facing edges
-                if left_val is not None:
-                    events.append(ZeroEvent(float(t[i]), abs(float(du[i])),
-                                            abs(du[i]) < threshold))
-                if right_val is not None and j - 1 != i:
-                    events.append(ZeroEvent(float(t[j - 1]), abs(float(du[j - 1])),
-                                            abs(du[j - 1]) < threshold))
-                elif right_val is not None and left_val is None:
-                    events.append(ZeroEvent(float(t[j - 1]), abs(float(du[j - 1])),
-                                            abs(du[j - 1]) < threshold))
-            i = j
+        left_val = u[i - 1] if i > 0 else None
+        right_val = u[j] if j < n else None
+        if j - i == 1 and left_val is not None and right_val is not None \
+                and left_val * right_val < 0.0:
+            events.append(_simple_zero(traj, t[i - 1], t[j], threshold))
             continue
-        i += 1
+        # plateau or touching zero: report the interior-facing edges
+        if left_val is not None:
+            events.append(ZeroEvent(float(t[i]), abs(float(du[i])),
+                                    abs(du[i]) < threshold))
+        if right_val is not None and (j - 1 != i or left_val is None):
+            events.append(ZeroEvent(float(t[j - 1]), abs(float(du[j - 1])),
+                                    abs(du[j - 1]) < threshold))
     return events
+
+
+def _simple_zero(traj, lo, hi, threshold):
+    """The sign change inside [lo, hi], located on the dense output."""
+    loc = _bisect_hermite(traj, lo, hi)
+    _, slope = traj.hermite(loc)
+    return ZeroEvent(float(loc), abs(float(slope)), abs(slope) < threshold)
 
 
 def _bisect_hermite(traj, lo, hi):

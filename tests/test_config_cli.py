@@ -143,6 +143,11 @@ class TestConfigInput:
         ("1.0: 1 + 0.5*x1^2", "1.0: 1 + 0.5*x3^2", "[nonlinearity] terms, term 2"),
         ("1.5: 2.0", "abc: 2.0", "[nonlinearity] terms, term 1"),
         ("kappa2 = 0.4", "kappa2 = abc", "[nonlinearity] kappa2"),
+        # variable-free parts must be finite reals
+        ("field = 0.25*cos(x2)", "field = 1/0", "[potential] field: constant"),
+        ("field = 0.25*cos(x2)", "field = (0-8)^(1/3)", "[potential] field: constant"),
+        ("a12 = 0", "a12 = exp(1000)", "[coefficients] a12: constant"),
+        ("1.0: 1 + 0.5*x1^2", "1.0: 1 + x1*(1/0)", "[nonlinearity] terms, term 2"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, old, new, where):
         assert old in VARIABLE_CONFIG
@@ -153,6 +158,35 @@ class TestConfigInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and where in err
         assert not (tmp_path / "o").exists()
+
+    def test_solve_rejects_potential_1_over_0_before_numerics(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text(VARIABLE_CONFIG.replace("field = 0.25*cos(x2)",
+                                                  "field = 1/0"))
+        assert main(["solve", "--mode", "grid2d", "--rings", "16", "--angles",
+                     "32", "--boundary", "cos:1:0.2", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [potential] field: constant '1/0'")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line, key", [("a13 = x9 + bogus", "a13"),
+                                           ("b11 = 1", "b11"),
+                                           ("a33 = 1", "a33"),
+                                           ("elipticity = 0.7", "elipticity")])
+    def test_unknown_coefficient_key_exits_2(self, tmp_path, capsys, line, key):
+        config = tmp_path / "bad.ini"
+        config.write_text(VARIABLE_CONFIG.replace("a22 = 1", f"a22 = 1\n{line}"))
+        assert main(["check", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown [coefficients] key {key!r}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_both_off_diagonal_entries_are_known_keys(self):
+        spec = parse_problem_spec(VARIABLE_CONFIG.replace("a12 = 0",
+                                                          "a12 = 0\na21 = 0"))
+        assert spec.coefficients.kind == "expressions"
 
     @pytest.mark.parametrize("name", ["vc.ini", "vc=1.ini"])
     def test_config_path_may_hold_equals_sign(self, tmp_path, name):

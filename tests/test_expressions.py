@@ -1,4 +1,5 @@
 import configparser
+import math
 import operator
 import warnings
 
@@ -101,36 +102,52 @@ _CALLS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
 _SPACE = st.sampled_from(["", " ", "\n  "])
 
 
+# a tree is (text, reference evaluator, variable-free?, holds a variable-free
+# subtree whose value is not a finite real number?)
+
+
+def _node(text, ev, args):
+    const = all(a[2] for a in args)
+    bad = any(a[3] for a in args)
+    if const and not bad:
+        try:
+            with np.errstate(all="ignore"):
+                value = ev({})
+            bad = not isinstance(value, float) or not math.isfinite(value)
+        except ArithmeticError:
+            bad = True
+    return text, ev, const, bad
+
+
 def _leaf(name):
-    return name, lambda env: env[name]
+    return name, lambda env: env[name], False, False
 
 
-def _number(v):
-    return repr(v), lambda env: v
+def _number(text, v):
+    return _node(text, lambda env: v, ())
 
 
 def _unary(arg, minus):
-    (text, ev) = arg
     if minus:
-        return f"-({text})", lambda env: -ev(env)
-    return f"+({text})", ev
+        return _node(f"-({arg[0]})", lambda env: -arg[1](env), (arg,))
+    return f"+({arg[0]})", arg[1], arg[2], arg[3]
 
 
 def _binary(lhs, op, rhs, sp):
     fn = _BINARY[op]
-    return (f"({lhs[0]}){sp}{op}{sp}({rhs[0]})",
-            lambda env: fn(lhs[1](env), rhs[1](env)))
+    return _node(f"({lhs[0]}){sp}{op}{sp}({rhs[0]})",
+                 lambda env: fn(lhs[1](env), rhs[1](env)), (lhs, rhs))
 
 
 def _call(name, arg):
     fn = _CALLS[name]
-    return f"{name}({arg[0]})", lambda env: fn(arg[1](env))
+    return _node(f"{name}({arg[0]})", lambda env: fn(arg[1](env)), (arg,))
 
 
 _TREES = st.recursive(
     st.one_of(st.sampled_from(["x1", "x2", "s"]).map(_leaf),
-              st.floats(0.0, 1e3).map(_number),
-              st.integers(0, 99).map(lambda k: (str(k), lambda env: float(k)))),
+              st.floats(0.0, 1e3).map(lambda v: _number(repr(v), v)),
+              st.integers(0, 99).map(lambda k: _number(str(k), float(k)))),
     lambda kids: st.one_of(
         st.builds(_unary, kids, st.booleans()),
         st.builds(_binary, kids, st.sampled_from(sorted(_BINARY)), kids, _SPACE),
@@ -151,9 +168,13 @@ def _outcome(fn):
 @settings(max_examples=300, deadline=None)
 @given(_TREES)
 def test_random_trees_evaluate_bitwise(tree):
-    text, reference = tree
+    text, reference, _, bad_constant = tree
     x = np.array([[0.3, -1.7], [2.0, 0.0], [-0.5, 1e-3]])
     s = np.array([0.2, -0.7, 3.0])
+    if bad_constant:
+        with pytest.raises(ExpressionError, match="constant"):
+            compile_expression(text, 2, with_s=True)
+        return
     fn = compile_expression(text, 2, with_s=True)
 
     def expected():
@@ -161,6 +182,22 @@ def test_random_trees_evaluate_bitwise(tree):
         return np.broadcast_to(val, (3,)).astype(float) if np.ndim(val) == 0 else val
 
     assert _outcome(lambda: fn(x, s)) == _outcome(expected)
+
+
+@pytest.mark.parametrize("text", ["1/0", "(0-8)^(1/3)", "exp(1000)", "10^400",
+                                  "1e999", "x1 + 1/exp(1000)", "0*exp(1000)",
+                                  "x1*(0^(0-1))"])
+def test_constants_must_be_finite_reals(text):
+    with pytest.raises(ExpressionError, match="constant"):
+        compile_expression(text, 2)
+
+
+def test_constants_fold_to_the_values_they_had():
+    fn = compile_expression("x1*2^0.5 + cos(1)/3", 1)
+    x = np.array([[0.3], [-1.7]])
+    expected = x[:, 0] * 2.0 ** 0.5 + np.cos(1.0) / 3.0
+    assert fn(x).tobytes() == expected.tobytes()
+    assert compile_expression("(1 + 2)*3", 2)(np.zeros((2, 2))).tolist() == [9.0, 9.0]
 
 
 def test_cli_rejects_deep_potential_before_the_audit(tmp_path, capsys):
