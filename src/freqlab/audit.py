@@ -37,29 +37,30 @@ VETO = "residual_veto"
 INCONCLUSIVE = "inconclusive"
 
 
+_MONO_SLACK_REL = 1e-8  # slack for the monotonicity ratios
+_BACKWARD_MARGIN = 0.5  # H < margin * backward bound => fired
+
+
 @dataclass
 class AuditControls:
     tol_d_rel: float = 1e-10          # d vanishing threshold, relative to d(R)
     residual_gate: float = None       # None: 10x the field's own estimate
-    mono_slack_rel: float = 1e-8      # slack for the monotonicity ratios
-    backward_margin: float = 0.5      # H < margin * backward bound => fired
     # audits want the finest radius grid the field affords: the proof windows
     # near r0 can span only a few cells
     profile: ProfileControls = field(
         default_factory=lambda: ProfileControls(n_radii=2000))
 
     def __post_init__(self):
-        if self.tol_d_rel <= 0 or self.mono_slack_rel <= 0 \
-                or not 0 < self.backward_margin < 1:
-            raise ValueError("audit tolerances must be positive (margin in (0,1))")
+        if self.tol_d_rel <= 0:
+            raise ValueError(f"tol_d_rel must be positive, got {self.tol_d_rel}")
 
     def to_dict(self):
         return {
             "tol_d_rel": self.tol_d_rel,
             "residual_gate": None if self.residual_gate is None
             else float(self.residual_gate),
-            "mono_slack_rel": self.mono_slack_rel,
-            "backward_margin": self.backward_margin,
+            "mono_slack_rel": _MONO_SLACK_REL,
+            "backward_margin": _BACKWARD_MARGIN,
             "profile": {"n_radii": self.profile.n_radii,
                         "r_min": self.profile.r_min,
                         "h_floor_rel": self.profile.h_floor_rel},
@@ -217,15 +218,13 @@ def lower_bound_certificate(prof, r0, dim, q, controls=None, route="model"):
     return r1, verdict, constants
 
 
-def frequency_bound_certificate(prof, r0, r1, dim, q, constants,
-                                controls=None, route="model"):
+def frequency_bound_certificate(prof, r0, r1, dim, q, constants, route="model"):
     """Monotonicity of N(r) e^{C3 r} on (r3, r2] and the bound N <= C4.
 
     r2 is the largest audited radius in (r0, r1) with H above the floor
     (maximising the audited interval), r3 the lower edge of its positive-H
     run.  Returns (r2, r3, verdict).
     """
-    controls = controls or AuditControls()
     if r0 is None or r0 <= 0.0 or r1 is None:
         return None, None, StepVerdict("frequency_bounded", "skipped",
                                        note="needs the lower-bound window")
@@ -272,7 +271,7 @@ def frequency_bound_certificate(prof, r0, r1, dim, q, constants,
     scale = float(np.max(np.abs(prod)))
     drops = np.diff(prod)
     worst = float(np.min(drops)) if len(drops) else 0.0
-    ok = worst >= -controls.mono_slack_rel * scale
+    ok = worst >= -_MONO_SLACK_REL * scale
     C4 = float(prof.N[k2] * math.exp(C3 * r2))
     constants["C4" if route == "model" else "C5"] = C4
     verdict = StepVerdict(
@@ -286,7 +285,7 @@ def frequency_bound_certificate(prof, r0, r1, dim, q, constants,
     return r2, r3, verdict
 
 
-def logH_contradiction(prof, r3, r2, C4, r0, dim, controls=None):
+def logH_contradiction(prof, r3, r2, C4, r0, dim):
     """Backward integration of the bounded log-slope against H(r3) ~ 0.
 
     With the frequency capped at C4, integrating d/dr log(H/r^{N-1}) =
@@ -295,7 +294,6 @@ def logH_contradiction(prof, r3, r2, C4, r0, dim, controls=None):
     check evaluates this floor one audit cell above r3 (discrete-infimum
     uncertainty) and fires when the measured H falls below it.
     """
-    controls = controls or AuditControls()
     if r3 is None or r2 is None or not math.isfinite(C4):
         return StepVerdict("logH_contradiction", "skipped",
                            note="needs the frequency-bound step")
@@ -322,10 +320,10 @@ def logH_contradiction(prof, r3, r2, C4, r0, dim, controls=None):
     # the floor by construction
     predicted = backward_floor(r_star)
     measured = float(prof.H[k_star])
-    fired = measured < controls.backward_margin * predicted
+    fired = measured < _BACKWARD_MARGIN * predicted
     at_r3 = backward_floor(float(prof.r[k3])) if prof.r[k3] > 0 else 0.0
     fired = fired or (max(float(prof.H[k3]), prof.h_floor)
-                      < controls.backward_margin * at_r3)
+                      < _BACKWARD_MARGIN * at_r3)
     # bounded-slope bookkeeping on the run above r_star
     run = np.arange(k_star, k2 + 1)
     Hrun = prof.H[run]
@@ -408,12 +406,12 @@ def audit(spec, fld, controls=None):
         return chain
 
     r2, r3, v2 = frequency_bound_certificate(prof, r0, r1, dim, q,
-                                             chain.constants, controls, route)
+                                             chain.constants, route)
     chain.r2, chain.r3 = r2, r3
     chain.steps["frequency_bounded"] = v2
 
     C4 = chain.constants.get("C4", chain.constants.get("C5", math.nan))
-    v3 = logH_contradiction(prof, r3, r2, C4, r0, dim, controls)
+    v3 = logH_contradiction(prof, r3, r2, C4, r0, dim)
     chain.steps["logH_contradiction"] = v3
 
     failed = [v.name for v in (v1, v2, v3) if v.status == "fail"]

@@ -7,6 +7,7 @@ overrides the output directory.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -47,7 +48,7 @@ def _build_parser():
 
     def common(sp):
         sp.add_argument("--config", help="run/problem config file (INI)")
-        sp.add_argument("--out", help="output directory")
+        sp.add_argument("--out", dest="out_dir", help="output directory")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--q", type=str, help="exponent (ode accepts a comma list)")
         sp.add_argument("--N", dest="dimension", type=int)
@@ -79,12 +80,12 @@ def _build_parser():
 
     sp = sub.add_parser("frequency", help="frequency profile and identity reports")
     common(sp)
-    sp.add_argument("field", help="field file to analyze")
+    sp.add_argument("field_file", metavar="field", help="field file to analyze")
     sp.add_argument("--radii", dest="n_radii", type=int)
 
     sp = sub.add_parser("audit", help="vanishing-contradiction audit")
     common(sp)
-    sp.add_argument("field", help="field file to audit")
+    sp.add_argument("field_file", metavar="field", help="field file to audit")
     sp.add_argument("--tol-d", dest="tol_d_rel", type=float)
     sp.add_argument("--residual-gate", dest="residual_gate", type=float)
     sp.add_argument("--h-floor", dest="h_floor_rel", type=float)
@@ -98,39 +99,27 @@ def _build_parser():
 
 def _merge_config(args):
     cfg = parse_run_config(args.config) if args.config else RunConfig()
-    cfg.command = args.command
     if args.config:
         cfg.config_path = args.config
-    qtext = getattr(args, "q", None)
     q_list = None
-    if qtext is not None:
-        parts = [float(v) for v in str(qtext).split(",") if v.strip()]
-        if not parts:
+    if args.q is not None:
+        q_list = [float(v) for v in args.q.split(",") if v.strip()]
+        if not q_list:
             raise ConfigError("empty --q")
-        cfg.q = parts[0]
-        q_list = parts
-    for name in ("dimension", "amplitude", "radial_step", "t_max", "t0",
-                 "outer_radius", "mode", "rings", "angles", "boundary",
-                 "ode_task", "n_radii", "tol_d_rel", "residual_gate",
-                 "h_floor_rel", "seed", "manufactured"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
+        cfg.q = q_list[0]
+    # every other flag is stored under the name of the RunConfig field it sets
+    for f in dataclasses.fields(RunConfig):
+        val = getattr(args, f.name, None)
+        if val is not None and f.name != "q":
+            setattr(cfg, f.name, val)
     cfg.out_dir = os.environ.get("FREQ_LAB_OUT", cfg.out_dir)
-    if getattr(args, "field", None):
-        cfg.field_file = args.field
     cfg.validate()
     for q in (q_list or ()):
-        probe = RunConfig(command=cfg.command, ode_task=cfg.ode_task, q=q)
-        probe.validate()
+        RunConfig(command=cfg.command, ode_task=cfg.ode_task, q=q).validate()
     return cfg, (q_list or [cfg.q])
 
 
 def _load_spec(cfg, field=None):
-    if cfg.spec_file:
-        return parse_problem_spec(cfg.spec_file)
     if cfg.config_path:
         with open(cfg.config_path, encoding="utf-8") as fh:
             text = fh.read()
@@ -142,10 +131,16 @@ def _load_spec(cfg, field=None):
     return ProblemSpec.model(dim, q, outer_radius=radius)
 
 
+def _field_and_spec(cfg):
+    """The field file named on the command line and its problem spec."""
+    if not os.path.exists(cfg.field_file):
+        raise ConfigError(f"field file not found: {cfg.field_file}")
+    fld = load_field(cfg.field_file)
+    return fld, _load_spec(cfg, field=fld)
+
+
 def _record(cfg):
     os.makedirs(cfg.out_dir, exist_ok=True)
-    import dataclasses
-
     snap = dataclasses.asdict(cfg)
     return RunRecord(cfg.command, snap, cfg.out_dir, __version__).start()
 
@@ -157,17 +152,17 @@ def _record(cfg):
 def cmd_ode(cfg, q_list):
     rec = _record(cfg)
     out = cfg.out_dir
-    summary = {}
 
+    # each runner returns (artifact path, per-q summary, passed)
     def one_counterexample(q):
         t_branch = np.linspace(-1.0, 1.0, 2001) + cfg.t0
         u, upp = counterexample_profile(q, cfg.t0, t_branch)
         fvals = np.sign(u) * np.abs(u) ** (q - 1.0)
-        res = np.abs(upp - fvals) / np.maximum(1.0, np.abs(upp))
+        res = float(np.max(np.abs(upp - fvals) / np.maximum(1.0, np.abs(upp))))
         path = os.path.join(out, f"counterexample_q{q!r}.csv")
         write_csv(path, ["t", "u", "upp"], [t_branch, u, upp],
                   schema_comment="freqlab-counterexample 1")
-        return path, {"q": q, "max_relative_residual": float(res.max())}
+        return path, {"q": q, "max_relative_residual": res}, res <= 1e-12
 
     def one_energy(q):
         traj = integrate_plane(q, 1.0, 0.0, cfg.radial_step, cfg.t_max)
@@ -176,7 +171,8 @@ def cmd_ode(cfg, q_list):
         path = os.path.join(out, f"energy_q{q!r}.csv")
         write_csv(path, ["t", "u", "du", "E"], [traj.t, traj.u, traj.du, E],
                   schema_comment="freqlab-energy 1")
-        return path, {"q": q, "E0": float(E[0]), "max_drift": drift}
+        bound = 1e-8 * max(1.0, (cfg.radial_step / 1e-2) ** 4)
+        return path, {"q": q, "E0": float(E[0]), "max_drift": drift}, drift <= bound
 
     def one_shoot(q):
         traj = integrate_radial(cfg.dimension, q, cfg.amplitude,
@@ -188,7 +184,7 @@ def cmd_ode(cfg, q_list):
         incr = float(np.max(np.diff(E))) if len(E) > 1 else 0.0
         return path, {"q": q, "zeros": [
             {"location": z.location, "slope": z.slope, "degenerate": z.degenerate}
-            for z in zeros], "max_energy_increase": incr}
+            for z in zeros], "max_energy_increase": incr}, incr <= 1e-5
 
     def one_pme(q):
         from .odes import pme_residual_grid
@@ -208,32 +204,20 @@ def cmd_ode(cfg, q_list):
         write_csv(path, ["x", "t", "w", "residual"],
                   [rr.ravel(), tt.ravel(), w.T.ravel(), resgrid.T.ravel()],
                   schema_comment="freqlab-pme 1")
+        rel = res / wsup if wsup else 0.0
         return path, {"q": q, "max_residual": res, "w_sup": wsup,
-                      "relative_residual": res / wsup if wsup else 0.0}
+                      "relative_residual": rel}, rel <= 1e-6
 
     runner = {"counterexample": one_counterexample, "energy": one_energy,
               "shoot": one_shoot, "pme": one_pme}[cfg.ode_task]
     results = [runner(q) for q in q_list]
-    ok = True
-    per_q = []
-    for path, info in results:
+    for path, _, _ in results:
         rec.add(path)
-        per_q.append(info)
-        if cfg.ode_task == "counterexample":
-            ok &= info["max_relative_residual"] <= 1e-12
-        elif cfg.ode_task == "energy":
-            bound = 1e-8 * max(1.0, (cfg.radial_step / 1e-2) ** 4)
-            ok &= info["max_drift"] <= bound
-        elif cfg.ode_task == "shoot":
-            ok &= info["max_energy_increase"] <= 1e-5
-        elif cfg.ode_task == "pme":
-            ok &= info["relative_residual"] <= 1e-6
-    summary["schema_version"] = 1
-    summary["task"] = cfg.ode_task
-    summary["results"] = per_q
-    summary["passed"] = bool(ok)
+    ok = all(passed for _, _, passed in results)
+    summary = {"schema_version": 1, "task": cfg.ode_task,
+               "results": [info for _, info, _ in results], "passed": ok}
     rec.add(write_json(os.path.join(out, "ode_summary.json"), summary))
-    rec.finish({"passed": bool(ok)})
+    rec.finish({"passed": ok})
     return EXIT_OK if ok else EXIT_CONFIG
 
 
@@ -310,11 +294,7 @@ def _boundary_factory(cfg, spec):
 
 
 def cmd_frequency(cfg, q_list):
-    if not os.path.exists(cfg.field_file):
-        sys.stderr.write(f"field file not found: {cfg.field_file}\n")
-        return EXIT_CONFIG
-    fld = load_field(cfg.field_file)
-    spec = _load_spec(cfg, field=fld)
+    fld, spec = _field_and_spec(cfg)
     rec = _record(cfg)
     out = cfg.out_dir
     prof = frequency_profile(spec, fld, ProfileControls(
@@ -333,11 +313,7 @@ def cmd_frequency(cfg, q_list):
 
 
 def cmd_audit(cfg, q_list):
-    if not os.path.exists(cfg.field_file):
-        sys.stderr.write(f"field file not found: {cfg.field_file}\n")
-        return EXIT_CONFIG
-    fld = load_field(cfg.field_file)
-    spec = _load_spec(cfg, field=fld)
+    fld, spec = _field_and_spec(cfg)
     rec = _record(cfg)
     controls = AuditControls(
         tol_d_rel=cfg.tol_d_rel, residual_gate=cfg.residual_gate,

@@ -203,7 +203,6 @@ def serialize_problem_spec(spec):
 @dataclass
 class RunConfig:
     command: str = "ode"
-    spec_file: str = None
     dimension: int = 2
     q: float = 1.5
     outer_radius: float = 1.0
@@ -239,6 +238,8 @@ class RunConfig:
         for name in ("rings", "angles", "n_radii", "max_iters"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
         if self.command == "ode" and self.ode_task in ("counterexample", "pme"):
             if not 1.0 < self.q < 2.0:
                 raise ConfigError("q must lie in (1, 2)")

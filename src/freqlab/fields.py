@@ -27,6 +27,7 @@ __all__ = [
     "glued_field",
     "manufactured_bowl",
     "sample_grid2d",
+    "cartesian_gradient",
     "save_field",
     "load_field",
 ]
@@ -95,9 +96,7 @@ class SolutionField:
     def points(self):
         """Cartesian node coordinates; grid2d only, shape (n_r+1, n_t, 2)."""
         self._need_grid()
-        rr = self.r[:, None]
-        return np.stack([rr * np.cos(self.theta)[None, :],
-                         rr * np.sin(self.theta)[None, :]], axis=-1)
+        return _polar_points(self.r, self.theta)
 
     def _need_grid(self):
         if self.representation != "grid2d":
@@ -122,36 +121,42 @@ class SolutionField:
             self._cache["fd"] = (up, upp)
         return self._cache["fd"]
 
-    def polar_gradient(self):
-        """grid2d: (du_dr, du_dtheta / r) node fields."""
-        self._need_grid()
-        if "grad" not in self._cache:
-            self._cache["grad"] = _polar_gradient(self.u, self.r, self.h)
-        return self._cache["grad"]
-
     def gradient_cartesian(self):
         """grid2d: (gx, gy) node fields; the pole row holds grad u(0)."""
-        ur, ut_r = self.polar_gradient()
-        ct, st = np.cos(self.theta)[None, :], np.sin(self.theta)[None, :]
-        return ur * ct - ut_r * st, ur * st + ut_r * ct
+        self._need_grid()
+        if "grad" not in self._cache:
+            self._cache["grad"] = cartesian_gradient(self.u, self.r, self.theta)
+        return self._cache["grad"]
 
 
-def _polar_gradient(values, r, h):
-    """(d/dr, (1/r) d/dtheta) of a polar node field.
+def _angles(n):
+    """The n uniform angular nodes 2 pi j / n, j = 0..n-1."""
+    return np.arange(n) * (2.0 * math.pi / n)
 
-    At the pole both come from the gradient there, (gx, gy), read off as
-    the k = 1 mode of d/dr across the pole.
+
+def _polar_points(r, theta):
+    """Cartesian points (r cos theta, r sin theta) on the tensor grid
+    r x theta, shape r.shape + theta.shape + (2,)."""
+    return np.stack([np.multiply.outer(r, np.cos(theta)),
+                     np.multiply.outer(r, np.sin(theta))], axis=-1)
+
+
+def cartesian_gradient(values, r, theta):
+    """(gx, gy) of a polar node field with rows r and columns theta.
+
+    The polar gradient (d/dr, (1/r) d/dtheta) is rotated into x and y.  At
+    the pole it comes from the gradient there, read off as the k = 1 mode
+    of d/dr across the pole.
     """
-    vr = _radial_deriv_across_pole(values, h)
+    vr = _radial_deriv_across_pole(values, float(r[1] - r[0]))
     vt = deriv_periodic_fft(values, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         vt_r = vt / r[:, None]
-    theta = np.arange(values.shape[1]) * (2.0 * math.pi / values.shape[1])
     ct, st = np.cos(theta), np.sin(theta)
     gx, gy = 2.0 * np.mean(vr[0] * ct), 2.0 * np.mean(vr[0] * st)
     vr[0] = gx * ct + gy * st
     vt_r[0] = -gx * st + gy * ct
-    return vr, vt_r
+    return vr * ct - vt_r * st, vr * st + vt_r * ct
 
 
 def _radial_deriv_across_pole(u, h):
@@ -259,12 +264,9 @@ def solve_radial(spec, a, h=1e-3, r_max=None):
 
 def _polar_frame_entries(coeff, r, theta):
     """a_rr, a_rt, a_tt at the tensor points (r x theta)."""
-    rr, tt = np.meshgrid(r, theta, indexing="ij")
-    pts = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)
-    a = coeff.entries(pts)
-    ct, st = np.cos(tt), np.sin(tt)
-    er = np.stack([ct, st], axis=-1)
-    et = np.stack([-st, ct], axis=-1)
+    a = coeff.entries(_polar_points(r, theta))
+    er = _polar_points(np.ones_like(r), theta)  # unit radial vectors
+    et = np.stack([-er[..., 1], er[..., 0]], axis=-1)
     arr = np.einsum("...ij,...i,...j->...", a, er, er)
     art = np.einsum("...ij,...i,...j->...", a, er, et)
     att = np.einsum("...ij,...i,...j->...", a, et, et)
@@ -521,7 +523,7 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
             raise ValueError("initial must be finite")
     R = spec.outer_radius
     r_nodes = np.linspace(0.0, R, n_r + 1)
-    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    theta = _angles(n_theta)
     g = np.asarray(boundary(theta), dtype=float)
     if np.any(~np.isfinite(g)):
         raise ValueError("boundary data must be finite")
@@ -532,8 +534,7 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     del terms
 
     # the equations' nodes: the pole (row 0, repeated) and rings 1..n_r-1
-    pts = np.stack([r_nodes[:n_r, None] * np.cos(theta),
-                    r_nodes[:n_r, None] * np.sin(theta)], axis=-1)
+    pts = _polar_points(r_nodes[:n_r], theta)
     V = spec.V(pts)
     src = 0.0 if source is None else np.asarray(source(pts), dtype=float)
     zero = np.zeros(n_theta)
@@ -601,9 +602,7 @@ class ManufacturedProblem:
                 - eval_f(self.spec.nonlinearity, x, uu))
 
     def boundary(self, theta):
-        R = self.spec.outer_radius
-        pts = np.stack([R * np.cos(theta), R * np.sin(theta)], axis=-1)
-        return self.u(pts)
+        return self.u(_polar_points(self.spec.outer_radius, theta))
 
     def to_field(self, n_r=128, n_theta=256):
         """Sample the exact field on a polar grid (values only)."""
@@ -613,10 +612,8 @@ class ManufacturedProblem:
 
 def sample_grid2d(fn, R, n_r, n_theta, q):
     r_nodes = np.linspace(0.0, R, n_r + 1)
-    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    rr, tt = np.meshgrid(r_nodes, theta, indexing="ij")
-    pts = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)
-    vals = np.asarray(fn(pts), dtype=float)
+    theta = _angles(n_theta)
+    vals = np.asarray(fn(_polar_points(r_nodes, theta)), dtype=float)
     vals[0] = vals[0, 0]  # enforce an exactly single-valued pole row
     return SolutionField.grid2d_from_values(r_nodes, theta, vals, q)
 
@@ -818,7 +815,7 @@ def load_field(path):
             raise ValueError(f"{path}: the pole row (i = 0) holds more than "
                              f"one value")
         r_nodes = np.linspace(0.0, r_max, n_r + 1)
-        theta = np.arange(n_t) * (2.0 * math.pi / n_t)
+        theta = _angles(n_t)
         fld = SolutionField.grid2d_from_values(r_nodes, theta, vals, q)
     else:
         raise ValueError(f"unknown representation {rep!r}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import c_constant, eval_F, eval_f, grad1_F
 from .quadrature import cumulative_uniform, unit_sphere_area
-from .fields import _polar_gradient, residual_field
+from .fields import cartesian_gradient, residual_field
 
 __all__ = [
     "FrequencyProfile",
@@ -433,7 +433,7 @@ def verify_rellich_general(spec, fld, prof, tolerance=5e-6):
     agrads = spec.coefficients.entry_gradients(data.pts)
 
     e = data.e_density
-    egrad = _grid_scalar_gradient(fld, e)
+    egrad = np.stack(cartesian_gradient(e, fld.r, fld.theta), axis=-1)
     lhs9_rows = np.einsum("...i,...i->...", zvals, egrad)
 
     t1_rows = np.einsum("...hli,...i,...h,...l->...",
@@ -473,13 +473,6 @@ def verify_rellich_general(spec, fld, prof, tolerance=5e-6):
     rep9.details["coefficient_derivatives"] = _gradient_provenance(spec)
     rep10.details["coefficient_derivatives"] = _gradient_provenance(spec)
     return rep9, rep10
-
-
-def _grid_scalar_gradient(fld, values):
-    """Cartesian gradient of a scalar node field on the polar grid."""
-    vr, vt_r = _polar_gradient(values, fld.r, fld.h)
-    ct, st = np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :]
-    return np.stack([vr * ct - vt_r * st, vr * st + vt_r * ct], axis=-1)
 
 
 _CS_GAP_TOL = 1e-10

@@ -47,6 +47,7 @@ class QuadratureError(RuntimeError):
 # coefficient fields
 
 _ENTRY_FD_STEP = 1e-6  # central-difference step for expression entries and A1
+_F_FD_STEP = 1e-5  # central-difference step for coefficients c_k and tabulated F
 
 
 class CoefficientField:
@@ -69,27 +70,9 @@ class CoefficientField:
     # ---- constructors
 
     @classmethod
-    def identity(cls, dim):
-        eye = np.eye(dim)
-
-        def entries(x):
-            x = np.asarray(x, dtype=float)
-            return np.broadcast_to(eye, x.shape[:-1] + (dim, dim)).copy()
-
-        def grads(x):
-            x = np.asarray(x, dtype=float)
-            return np.zeros(x.shape[:-1] + (dim, dim, dim))
-
-        return cls(dim, entries, grads, lambda x: _const_field(x, 0.9), "identity")
-
-    @classmethod
-    def diagonal(cls, values):
-        values = [float(v) for v in values]
-        dim = len(values)
-        mat = np.diag(values)
-        lam = min(min(values), 1.0 / max(values)) * 0.999
-        if lam <= 0:
-            raise ValueError("diagonal entries must be positive")
+    def _constant(cls, mat, lam, kind, params=None):
+        """The x-independent field A(x) = mat with ellipticity lam."""
+        dim = len(mat)
 
         def entries(x):
             x = np.asarray(x, dtype=float)
@@ -99,8 +82,20 @@ class CoefficientField:
             x = np.asarray(x, dtype=float)
             return np.zeros(x.shape[:-1] + (dim, dim, dim))
 
-        return cls(dim, entries, grads, lambda x: _const_field(x, min(lam, 0.999)),
-                   "diagonal", {"values": values})
+        return cls(dim, entries, grads, lambda x: _const_field(x, lam), kind, params)
+
+    @classmethod
+    def identity(cls, dim):
+        return cls._constant(np.eye(dim), 0.9, "identity")
+
+    @classmethod
+    def diagonal(cls, values):
+        values = [float(v) for v in values]
+        lam = min(min(values), 1.0 / max(values)) * 0.999
+        if lam <= 0:
+            raise ValueError("diagonal entries must be positive")
+        return cls._constant(np.diag(values), min(lam, 0.999), "diagonal",
+                             {"values": values})
 
     @classmethod
     def rotation_perturbed(cls, eps, dim=2, radius=1.0):
@@ -161,15 +156,7 @@ class CoefficientField:
             return out
 
         def grads(x):
-            x = np.asarray(x, dtype=float)
-            out = np.empty(x.shape[:-1] + (dim, dim, dim))
-            for h in range(dim):
-                dx = np.zeros(dim)
-                dx[h] = _ENTRY_FD_STEP
-                ap = entries(x + dx)
-                am = entries(x - dx)
-                out[..., h] = (ap - am) / (2.0 * _ENTRY_FD_STEP)
-            return out
+            return _central_gradient(entries, x, _ENTRY_FD_STEP)
 
         lam = float(ellipticity)
         if not 0.0 < lam < 1.0:
@@ -233,6 +220,18 @@ def _const_field(x, value):
     return np.full(x.shape[:-1], float(value))
 
 
+def _central_gradient(fn, x, step):
+    """Central differences of fn at x along each coordinate, on a new last
+    axis h: (fn(x + step e_h) - fn(x - step e_h)) / (2 step)."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for h in range(x.shape[-1]):
+        dx = np.zeros(x.shape[-1])
+        dx[h] = step
+        cols.append((fn(x + dx) - fn(x - dx)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
 # --------------------------------------------------------------------------
 # nonlinearities
 
@@ -250,25 +249,24 @@ class PowerTerm:
             return np.asarray(self.coefficient(x), dtype=float)
         return _const_field(x, self.coefficient)
 
-    def coef_grad(self, x, fd_step=1e-5):
+    def coef_grad(self, x):
         x = np.asarray(x, dtype=float)
         if self.coefficient_grad is not None:
             return np.asarray(self.coefficient_grad(x), dtype=float)
         if not callable(self.coefficient):
             return np.zeros(x.shape)
-        out = np.empty(x.shape)
-        for h in range(x.shape[-1]):
-            dx = np.zeros(x.shape[-1])
-            dx[h] = fd_step
-            out[..., h] = (self.coef(x + dx) - self.coef(x - dx)) / (2.0 * fd_step)
-        return out
+        return _central_gradient(self.coef, x, _F_FD_STEP)
 
 
 class NonlinearitySpec:
-    """Sublinear nonlinearity f(x, s) with primitive F and growth parameters."""
+    """Sublinear nonlinearity f(x, s) with primitive F and growth parameters.
+
+    Every kind but `tabulated` is a sum of powers over `terms`: `homogeneous`
+    is the one term |s|^{q-2} s with coefficient 1 and `zero` the empty sum.
+    """
 
     def __init__(self, kind, q, eps0, kappa1, kappa2, terms=None, f_callable=None,
-                 fd_step=1e-5, quad_rel_tol=1e-10):
+                 quad_rel_tol=1e-10):
         if kind not in ("homogeneous", "sum_of_powers", "tabulated", "zero"):
             raise ValueError(f"unknown nonlinearity kind {kind!r}")
         if not 1.0 <= q < 2.0:
@@ -280,9 +278,12 @@ class NonlinearitySpec:
         self.eps0 = float(eps0)
         self.kappa1 = float(kappa1)
         self.kappa2 = float(kappa2)
+        if kind == "homogeneous":
+            terms = (PowerTerm(self.q, 1.0),)
+        elif kind == "zero":
+            terms = ()
         self.terms = tuple(terms) if terms else ()
         self.f_callable = f_callable
-        self.fd_step = fd_step
         self.quad_rel_tol = quad_rel_tol
         if kind == "sum_of_powers":
             if not self.terms:
@@ -328,59 +329,52 @@ class NonlinearitySpec:
         return cls("zero", q, eps0, 0.0, 1.0)
 
 
-def _power(s, p):
-    return np.abs(s) ** p
+def _term_sum(spec, x, s, term_values):
+    """sum_k c_k(x) term_values(s, exponent_k), accumulated in place into
+    zeros of the broadcast shape of x[..., 0] and s (of s for x = None)."""
+    shape = s.shape if x is None else np.broadcast_shapes(np.shape(x)[:-1], s.shape)
+    out = np.zeros(shape)
+    for t in spec.terms:
+        values = term_values(s, t.exponent)
+        if callable(t.coefficient):
+            out += t.coef(x) * values
+        else:
+            out += float(t.coefficient) * values
+    return out
+
+
+def _f_term(s, p):
+    # |s|^{p-2} s with f(0) = 0; sgn(0) = 0 at p = 1
+    if p == 1.0:
+        return np.sign(s)
+    return np.where(s != 0.0, np.abs(np.where(s != 0, s, 1.0)) ** (p - 2.0) * s, 0.0)
+
+
+def _F_term(s, p):
+    return np.abs(s) ** p / p
 
 
 def eval_f(spec, x, s):
     """Pointwise nonlinearity f(x, s); sgn convention sgn(0) = 0 at q = 1."""
     s = np.asarray(s, dtype=float)
-    if spec.kind == "zero":
-        return np.zeros_like(s) * _const_ones(x, s)
-    if spec.kind == "homogeneous":
-        if spec.q == 1.0:
-            return np.sign(s) * _const_ones(x, s)
-        out = np.where(s != 0.0, _power(np.where(s != 0, s, 1.0), spec.q - 2.0) * s, 0.0)
-        return out * _const_ones(x, s)
-    if spec.kind == "sum_of_powers":
-        total = 0.0
-        for t in spec.terms:
-            if t.exponent == 1.0:
-                term = np.sign(s)
-            else:
-                term = np.where(s != 0.0, _power(np.where(s != 0, s, 1.0), t.exponent - 2.0) * s, 0.0)
-            total = total + t.coef(x) * term
-        return total
-    return np.asarray(spec.f_callable(x, s), dtype=float)
-
-
-def _const_ones(x, s):
-    if x is None:
-        return np.ones_like(np.asarray(s, dtype=float))
-    x = np.asarray(x, dtype=float)
-    return np.ones(np.broadcast_shapes(x.shape[:-1], np.shape(s)))
+    if spec.kind == "tabulated":
+        return np.asarray(spec.f_callable(x, s), dtype=float)
+    return _term_sum(spec, x, s, _f_term)
 
 
 def eval_F(spec, x, s):
     """Primitive F(x, s) = int_0^s f(x, t) dt.
 
-    Closed form for the homogeneous and sum-of-powers kinds.  Tabulated
-    nonlinearities use an embedded 24/48-node Gauss-Legendre pair after the
-    substitution t = s w^4, accepted per node when the two rules agree to
-    relative `spec.quad_rel_tol`; the other nodes fall back to adaptive
-    Simpson at the same tolerance.  x may be None, as in `eval_f`.
+    Closed form term by term for every kind but the tabulated one.
+    Tabulated nonlinearities use an embedded 24/48-node Gauss-Legendre pair
+    after the substitution t = s w^4, accepted per node when the two rules
+    agree to relative `spec.quad_rel_tol`; the other nodes fall back to
+    adaptive Simpson at the same tolerance.  x may be None, as in `eval_f`.
     """
     s = np.asarray(s, dtype=float)
-    if spec.kind == "zero":
-        return np.zeros_like(s) * _const_ones(x, s)
-    if spec.kind == "homogeneous":
-        return _power(s, spec.q) / spec.q * _const_ones(x, s)
-    if spec.kind == "sum_of_powers":
-        total = 0.0
-        for t in spec.terms:
-            total = total + t.coef(x) * _power(s, t.exponent) / t.exponent
-        return total
-    return _tabulated_F(spec, x, s)
+    if spec.kind == "tabulated":
+        return _tabulated_F(spec, x, s)
+    return _term_sum(spec, x, s, _F_term)
 
 
 # Embedded Gauss-Legendre pair for the tabulated primitive.  tau = w^4 turns
@@ -502,22 +496,14 @@ def grad1_F(spec, x, s):
     if x is None:
         raise ValueError("grad1_F needs the points x")
     x = np.asarray(x, dtype=float)
-    if spec.kind in ("homogeneous", "zero"):
-        return np.zeros(np.broadcast_shapes(x.shape[:-1], np.shape(s)) + (x.shape[-1],))
-    if spec.kind == "sum_of_powers":
-        s = np.asarray(s, dtype=float)
-        shape = np.broadcast_shapes(x.shape[:-1], s.shape)
-        total = np.zeros(shape + (x.shape[-1],))
-        for t in spec.terms:
-            amp = (_power(s, t.exponent) / t.exponent)
-            total = total + np.broadcast_to(amp[..., None], total.shape) \
-                * t.coef_grad(x, spec.fd_step)
-        return total
-    out = np.empty(np.broadcast_shapes(x.shape[:-1], np.shape(s)) + (x.shape[-1],))
-    for h in range(x.shape[-1]):
-        dx = np.zeros(x.shape[-1])
-        dx[h] = spec.fd_step
-        out[..., h] = (eval_F(spec, x + dx, s) - eval_F(spec, x - dx, s)) / (2 * spec.fd_step)
+    if spec.kind == "tabulated":
+        return _central_gradient(lambda y: eval_F(spec, y, s), x, _F_FD_STEP)
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], s.shape) + (x.shape[-1],))
+    for t in spec.terms:
+        # a constant coefficient without a gradient function contributes zero
+        if callable(t.coefficient) or t.coefficient_grad is not None:
+            out += _F_term(s, t.exponent)[..., None] * t.coef_grad(x)
     return out
 
 
@@ -682,7 +668,7 @@ def check_A3(spec, points=None, s_values=None, radius=1.0, slack=1e-12):
         worst_pos, worst_ratio, wit = np.inf, 0.0, None
         for t in spec.terms:
             c = t.coef(points)
-            g = t.coef_grad(points, spec.fd_step)
+            g = t.coef_grad(points)
             k = int(np.argmin(c))
             if c[k] < worst_pos:
                 worst_pos = float(c[k])
@@ -735,12 +721,7 @@ def check_A1(coeff, points=None, radius=1.0):
         note="lambda |xi|^2 <= <A xi, xi> <= |xi|^2 / lambda")
 
     g = coeff.entry_gradients(points)
-    fd = np.empty_like(g)
-    for h in range(coeff.dim):
-        dx = np.zeros(coeff.dim)
-        dx[h] = _ENTRY_FD_STEP
-        fd[..., h] = ((coeff.entries(points + dx) - coeff.entries(points - dx))
-                      / (2 * _ENTRY_FD_STEP))
+    fd = _central_gradient(coeff.entries, points, _ENTRY_FD_STEP)
     gerr = float(np.max(np.abs(g - fd)))
     report.clauses["A1.entry_gradients"] = ClauseVerdict(
         "A1.entry_gradients", gerr <= _A1_GRAD_TOL, _A1_GRAD_TOL - gerr,
@@ -821,27 +802,22 @@ def normalize_coordinates(spec, x0):
                              {"of": base.kind, "x0": [float(v) for v in x0]})
 
     nl = spec.nonlinearity
-    if nl.kind in ("homogeneous", "zero"):
-        new_nl = nl  # x-independent: composition with T changes nothing
-    elif nl.kind == "sum_of_powers":
-        terms = []
-        for t in nl.terms:
-            if callable(t.coefficient):
-                terms.append(PowerTerm(t.exponent,
-                                       (lambda fn: lambda x: fn(T(x)))(t.coefficient)))
-            else:
-                terms.append(t)
-        new_nl = NonlinearitySpec("sum_of_powers", nl.q, nl.eps0, nl.kappa1,
-                                  nl.kappa2, terms=tuple(terms))
-    else:
+    if nl.kind == "tabulated":
         new_nl = NonlinearitySpec("tabulated", nl.q, nl.eps0, nl.kappa1, nl.kappa2,
                                   f_callable=(lambda x, s: nl.f_callable(T(x), s)))
+    elif any(callable(t.coefficient) for t in nl.terms):
+        terms = tuple(PowerTerm(t.exponent, (lambda fn: lambda x: fn(T(x)))(t.coefficient))
+                      if callable(t.coefficient) else t for t in nl.terms)
+        new_nl = NonlinearitySpec(nl.kind, nl.q, nl.eps0, nl.kappa1, nl.kappa2,
+                                  terms=terms)
+    else:
+        new_nl = nl  # x-independent: composition with T changes nothing
 
     new_radius = (spec.outer_radius - float(np.linalg.norm(x0))) / norm_M
     if new_radius <= 0:
         raise ValueError("x0 lies too close to the boundary")
 
-    if new_nl.kind not in ("homogeneous", "zero"):
+    if new_nl is not nl:
         pts = ball_grid(dim, new_radius, 64)
         sv = s_grid(new_nl.eps0, 64)
         F = eval_F(new_nl, pts[:, None, :], sv[None, :])

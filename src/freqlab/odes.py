@@ -415,7 +415,8 @@ def zero_audit(traj, threshold=None):
     Sign changes are refined by bisection on the cubic Hermite dense output;
     a zero is degenerate when |u'| falls below the threshold (default
     1e-6 sqrt(2 E_0), an energy-aware scale).  Plateau edges (the field is
-    flat zero on one side) are reported as degenerate zeros.
+    flat zero on one side: an edge of a run of two or more zero nodes) are
+    reported as degenerate zeros.
     """
     u, du, t = traj.u, traj.du, traj.t
     if threshold is None:
@@ -428,14 +429,13 @@ def zero_audit(traj, threshold=None):
     zero = np.abs(u) <= ztol
     n = len(u)
     # candidate nodes: i where u[i], u[i+1] are nonzero of opposite sign,
-    # and the first node of each run of zeros starting before the last node
+    # and the first node of each run of zeros
     cross = ~zero[:-1] & ~zero[1:] & (u[:-1] * u[1:] < 0.0)
     edges = np.diff(zero.astype(np.int8), prepend=0, append=0)
     run_end = dict(zip(np.flatnonzero(edges == 1).tolist(),
                        np.flatnonzero(edges == -1).tolist()))
-    starts = [i for i in run_end if i < n - 1]
     events = []
-    for i in sorted(np.flatnonzero(cross).tolist() + starts):
+    for i in sorted(np.flatnonzero(cross).tolist() + list(run_end)):
         j = run_end.get(i)
         if j is None:
             events.append(_simple_zero(traj, t[i], t[i + 1], threshold))
@@ -447,12 +447,13 @@ def zero_audit(traj, threshold=None):
             events.append(_simple_zero(traj, t[i - 1], t[j], threshold))
             continue
         # plateau or touching zero: report the interior-facing edges
+        plateau = j - i > 1
         if left_val is not None:
             events.append(ZeroEvent(float(t[i]), abs(float(du[i])),
-                                    abs(du[i]) < threshold))
-        if right_val is not None and (j - 1 != i or left_val is None):
+                                    plateau or abs(du[i]) < threshold))
+        if right_val is not None and (plateau or left_val is None):
             events.append(ZeroEvent(float(t[j - 1]), abs(float(du[j - 1])),
-                                    abs(du[j - 1]) < threshold))
+                                    plateau or abs(du[j - 1]) < threshold))
     return events
 
 

@@ -240,8 +240,6 @@ class TestFullAudit:
     def test_rejects_bad_controls(self):
         with pytest.raises(ValueError):
             AuditControls(tol_d_rel=-1.0)
-        with pytest.raises(ValueError):
-            AuditControls(backward_margin=2.0)
 
     def test_chain_radii_ordering(self, glued_trio):
         spec = ProblemSpec.model(2, 1.5, outer_radius=0.8)

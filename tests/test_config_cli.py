@@ -123,6 +123,39 @@ class TestRunConfig:
                      "--out", str(tmp_path / "o")]) == 2
         assert "unknown [run] key 'dampng'" in capsys.readouterr().err
 
+    def test_cli_exits_2_on_spec_file_key(self, tmp_path, capsys):
+        # the problem is named by [domain] in --config; spec_file is gone
+        spec = tmp_path / "model.ini"
+        spec.write_text(MODEL_CONFIG)
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nspec_file = {spec}\n")
+        assert main(["check", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "unknown [run] key 'spec_file'" in capsys.readouterr().err
+
+    def test_every_flag_sets_a_run_config_field(self):
+        # _merge_config copies flags onto RunConfig by field name, so a flag
+        # stored under any other name would be dropped silently
+        import argparse
+        import dataclasses
+
+        from freqlab.cli import _build_parser
+
+        parser = _build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for sp in sub.choices.values() for a in sp._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        special = {"command", "config", "q", "samples_x", "samples_s"}
+        assert dests - special <= fields
+        assert {"out_dir", "field_file", "ode_task", "dimension"} <= dests
+
+    def test_empty_out_dir_exits_2(self, capsys, monkeypatch):
+        monkeypatch.delenv("FREQ_LAB_OUT", raising=False)
+        assert main(["check", "--out", ""]) == 2
+        assert "out_dir must not be empty" in capsys.readouterr().err
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(command="bogus").validate()

@@ -677,12 +677,12 @@ class TestHessianSymmetry:
     def test_mixed_partials_commute_to_truncation(self, bowl_field_128):
         # the discrete Hessian is as-good-as symmetric: mixed partials from
         # the two orderings agree at the machinery's truncation level
-        from freqlab.frequency import _grid_scalar_gradient
+        from freqlab.fields import cartesian_gradient
 
         fld = bowl_field_128
         gx, gy = fld.gradient_cartesian()
-        dxy = _grid_scalar_gradient(fld, gx)[..., 1]  # d_y (d_x u)
-        dyx = _grid_scalar_gradient(fld, gy)[..., 0]  # d_x (d_y u)
+        dxy = cartesian_gradient(gx, fld.r, fld.theta)[1]  # d_y (d_x u)
+        dyx = cartesian_gradient(gy, fld.r, fld.theta)[0]  # d_x (d_y u)
         interior = slice(2, -3)
         defect = np.max(np.abs((dxy - dyx)[interior]))
         scale = np.max(np.abs(dxy[interior]))

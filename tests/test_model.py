@@ -40,6 +40,66 @@ class TestPrimitive:
         assert fs == pytest.approx(qF, rel=1e-14)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestPowerLawAsTermSum:
+    """homogeneous(q) is the one-term sum PowerTerm(q, 1.0); its values must
+    be the power law's closed forms bit for bit, signed zeros included."""
+
+    P, S = 3, 6
+    S_VALUES = np.array([0.0, -0.0, 0.3, -0.3, 1e-300, -2.5])
+    X_FORMS = {"none": None,
+               "full": np.linspace(-0.5, 0.5, P * S * 2).reshape(P, S, 2),
+               "column": np.linspace(-0.5, 0.5, P * 2).reshape(P, 1, 2)}
+
+    def _s(self, form):
+        # s holds 0.0 and -0.0; it fills (P, S) unless x broadcasts it
+        row = self.S_VALUES
+        return row if form == "column" else np.tile(row, (self.P, 1))
+
+    @pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("form", ["none", "full", "column"])
+    def test_f_and_F_are_the_power_law(self, q, form):
+        nl = NonlinearitySpec.homogeneous(q)
+        x, s = self.X_FORMS[form], self._s(form)
+        shape = (self.P, self.S)
+        if q == 1.0:
+            f_ref = np.sign(s)
+        else:
+            f_ref = np.where(s != 0.0, np.abs(np.where(s != 0, s, 1.0)) ** (q - 2.0) * s,
+                             0.0)
+        F_ref = np.abs(s) ** q / q
+        for got, ref in ((eval_f(nl, x, s), f_ref), (eval_F(nl, x, s), F_ref)):
+            assert got.shape == shape
+            assert np.array_equal(_bits(got), _bits(np.broadcast_to(ref, shape)))
+
+    @pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("form", ["full", "column"])
+    def test_grad1_F_is_zero(self, q, form):
+        nl = NonlinearitySpec.homogeneous(q)
+        g = grad1_F(nl, self.X_FORMS[form], self._s(form))
+        assert g.shape == (self.P, self.S, 2)
+        assert np.array_equal(_bits(g), _bits(np.zeros(g.shape)))
+
+    @pytest.mark.parametrize("form", ["none", "full", "column"])
+    def test_zero_kind_gives_zeros_of_the_broadcast_shape(self, form):
+        nl = NonlinearitySpec.zero()
+        assert nl.terms == ()
+        x, s = self.X_FORMS[form], self._s(form)
+        for got in (eval_f(nl, x, s), eval_F(nl, x, s)):
+            assert np.array_equal(_bits(got), _bits(np.zeros((self.P, self.S))))
+        if x is not None:
+            g = grad1_F(nl, x, s)
+            assert np.array_equal(_bits(g), _bits(np.zeros((self.P, self.S, 2))))
+
+    def test_direct_construction_sets_the_terms(self):
+        assert NonlinearitySpec("homogeneous", 1.5, 1.0, 0.0, 1.0).terms == (
+            PowerTerm(1.5, 1.0),)
+        assert NonlinearitySpec("zero", 1.5, 1.0, 0.0, 1.0).terms == ()
+
+
 class CountingF:
     """A tabulated f that records the shape of s on every call."""
 

@@ -269,8 +269,9 @@ def _walked_zero_audit(traj, threshold=None):
     events = []
     n = len(u)
     i = 0
-    while i < n - 1:
-        if not is_zero[i] and not is_zero[i + 1] and u[i] * u[i + 1] < 0.0:
+    while i < n:
+        if i + 1 < n and not is_zero[i] and not is_zero[i + 1] \
+                and u[i] * u[i + 1] < 0.0:
             loc = _bisect_hermite(traj, t[i], t[i + 1])
             _, slope = traj.hermite(loc)
             events.append(ZeroEvent(float(loc), abs(float(slope)),
@@ -290,15 +291,17 @@ def _walked_zero_audit(traj, threshold=None):
                 events.append(ZeroEvent(float(loc), abs(float(slope)),
                                         abs(slope) < threshold))
             else:
+                # an edge of two or more zero nodes is a plateau edge
+                plateau = j - i >= 2
                 if left_val is not None:
                     events.append(ZeroEvent(float(t[i]), abs(float(du[i])),
-                                            abs(du[i]) < threshold))
+                                            plateau or abs(du[i]) < threshold))
                 if right_val is not None and j - 1 != i:
                     events.append(ZeroEvent(float(t[j - 1]), abs(float(du[j - 1])),
-                                            abs(du[j - 1]) < threshold))
+                                            plateau or abs(du[j - 1]) < threshold))
                 elif right_val is not None and left_val is None:
                     events.append(ZeroEvent(float(t[j - 1]), abs(float(du[j - 1])),
-                                            abs(du[j - 1]) < threshold))
+                                            plateau or abs(du[j - 1]) < threshold))
             i = j
             continue
         i += 1
@@ -331,6 +334,20 @@ class TestZeroAuditScan:
         assert events == _walked_zero_audit(traj)
         assert len(events) == 1
         assert events[0].location == pytest.approx(core, abs=10 * h)
+        assert events[0].degenerate  # the edge of a zero plateau
+
+    @pytest.mark.parametrize("u, location, slope", [
+        ([0.2, 0.5, 1.0, 0.5, 0.0], 1.0, 2.0),
+        ([0.0, 0.5, 1.0, 0.5, 0.2], 0.0, 2.0),
+        ([1.0, 0.0], 1.0, 1.0),
+        ([0.0, 1.0], 0.0, 1.0),
+    ])
+    def test_lone_zero_at_either_end(self, u, location, slope):
+        # a lone zero at the last node is found like its mirror image at
+        # the first, and rated by its slope
+        traj = _node_traj(u)
+        assert zero_audit(traj) == [ZeroEvent(location, slope, False)]
+        assert _walked_zero_audit(traj) == zero_audit(traj)
 
     @pytest.mark.parametrize("u", [
         [1.0, 0.5, 0.0, -0.5, -1.0],          # isolated exact zero, crossing
