@@ -13,12 +13,13 @@ r0 = 0 (or the field is negligible outright).
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .model import c_constant
 from .frequency import ProfileControls, _node_data, frequency_profile
+from .io import jsonable
 
 __all__ = [
     "AuditControls",
@@ -55,16 +56,13 @@ class AuditControls:
             raise ValueError(f"tol_d_rel must be positive, got {self.tol_d_rel}")
 
     def to_dict(self):
-        return {
+        return jsonable({
             "tol_d_rel": self.tol_d_rel,
-            "residual_gate": None if self.residual_gate is None
-            else float(self.residual_gate),
+            "residual_gate": self.residual_gate,
             "mono_slack_rel": _MONO_SLACK_REL,
             "backward_margin": _BACKWARD_MARGIN,
-            "profile": {"n_radii": self.profile.n_radii,
-                        "r_min": self.profile.r_min,
-                        "h_floor_rel": self.profile.h_floor_rel},
-        }
+            "profile": asdict(self.profile),
+        })
 
 
 @dataclass
@@ -78,15 +76,9 @@ class StepVerdict:
     def to_dict(self):
         out = {"status": self.status, "note": self.note}
         if math.isfinite(self.margin):
-            out["margin"] = float(self.margin)
-        for k, v in sorted(self.data.items()):
-            if isinstance(v, np.ndarray):
-                out[k] = [float(x) for x in v]
-            elif isinstance(v, (np.floating, np.integer)):
-                out[k] = float(v)
-            else:
-                out[k] = v
-        return out
+            out["margin"] = self.margin
+        out.update(self.data)
+        return jsonable(out)
 
 
 @dataclass
@@ -105,18 +97,18 @@ class CertificateChain:
     notes: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
+        return jsonable({
             "schema_version": 1,
             "classification": self.classification,
             "route": self.route,
             "r0": self.r0, "r1": self.r1, "r2": self.r2, "r3": self.r3,
-            "constants": {k: float(v) for k, v in sorted(self.constants.items())},
-            "steps": {k: v.to_dict() for k, v in sorted(self.steps.items())},
+            "constants": self.constants,
+            "steps": {k: v.to_dict() for k, v in self.steps.items()},
             "input_hash": self.input_hash,
             "controls": self.controls,
             "tool_version": self.tool_version,
-            "notes": list(self.notes),
-        }
+            "notes": self.notes,
+        })
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (audit: genuine), 2 configuration or validation
 error, 3 solver non-convergence, 4 contradiction certified, 5 residual
-veto, 6 inconclusive audit.  The FREQ_LAB_OUT environment variable
-overrides the output directory.
+veto, 6 inconclusive audit, 7 failed check (an identity in `frequency`, a
+bound in `ode`, an assumption in `check`).  The FREQ_LAB_OUT environment
+variable overrides the output directory.
 """
 
 import argparse
@@ -31,6 +32,7 @@ EXIT_SOLVER = 3
 EXIT_CONTRADICTION = 4
 EXIT_VETO = 5
 EXIT_INCONCLUSIVE = 6
+EXIT_CHECK_FAILED = 7
 
 _CLASSIFICATION_EXIT = {
     "genuine_nonvanishing": EXIT_OK,
@@ -218,7 +220,7 @@ def cmd_ode(cfg, q_list):
                "results": [info for _, info, _ in results], "passed": ok}
     rec.add(write_json(os.path.join(out, "ode_summary.json"), summary))
     rec.finish({"passed": ok})
-    return EXIT_OK if ok else EXIT_CONFIG
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_solve(cfg, q_list):
@@ -309,7 +311,7 @@ def cmd_frequency(cfg, q_list):
     rec.add(write_json(os.path.join(out, "identities.json"), blob))
     rec.finish({"identities_passed": bool(all_ok),
                 "n_radii": int(len(prof.r))})
-    return EXIT_OK if all_ok else EXIT_CONFIG
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 def cmd_audit(cfg, q_list):
@@ -351,7 +353,7 @@ def cmd_check(cfg, q_list, samples_x=64, samples_s=256):
     ok = rep1.passed and rep3.passed
     rec.add(write_json(os.path.join(cfg.out_dir, "assumptions.json"), blob))
     rec.finish({"passed": bool(ok)})
-    return EXIT_OK if ok else EXIT_CONFIG
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def main(argv=None):

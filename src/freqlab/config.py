@@ -68,7 +68,7 @@ def parse_problem_spec(text_or_path):
     if dim is None or radius is None:
         raise ConfigError("[domain] needs dimension and outer_radius")
 
-    coeff = _parse_coefficients(cp, dim)
+    coeff = _parse_coefficients(cp, dim, radius)
     potential, source = _parse_potential(cp, dim)
     nl = _parse_nonlinearity(cp["nonlinearity"], dim)
     try:
@@ -77,7 +77,7 @@ def parse_problem_spec(text_or_path):
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_coefficients(cp, dim):
+def _parse_coefficients(cp, dim, radius):
     if "coefficients" not in cp:
         return CoefficientField.identity(dim)
     sec = cp["coefficients"]
@@ -96,7 +96,8 @@ def _parse_coefficients(cp, dim):
         return CoefficientField.diagonal(vals)
     if name == "rotation_perturbed":
         eps = _converted(float, args, "[coefficients] field") if args else 0.1
-        return CoefficientField.rotation_perturbed(eps, dim)
+        # ellipticity sized for the domain, |x| <= outer_radius
+        return CoefficientField.rotation_perturbed(eps, dim, radius=radius)
     if name == "expr":
         keys = {f"a{i}{j}" for i in range(1, dim + 1) for j in range(1, dim + 1)}
         unknown = [key for key in sec if key not in keys | {"field", "ellipticity"}]

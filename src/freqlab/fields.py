@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import eval_f
 from .odes import counterexample_profile, counterexample_slope
-from .quadrature import deriv_periodic_fft, deriv_uniform
+from .quadrature import deriv_periodic_fft, radial_laplacian
 
 __all__ = [
     "SolutionField",
@@ -64,11 +64,6 @@ class SolutionField:
     # ---- constructors
 
     @classmethod
-    def from_trajectory(cls, traj):
-        return cls("radial", traj.dim, traj.q, traj.t.copy(), traj.u.copy(),
-                   du=traj.du.copy())
-
-    @classmethod
     def radial_from_arrays(cls, r, u, du, dim, q):
         return cls("radial", dim, q, np.asarray(r, float), np.asarray(u, float),
                    du=np.asarray(du, float))
@@ -102,24 +97,7 @@ class SolutionField:
         if self.representation != "grid2d":
             raise ValueError("operation needs a grid2d field")
 
-    def _need_radial(self):
-        if self.representation != "radial":
-            raise ValueError("operation needs a radial field")
-
     # ---- derivatives
-
-    def profile_derivatives(self):
-        """Radial representation: (u', u'') from five-point differences.
-
-        Independent of any stored integrator derivative, so residuals judge
-        the values themselves.
-        """
-        self._need_radial()
-        if "fd" not in self._cache:
-            up = deriv_uniform(self.u, self.h)
-            upp = deriv_uniform(up, self.h)
-            self._cache["fd"] = (up, upp)
-        return self._cache["fd"]
 
     def gradient_cartesian(self):
         """grid2d: (gx, gy) node fields; the pole row holds grad u(0)."""
@@ -149,7 +127,7 @@ def cartesian_gradient(values, r, theta):
     of d/dr across the pole.
     """
     vr = _radial_deriv_across_pole(values, float(r[1] - r[0]))
-    vt = deriv_periodic_fft(values, axis=1)
+    vt = deriv_periodic_fft(values)
     with np.errstate(divide="ignore", invalid="ignore"):
         vt_r = vt / r[:, None]
     ct, st = np.cos(theta), np.sin(theta)
@@ -195,12 +173,12 @@ def residual_field(spec, fld, source=None):
 def _residual_radial(spec, fld, source=None):
     if spec.potential is not None or source is not None:
         raise ValueError("radial residuals support V = 0 and no source only")
-    up, upp = fld.profile_derivatives()
+    # five-point differences of the values, not the stored integrator
+    # derivative, so residuals judge the values themselves
     r = fld.r
     rho = np.full_like(fld.u, np.nan)
     inner = slice(2, len(r) - 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lap = upp + (fld.dim - 1) * up / np.where(r > 0, r, np.inf)
+    lap = radial_laplacian(fld.u, r, fld.dim)
     fvals = eval_f(spec.nonlinearity, None, fld.u)
     rho[inner] = (lap + fvals)[inner]
     rho[r < 2 * fld.h] = np.nan
@@ -219,7 +197,7 @@ def _residual_grid(spec, fld, source=None):
     # div F = (1/r) d_r (r F_r) + (1/r) d_theta F_theta
     rfr = fld.r[:, None] * fr
     d_rfr = _radial_deriv_across_pole(rfr, fld.h)
-    d_ft = deriv_periodic_fft(ft, axis=1)
+    d_ft = deriv_periodic_fft(ft)
     with np.errstate(divide="ignore", invalid="ignore"):
         div = (d_rfr + d_ft) / fld.r[:, None]
     div[0] = np.nan
@@ -251,7 +229,8 @@ def solve_radial(spec, a, h=1e-3, r_max=None):
         raise ValueError("amplitude must satisfy 0 < |a| < eps0")
     r_max = spec.outer_radius if r_max is None else r_max
     traj = integrate_radial(spec.dim, nl.q, a, r_max, h)
-    fld = SolutionField.from_trajectory(traj)
+    fld = SolutionField.radial_from_arrays(traj.t, traj.u, traj.du, traj.dim,
+                                           traj.q)
     rho = residual_field(spec, fld)
     fld.residual_scale = float(np.nanmax(np.abs(rho)))
     fld.meta["solver"] = {"kind": "radial_shooting", "h": h, "a": a}
@@ -592,7 +571,6 @@ class ManufacturedProblem:
 
     spec: object
     u: object                 # callable x -> values
-    grad: object              # callable x -> (..., 2)
     div_a_grad: object        # callable x -> values
 
     def source(self, x):
@@ -659,12 +637,6 @@ def manufactured_bowl(outer_radius=1.0, q=1.5, amplitude=1.0, v0=0.25):
         s = R ** 2 - x[..., 0] ** 2 - x[..., 1] ** 2
         return amp * s ** 2
 
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        s = R ** 2 - x[..., 0] ** 2 - x[..., 1] ** 2
-        return np.stack([-4.0 * amp * x[..., 0] * s,
-                         -4.0 * amp * x[..., 1] * s], axis=-1)
-
     def div_a_grad(x):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
@@ -673,7 +645,7 @@ def manufactured_bowl(outer_radius=1.0, q=1.5, amplitude=1.0, v0=0.25):
                       + (1.0 + x1 ** 2 / 4.0) * (8.0 * x1 ** 2 - 4.0 * s)
                       + 8.0 * x2 ** 2 - 4.0 * s)
 
-    return ManufacturedProblem(spec, u, grad, div_a_grad)
+    return ManufacturedProblem(spec, u, div_a_grad)
 
 
 # --------------------------------------------------------------------------

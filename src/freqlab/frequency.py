@@ -24,6 +24,7 @@ import numpy as np
 from .model import c_constant, eval_F, eval_f, grad1_F
 from .quadrature import cumulative_uniform, unit_sphere_area
 from .fields import cartesian_gradient, residual_field
+from .io import jsonable
 
 __all__ = [
     "FrequencyProfile",
@@ -72,37 +73,26 @@ class IdentityReport:
 
     @property
     def passed(self):
-        if "inequality_ok" in self.details:
-            base = bool(self.details["inequality_ok"])
-            if "cs_gap_ok" in self.details:
-                base = base and bool(self.details["cs_gap_ok"])
-            if math.isfinite(self.tolerance):
-                base = base and self.rel_residual <= self.tolerance
-            return base
-        return bool(self.rel_residual <= self.tolerance)
+        """Every `*_ok` detail holds and the residual is within tolerance;
+        an inequality report (infinite tolerance) is judged by its flags."""
+        flags = [bool(v) for k, v in self.details.items() if k.endswith("_ok")]
+        if flags and not math.isfinite(self.tolerance):
+            return all(flags)
+        return all(flags) and bool(self.rel_residual <= self.tolerance)
 
     def to_dict(self):
-        out = {
+        return jsonable({
             "schema_version": 1,
             "name": self.name,
-            "radii": [float(v) for v in self.radii],
-            "lhs": [float(v) for v in self.lhs],
-            "rhs": [float(v) for v in self.rhs],
-            "abs_residual": [float(v) for v in self.abs_residual],
+            "radii": self.radii,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "abs_residual": self.abs_residual,
             "rel_residual": self.rel_residual,
             "tolerance": self.tolerance,
             "verdict": "pass" if self.passed else "fail",
-        }
-        det = {}
-        for k, v in self.details.items():
-            if isinstance(v, np.ndarray):
-                det[k] = [float(x) for x in v]
-            elif isinstance(v, (np.floating, np.integer)):
-                det[k] = float(v)
-            else:
-                det[k] = v
-        out["details"] = det
-        return out
+            "details": self.details,
+        })
 
 
 # --------------------------------------------------------------------------
@@ -118,8 +108,8 @@ class _NodeData:
     column, ring weight |S^{N-1}| r^{N-1} and dtheta = 1.  `sphere(rows)`
     is ring * sum_theta rows * dtheta, and `ball(rows)` its prefix integral
     in r.  Only this constructor looks at the representation.  A polar
-    grid also keeps `a`, `grad` and `zjac` for the general identities,
-    which need one.
+    grid also keeps `a`, `agrads`, `grad` and `zjac` for the general
+    identities, which need one.
     """
 
     def __init__(self, spec, fld):
@@ -162,13 +152,13 @@ class _NodeData:
         self.divz = np.broadcast_to(float(dim), self.u.shape)
 
     def _fill_grid(self, spec, fld):
-        coeff = spec.coefficients
         pts = fld.points()
+        geo = spec.coefficients.geometry(pts)
         self.ring = self.r
         self.dtheta = float(fld.theta[1] - fld.theta[0])
         self.u = fld.u
         self.pts = pts
-        self.a = coeff.entries(pts)
+        self.a, self.agrads = geo.a, geo.grads
         gx, gy = fld.gradient_cartesian()
         self.grad = np.stack([gx, gy], axis=-1)
         ct, st = np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :]
@@ -179,13 +169,11 @@ class _NodeData:
         self.e_density = np.einsum("...i,...i->...", agrad, self.grad)
         self.u_nu = gx * ct + gy * st
         self.x_grad_u = gx * pts[..., 0] + gy * pts[..., 1]
-        with np.errstate(invalid="ignore"):
-            self.mu = coeff.mu(pts)
+        self.mu = geo.mu
         self.mu[0] = 1.0  # pole excluded from every surface quantity anyway
         self.V = spec.V(pts)
         # Z = A x / mu, its Jacobian and divergence, undefined at the pole
-        self.zvals = coeff.z_field(pts)
-        self.zjac = coeff.z_jacobian(pts)
+        self.zvals, self.zjac = geo.z, geo.dz
         self.divz = np.einsum("...hh->...", self.zjac)
         for arr in (self.zvals, self.zjac, self.divz):
             arr[0] = 0.0
@@ -275,7 +263,6 @@ class FrequencyProfile:
     indices: np.ndarray          # node indices backing each audit radius
     outer_radius: float
     dim: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def step(self):
@@ -320,8 +307,6 @@ def frequency_profile(spec, fld, controls=None):
         ball_sup=np.maximum.accumulate(sup_sphere)[idx],
         sphere_sup=sup_sphere[idx],
         h_floor=floor, indices=idx, outer_radius=R, dim=fld.dim,
-        meta={"representation": fld.representation,
-              "coefficients": spec.coefficients.kind},
     )
     return prof
 
@@ -430,14 +415,13 @@ def verify_rellich_general(spec, fld, prof, tolerance=5e-6):
     data = _node_data(spec, fld)
     idx = prof.indices
     zvals, divz, zgradu = data.zvals, data.divz, data.z_grad_u
-    agrads = spec.coefficients.entry_gradients(data.pts)
 
     e = data.e_density
     egrad = np.stack(cartesian_gradient(e, fld.r, fld.theta), axis=-1)
     lhs9_rows = np.einsum("...i,...i->...", zvals, egrad)
 
     t1_rows = np.einsum("...hli,...i,...h,...l->...",
-                        agrads, zvals, data.grad, data.grad)
+                        data.agrads, zvals, data.grad, data.grad)
     t4_rows = -2.0 * np.einsum("...hl,...hj,...j,...l->...",
                                data.a, data.zjac, data.grad, data.grad)
     vu_f = data.V * data.u + data.fvals
@@ -454,13 +438,9 @@ def verify_rellich_general(spec, fld, prof, tolerance=5e-6):
     rhs9 = T1 + T2 + T3 + T4 + CORR
     rep9 = IdentityReport("gradient_energy_transport", prof.r, lhs9, rhs9,
                           tolerance)
-    rep9.details["terms"] = {
-        "coefficient_gradient": [float(v) for v in T1],
-        "boundary": [float(v) for v in T2],
-        "equation": [float(v) for v in T3],
-        "z_jacobian": [float(v) for v in T4],
-        "residual_correction": [float(v) for v in CORR],
-    }
+    rep9.details["terms"] = {"coefficient_gradient": T1, "boundary": T2,
+                             "equation": T3, "z_jacobian": T4,
+                             "residual_correction": CORR}
 
     lhs10 = prof.r * data.sphere(e)[idx]
     DIVZ = data.ball(divz * e)[idx]

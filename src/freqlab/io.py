@@ -14,29 +14,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["write_json", "write_csv", "profile_to_csv", "trajectory_to_csv",
-           "RunRecord", "content_hash_of_dir"]
+__all__ = ["jsonable", "write_json", "write_csv", "profile_to_csv",
+           "trajectory_to_csv", "RunRecord", "content_hash_of_dir"]
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
+def jsonable(obj):
+    """obj with every numpy value turned into its JSON counterpart: arrays
+    into lists, numpy scalars into Python ones, and non-finite floats into
+    None (strict JSON has no NaN or Infinity).  Dicts get string keys."""
+    # floats first: they are most of what a report holds
+    if isinstance(obj, (float, np.floating)):
         v = float(obj)
-        return None if not math.isfinite(v) else v  # strict JSON: no NaN/Inf
-    if isinstance(obj, (np.integer,)):
+        return v if math.isfinite(v) else None
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
     return obj
 
 
 def write_json(path, obj):
-    text = json.dumps(_jsonify(obj), sort_keys=True, indent=1)
+    text = json.dumps(jsonable(obj), sort_keys=True, indent=1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
     return path
@@ -48,11 +52,9 @@ def _fmt(v):
     return repr(float(v))
 
 
-def write_csv(path, columns, arrays, schema_comment=None):
-    lines = []
-    if schema_comment:
-        lines.append(f"# {schema_comment}")
-    lines.append(",".join(columns))
+def write_csv(path, columns, arrays, schema_comment):
+    """CSV under a '# <schema_comment>' line and a header of `columns`."""
+    lines = [f"# {schema_comment}", ",".join(columns)]
     n = len(arrays[0])
     for k in range(n):
         lines.append(",".join(_fmt(a[k]) for a in arrays))
@@ -121,7 +123,7 @@ class RunRecord:
             "content_hash": self.content_hash(),
         }
         write_json(os.path.join(self.out_dir, "record.json"), record)
-        line = json.dumps(_jsonify(record), sort_keys=True)
+        line = json.dumps(jsonable(record), sort_keys=True)
         with open(os.path.join(self.out_dir, "runs.jsonl"), "a",
                   encoding="utf-8", newline="\n") as fh:
             fh.write(line + "\n")

@@ -8,10 +8,13 @@ fails.
 
 import heapq
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+from .io import jsonable
 
 __all__ = [
     "CoefficientField",
@@ -166,25 +169,15 @@ class CoefficientField:
 
     # ---- derived fields (all closed-form in the entries and their gradients)
 
-    def mu(self, x):
-        """Surface weight <A x, x> / |x|^2 (undefined at the origin)."""
-        x = np.asarray(x, dtype=float)
-        a = self.entries(x)
-        ax = np.einsum("...ij,...j->...i", a, x)
-        r2 = np.sum(x * x, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.einsum("...i,...i->...", ax, x) / r2
+    def geometry(self, x):
+        """A, its entry gradients and the fields built from them, at x.
 
-    def z_field(self, x):
-        """Z(x) = A(x) x / mu(x); satisfies <Z, x/|x|> = |x| identically."""
-        x = np.asarray(x, dtype=float)
-        a = self.entries(x)
-        ax = np.einsum("...ij,...j->...i", a, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return ax / self.mu(x)[..., None]
-
-    def z_jacobian(self, x):
-        """dZ(x): shape (..., h, j) holding d Z_j / d x_h."""
+        mu = <A x, x> / |x|^2 is the surface weight, z = A x / mu the
+        transport field (<z, x/|x|> = |x| identically) and dz its Jacobian,
+        shape (..., h, j) holding d z_j / d x_h; mu, z and dz are undefined
+        at the origin.  Costs one call of `entries` and one of
+        `entry_gradients`.
+        """
         x = np.asarray(x, dtype=float)
         a = self.entries(x)
         g = self.entry_gradients(x)
@@ -192,16 +185,15 @@ class CoefficientField:
         r2 = np.sum(x * x, axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             mu = np.einsum("...i,...i->...", ax, x) / r2
+            z = ax / mu[..., None]
             # d_h <Ax, x> = sum_ij (d_h a_ij) x_i x_j + 2 (Ax)_h
             dq = np.einsum("...ijh,...i,...j->...h", g, x, x) + 2.0 * ax
             dmu = dq / r2[..., None] - 2.0 * mu[..., None] * x / r2[..., None]
             # d_h (Ax)_j = sum_l (d_h a_jl) x_l + a_jh
             dax = np.einsum("...jlh,...l->...hj", g, x) + np.swapaxes(a, -1, -2)
-            return (dax / mu[..., None, None]
-                    - ax[..., None, :] * dmu[..., :, None] / (mu ** 2)[..., None, None])
-
-    def div_z(self, x):
-        return np.einsum("...hh->...", self.z_jacobian(x))
+            dz = (dax / mu[..., None, None]
+                  - ax[..., None, :] * dmu[..., :, None] / (mu ** 2)[..., None, None])
+        return Geometry(a, g, mu, z, dz)
 
     def div_a_grad_absx(self, x):
         """div(A grad |x|) evaluated away from the origin."""
@@ -213,6 +205,10 @@ class CoefficientField:
         tra = np.einsum("...ii->...", a)
         mu = np.einsum("...ij,...i,...j->...", a, nu, nu)
         return np.einsum("...jij,...i->...", g, nu) + (tra - mu) / r
+
+
+# what CoefficientField.geometry returns
+Geometry = namedtuple("Geometry", "a grads mu z dz")
 
 
 def _const_field(x, value):
@@ -575,17 +571,13 @@ class AssumptionReport:
         return min(self.clauses.values(), key=lambda c: c.margin)
 
     def to_dict(self):
-        return {
+        return jsonable({
             "passed": self.passed,
-            "sample_counts": dict(self.sample_counts),
-            "clauses": {
-                k: {"passed": v.passed, "margin": float(v.margin),
-                    "witness": None if v.witness is None else
-                    [float(w) for w in np.atleast_1d(v.witness)],
-                    "note": v.note}
-                for k, v in sorted(self.clauses.items())
-            },
-        }
+            "sample_counts": self.sample_counts,
+            "clauses": {k: {"passed": v.passed, "margin": v.margin,
+                            "witness": v.witness, "note": v.note}
+                        for k, v in self.clauses.items()},
+        })
 
 
 def ball_grid(dim, radius, count=64):
@@ -607,7 +599,10 @@ def s_grid(eps0, count=256):
     return np.concatenate([-mag[::-1], mag])
 
 
-def check_A3(spec, points=None, s_values=None, radius=1.0, slack=1e-12):
+_A3_SLACK = 1e-12  # relative tolerance before a sampled A3 margin fails
+
+
+def check_A3(spec, points=None, s_values=None, radius=1.0):
     """Verify the sublinearity clauses i)-iv) on a sample grid.
 
     Clause i): 0 < f(x,s) s <= q F(x,s); ii): finite x-gradient of F;
@@ -636,7 +631,7 @@ def check_A3(spec, points=None, s_values=None, radius=1.0, slack=1e-12):
         i, j = np.unravel_index(flat, margins.shape) if margins.ndim == 2 else (flat, None)
         worst = float(margins.flat[flat])
         witness = None
-        if worst < -slack * max(1.0, float(np.max(np.abs(F)))):
+        if worst < -_A3_SLACK * max(1.0, float(np.max(np.abs(F)))):
             witness = [float(v) for v in points[i]]
             if j is not None:
                 witness.append(float(s_values[j]))
@@ -658,7 +653,7 @@ def check_A3(spec, points=None, s_values=None, radius=1.0, slack=1e-12):
     Fm = eval_F(spec, points, np.full(len(points), -spec.eps0))
     both = np.minimum(Fp, Fm) - spec.kappa2
     k = int(np.argmin(both))
-    passed = both[k] >= -slack * max(1.0, spec.kappa2)
+    passed = both[k] >= -_A3_SLACK * max(1.0, spec.kappa2)
     report.clauses["A3.iv"] = ClauseVerdict(
         "A3.iv", bool(passed), float(both[k]),
         None if passed else [float(v) for v in points[k]],

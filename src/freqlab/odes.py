@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quadrature import radial_laplacian
+
 __all__ = [
     "OdeTrajectory",
     "ZeroEvent",
@@ -109,21 +111,31 @@ class OdeTrajectory:
         return uu, dd
 
 
+def _energy(u, v, q):
+    """The plane flow's conserved energy v^2/2 + |u|^q / q, for floats and
+    arrays alike."""
+    return 0.5 * v * v + abs(u) ** q / q
+
+
 def conserved_energy(traj):
     """E_i = u'_i^2/2 + |u_i|^q / q along the trajectory."""
-    return 0.5 * traj.du ** 2 + np.abs(traj.u) ** traj.q / traj.q
+    return _energy(traj.u, traj.du, traj.q)
 
 
 # --------------------------------------------------------------------------
 # power series at a simple zero (plane case, no damping)
 
 
-def _series_coeffs(w, q, K=14):
+_SERIES_TERMS = 14  # highest power k of the crossing series
+_SERIES_REACH_RATIO = 0.08  # sizes the layer the series covers
+
+
+def _series_coeffs(w, q):
     """Coefficients a_k of u = sum a_k sgn(tau)|tau|^{kq+1}; w = u'(0) > 0."""
-    a = np.empty(K + 1)
+    a = np.empty(_SERIES_TERMS + 1)
     a[0] = w
     alpha = q - 1.0
-    for k in range(1, K + 1):
+    for k in range(1, _SERIES_TERMS + 1):
         beta = a[1:k] / a[0]
         C = np.empty(k)
         C[0] = 1.0
@@ -147,8 +159,8 @@ def _series_eval(tau, a, q):
     return math.copysign(at, tau) * u, v
 
 
-def _series_reach(w, q, ratio=0.08):
-    return (ratio * q * (q + 1.0) * abs(w) ** (2.0 - q)) ** (1.0 / q)
+def _series_reach(w, q):
+    return (_SERIES_REACH_RATIO * q * (q + 1.0) * abs(w) ** (2.0 - q)) ** (1.0 / q)
 
 
 def _locate_crossing(u0, v0, q):
@@ -249,13 +261,14 @@ def integrate_plane(q, u0, du0, h, t_max, t_start=0.0):
                 continue
             layer = None
         # enter the series layer while the zero is within ~3/4 of the series
-        # reach: plain RK4 steps this close already feel the |u|^{q-5} blowup
-        # of the truncation term
+        # reach (plain RK4 steps this close already feel the |u|^{q-5} blowup
+        # of the truncation term) and |u| is small against the amplitude
+        # (q E)^{1/q} of the conserved energy E
         if vv != 0.0:
-            w_est = math.sqrt(2.0 * (0.5 * vv * vv + abs(uu) ** q / q))
-            reach_est = _series_reach(w_est, q)
+            E = _energy(uu, vv, q)
+            reach_est = _series_reach(math.sqrt(2.0 * E), q)
             trigger = abs(uu) < 0.75 * reach_est * abs(vv) \
-                and abs(uu) < 0.5 * _amplitude(uu, vv, q)
+                and abs(uu) < 0.5 * ((q * E) ** (1.0 / q) if E > 0 else 1.0)
         else:
             trigger = False
         un, vn = _rk4(uu, vv, h, q)
@@ -281,12 +294,6 @@ def _trajectory(t, u, du, q, dim, initial, h, crossings):
     """OdeTrajectory over the nodes collected in the arrays `u` and `du`."""
     return OdeTrajectory(t, np.frombuffer(u), np.frombuffer(du), q, dim,
                          initial, h, crossings)
-
-
-def _amplitude(u, v, q):
-    # amplitude scale from the conserved energy
-    E = 0.5 * v * v + abs(u) ** q / q
-    return (q * E) ** (1.0 / q) if E > 0 else 1.0
 
 
 def _advance_sign_exact(u, v, h, crossings, t_now):
@@ -409,19 +416,18 @@ class ZeroEvent:
     degenerate: bool
 
 
-def zero_audit(traj, threshold=None):
+def zero_audit(traj):
     """Locate the zeros of a trajectory and rate each as simple or degenerate.
 
     Sign changes are refined by bisection on the cubic Hermite dense output;
-    a zero is degenerate when |u'| falls below the threshold (default
-    1e-6 sqrt(2 E_0), an energy-aware scale).  Plateau edges (the field is
-    flat zero on one side: an edge of a run of two or more zero nodes) are
-    reported as degenerate zeros.
+    a zero is degenerate when |u'| falls below 1e-6 sqrt(2 E_0), an
+    energy-aware scale.  Plateau edges (the field is flat zero on one side:
+    an edge of a run of two or more zero nodes) are reported as degenerate
+    zeros.
     """
     u, du, t = traj.u, traj.du, traj.t
-    if threshold is None:
-        E0 = 0.5 * du[0] ** 2 + abs(u[0]) ** traj.q / traj.q
-        threshold = 1e-6 * math.sqrt(2.0 * E0) if E0 > 0 else 1e-12
+    E0 = _energy(u[0], du[0], traj.q)
+    threshold = 1e-6 * math.sqrt(2.0 * E0) if E0 > 0 else 1e-12
     scale = float(np.max(np.abs(u)))
     if scale == 0.0:
         return []
@@ -523,18 +529,19 @@ def _signed_power(u, p):
     return np.sign(u) * np.abs(u) ** p
 
 
-def pme_residual_grid(field, r_indices=None, t_values=None, n_t=64):
+_PME_TIMES = 64  # default time samples of the residual grid
+
+
+def pme_residual_grid(field, r_indices=None, t_values=None):
     """Space-time residual w_t - Laplace(|w|^{m-1} w), shape (n_t, n_r).
 
     The spatial Laplacian comes from five-point differences of the sampled
     base profile; the time factor is differentiated in closed form.
     Returns (r_indices, t_values, residual).
     """
-    from .quadrature import deriv_uniform
-
     base = field.base
     if t_values is None:
-        t_values = field.t0 + 1.0 + np.linspace(0.0, 1.0, n_t)
+        t_values = field.t0 + 1.0 + np.linspace(0.0, 1.0, _PME_TIMES)
     t_values = np.asarray(t_values, dtype=float)
     if np.any(t_values <= field.t0):
         raise ValueError("time samples must exceed t0")
@@ -545,10 +552,7 @@ def pme_residual_grid(field, r_indices=None, t_values=None, n_t=64):
     if np.any(r_indices < 2) or np.any(r_indices > n - 3):
         raise ValueError("radial samples must stay clear of the grid edges")
 
-    up = deriv_uniform(base.u, base.h)
-    upp = deriv_uniform(up, base.h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lap = upp + (base.dim - 1) * up / np.where(base.t > 0, base.t, np.inf)
+    lap = radial_laplacian(base.u, base.t, base.dim)
     g = _signed_power(base.u[r_indices], field.q - 1.0)
     c = field.time_factor(t_values)
     cdot = field.time_factor_dt(t_values)
@@ -557,7 +561,7 @@ def pme_residual_grid(field, r_indices=None, t_values=None, n_t=64):
     return r_indices, t_values, wt - lap_w
 
 
-def pme_separated_residual(field, r_indices=None, t_values=None, n_t=64):
+def pme_separated_residual(field, r_indices=None, t_values=None):
     """Max space-time residual |w_t - Laplace(|w|^{m-1} w)| on the grid."""
-    _, _, res = pme_residual_grid(field, r_indices, t_values, n_t)
+    _, _, res = pme_residual_grid(field, r_indices, t_values)
     return float(np.max(np.abs(res)))

@@ -12,16 +12,18 @@ __all__ = [
     "unit_sphere_area",
     "deriv_uniform",
     "deriv_periodic_fft",
+    "radial_laplacian",
 ]
 
 
-def cumulative_uniform(g, h, axis=0):
+def cumulative_uniform(g, h):
     """Prefix integrals \\int_0^{x_i} of samples g on a uniform grid, 4th order.
 
-    Even prefixes use composite Simpson; odd prefixes close with a 3/8 rule;
-    the one- and three-interval prefixes use cubic Newton-Cotes weights.
+    Integrates along the first axis.  Even prefixes use composite Simpson;
+    odd prefixes close with a 3/8 rule; the one- and three-interval prefixes
+    use cubic Newton-Cotes weights.
     """
-    g = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
+    g = np.asarray(g, dtype=float)
     n = g.shape[0]
     out = np.zeros_like(g)
     if n < 4:
@@ -40,7 +42,7 @@ def cumulative_uniform(g, h, axis=0):
         idx = np.arange(5, n, 2)
         tail = (3.0 * h / 8.0) * (g[idx - 3] + 3.0 * g[idx - 2] + 3.0 * g[idx - 1] + g[idx])
         out[idx] = out[idx - 3] + tail
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def unit_sphere_area(dim):
@@ -50,9 +52,10 @@ def unit_sphere_area(dim):
     return 2.0 * pi ** (dim / 2.0) / gamma(dim / 2.0)
 
 
-def deriv_uniform(g, h, axis=0):
-    """Five-point first derivative on a uniform grid, one-sided at the edges."""
-    g = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
+def deriv_uniform(g, h):
+    """Five-point first derivative of samples g on a uniform grid of step h,
+    one-sided at the edges."""
+    g = np.asarray(g, dtype=float)
     n = g.shape[0]
     if n < 5:
         raise ValueError("need at least 5 samples")
@@ -65,21 +68,30 @@ def deriv_uniform(g, h, axis=0):
     d[1] = np.tensordot(c1, g[:5], axes=(0, 0)) / h
     d[-1] = -np.tensordot(c0, g[-5:][::-1], axes=(0, 0)) / h
     d[-2] = -np.tensordot(c1, g[-5:][::-1], axes=(0, 0)) / h
-    return np.moveaxis(d, 0, axis)
+    return d
 
 
-def deriv_periodic_fft(g, axis=-1):
-    """Spectral derivative of periodic samples over [0, 2pi)."""
+def deriv_periodic_fft(g):
+    """Spectral derivative along the last axis of periodic samples over
+    [0, 2pi)."""
     g = np.asarray(g, dtype=float)
-    n = g.shape[axis]
+    n = g.shape[-1]
     k = np.fft.rfftfreq(n, d=1.0 / n)  # integer wavenumbers
-    gh = np.fft.rfft(g, axis=axis)
-    shape = [1] * g.ndim
-    shape[axis] = gh.shape[axis]
-    gh = gh * (1j * k.reshape(shape))
+    gh = np.fft.rfft(g) * (1j * k)
     if n % 2 == 0:
         # zero the unmatched Nyquist mode for a real, antisymmetric derivative
-        idx = [slice(None)] * g.ndim
-        idx[axis] = -1
-        gh[tuple(idx)] = 0.0
-    return np.fft.irfft(gh, n=n, axis=axis)
+        gh[..., -1] = 0.0
+    return np.fft.irfft(gh, n=n)
+
+
+def radial_laplacian(u, r, dim):
+    """u'' + (dim - 1) u' / r of a radial profile u on the uniform nodes r.
+
+    Both derivatives are five-point differences (`deriv_uniform`) with
+    step h = r[1] - r[0]; at r = 0 the damping term is dropped.
+    """
+    h = float(r[1] - r[0])
+    up = deriv_uniform(u, h)
+    upp = deriv_uniform(up, h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return upp + (dim - 1) * up / np.where(r > 0, r, np.inf)

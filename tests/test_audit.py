@@ -273,3 +273,24 @@ class TestGrid2dGluedCandidate:
             profile=ProfileControls(n_radii=10 ** 6)))
         assert loose.classification == "contradiction_certified"
         assert loose.steps["frequency_bounded"].status == "fail"
+
+
+class TestCertificateEncoding:
+    def test_to_dict_is_what_write_json_writes(self, tmp_path, glued_trio):
+        from freqlab.audit import CertificateChain, StepVerdict
+        from freqlab.io import write_json
+
+        chain = CertificateChain(
+            "inconclusive", "model", r0=0.3, r1=np.float64(0.4),
+            constants={"C4": math.nan, "C1": np.float64(2.0)},
+            steps={"step": StepVerdict(
+                "step", "fail", np.float64(-0.5), "note",
+                {"radii": np.array([0.1, np.inf]), "n": np.int64(2),
+                 "worst": np.float64(np.nan), "fired": np.bool_(True)})},
+            controls=AuditControls(residual_gate=1e9).to_dict(),
+            notes=["one note"])
+        real = audit(ProblemSpec.model(2, 1.5, outer_radius=0.8),
+                     glued_trio[(2, 1.5, 0.3)], AuditControls(residual_gate=1e9))
+        for c in (chain, real):
+            path = write_json(tmp_path / "certificate.json", c.to_dict())
+            assert c.to_dict() == json.loads(path.read_text())

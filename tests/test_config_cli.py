@@ -286,6 +286,32 @@ class TestCliExitCodes:
         assert main(["audit", str(path), "--residual-gate", "1e9",
                      "--out", str(out)]) == 4
 
+    def test_frequency_exits_7_on_failed_identity(self, tmp_path, glued_trio):
+        # a glued candidate is no solution: an identity fails, which is a
+        # failed check (7), not a bad config (2)
+        from freqlab.fields import save_field
+
+        path = tmp_path / "glued.txt"
+        save_field(glued_trio[(2, 1.5, 0.3)], path)
+        out = tmp_path / "fq"
+        assert main(["frequency", str(path), "--out", str(out)]) == 7
+        blob = json.loads((out / "identities.json").read_text())
+        assert any(rep["verdict"] == "fail" for name, rep in blob.items()
+                   if name != "schema_version")
+
+    def test_check_sizes_rotation_perturbed_for_the_domain(self, tmp_path):
+        # eigenvalues 1 and 1 + eps |x|^2: the ellipticity must cover
+        # |x| <= outer_radius, not the unit ball
+        cfgfile = tmp_path / "rot.ini"
+        cfgfile.write_text(MODEL_CONFIG.replace(
+            "outer_radius = 1.0", "outer_radius = 2").replace(
+            "field = identity", "field = rotation_perturbed(0.3)"))
+        out = tmp_path / "rot"
+        assert main(["check", "--config", str(cfgfile),
+                     "--out", str(out)]) == 0
+        blob = json.loads((out / "assumptions.json").read_text())
+        assert blob["A1"]["clauses"]["A1.ellipticity"]["passed"]
+
     def test_check_command(self, tmp_path):
         cfgfile = tmp_path / "spec.ini"
         cfgfile.write_text(MODEL_CONFIG)
@@ -302,7 +328,7 @@ class TestCliExitCodes:
         cfgfile.write_text(bad)
         out = tmp_path / "chk2"
         assert main(["check", "--config", str(cfgfile),
-                     "--out", str(out)]) == 2
+                     "--out", str(out)]) == 7
         blob = json.loads((out / "assumptions.json").read_text())
         assert not blob["A3"]["passed"]
 

@@ -436,3 +436,66 @@ class TestCorrectedEqualityOnNonSolution:
         assert ok.sum() > 100
         rel = np.abs(eq[ok]) / np.maximum(np.abs(rep.lhs[ok]), 1.0)
         assert np.max(rel) <= 0.01
+
+
+class TestSurfaceConvexityGate:
+    def test_f_breaking_A3_i_fails_nonlinearity_transport(self):
+        # surface_convexity_ok gates the report like any *_ok detail.  With
+        # f s = |s|^p = p F, A3.i (f s <= q F) holds for p = q = 1.5 and
+        # breaks for p = 1.9; the transport identity holds either way, so
+        # the flag alone fails the report
+        fld = sample_grid2d(lambda x: 1.0 + 0.3 * x[..., 0], 1.0, 32, 64, 1.5)
+        reps = {}
+        for p in (1.5, 1.9):
+            nl = NonlinearitySpec.tabulated(
+                lambda x, s, p=p: np.sign(s) * np.abs(s) ** (p - 1.0), 1.5)
+            spec = ProblemSpec(2, 1.0, CoefficientField.identity(2), nl)
+            reps[p] = run_all_identity_checks(
+                spec, fld, frequency_profile(spec, fld))["nonlinearity_transport"]
+            assert reps[p].rel_residual <= reps[p].tolerance
+        assert reps[1.5].details["surface_convexity_ok"] and reps[1.5].passed
+        assert not reps[1.9].details["surface_convexity_ok"]
+        assert not reps[1.9].passed
+
+
+class TestCoefficientEvaluations:
+    def test_one_polar_analysis(self, variable_coefficients_spec, monkeypatch):
+        # A and its gradients are evaluated once for the node geometry, A
+        # once more for the residual, and both once at the audit radii
+        from collections import Counter
+
+        from freqlab.audit import audit
+
+        coeff = variable_coefficients_spec.coefficients
+        calls = Counter()
+        for name in ("entries", "entry_gradients"):
+            def counted(x, fn=getattr(coeff, name), name=name):
+                calls[name] += 1
+                return fn(x)
+
+            monkeypatch.setattr(coeff, name, counted)
+        spec = variable_coefficients_spec
+        fld = sample_grid2d(lambda x: 1.0 + 0.3 * x[..., 0] + 0.2 * x[..., 1] ** 2,
+                            spec.outer_radius, 32, 64, spec.nonlinearity.q)
+        prof = frequency_profile(spec, fld)
+        run_all_identity_checks(spec, fld, prof)
+        audit(spec, fld)
+        assert calls == {"entries": 3, "entry_gradients": 2}
+
+
+class TestReportEncoding:
+    def test_to_dict_is_what_write_json_writes(self, tmp_path):
+        import json
+
+        from freqlab.frequency import IdentityReport
+        from freqlab.io import write_json
+
+        rep = IdentityReport(
+            "encoded", np.array([0.1, 0.2]), np.array([1.0, np.nan]),
+            np.array([1.0, np.inf]), np.inf,
+            {"margins": np.array([np.nan, -np.inf, 1.5]),
+             "count": np.int64(3), "flag_ok": np.bool_(True),
+             "worst": np.float64(-np.inf),
+             "terms": {"t": np.array([2.0, np.nan])}})
+        path = write_json(tmp_path / "report.json", rep.to_dict())
+        assert rep.to_dict() == json.loads(path.read_text())

@@ -285,14 +285,20 @@ class TestCConstant:
         assert c_constant(dim, q) > 0.0
 
 
+def _div(geo):
+    """div Z: the trace of the Jacobian geometry() returns."""
+    return np.einsum("...hh->...", geo.dz)
+
+
 class TestCoefficientFields:
     def test_identity_mu_and_z(self):
         A = CoefficientField.identity(2)
         pts = ball_grid(2, 1.0, 32)
         pts = pts[np.linalg.norm(pts, axis=1) > 1e-9]
-        np.testing.assert_allclose(A.mu(pts), 1.0, atol=1e-14)
-        np.testing.assert_allclose(A.z_field(pts), pts, atol=1e-14)
-        np.testing.assert_allclose(A.div_z(pts), 2.0, atol=1e-12)
+        geo = A.geometry(pts)
+        np.testing.assert_allclose(geo.mu, 1.0, atol=1e-14)
+        np.testing.assert_allclose(geo.z, pts, atol=1e-14)
+        np.testing.assert_allclose(_div(geo), 2.0, atol=1e-12)
 
     @pytest.mark.parametrize("make", [
         lambda: CoefficientField.rotation_perturbed(0.3, 2),
@@ -305,7 +311,7 @@ class TestCoefficientFields:
         A = make()
         pts = ball_grid(2, 1.0, 64)
         pts = pts[np.linalg.norm(pts, axis=1) > 1e-9]
-        z = A.z_field(pts)
+        z = A.geometry(pts).z
         r = np.linalg.norm(pts, axis=1)
         np.testing.assert_allclose(np.sum(z * pts, axis=1) / r, r, rtol=1e-12)
 
@@ -330,13 +336,13 @@ class TestZField:
         for make in (CoefficientField.identity(2),
                      CoefficientField.rotation_perturbed(0.25, 2),
                      CoefficientField.diagonal([2.0, 0.5])):
-            z = make.z_field(pts)
+            z = make.geometry(pts).z
             defect = np.einsum("...i,...i->...", z, pts) / r - r
             np.testing.assert_allclose(defect, 0.0, atol=1e-12)
 
     def test_identity_divergence(self):
         pts = np.array([[0.3, 0.1], [0.1, -0.5]])
-        np.testing.assert_allclose(CoefficientField.identity(2).div_z(pts),
+        np.testing.assert_allclose(_div(CoefficientField.identity(2).geometry(pts)),
                                    2.0, atol=1e-13)
 
 
