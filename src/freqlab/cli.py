@@ -248,7 +248,7 @@ def cmd_solve(cfg, q_list):
                   schema_comment="freqlab-mms 1")
         rec.add(path)
         order = math.log2(rows[0][2] / rows[1][2]) if rows[1][2] > 0 else float("inf")
-        fpath = os.path.join(out, "field.txt")
+        fpath = os.path.join(out, "field.npz")
         save_field(prev, fpath)
         rec.add(fpath)
         rec.finish({"mode": "manufactured", "orders": order})
@@ -266,7 +266,7 @@ def cmd_solve(cfg, q_list):
         sys.stderr.write(f"solver failed: {exc}\n")
         rec.finish({"error": str(exc), "distance": exc.distance})
         return EXIT_SOLVER
-    fpath = os.path.join(out, "field.txt")
+    fpath = os.path.join(out, "field.npz")
     save_field(fld, fpath)
     rec.add(fpath)
     summary = {"mode": cfg.mode, "residual_scale": fld.residual_scale}

@@ -7,6 +7,7 @@ degree of freedom; radial differentiation extends across the pole through
 u(-r, theta) = u(r, theta + pi), and angular derivatives are spectral.
 """
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -63,20 +64,70 @@ class SolutionField:
 
     # ---- constructors
 
-    @classmethod
-    def radial_from_arrays(cls, r, u, du, dim, q):
-        return cls("radial", dim, q, np.asarray(r, float), np.asarray(u, float),
-                   du=np.asarray(du, float))
+    # The constructors store C-contiguous float64 copies (or the arrays
+    # themselves when they already are), so no verdict depends on how the
+    # caller laid out its arrays: numpy sums strided and contiguous data in
+    # different orders.
 
     @classmethod
-    def grid2d_from_values(cls, r_nodes, theta, values, q):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(r_nodes), len(theta)):
-            raise ValueError("value array must be (n_r_nodes, n_theta)")
-        if len(theta) % 2:
-            raise ValueError("need an even number of angular nodes")
-        return cls("grid2d", 2, q, np.asarray(r_nodes, float), values,
-                   theta=np.asarray(theta, float))
+    def radial_from_arrays(cls, r, u, du, dim, q, residual_scale=None):
+        fld = cls("radial", dim, q, _contiguous(r), _contiguous(u),
+                  du=_contiguous(du), residual_scale=residual_scale)
+        fld.validate()
+        return fld
+
+    @classmethod
+    def grid2d_from_values(cls, r_nodes, theta, values, q, residual_scale=None):
+        fld = cls("grid2d", 2, q, _contiguous(r_nodes), _contiguous(values),
+                  theta=_contiguous(theta), residual_scale=residual_scale)
+        fld.validate()
+        return fld
+
+    def validate(self):
+        """Raise ValueError unless every analysis can read this field.
+
+        Checks the array shapes, finite values, nodes r uniform from 0 (the
+        radial quadratures and the polar stencils take h = r[1] - r[0]), an
+        even angular count with a single-valued pole row on a grid, a finite
+        q, and a finite residual_scale when one is set.
+        """
+        if self.representation == "radial":
+            arrays = {"r": self.r, "u": self.u, "du": self.du}
+            if any(a.ndim != 1 for a in arrays.values()) or \
+                    len({len(a) for a in arrays.values()}) != 1:
+                raise ValueError("radial r, u, du must be 1-D of one length, got "
+                                 + ", ".join(f"{k} {a.shape}" for k, a in arrays.items()))
+        elif self.representation == "grid2d":
+            arrays = {"r": self.r, "theta": self.theta, "u": self.u}
+            n_t = len(self.theta) if self.theta.ndim == 1 else None
+            if self.r.ndim != 1 or self.u.shape != (len(self.r), n_t):
+                raise ValueError(f"grid u has shape {self.u.shape}; expected "
+                                 f"(n_r_nodes, n_theta) = ({len(self.r)}, {n_t})")
+            if n_t < 2 or n_t % 2:
+                raise ValueError(f"need an even number of angular nodes, got {n_t}")
+        else:
+            raise ValueError(f"unknown representation {self.representation!r}")
+        for name, a in arrays.items():
+            bad = np.argwhere(~np.isfinite(a))
+            if len(bad):
+                raise ValueError(f"non-finite value in {name} at index "
+                                 f"{', '.join(map(str, bad[0]))}")
+        r = self.r
+        if not len(r) or r[0] != 0.0:
+            raise ValueError(f"r must start at 0, got {r[:1].tolist()}")
+        steps = np.diff(r)
+        if not (len(steps) and steps[0] > 0
+                and np.all(np.abs(steps - steps[0]) <= _STEP_REL_TOL * steps[0])):
+            raise ValueError(f"r must be increasing with a uniform step (to a "
+                             f"relative {_STEP_REL_TOL:g})")
+        # the pole is one node: writers give every angle the same value, so
+        # any difference in row 0 is another field, not round-off
+        if self.representation == "grid2d" and np.any(self.u[0] != self.u[0, 0]):
+            raise ValueError("the pole row (i = 0) holds more than one value")
+        if not math.isfinite(self.q):
+            raise ValueError(f"non-finite q {self.q!r}")
+        if self.residual_scale is not None and not math.isfinite(self.residual_scale):
+            raise ValueError(f"non-finite residual_scale {self.residual_scale!r}")
 
     # ---- basic geometry
 
@@ -105,6 +156,15 @@ class SolutionField:
         if "grad" not in self._cache:
             self._cache["grad"] = cartesian_gradient(self.u, self.r, self.theta)
         return self._cache["grad"]
+
+
+def _contiguous(a):
+    return np.ascontiguousarray(a, dtype=float)
+
+
+# nodes r = k h have steps that differ from h by round-off of about k eps
+# relative (1e-11 at 6e4 nodes); a larger spread is another grid
+_STEP_REL_TOL = 1e-9
 
 
 def _angles(n):
@@ -692,107 +752,115 @@ def glued_residual_exact(fld):
 
 
 # --------------------------------------------------------------------------
-# text serialization (external interface)
+# field files (external interface)
+
+
+_FORMAT = "freqlab-field 2"
+_TEXT_MAGIC = b"# freqlab-field 1"
+_ZIP_MAGIC = b"PK\x03\x04"
+_ARRAYS = {"radial": ("r", "u", "du"), "grid2d": ("u",)}
 
 
 def save_field(fld, path):
-    """Write the documented text format: comment header, then CSV rows."""
-    lines = ["# freqlab-field 1"]
-    lines.append(f"representation={fld.representation}")
-    lines.append(f"N={fld.dim}")
-    lines.append(f"q={float(fld.q)!r}")
+    """Write fld as one .npz archive at exactly `path`.
+
+    The archive holds the float64 arrays (radial: r, u, du; grid2d: u, shape
+    (n_r + 1, n_theta)) and `header`, a 0-d string array holding JSON with
+    format, representation, N, q, residual_scale when known, and for grid2d
+    n_r, n_theta and r_max.  The same field always gives the same bytes.
+    """
+    header = {"format": _FORMAT, "representation": fld.representation,
+              "N": int(fld.dim), "q": float(fld.q)}
     if fld.residual_scale is not None:
-        lines.append(f"residual_scale={float(fld.residual_scale)!r}")
-    if fld.representation == "radial":
-        lines.append(f"count={len(fld.r)}")
-        lines.append("r,u,du")
-        for rr, uu, dd in zip(fld.r, fld.u, fld.du):
-            lines.append(f"{float(rr)!r},{float(uu)!r},{float(dd)!r}")
-    else:
-        lines.append(f"n_r={len(fld.r) - 1}")
-        lines.append(f"n_theta={len(fld.theta)}")
-        lines.append(f"r_max={float(fld.outer_radius)!r}")
-        lines.append("i,j,u")
-        for i in range(len(fld.r)):
-            for jj in range(len(fld.theta)):
-                lines.append(f"{i},{jj},{float(fld.u[i, jj])!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        header["residual_scale"] = float(fld.residual_scale)
+    if fld.representation == "grid2d":
+        header.update(n_r=len(fld.r) - 1, n_theta=len(fld.theta),
+                      r_max=fld.outer_radius)
+    arrays = {name: getattr(fld, name) for name in _ARRAYS[fld.representation]}
+    # a handle, not a name: np.savez appends ".npz" to a name without it
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps(header, sort_keys=True)),
+                 allow_pickle=False, **arrays)
 
 
-# a radial file holds r = k h, whose steps differ from h by round-off of
-# about k eps relative (1e-11 at 6e4 nodes); a larger spread is another grid
-_STEP_REL_TOL = 1e-9
+def _read_archive(path):
+    """The header dict and the arrays of a field archive, as read."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(_TEXT_MAGIC))
+        if magic == _TEXT_MAGIC:
+            raise ValueError("a '# freqlab-field 1' text file: the text field "
+                             "format is retired; solve again to write an .npz")
+        if not magic.startswith(_ZIP_MAGIC):
+            raise ValueError("not a freqlab field file (expected an .npz archive)")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as data:
+                members = {name: data[name] for name in data.files}
+        # zipfile and numpy's reader raise many types on corrupt bytes
+        # (BadZipFile, EOFError, KeyError, NotImplementedError for an unknown
+        # compression method, RuntimeError for the encryption flag,
+        # zlib.error, ...); each one means the same thing here
+        except Exception as exc:
+            raise ValueError(f"unreadable field archive ({type(exc).__name__}: "
+                             f"{exc})") from exc
+    text = members.pop("header", None)
+    if text is None or text.shape != () or text.dtype.kind != "U":
+        raise ValueError("the archive has no header string")
+    try:
+        header = json.loads(str(text))
+    except RecursionError:
+        raise ValueError("the header JSON nests too deeply") from None
+    if not isinstance(header, dict) or header.get("format") != _FORMAT:
+        raise ValueError(f"the header is not a {_FORMAT!r} header")
+    return header, members
+
+
+def _header_value(header, key, kind):
+    value = header.get(key)
+    if isinstance(value, bool) or not isinstance(
+            value, int if kind is int else (int, float)):
+        raise ValueError(f"header {key} must be {kind.__name__}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"header {key} is out of range") from None
 
 
 def load_field(path):
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if first != "# freqlab-field 1":
-            raise ValueError(f"not a freqlab field file: {path}")
-        header = {}
-        while True:
-            line = fh.readline()
-            if "=" not in line:
-                break
-            key, _, val = line.strip().partition("=")
-            header[key] = val
-        columns = line.strip()
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if not len(rows) or rows.shape[1] != 3:
-        raise ValueError(f"{path}: expected data rows of 3 comma-separated values")
-    bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
-    if len(bad):
-        raise ValueError(f"{path}: non-finite value in data row {bad[0] + 1}")
-    rep = header["representation"]
-    dim = int(header["N"])
-    q = float(header["q"])
-    if rep == "radial":
-        if columns != "r,u,du":
-            raise ValueError("bad radial column header")
-        if "count" in header and len(rows) != int(header["count"]):
-            raise ValueError(f"{path}: {len(rows)} rows, header says "
-                             f"count={header['count']}")
-        # every radial quadrature takes h = r[1] - r[0] on r = 0, h, 2h, ...
-        r = rows[:, 0]
-        if r[0] != 0.0:
-            raise ValueError(f"{path}: radial r must start at 0, got {r[0]!r}")
-        steps = np.diff(r)
-        if not (len(steps) and steps[0] > 0
-                and np.all(np.abs(steps - steps[0]) <= _STEP_REL_TOL * steps[0])):
-            raise ValueError(f"{path}: radial r must be increasing with a "
-                             f"uniform step (to a relative {_STEP_REL_TOL:g})")
-        fld = SolutionField.radial_from_arrays(rows[:, 0], rows[:, 1],
-                                               rows[:, 2], dim, q)
-    elif rep == "grid2d":
-        n_r = int(header["n_r"])
-        n_t = int(header["n_theta"])
-        r_max = float(header["r_max"])
+    """Read a field file written by save_field; ValueError names any fault."""
+    try:
+        header, members = _read_archive(path)
+        rep = header.get("representation")
+        if rep not in _ARRAYS:
+            raise ValueError(f"unknown representation {rep!r}")
+        names = _ARRAYS[rep]
+        if sorted(members) != sorted(names):
+            raise ValueError(f"a {rep} archive holds arrays {', '.join(names)}; "
+                             f"this one holds {', '.join(sorted(members)) or 'none'}")
+        for name in names:
+            if members[name].dtype != np.float64:
+                raise ValueError(f"array {name} is {members[name].dtype}, not float64")
+        dim = _header_value(header, "N", int)
+        if dim < 1 or (rep == "grid2d" and dim != 2):
+            raise ValueError(f"a {rep} field cannot have N={dim}")
+        q = _header_value(header, "q", float)
+        residual_scale = None
+        if "residual_scale" in header:
+            residual_scale = _header_value(header, "residual_scale", float)
+        if rep == "radial":
+            return SolutionField.radial_from_arrays(
+                members["r"], members["u"], members["du"], dim, q,
+                residual_scale=residual_scale)
+        n_r = _header_value(header, "n_r", int)
+        n_t = _header_value(header, "n_theta", int)
+        r_max = _header_value(header, "r_max", float)
         if not (math.isfinite(r_max) and r_max > 0):
-            raise ValueError(f"{path}: r_max must be finite and positive, got {r_max!r}")
-        if len(rows) != (n_r + 1) * n_t:
-            raise ValueError(f"{path}: {len(rows)} rows, header says "
+            raise ValueError(f"r_max must be finite and positive, got {r_max!r}")
+        if members["u"].shape != (n_r + 1, n_t):
+            raise ValueError(f"u has shape {members['u'].shape}, header says "
                              f"{n_r + 1} x {n_t} nodes")
-        i, j = rows[:, 0].astype(int), rows[:, 1].astype(int)
-        if (np.any((i != rows[:, 0]) | (j != rows[:, 1]))
-                or np.any((i < 0) | (i > n_r) | (j < 0) | (j >= n_t))
-                or np.any(np.bincount(i * n_t + j, minlength=len(rows)) != 1)):
-            raise ValueError(f"{path}: the (i, j) rows do not cover the "
-                             f"{n_r + 1} x {n_t} grid once each")
-        vals = np.empty((n_r + 1, n_t))
-        vals[i, j] = rows[:, 2]
-        # the pole is one node: writers give every j the same repr, so any
-        # difference in row 0 is another field, not round-off
-        if np.any(vals[0] != vals[0, 0]):
-            raise ValueError(f"{path}: the pole row (i = 0) holds more than "
-                             f"one value")
-        r_nodes = np.linspace(0.0, r_max, n_r + 1)
-        theta = _angles(n_t)
-        fld = SolutionField.grid2d_from_values(r_nodes, theta, vals, q)
-    else:
-        raise ValueError(f"unknown representation {rep!r}")
-    if "residual_scale" in header:
-        fld.residual_scale = float(header["residual_scale"])
-        if not math.isfinite(fld.residual_scale):
-            raise ValueError(f"{path}: non-finite residual_scale")
-    return fld
+        return SolutionField.grid2d_from_values(
+            np.linspace(0.0, r_max, n_r + 1), _angles(n_t), members["u"], q,
+            residual_scale=residual_scale)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -267,9 +267,9 @@ def test_criterion_11_determinism(tmp_path):
             ["solve", "--mode", "radial", "--q", "1.5", "--N", "2",
              "--amplitude", "0.5", "--radius", "1.0",
              "--out", str(base / "so")],
-            ["frequency", str(base / "so" / "field.txt"), "--out",
+            ["frequency", str(base / "so" / "field.npz"), "--out",
              str(base / "fr")],
-            ["audit", str(base / "so" / "field.txt"), "--out",
+            ["audit", str(base / "so" / "field.npz"), "--out",
              str(base / "au")],
             ["check", "--q", "1.5", "--out", str(base / "ck")],
         ]

@@ -266,7 +266,7 @@ class TestCliExitCodes:
         assert main(["solve", "--mode", "radial", "--q", "1.5", "--N", "2",
                      "--amplitude", "0.5", "--radius", "1.2",
                      "--out", str(out1)]) == 0
-        field = out1 / "field.txt"
+        field = out1 / "field.npz"
         assert field.exists()
         out2 = tmp_path / "freq"
         assert main(["frequency", str(field), "--out", str(out2)]) == 0
@@ -278,7 +278,7 @@ class TestCliExitCodes:
     def test_audit_exit_codes_on_glued_field(self, tmp_path, glued_trio):
         from freqlab.fields import save_field
 
-        path = tmp_path / "glued.txt"
+        path = tmp_path / "glued.npz"
         save_field(glued_trio[(2, 1.5, 0.3)], path)
         out = tmp_path / "a1"
         assert main(["audit", str(path), "--out", str(out)]) == 5
@@ -291,7 +291,7 @@ class TestCliExitCodes:
         # failed check (7), not a bad config (2)
         from freqlab.fields import save_field
 
-        path = tmp_path / "glued.txt"
+        path = tmp_path / "glued.npz"
         save_field(glued_trio[(2, 1.5, 0.3)], path)
         out = tmp_path / "fq"
         assert main(["frequency", str(path), "--out", str(out)]) == 7
@@ -356,7 +356,7 @@ class TestHarmonicBoundary:
                      "--boundary", "harmonic", "--rings", "24",
                      "--angles", "48", "--radius", "1.0", "--amplitude",
                      "0.3", "--out", str(out)]) == 0
-        assert (out / "field.txt").exists()
+        assert (out / "field.npz").exists()
 
     def test_solve_records_solver_summary(self, tmp_path):
         records = []

@@ -211,7 +211,7 @@ def test_cli_rejects_deep_potential_before_the_audit(tmp_path, capsys):
         "[nonlinearity]\nkind = homogeneous\nq = 1.5\n")
     capsys.readouterr()
     out = tmp_path / "au"
-    assert main(["audit", str(tmp_path / "so" / "field.txt"), "--config",
+    assert main(["audit", str(tmp_path / "so" / "field.npz"), "--config",
                  str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "[potential] field" in err and f"deeper than {MAX_DEPTH}" in err
