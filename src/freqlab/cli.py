@@ -77,7 +77,8 @@ def _build_parser():
     sp.add_argument("--rings", type=int)
     sp.add_argument("--angles", type=int)
     sp.add_argument("--boundary", type=str,
-                    help="harmonic | radial-trace | cos:<k>:<eps>")
+                    help="harmonic | radial-trace | cos:<k>:<eps> "
+                         "(integer k, finite eps)")
     sp.add_argument("--manufactured", action="store_true", default=None)
 
     sp = sub.add_parser("frequency", help="frequency profile and identity reports")
@@ -224,7 +225,10 @@ def cmd_ode(cfg, q_list):
 
 
 def cmd_solve(cfg, q_list):
-    spec = None if cfg.manufactured else _load_spec(cfg)  # exit 2 before any output
+    # the spec and the boundary data are read first: exit 2 before any output
+    spec = None if cfg.manufactured else _load_spec(cfg)
+    if spec is not None and cfg.mode == "grid2d":
+        boundary = _boundary_factory(cfg, spec)
     rec = _record(cfg)
     out = cfg.out_dir
     if cfg.manufactured:
@@ -258,7 +262,6 @@ def cmd_solve(cfg, q_list):
         if cfg.mode == "radial":
             fld = solve_radial(spec, cfg.amplitude, h=cfg.radial_step)
         else:
-            boundary = _boundary_factory(cfg, spec)
             fld = solve_grid_2d(spec, boundary, n_r=cfg.rings,
                                 n_theta=cfg.angles, damping=cfg.damping,
                                 tol=cfg.fp_tol, max_iters=cfg.max_iters)
@@ -289,10 +292,17 @@ def _boundary_factory(cfg, spec):
         trace = float(rfld.u[-1])
         return lambda th: np.full_like(th, trace)
     if kind.startswith("cos:"):
-        parts = kind.split(":")
-        k, eps = int(parts[1]), float(parts[2])
+        try:
+            k_text, eps_text = kind.split(":")[1:]
+            k, eps = int(k_text), float(eps_text)
+        except ValueError:  # not exactly two fields, or not numbers
+            eps = math.nan
+        if not math.isfinite(eps):
+            raise ConfigError(f"--boundary {kind!r}: expected cos:<k>:<eps> with "
+                              f"an integer k and a finite eps")
         return lambda th: eps * np.cos(k * th)
-    raise ConfigError(f"unknown boundary kind {kind!r}")
+    raise ConfigError(f"--boundary {kind!r}: unknown boundary kind (expected "
+                      f"harmonic, radial-trace or cos:<k>:<eps>)")
 
 
 def cmd_frequency(cfg, q_list):

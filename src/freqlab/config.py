@@ -232,10 +232,13 @@ class RunConfig:
     def validate(self):
         if self.command not in ("ode", "solve", "frequency", "audit", "check"):
             raise ConfigError(f"unknown command {self.command!r}")
-        for name in ("radial_step", "outer_radius", "damping", "fp_tol",
-                     "tol_d_rel", "h_floor_rel"):
+        for name in ("radial_step", "outer_radius", "fp_tol", "tol_d_rel",
+                     "h_floor_rel"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        # at damping 1 every fixed-point step is zero: a false convergence
+        if self.damping is None or not 0.0 < self.damping < 1.0:
+            raise ConfigError(f"damping must lie in (0, 1), got {self.damping}")
         for name in ("rings", "angles", "n_radii", "max_iters"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")

@@ -312,78 +312,6 @@ def _polar_frame_entries(coeff, r, theta):
     return arr, art, att
 
 
-def _stencil_terms(spec, r_nodes, theta):
-    """The finite-volume stencil of div(A grad .) as broadcast terms.
-
-    Each term (ring, di, dj, value) adds value * u[ring + di, j + dj] to the
-    equation of node (ring, j) for every angle j.  `ring` is a column of
-    ring numbers, or 0 for the pole equation (a disk of radius dr/2), whose
-    rows j all land in one equation; ring 0 is the pole, a single value, and
-    ring M the Dirichlet boundary.
-    """
-    M = len(r_nodes) - 1
-    dr = float(r_nodes[1] - r_nodes[0])
-    dth = float(theta[1] - theta[0])
-    terms = []
-
-    def add(ring, di, dj, val):
-        terms.append((ring, di, dj, val))
-
-    half_r = r_nodes[:-1] + 0.5 * dr  # faces i+1/2, i = 0..M-1
-    arr_f, art_f, _ = _polar_frame_entries(spec.coefficients, half_r, theta)
-    _, art_t, att_t = _polar_frame_entries(spec.coefficients, r_nodes[1:M], theta + 0.5 * dth)
-
-    # ring equations, i = 1..M-1 down the first axis
-    i = np.arange(1, M)[:, None]
-    r_i = r_nodes[1:M, None]
-    scale_out = half_r[1:, None] / (r_i * dr)   # face i+1/2
-    scale_in = half_r[:-1, None] / (r_i * dr)   # face i-1/2
-
-    # outward radial flux: c_rr (u[i+1]-u[i])/dr + c_rt/r_f * dtheta-avg
-    c = arr_f[1:] * scale_out / dr
-    add(i, 1, 0, c)
-    add(i, 0, 0, -c)
-    cx = art_f[1:] * scale_out / (half_r[1:, None] * 4.0 * dth)
-    for di, dj, s in ((0, 1, 1.0), (0, -1, -1.0), (1, 1, 1.0), (1, -1, -1.0)):
-        add(i, di, dj, s * cx)
-
-    # inward radial flux (subtract)
-    c = arr_f[:-1] * scale_in / dr
-    add(i, 0, 0, -c)
-    add(i, -1, 0, c)
-    cx = art_f[:-1] * scale_in / (half_r[:-1, None] * 4.0 * dth)
-    for dj, s in ((1, 1.0), (-1, -1.0)):
-        add(i, 0, dj, -s * cx)
-        # pole row is a single value: its theta-derivative vanishes, so
-        # ring 1 takes no inward cross term
-        add(i[1:], -1, dj, -s * cx[1:])
-
-    # angular fluxes at faces j+1/2 and j-1/2
-    scale_t = 1.0 / (r_i * dth)
-    ct = att_t * scale_t / (r_i * dth)                     # at face (i, j+1/2)
-    add(i, 0, 1, ct)
-    add(i, 0, 0, -ct)
-    ctm = np.roll(att_t, 1, axis=1) * scale_t / (r_i * dth)  # face (i, j-1/2)
-    add(i, 0, 0, -ctm)
-    add(i, 0, -1, ctm)
-    cxp = art_t * scale_t / (4.0 * dr)                     # face (i, j+1/2)
-    cxm = np.roll(art_t, 1, axis=1) * scale_t / (4.0 * dr)
-    for dj_face, coefs in ((0, cxp), (-1, cxm)):
-        s = 1.0 if dj_face == 0 else -1.0
-        for di, dj2, s2 in ((1, 0, 1.0), (-1, 0, -1.0), (1, 1, 1.0), (-1, 1, -1.0)):
-            add(i, di, dj_face + dj2, s * s2 * coefs)
-
-    # pole equation: disk of radius dr/2
-    disk_scale = dth / (math.pi * half_r[0])
-    c = arr_f[0] * disk_scale / dr
-    add(0, 1, 0, c)
-    add(0, 0, 0, -c)
-    cx = art_f[0] * disk_scale / (half_r[0] * 4.0 * dth)
-    for dj, s in ((1, 1.0), (-1, -1.0)):
-        add(0, 1, dj, s * cx)
-    return terms
-
-
 def _nodes(u, boundary):
     """The unknown vector [pole, rings 1..n_r-1 row by row] and the boundary
     values as the (n_r + 1, n_theta) node array, the pole repeated."""
@@ -394,20 +322,67 @@ def _nodes(u, boundary):
 class _Stencil:
     """div(A grad .) on the polar grid, applied matrix-free.
 
-    The stencil terms are summed per offset (di, dj) into one coefficient
-    array of shape (n_r, n_theta): row 0 holds the pole equation's
-    contributions, summed over the angles when applied, and rows
-    1..n_r-1 the ring equations.  `apply` reads the boundary ring as the
-    last row of the node array, so the equations L u = b + B g read
+    The finite-volume stencil is one coefficient array per offset (di, dj),
+    of shape (n_r, n_theta): coef[di, dj][i, j] multiplies u[i + di, j + dj]
+    in the equation of node (i, j).  Row 0 is the pole equation (a disk of
+    radius dr/2), whose rows j all land in one equation, as the pole is one
+    value; rows 1..n_r-1 are the rings.  `apply` reads the boundary ring as
+    the last row of the node array, so the equations L u = b + B g read
     apply(_nodes(u, g)) + b = 0.
     """
 
-    def __init__(self, terms, n_r, n_theta):
-        self.shape = (n_r, n_theta)
-        self._coef = {}
-        for ring, di, dj, val in terms:
-            coef = self._coef.setdefault((di, dj), np.zeros(self.shape))
-            coef[np.ravel(ring)] += val
+    def __init__(self, spec, r_nodes, theta):
+        M = len(r_nodes) - 1
+        dr = float(r_nodes[1] - r_nodes[0])
+        dth = float(theta[1] - theta[0])
+        self.shape = (M, len(theta))
+        offsets = ((1, 0), (0, 0), (0, 1), (0, -1), (1, 1), (1, -1),
+                   (-1, 0), (-1, 1), (-1, -1))  # in the order `apply` sums them
+        self._coef = coef = {off: np.zeros(self.shape) for off in offsets}
+
+        half_r = r_nodes[:-1] + 0.5 * dr  # faces i+1/2, i = 0..M-1
+        arr_f, art_f, _ = _polar_frame_entries(spec.coefficients, half_r, theta)
+        _, art_t, att_t = _polar_frame_entries(spec.coefficients, r_nodes[1:M], theta + 0.5 * dth)
+        i = slice(1, M)  # the ring equations
+        r_i = r_nodes[1:M, None]
+
+        # outward radial flux c_rr (u[i+1]-u[i])/dr + c_rt/r_f * dtheta-avg
+        # through face i+1/2, over the area of cell i: the pole's is the disk
+        scale_out = np.concatenate(([dth / (math.pi * half_r[0])],
+                                    half_r[1:] / (r_nodes[1:M] * dr)))[:, None]
+        c = arr_f * scale_out / dr
+        coef[1, 0] += c
+        coef[0, 0] -= c
+        cx = art_f * scale_out / (half_r[:, None] * 4.0 * dth)
+        for dj, s in ((1, 1.0), (-1, -1.0)):
+            coef[0, dj][i] += s * cx[1:]  # the pole has no theta-difference
+            coef[1, dj] += s * cx
+
+        # inward radial flux (subtract) through face i-1/2
+        scale_in = half_r[:-1, None] / (r_i * dr)
+        c = arr_f[:-1] * scale_in / dr
+        coef[0, 0][i] -= c
+        coef[-1, 0][i] += c
+        cx = art_f[:-1] * scale_in / (half_r[:-1, None] * 4.0 * dth)
+        for dj, s in ((1, 1.0), (-1, -1.0)):
+            coef[0, dj][i] -= s * cx
+            # ring 1 takes no inward cross term: the pole has no theta-difference
+            coef[-1, dj][2:M] -= s * cx[1:]
+
+        # angular fluxes at faces j+1/2 and j-1/2
+        scale_t = 1.0 / (r_i * dth)
+        ct = att_t * scale_t / (r_i * dth)                     # at face (i, j+1/2)
+        coef[0, 1][i] += ct
+        coef[0, 0][i] -= ct
+        ctm = np.roll(att_t, 1, axis=1) * scale_t / (r_i * dth)  # face (i, j-1/2)
+        coef[0, 0][i] -= ctm
+        coef[0, -1][i] += ctm
+        cxp = art_t * scale_t / (4.0 * dr)                     # face (i, j+1/2)
+        cxm = np.roll(art_t, 1, axis=1) * scale_t / (4.0 * dr)
+        for dj_face, coefs in ((0, cxp), (-1, cxm)):
+            s = 1.0 if dj_face == 0 else -1.0
+            for di, dj2, s2 in ((1, 0, 1.0), (-1, 0, -1.0), (1, 1, 1.0), (-1, 1, -1.0)):
+                coef[di, dj_face + dj2][i] += s * s2 * coefs
 
     def apply(self, nodes):
         """div(A grad .) at the unknowns, as a vector like theirs."""
@@ -425,46 +400,39 @@ class _Stencil:
 
 class _FourierFactor:
     """The theta-mean of L = -div(A grad .), solved one angular mode at a
-    time.
+    time: T. Chan's optimal circulant preconditioner (SIAM J. Sci. Stat.
+    Comput. 9, 1988), and L itself for theta-invariant A.
 
-    A real FFT in theta turns each ring's equations into n_theta/2 + 1
-    independent radial systems, tridiagonal in the ring index; only mode 0
-    also couples to the pole.  Each mode's coefficients (its symbol) are the
-    theta-means of the stencil terms times exp(2 pi i k dj / n_theta).  The
-    systems are stacked mode by mode into one tridiagonal matrix, blocks
-    joined by zeros, and factored once by LAPACK's gttrf; `nnz` counts the
-    entries of its four bands.  For theta-invariant A this is L itself;
-    otherwise it is the circulant-in-theta part of L, T. Chan's optimal
-    circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).
+    A real FFT in theta turns the ring equations into n_theta/2 + 1 radial
+    systems, tridiagonal in the ring index; only mode 0 also couples to the
+    pole.  Mode k's symbol is the theta-mean of each of `stencil`'s offset
+    arrays times exp(2 pi i k dj / n_theta).  The systems are stacked into
+    one tridiagonal matrix, blocks joined by zeros, and factored once by
+    LAPACK's gttrf; `nnz` counts the entries of its four bands.
     """
 
-    def __init__(self, terms, n_r, n_theta):
+    def __init__(self, stencil):
         from scipy.linalg import lapack
 
+        n_r, n_t = stencil._coef[0, 0].shape
         self.n_ring = m = n_r - 1
-        self.n_theta = n_t = n_theta
+        self.n_theta = n_t
         self.n_mode = n_k = n_t // 2 + 1
         phase = np.exp(2j * math.pi * np.arange(n_k)[:, None] / n_t)
-        # symbol of div(A grad .): bands[di] holds, for mode k and ring i,
-        # the coefficient of mode k of ring i + di in ring i's equation;
-        # bands[-1][:, 0] is the pole (mode 0 only), bands[1][:, -1] the
-        # boundary ring
+        # bands[di] holds, for mode k and ring i, the coefficient of mode k
+        # of ring i + di in ring i's equation; pole[di] that of the pole
+        # (di = 0) and of ring 1's mode 0 (di = 1) in the pole equation
         bands = {di: np.zeros((n_k, m), dtype=complex) for di in (-1, 0, 1)}
-        pole = {0: 0.0, 1: 0.0}  # pole equation on the pole and on ring 1
-        for ring, di, dj, val in terms:
-            if np.ndim(ring) == 0:
-                # sum over the pole's rows j of val * u[di, j + dj]: the mean
-                # of val times n_theta p, or times the mode-0 sum of ring 1
-                pole[di] += np.mean(val) * (n_t if di == 0 else 1.0)
-                continue
-            rings = ring[:, 0]
-            coef = np.broadcast_to(val, (len(rings), n_t)).mean(axis=1)
-            contrib = coef * phase ** dj
-            on_pole = rings + di == 0
-            contrib[:, on_pole] = 0.0
-            contrib[0, on_pole] = n_t * coef[on_pole]
-            bands[di][:, rings - 1] += contrib
-        bands[1][:, -1] = 0.0  # no coupling from one mode's block to the next
+        pole = {0: 0.0, 1: 0.0}
+        for (di, dj), coef in stencil._coef.items():
+            mean = coef.mean(axis=1)
+            bands[di] += mean[1:] * phase ** dj
+            if di in pole:  # the pole equation sums its rows over the angles
+                pole[di] += mean[0] * (n_t if di == 0 else 1.0)
+        # ring 1 couples to the pole, a single value, in mode 0 only
+        bands[-1][0, 0] *= n_t
+        bands[-1][1:, 0] = 0.0
+        bands[1][:, -1] = 0.0  # the boundary ring is known
         dl = -bands[-1].ravel()
         d = -np.concatenate(([pole[0]], bands[0].ravel()))
         du = -np.concatenate(([pole[1]], bands[1].ravel()[:-1]))
@@ -533,13 +501,14 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     `boundary` is a callable of the angular nodes giving Dirichlet data on
     the outer circle.  Each iteration forms the defect F = rhs(u) + bc - L u
     and steps u <- u + (1-damping) c with L c = F, the defect-correction
-    form of u <- damping u + (1-damping) L^{-1}(rhs(u) + bc).  L is applied
-    matrix-free from its stencil (`_Stencil`).  c comes from GMRES
-    preconditioned by the theta-mean of L (`_FourierFactor`), stopped at
-    ||F - L c|| <= _INNER_TOL ||F||; for theta-invariant A the
-    preconditioner is L and one step solves.  `initial`, if given, is the
-    unknown vector [pole, rings 1..n_r-1 row by row] of length
-    1 + (n_r - 1) n_theta.
+    form of u <- damping u + (1-damping) L^{-1}(rhs(u) + bc); `damping` lies
+    in [0, 1), since at 1 every step is zero.  L is applied matrix-free
+    from its stencil, one coefficient array per offset (`_Stencil`).  c
+    comes from GMRES preconditioned by the theta-mean of those arrays
+    (`_FourierFactor`), stopped at ||F - L c|| <= _INNER_TOL ||F||; for
+    theta-invariant A the preconditioner is L and one step solves.
+    `initial`, if given, is the unknown vector [pole, rings 1..n_r-1 row by
+    row] of length 1 + (n_r - 1) n_theta.
     Raises SolverError when the sup-distance fails to reach `tol`, or when
     an inner solve fails to reach _INNER_TOL in _INNER_MAX_STEPS steps.
     """
@@ -551,6 +520,8 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
         raise ValueError(f"need at least 4 rings, got n_r={n_r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if not 0.0 <= damping < 1.0:
+        raise ValueError(f"damping must lie in [0, 1), got {damping}")
     n_unknown = 1 + (n_r - 1) * n_theta
     if initial is not None:
         initial = np.asarray(initial, dtype=float)
@@ -567,10 +538,8 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     if np.any(~np.isfinite(g)):
         raise ValueError("boundary data must be finite")
 
-    terms = _stencil_terms(spec, r_nodes, theta)
-    stencil = _Stencil(terms, n_r, n_theta)
-    precond = _FourierFactor(terms, n_r, n_theta)
-    del terms
+    stencil = _Stencil(spec, r_nodes, theta)
+    precond = _FourierFactor(stencil)
 
     # the equations' nodes: the pole (row 0, repeated) and rings 1..n_r-1
     pts = _polar_points(r_nodes[:n_r], theta)

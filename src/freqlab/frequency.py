@@ -51,6 +51,10 @@ __all__ = [
 
 @dataclass
 class IdentityReport:
+    """lhs = rhs at each radius, to a relative tolerance.  `scale` and
+    `rel_residual` are taken over the radii where lhs and rhs are both
+    finite; details["nan_radii"] counts the others."""
+
     name: str
     radii: np.ndarray
     lhs: np.ndarray
@@ -58,27 +62,37 @@ class IdentityReport:
     tolerance: float
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.details["nan_radii"] = int(np.count_nonzero(~self._finite))
+
+    @property
+    def _finite(self):
+        return np.isfinite(self.lhs) & np.isfinite(self.rhs)
+
     @property
     def abs_residual(self):
         return np.abs(self.lhs - self.rhs)
 
     @property
     def scale(self):
-        return max(float(np.max(np.abs(self.lhs))),
-                   float(np.max(np.abs(self.rhs))), 1e-300)
+        ok = self._finite
+        return max(float(np.max(np.abs(self.lhs[ok]), initial=0.0)),
+                   float(np.max(np.abs(self.rhs[ok]), initial=0.0)), 1e-300)
 
     @property
     def rel_residual(self):
-        return float(np.max(self.abs_residual)) / self.scale
+        return float(np.max(self.abs_residual[self._finite], initial=0.0)) / self.scale
 
     @property
     def passed(self):
-        """Every `*_ok` detail holds and the residual is within tolerance;
-        an inequality report (infinite tolerance) is judged by its flags."""
+        """Every `*_ok` detail holds and the residual is within tolerance at
+        every radius, a NaN one failing; an inequality report (infinite
+        tolerance) is judged by its flags."""
         flags = [bool(v) for k, v in self.details.items() if k.endswith("_ok")]
         if flags and not math.isfinite(self.tolerance):
             return all(flags)
-        return all(flags) and bool(self.rel_residual <= self.tolerance)
+        return (all(flags) and bool(np.all(self._finite))
+                and bool(self.rel_residual <= self.tolerance))
 
     def to_dict(self):
         return jsonable({

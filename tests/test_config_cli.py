@@ -156,6 +156,17 @@ class TestRunConfig:
         assert main(["check", "--out", ""]) == 2
         assert "out_dir must not be empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damping", ["1.0", "1.5", "0", "nan", "none"])
+    def test_cli_exits_2_on_damping_outside_0_1(self, tmp_path, capsys, damping):
+        # at damping 1 every step is zero: the solve stopped after one
+        # iteration on a zero interior, and audit certified it genuine
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\ndamping = {damping}\n")
+        assert main(["solve", "--mode", "grid2d", "--boundary", "cos:0:0.3",
+                     "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "damping must lie in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(command="bogus").validate()
@@ -357,6 +368,18 @@ class TestHarmonicBoundary:
                      "--angles", "48", "--radius", "1.0", "--amplitude",
                      "0.3", "--out", str(out)]) == 0
         assert (out / "field.npz").exists()
+
+    @pytest.mark.parametrize("boundary", ["cos:1", "cos:1:0.05:7", "cos:x:0.1",
+                                          "cos:1.5:0.1", "cos:1:nan",
+                                          "cos:1:inf", "bogus"])
+    def test_malformed_boundary_exits_2_before_any_output(self, tmp_path, capsys,
+                                                          boundary):
+        assert main(["solve", "--mode", "grid2d", "--rings", "16", "--angles",
+                     "32", "--boundary", boundary,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --boundary {boundary!r}: ")
+        assert not (tmp_path / "o").exists()
 
     def test_solve_records_solver_summary(self, tmp_path):
         records = []

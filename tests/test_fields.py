@@ -14,7 +14,7 @@ from freqlab.fields import (SolutionField, SolverError, glued_field, load_field,
                             residual_field, sample_grid2d, save_field,
                             solve_grid_2d, solve_radial)
 from freqlab.fields import (_FourierFactor, _nodes, _polar_frame_entries,
-                            _Stencil, _stencil_terms, glued_residual_exact)
+                            _Stencil, glued_residual_exact)
 from freqlab.model import (CoefficientField, NonlinearitySpec, ProblemSpec,
                            eval_f)
 
@@ -110,6 +110,14 @@ class TestGrid2dSolve:
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
             solve_grid_2d(bowl.spec, bowl.boundary, n_r=8, n_theta=16,
                           source=bowl.source, max_iters=0)
+
+    @pytest.mark.parametrize("damping", [1.0, 1.5, -0.1, np.nan])
+    def test_rejects_damping_outside_0_1(self, bowl, damping):
+        # at damping 1 every step is zero, so the solve would "converge" at
+        # once on its initial iterate
+        with pytest.raises(ValueError, match=r"damping must lie in \[0, 1\)"):
+            solve_grid_2d(bowl.spec, bowl.boundary, n_r=8, n_theta=16,
+                          source=bowl.source, damping=damping)
 
     def test_rejects_initial_of_wrong_length(self, bowl):
         with pytest.raises(ValueError, match=r"n_theta = 113\b"):
@@ -238,7 +246,7 @@ class TestOperatorAssembly:
         if coeff == "bowl":  # θ-dependent entries, cross terms included
             _, art, _ = _polar_frame_entries(spec.coefficients, r_nodes, theta)
             assert np.max(np.abs(art)) > 1e-2
-        stencil = _Stencil(_stencil_terms(spec, r_nodes, theta), n_r, n_t)
+        stencil = _Stencil(spec, r_nodes, theta)
         L, B = _loop_assembly(spec, r_nodes, theta)
         rng = np.random.default_rng(n_r)
         x = rng.standard_normal(L.shape[0])
@@ -323,23 +331,33 @@ class TestFourierSolve:
 
     @pytest.mark.parametrize("n_r, n_t", [(16, 32), (64, 128)])
     def test_matches_superlu(self, invariant_spec, n_r, n_t):
-        terms = _stencil_terms(invariant_spec, *_grid(invariant_spec, n_r, n_t))
+        stencil = _Stencil(invariant_spec, *_grid(invariant_spec, n_r, n_t))
         lu, _ = _superlu(invariant_spec, n_r, n_t)
-        fourier = _FourierFactor(terms, n_r, n_t)
+        fourier = _FourierFactor(stencil)
         b = np.random.default_rng(n_r).standard_normal(1 + (n_r - 1) * n_t)
         assert _rel_gap(fourier.solve(b), lu.solve(b)) <= 1e-12
 
     def test_every_term_reaches_the_symbol(self):
-        # a symbol that drops any one stencil term no longer reproduces L
+        # a symbol that drops any one offset array, or the pole row of one,
+        # no longer reproduces L
         spec = ProblemSpec(2, 1.0, _spiral(0.4), NonlinearitySpec.zero())
-        terms = _stencil_terms(spec, *_grid(spec, 16, 32))
+        stencil = _Stencil(spec, *_grid(spec, 16, 32))
         lu, _ = _superlu(spec, 16, 32)
         b = np.random.default_rng(1).standard_normal(1 + 15 * 32)
         ref = lu.solve(b)
-        assert _rel_gap(_FourierFactor(terms, 16, 32).solve(b), ref) <= 1e-12
-        for k in range(len(terms)):
-            mutant = _FourierFactor(terms[:k] + terms[k + 1:], 16, 32)
-            assert _rel_gap(mutant.solve(b), ref) > 1e-6, f"term {k}"
+        assert _rel_gap(_FourierFactor(stencil).solve(b), ref) <= 1e-12
+        mutants = 0
+        for offset, coef in stencil._coef.items():
+            for rows, part in ((slice(None), "array"), (0, "pole row")):
+                if not np.any(coef[rows]):
+                    continue
+                kept = coef.copy()
+                coef[rows] = 0.0
+                gap = _rel_gap(_FourierFactor(stencil).solve(b), ref)
+                coef[...] = kept
+                assert gap > 1e-6, f"offset {offset}, {part}"
+                mutants += 1
+        assert mutants == 9 + 4  # every offset; the pole reads four of them
 
     def test_invariant_coefficients_take_the_fourier_path(self, invariant_spec):
         # the preconditioner is L itself: one inner step solves

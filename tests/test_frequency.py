@@ -499,3 +499,25 @@ class TestReportEncoding:
              "terms": {"t": np.array([2.0, np.nan])}})
         path = write_json(tmp_path / "report.json", rep.to_dict())
         assert rep.to_dict() == json.loads(path.read_text())
+
+    @pytest.mark.parametrize("tolerance", [1e-3, np.inf])
+    def test_nan_radius_does_not_hide_the_residual(self, tolerance):
+        from freqlab.frequency import IdentityReport
+
+        rep = IdentityReport("nan", np.array([0.1, 0.2, 0.3, 0.4]),
+                             np.array([1.0, np.nan, 2.0, np.inf]),
+                             np.array([1.5, 1.0, np.nan, 1.0]), tolerance)
+        # only radius 0.1 has both sides finite: residual 0.5 on scale 1.5
+        assert rep.scale == 1.5
+        assert rep.rel_residual == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert rep.details["nan_radii"] == 3
+        assert rep.to_dict()["rel_residual"] == rep.rel_residual
+        assert not rep.passed  # a NaN radius still fails the report
+
+    def test_finite_report_counts_no_nan_radii(self):
+        from freqlab.frequency import IdentityReport
+
+        rep = IdentityReport("finite", np.array([0.1, 0.2]), np.array([1.0, 2.0]),
+                             np.array([1.0, 2.0 + 1e-9]), 1e-6)
+        assert rep.details == {"nan_radii": 0}
+        assert rep.passed
