@@ -277,6 +277,8 @@ def cmd_solve(cfg, q_list):
         solver = fld.meta["solver"]
         summary["solver"] = {"iterations": solver["iterations"],
                              "final_distance": solver["distances"][-1],
+                             "damping": solver["damping"],
+                             "contraction": solver["contraction"],
                              "preconditioner_entries": solver["preconditioner_entries"],
                              "inner_iterations": solver["inner_iterations"]}
     rec.finish(summary)

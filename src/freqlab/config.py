@@ -9,6 +9,7 @@ configurations (section [run]) round-trip exactly through serialize/parse.
 
 import configparser
 import dataclasses
+import math
 import re
 from dataclasses import dataclass
 
@@ -221,7 +222,7 @@ class RunConfig:
     tol_d_rel: float = 1e-10
     residual_gate: float = None
     h_floor_rel: float = 1e-14
-    damping: float = 0.5
+    damping: float = 0.0
     fp_tol: float = 1e-10
     max_iters: int = 400
     out_dir: str = "freq-lab-out"
@@ -232,16 +233,30 @@ class RunConfig:
     def validate(self):
         if self.command not in ("ode", "solve", "frequency", "audit", "check"):
             raise ConfigError(f"unknown command {self.command!r}")
+        # a key set to `none` holds None, and NaN fails every comparison
         for name in ("radial_step", "outer_radius", "fp_tol", "tol_d_rel",
                      "h_floor_rel"):
-            if getattr(self, name) is not None and getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        # none is the audit's default gate, inf turns the gate off; a NaN or
+        # non-positive gate would veto every field
+        if self.residual_gate is not None and not (
+                _is_real(self.residual_gate) and self.residual_gate > 0):
+            raise ConfigError(f"residual_gate must be positive or none, got "
+                              f"{self.residual_gate}")
         # at damping 1 every fixed-point step is zero: a false convergence
-        if self.damping is None or not 0.0 < self.damping < 1.0:
-            raise ConfigError(f"damping must lie in (0, 1), got {self.damping}")
+        if not (_is_real(self.damping) and 0.0 <= self.damping < 1.0):
+            raise ConfigError(f"damping must lie in [0, 1), got {self.damping}")
         for name in ("rings", "angles", "n_radii", "max_iters"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, int) and value > 0):
+                raise ConfigError(f"{name} must be a positive integer, got {value}")
+        # of the numeric keys, only those that default to None may be None
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if _is_real(f.default) and not _is_real(value):
+                raise ConfigError(f"{f.name} must be a number, got {value}")
         if not self.out_dir:
             raise ConfigError("out_dir must not be empty")
         if self.command == "ode" and self.ode_task in ("counterexample", "pme"):
@@ -250,6 +265,10 @@ class RunConfig:
         elif not 1.0 <= self.q < 2.0:
             raise ConfigError("q must lie in [1, 2)")
         return self
+
+
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 _RUN_TYPES = {int: int, float: float,

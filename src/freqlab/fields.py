@@ -495,18 +495,24 @@ def _gmres(apply_L, precondition, F):
 
 
 def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
-                  damping=0.5, tol=1e-10, max_iters=400, initial=None):
-    """Damped fixed-point solve of -div(A grad u) = V u + f(x, u) + source.
+                  damping=0.0, tol=1e-10, max_iters=400, initial=None):
+    """Picard solve of -div(A grad u) = V u + f(x, u) + source.
 
     `boundary` is a callable of the angular nodes giving Dirichlet data on
     the outer circle.  Each iteration forms the defect F = rhs(u) + bc - L u
     and steps u <- u + (1-damping) c with L c = F, the defect-correction
-    form of u <- damping u + (1-damping) L^{-1}(rhs(u) + bc); `damping` lies
-    in [0, 1), since at 1 every step is zero.  L is applied matrix-free
-    from its stencil, one coefficient array per offset (`_Stencil`).  c
-    comes from GMRES preconditioned by the theta-mean of those arrays
-    (`_FourierFactor`), stopped at ||F - L c|| <= _INNER_TOL ||F||; for
-    theta-invariant A the preconditioner is L and one step solves.
+    form of u <- damping u + (1-damping) L^{-1}(rhs(u) + bc).  The default
+    is undamped Picard.  Damping is optional and lies in [0, 1), since at 1
+    every step is zero; it turns a contraction factor rho into
+    d + (1-d) rho, which only slows the iteration when, as for an
+    increasing f, the Picard map does not oscillate.  The iteration stops
+    at the first sup-norm step below `tol`, leaving an error of about
+    rho/(1-rho) times that step; meta["solver"]["contraction"] estimates
+    rho.  L is applied matrix-free from its stencil, one coefficient array
+    per offset (`_Stencil`).  c comes from GMRES preconditioned by the
+    theta-mean of those arrays (`_FourierFactor`), stopped at
+    ||F - L c|| <= _INNER_TOL ||F||; for theta-invariant A the
+    preconditioner is L and one step solves.
     `initial`, if given, is the unknown vector [pole, rings 1..n_r-1 row by
     row] of length 1 + (n_r - 1) n_theta.
     Raises SolverError when the sup-distance fails to reach `tol`, or when
@@ -522,6 +528,8 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must lie in [0, 1), got {damping}")
+    if not (math.isfinite(tol) and tol > 0.0):  # a NaN tol never stops
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     n_unknown = 1 + (n_r - 1) * n_theta
     if initial is not None:
         initial = np.asarray(initial, dtype=float)
@@ -585,9 +593,19 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
                           "n_theta": n_theta, "damping": damping,
                           "iterations": len(distances),
                           "distances": distances,
+                          "contraction": _contraction(distances),
                           "preconditioner_entries": precond.nnz,
                           "inner_iterations": inner_iterations}
     return fld
+
+
+def _contraction(distances):
+    """The geometric-mean ratio of the last ten step sizes, an estimate of
+    the iteration's contraction factor; None after a single step."""
+    d = distances[-10:]
+    if len(d) < 2:
+        return None
+    return (d[-1] / d[0]) ** (1.0 / (len(d) - 1))
 
 
 # --------------------------------------------------------------------------

@@ -156,7 +156,7 @@ class TestRunConfig:
         assert main(["check", "--out", ""]) == 2
         assert "out_dir must not be empty" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damping", ["1.0", "1.5", "0", "nan", "none"])
+    @pytest.mark.parametrize("damping", ["1.0", "1.5", "-0.1", "nan", "none"])
     def test_cli_exits_2_on_damping_outside_0_1(self, tmp_path, capsys, damping):
         # at damping 1 every step is zero: the solve stopped after one
         # iteration on a zero interior, and audit certified it genuine
@@ -164,7 +164,41 @@ class TestRunConfig:
         config.write_text(f"[run]\ndamping = {damping}\n")
         assert main(["solve", "--mode", "grid2d", "--boundary", "cos:0:0.3",
                      "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-        assert "damping must lie in (0, 1)" in capsys.readouterr().err
+        assert "damping must lie in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_cli_runs_undamped(self, tmp_path):
+        # damping 0 is plain Picard, the solver's default
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\ndamping = 0\n")
+        out = tmp_path / "o"
+        assert main(["solve", "--mode", "grid2d", "--rings", "16", "--angles",
+                     "32", "--boundary", "cos:0:0.3", "--config", str(config),
+                     "--out", str(out)]) == 0
+        record = json.loads((out / "record.json").read_text())
+        assert record["summary"]["solver"]["damping"] == 0.0
+
+    @pytest.mark.parametrize("key, value", [
+        *((key, value) for key in ("radial_step", "outer_radius", "fp_tol",
+                                   "tol_d_rel", "h_floor_rel")
+          for value in ("none", "nan", "inf", "-inf", "0")),
+        *((key, value) for key in ("rings", "angles", "n_radii", "max_iters")
+          for value in ("none", "0", "-3")),
+        *((key, "none") for key in ("q", "amplitude", "t0", "t_max",
+                                    "dimension", "seed")),
+        # a NaN or non-positive gate vetoed every field (exit 5)
+        *(("residual_gate", value) for value in ("nan", "0", "-1")),
+    ])
+    def test_cli_exits_2_on_a_bad_numeric_value(self, tmp_path, capsys,
+                                                   key, value):
+        # `none` used to reach the solver as None (a TypeError, exit 1), and
+        # fp_tol = nan ran max_iters iterations before exit 3
+        run = {"rings": "16", "angles": "32", key: value}
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\n" + "".join(f"{k} = {v}\n" for k, v in run.items()))
+        assert main(["solve", "--mode", "grid2d", "--boundary", "cos:0:0.3",
+                     "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_validation(self):
@@ -398,3 +432,21 @@ class TestHarmonicBoundary:
         assert records[1]["summary"]["solver"] == solver
         assert records[0]["content_hash"] == records[1]["content_hash"]
         assert content_hash_of_dir(tmp_path / "s1") == content_hash_of_dir(tmp_path / "s2")
+
+    def test_solve_records_damping_and_contraction(self, tmp_path, monkeypatch):
+        import freqlab.fields
+
+        argv = ["solve", "--mode", "grid2d", "--rings", "16", "--angles", "32",
+                "--boundary", "cos:1:0.2"]
+        assert main(argv + ["--out", str(tmp_path / "s1")]) == 0
+        record = json.loads((tmp_path / "s1" / "record.json").read_text())
+        solver = record["summary"]["solver"]
+        assert solver["damping"] == 0.0
+        assert 0.0 < solver["contraction"] < 1.0
+        assert record["content_hash"] == content_hash_of_dir(tmp_path / "s1")
+        # the two keys report on the run; the artifacts' hash ignores them
+        monkeypatch.setattr(freqlab.fields, "_contraction", lambda d: 0.5)
+        assert main(argv + ["--out", str(tmp_path / "s2")]) == 0
+        other = json.loads((tmp_path / "s2" / "record.json").read_text())
+        assert other["summary"]["solver"]["contraction"] == 0.5
+        assert other["content_hash"] == record["content_hash"]

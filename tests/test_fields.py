@@ -119,6 +119,14 @@ class TestGrid2dSolve:
             solve_grid_2d(bowl.spec, bowl.boundary, n_r=8, n_theta=16,
                           source=bowl.source, damping=damping)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+    def test_rejects_tol_not_finite_and_positive(self, bowl, tol):
+        # a NaN tol never stops the iteration, and an infinite one stops it
+        # after one step
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve_grid_2d(bowl.spec, bowl.boundary, n_r=8, n_theta=16,
+                          source=bowl.source, tol=tol)
+
     def test_rejects_initial_of_wrong_length(self, bowl):
         with pytest.raises(ValueError, match=r"n_theta = 113\b"):
             solve_grid_2d(bowl.spec, bowl.boundary, n_r=8, n_theta=16,
@@ -407,6 +415,39 @@ class TestFourierSolve:
         assert solver["inner_iterations"] == solver["iterations"]
         gap = min(np.max(np.abs(fld.u - ref)), np.max(np.abs(fld.u - mirror)))
         assert gap <= 1e-8
+
+    def test_undamped_default_halves_the_damped_iterations(self, bowl):
+        # damping d turns the contraction rho into d + (1 - d) rho
+        ref, ref_iterations = _superlu_fixed_point(
+            bowl.spec, bowl.boundary, 64, 128, source=bowl.source, damping=0.5)
+        fld = solve_grid_2d(bowl.spec, bowl.boundary, n_r=64, n_theta=128,
+                            source=bowl.source)
+        solver = fld.meta["solver"]
+        assert solver["damping"] == 0.0
+        assert 2 * solver["iterations"] <= ref_iterations
+        assert np.max(np.abs(fld.u - ref)) <= 1e-9
+        # the recorded contraction is the late ratio of successive steps
+        d = solver["distances"]
+        assert solver["contraction"] == pytest.approx(
+            (d[-1] / d[-10]) ** (1.0 / 9.0))
+
+    def test_small_cos1_boundary_converges_at_the_cli_defaults(self, tmp_path):
+        # at damping 0.5 this problem needs about 700 iterations (late
+        # contraction 0.977) and exited 3 at the default 400; undamped it
+        # takes about 364 (0.955)
+        from freqlab.cli import main
+
+        out = tmp_path / "o"
+        assert main(["solve", "--mode", "grid2d", "--boundary", "cos:1:0.03",
+                     "--rings", "32", "--angles", "64", "--out", str(out)]) == 0
+        fld = load_field(str(out / "field.npz"))
+        spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
+        ref = solve_grid_2d(spec, lambda th: 0.03 * np.cos(th), n_r=32,
+                            n_theta=64, damping=0.5, max_iters=1000).u
+        mirror = -np.roll(ref, 32, axis=1)
+        gap = min(np.max(np.abs(fld.u - ref)), np.max(np.abs(fld.u - mirror)))
+        assert gap <= 1e-8
+        assert abs(fld.u[0, 0]) == pytest.approx(3.527e-3, rel=1e-3)
 
 
 def _scipy_modules_after(code, prefix):
