@@ -21,7 +21,8 @@ from .config import ConfigError, RunConfig, parse_problem_spec, parse_run_config
 from .fields import (SolverError, load_field, manufactured_bowl, save_field,
                      solve_grid_2d, solve_radial)
 from .frequency import ProfileControls, frequency_profile, run_all_identity_checks
-from .io import RunRecord, profile_to_csv, trajectory_to_csv, write_csv, write_json
+from .io import (RunRecord, jsonable, profile_to_csv, trajectory_to_csv,
+                 write_csv, write_json)
 from .model import ProblemSpec, ball_grid, check_A1, check_A3
 from .odes import (PmeField, conserved_energy, counterexample_profile,
                    integrate_plane, integrate_radial, zero_audit)
@@ -219,7 +220,7 @@ def cmd_ode(cfg, q_list):
     ok = all(passed for _, _, passed in results)
     summary = {"schema_version": 1, "task": cfg.ode_task,
                "results": [info for _, info, _ in results], "passed": ok}
-    rec.add(write_json(os.path.join(out, "ode_summary.json"), summary))
+    rec.add(write_json(os.path.join(out, "ode_summary.json"), jsonable(summary)))
     rec.finish({"passed": ok})
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import eval_f
 from .odes import counterexample_profile, counterexample_slope
-from .quadrature import deriv_periodic_fft, radial_laplacian
+from .quadrature import deriv_periodic_fft, deriv_uniform, radial_laplacian
 
 __all__ = [
     "SolutionField",
@@ -198,19 +198,11 @@ def cartesian_gradient(values, r, theta):
 
 
 def _radial_deriv_across_pole(u, h):
-    """Five-point d/dr of a polar node field; rows u(-r,t) = u(r, t+pi)."""
-    n_t = u.shape[1]
-    shift = n_t // 2
+    """Five-point d/dr of a polar node field, centred up to the pole through
+    the ghost rows u(-r, t) = u(r, t + pi), one-sided at the rim."""
+    shift = u.shape[1] // 2
     ghosts = np.stack([np.roll(u[2], shift), np.roll(u[1], shift)])
-    ext = np.vstack([ghosts, u])
-    d = np.empty_like(u)
-    # centred rows: ext index k corresponds to u row k-2
-    d[:-2] = (ext[:-4] - 8.0 * ext[1:-3] + 8.0 * ext[3:-1] - ext[4:]) / (12.0 * h)
-    c0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-    c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-    d[-1] = -(c0[:, None] * u[-1:-6:-1]).sum(axis=0) / h
-    d[-2] = -(c1[:, None] * u[-1:-6:-1]).sum(axis=0) / h
-    return d
+    return deriv_uniform(np.vstack([ghosts, u]), h)[2:]
 
 
 # --------------------------------------------------------------------------
@@ -245,12 +237,14 @@ def _residual_radial(spec, fld, source=None):
     return rho
 
 
-def _residual_grid(spec, fld, source=None):
+def _residual_grid(spec, fld, source=None, agrad=None):
+    """The polar-grid residual; `agrad` is A grad u, if the caller has it."""
     pts = fld.points()
-    a = spec.coefficients.entries(pts)
-    gx, gy = fld.gradient_cartesian()
-    fx = a[..., 0, 0] * gx + a[..., 0, 1] * gy
-    fy = a[..., 1, 0] * gx + a[..., 1, 1] * gy
+    if agrad is None:
+        a = spec.coefficients.entries(pts)
+        grad = np.stack(fld.gradient_cartesian(), axis=-1)
+        agrad = np.einsum("...ij,...j->...i", a, grad)
+    fx, fy = agrad[..., 0], agrad[..., 1]
     ct, st = np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :]
     fr = fx * ct + fy * st
     ft = -fx * st + fy * ct

@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import c_constant, eval_F, eval_f, grad1_F
 from .quadrature import cumulative_uniform, unit_sphere_area
-from .fields import cartesian_gradient, residual_field
+from .fields import _residual_grid, cartesian_gradient, residual_field
 from .io import jsonable
 
 __all__ = [
@@ -123,7 +123,8 @@ class _NodeData:
     is ring * sum_theta rows * dtheta, and `ball(rows)` its prefix integral
     in r.  Only this constructor looks at the representation.  A polar
     grid also keeps `a`, `agrads`, `grad` and `zjac` for the general
-    identities, which need one.
+    identities, which need one.  A is evaluated here only, by one
+    `geometry` call, and the residual rho reads A grad u from it.
     """
 
     def __init__(self, spec, fld):
@@ -136,13 +137,13 @@ class _NodeData:
         nl = spec.nonlinearity
         self.fvals = eval_f(nl, self.pts, self.u)
         self.Fvals = eval_F(nl, self.pts, self.u)
-        self.rho = np.reshape(residual_field(spec, fld), self.u.shape)
         self.rho0 = np.nan_to_num(self.rho, nan=0.0)
 
     def _fill_radial(self, spec, fld):
         # closed forms of the admitted kinds: A nu = nu gives A x = x, so
-        # mu = 1, Z = x, div Z = N and <A grad u, nu> = u'; with V = 0 and
-        # an x-independent f no coefficient is evaluated on the nodes
+        # mu = 1, Z = x, div Z = N, div(A grad |x|) = (N - 1)/r and
+        # <A grad u, nu> = u'; with V = 0 and an x-independent f no
+        # coefficient is evaluated on the nodes
         if spec.potential is not None:
             raise ValueError("radial frequency route supports V = 0 only")
         if spec.nonlinearity.kind not in ("homogeneous", "zero"):
@@ -164,6 +165,9 @@ class _NodeData:
         self.V = np.broadcast_to(0.0, self.u.shape)
         self.zvals = self.pts
         self.divz = np.broadcast_to(float(dim), self.u.shape)
+        self.div_a_grad_absx = np.zeros_like(self.u)
+        self.div_a_grad_absx[1:, 0] = (dim - 1) / self.r[1:]
+        self.rho = residual_field(spec, fld)[:, None]
 
     def _fill_grid(self, spec, fld):
         pts = fld.points()
@@ -184,7 +188,12 @@ class _NodeData:
         self.u_nu = gx * ct + gy * st
         self.x_grad_u = gx * pts[..., 0] + gy * pts[..., 1]
         self.mu = geo.mu
-        self.mu[0] = 1.0  # pole excluded from every surface quantity anyway
+        # div(A grad |x|) = (d_j a_ji) nu_i + (tr A - mu) / r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.div_a_grad_absx = (
+                np.einsum("...jij,...i->...", geo.grads, nu)
+                + (np.einsum("...ii->...", geo.a) - self.mu) / self.r[:, None])
+        self.div_a_grad_absx[0], self.mu[0] = 0.0, 1.0  # finite; r = 0 weighs them out
         self.V = spec.V(pts)
         # Z = A x / mu, its Jacobian and divergence, undefined at the pole
         self.zvals, self.zjac = geo.z, geo.dz
@@ -192,6 +201,7 @@ class _NodeData:
         for arr in (self.zvals, self.zjac, self.divz):
             arr[0] = 0.0
         self.z_grad_u = self.zvals[..., 0] * gx + self.zvals[..., 1] * gy
+        self.rho = _residual_grid(spec, fld, agrad=agrad)
 
     def sphere(self, rows, idx=slice(None)):
         """Sphere integrals of node rows; `rows` holds the rows `idx` only."""
@@ -363,8 +373,7 @@ def verify_H_prime(spec, fld, prof, tolerance=1e-6):
     data = _node_data(spec, fld)
     dH, est, sl = profile_derivative(prof.H, prof.step)
     idx = prof.indices
-    dvals = spec.coefficients.div_a_grad_absx(data.pts[idx])
-    divterm = data.sphere(data.u[idx] ** 2 * dvals, idx)
+    divterm = data.sphere(data.u[idx] ** 2 * data.div_a_grad_absx[idx], idx)
     rhs = 2.0 * prof.surfaceD + divterm
     model_rhs = 2.0 * prof.surfaceD + (fld.dim - 1) / prof.r * prof.H
     rep = IdentityReport("H_prime", prof.r[sl], dH[sl], rhs[sl],

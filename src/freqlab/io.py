@@ -40,7 +40,9 @@ def jsonable(obj):
 
 
 def write_json(path, obj):
-    text = json.dumps(jsonable(obj), sort_keys=True, indent=1)
+    """Write `obj`, already JSON-ready (`jsonable`, as every `to_dict()`
+    returns); a NaN, an infinity or a numpy array raises."""
+    text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
     return path
@@ -111,7 +113,7 @@ class RunRecord:
             self.summary.update(summary)
         self.finished_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
         self.manifest.sort(key=lambda m: m["path"])
-        record = {
+        record = jsonable({
             "schema_version": 1,
             "command": self.command,
             "config": self.config,
@@ -121,9 +123,9 @@ class RunRecord:
             "manifest": self.manifest,
             "summary": self.summary,
             "content_hash": self.content_hash(),
-        }
+        })
         write_json(os.path.join(self.out_dir, "record.json"), record)
-        line = json.dumps(jsonable(record), sort_keys=True)
+        line = json.dumps(record, sort_keys=True, allow_nan=False)
         with open(os.path.join(self.out_dir, "runs.jsonl"), "a",
                   encoding="utf-8", newline="\n") as fh:
             fh.write(line + "\n")

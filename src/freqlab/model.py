@@ -59,7 +59,8 @@ class CoefficientField:
     `entries(x)` returns shape (..., N, N); `entry_gradients(x)` returns
     shape (..., N, N, N) with axis order (i, j, h) for d a_ij / d x_h;
     `ellipticity(x)` returns the pointwise lambda in (0, 1) used in the
-    two-sided ellipticity sandwich.
+    two-sided ellipticity sandwich.  The analyses read A only through
+    `geometry(x)`, one call per field (`frequency._NodeData`).
     """
 
     def __init__(self, dim, entries, entry_gradients, ellipticity, kind, params=None):
@@ -194,17 +195,6 @@ class CoefficientField:
             dz = (dax / mu[..., None, None]
                   - ax[..., None, :] * dmu[..., :, None] / (mu ** 2)[..., None, None])
         return Geometry(a, g, mu, z, dz)
-
-    def div_a_grad_absx(self, x):
-        """div(A grad |x|) evaluated away from the origin."""
-        x = np.asarray(x, dtype=float)
-        a = self.entries(x)
-        g = self.entry_gradients(x)
-        r = np.sqrt(np.sum(x * x, axis=-1))
-        nu = x / r[..., None]
-        tra = np.einsum("...ii->...", a)
-        mu = np.einsum("...ij,...i,...j->...", a, nu, nu)
-        return np.einsum("...jij,...i->...", g, nu) + (tra - mu) / r
 
 
 # what CoefficientField.geometry returns

@@ -978,6 +978,22 @@ class TestSignChangingRadial:
         assert all(z.slope > 1e-3 for z in zeros)
 
 
+class TestPolarGradient:
+    def test_pole_and_rim_rows_exact_on_a_quartic(self):
+        # along every ray u is a quartic in r, so the five-point stencils,
+        # centred, one-sided at the two rim rows and across the pole, are
+        # exact; the angular modes are |k| <= 4, which the FFT resolves
+        from freqlab.fields import cartesian_gradient
+
+        fld = sample_grid2d(lambda x: x[..., 0] ** 4 - 2 * x[..., 0] * x[..., 1] ** 3
+                            + x[..., 1] ** 2, 1.0, 32, 64, 1.5)
+        x, y = np.moveaxis(fld.points(), -1, 0)
+        gx, gy = cartesian_gradient(fld.u, fld.r, fld.theta)
+        for got, want in ((gx, 4 * x ** 3 - 2 * y ** 3),
+                          (gy, -6 * x * y ** 2 + 2 * y)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestHessianSymmetry:
     def test_mixed_partials_commute_to_truncation(self, bowl_field_128):
         # the discrete Hessian is as-good-as symmetric: mixed partials from

@@ -458,10 +458,49 @@ class TestSurfaceConvexityGate:
         assert not reps[1.9].passed
 
 
+class TestDivAGradAbsx:
+    """The node field div(A grad |x|) that H' reads, against closed forms."""
+
+    @pytest.mark.parametrize("kind", ["identity", "rotation_perturbed",
+                                      "diagonal", "bowl"])
+    def test_grid_closed_form(self, kind):
+        from freqlab.fields import manufactured_bowl
+        from freqlab.frequency import _node_data
+
+        fld = sample_grid2d(lambda x: 1.0 + x[..., 0], 1.0, 32, 64, 1.5)
+        x1, x2 = np.moveaxis(fld.points()[1:], -1, 0)
+        r = np.hypot(x1, x2)
+        a11 = 1.0 + x1 ** 2 / 4.0  # the bowl's A = diag(a11, 1)
+        coeff, want = {
+            # A x = x for the first two
+            "identity": (CoefficientField.identity(2), 1.0 / r),
+            "rotation_perturbed": (CoefficientField.rotation_perturbed(0.3, 2),
+                                   1.0 / r),
+            "diagonal": (CoefficientField.diagonal([2.0, 0.5]),
+                         2.5 / r - (2.0 * x1 ** 2 + 0.5 * x2 ** 2) / r ** 3),
+            "bowl": (manufactured_bowl().spec.coefficients,
+                     x1 ** 2 / (2.0 * r) + a11 * x2 ** 2 / r ** 3 + x1 ** 2 / r ** 3),
+        }[kind]
+        spec = ProblemSpec(2, 1.0, coeff, NonlinearitySpec.homogeneous(1.5))
+        got = _node_data(spec, fld).div_a_grad_absx[1:]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_radial_closed_form(self):
+        from freqlab.fields import SolutionField
+        from freqlab.frequency import _node_data
+
+        r = np.linspace(0.0, 1.0, 65)
+        fld = SolutionField.radial_from_arrays(r, 1.0 - r ** 2, -2.0 * r, 3, 1.5)
+        got = _node_data(ProblemSpec.model(3, 1.5, outer_radius=1.0),
+                         fld).div_a_grad_absx
+        assert got.shape == (65, 1)
+        np.testing.assert_allclose(got[1:, 0], 2.0 / r[1:], rtol=1e-15, atol=0)
+
+
 class TestCoefficientEvaluations:
     def test_one_polar_analysis(self, variable_coefficients_spec, monkeypatch):
-        # A and its gradients are evaluated once for the node geometry, A
-        # once more for the residual, and both once at the audit radii
+        # A and its gradients are evaluated once, for the node geometry:
+        # the residual, div(A grad |x|) and the audit all read it
         from collections import Counter
 
         from freqlab.audit import audit
@@ -480,7 +519,7 @@ class TestCoefficientEvaluations:
         prof = frequency_profile(spec, fld)
         run_all_identity_checks(spec, fld, prof)
         audit(spec, fld)
-        assert calls == {"entries": 3, "entry_gradients": 2}
+        assert calls == {"entries": 1, "entry_gradients": 1}
 
 
 class TestReportEncoding:
@@ -499,6 +538,20 @@ class TestReportEncoding:
              "terms": {"t": np.array([2.0, np.nan])}})
         path = write_json(tmp_path / "report.json", rep.to_dict())
         assert rep.to_dict() == json.loads(path.read_text())
+
+    def test_write_json_takes_json_ready_input(self, tmp_path):
+        # reports are encoded once, by to_dict(); write_json encodes no
+        # further and refuses what strict JSON cannot hold
+        from freqlab.io import write_json
+
+        path = write_json(tmp_path / "ok.json", {"b": [1.5, None], "a": True})
+        assert path.read_text() == '{\n "a": true,\n "b": [\n  1.5,\n  null\n ]\n}\n'
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "nan.json", {"x": float("nan")})
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "inf.json", {"x": np.float64(np.inf)})
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "array.json", {"x": np.array([1.0])})
 
     @pytest.mark.parametrize("tolerance", [1e-3, np.inf])
     def test_nan_radius_does_not_hide_the_residual(self, tolerance):

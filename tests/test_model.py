@@ -319,12 +319,6 @@ class TestCoefficientFields:
         rep = check_A1(CoefficientField.rotation_perturbed(0.2, 2))
         assert rep.passed
 
-    def test_div_a_grad_absx_identity(self):
-        A = CoefficientField.identity(3)
-        pts = np.array([[0.5, 0.0, 0.0], [0.1, 0.2, -0.3]])
-        r = np.linalg.norm(pts, axis=1)
-        np.testing.assert_allclose(A.div_a_grad_absx(pts), 2.0 / r, rtol=1e-13)
-
 
 class TestZField:
     """Z = A x / mu sampled straight from the coefficient field."""
