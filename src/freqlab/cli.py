@@ -20,7 +20,8 @@ from .audit import AuditControls, audit
 from .config import ConfigError, RunConfig, parse_problem_spec, parse_run_config
 from .fields import (SolverError, load_field, manufactured_bowl, save_field,
                      solve_grid_2d, solve_radial)
-from .frequency import ProfileControls, frequency_profile, run_all_identity_checks
+from .frequency import (ProfileControls, frequency_profile,
+                        run_all_identity_checks, write_identity_reports)
 from .io import (RunRecord, jsonable, profile_to_csv, trajectory_to_csv,
                  write_csv, write_json)
 from .model import ProblemSpec, ball_grid, check_A1, check_A3
@@ -280,6 +281,7 @@ def cmd_solve(cfg, q_list):
                              "final_distance": solver["distances"][-1],
                              "damping": solver["damping"],
                              "contraction": solver["contraction"],
+                             "error_bound": solver["error_bound"],
                              "preconditioner_entries": solver["preconditioner_entries"],
                              "inner_iterations": solver["inner_iterations"]}
     rec.finish(summary)
@@ -316,13 +318,10 @@ def cmd_frequency(cfg, q_list):
         n_radii=cfg.n_radii, h_floor_rel=cfg.h_floor_rel))
     rec.add(profile_to_csv(prof, os.path.join(out, "profile.csv")))
     reports = run_all_identity_checks(spec, fld, prof)
-    all_ok = True
-    blob = {"schema_version": 1}
-    for name, rep in sorted(reports.items()):
-        blob[name] = rep.to_dict()
-        all_ok &= rep.passed
-    rec.add(write_json(os.path.join(out, "identities.json"), blob))
-    rec.finish({"identities_passed": bool(all_ok),
+    for path in write_identity_reports(reports, out):
+        rec.add(path)
+    all_ok = all(rep.passed for rep in reports.values())
+    rec.finish({"identities_passed": all_ok,
                 "n_radii": int(len(prof.r))})
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 

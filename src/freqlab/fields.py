@@ -7,12 +7,14 @@ degree of freedom; radial differentiation extends across the pole through
 u(-r, theta) = u(r, theta + pi), and angular derivatives are spectral.
 """
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io import write_npz
 from .model import eval_f
 from .odes import counterexample_profile, counterexample_slope
 from .quadrature import deriv_periodic_fft, deriv_uniform, radial_laplacian
@@ -144,6 +146,16 @@ class SolutionField:
         self._need_grid()
         return _polar_points(self.r, self.theta)
 
+    def contiguous(self):
+        """This field if its arrays are C-contiguous float64, else a copy
+        (with an empty cache) whose arrays are."""
+        arrays = {name: _contiguous(getattr(self, name))
+                  for name in ("r", "u", "du", "theta")
+                  if getattr(self, name) is not None}
+        if all(a is getattr(self, name) for name, a in arrays.items()):
+            return self
+        return dataclasses.replace(self, **arrays, _cache={})
+
     def _need_grid(self):
         if self.representation != "grid2d":
             raise ValueError("operation needs a grid2d field")
@@ -237,13 +249,18 @@ def _residual_radial(spec, fld, source=None):
     return rho
 
 
-def _residual_grid(spec, fld, source=None, agrad=None):
-    """The polar-grid residual; `agrad` is A grad u, if the caller has it."""
+def _residual_grid(spec, fld, source=None, agrad=None, V=None, fvals=None):
+    """The polar-grid residual; `agrad` (A grad u), `V` and `fvals`
+    (f(x, u)) are the node values, if the caller has them."""
     pts = fld.points()
     if agrad is None:
         a = spec.coefficients.entries(pts)
         grad = np.stack(fld.gradient_cartesian(), axis=-1)
         agrad = np.einsum("...ij,...j->...i", a, grad)
+    if V is None:
+        V = spec.V(pts)
+    if fvals is None:
+        fvals = eval_f(spec.nonlinearity, pts, fld.u)
     fx, fy = agrad[..., 0], agrad[..., 1]
     ct, st = np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :]
     fr = fx * ct + fy * st
@@ -255,7 +272,7 @@ def _residual_grid(spec, fld, source=None, agrad=None):
     with np.errstate(divide="ignore", invalid="ignore"):
         div = (d_rfr + d_ft) / fld.r[:, None]
     div[0] = np.nan
-    rho = div + spec.V(pts) * fld.u + eval_f(spec.nonlinearity, pts, fld.u)
+    rho = div + V * fld.u + fvals
     if source is not None:
         rho = rho + np.asarray(source(pts), dtype=float)
     rho[-1] = np.nan  # one-sided top row: keep reports interior
@@ -502,9 +519,11 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     increasing f, the Picard map does not oscillate.  The iteration stops
     at the first sup-norm step below `tol`, leaving an error of about
     rho/(1-rho) times that step; meta["solver"]["contraction"] estimates
-    rho.  L is applied matrix-free from its stencil, one coefficient array
-    per offset (`_Stencil`).  c comes from GMRES preconditioned by the
-    theta-mean of those arrays (`_FourierFactor`), stopped at
+    rho and meta["solver"]["error_bound"] records that error (reported
+    only: the stop rule does not read it).  L is applied matrix-free from
+    its stencil, one coefficient array per offset (`_Stencil`).  c comes
+    from GMRES preconditioned by the theta-mean of those arrays
+    (`_FourierFactor`), stopped at
     ||F - L c|| <= _INNER_TOL ||F||; for theta-invariant A the
     preconditioner is L and one step solves.
     `initial`, if given, is the unknown vector [pole, rings 1..n_r-1 row by
@@ -583,11 +602,13 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
                                            spec.nonlinearity.q)
     rho = residual_field(spec, fld, source=source)
     fld.residual_scale = float(np.nanmax(np.abs(rho)))
+    contraction = _contraction(distances)
     fld.meta["solver"] = {"kind": "grid2d_fixed_point", "n_r": n_r,
                           "n_theta": n_theta, "damping": damping,
                           "iterations": len(distances),
                           "distances": distances,
-                          "contraction": _contraction(distances),
+                          "contraction": contraction,
+                          "error_bound": _error_bound(contraction, distances[-1]),
                           "preconditioner_entries": precond.nnz,
                           "inner_iterations": inner_iterations}
     return fld
@@ -600,6 +621,14 @@ def _contraction(distances):
     if len(d) < 2:
         return None
     return (d[-1] / d[0]) ** (1.0 / (len(d) - 1))
+
+
+def _error_bound(rho, dist):
+    """rho/(1 - rho) times the last step, the distance to the fixed point a
+    contraction by rho leaves; None without an estimate of rho below 1."""
+    if rho is None or rho >= 1.0:
+        return None
+    return rho / (1.0 - rho) * dist
 
 
 # --------------------------------------------------------------------------
@@ -757,11 +786,8 @@ def save_field(fld, path):
     if fld.representation == "grid2d":
         header.update(n_r=len(fld.r) - 1, n_theta=len(fld.theta),
                       r_max=fld.outer_radius)
-    arrays = {name: getattr(fld, name) for name in _ARRAYS[fld.representation]}
-    # a handle, not a name: np.savez appends ".npz" to a name without it
-    with open(path, "wb") as fh:
-        np.savez(fh, header=np.array(json.dumps(header, sort_keys=True)),
-                 allow_pickle=False, **arrays)
+    write_npz(path, header, {name: getattr(fld, name)
+                             for name in _ARRAYS[fld.representation]})
 
 
 def _read_archive(path):

@@ -17,6 +17,7 @@ is written once against those fields.  Only the general identities
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +25,12 @@ import numpy as np
 from .model import c_constant, eval_F, eval_f, grad1_F
 from .quadrature import cumulative_uniform, unit_sphere_area
 from .fields import _residual_grid, cartesian_gradient, residual_field
-from .io import jsonable
+from .io import jsonable, write_json, write_npz
 
 __all__ = [
     "FrequencyProfile",
     "IdentityReport",
+    "write_identity_reports",
     "ProfileControls",
     "sphere_integral",
     "ball_integral",
@@ -53,7 +55,11 @@ __all__ = [
 class IdentityReport:
     """lhs = rhs at each radius, to a relative tolerance.  `scale` and
     `rel_residual` are taken over the radii where lhs and rhs are both
-    finite; details["nan_radii"] counts the others."""
+    finite; details["nan_radii"] counts the others.
+
+    A report is written in two parts: `to_dict()`, the verdict with its
+    scalars (JSON), and `arrays()`, the per-radius float64 arrays.
+    """
 
     name: str
     radii: np.ndarray
@@ -95,18 +101,62 @@ class IdentityReport:
                 and bool(self.rel_residual <= self.tolerance))
 
     def to_dict(self):
+        """The verdict, the residual, the tolerance, the scalar and flag
+        details, and the finite radius where |lhs - rhs| is largest (None
+        when no radius is finite), JSON-ready."""
+        finite = self._finite
+        worst_radius = worst_abs_residual = None
+        if np.any(finite):
+            res = np.where(finite, self.abs_residual, -np.inf)
+            k = int(np.argmax(res))
+            worst_radius, worst_abs_residual = self.radii[k], res[k]
+        scalars, _ = _split_details(self.details)
         return jsonable({
-            "schema_version": 1,
+            "schema_version": 2,
             "name": self.name,
-            "radii": self.radii,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_residual": self.abs_residual,
             "rel_residual": self.rel_residual,
             "tolerance": self.tolerance,
             "verdict": "pass" if self.passed else "fail",
-            "details": self.details,
+            "worst_radius": worst_radius,
+            "worst_abs_residual": worst_abs_residual,
+            "details": scalars,
         })
+
+    def arrays(self):
+        """radii, lhs, rhs and every array of `details`, a nested dict's
+        keyed by its dotted path ("terms.boundary"); abs_residual is
+        |lhs - rhs| and is left out."""
+        _, arrays = _split_details(self.details)
+        return {"radii": self.radii, "lhs": self.lhs, "rhs": self.rhs, **arrays}
+
+
+def _split_details(details, prefix=""):
+    """(scalars, arrays) of a details dict: the arrays by dotted key, the
+    rest nested as in `details`."""
+    scalars, arrays = {}, {}
+    for key, value in details.items():
+        if isinstance(value, np.ndarray):
+            arrays[prefix + key] = value
+        elif isinstance(value, dict):
+            sub, sub_arrays = _split_details(value, f"{prefix}{key}.")
+            arrays.update(sub_arrays)
+            if sub:
+                scalars[key] = sub
+        else:
+            scalars[key] = value
+    return scalars, arrays
+
+
+def write_identity_reports(reports, out_dir):
+    """identities.json (each report's `to_dict()`) and identities.npz (its
+    `arrays()`, keyed "<report>.<key>") in out_dir; returns both paths."""
+    names = sorted(reports)
+    blob = {"schema_version": 2, **{name: reports[name].to_dict() for name in names}}
+    arrays = {f"{name}.{key}": value for name in names
+              for key, value in reports[name].arrays().items()}
+    return (write_json(os.path.join(out_dir, "identities.json"), blob),
+            write_npz(os.path.join(out_dir, "identities.npz"),
+                      {"format": "freqlab-identities 2"}, arrays))
 
 
 # --------------------------------------------------------------------------
@@ -123,8 +173,9 @@ class _NodeData:
     is ring * sum_theta rows * dtheta, and `ball(rows)` its prefix integral
     in r.  Only this constructor looks at the representation.  A polar
     grid also keeps `a`, `agrads`, `grad` and `zjac` for the general
-    identities, which need one.  A is evaluated here only, by one
-    `geometry` call, and the residual rho reads A grad u from it.
+    identities, which need one.  On a grid, A (by one `geometry` call), V
+    and f are evaluated here only, and the residual rho reads them from
+    here.
     """
 
     def __init__(self, spec, fld):
@@ -134,9 +185,7 @@ class _NodeData:
             self._fill_radial(spec, fld)
         else:
             self._fill_grid(spec, fld)
-        nl = spec.nonlinearity
-        self.fvals = eval_f(nl, self.pts, self.u)
-        self.Fvals = eval_F(nl, self.pts, self.u)
+        self.Fvals = eval_F(spec.nonlinearity, self.pts, self.u)
         self.rho0 = np.nan_to_num(self.rho, nan=0.0)
 
     def _fill_radial(self, spec, fld):
@@ -167,6 +216,7 @@ class _NodeData:
         self.divz = np.broadcast_to(float(dim), self.u.shape)
         self.div_a_grad_absx = np.zeros_like(self.u)
         self.div_a_grad_absx[1:, 0] = (dim - 1) / self.r[1:]
+        self.fvals = eval_f(spec.nonlinearity, self.pts, self.u)
         self.rho = residual_field(spec, fld)[:, None]
 
     def _fill_grid(self, spec, fld):
@@ -195,13 +245,15 @@ class _NodeData:
                 + (np.einsum("...ii->...", geo.a) - self.mu) / self.r[:, None])
         self.div_a_grad_absx[0], self.mu[0] = 0.0, 1.0  # finite; r = 0 weighs them out
         self.V = spec.V(pts)
+        self.fvals = eval_f(spec.nonlinearity, pts, self.u)
         # Z = A x / mu, its Jacobian and divergence, undefined at the pole
         self.zvals, self.zjac = geo.z, geo.dz
         self.divz = np.einsum("...hh->...", self.zjac)
         for arr in (self.zvals, self.zjac, self.divz):
             arr[0] = 0.0
         self.z_grad_u = self.zvals[..., 0] * gx + self.zvals[..., 1] * gy
-        self.rho = _residual_grid(spec, fld, agrad=agrad)
+        self.rho = _residual_grid(spec, fld, agrad=agrad, V=self.V,
+                                  fvals=self.fvals)
 
     def sphere(self, rows, idx=slice(None)):
         """Sphere integrals of node rows; `rows` holds the rows `idx` only."""
@@ -220,7 +272,8 @@ def _node_data(spec, fld):
     key = id(spec)
     entry = cache.get(key)
     if entry is None or entry[0] is not spec:
-        data = _NodeData(spec, fld)
+        # contiguous arrays: no verdict depends on how a caller laid them out
+        data = _NodeData(spec, fld.contiguous())
         cache[key] = (spec, data)
         return data
     return entry[1]

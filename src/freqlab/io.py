@@ -1,8 +1,9 @@
-"""Deterministic CSV/JSON emission and run records.
+"""Deterministic CSV/JSON/.npz emission and run records.
 
 Every artifact is byte-stable given the same inputs: JSON keys are sorted,
-floats are written with repr (shortest round-trip), line endings are '\\n'.
-Run records carry timestamps, but those are excluded from content hashes.
+text floats are written with repr (shortest round-trip), line endings are
+'\\n', and .npz archives store the float64 bits.  Run records carry
+timestamps, but those are excluded from content hashes.
 """
 
 import datetime
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["jsonable", "write_json", "write_csv", "profile_to_csv",
+__all__ = ["jsonable", "write_json", "write_npz", "write_csv", "profile_to_csv",
            "trajectory_to_csv", "RunRecord", "content_hash_of_dir"]
 
 
@@ -45,6 +46,20 @@ def write_json(path, obj):
     text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
+    return path
+
+
+def write_npz(path, header, arrays):
+    """Write one uncompressed .npz archive at exactly `path`: `header`, a
+    0-d string array of sorted-key JSON, then `arrays` in their order.
+
+    The same input always gives the same bytes (zip entries carry a fixed
+    timestamp), and nothing is pickled.
+    """
+    # a handle, not a name: np.savez appends ".npz" to a name without it
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps(header, sort_keys=True)),
+                 allow_pickle=False, **arrays)
     return path
 
 

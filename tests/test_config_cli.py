@@ -331,6 +331,24 @@ class TestCliExitCodes:
         assert main(["audit", str(path), "--residual-gate", "1e9",
                      "--out", str(out)]) == 4
 
+    def test_frequency_records_the_verdicts_and_the_arrays(self, tmp_path):
+        # identities.json holds the verdicts and scalars, identities.npz the
+        # per-radius arrays; the manifest hashes both
+        so, fq = tmp_path / "so", tmp_path / "fq"
+        assert main(["solve", "--mode", "radial", "--q", "1.5", "--N", "2",
+                     "--amplitude", "0.5", "--radius", "1.0",
+                     "--out", str(so)]) == 0
+        assert main(["frequency", str(so / "field.npz"), "--out", str(fq)]) == 0
+        record = json.loads((fq / "record.json").read_text())
+        assert [m["path"] for m in record["manifest"]] == [
+            "identities.json", "identities.npz", "profile.csv"]
+        assert record["content_hash"] == content_hash_of_dir(fq)
+        blob = json.loads((fq / "identities.json").read_text())
+        with np.load(fq / "identities.npz", allow_pickle=False) as data:
+            keys = set(data.files)
+        for name in blob.keys() - {"schema_version"}:
+            assert {f"{name}.radii", f"{name}.lhs", f"{name}.rhs"} <= keys
+
     def test_frequency_exits_7_on_failed_identity(self, tmp_path, glued_trio):
         # a glued candidate is no solution: an identity fails, which is a
         # failed check (7), not a bad config (2)
@@ -443,6 +461,9 @@ class TestHarmonicBoundary:
         solver = record["summary"]["solver"]
         assert solver["damping"] == 0.0
         assert 0.0 < solver["contraction"] < 1.0
+        assert solver["error_bound"] == (solver["contraction"]
+                                         / (1.0 - solver["contraction"])
+                                         * solver["final_distance"])
         assert record["content_hash"] == content_hash_of_dir(tmp_path / "s1")
         # the two keys report on the run; the artifacts' hash ignores them
         monkeypatch.setattr(freqlab.fields, "_contraction", lambda d: 0.5)

@@ -449,6 +449,23 @@ class TestFourierSolve:
         assert gap <= 1e-8
         assert abs(fld.u[0, 0]) == pytest.approx(3.527e-3, rel=1e-3)
 
+    def test_records_the_error_bound(self):
+        # rho/(1 - rho) times the last step, the distance to the fixed point
+        # that stopping leaves; it is reported, and the stop does not read it
+        spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
+        fld = solve_grid_2d(spec, lambda th: 0.2 * np.cos(th), n_r=48, n_theta=96)
+        solver = fld.meta["solver"]
+        rho, last = solver["contraction"], solver["distances"][-1]
+        assert 0.5 < rho < 1.0
+        assert solver["error_bound"] == rho / (1.0 - rho) * last
+        assert solver["error_bound"] >= last
+
+    @pytest.mark.parametrize("rho", [None, 1.0, 1.2])
+    def test_no_error_bound_without_a_contraction(self, rho):
+        from freqlab.fields import _error_bound
+
+        assert _error_bound(rho, 1e-11) is None
+
 
 def _scipy_modules_after(code, prefix):
     """The loaded modules in package `prefix` after running `code` afresh."""
@@ -928,6 +945,38 @@ def test_verdicts_do_not_depend_on_the_field_file(tmp_path, rep):
     path = tmp_path / "field.npz"
     save_field(fld, path)
     assert _verdict_json(spec, load_field(path)) == _verdict_json(spec, fld)
+
+
+def _verdict_files(spec, fld, out):
+    """The bytes of what `freq-lab frequency` and `freq-lab audit` write."""
+    from freqlab.audit import audit
+    from freqlab.frequency import (frequency_profile, run_all_identity_checks,
+                                   write_identity_reports)
+    from freqlab.io import profile_to_csv, write_json
+
+    out.mkdir()
+    prof = frequency_profile(spec, fld)
+    profile_to_csv(prof, out / "profile.csv")
+    write_identity_reports(run_all_identity_checks(spec, fld, prof), out)
+    write_json(out / "certificate.json", audit(spec, fld).to_dict())
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_verdicts_do_not_depend_on_array_layout(tmp_path):
+    # a caller may reassign a field's arrays after construction; the
+    # analysis reads C-contiguous copies, so strided views of the same bits
+    # give the same verdict bytes
+    spec = ProblemSpec.model(3, 1.5, outer_radius=6.0)
+    fld = solve_radial(spec, 0.5, h=1e-3)
+    strided = SolutionField.radial_from_arrays(fld.r, fld.u, fld.du, fld.dim,
+                                               fld.q, fld.residual_scale)
+    block = np.stack([fld.r, fld.u, fld.du], axis=1)
+    strided.r, strided.u, strided.du = block[:, 0], block[:, 1], block[:, 2]
+    assert not strided.u.flags.c_contiguous
+    want = _verdict_files(spec, fld, tmp_path / "contiguous")
+    assert sorted(want) == ["certificate.json", "identities.json",
+                            "identities.npz", "profile.csv"]
+    assert _verdict_files(spec, strided, tmp_path / "strided") == want
 
 
 def test_constructors_store_contiguous_float64(tmp_path):

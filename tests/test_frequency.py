@@ -499,27 +499,49 @@ class TestDivAGradAbsx:
 
 class TestCoefficientEvaluations:
     def test_one_polar_analysis(self, variable_coefficients_spec, monkeypatch):
-        # A and its gradients are evaluated once, for the node geometry:
-        # the residual, div(A grad |x|) and the audit all read it
+        # A and its gradients, V and f are evaluated once, for the node
+        # data: the residual, div(A grad |x|) and the audit all read it
         from collections import Counter
 
+        import freqlab.fields
+        import freqlab.frequency
         from freqlab.audit import audit
 
-        coeff = variable_coefficients_spec.coefficients
-        calls = Counter()
-        for name in ("entries", "entry_gradients"):
-            def counted(x, fn=getattr(coeff, name), name=name):
-                calls[name] += 1
-                return fn(x)
-
-            monkeypatch.setattr(coeff, name, counted)
         spec = variable_coefficients_spec
+        coeff = spec.coefficients
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in ("entries", "entry_gradients"):
+            monkeypatch.setattr(coeff, name, counting(name, getattr(coeff, name)))
+        monkeypatch.setattr(spec, "potential", counting("potential", spec.potential))
+        eval_f = counting("eval_f", freqlab.frequency.eval_f)
+        for module in (freqlab.frequency, freqlab.fields):
+            monkeypatch.setattr(module, "eval_f", eval_f)
         fld = sample_grid2d(lambda x: 1.0 + 0.3 * x[..., 0] + 0.2 * x[..., 1] ** 2,
                             spec.outer_radius, 32, 64, spec.nonlinearity.q)
         prof = frequency_profile(spec, fld)
         run_all_identity_checks(spec, fld, prof)
         audit(spec, fld)
-        assert calls == {"entries": 1, "entry_gradients": 1}
+        assert calls == {"entries": 1, "entry_gradients": 1, "potential": 1,
+                         "eval_f": 1}
+
+    def test_residual_from_node_values_is_bit_identical(self, variable_coefficients_spec):
+        # the analysis's rho, built from the node data's A grad u, V and f,
+        # is the residual the solvers compute from the field alone
+        from freqlab.fields import residual_field
+        from freqlab.frequency import _node_data
+
+        spec = variable_coefficients_spec
+        fld = sample_grid2d(lambda x: 1.0 + 0.3 * x[..., 0] + 0.2 * x[..., 1] ** 2,
+                            spec.outer_radius, 32, 64, spec.nonlinearity.q)
+        want = residual_field(spec, fld)
+        assert _node_data(spec, fld).rho.tobytes() == want.tobytes()
 
 
 class TestReportEncoding:
@@ -553,6 +575,51 @@ class TestReportEncoding:
         with pytest.raises(TypeError):
             write_json(tmp_path / "array.json", {"x": np.array([1.0])})
 
+    def test_text_holds_the_verdict_and_the_archive_the_arrays(self, tmp_path):
+        import json
+
+        from freqlab.frequency import IdentityReport, write_identity_reports
+
+        rep = IdentityReport(
+            "encoded", np.array([0.1, 0.2, 0.3, 0.4]),
+            np.array([1.0, np.nan, 2.0, -np.inf]),
+            np.array([1.5, 1.0, 2.25, 1.0]), 1e-3,
+            {"margins": np.array([np.nan, -np.inf, np.inf, 1.5]),
+             "flag_ok": np.bool_(False), "worst": np.float64(-np.inf),
+             "terms": {"t": np.array([2.0, np.nan]), "note": "kept"}})
+        blob = rep.to_dict()
+        assert blob == {
+            "schema_version": 2, "name": "encoded", "verdict": "fail",
+            "rel_residual": 0.5 / 2.25, "tolerance": 1e-3,
+            "worst_radius": 0.1, "worst_abs_residual": 0.5,
+            "details": {"nan_radii": 2, "flag_ok": False, "worst": None,
+                        "terms": {"note": "kept"}}}
+        arrays = rep.arrays()
+        assert list(arrays) == ["radii", "lhs", "rhs", "margins", "terms.t"]
+
+        paths = write_identity_reports({"b": rep, "a": rep}, tmp_path)
+        text, archive = tmp_path / "identities.json", tmp_path / "identities.npz"
+        assert list(paths) == [str(text), str(archive)]
+        assert json.loads(text.read_text()) == {"schema_version": 2,
+                                                "a": blob, "b": blob}
+        with np.load(archive, allow_pickle=False) as data:
+            assert json.loads(str(data["header"])) == {
+                "format": "freqlab-identities 2"}
+            stored = {key: data[key] for key in data.files if key != "header"}
+        assert list(stored) == [f"{name}.{key}" for name in "ab" for key in arrays]
+        for key, value in stored.items():
+            want = arrays[key.split(".", 1)[1]]
+            assert value.dtype == want.dtype and value.tobytes() == want.tobytes()
+
+    def test_no_finite_radius_has_no_worst_radius(self):
+        from freqlab.frequency import IdentityReport
+
+        rep = IdentityReport("nan", np.array([0.1, 0.2]), np.array([np.nan, 1.0]),
+                             np.array([1.0, np.inf]), 1e-3)
+        blob = rep.to_dict()
+        assert blob["worst_radius"] is None and blob["worst_abs_residual"] is None
+        assert blob["rel_residual"] == 0.0 and blob["verdict"] == "fail"
+
     @pytest.mark.parametrize("tolerance", [1e-3, np.inf])
     def test_nan_radius_does_not_hide_the_residual(self, tolerance):
         from freqlab.frequency import IdentityReport
@@ -574,3 +641,52 @@ class TestReportEncoding:
                              np.array([1.0, 2.0 + 1e-9]), 1e-6)
         assert rep.details == {"nan_radii": 0}
         assert rep.passed
+
+
+def _pinned_fields():
+    spec = ProblemSpec.model(3, 1.5, outer_radius=6.0)
+    yield "radial", spec, solve_radial(spec, 0.5, h=1e-4)
+    spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
+    yield "grid2d", spec, solve_grid_2d(spec, lambda th: 0.2 * np.cos(th),
+                                        n_r=32, n_theta=64)
+
+
+def _longest_list(obj):
+    if isinstance(obj, dict):
+        return max(map(_longest_list, obj.values()), default=0)
+    if isinstance(obj, list):
+        return max([len(obj), *map(_longest_list, obj)])
+    return 0
+
+
+def test_split_reports_keep_the_schema_1_verdicts(tmp_path):
+    # tests/data/identity_verdicts_schema1.json holds what the schema-1
+    # writer (per-radius arrays in the JSON) gave for these two fields: the
+    # verdict, rel_residual, tolerance and the scalar details of each report
+    import json
+    import pathlib
+
+    from freqlab.frequency import write_identity_reports
+
+    pinned = json.loads((pathlib.Path(__file__).parent / "data"
+                         / "identity_verdicts_schema1.json").read_text())
+    for item, spec, fld in _pinned_fields():
+        prof = frequency_profile(spec, fld, ProfileControls(n_radii=800))
+        reports = run_all_identity_checks(spec, fld, prof)
+        out = tmp_path / item
+        out.mkdir()
+        write_identity_reports(reports, out)
+        blob = json.loads((out / "identities.json").read_text())
+        assert _longest_list(blob) <= 8
+        assert sorted(blob) == sorted([*pinned[item], "schema_version"])
+        for name, want in pinned[item].items():
+            got = blob[name]
+            assert {key: got[key] for key in want} == want, (item, name)
+            assert got["rel_residual"] == reports[name].rel_residual
+        with np.load(out / "identities.npz", allow_pickle=False) as data:
+            stored = {key: data[key] for key in data.files if key != "header"}
+        want = {f"{name}.{key}": value for name, rep in reports.items()
+                for key, value in rep.arrays().items()}
+        assert sorted(stored) == sorted(want)
+        for key, value in want.items():
+            assert stored[key].tobytes() == value.tobytes(), key

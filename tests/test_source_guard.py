@@ -6,6 +6,9 @@ Attribute calls such as re.compile are unaffected.
 
 Field files are read without pickle: no module imports pickle, and every
 np.load call passes allow_pickle=False, so a field file cannot run code.
+
+Archives are written in one place: every np.savez sits in io.write_npz,
+which fixes the header, the handle and allow_pickle=False for all of them.
 """
 
 import ast
@@ -45,6 +48,36 @@ def _unpickling_uses(source, filename):
     return hits
 
 
+_ARCHIVE_WRITER = ("io.py", "write_npz")
+
+
+def _archive_writes(source, filename):
+    """Each np.savez / numpy.savez (savez_compressed too) and the function
+    it sits in, and imports of them from numpy."""
+    hits = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr.startswith("savez")
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id in ("np", "numpy")):
+                hits.append((f"{filename}:{child.lineno}: np.{child.attr}", func))
+            elif (isinstance(child, ast.ImportFrom) and child.module == "numpy"
+                  and any(a.name.startswith("savez") for a in child.names)):
+                hits.append((f"{filename}:{child.lineno}: from numpy import savez",
+                             func))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    visit(ast.parse(source, filename), None)
+    return hits
+
+
+def _stray_archive_writes(source, filename):
+    return [hit for hit, func in _archive_writes(source, filename)
+            if (filename, func) != _ARCHIVE_WRITER]
+
+
 def _modules():
     root = pathlib.Path(freqlab.__file__).parent
     modules = sorted(root.glob("*.py"))
@@ -74,3 +107,21 @@ def test_guard_flags_unpickling():
 def test_no_module_unpickles():
     hits = [hit for source, name in _modules() for hit in _unpickling_uses(source, name)]
     assert hits == []
+
+
+def test_guard_flags_stray_archive_writes():
+    snippet = ("import numpy as np\nfrom numpy import savez\n"
+               "def write_npz(fh):\n    np.savez(fh)\n"
+               "def other(fh):\n    numpy.savez_compressed(fh)\n"
+               "save = np.savez\nnp.save(fh, x)\n")
+    hits = _stray_archive_writes(snippet, "snippet.py")
+    assert [hit.split(":")[1] for hit in hits] == ["2", "4", "6", "7"]
+    # the same helper in io.py is the one allowed writer
+    hits = _stray_archive_writes(snippet, "io.py")
+    assert [hit.split(":")[1] for hit in hits] == ["2", "6", "7"]
+
+
+def test_one_archive_writer():
+    writes = [(name, func) for source, name in _modules()
+              for _, func in _archive_writes(source, name)]
+    assert writes == [_ARCHIVE_WRITER]
