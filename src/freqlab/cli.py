@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__
 from .audit import AuditControls, audit
 from .config import ConfigError, RunConfig, parse_problem_spec, parse_run_config
-from .fields import (SolverError, load_field, manufactured_bowl, save_field,
-                     solve_grid_2d, solve_radial)
+from .fields import (SolverError, load_field, save_field, solve_grid_2d,
+                     solve_radial)
 from .frequency import (ProfileControls, frequency_profile,
                         run_all_identity_checks, write_identity_reports)
 from .io import (RunRecord, jsonable, profile_to_csv, trajectory_to_csv,
@@ -81,7 +81,6 @@ def _build_parser():
     sp.add_argument("--boundary", type=str,
                     help="harmonic | radial-trace | cos:<k>:<eps> "
                          "(integer k, finite eps)")
-    sp.add_argument("--manufactured", action="store_true", default=None)
 
     sp = sub.add_parser("frequency", help="frequency profile and identity reports")
     common(sp)
@@ -228,38 +227,11 @@ def cmd_ode(cfg, q_list):
 
 def cmd_solve(cfg, q_list):
     # the spec and the boundary data are read first: exit 2 before any output
-    spec = None if cfg.manufactured else _load_spec(cfg)
-    if spec is not None and cfg.mode == "grid2d":
+    spec = _load_spec(cfg)
+    if cfg.mode == "grid2d":
         boundary = _boundary_factory(cfg, spec)
     rec = _record(cfg)
     out = cfg.out_dir
-    if cfg.manufactured:
-        mp = manufactured_bowl(outer_radius=cfg.outer_radius, q=cfg.q,
-                               amplitude=min(cfg.amplitude, 1.0))
-        rows = []
-        prev = None
-        for scale in (2, 1):
-            n_r = max(8, cfg.rings // scale)
-            n_t = max(16, cfg.angles // scale)
-            fld = solve_grid_2d(mp.spec, mp.boundary, n_r=n_r, n_theta=n_t,
-                                source=mp.source, damping=cfg.damping,
-                                tol=cfg.fp_tol, max_iters=cfg.max_iters)
-            err = float(np.max(np.abs(fld.u - mp.u(fld.points()))))
-            rows.append((n_r, n_t, err))
-            prev = fld
-        path = os.path.join(out, "manufactured_errors.csv")
-        write_csv(path, ["n_r", "n_theta", "sup_error"],
-                  [[float(r[0]) for r in rows], [float(r[1]) for r in rows],
-                   [r[2] for r in rows]],
-                  schema_comment="freqlab-mms 1")
-        rec.add(path)
-        order = math.log2(rows[0][2] / rows[1][2]) if rows[1][2] > 0 else float("inf")
-        fpath = os.path.join(out, "field.npz")
-        save_field(prev, fpath)
-        rec.add(fpath)
-        rec.finish({"mode": "manufactured", "orders": order})
-        return EXIT_OK
-
     try:
         if cfg.mode == "radial":
             fld = solve_radial(spec, cfg.amplitude, h=cfg.radial_step)

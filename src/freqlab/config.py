@@ -216,7 +216,6 @@ class RunConfig:
     angles: int = 128
     n_radii: int = 800
     boundary: str = "radial-trace"
-    manufactured: bool = False
     mode: str = "radial"
     ode_task: str = "counterexample"
     tol_d_rel: float = 1e-10
@@ -271,8 +270,7 @@ def _is_real(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-_RUN_TYPES = {int: int, float: float,
-              bool: lambda raw: raw.lower() in ("1", "true", "yes")}
+_RUN_TYPES = {int: int, float: float}
 
 
 def parse_run_config(text_or_path):
@@ -298,8 +296,6 @@ def serialize_run_config(cfg):
         val = getattr(cfg, f.name)
         if val is None:
             lines.append(f"{f.name} = none")
-        elif isinstance(val, bool):
-            lines.append(f"{f.name} = {'true' if val else 'false'}")
         elif isinstance(val, float):
             lines.append(f"{f.name} = {val!r}")
         else:

@@ -156,6 +156,16 @@ class SolutionField:
             return self
         return dataclasses.replace(self, **arrays, _cache={})
 
+    def cached(self, key, build, pin=None):
+        """build(), kept under `key` until the field's r, u, du or theta is
+        replaced by another array or `pin` is another object.  A change made
+        inside an array (fld.u *= 2) is not seen."""
+        stamp = (pin, self.r, self.u, self.du, self.theta)
+        entry = self._cache.get(key)
+        if entry is None or any(a is not b for a, b in zip(entry[0], stamp)):
+            entry = self._cache[key] = (stamp, build())
+        return entry[1]
+
     def _need_grid(self):
         if self.representation != "grid2d":
             raise ValueError("operation needs a grid2d field")
@@ -165,9 +175,8 @@ class SolutionField:
     def gradient_cartesian(self):
         """grid2d: (gx, gy) node fields; the pole row holds grad u(0)."""
         self._need_grid()
-        if "grad" not in self._cache:
-            self._cache["grad"] = cartesian_gradient(self.u, self.r, self.theta)
-        return self._cache["grad"]
+        return self.cached("grad", lambda: cartesian_gradient(self.u, self.r,
+                                                              self.theta))
 
 
 def _contiguous(a):

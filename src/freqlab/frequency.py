@@ -267,16 +267,10 @@ class _NodeData:
 
 def _node_data(spec, fld):
     # keyed by object identity with the spec itself pinned in the entry, so
-    # a recycled id() can never alias a different spec
-    cache = fld._cache.setdefault("freq", {})
-    key = id(spec)
-    entry = cache.get(key)
-    if entry is None or entry[0] is not spec:
-        # contiguous arrays: no verdict depends on how a caller laid them out
-        data = _NodeData(spec, fld.contiguous())
-        cache[key] = (spec, data)
-        return data
-    return entry[1]
+    # a recycled id() can never alias a different spec; contiguous arrays,
+    # so no verdict depends on how a caller laid them out
+    return fld.cached(("freq", id(spec)),
+                      lambda: _NodeData(spec, fld.contiguous()), pin=spec)
 
 
 # --------------------------------------------------------------------------

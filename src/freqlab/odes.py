@@ -6,10 +6,13 @@ continuous and plain RK4 loses its order, so steps inside a layer around each
 crossing are propagated with a high-order odd power series centred at the
 crossing (u(tau) = sum_k a_k sgn(tau) |tau|^{k q + 1}); the coefficients obey
 a Miller-type recurrence.  Radial integrations (damping term (N-1) u'/r)
-refine and align substeps inside the layer instead.
+take Taylor steps of order 24 between zeros, where the equation is analytic
+(the classical high-order Taylor method), and RK4 near the zeros, with
+refined substeps aligned to each crossing inside a 3h band.
 """
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 
@@ -188,7 +191,11 @@ def _locate_crossing(u0, v0, q):
 # steppers
 
 
-def _f_power(u, q):
+def _f_power(u, q, side=0.0):
+    """|u|^{q-2} u; with `side` (+1 or -1), the branch side |u|^{q-1} of
+    that side of a zero, which at q = 1 is `side` even at u = 0."""
+    if side:
+        return side * abs(u) ** (q - 1.0)
     if u == 0.0:
         return 0.0
     if q == 1.0:
@@ -196,30 +203,102 @@ def _f_power(u, q):
     return abs(u) ** (q - 2.0) * u
 
 
-def _rk4(u, v, h, q, r=1.0, dim=1):
+def _rk4(u, v, h, q, r=1.0, dim=1, side=0.0):
     """One classical RK4 step of u'' = -|u|^{q-2} u - (dim-1) u'/r.
 
     The four stages are computed inline, each operation in the textbook
-    order, so the result matches that form to the last bit.
+    order, so the result matches that form to the last bit.  A nonzero
+    `side` evaluates f on that side's branch (see _f_power).
     """
     hh = 0.5 * h
-    k1v = -_f_power(u, q)
+    k1v = -_f_power(u, q, side)
     if dim > 1:
         k1v -= (dim - 1) * v / r
     v2 = v + hh * k1v
-    k2v = -_f_power(u + hh * v, q)
+    k2v = -_f_power(u + hh * v, q, side)
     if dim > 1:
         k2v -= (dim - 1) * v2 / (r + hh)
     v3 = v + hh * k2v
-    k3v = -_f_power(u + hh * v2, q)
+    k3v = -_f_power(u + hh * v2, q, side)
     if dim > 1:
         k3v -= (dim - 1) * v3 / (r + hh)
     v4 = v + h * k3v
-    k4v = -_f_power(u + h * v3, q)
+    k4v = -_f_power(u + h * v3, q, side)
     if dim > 1:
         k4v -= (dim - 1) * v4 / (r + h)
     return (u + (h / 6.0) * (v + 2 * v2 + 2 * v3 + v4),
             v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+
+_TAYLOR_ORDER = 24  # highest power of a radial Taylor step between zeros
+_TAYLOR_SAFETY = 0.15  # Taylor step length over the estimated convergence radius
+
+
+def _taylor_coeffs(u, v, q, r0, dim):
+    """Taylor coefficients a_k of the radial solution about a node at r0 > 0
+    where u != 0, with the coefficients k a_k of its derivative.
+
+    They solve (r0 + s) u'' + (dim - 1) u' = -(r0 + s) f(u) term by term,
+    where f(u) = sgn(u) |u|^{q-1} = sum g_k s^k follows from the
+    power-of-a-series recurrence k a_0 g_k = sum_{j=1..k} (q j - k) a_j g_{k-j}
+    of _series_coeffs; at q = 1 every g_k past g_0 vanishes.
+    """
+    a = [u, v]
+    ja = [0.0, v]
+    g = [_f_power(u, q)]
+    for k in range(_TAYLOR_ORDER - 1):
+        rhs = (k + 1) * (k + dim - 1) * a[k + 1] + r0 * g[k]
+        if k:
+            rhs += g[k - 1]
+        a.append(-rhs / (r0 * (k + 1) * (k + 2)))
+        ja.append((k + 2) * a[k + 2])
+        m = k + 1
+        if m < _TAYLOR_ORDER - 1:
+            rev = g[::-1]
+            g.append((q * sum(map(operator.mul, ja[1:m + 1], rev))
+                      - m * sum(map(operator.mul, a[1:m + 1], rev))) / (m * u))
+    return a, ja
+
+
+def _horner(c, s):
+    """sum_k c[k] s^k by Horner's rule, in place: np.polyval(c[::-1], s) bit
+    for bit, without a new array per coefficient."""
+    y = np.full_like(s, c[-1])
+    for ck in c[-2::-1]:
+        y *= s
+        y += ck
+    return y
+
+
+def _taylor_step(u, v, r0, h, q, dim, nodes_left):
+    """(u, u') at the nodes r0 + h, r0 + 2h, ... of one Taylor step, or None.
+
+    The step is _TAYLOR_SAFETY times the convergence radius estimated from
+    the last three coefficients, each taken relative to the size
+    max(|u|, |u'|) of the state, at most r0/2 and cut to a whole number of
+    nodes.  None when it covers fewer than two nodes, when u changes sign or
+    reaches zero inside it, or when a value is not finite: the caller then
+    takes its one-node step.
+    """
+    if u == 0.0:
+        return None
+    a, ja = _taylor_coeffs(u, v, q, r0, dim)
+    # relative to the state: on a small solution an absolute root test
+    # would overestimate the radius by a factor scale^(-1/k)
+    scale = max(abs(u), abs(v))
+    root = max((abs(a[k]) / scale) ** (1.0 / k)
+               for k in range(_TAYLOR_ORDER - 2, _TAYLOR_ORDER + 1))
+    step = 0.5 * r0 if root == 0.0 else min(_TAYLOR_SAFETY / root, 0.5 * r0)
+    m = min(int(step / h), nodes_left)
+    if m < 2:
+        return None
+    s = h * np.arange(1, m + 1)
+    us = _horner(a, s)
+    vs = _horner(ja[1:], s)
+    if not (np.all(us * u > 0.0) and np.isfinite(us).all()
+            and np.isfinite(vs).all()):
+        return None
+    return us, vs
 
 
 def integrate_plane(q, u0, du0, h, t_max, t_start=0.0):
@@ -330,9 +409,13 @@ def integrate_radial(dim, q, a, r_max, h):
     """Shoot u'' + (dim-1)/r u' = -|u|^{q-2} u from u(0) = a, u'(0) = 0.
 
     The removable singularity at r = 0 is bridged with the even series
-    u = a - |a|^{q-2} a r^2 / (2 dim) + c4 r^4 on [0, _SERIES_STEPS * h];
-    afterwards RK4 with substep refinement and event alignment inside the
-    crossing layers.
+    u = a - |a|^{q-2} a r^2 / (2 dim) + c4 r^4 on [0, _SERIES_STEPS * h].
+    Between zeros, where the equation is analytic, each step is one Taylor
+    step of order _TAYLOR_ORDER about the current node (_taylor_step), which
+    fills every node it covers.  A node where that step would reach less
+    than two nodes, meet a sign change or give a non-finite value takes one
+    RK4 step instead; inside the band |u| < 3 h |u'| and across a sign change
+    it takes crossing-aligned RK4 substeps (_refined_crossing_step).
     """
     if a == 0.0:
         raise ValueError("initial amplitude must be nonzero")
@@ -357,23 +440,30 @@ def integrate_radial(dim, q, a, r_max, h):
 
     crossings = []
     uu, vv = u[k0], du[k0]
-    for i in range(k0, n):
+    i = k0
+    while i < n:
         ri = h * i  # r[i]
         near = vv != 0.0 and abs(uu) < abs(vv) * 3.0 * h
         if not near:
-            un, vn = _rk4(uu, vv, h, q, r=ri, dim=dim)
-            if uu * un >= 0.0:
-                uu, vv = un, vn
-                if not (math.isfinite(uu) and math.isfinite(vv)):
-                    raise IntegrationError("radial integration blew up", ri)
-                u.append(uu)
-                du.append(vv)
+            block = _taylor_step(uu, vv, ri, h, q, dim, n - i)
+            if block is not None:
+                us, vs = block
+                # one block per step: array.extend(ndarray) would append
+                # element by element
+                u.frombytes(us.tobytes())
+                du.frombytes(vs.tobytes())
+                uu, vv = float(us[-1]), float(vs[-1])
+                i += len(us)
                 continue
-        uu, vv = _refined_crossing_step(uu, vv, ri, h, q, dim, crossings)
-        if not (math.isfinite(uu) and math.isfinite(vv)):
+            un, vn = _rk4(uu, vv, h, q, r=ri, dim=dim)
+        if near or uu * un < 0.0:
+            un, vn = _refined_crossing_step(uu, vv, ri, h, q, dim, crossings)
+        if not (math.isfinite(un) and math.isfinite(vn)):
             raise IntegrationError("radial integration blew up", ri)
+        uu, vv = un, vn
         u.append(uu)
         du.append(vv)
+        i += 1
     return _trajectory(r, u, du, q, dim, (a, 0.0), h, crossings)
 
 
@@ -395,11 +485,17 @@ def _refined_crossing_step(u, v, r0, h, q, dim, crossings):
                     lo = mid
                     if um == 0.0:
                         break
-            ustar, vstar = _rk4(uu, vv, lo, q, r=rr, dim=dim)
+            # the steps to and from the zero each lie on one side of it, so
+            # f takes that side's branch: a stage that rounds across the
+            # zero would flip sgn(u) there, which at q = 1 moved u' by up to
+            # a third of the substep
+            ustar, vstar = _rk4(uu, vv, lo, q, r=rr, dim=dim,
+                                side=math.copysign(1.0, uu))
             # crossings hold numpy scalars, as the plane integrator's do
             crossings.append((np.float64(rr + lo), np.float64(vstar)))
             rem = dt - lo
-            un, vn = _rk4(0.0, vstar, rem, q, r=rr + lo, dim=dim)
+            un, vn = _rk4(0.0, vstar, rem, q, r=rr + lo, dim=dim,
+                          side=math.copysign(1.0, vstar))
         uu, vv = un, vn
         rr += dt
     return uu, vv

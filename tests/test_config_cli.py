@@ -106,8 +106,8 @@ class TestRunConfig:
 
     def test_round_trip_modified(self):
         cfg = RunConfig(command="audit", q=1.25, rings=96, residual_gate=None,
-                        manufactured=True, out_dir="somewhere",
-                        field_file="f.txt", radial_step=2.5e-4)
+                        out_dir="somewhere", field_file="f.txt",
+                        radial_step=2.5e-4)
         assert parse_run_config(serialize_run_config(cfg)) == cfg
 
     @pytest.mark.parametrize("line", ["jobs = 3", "dampng = 0.9",
@@ -122,6 +122,18 @@ class TestRunConfig:
         assert main(["solve", "--config", str(config),
                      "--out", str(tmp_path / "o")]) == 2
         assert "unknown [run] key 'dampng'" in capsys.readouterr().err
+
+    def test_cli_exits_2_on_manufactured_key(self, tmp_path, capsys):
+        # `solve --manufactured` is gone; its config key is unknown
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nmanufactured = true\n")
+        assert main(["solve", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "unknown [run] key 'manufactured'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--manufactured", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_cli_exits_2_on_spec_file_key(self, tmp_path, capsys):
         # the problem is named by [domain] in --config; spec_file is gone

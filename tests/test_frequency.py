@@ -690,3 +690,28 @@ def test_split_reports_keep_the_schema_1_verdicts(tmp_path):
         assert sorted(stored) == sorted(want)
         for key, value in want.items():
             assert stored[key].tobytes() == value.tobytes(), key
+
+
+class TestReassignedArrays:
+    # the node data cached on a field is rebuilt when one of its arrays is
+    # replaced, so an analysis after `fld.u = ...` reads the new values
+
+    def test_radial_profile_follows_doubled_u(self):
+        spec = ProblemSpec.model(2, 1.5, outer_radius=1.5)
+        fld = solve_radial(spec, 0.5, h=1e-3)
+        before = frequency_profile(spec, fld).H
+        fld.u, fld.du = 2 * fld.u, 2 * fld.du
+        after = frequency_profile(spec, fld).H
+        fresh = solve_radial(spec, 0.5, h=1e-3)
+        fresh.u, fresh.du = 2 * fresh.u, 2 * fresh.du
+        np.testing.assert_allclose(after[1:], 4 * before[1:], rtol=1e-12)
+        np.testing.assert_array_equal(after, frequency_profile(spec, fresh).H)
+
+    def test_grid_profile_and_gradient_follow_doubled_u(self, linear_mode_spec):
+        fld = sample_grid2d(lambda x: x[..., 0], 1.0, 32, 64, 1.5)
+        gx, _ = fld.gradient_cartesian()
+        before = frequency_profile(linear_mode_spec, fld).D
+        fld.u = 2 * fld.u
+        np.testing.assert_allclose(fld.gradient_cartesian()[0], 2 * gx, rtol=1e-12)
+        after = frequency_profile(linear_mode_spec, fld).D
+        np.testing.assert_allclose(after[1:], 4 * before[1:], rtol=1e-12)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqlab import odes
 from freqlab.fields import glued_field
 from freqlab.odes import (OdeTrajectory, PmeField, ZeroEvent, _bisect_hermite,
                           conserved_energy, counterexample_profile,
@@ -100,6 +101,65 @@ class TestRadial:
         with pytest.raises(ValueError):
             integrate_radial(2, 1.5, 0.0, 1.0, 1e-3)
 
+    def test_q1_crossing_slope_exact(self):
+        # N=3, q=1, a=1/2: u = 1/2 - r^2/6 up to its zero at sqrt(3), where
+        # u' = -1/sqrt(3); the steps to and from the zero keep f = sgn(u) of
+        # their side, so a stage rounding across the zero moves nothing
+        for h in (1e-3, 1e-4):
+            (loc, slope), = integrate_radial(3, 1.0, 0.5, 2.0, h).crossings
+            assert loc == pytest.approx(math.sqrt(3.0), abs=1e-13)
+            assert slope == pytest.approx(-1.0 / math.sqrt(3.0), abs=1e-13)
+
+
+# --------------------------------------------------------------------------
+# Taylor steps between zeros against one RK4 step per node
+
+
+def _rk4_shooter(monkeypatch, *args):
+    """integrate_radial with every Taylor step declined: one RK4 step per
+    node between zeros, the crossings handled as before."""
+    with monkeypatch.context() as m:
+        m.setattr(odes, "_taylor_step", lambda *step_args: None)
+        return integrate_radial(*args)
+
+
+TAYLOR_CASES = [(dim, q, a, 5.0, 1e-3) for dim in (2, 3, 4)
+                for q in (1.0, 1.2, 1.5) for a in (0.5, -0.5)]
+# a small solution: an absolute root test would size its steps from
+# |a_k|^(1/k) and overestimate the radius (12x the RK4 error here)
+TAYLOR_CASES.append((3, 1.5, 1e-8, 0.1, 1e-5))
+
+
+class TestTaylorSteps:
+    @pytest.mark.parametrize("dim, q, a, R, h", TAYLOR_CASES,
+                             ids=[str(c) for c in TAYLOR_CASES])
+    def test_against_rk4_shooter(self, monkeypatch, dim, q, a, R, h):
+        taylor = integrate_radial(dim, q, a, R, h)
+        rk4 = _rk4_shooter(monkeypatch, dim, q, a, R, h)
+        ref = _rk4_shooter(monkeypatch, dim, q, a, R, h / 4)
+        for name in ("u", "du"):
+            want = getattr(ref, name)[::4]
+            scale = np.max(np.abs(want))
+            err_taylor = np.max(np.abs(getattr(taylor, name) - want)) / scale
+            err_rk4 = np.max(np.abs(getattr(rk4, name) - want)) / scale
+            # at q = 1 both read round-off, hence the floor
+            assert err_taylor <= max(1.1 * err_rk4, 1e-12), (name, err_taylor, err_rk4)
+        assert len(taylor.crossings) == len(rk4.crossings) >= 2
+        np.testing.assert_allclose([c[0] for c in taylor.crossings],
+                                   [c[0] for c in rk4.crossings], rtol=0, atol=1e-8)
+
+    def test_zero_free_run_fills_nodes_in_blocks(self, monkeypatch):
+        steps, rk4_steps = [], []
+        taylor_step, rk4 = odes._taylor_step, odes._rk4
+        monkeypatch.setattr(odes, "_taylor_step",
+                            lambda *args: steps.append(args) or taylor_step(*args))
+        monkeypatch.setattr(odes, "_rk4",
+                            lambda *args, **kw: rk4_steps.append(args) or rk4(*args, **kw))
+        traj = integrate_radial(3, 1.5, 0.5, 1.5, 1e-4)
+        assert zero_audit(traj) == []
+        n = len(traj.t) - 1
+        assert len(steps) <= n / 500 and not rk4_steps
+
 
 class TestZeroAudit:
     def test_plane_zeros_carry_full_energy(self):
@@ -178,47 +238,49 @@ class TestPme:
 # --------------------------------------------------------------------------
 # bit-exact outputs of the integrators
 #
-# sha256 of u.tobytes(), du.tobytes() and repr(crossings), recorded with the
-# straightforward numpy-scalar RK4 loop; a faster integrator must reproduce
-# every bit, signed zeros and the numpy scalar type of the crossings included.
+# sha256 of u.tobytes(), du.tobytes() and repr(crossings): the plane digests
+# (and the N = 1 radial ones, which run the plane integrator) were recorded
+# with the straightforward numpy-scalar RK4 loop, the N >= 2 radial ones with
+# Taylor steps between zeros.  A faster integrator must reproduce every bit,
+# signed zeros and the numpy scalar type of the crossings included.
 
 GOLDEN = [
     ("radial", (3, 1.5, 0.5, 6.0, 0.0001),
-     "098909cb677a7c1152956f7385135f6e2092fd0c9a5dcbcdae816eebfbfccbe0",
-     "bddd5cae33fd9eecd0c69fc4c3b0cb858bebd290d7df8184d91f9c3271d264a3",
-     "237da65c5c5f24a1e55d3735afb5bacd1ce5ef0cd34687b071204d213d46cc44"),
+     "5fcce1b06f90c1b2d18925de77a401f5d302393a99b3256c5261df87a1a5c83c",
+     "19cead1604a9fdd196da40cb2e5fcea88b156d5c73183c1cc01ca1bb5368b8b5",
+     "6faef575211bc1bec4d990b2f1c4b7ea3a0226695c22655e51eb15a12379c431"),
     ("radial", (3, 1.5, 0.5, 6.0, 0.001),
-     "5c980e71a24177e77b047cf21866b2c34888a0d88321d3352a96101239d42229",
-     "55d97633e76a926a492b4f4de6315c73e3c1f12d41be2d6fceaeedbaf42837e5",
-     "7ea7b96410c5439e4700801d76be9283307adab17860d22bbacf25040f925f12"),
+     "3fd258389cb667b0999a5547cbcc29bb6154314edc608ab35afbbbb2f7fd8345",
+     "6de944b4e0df64087e957333c8376624de94a84feb6e54d2f3f2a70b4646ec6f",
+     "12b533c42f866afae56c4fb9cc2f98a5248593f96a9026a2792ba28438fa228b"),
     ("radial", (2, 1.2, 0.5, 4.0, 0.0001),
-     "492e58a91dcd8838f85cecde484a68c0a045e782ee18a832dbda874aa48a9a0e",
-     "47e754c6578c66608aa032f021bb8e6ef719d9568fa1cecf6027b7f4a2678a12",
-     "2082734632db8a19b530f20f2122560e7051e0f51d7d053af787c2ddf278b7c7"),
+     "dfeab7714181a11a4881a545d4b815c7dc4afdc5f8481b87018579c5d6ea62e8",
+     "9e91b0b4a06cd32cc5602b7d2529d1c745ef7b02740e84e38941d40580c82eb7",
+     "4d12a70c675245cf5983e7a5b8191698ca7b210e649df908a50ff32fa39d663d"),
     ("radial", (2, 1.2, 0.5, 4.0, 0.001),
-     "7c122b92df573c6ee0b3051feb6641228ae9e7c1c892809f757594a62b7b3bee",
-     "d9efcd560aaa14f767cb9e2526c0abf28c7aa790bf737271bc5d624c245bbe63",
-     "138b3dc0475bd3e6a3656d001fca275a7414a9e0332dc52edaeed1de00b5a1aa"),
+     "0beea5cd5d00ed6b3873adbc83be381528f2670ba10f3e1b21b85f69f2f958a2",
+     "1a5cd5bbbef456ae1c7d5863ec92dada0e28702aa386409dd16d12028842498b",
+     "fac7a61da4098adb090420ccb853e92d087577f03baf254ffb6f289f5e8ed4a4"),
     ("radial", (2, 1.0, 1.0, 3.0, 0.0001),
-     "b823c957a7fbcd6b5a06e381f80cb1bc5982f2f81a933fb3570b820fb91ce657",
-     "de9745b2f07c757e99dd179d48f4e208777489bc87f02e88aece28738cf09ab8",
-     "ad12b3b133ccad204e5542236f1ce1d2fb350d536ca152358711108fee10bbed"),
+     "40b1051eb5c46cab4d3d9d9d7653898876b91b0b7aee12fca13db130ca34a03b",
+     "1079dcebf02c817daa8f32b4ea2bf5c339fed4cab583786ac4afab703d2e87ea",
+     "10ac4ad0e8c383230c790cef224e6dfdb1082cd12456b4fa7795355a119b68e6"),
     ("radial", (2, 1.0, 1.0, 3.0, 0.001),
-     "846baac92f32e649ef1b160a14ae74f22e0eac3c57b9fd4cefc7da97b4ec989a",
-     "a7829782fba1f4b05c78a8c3c43a9fd96327e72a8f8b3f961f4598ff94250bf8",
-     "c206c7f83d64c79cd532e15f7880e307bafdedfcd27a3446d8d3bdd40fb81348"),
+     "016a6b03b9cf0446599693089f3bb1cdd103302e545397def434d1ad72b345cd",
+     "320b42267956893ddef79f92057e7a7ef8cc7a14b15099126db50d5cc409009b",
+     "fe118d65d7615257159ded49d89d4e13d90cb21cbeb28efd5f233a8da3f8a44b"),
     ("radial", (4, 1.3, 0.9, 7.0, 0.0001),
-     "cdeef74e8decd2d79c18bbcf0af670c653842b7934ac404b42d12a07185e5803",
-     "ed82815d3dd47d226cc9f9ea727869fcaaca012cc1aadf3ee737c0730b81f1cb",
-     "2a3694f1f6a4de4af8f3944ff343b1ff056e8a2ec4ecca090e1292d999131c22"),
+     "43e6b509b9aff74da2379e82e77ca757bb766d0f9408f38a905074719993aeb6",
+     "89775cde04ff2342c5dc8981228bbb2ecf0fc3e7020328564d67f59ede26010a",
+     "b9b7ca2825a4108b59bfb98aacc81ea73a54cd1b0be27b13526f8d726abcf1ac"),
     ("radial", (4, 1.3, 0.9, 7.0, 0.001),
-     "7613460666d6f9e247917dc03bf9adf5f0239644d357f08bd2bff096bf7f35ae",
-     "7e5360fe90729501935a1e8fca8b02a76882d4d6cc140bf65bf6dad664d2adf7",
-     "24dd87eb71f5899ef65924f06ba0a67053c5c507557f319064987d11fa666707"),
+     "ad84bb5ca038d96213ae6e86287cb796a52d2401ae447a875face470388e38d5",
+     "773e016700f3cbc059d4352ebddf151b026cac08103faa9dd26a97902df171f7",
+     "4af47020a8d095eae87b5d66b29ecdd7c9a83ac4da8d6c2107bc3f36414aed14"),
     ("radial", (2, 1.5, -0.7, 4.0, 0.001),
-     "71dd07c1fc37a0c56e4cd6bf050af02e4cc5917d3c912d0c72037ba6bbd39576",
-     "0ff3d1416524a43df1fc05f7f6f32dee883a01fec246897d22a9a7e1c8d4daf7",
-     "b53668e115a6dc5434e6a1482129fcfa43a41fa6cfbcc5f858e8d13f532f61fb"),
+     "1fadeb3b484dc2cc198da5e6abbfd30ddd238af0f9d4b6f5f756780f252de8fd",
+     "1dc9d7973aac7556890b01927f989025e47d50d6ba14faf942478ed1cc70f2df",
+     "31b033b7f3a91b4e8d7fdf8ed7e7e6264960dcc3151e52ef4208627e72275c6e"),
     ("radial", (1, 1.5, 1.0, 5.0, 0.001),
      "1c2a1c150077d2a7e5e4d4f6906891be9f06524bc697def2a9f6cb9a58e8c7b2",
      "65c3801bee2c713622858a302f010e89fcb885ddc45bb17e3f03ac1c59400bce",
