@@ -260,14 +260,9 @@ def _taylor_coeffs(u, v, q, r0, dim):
     return a, ja
 
 
-def _horner(c, s):
-    """sum_k c[k] s^k by Horner's rule, in place: np.polyval(c[::-1], s) bit
-    for bit, without a new array per coefficient."""
-    y = np.full_like(s, c[-1])
-    for ck in c[-2::-1]:
-        y *= s
-        y += ck
-    return y
+def _in_band(u, v, h):
+    """The band |u| < 3 h |u'| around a zero, where crossing steps run."""
+    return abs(u) < abs(v) * 3.0 * h
 
 
 def _taylor_step(u, v, r0, h, q, dim, nodes_left):
@@ -276,9 +271,12 @@ def _taylor_step(u, v, r0, h, q, dim, nodes_left):
     The step is _TAYLOR_SAFETY times the convergence radius estimated from
     the last three coefficients, each taken relative to the size
     max(|u|, |u'|) of the state, at most r0/2 and cut to a whole number of
-    nodes.  None when it covers fewer than two nodes, when u changes sign or
-    reaches zero inside it, or when a value is not finite: the caller then
-    takes its one-node step.
+    nodes.  It ends early at the first node of the band |u| < 3 h |u'|, so
+    the crossing steps start where one RK4 step per node starts them, and
+    before the first node where u changes sign, reaches zero or is not
+    finite: at q = 1 the series sees no branch point at a zero and runs
+    across it.  None when fewer than two nodes remain: the caller then takes
+    its one-node step.
     """
     if u == 0.0:
         return None
@@ -293,12 +291,15 @@ def _taylor_step(u, v, r0, h, q, dim, nodes_left):
     if m < 2:
         return None
     s = h * np.arange(1, m + 1)
-    us = _horner(a, s)
-    vs = _horner(ja[1:], s)
-    if not (np.all(us * u > 0.0) and np.isfinite(us).all()
-            and np.isfinite(vs).all()):
+    us = np.polyval(a[::-1], s)
+    vs = np.polyval(ja[:0:-1], s)
+    bad = ~((us * u > 0.0) & np.isfinite(us) & np.isfinite(vs))
+    band = _in_band(us, vs, h)
+    end = min(m, int(bad.argmax()) if bad.any() else m,
+              int(band.argmax()) + 1 if band.any() else m)
+    if end < 2:
         return None
-    return us, vs
+    return us[:end], vs[:end]
 
 
 def integrate_plane(q, u0, du0, h, t_max, t_start=0.0):
@@ -412,10 +413,10 @@ def integrate_radial(dim, q, a, r_max, h):
     u = a - |a|^{q-2} a r^2 / (2 dim) + c4 r^4 on [0, _SERIES_STEPS * h].
     Between zeros, where the equation is analytic, each step is one Taylor
     step of order _TAYLOR_ORDER about the current node (_taylor_step), which
-    fills every node it covers.  A node where that step would reach less
-    than two nodes, meet a sign change or give a non-finite value takes one
-    RK4 step instead; inside the band |u| < 3 h |u'| and across a sign change
-    it takes crossing-aligned RK4 substeps (_refined_crossing_step).
+    fills every node it covers up to the band |u| < 3 h |u'| around a zero.
+    A node where that step would fill fewer than two nodes takes one RK4
+    step instead; inside the band and across a sign change it takes
+    crossing-aligned RK4 substeps (_refined_crossing_step).
     """
     if a == 0.0:
         raise ValueError("initial amplitude must be nonzero")
@@ -443,7 +444,7 @@ def integrate_radial(dim, q, a, r_max, h):
     i = k0
     while i < n:
         ri = h * i  # r[i]
-        near = vv != 0.0 and abs(uu) < abs(vv) * 3.0 * h
+        near = _in_band(uu, vv, h)
         if not near:
             block = _taylor_step(uu, vv, ri, h, q, dim, n - i)
             if block is not None:

@@ -123,8 +123,8 @@ def _rk4_shooter(monkeypatch, *args):
         return integrate_radial(*args)
 
 
-TAYLOR_CASES = [(dim, q, a, 5.0, 1e-3) for dim in (2, 3, 4)
-                for q in (1.0, 1.2, 1.5) for a in (0.5, -0.5)]
+TAYLOR_CASES = [(dim, q, a, R, h) for R, h in ((5.0, 2e-3), (5.0, 1e-3), (4.5, 1e-4))
+                for dim in (2, 3, 4) for q in (1.0, 1.2, 1.5) for a in (0.5, -0.5)]
 # a small solution: an absolute root test would size its steps from
 # |a_k|^(1/k) and overestimate the radius (12x the RK4 error here)
 TAYLOR_CASES.append((3, 1.5, 1e-8, 0.1, 1e-5))
@@ -137,13 +137,22 @@ class TestTaylorSteps:
         taylor = integrate_radial(dim, q, a, R, h)
         rk4 = _rk4_shooter(monkeypatch, dim, q, a, R, h)
         ref = _rk4_shooter(monkeypatch, dim, q, a, R, h / 4)
+        # the first node in the band |u| < 3 h |u'| of a zero
+        band = int(np.argmax(odes._in_band(rk4.u, rk4.du, h)))
+        # at q = 1 both read round-off, about an ulp per node: the floor
+        floor = 2e-16 * (len(taylor.t) - 1) if q == 1.0 else 0.0
         for name in ("u", "du"):
             want = getattr(ref, name)[::4]
             scale = np.max(np.abs(want))
-            err_taylor = np.max(np.abs(getattr(taylor, name) - want)) / scale
-            err_rk4 = np.max(np.abs(getattr(rk4, name) - want)) / scale
-            # at q = 1 both read round-off, hence the floor
-            assert err_taylor <= max(1.1 * err_rk4, 1e-12), (name, err_taylor, err_rk4)
+            err_taylor = np.abs(getattr(taylor, name) - want) / scale
+            err_rk4 = np.abs(getattr(rk4, name) - want) / scale
+            # up to the first zero's band only Taylor steps meet only RK4 steps
+            assert err_taylor[:band].max() <= max(1.1 * err_rk4[:band].max(), floor)
+            # past it both carry the crossing steps' own error, which the
+            # RK4 steps' approach error partly cancels: N = 2, q = 1.5 reads
+            # 1.13x at h = 1e-4 and 1.16x at h = 2e-3
+            assert err_taylor.max() <= max(1.2 * err_rk4.max(), floor), \
+                (name, err_taylor.max(), err_rk4.max())
         assert len(taylor.crossings) == len(rk4.crossings) >= 2
         np.testing.assert_allclose([c[0] for c in taylor.crossings],
                                    [c[0] for c in rk4.crossings], rtol=0, atol=1e-8)
@@ -159,6 +168,18 @@ class TestTaylorSteps:
         assert zero_audit(traj) == []
         n = len(traj.t) - 1
         assert len(steps) <= n / 500 and not rk4_steps
+
+    def test_q1_run_with_zeros_fills_nodes_in_blocks(self, monkeypatch):
+        # at q = 1 the series sees no branch point at a zero, so a step runs
+        # across it; it must end at the zero's band rather than be declined
+        # node after node
+        steps = []
+        taylor_step = odes._taylor_step
+        monkeypatch.setattr(odes, "_taylor_step",
+                            lambda *args: steps.append(args) or taylor_step(*args))
+        traj = integrate_radial(2, 1.0, 0.5, 5.0, 1e-4)
+        assert len(traj.crossings) == 4
+        assert len(steps) <= (len(traj.t) - 1) / 500
 
 
 class TestZeroAudit:
@@ -246,9 +267,9 @@ class TestPme:
 
 GOLDEN = [
     ("radial", (3, 1.5, 0.5, 6.0, 0.0001),
-     "5fcce1b06f90c1b2d18925de77a401f5d302393a99b3256c5261df87a1a5c83c",
-     "19cead1604a9fdd196da40cb2e5fcea88b156d5c73183c1cc01ca1bb5368b8b5",
-     "6faef575211bc1bec4d990b2f1c4b7ea3a0226695c22655e51eb15a12379c431"),
+     "b63c90684cfe786b708c8fda816f3dd9876928f6f760b4aaaaa6ed85110c6828",
+     "d457ae6136499b72c31526be8a89ca249a851bcc2c83ef1749d7e080967ad46c",
+     "466702d8e65e75fcf9a0a24bdcc786df0c9734cf02881bcc71ac592ffc1e99a4"),
     ("radial", (3, 1.5, 0.5, 6.0, 0.001),
      "3fd258389cb667b0999a5547cbcc29bb6154314edc608ab35afbbbb2f7fd8345",
      "6de944b4e0df64087e957333c8376624de94a84feb6e54d2f3f2a70b4646ec6f",
@@ -262,13 +283,13 @@ GOLDEN = [
      "1a5cd5bbbef456ae1c7d5863ec92dada0e28702aa386409dd16d12028842498b",
      "fac7a61da4098adb090420ccb853e92d087577f03baf254ffb6f289f5e8ed4a4"),
     ("radial", (2, 1.0, 1.0, 3.0, 0.0001),
-     "40b1051eb5c46cab4d3d9d9d7653898876b91b0b7aee12fca13db130ca34a03b",
-     "1079dcebf02c817daa8f32b4ea2bf5c339fed4cab583786ac4afab703d2e87ea",
-     "10ac4ad0e8c383230c790cef224e6dfdb1082cd12456b4fa7795355a119b68e6"),
+     "6e1d944737b0defa3cefd176c23cc7cd9fbbbc5ab1a3162d675e9e451feb68e9",
+     "9497879921422a3cba1e684c799b1ef0e9a9ea1662ff778cf8bcdc4fd832fdc9",
+     "b53bcf68d1b6a14c62db82e47381514eb8cb499653dca0623427a1b4c7922075"),
     ("radial", (2, 1.0, 1.0, 3.0, 0.001),
-     "016a6b03b9cf0446599693089f3bb1cdd103302e545397def434d1ad72b345cd",
-     "320b42267956893ddef79f92057e7a7ef8cc7a14b15099126db50d5cc409009b",
-     "fe118d65d7615257159ded49d89d4e13d90cb21cbeb28efd5f233a8da3f8a44b"),
+     "b74fbcee3d8fd6fa081ae2913199e647895f83552e6cf98e7859cba9ca7e638f",
+     "059e1f260f52f1b321c42659b57050c5741b791d3f5a31fb8f7d273bdc35edc6",
+     "6f165dd381382046e6a3391ff04cb732ce5113025c5e4e6c05c365bfc6e0b22a"),
     ("radial", (4, 1.3, 0.9, 7.0, 0.0001),
      "43e6b509b9aff74da2379e82e77ca757bb766d0f9408f38a905074719993aeb6",
      "89775cde04ff2342c5dc8981228bbb2ecf0fc3e7020328564d67f59ede26010a",
