@@ -226,23 +226,24 @@ def cmd_ode(cfg, q_list):
 
 
 def cmd_solve(cfg, q_list):
-    # the spec and the boundary data are read first: exit 2 before any output
+    # the spec, the boundary data and a radial solve (which rejects a step
+    # too coarse for the amplitude) come first: exit 2 before any output
     spec = _load_spec(cfg)
-    if cfg.mode == "grid2d":
+    if cfg.mode == "radial":
+        fld = solve_radial(spec, cfg.amplitude, h=cfg.radial_step)
+    else:
         boundary = _boundary_factory(cfg, spec)
     rec = _record(cfg)
     out = cfg.out_dir
-    try:
-        if cfg.mode == "radial":
-            fld = solve_radial(spec, cfg.amplitude, h=cfg.radial_step)
-        else:
+    if cfg.mode == "grid2d":
+        try:
             fld = solve_grid_2d(spec, boundary, n_r=cfg.rings,
                                 n_theta=cfg.angles, damping=cfg.damping,
                                 tol=cfg.fp_tol, max_iters=cfg.max_iters)
-    except SolverError as exc:
-        sys.stderr.write(f"solver failed: {exc}\n")
-        rec.finish({"error": str(exc), "distance": exc.distance})
-        return EXIT_SOLVER
+        except SolverError as exc:
+            sys.stderr.write(f"solver failed: {exc}\n")
+            rec.finish({"error": str(exc), "distance": exc.distance})
+            return EXIT_SOLVER
     fpath = os.path.join(out, "field.npz")
     save_field(fld, fpath)
     rec.add(fpath)

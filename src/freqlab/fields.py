@@ -247,10 +247,12 @@ def _residual_radial(spec, fld, source=None):
     if spec.potential is not None or source is not None:
         raise ValueError("radial residuals support V = 0 and no source only")
     # five-point differences of the values, not the stored integrator
-    # derivative, so residuals judge the values themselves
+    # derivative, so residuals judge the values themselves; the last four
+    # rows read one-sided first derivatives (rows n-4 and n-3 through the
+    # second pass), which are third order only, and stay NaN
     r = fld.r
     rho = np.full_like(fld.u, np.nan)
-    inner = slice(2, len(r) - 2)
+    inner = slice(2, len(r) - 4)
     lap = radial_laplacian(fld.u, r, fld.dim)
     fvals = eval_f(spec.nonlinearity, None, fld.u)
     rho[inner] = (lap + fvals)[inner]
@@ -292,7 +294,7 @@ def _residual_grid(spec, fld, source=None, agrad=None, V=None, fvals=None):
 # radial solver
 
 
-def solve_radial(spec, a, h=1e-3, r_max=None):
+def solve_radial(spec, a, h=1e-3):
     """Shooting solution of the plain-Laplacian homogeneous problem.
 
     Wraps the radial integrator and attaches the measured sup residual as
@@ -307,8 +309,7 @@ def solve_radial(spec, a, h=1e-3, r_max=None):
         raise ValueError("radial solves need V = 0")
     if not 0.0 < abs(a) < nl.eps0:
         raise ValueError("amplitude must satisfy 0 < |a| < eps0")
-    r_max = spec.outer_radius if r_max is None else r_max
-    traj = integrate_radial(spec.dim, nl.q, a, r_max, h)
+    traj = integrate_radial(spec.dim, nl.q, a, spec.outer_radius, h)
     fld = SolutionField.radial_from_arrays(traj.t, traj.u, traj.du, traj.dim,
                                            traj.q)
     rho = residual_field(spec, fld)

@@ -1,18 +1,19 @@
 """One-dimensional and radial ODE facilities for the sublinear power laws.
 
-The plane integrator for -u'' = |u|^{q-2} u is classical RK4 away from the
-zero set of u.  Near a simple zero the right-hand side is only Hoelder
-continuous and plain RK4 loses its order, so steps inside a layer around each
-crossing are propagated with a high-order odd power series centred at the
-crossing (u(tau) = sum_k a_k sgn(tau) |tau|^{k q + 1}); the coefficients obey
-a Miller-type recurrence.  Radial integrations (damping term (N-1) u'/r)
-take Taylor steps of order 24 between zeros, where the equation is analytic
-(the classical high-order Taylor method), and RK4 near the zeros, with
-refined substeps aligned to each crossing inside a 3h band.
+The plane integrator for -u'' = |u|^{q-2} u, 1 <= q < 2, is classical RK4
+away from the zero set of u.  Near a simple zero the right-hand side is only
+Hoelder continuous (at q = 1 it jumps) and plain RK4 loses its order, so steps
+inside a layer around each crossing are propagated with a high-order odd power
+series centred at the crossing (u(tau) = sum_k a_k sgn(tau) |tau|^{k q + 1});
+the coefficients obey Miller's power-of-a-series recurrence, and at q = 1 the
+series is the exact piecewise quadratic.  Radial integrations (damping term
+(N-1) u'/r) take Taylor steps of order 24 wherever the equation is analytic:
+from the origin, where the damping term is removable, and between zeros; near
+the zeros they take RK4 steps, with refined substeps aligned to each crossing
+inside a 3h band.
 """
 
 import math
-import operator
 from array import array
 from dataclasses import dataclass, field
 
@@ -133,21 +134,34 @@ _SERIES_TERMS = 14  # highest power k of the crossing series
 _SERIES_REACH_RATIO = 0.08  # sizes the layer the series covers
 
 
+def _power_coeff(b, c, alpha):
+    """The next coefficient c_m, m = len(c), of the power c = b^alpha of the
+    power series b, by Miller's recurrence
+    m b_0 c_m = sum_{j=1..m} (alpha j - (m - j)) b_j c_{m-j}.
+
+    The recurrence is linear in c, so c_0 = sgn(b_0) |b_0|^alpha gives the
+    series of sgn(b) |b|^alpha.
+    """
+    m = len(c)
+    acc = 0.0
+    for j in range(1, m + 1):
+        acc += (j * alpha - (m - j)) * b[j] * c[m - j]
+    return acc / (m * b[0])
+
+
 def _series_coeffs(w, q):
-    """Coefficients a_k of u = sum a_k sgn(tau)|tau|^{kq+1}; w = u'(0) > 0."""
+    """Coefficients a_k of u = sum a_k sgn(tau)|tau|^{kq+1}; w = u'(0) > 0.
+
+    Each a_k takes one more term of C = (1 + sum_j (a_j / w) |tau|^{jq})^{q-1}.
+    """
     a = np.empty(_SERIES_TERMS + 1)
     a[0] = w
     alpha = q - 1.0
+    beta, C = [1.0], [1.0]
     for k in range(1, _SERIES_TERMS + 1):
-        beta = a[1:k] / a[0]
-        C = np.empty(k)
-        C[0] = 1.0
-        for m in range(1, k):
-            acc = 0.0
-            for j in range(1, m + 1):
-                acc += (j * alpha - (m - j)) * beta[j - 1] * C[m - j]
-            C[m] = acc / m
         a[k] = -(a[0] ** alpha) * C[k - 1] / ((k * q + 1.0) * (k * q))
+        beta.append(a[k] / a[0])
+        C.append(_power_coeff(beta, C, alpha))
     return a
 
 
@@ -235,28 +249,29 @@ _TAYLOR_SAFETY = 0.15  # Taylor step length over the estimated convergence radiu
 
 
 def _taylor_coeffs(u, v, q, r0, dim):
-    """Taylor coefficients a_k of the radial solution about a node at r0 > 0
+    """Taylor coefficients a_k of the radial solution about a node at r0
     where u != 0, with the coefficients k a_k of its derivative.
 
     They solve (r0 + s) u'' + (dim - 1) u' = -(r0 + s) f(u) term by term,
-    where f(u) = sgn(u) |u|^{q-1} = sum g_k s^k follows from the
-    power-of-a-series recurrence k a_0 g_k = sum_{j=1..k} (q j - k) a_j g_{k-j}
-    of _series_coeffs; at q = 1 every g_k past g_0 vanishes.
+    where f(u) = sgn(u) |u|^{q-1} = sum g_k s^k is a power of the series
+    of u (_power_coeff); at q = 1 every g_k past g_0 vanishes.  At the
+    origin (r0 = 0, v = 0) this is the Frobenius recurrence
+    (k + 2)(k + dim) a_{k+2} = -g_k.
     """
     a = [u, v]
     ja = [0.0, v]
     g = [_f_power(u, q)]
     for k in range(_TAYLOR_ORDER - 1):
-        rhs = (k + 1) * (k + dim - 1) * a[k + 1] + r0 * g[k]
-        if k:
-            rhs += g[k - 1]
-        a.append(-rhs / (r0 * (k + 1) * (k + 2)))
+        if r0:
+            rhs = (k + 1) * (k + dim - 1) * a[k + 1] + r0 * g[k]
+            if k:
+                rhs += g[k - 1]
+            a.append(-rhs / (r0 * (k + 1) * (k + 2)))
+        else:
+            a.append(-g[k] / ((k + 2) * (k + dim)))
         ja.append((k + 2) * a[k + 2])
-        m = k + 1
-        if m < _TAYLOR_ORDER - 1:
-            rev = g[::-1]
-            g.append((q * sum(map(operator.mul, ja[1:m + 1], rev))
-                      - m * sum(map(operator.mul, a[1:m + 1], rev))) / (m * u))
+        if k < _TAYLOR_ORDER - 2:
+            g.append(_power_coeff(a, g, q - 1.0))
     return a, ja
 
 
@@ -266,30 +281,30 @@ def _in_band(u, v, h):
 
 
 def _taylor_step(u, v, r0, h, q, dim, nodes_left):
-    """(u, u') at the nodes r0 + h, r0 + 2h, ... of one Taylor step, or None.
+    """One Taylor step from the node r0: its length, and (u, u') at the
+    nodes r0 + h, r0 + 2h, ... that it fills (none where u = 0).
 
-    The step is _TAYLOR_SAFETY times the convergence radius estimated from
+    The length is _TAYLOR_SAFETY times the convergence radius estimated from
     the last three coefficients, each taken relative to the size
-    max(|u|, |u'|) of the state, at most r0/2 and cut to a whole number of
-    nodes.  It ends early at the first node of the band |u| < 3 h |u'|, so
-    the crossing steps start where one RK4 step per node starts them, and
-    before the first node where u changes sign, reaches zero or is not
-    finite: at q = 1 the series sees no branch point at a zero and runs
-    across it.  None when fewer than two nodes remain: the caller then takes
-    its one-node step.
+    max(|u|, |u'|) of the state; past the origin it is at most r0/2, as the
+    damping term has its pole at r = 0 (at q = 1 from the origin the series
+    ends at r^2 and the length is unbounded).  The nodes end at the first
+    node of the band |u| < 3 h |u'|, so the crossing steps start where one
+    RK4 step per node starts them, and before the first node where u changes
+    sign, reaches zero or is not finite: at q = 1 the series sees no branch
+    point at a zero and runs across it.
     """
     if u == 0.0:
-        return None
+        return 0.0, np.empty(0), np.empty(0)
     a, ja = _taylor_coeffs(u, v, q, r0, dim)
     # relative to the state: on a small solution an absolute root test
     # would overestimate the radius by a factor scale^(-1/k)
     scale = max(abs(u), abs(v))
     root = max((abs(a[k]) / scale) ** (1.0 / k)
                for k in range(_TAYLOR_ORDER - 2, _TAYLOR_ORDER + 1))
-    step = 0.5 * r0 if root == 0.0 else min(_TAYLOR_SAFETY / root, 0.5 * r0)
-    m = min(int(step / h), nodes_left)
-    if m < 2:
-        return None
+    cap = 0.5 * r0 if r0 else math.inf
+    length = cap if root == 0.0 else min(_TAYLOR_SAFETY / root, cap)
+    m = int(min(length / h, nodes_left))
     s = h * np.arange(1, m + 1)
     us = np.polyval(a[::-1], s)
     vs = np.polyval(ja[:0:-1], s)
@@ -297,40 +312,31 @@ def _taylor_step(u, v, r0, h, q, dim, nodes_left):
     band = _in_band(us, vs, h)
     end = min(m, int(bad.argmax()) if bad.any() else m,
               int(band.argmax()) + 1 if band.any() else m)
-    if end < 2:
-        return None
-    return us[:end], vs[:end]
+    return length, us[:end], vs[:end]
 
 
-def integrate_plane(q, u0, du0, h, t_max, t_start=0.0):
-    """Integrate -u'' = |u|^{q-2} u from (u0, du0) on [t_start, t_max].
+def integrate_plane(q, u0, du0, h, t_max):
+    """Integrate -u'' = |u|^{q-2} u from (u0, du0) on [0, t_max].
 
-    Fixed uniform output grid of step h.  For q in (1, 2) a series layer
-    handles every simple zero; for q = 1 the flow is piecewise quadratic and
-    is propagated exactly with event-aligned pieces.
+    Fixed uniform output grid of step h: RK4 steps, and a series layer at
+    every simple zero (_series_coeffs).  At q = 1 the flow is piecewise
+    quadratic: RK4 is exact on each side of a zero and the series across it.
     """
     if h <= 0:
         raise ValueError("step must be positive")
-    n = int(round((t_max - t_start) / h))
+    n = int(round(t_max / h))
     if n < 0:
-        raise ValueError("t_max lies before t_start")
-    # node i sits at t_start + h * i, the value t[i] holds; it is computed
-    # per step so that no list of nodes is held
-    t = t_start + h * np.arange(n + 1)
+        raise ValueError("t_max must not be negative")
+    # node i sits at h * i, the value t[i] holds; it is computed per step so
+    # that no list of nodes is held
+    t = h * np.arange(n + 1)
     uu, vv = float(u0), float(du0)
     u, du = array("d", [uu]), array("d", [vv])
     crossings = []
 
-    if q == 1.0:
-        for i in range(n):
-            uu, vv = _advance_sign_exact(uu, vv, h, crossings, t_start + h * i)
-            u.append(uu)
-            du.append(vv)
-        return _trajectory(t, u, du, q, 1, (u0, du0), h, crossings)
-
     layer = None  # (t_star, w, sgn, coeffs, reach)
     for i in range(n):
-        ti, tnext = t_start + h * i, t_start + h * (i + 1)
+        ti, tnext = h * i, h * (i + 1)
         if layer is not None:
             t_star, w, sgn, coeffs, reach = layer
             if abs(tnext - t_star) <= reach:
@@ -356,7 +362,7 @@ def integrate_plane(q, u0, du0, h, t_max, t_start=0.0):
             tau, w, sgn, coeffs = _locate_crossing(uu, vv, q)
             t_star = ti - tau
             reach = max(_series_reach(w, q), 3.0 * h)
-            if t_start - 1e-12 <= t_star <= t_max + 1e-12:
+            if -1e-12 <= t_star <= t_max + 1e-12:
                 crossings.append((t_star, sgn * w))
             layer = (t_star, w, sgn, coeffs, reach)
             us, vs = _series_eval(tnext - t_star, coeffs, q)
@@ -376,47 +382,21 @@ def _trajectory(t, u, du, q, dim, initial, h, crossings):
                          initial, h, crossings)
 
 
-def _advance_sign_exact(u, v, h, crossings, t_now):
-    """Advance the q = 1 plane flow by h exactly (piecewise quadratic)."""
-    remaining = h
-    elapsed = 0.0
-    while remaining > 1e-300:
-        s = math.copysign(1.0, u) if u != 0.0 else math.copysign(1.0, v) if v != 0.0 else 0.0
-        # u(tau) = u + v tau - s tau^2 / 2
-        tau_cross = None
-        if s != 0.0:
-            disc = v * v + 2.0 * s * u
-            if disc >= 0.0:
-                root = math.sqrt(disc)
-                for cand in ((v - root) / s, (v + root) / s):
-                    if 1e-300 < cand <= remaining and (tau_cross is None or cand < tau_cross):
-                        tau_cross = cand
-        step = remaining if tau_cross is None else tau_cross
-        u = u + v * step - 0.5 * s * step * step
-        v = v - s * step
-        elapsed += step
-        remaining -= step
-        if tau_cross is not None:
-            u = 0.0
-            crossings.append((np.float64(t_now + elapsed), v))
-    return u, v
-
-
-_SERIES_STEPS = 10  # steps of h bridged by the series at the origin
 _CROSSING_SUBSTEPS = 32  # RK4 substeps of a step that may hold a zero
 
 
 def integrate_radial(dim, q, a, r_max, h):
     """Shoot u'' + (dim-1)/r u' = -|u|^{q-2} u from u(0) = a, u'(0) = 0.
 
-    The removable singularity at r = 0 is bridged with the even series
-    u = a - |a|^{q-2} a r^2 / (2 dim) + c4 r^4 on [0, _SERIES_STEPS * h].
-    Between zeros, where the equation is analytic, each step is one Taylor
-    step of order _TAYLOR_ORDER about the current node (_taylor_step), which
-    fills every node it covers up to the band |u| < 3 h |u'| around a zero.
-    A node where that step would fill fewer than two nodes takes one RK4
-    step instead; inside the band and across a sign change it takes
-    crossing-aligned RK4 substeps (_refined_crossing_step).
+    Where the equation is analytic, from the origin and between zeros, each
+    step is one Taylor step of order _TAYLOR_ORDER about the current node
+    (_taylor_step), which fills every node it covers up to the band
+    |u| < 3 h |u'| around a zero.  A node past the origin where that step
+    would fill fewer than two nodes takes one RK4 step instead; inside the
+    band and across a sign change it takes crossing-aligned RK4 substeps
+    (_refined_crossing_step).  No RK4 step starts at the origin, where
+    (dim-1) u'/r reads 0/0: a step h that leaves the origin's Taylor step
+    fewer than two nodes (one when r_max = h) is a ValueError.
     """
     if a == 0.0:
         raise ValueError("initial amplitude must be nonzero")
@@ -429,26 +409,19 @@ def integrate_radial(dim, q, a, r_max, h):
         return integrate_plane(q, a, 0.0, h, r_max)
     n = int(round(r_max / h))
     r = h * np.arange(n + 1)
-    # three-term even series: the r^4 term keeps the startup equation
-    # residual at O(r^4), matching the integrator's order
-    c2 = _f_power(a, q) / (2.0 * dim)
-    fp = (q - 1.0) * abs(a) ** (q - 2.0) if q > 1.0 else 0.0
-    c4 = fp * c2 / (4.0 * (dim + 2.0))
-    k0 = min(_SERIES_STEPS, n)
-    rs = r[: k0 + 1]
-    u = array("d", (a - c2 * rs ** 2 + c4 * rs ** 4).tobytes())
-    du = array("d", (-2.0 * c2 * rs + 4.0 * c4 * rs ** 3).tobytes())
+    uu, vv = float(a), 0.0
+    u, du = array("d", [uu]), array("d", [vv])
 
     crossings = []
-    uu, vv = u[k0], du[k0]
-    i = k0
+    i = 0
     while i < n:
         ri = h * i  # r[i]
         near = _in_band(uu, vv, h)
         if not near:
-            block = _taylor_step(uu, vv, ri, h, q, dim, n - i)
-            if block is not None:
-                us, vs = block
+            length, us, vs = _taylor_step(uu, vv, ri, h, q, dim, n - i)
+            # past the origin len(us) <= n - i < n, so this asks two nodes
+            # of every step but the origin's on a one-node run
+            if len(us) >= min(2, n):
                 # one block per step: array.extend(ndarray) would append
                 # element by element
                 u.frombytes(us.tobytes())
@@ -456,6 +429,11 @@ def integrate_radial(dim, q, a, r_max, h):
                 uu, vv = float(us[-1]), float(vs[-1])
                 i += len(us)
                 continue
+            if i == 0:
+                raise ValueError(
+                    f"step h = {h:g} does not resolve the solution at the "
+                    f"origin: its Taylor step is {length:.3g} long and fills "
+                    f"{len(us)} of the {min(2, n)} nodes it needs")
             un, vn = _rk4(uu, vv, h, q, r=ri, dim=dim)
         if near or uu * un < 0.0:
             un, vn = _refined_crossing_step(uu, vv, ri, h, q, dim, crossings)

@@ -318,6 +318,20 @@ class TestCliExitCodes:
         assert main(["frequency", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("step", ["1e-3", "5e-4"])
+    def test_radial_step_too_coarse_for_the_amplitude_exits_2(self, tmp_path,
+                                                              capsys, step):
+        # at a = 1e-12 the solution's length scale is 1e-3: the origin's
+        # Taylor step fills fewer than two nodes, and the run stops before
+        # it writes anything
+        out = tmp_path / "o"
+        assert main(["solve", "--mode", "radial", "--N", "3", "--q", "1.5",
+                     "--radius", "6", "--step", step, "--amplitude", "1e-12",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"step h = {float(step):g} does not resolve" in err
+        assert not out.exists()
+
     def test_solve_frequency_audit_pipeline(self, tmp_path):
         out1 = tmp_path / "solve"
         assert main(["solve", "--mode", "radial", "--q", "1.5", "--N", "2",

@@ -59,10 +59,24 @@ class TestEnergy:
         E = conserved_energy(traj)
         assert np.max(np.abs(E - 0.5)) <= 1e-12
 
+    @pytest.mark.parametrize("q", [1.0, 1.5])
+    def test_start_on_a_zero_records_the_crossing(self, q):
+        # q = 1 runs through the crossing series as q > 1 does
+        traj = integrate_plane(q, 0.0, 1.0, 1e-3, 1.0)
+        assert traj.crossings[0] == (0.0, 1.0)
+
+    def test_q1_crossings_exact(self):
+        # from (1, 0): u = 1 - t^2/2 reaches its zeros at (2k + 1) sqrt(2)
+        traj = integrate_plane(1.0, 1.0, 0.0, 1e-3, 10.0)
+        assert len(traj.crossings) == 4
+        for k, (loc, slope) in enumerate(traj.crossings):
+            assert loc == pytest.approx((2 * k + 1) * math.sqrt(2.0), abs=1e-13)
+            assert abs(slope) == pytest.approx(math.sqrt(2.0), abs=1e-13)
+
 
 class TestRadial:
     def test_series_start_curvature(self):
-        # u''(0) = -|a|^{q-2} a / N from the startup series
+        # u''(0) = -|a|^{q-2} a / N from the origin's Taylor step
         traj = integrate_radial(3, 1.5, 1.0, 0.5, 1e-3)
         r = traj.t[:8]
         np.testing.assert_allclose(traj.u[:8], 1.0 - r ** 2 / 6.0, atol=1e-12)
@@ -101,6 +115,26 @@ class TestRadial:
         with pytest.raises(ValueError):
             integrate_radial(2, 1.5, 0.0, 1.0, 1e-3)
 
+    @pytest.mark.parametrize("h", [1e-3, 5e-4])
+    def test_rejects_a_step_that_does_not_resolve_the_origin(self, h):
+        # the length scale |a|^{(q-2)/2} is 1e-3 at a = 1e-12, q = 1.5: the
+        # origin's Taylor step, 0.61e-3 long, fills fewer than two nodes
+        # (with no check, h = 1e-3 took 4984 'crossings' to R = 6)
+        with pytest.raises(ValueError, match=f"step h = {h:g} does not resolve "
+                           "the solution at the origin: its Taylor step is "
+                           "0.000612 long"):
+            integrate_radial(3, 1.5, 1e-12, 6.0, h)
+
+    @pytest.mark.parametrize("dim, q", [(2, 1.0), (3, 1.5)])
+    def test_a_run_of_one_step(self, dim, q):
+        # r_max = h: the origin's Taylor step fills the one node
+        h = 1e-3
+        traj = integrate_radial(dim, q, 0.5, h, h)
+        assert len(traj.t) == 2
+        # u = a - |a|^{q-2} a r^2 / (2 dim) + O(r^4): 4e-15 here, 0 at q = 1
+        assert traj.u[1] == pytest.approx(0.5 - 0.5 ** (q - 1.0) * h * h / (2 * dim),
+                                          rel=0, abs=1e-14)
+
     def test_q1_crossing_slope_exact(self):
         # N=3, q=1, a=1/2: u = 1/2 - r^2/6 up to its zero at sqrt(3), where
         # u' = -1/sqrt(3); the steps to and from the zero keep f = sgn(u) of
@@ -116,10 +150,18 @@ class TestRadial:
 
 
 def _rk4_shooter(monkeypatch, *args):
-    """integrate_radial with every Taylor step declined: one RK4 step per
-    node between zeros, the crossings handled as before."""
+    """integrate_radial with one RK4 step per node between zeros, the
+    crossings handled as before: every Taylor step past the origin is
+    declined, and the origin's covers at most ten nodes."""
+    taylor_step = odes._taylor_step
+
+    def origin_only(u, v, r0, h, q, dim, nodes_left):
+        if r0:
+            return 0.0, np.empty(0), np.empty(0)
+        return taylor_step(u, v, r0, h, q, dim, min(nodes_left, 10))
+
     with monkeypatch.context() as m:
-        m.setattr(odes, "_taylor_step", lambda *step_args: None)
+        m.setattr(odes, "_taylor_step", origin_only)
         return integrate_radial(*args)
 
 
@@ -261,63 +303,64 @@ class TestPme:
 #
 # sha256 of u.tobytes(), du.tobytes() and repr(crossings): the plane digests
 # (and the N = 1 radial ones, which run the plane integrator) were recorded
-# with the straightforward numpy-scalar RK4 loop, the N >= 2 radial ones with
-# Taylor steps between zeros.  A faster integrator must reproduce every bit,
-# signed zeros and the numpy scalar type of the crossings included.
+# with the straightforward numpy-scalar RK4 loop and its crossing series, at
+# q = 1 too, the N >= 2 radial ones with Taylor steps from the origin and
+# between zeros.  A faster integrator must reproduce every bit, signed zeros
+# and the numpy scalar type of the crossings included.
 
 GOLDEN = [
     ("radial", (3, 1.5, 0.5, 6.0, 0.0001),
-     "b63c90684cfe786b708c8fda816f3dd9876928f6f760b4aaaaa6ed85110c6828",
-     "d457ae6136499b72c31526be8a89ca249a851bcc2c83ef1749d7e080967ad46c",
-     "466702d8e65e75fcf9a0a24bdcc786df0c9734cf02881bcc71ac592ffc1e99a4"),
+     "64efca1952a75d47016dc2c8bc3345d522e3b4d2e9bb417536e31a29bc5ff59a",
+     "a5c766df11c0ae41b184e8153a515f8113a2cab71adc4d185171c9c1a1c9a53c",
+     "e797e656949cf662aab332cd35b790d832b9c156ce1410b7d9259c78f64d5785"),
     ("radial", (3, 1.5, 0.5, 6.0, 0.001),
-     "3fd258389cb667b0999a5547cbcc29bb6154314edc608ab35afbbbb2f7fd8345",
-     "6de944b4e0df64087e957333c8376624de94a84feb6e54d2f3f2a70b4646ec6f",
-     "12b533c42f866afae56c4fb9cc2f98a5248593f96a9026a2792ba28438fa228b"),
+     "0968859ae799c9aa6d6cd4b504c4131cc5847292d9882c1e9a5fbc9ccd799027",
+     "8b5ee8bb8ff5b893fdf9d8035655d6ebd000098f5a704122cbece4ecbafb3d63",
+     "7500f1d8b43e8a62e42bb897c56e6bc8740728e2019d5612f23e1a597a525cba"),
     ("radial", (2, 1.2, 0.5, 4.0, 0.0001),
-     "dfeab7714181a11a4881a545d4b815c7dc4afdc5f8481b87018579c5d6ea62e8",
-     "9e91b0b4a06cd32cc5602b7d2529d1c745ef7b02740e84e38941d40580c82eb7",
-     "4d12a70c675245cf5983e7a5b8191698ca7b210e649df908a50ff32fa39d663d"),
+     "608d9cc4c8a40cb0178524270fa1e7c711c0829d9286e4d4fa34d347bc86f40c",
+     "973033d44c40ace30ac5b1e31dc3de5b6c62b209adb02cd873c0b96398edad19",
+     "ceaab5b440400f8419363b46c0f336deb27ce024061262d0fd413347ef36b0e3"),
     ("radial", (2, 1.2, 0.5, 4.0, 0.001),
-     "0beea5cd5d00ed6b3873adbc83be381528f2670ba10f3e1b21b85f69f2f958a2",
-     "1a5cd5bbbef456ae1c7d5863ec92dada0e28702aa386409dd16d12028842498b",
-     "fac7a61da4098adb090420ccb853e92d087577f03baf254ffb6f289f5e8ed4a4"),
+     "befb5d3369dafdb71decfd6f60ca03a91387235136f55132b1a41859e2677a01",
+     "60054d2c6b0b2d2fb6adefc062dd4282e1f5356c2f0d2a582ede150f11add694",
+     "a149ac8864103a64f09abd9ad4242a318afacbdee9d26202c4948fbe5174d980"),
     ("radial", (2, 1.0, 1.0, 3.0, 0.0001),
-     "6e1d944737b0defa3cefd176c23cc7cd9fbbbc5ab1a3162d675e9e451feb68e9",
-     "9497879921422a3cba1e684c799b1ef0e9a9ea1662ff778cf8bcdc4fd832fdc9",
-     "b53bcf68d1b6a14c62db82e47381514eb8cb499653dca0623427a1b4c7922075"),
+     "cf207a2e6d886c421916b4358d5fdcf09db2172506ec6a076479944e3e7a9f45",
+     "ed32d030eafadad4cb83e40236e6594a38866d8efba0bc85be6c0d154f44bb77",
+     "4cc22d378d6e879ef296f435bcf0f05fcfb29429a683c0cc6a570cf159ea68dc"),
     ("radial", (2, 1.0, 1.0, 3.0, 0.001),
-     "b74fbcee3d8fd6fa081ae2913199e647895f83552e6cf98e7859cba9ca7e638f",
-     "059e1f260f52f1b321c42659b57050c5741b791d3f5a31fb8f7d273bdc35edc6",
+     "bb1f522ceef028e5976478be11ee4d81a1667d9f0e42731d77b235621e02b56c",
+     "e2799fed5a3a20941f349bab17e945f7d193029883f1e590da90a06941f84c61",
      "6f165dd381382046e6a3391ff04cb732ce5113025c5e4e6c05c365bfc6e0b22a"),
     ("radial", (4, 1.3, 0.9, 7.0, 0.0001),
-     "43e6b509b9aff74da2379e82e77ca757bb766d0f9408f38a905074719993aeb6",
-     "89775cde04ff2342c5dc8981228bbb2ecf0fc3e7020328564d67f59ede26010a",
-     "b9b7ca2825a4108b59bfb98aacc81ea73a54cd1b0be27b13526f8d726abcf1ac"),
+     "83db5959bb87ac8b02881784d467c57a4619938d60362027a5e534d9fbeb2c24",
+     "b753927a21c791515cc2cd231fcf7c35e75ef8de03da6f8612b65239323565ff",
+     "2dcb3ceec7efb4dee829abce549aed0c7144fa7fc894e8be9ee4b7645dfb900a"),
     ("radial", (4, 1.3, 0.9, 7.0, 0.001),
-     "ad84bb5ca038d96213ae6e86287cb796a52d2401ae447a875face470388e38d5",
-     "773e016700f3cbc059d4352ebddf151b026cac08103faa9dd26a97902df171f7",
-     "4af47020a8d095eae87b5d66b29ecdd7c9a83ac4da8d6c2107bc3f36414aed14"),
+     "b8dfa1edd6b1e993f11c41150cd28edab8eb715a06cc5980102e62e97ea81bfc",
+     "dce8e738397cae7e11ac10911c1afc191ac2b3e97e1aec23023ce33bd7428d77",
+     "b2a6146f73ac58024d5ecdd7af46fb82b7227b20130426a815526b5e4968ec58"),
     ("radial", (2, 1.5, -0.7, 4.0, 0.001),
-     "1fadeb3b484dc2cc198da5e6abbfd30ddd238af0f9d4b6f5f756780f252de8fd",
-     "1dc9d7973aac7556890b01927f989025e47d50d6ba14faf942478ed1cc70f2df",
-     "31b033b7f3a91b4e8d7fdf8ed7e7e6264960dcc3151e52ef4208627e72275c6e"),
+     "f835e3f2ddcb509986bd7345e5c7f1c1b7ffdb48e7edaa5018f18d9799a38809",
+     "646403058cf12da2992fcb216bdf25366a3a094ae5a207a08191b9026d799d90",
+     "3d40b4eb15a04339eeb0884a2a1e4ef57399fe78f10d4cd14f442ec5b0845f12"),
     ("radial", (1, 1.5, 1.0, 5.0, 0.001),
      "1c2a1c150077d2a7e5e4d4f6906891be9f06524bc697def2a9f6cb9a58e8c7b2",
      "65c3801bee2c713622858a302f010e89fcb885ddc45bb17e3f03ac1c59400bce",
      "4c8006caf5d3a9a4e021ddd857f7871efaa17733c44f4ce0da4b2224c634ccc5"),
     ("radial", (1, 1.0, 1.0, 5.0, 0.001),
-     "90994dcfc900fccef15e884678cab64dfe9f70ebd66e40b01e5255c3e1983fc4",
-     "a61187f6692c1144385e80b92b2f62ec0b08cc2d2a56b851ac75e5cda19472ec",
-     "b1d35a140ef838989b67c0686ae44950f9122f72b88d1e0879c170b73d9971b1"),
+     "0d1f855cb5698544dfa66bd1dfa6b2c96b39394e0d7d8af8237d24b8eac7d712",
+     "59301ec059f3ce95f88409843a306bad3e28431f493a6623b6dbab04eeba247e",
+     "66d96bbce74cd3a95fdcdf4f16bdce819658b4460e70be838a168206f37f6bae"),
     ("plane", (1.5, 1.0, 0.0, 0.001, 10.0),
      "a519e6f0660275fbe0069e3101f36dd6cd1da37ad8bb8dd30d0297ab9f75f7a5",
      "71a2ccdc9090d1fef857a0887b9c994b302c87ce145784cad9707e53871cd6fe",
      "c1fd782c81607dc00e745f4d6b65ccd92efd4c88ba0cba6e44aa80c007618b31"),
     ("plane", (1.0, 0.0, 1.0, 0.001, 10.0),
-     "d78e5ce89d939ebe014502798eaa3e449ca2159c05e8a78efc38e303527ea8f4",
-     "643944c03a0aaf73e79e1eec6c0c859193a7af4a9bba0366983e118ffae855e7",
-     "3a2f3ec13e57ebcb251482843e30a560ccd33eab5eccea970bc7113be8c21760"),
+     "1fa4e363fd8858b84a32030698d3863c4dd148770145ab2c7f24200bdce64471",
+     "8835ee8fe85e70f2c0e46fde8a1ed5ad4487e84332678949d0a669ab79f40b0e",
+     "4623c757e01ad90134633784c895a04d068ef75eb4022149b909265ce6987bb5"),
 ]
 
 
