@@ -22,8 +22,7 @@ from .fields import (SolverError, load_field, save_field, solve_grid_2d,
                      solve_radial)
 from .frequency import (ProfileControls, frequency_profile,
                         run_all_identity_checks, write_identity_reports)
-from .io import (RunRecord, jsonable, profile_to_csv, trajectory_to_csv,
-                 write_csv, write_json)
+from .io import RunRecord, jsonable, profile_to_csv, write_csv, write_json
 from .model import ProblemSpec, ball_grid, check_A1, check_A3
 from .odes import (PmeField, conserved_energy, counterexample_profile,
                    integrate_plane, integrate_radial, zero_audit)
@@ -85,7 +84,9 @@ def _build_parser():
     sp = sub.add_parser("frequency", help="frequency profile and identity reports")
     common(sp)
     sp.add_argument("field_file", metavar="field", help="field file to analyze")
-    sp.add_argument("--radii", dest="n_radii", type=int)
+    sp.add_argument("--radii", dest="n_radii", type=int,
+                    help="how many radii the profile and the reports list; "
+                         "derivatives are taken at the field's node step")
 
     sp = sub.add_parser("audit", help="vanishing-contradiction audit")
     common(sp)
@@ -154,41 +155,39 @@ def _record(cfg):
 
 
 def cmd_ode(cfg, q_list):
-    rec = _record(cfg)
-    out = cfg.out_dir
-
-    # each runner returns (artifact path, per-q summary, passed)
+    # each runner returns ((file name, columns, arrays, schema comment),
+    # per-q summary, passed); every q is computed before the output
+    # directory is made, so a run that exits 2 leaves nothing behind
     def one_counterexample(q):
         t_branch = np.linspace(-1.0, 1.0, 2001) + cfg.t0
         u, upp = counterexample_profile(q, cfg.t0, t_branch)
         fvals = np.sign(u) * np.abs(u) ** (q - 1.0)
         res = float(np.max(np.abs(upp - fvals) / np.maximum(1.0, np.abs(upp))))
-        path = os.path.join(out, f"counterexample_q{q!r}.csv")
-        write_csv(path, ["t", "u", "upp"], [t_branch, u, upp],
-                  schema_comment="freqlab-counterexample 1")
-        return path, {"q": q, "max_relative_residual": res}, res <= 1e-12
+        return ((f"counterexample_q{q!r}.csv", ["t", "u", "upp"],
+                 [t_branch, u, upp], "freqlab-counterexample 1"),
+                {"q": q, "max_relative_residual": res}, res <= 1e-12)
 
     def one_energy(q):
         traj = integrate_plane(q, 1.0, 0.0, cfg.radial_step, cfg.t_max)
         E = conserved_energy(traj)
         drift = float(np.max(np.abs(E - E[0])))
-        path = os.path.join(out, f"energy_q{q!r}.csv")
-        write_csv(path, ["t", "u", "du", "E"], [traj.t, traj.u, traj.du, E],
-                  schema_comment="freqlab-energy 1")
         bound = 1e-8 * max(1.0, (cfg.radial_step / 1e-2) ** 4)
-        return path, {"q": q, "E0": float(E[0]), "max_drift": drift}, drift <= bound
+        return ((f"energy_q{q!r}.csv", ["t", "u", "du", "E"],
+                 [traj.t, traj.u, traj.du, E], "freqlab-energy 1"),
+                {"q": q, "E0": float(E[0]), "max_drift": drift}, drift <= bound)
 
     def one_shoot(q):
         traj = integrate_radial(cfg.dimension, q, cfg.amplitude,
                                 cfg.outer_radius, cfg.radial_step)
-        path = os.path.join(out, f"trajectory_N{cfg.dimension}_q{q!r}.csv")
-        trajectory_to_csv(traj, path)
         zeros = zero_audit(traj)
         E = conserved_energy(traj)
         incr = float(np.max(np.diff(E))) if len(E) > 1 else 0.0
-        return path, {"q": q, "zeros": [
-            {"location": z.location, "slope": z.slope, "degenerate": z.degenerate}
-            for z in zeros], "max_energy_increase": incr}, incr <= 1e-5
+        return ((f"trajectory_N{cfg.dimension}_q{q!r}.csv", ["t", "u", "du"],
+                 [traj.t, traj.u, traj.du], "freqlab-trajectory 1"),
+                {"q": q, "zeros": [
+                    {"location": z.location, "slope": z.slope,
+                     "degenerate": z.degenerate} for z in zeros],
+                 "max_energy_increase": incr}, incr <= 1e-5)
 
     def one_pme(q):
         from .odes import pme_residual_grid
@@ -203,20 +202,22 @@ def cmd_ode(cfg, q_list):
         res = float(np.max(np.abs(resgrid)))
         w = pme.w(r_idx, t_vals)
         wsup = float(np.max(np.abs(w)))
-        path = os.path.join(out, f"pme_grid_N{cfg.dimension}_q{q!r}.csv")
         rr, tt = np.meshgrid(base.t[r_idx], t_vals, indexing="ij")
-        write_csv(path, ["x", "t", "w", "residual"],
-                  [rr.ravel(), tt.ravel(), w.T.ravel(), resgrid.T.ravel()],
-                  schema_comment="freqlab-pme 1")
         rel = res / wsup if wsup else 0.0
-        return path, {"q": q, "max_residual": res, "w_sup": wsup,
-                      "relative_residual": rel}, rel <= 1e-6
+        return ((f"pme_grid_N{cfg.dimension}_q{q!r}.csv",
+                 ["x", "t", "w", "residual"],
+                 [rr.ravel(), tt.ravel(), w.T.ravel(), resgrid.T.ravel()],
+                 "freqlab-pme 1"),
+                {"q": q, "max_residual": res, "w_sup": wsup,
+                 "relative_residual": rel}, rel <= 1e-6)
 
     runner = {"counterexample": one_counterexample, "energy": one_energy,
               "shoot": one_shoot, "pme": one_pme}[cfg.ode_task]
     results = [runner(q) for q in q_list]
-    for path, _, _ in results:
-        rec.add(path)
+    rec = _record(cfg)
+    out = cfg.out_dir
+    for (name, *csv), _, _ in results:
+        rec.add(write_csv(os.path.join(out, name), *csv))
     ok = all(passed for _, _, passed in results)
     summary = {"schema_version": 1, "task": cfg.ode_task,
                "results": [info for _, info, _ in results], "passed": ok}
@@ -285,12 +286,12 @@ def _boundary_factory(cfg, spec):
 
 def cmd_frequency(cfg, q_list):
     fld, spec = _field_and_spec(cfg)
-    rec = _record(cfg)
-    out = cfg.out_dir
     prof = frequency_profile(spec, fld, ProfileControls(
         n_radii=cfg.n_radii, h_floor_rel=cfg.h_floor_rel))
-    rec.add(profile_to_csv(prof, os.path.join(out, "profile.csv")))
     reports = run_all_identity_checks(spec, fld, prof)
+    rec = _record(cfg)
+    out = cfg.out_dir
+    rec.add(profile_to_csv(prof, os.path.join(out, "profile.csv")))
     for path in write_identity_reports(reports, out):
         rec.add(path)
     all_ok = all(rep.passed for rep in reports.values())
@@ -301,12 +302,12 @@ def cmd_frequency(cfg, q_list):
 
 def cmd_audit(cfg, q_list):
     fld, spec = _field_and_spec(cfg)
-    rec = _record(cfg)
     controls = AuditControls(
         tol_d_rel=cfg.tol_d_rel, residual_gate=cfg.residual_gate,
         profile=ProfileControls(n_radii=max(cfg.n_radii, 2000),
                                 h_floor_rel=cfg.h_floor_rel))
     chain = audit(spec, fld, controls)
+    rec = _record(cfg)
     rec.add(write_json(os.path.join(cfg.out_dir, "certificate.json"),
                        chain.to_dict()))
     rec.finish({"classification": chain.classification})

@@ -9,6 +9,11 @@ form: the correction terms (integrals against rho = div(A grad u) + V u + f)
 restore exactness for fields that are not exact solutions, so the checks
 apply to solver output, manufactured fields and glued candidates alike.
 
+The profile reports about `ProfileControls.n_radii` node radii, which is
+a count of outputs only: H', D' and N' are taken at the field's own node
+step, by the five-point stencil of `quadrature.deriv_uniform` on the node
+rows about each reported radius, so every reported radius has them.
+
 Radial profiles and polar grids go through one path: both are turned into
 the same node fields (`_NodeData`), a radial profile being a polar grid with
 one angular node and the sphere weight |S^{N-1}| r^{N-1}, and each identity
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import c_constant, eval_F, eval_f, grad1_F
-from .quadrature import cumulative_uniform, unit_sphere_area
+from .quadrature import cumulative_uniform, deriv_uniform, unit_sphere_area
 from .fields import _residual_grid, cartesian_gradient, residual_field
 from .io import jsonable, write_json, write_npz
 
@@ -35,7 +40,6 @@ __all__ = [
     "sphere_integral",
     "ball_integral",
     "frequency_profile",
-    "profile_derivative",
     "verify_H_prime",
     "verify_pohozaev_model",
     "verify_rellich_general",
@@ -313,7 +317,7 @@ def ball_integral(spec, fld, values, r=None):
 
 @dataclass
 class ProfileControls:
-    n_radii: int = 200
+    n_radii: int = 200           # how many radii are reported, not a step
     r_min: float = None          # defaults to max(8h, 0.02 R)
     h_floor_rel: float = 1e-14   # H floor relative to max H
 
@@ -334,14 +338,13 @@ class FrequencyProfile:
     indices: np.ndarray          # node indices backing each audit radius
     outer_radius: float
     dim: int
-
-    @property
-    def step(self):
-        return float(self.r[1] - self.r[0])
+    # "H", "D", "N" -> (d/dr at the node step, its error estimate)
+    derivatives: dict = field(default_factory=dict)
 
 
 def frequency_profile(spec, fld, controls=None):
-    """Sampled r -> (H, D, D1, d, d', N, surfaceD) on a uniform audit grid."""
+    """Sampled r -> (H, D, D1, d, d', N, surfaceD) at about n_radii node
+    radii, with H', D' and N' taken at the node step h."""
     controls = controls or ProfileControls()
     data = _node_data(spec, fld)
     r = data.r
@@ -349,15 +352,15 @@ def frequency_profile(spec, fld, controls=None):
     r_min = controls.r_min
     if r_min is None:
         r_min = max(8 * data.h, 0.02 * R)
-    hi = len(r) - 5  # spare rows for one-sided stencils at the rim
-    lo = int(np.searchsorted(r, r_min))
+    hi = len(r) - 5  # keeps the stencil's two rows beyond every radius
+    lo = max(int(np.searchsorted(r, r_min)), 2)
     if hi - lo < 5:
         raise ValueError("grid too coarse for a frequency profile: fewer "
                          "than five audit radii between r_min and the rim")
     count = min(controls.n_radii, hi - lo)
-    # keep the audit grid uniform in index space for clean differentiation
     stride = max(1, (hi - lo) // max(count - 1, 1))
     idx = np.arange(lo, hi + 1, stride)
+    rows = idx + np.arange(-2, 3)[:, None]  # node rows i-2..i+2, shape (5, m)
 
     u = data.u
     H_all = data.sphere(u * u * data.mu)
@@ -368,37 +371,24 @@ def frequency_profile(spec, fld, controls=None):
     dp_all = data.sphere(data.Fvals)
     sup_sphere = np.max(np.abs(u), axis=1)
     D_all = D1_all - fu_all
-    H = H_all[idx]
+    H, D = H_all[rows], D_all[rows]
     floor = controls.h_floor_rel * max(float(np.max(H_all)), 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
-        N = np.where(H > floor, r[idx] * D_all[idx] / H, np.nan)
-    prof = FrequencyProfile(
-        r=r[idx].copy(), H=H, D=D_all[idx], D1=D1_all[idx], d=d_all[idx],
-        dprime=dp_all[idx], N=N, surfaceD=S_all[idx],
+        N = np.where(H > floor, r[rows] * D / H, np.nan)
+    # d/dr on the middle row by the five-point stencil, and its defect
+    # against the three-point central difference as the error estimate
+    HDN = np.stack([H, D, N], axis=1)
+    dy = deriv_uniform(HDN, data.h)[2]
+    est = np.abs(dy - (HDN[3] - HDN[1]) / (2.0 * data.h))
+    derivatives = {key: (dy[k], est[k]) for k, key in enumerate("HDN")}
+    return FrequencyProfile(
+        r=r[idx].copy(), H=H[2], D=D[2], D1=D1_all[idx], d=d_all[idx],
+        dprime=dp_all[idx], N=N[2], surfaceD=S_all[idx],
         ball_sup=np.maximum.accumulate(sup_sphere)[idx],
         sphere_sup=sup_sphere[idx],
         h_floor=floor, indices=idx, outer_radius=R, dim=fld.dim,
+        derivatives=derivatives,
     )
-    return prof
-
-
-def profile_derivative(y, h):
-    """(dy/dr, error estimate, valid slice) on the uniform audit grid.
-
-    Five-point interior stencil (central differences plus one Richardson
-    level); the error estimate is the defect between the plain central and
-    the extrapolated value, reported per radius.
-    """
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    dy = np.full(n, np.nan)
-    est = np.full(n, np.nan)
-    ctr = (y[3:-1] - y[1:-3]) / (2.0 * h)
-    wide = (y[4:] - y[:-4]) / (4.0 * h)
-    rich = (4.0 * ctr - wide) / 3.0
-    dy[2:-2] = rich
-    est[2:-2] = np.abs(rich - ctr)
-    return dy, est, slice(2, n - 2)
 
 
 # --------------------------------------------------------------------------
@@ -418,18 +408,17 @@ def verify_H_prime(spec, fld, prof, tolerance=1e-6):
     the constant-coefficient derivative formula.
     """
     data = _node_data(spec, fld)
-    dH, est, sl = profile_derivative(prof.H, prof.step)
+    dH, est = prof.derivatives["H"]
     idx = prof.indices
     divterm = data.sphere(data.u[idx] ** 2 * data.div_a_grad_absx[idx], idx)
     rhs = 2.0 * prof.surfaceD + divterm
     model_rhs = 2.0 * prof.surfaceD + (fld.dim - 1) / prof.r * prof.H
-    rep = IdentityReport("H_prime", prof.r[sl], dH[sl], rhs[sl],
-                         tolerance)
-    rep.details["diff_error_estimate"] = est[sl]
-    rep.details["model_form_rhs"] = model_rhs[sl]
+    rep = IdentityReport("H_prime", prof.r, dH, rhs, tolerance)
+    rep.details["diff_error_estimate"] = est
+    rep.details["model_form_rhs"] = model_rhs
     rep.details["coefficient_derivatives"] = _gradient_provenance(spec)
     rep.details["fitted_O1_constant"] = float(
-        np.max(np.abs(dH[sl] - model_rhs[sl]) / np.maximum(prof.H[sl], 1e-300)))
+        np.max(np.abs(dH - model_rhs) / np.maximum(prof.H, 1e-300)))
     return rep
 
 
@@ -451,18 +440,17 @@ def verify_pohozaev_model(spec, fld, prof, tolerance=1e-6):
     N = fld.dim
     C = c_constant(N, q)
     idx = prof.indices
-    dD, est, sl = profile_derivative(prof.D, prof.step)
+    dD, est = prof.derivatives["D"]
     uq = q * data.Fvals  # |u|^q for the power law; 0 in linear mode
     S2 = data.sphere(2.0 * data.u_nu ** 2 + (2.0 - q) / q * uq)[idx]
     X = data.ball(data.x_grad_u * data.rho0)[idx]
     Q = q * prof.d  # int_B |u|^q
     base = (N - 2.0) / prof.r * prof.D - C / (q * prof.r) * Q + S2
     corr = -(2.0 / prof.r) * X
-    rep = IdentityReport("pohozaev_model", prof.r[sl],
-                         dD[sl], (base + corr)[sl], tolerance)
-    rep.details["diff_error_estimate"] = est[sl]
-    rep.details["uncorrected_defect"] = (dD - base)[sl]
-    rep.details["correction_term"] = corr[sl]
+    rep = IdentityReport("pohozaev_model", prof.r, dD, base + corr, tolerance)
+    rep.details["diff_error_estimate"] = est
+    rep.details["uncorrected_defect"] = dD - base
+    rep.details["correction_term"] = corr
     return rep
 
 
@@ -545,7 +533,7 @@ def verify_N_prime_bound(spec, fld, prof):
     N = fld.dim
     C = c_constant(N, q)
     idx = prof.indices
-    dN, est, sl = profile_derivative(prof.N, prof.step)
+    dN, est = prof.derivatives["N"]
 
     S_q = q * prof.dprime
     Q = q * prof.d
@@ -559,19 +547,18 @@ def verify_N_prime_bound(spec, fld, prof):
         equality_rhs = (2.0 * prof.r / prof.H * cs_gap + rhs
                         - 2.0 / prof.H * X
                         + 2.0 * prof.r * prof.surfaceD / prof.H ** 2 * Y)
-    slack = np.nanmax(est[sl]) * 10.0 + 1e-10
-    ok = np.isfinite(prof.N[sl])
-    margins = (dN[sl] - rhs[sl] + slack)[ok]
-    rep = IdentityReport("frequency_derivative_bound",
-                         prof.r[sl], dN[sl], rhs[sl],
+    slack = np.nanmax(est) * 10.0 + 1e-10
+    ok = np.isfinite(prof.N)
+    margins = (dN - rhs + slack)[ok]
+    rep = IdentityReport("frequency_derivative_bound", prof.r, dN, rhs,
                          tolerance=np.inf)
     rep.details["slack"] = float(slack)
     rep.details["inequality_margins"] = margins
     rep.details["inequality_ok"] = bool(np.all(margins >= 0.0))
     rep.details["cs_gap"] = cs_gap
     rep.details["cs_gap_ok"] = bool(np.nanmin(cs_gap) >= -_CS_GAP_TOL)
-    rep.details["equality_residual"] = (dN - equality_rhs)[sl]
-    rep.details["diff_error_estimate"] = est[sl]
+    rep.details["equality_residual"] = dN - equality_rhs
+    rep.details["diff_error_estimate"] = est
     return rep
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["jsonable", "write_json", "write_npz", "write_csv", "profile_to_csv",
-           "trajectory_to_csv", "RunRecord", "content_hash_of_dir"]
+           "RunRecord", "content_hash_of_dir"]
 
 
 def jsonable(obj):
@@ -63,20 +63,18 @@ def write_npz(path, header, arrays):
     return path
 
 
-def _fmt(v):
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return ""
-    return repr(float(v))
-
-
 def write_csv(path, columns, arrays, schema_comment):
-    """CSV under a '# <schema_comment>' line and a header of `columns`."""
-    lines = [f"# {schema_comment}", ",".join(columns)]
-    n = len(arrays[0])
-    for k in range(n):
-        lines.append(",".join(_fmt(a[k]) for a in arrays))
+    """CSV under a '# <schema_comment>' line and a header of `columns`.
+
+    Each column is converted to floats once; a value is written with repr,
+    a NaN (None included) as an empty field.
+    """
+    cols = [np.asarray(a, dtype=float).tolist() for a in arrays]
+    rows = (",".join(["" if v != v else repr(v) for v in row])
+            for row in zip(*cols))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([f"# {schema_comment}", ",".join(columns), *rows])
+                 + "\n")
     return path
 
 
@@ -86,11 +84,6 @@ def profile_to_csv(prof, path):
         [prof.r, prof.H, prof.D, prof.D1, prof.d, prof.dprime, prof.N,
          prof.surfaceD],
         schema_comment="freqlab-profile 1")
-
-
-def trajectory_to_csv(traj, path):
-    return write_csv(path, ["t", "u", "du"], [traj.t, traj.u, traj.du],
-                     schema_comment="freqlab-trajectory 1")
 
 
 def _sha256(path):

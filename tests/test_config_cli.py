@@ -332,6 +332,39 @@ class TestCliExitCodes:
         assert f"step h = {float(step):g} does not resolve" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("task", ["--shoot", "--pme"])
+    def test_ode_exit_2_leaves_no_output(self, tmp_path, capsys, task):
+        # the origin's Taylor step rejects the step before anything is
+        # written, so no output directory is made
+        out = tmp_path / "o"
+        assert main(["ode", task, "--q", "1.5", "--N", "3", "--amplitude",
+                     "1e-12", "--radius", "6", "--step", "1e-3",
+                     "--out", str(out)]) == 2
+        assert "does not resolve" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["frequency", "audit"])
+    def test_field_too_short_for_a_profile_leaves_no_output(self, tmp_path,
+                                                             capsys, command):
+        so = tmp_path / "so"
+        assert main(["solve", "--mode", "radial", "--N", "2", "--q", "1.5",
+                     "--radius", "0.012", "--step", "1e-3",
+                     "--out", str(so)]) == 0
+        out = tmp_path / "o"
+        assert main([command, str(so / "field.npz"), "--out", str(out)]) == 2
+        assert "grid too coarse" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_radial_frequency_with_zeros_passes(self, tmp_path):
+        # the criterion-11 radial field (three zeros on the ball): every
+        # identity passes once the profile is differentiated at the node
+        # step
+        so, fq = tmp_path / "so", tmp_path / "fq"
+        assert main(["solve", "--mode", "radial", "--N", "3", "--q", "1.5",
+                     "--radius", "6", "--step", "1e-4", "--amplitude", "0.5",
+                     "--out", str(so)]) == 0
+        assert main(["frequency", str(so / "field.npz"), "--out", str(fq)]) == 0
+
     def test_solve_frequency_audit_pipeline(self, tmp_path):
         out1 = tmp_path / "solve"
         assert main(["solve", "--mode", "radial", "--q", "1.5", "--N", "2",

@@ -986,6 +986,23 @@ def test_verdicts_do_not_depend_on_array_layout(tmp_path):
     assert _verdict_files(spec, strided, tmp_path / "strided") == want
 
 
+def test_write_csv_matches_the_per_cell_format(tmp_path):
+    # every value is the repr of its float, and NaN and None are empty
+    # fields; the per-cell form below is the reference
+    from freqlab.io import write_csv
+
+    cols = [np.array([0.1, np.nan, -0.0, np.inf]), [1, None, 3, 4],
+            np.array([1e-300, 2.5, -np.inf, 7.0])]
+
+    def cell(v):
+        return "" if v is None or np.isnan(v) else repr(float(v))
+
+    want = "# s 1\na,b,c\n" + "".join(
+        ",".join(cell(c[k]) for c in cols) + "\n" for k in range(4))
+    write_csv(tmp_path / "x.csv", ["a", "b", "c"], cols, "s 1")
+    assert (tmp_path / "x.csv").read_text() == want
+
+
 def test_constructors_store_contiguous_float64(tmp_path):
     block = np.stack([np.linspace(0.0, 1.0, 11), np.ones(11), np.zeros(11)], axis=1)
     fld = SolutionField.radial_from_arrays(block[:, 0], block[:, 1], block[:, 2],

@@ -59,16 +59,13 @@ class TestClassicalFrequency:
         assert abs(prof.N[0]) < abs(prof.N[-1])
 
     def test_log_derivative_relation(self, linear_mode_spec):
-        # d/dr log(H / r^{N-1}) = 2 N(r) / r in the plain-Laplacian case,
-        # asserted within the derivative's own error estimate
-        from freqlab.frequency import profile_derivative
-
+        # d/dr log(H / r^{N-1}) = H'/H - 1/r = 2 N(r) / r in the
+        # plain-Laplacian case, asserted within H''s own error estimate
         fld = sample_grid2d(lambda x: x[..., 0], 1.0, 128, 256, 1.5)
         prof = frequency_profile(linear_mode_spec, fld)
-        y = np.log(prof.H / prof.r)
-        dy, est, sl = profile_derivative(y, prof.step)
-        target = 2 * prof.N[sl] / prof.r[sl]
-        assert np.all(np.abs(dy[sl] - target) <= 20 * est[sl] + 1e-10)
+        dH, est = prof.derivatives["H"]
+        gap = np.abs(dH / prof.H - 1 / prof.r - 2 * prof.N / prof.r)
+        assert np.all(gap <= 20 * est / prof.H)
 
 
 class TestHPrime:
@@ -90,9 +87,32 @@ class TestHPrime:
         key = (3, 1.5)
         prof = frequency_profile(model_specs[key], radial_solutions[key])
         rep = verify_H_prime(model_specs[key], radial_solutions[key], prof)
-        sl = slice(2, len(prof.r) - 2)
         np.testing.assert_allclose(rep.rhs, rep.details["model_form_rhs"],
                                    rtol=1e-12)
+
+
+class TestNodeStepDerivatives:
+    # the profile is differentiated at the field's node step: n_radii picks
+    # the reported radii and decides no verdict
+
+    def test_h_prime_independent_of_n_radii(self):
+        spec = ProblemSpec.model(3, 1.5, outer_radius=6.0)
+        fld = solve_radial(spec, 0.5, h=1e-4)
+        verdicts = []
+        for n_radii in (200, 800, 2000):
+            prof = frequency_profile(spec, fld, ProfileControls(n_radii=n_radii))
+            reports = run_all_identity_checks(spec, fld, prof)
+            assert reports["H_prime"].rel_residual < 1e-10, n_radii
+            verdicts.append({name: rep.passed for name, rep in reports.items()})
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+
+    def test_every_radius_has_a_derivative(self):
+        for _, spec, fld in _pinned_fields():
+            prof = frequency_profile(spec, fld)
+            reports = run_all_identity_checks(spec, fld, prof)
+            for name in ("H_prime", "pohozaev_model",
+                         "frequency_derivative_bound"):
+                assert len(reports[name].radii) == len(prof.r), name
 
 
 class TestPohozaev:
@@ -660,9 +680,12 @@ def _longest_list(obj):
 
 
 def test_split_reports_keep_the_schema_1_verdicts(tmp_path):
-    # tests/data/identity_verdicts_schema1.json holds what the schema-1
-    # writer (per-radius arrays in the JSON) gave for these two fields: the
-    # verdict, rel_residual, tolerance and the scalar details of each report
+    # tests/data/identity_verdicts_schema1.json holds the verdict,
+    # rel_residual, tolerance and scalar details of each report for these
+    # two fields, in the key layout of the schema-1 writer (per-radius
+    # arrays in the JSON); the values are those of the profile derivatives
+    # taken at the node step, where the radial H_prime and pohozaev_model
+    # pass
     import json
     import pathlib
 
