@@ -422,8 +422,8 @@ def _field_hash(fld):
     hsh.update(fld.representation.encode())
     hsh.update(np.int64(fld.dim).tobytes())
     hsh.update(np.float64(fld.q).tobytes())
-    hsh.update(np.ascontiguousarray(fld.r).tobytes())
-    hsh.update(np.ascontiguousarray(fld.u).tobytes())
+    hsh.update(fld.r.tobytes())
+    hsh.update(fld.u.tobytes())
     if fld.du is not None:
-        hsh.update(np.ascontiguousarray(fld.du).tobytes())
+        hsh.update(fld.du.tobytes())
     return hsh.hexdigest()

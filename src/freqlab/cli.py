@@ -302,10 +302,10 @@ def cmd_frequency(cfg, q_list):
 
 def cmd_audit(cfg, q_list):
     fld, spec = _field_and_spec(cfg)
+    n_radii = max(cfg.n_radii, AuditControls().profile.n_radii)
     controls = AuditControls(
         tol_d_rel=cfg.tol_d_rel, residual_gate=cfg.residual_gate,
-        profile=ProfileControls(n_radii=max(cfg.n_radii, 2000),
-                                h_floor_rel=cfg.h_floor_rel))
+        profile=ProfileControls(n_radii=n_radii, h_floor_rel=cfg.h_floor_rel))
     chain = audit(spec, fld, controls)
     rec = _record(cfg)
     rec.add(write_json(os.path.join(cfg.out_dir, "certificate.json"),

@@ -49,9 +49,22 @@ class SolverError(RuntimeError):
 # the field container
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionField:
-    """A candidate solution with gradient access and residual bookkeeping."""
+    """A candidate solution on its nodes, with residual bookkeeping.
+
+    A field is a value: it is validated once, when it is built, and cannot
+    change afterwards.  It takes ownership of the arrays it is given: each of
+    r, u, du and theta is stored as a C-contiguous float64 array and made
+    read-only.  That is the array itself when it already is one and nothing
+    else can write its memory (it owns its data, or views a read-only
+    array), else a copy.  So no verdict depends on how the caller laid out
+    its arrays (numpy sums strided and contiguous data in different orders)
+    and cached node data can never go stale.  A changed field is a new one,
+    made with `dataclasses.replace`, which starts with an empty cache but
+    keeps residual_scale and the meta dict itself: a caller that changes u
+    passes residual_scale=None and meta={} too.
+    """
 
     representation: str           # "radial" | "grid2d"
     dim: int
@@ -62,28 +75,26 @@ class SolutionField:
     theta: np.ndarray = None      # grid2d only
     residual_scale: float = None  # solver truncation estimate, if known
     meta: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def __post_init__(self):
+        for name in ("r", "u", "du", "theta"):
+            a = getattr(self, name)
+            if a is not None:
+                object.__setattr__(self, name, _read_only(a))
+        self.validate()
 
     # ---- constructors
 
-    # The constructors store C-contiguous float64 copies (or the arrays
-    # themselves when they already are), so no verdict depends on how the
-    # caller laid out its arrays: numpy sums strided and contiguous data in
-    # different orders.
-
     @classmethod
     def radial_from_arrays(cls, r, u, du, dim, q, residual_scale=None):
-        fld = cls("radial", dim, q, _contiguous(r), _contiguous(u),
-                  du=_contiguous(du), residual_scale=residual_scale)
-        fld.validate()
-        return fld
+        return cls("radial", dim, q, r, u, du=du, residual_scale=residual_scale)
 
     @classmethod
     def grid2d_from_values(cls, r_nodes, theta, values, q, residual_scale=None):
-        fld = cls("grid2d", 2, q, _contiguous(r_nodes), _contiguous(values),
-                  theta=_contiguous(theta), residual_scale=residual_scale)
-        fld.validate()
-        return fld
+        return cls("grid2d", 2, q, r_nodes, values, theta=theta,
+                   residual_scale=residual_scale)
 
     def validate(self):
         """Raise ValueError unless every analysis can read this field.
@@ -143,44 +154,26 @@ class SolutionField:
 
     def points(self):
         """Cartesian node coordinates; grid2d only, shape (n_r+1, n_t, 2)."""
-        self._need_grid()
-        return _polar_points(self.r, self.theta)
-
-    def contiguous(self):
-        """This field if its arrays are C-contiguous float64, else a copy
-        (with an empty cache) whose arrays are."""
-        arrays = {name: _contiguous(getattr(self, name))
-                  for name in ("r", "u", "du", "theta")
-                  if getattr(self, name) is not None}
-        if all(a is getattr(self, name) for name, a in arrays.items()):
-            return self
-        return dataclasses.replace(self, **arrays, _cache={})
-
-    def cached(self, key, build, pin=None):
-        """build(), kept under `key` until the field's r, u, du or theta is
-        replaced by another array or `pin` is another object.  A change made
-        inside an array (fld.u *= 2) is not seen."""
-        stamp = (pin, self.r, self.u, self.du, self.theta)
-        entry = self._cache.get(key)
-        if entry is None or any(a is not b for a, b in zip(entry[0], stamp)):
-            entry = self._cache[key] = (stamp, build())
-        return entry[1]
-
-    def _need_grid(self):
         if self.representation != "grid2d":
             raise ValueError("operation needs a grid2d field")
+        return _polar_points(self.r, self.theta)
 
-    # ---- derivatives
+    def cached(self, key, build, pin=None):
+        """build(), kept under `key` until `pin` is another object."""
+        entry = self._cache.get(key)
+        if entry is None or entry[0] is not pin:
+            entry = self._cache[key] = (pin, build())
+        return entry[1]
 
-    def gradient_cartesian(self):
-        """grid2d: (gx, gy) node fields; the pole row holds grad u(0)."""
-        self._need_grid()
-        return self.cached("grad", lambda: cartesian_gradient(self.u, self.r,
-                                                              self.theta))
 
-
-def _contiguous(a):
-    return np.ascontiguousarray(a, dtype=float)
+def _read_only(a):
+    a = np.ascontiguousarray(a, dtype=float)
+    base = a.base
+    if base is not None and not (isinstance(base, np.ndarray)
+                                 and not base.flags.writeable):
+        a = a.copy()  # a view of memory that its owner can still write
+    a.flags.writeable = False
+    return a
 
 
 # nodes r = k h have steps that differ from h by round-off of about k eps
@@ -266,7 +259,7 @@ def _residual_grid(spec, fld, source=None, agrad=None, V=None, fvals=None):
     pts = fld.points()
     if agrad is None:
         a = spec.coefficients.entries(pts)
-        grad = np.stack(fld.gradient_cartesian(), axis=-1)
+        grad = np.stack(cartesian_gradient(fld.u, fld.r, fld.theta), axis=-1)
         agrad = np.einsum("...ij,...j->...i", a, grad)
     if V is None:
         V = spec.V(pts)
@@ -313,7 +306,7 @@ def solve_radial(spec, a, h=1e-3):
     fld = SolutionField.radial_from_arrays(traj.t, traj.u, traj.du, traj.dim,
                                            traj.q)
     rho = residual_field(spec, fld)
-    fld.residual_scale = float(np.nanmax(np.abs(rho)))
+    fld = dataclasses.replace(fld, residual_scale=float(np.nanmax(np.abs(rho))))
     fld.meta["solver"] = {"kind": "radial_shooting", "h": h, "a": a}
     return fld
 
@@ -611,7 +604,7 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     fld = SolutionField.grid2d_from_values(r_nodes, theta, _nodes(uk, g),
                                            spec.nonlinearity.q)
     rho = residual_field(spec, fld, source=source)
-    fld.residual_scale = float(np.nanmax(np.abs(rho)))
+    fld = dataclasses.replace(fld, residual_scale=float(np.nanmax(np.abs(rho))))
     contraction = _contraction(distances)
     fld.meta["solver"] = {"kind": "grid2d_fixed_point", "n_r": n_r,
                           "n_theta": n_theta, "damping": damping,

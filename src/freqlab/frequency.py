@@ -168,7 +168,9 @@ def write_identity_reports(reports, out_dir):
 
 
 class _NodeData:
-    """Cached node fields of one field under one spec.
+    """Cached node fields of one field under one spec, whose ball must be
+    the field's: the same N, and an R that the solvers' rule round(R/h)
+    turns into the field's node count.
 
     Both representations share one vocabulary.  Every node array has rows
     over the radial nodes and columns over the angles, shape
@@ -183,6 +185,11 @@ class _NodeData:
     """
 
     def __init__(self, spec, fld):
+        if spec.dim != fld.dim or \
+                int(round(spec.outer_radius / fld.h)) != len(fld.r) - 1:
+            raise ValueError(
+                f"the problem's ball (N={spec.dim}, R={spec.outer_radius:g}) "
+                f"is not the field's (N={fld.dim}, R={fld.outer_radius:g})")
         self.r = fld.r
         self.h = fld.h
         if fld.representation == "radial":
@@ -231,7 +238,7 @@ class _NodeData:
         self.u = fld.u
         self.pts = pts
         self.a, self.agrads = geo.a, geo.grads
-        gx, gy = fld.gradient_cartesian()
+        gx, gy = cartesian_gradient(fld.u, fld.r, fld.theta)
         self.grad = np.stack([gx, gy], axis=-1)
         ct, st = np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :]
         nu = np.stack([np.broadcast_to(ct, fld.u.shape),
@@ -271,10 +278,8 @@ class _NodeData:
 
 def _node_data(spec, fld):
     # keyed by object identity with the spec itself pinned in the entry, so
-    # a recycled id() can never alias a different spec; contiguous arrays,
-    # so no verdict depends on how a caller laid them out
-    return fld.cached(("freq", id(spec)),
-                      lambda: _NodeData(spec, fld.contiguous()), pin=spec)
+    # a recycled id() can never alias a different spec
+    return fld.cached(("freq", id(spec)), lambda: _NodeData(spec, fld), pin=spec)
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +342,6 @@ class FrequencyProfile:
     h_floor: float
     indices: np.ndarray          # node indices backing each audit radius
     outer_radius: float
-    dim: int
     # "H", "D", "N" -> (d/dr at the node step, its error estimate)
     derivatives: dict = field(default_factory=dict)
 
@@ -386,7 +390,7 @@ def frequency_profile(spec, fld, controls=None):
         dprime=dp_all[idx], N=N[2], surfaceD=S_all[idx],
         ball_sup=np.maximum.accumulate(sup_sphere)[idx],
         sphere_sup=sup_sphere[idx],
-        h_floor=floor, indices=idx, outer_radius=R, dim=fld.dim,
+        h_floor=floor, indices=idx, outer_radius=R,
         derivatives=derivatives,
     )
 
@@ -521,10 +525,10 @@ def verify_N_prime_bound(spec, fld, prof):
 
     Asserts N'(r) >= (1/H)[ r (2-q)/q int_S |u|^q - C_{N,q}/q int_B |u|^q ]
     minus a differentiation slack (ten times the derivative's error
-    estimate) at every audited radius with H above the floor, and that the
-    Cauchy-Schwarz gap int_S u_nu^2 - surfaceD^2 / H is nonnegative (up to
-    _CS_GAP_TOL).  The exact corrected equality (with the gap
-    and rho-terms reinstated) is reported alongside.
+    estimate at that radius) at every audited radius with H above the
+    floor, and that the Cauchy-Schwarz gap int_S u_nu^2 - surfaceD^2 / H is
+    nonnegative (up to _CS_GAP_TOL).  The exact corrected equality (with the
+    gap and rho-terms reinstated) is reported alongside.
     """
     if not spec.is_model:
         raise ValueError("the frequency derivative bound needs the model case")
@@ -547,12 +551,12 @@ def verify_N_prime_bound(spec, fld, prof):
         equality_rhs = (2.0 * prof.r / prof.H * cs_gap + rhs
                         - 2.0 / prof.H * X
                         + 2.0 * prof.r * prof.surfaceD / prof.H ** 2 * Y)
-    slack = np.nanmax(est) * 10.0 + 1e-10
+    slack = 10.0 * est + 1e-10
     ok = np.isfinite(prof.N)
     margins = (dN - rhs + slack)[ok]
     rep = IdentityReport("frequency_derivative_bound", prof.r, dN, rhs,
                          tolerance=np.inf)
-    rep.details["slack"] = float(slack)
+    rep.details["slack"] = slack
     rep.details["inequality_margins"] = margins
     rep.details["inequality_ok"] = bool(np.all(margins >= 0.0))
     rep.details["cs_gap"] = cs_gap

@@ -26,7 +26,7 @@ def synthetic_profile(r, H, D, d, dprime=None, D1=None):
         dprime=np.gradient(d, r) if dprime is None else np.asarray(dprime, float),
         N=N, surfaceD=D.copy(), ball_sup=np.maximum.accumulate(np.sqrt(H / r)),
         sphere_sup=np.sqrt(H / r), h_floor=floor, indices=np.arange(len(r)),
-        outer_radius=float(r[-1]), dim=2)
+        outer_radius=float(r[-1]))
 
 
 class TestVanishingRadius:

@@ -355,6 +355,29 @@ class TestCliExitCodes:
         assert "grid too coarse" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new", [
+        ("dimension = 2", "dimension = 3"),
+        ("outer_radius = 1.0", "outer_radius = 2.0"),
+    ], ids=["dimension", "outer_radius"])
+    def test_spec_that_disagrees_with_its_field_exits_2(self, tmp_path, capsys,
+                                                        old, new):
+        # before the check, dimension = 3 exited 2 with numpy's broadcast
+        # message and outer_radius = 2.0 was ignored (genuine_nonvanishing)
+        config, bad = tmp_path / "model.ini", tmp_path / "bad.ini"
+        config.write_text(MODEL_CONFIG)
+        bad.write_text(MODEL_CONFIG.replace(old, new))
+        so = tmp_path / "so"
+        assert main(["solve", "--mode", "grid2d", "--rings", "32", "--angles",
+                     "64", "--boundary", "cos:0:0.3", "--config", str(config),
+                     "--out", str(so)]) == 0
+        for command in ("frequency", "audit"):
+            out = tmp_path / command
+            assert main([command, str(so / "field.npz"), "--config", str(bad),
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "is not the field's (N=2, R=1)" in err, err
+            assert not out.exists()
+
     def test_radial_frequency_with_zeros_passes(self, tmp_path):
         # the criterion-11 radial field (three zeros on the ball): every
         # identity passes once the profile is differentiated at the node

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,9 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import freqlab
-from freqlab.fields import (SolutionField, SolverError, glued_field, load_field,
-                            residual_field, sample_grid2d, save_field,
-                            solve_grid_2d, solve_radial)
+from freqlab.fields import (SolutionField, SolverError, cartesian_gradient,
+                            glued_field, load_field, residual_field,
+                            sample_grid2d, save_field, solve_grid_2d,
+                            solve_radial)
 from freqlab.fields import (_FourierFactor, _nodes, _polar_frame_entries,
                             _Stencil, glued_residual_exact)
 from freqlab.model import (CoefficientField, NonlinearitySpec, ProblemSpec,
@@ -538,7 +540,7 @@ class TestGradientConsistency:
         # spectral/five-point gradients agree with plain second-order
         # differences at the level of the coarser scheme
         fld = bowl_field_128
-        gx, gy = fld.gradient_cartesian()
+        gx, gy = cartesian_gradient(fld.u, fld.r, fld.theta)
         u = fld.u
         h = fld.h
         ur_plain = np.empty_like(u)
@@ -620,8 +622,7 @@ class TestSerialization:
         assert _same_field(load_field(tmp_path / name), fld)
 
     def test_archive_layout(self, tmp_path):
-        fld = _bowl_grid()
-        fld.residual_scale = 1e-3
+        fld = dataclasses.replace(_bowl_grid(), residual_scale=1e-3)
         save_field(fld, tmp_path / "grid.npz")
         header, arrays = _read_members(tmp_path / "grid.npz")
         assert header == {"format": "freqlab-field 2", "representation": "grid2d",
@@ -731,8 +732,7 @@ class TestSerialization:
         ("r_max=-1.0", "r_max must be finite and positive"),
         ("residual_scale=nan", "non-finite residual_scale")])
     def test_rejects_bad_grid_header_values(self, tmp_path, line, message):
-        fld = _bowl_grid()
-        fld.residual_scale = 1e-3
+        fld = dataclasses.replace(_bowl_grid(), residual_scale=1e-3)
         path = tmp_path / "grid.npz"
         save_field(fld, path)
         key, value = line.split("=")
@@ -745,15 +745,19 @@ class TestSerialization:
         from freqlab.cli import main
 
         spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
-        fld = solve_radial(spec, 0.5, h=1e-2)
-        if fault == "offset":
-            fld.r = fld.r + 1e-3
-        elif fault == "nonuniform":
-            fld.r = fld.r * (1.0 + 1e-3 * fld.r)
-        else:
-            fld.u[40] = np.nan
         path = tmp_path / "field.npz"
-        save_field(fld, path)
+        save_field(solve_radial(spec, 0.5, h=1e-2), path)
+
+        def edit(header, arrays):
+            r = arrays["r"]
+            if fault == "offset":
+                arrays["r"] = r + 1e-3
+            elif fault == "nonuniform":
+                arrays["r"] = r * (1.0 + 1e-3 * r)
+            else:
+                arrays["u"][40] = np.nan
+
+        _edit_archive(path, edit)
         for command in ("frequency", "audit"):
             out = tmp_path / command
             assert main([command, str(path), "--out", str(out)]) == 2
@@ -772,10 +776,14 @@ class TestSerialization:
         assert not (out / "profile.csv").exists()
 
     def test_rejects_grid_file_with_multi_valued_pole(self, tmp_path):
-        fld = _bowl_grid()
-        fld.u[0, 7] = np.nextafter(fld.u[0, 7], 3.0)  # one ulp is another field
         path = tmp_path / "grid.npz"
-        save_field(fld, path)
+        save_field(_bowl_grid(), path)
+
+        def edit(header, arrays):
+            u = arrays["u"]
+            u[0, 7] = np.nextafter(u[0, 7], 3.0)  # one ulp is another field
+
+        _edit_archive(path, edit)
         with pytest.raises(ValueError, match="pole row"):
             load_field(path)
 
@@ -787,10 +795,13 @@ class TestSerialization:
         solved = tmp_path / "solve"
         assert main(["solve", "--mode", "grid2d", "--rings", "32", "--angles",
                      "64", "--out", str(solved)]) == 0
-        fld = load_field(solved / "field.npz")
-        fld.u[0] += 1e-3 * np.cos(fld.theta)
-        path = tmp_path / "field.npz"
-        save_field(fld, path)
+        path = solved / "field.npz"
+        theta = load_field(path).theta
+
+        def edit(header, arrays):
+            arrays["u"][0] += 1e-3 * np.cos(theta)
+
+        _edit_archive(path, edit)
         for command in ("frequency", "audit"):
             out = tmp_path / command
             assert main([command, str(path), "--out", str(out)]) == 2
@@ -923,8 +934,6 @@ def test_damaged_files_load_identically_or_raise_value_error(
 
 
 def _verdict_json(spec, fld):
-    import dataclasses
-
     from freqlab.audit import audit
     from freqlab.frequency import frequency_profile, run_all_identity_checks
     from freqlab.io import jsonable
@@ -970,16 +979,15 @@ def _verdict_files(spec, fld, out):
 
 
 def test_verdicts_do_not_depend_on_array_layout(tmp_path):
-    # a caller may reassign a field's arrays after construction; the
-    # analysis reads C-contiguous copies, so strided views of the same bits
-    # give the same verdict bytes
+    # the constructor stores C-contiguous copies of strided arrays, so
+    # strided views of the same bits give the same verdict bytes
     spec = ProblemSpec.model(3, 1.5, outer_radius=6.0)
     fld = solve_radial(spec, 0.5, h=1e-3)
-    strided = SolutionField.radial_from_arrays(fld.r, fld.u, fld.du, fld.dim,
-                                               fld.q, fld.residual_scale)
     block = np.stack([fld.r, fld.u, fld.du], axis=1)
-    strided.r, strided.u, strided.du = block[:, 0], block[:, 1], block[:, 2]
-    assert not strided.u.flags.c_contiguous
+    assert not block[:, 1].flags.c_contiguous
+    strided = SolutionField.radial_from_arrays(block[:, 0], block[:, 1],
+                                               block[:, 2], fld.dim, fld.q,
+                                               fld.residual_scale)
     want = _verdict_files(spec, fld, tmp_path / "contiguous")
     assert sorted(want) == ["certificate.json", "identities.json",
                             "identities.npz", "profile.csv"]
@@ -1009,10 +1017,12 @@ def test_constructors_store_contiguous_float64(tmp_path):
                                            2, 1.5)
     for a in (fld.r, fld.u, fld.du):
         assert a.flags.c_contiguous and a.dtype == np.float64
+        assert not a.flags.writeable
     grid = _bowl_grid()
     fld = SolutionField.grid2d_from_values(grid.r, grid.theta,
                                            np.asfortranarray(grid.u), 1.5)
-    assert fld.u.flags.c_contiguous
+    for a in (fld.r, fld.u, fld.theta):
+        assert a.flags.c_contiguous and not a.flags.writeable
 
 
 @pytest.mark.parametrize("build, message", [
@@ -1056,8 +1066,6 @@ class TestPolarGradient:
         # along every ray u is a quartic in r, so the five-point stencils,
         # centred, one-sided at the two rim rows and across the pole, are
         # exact; the angular modes are |k| <= 4, which the FFT resolves
-        from freqlab.fields import cartesian_gradient
-
         fld = sample_grid2d(lambda x: x[..., 0] ** 4 - 2 * x[..., 0] * x[..., 1] ** 3
                             + x[..., 1] ** 2, 1.0, 32, 64, 1.5)
         x, y = np.moveaxis(fld.points(), -1, 0)
@@ -1071,10 +1079,8 @@ class TestHessianSymmetry:
     def test_mixed_partials_commute_to_truncation(self, bowl_field_128):
         # the discrete Hessian is as-good-as symmetric: mixed partials from
         # the two orderings agree at the machinery's truncation level
-        from freqlab.fields import cartesian_gradient
-
         fld = bowl_field_128
-        gx, gy = fld.gradient_cartesian()
+        gx, gy = cartesian_gradient(fld.u, fld.r, fld.theta)
         dxy = cartesian_gradient(gx, fld.r, fld.theta)[1]  # d_y (d_x u)
         dyx = cartesian_gradient(gy, fld.r, fld.theta)[0]  # d_x (d_y u)
         interior = slice(2, -3)

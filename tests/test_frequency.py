@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from freqlab.fields import sample_grid2d, solve_grid_2d, solve_radial
+from freqlab.audit import audit
+from freqlab.fields import (SolutionField, cartesian_gradient, sample_grid2d,
+                            solve_grid_2d, solve_radial)
 from freqlab.frequency import (ProfileControls, ball_integral,
                                frequency_profile, run_all_identity_checks,
                                sphere_integral, verify_H_prime,
@@ -25,7 +29,7 @@ class TestIntegrals:
 
     def test_linear_field_dirichlet_energy(self, linear_mode_spec):
         fld = sample_grid2d(lambda x: x[..., 0], 1.0, 64, 128, 1.5)
-        gx, gy = fld.gradient_cartesian()
+        gx, gy = cartesian_gradient(fld.u, fld.r, fld.theta)
         e = gx ** 2 + gy ** 2
         e[0] = 1.0  # pole row: |grad x1|^2 = 1
         vals = ball_integral(linear_mode_spec, fld, e)
@@ -203,6 +207,17 @@ class TestNPrimeBound:
         scale = np.nanmax(np.abs(rep.lhs))
         assert np.nanmax(np.abs(eq)) <= 1e-6 * scale
         assert np.nanmax(np.abs(rep.details["cs_gap"])) <= 1e-10
+
+    def test_lowered_derivative_fails_on_a_field_with_zeros(self):
+        # the slack is taken at each radius: the large error estimate beside
+        # a zero of u, where N has a pole, excuses no other radius
+        spec = ProblemSpec.model(3, 1.5, outer_radius=6.0)
+        fld = solve_radial(spec, 0.5, h=1e-4)
+        prof = frequency_profile(spec, fld, ProfileControls(n_radii=800))
+        assert verify_N_prime_bound(spec, fld, prof).details["inequality_ok"]
+        dN, est = prof.derivatives["N"]
+        prof.derivatives["N"] = (dN - 1e-3, est)
+        assert not verify_N_prime_bound(spec, fld, prof).details["inequality_ok"]
 
     def test_2d_gap_nonnegative(self, linear_mode_spec):
         fld = sample_grid2d(lambda x: x[..., 0] + 0.3 * x[..., 1] ** 2,
@@ -404,8 +419,8 @@ class TestConcurrentAudits:
 
             src = radial_solutions[key]
             fld = SolutionField.radial_from_arrays(src.r, src.u, src.du,
-                                                   src.dim, src.q)
-            fld.residual_scale = src.residual_scale
+                                                   src.dim, src.q,
+                                                   src.residual_scale)
             return json.dumps(audit(model_specs[key], fld).to_dict(),
                               sort_keys=True)
 
@@ -685,7 +700,7 @@ def test_split_reports_keep_the_schema_1_verdicts(tmp_path):
     # two fields, in the key layout of the schema-1 writer (per-radius
     # arrays in the JSON); the values are those of the profile derivatives
     # taken at the node step, where the radial H_prime and pohozaev_model
-    # pass
+    # pass; frequency_derivative_bound's slack is per radius, an array
     import json
     import pathlib
 
@@ -716,25 +731,74 @@ def test_split_reports_keep_the_schema_1_verdicts(tmp_path):
 
 
 class TestReassignedArrays:
-    # the node data cached on a field is rebuilt when one of its arrays is
-    # replaced, so an analysis after `fld.u = ...` reads the new values
+    # a field cannot change after it is built: its arrays are read-only and
+    # its attributes frozen, and a changed field is a new one, made with
+    # dataclasses.replace, which gets fresh node data
+
+    def test_arrays_and_attributes_are_read_only(self):
+        fld = sample_grid2d(lambda x: x[..., 0], 1.0, 32, 64, 1.5)
+        for name in ("r", "u", "theta"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(fld, name)[1] *= 2
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(fld, name, 2 * getattr(fld, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fld.residual_scale = 1e-3
+
+    def test_owned_arrays_are_kept_and_views_of_writable_memory_copied(self):
+        r, u = 0.1 * np.arange(11), np.ones(11)
+        fld = SolutionField.radial_from_arrays(r, u, np.zeros(11), 2, 1.5)
+        assert fld.r is r and fld.u is u
+        block = np.stack([np.linspace(0.0, 1.0, 11), np.ones(11), np.zeros(11)])
+        fld = SolutionField.radial_from_arrays(block[0], block[1], block[2], 2, 1.5)
+        block[1] = 2.0
+        np.testing.assert_array_equal(fld.u, np.ones(11))
 
     def test_radial_profile_follows_doubled_u(self):
         spec = ProblemSpec.model(2, 1.5, outer_radius=1.5)
         fld = solve_radial(spec, 0.5, h=1e-3)
+        with pytest.raises(ValueError, match="read-only"):
+            fld.u *= 2
+        with pytest.raises(ValueError, match="read-only"):
+            fld.du[3] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fld.u = 2 * fld.u
         before = frequency_profile(spec, fld).H
-        fld.u, fld.du = 2 * fld.u, 2 * fld.du
-        after = frequency_profile(spec, fld).H
+        doubled = dataclasses.replace(fld, u=2 * fld.u, du=2 * fld.du)
+        after = frequency_profile(spec, doubled).H
         fresh = solve_radial(spec, 0.5, h=1e-3)
-        fresh.u, fresh.du = 2 * fresh.u, 2 * fresh.du
+        fresh = dataclasses.replace(fresh, u=2 * fresh.u, du=2 * fresh.du)
         np.testing.assert_allclose(after[1:], 4 * before[1:], rtol=1e-12)
         np.testing.assert_array_equal(after, frequency_profile(spec, fresh).H)
+        np.testing.assert_array_equal(frequency_profile(spec, fld).H, before)
 
     def test_grid_profile_and_gradient_follow_doubled_u(self, linear_mode_spec):
         fld = sample_grid2d(lambda x: x[..., 0], 1.0, 32, 64, 1.5)
-        gx, _ = fld.gradient_cartesian()
+        gx, _ = cartesian_gradient(fld.u, fld.r, fld.theta)
         before = frequency_profile(linear_mode_spec, fld).D
-        fld.u = 2 * fld.u
-        np.testing.assert_allclose(fld.gradient_cartesian()[0], 2 * gx, rtol=1e-12)
-        after = frequency_profile(linear_mode_spec, fld).D
+        with pytest.raises(ValueError, match="read-only"):
+            fld.u *= 2
+        doubled = dataclasses.replace(fld, u=2 * fld.u)
+        np.testing.assert_allclose(
+            cartesian_gradient(doubled.u, doubled.r, doubled.theta)[0], 2 * gx,
+            rtol=1e-12)
+        after = frequency_profile(linear_mode_spec, doubled).D
         np.testing.assert_allclose(after[1:], 4 * before[1:], rtol=1e-12)
+
+
+class TestBallCheck:
+    def test_half_integer_radius_over_step_is_the_solvers_ball(self, model_specs):
+        # R / h = 187.5: the solver takes round(187.5) = 188 steps and ends
+        # at 1.504, more than h/2 from R by a few ulps
+        spec = model_specs[(3, 1.5)]
+        fld = solve_radial(spec, 0.5, h=8e-3)
+        assert len(fld.r) == 189
+        assert np.all(np.isfinite(frequency_profile(spec, fld).H[1:]))
+        assert audit(spec, fld).classification == "genuine_nonvanishing"
+
+    @pytest.mark.parametrize("dim, radius", [(2, 1.5), (3, 1.496), (3, 1.512)])
+    def test_another_ball_raises(self, model_specs, dim, radius):
+        fld = solve_radial(model_specs[(3, 1.5)], 0.5, h=8e-3)
+        with pytest.raises(ValueError, match="is not the field's"):
+            frequency_profile(ProblemSpec.model(dim, 1.5, outer_radius=radius),
+                              fld)
