@@ -33,7 +33,6 @@ from .odes import (
     zero_audit,
 )
 from .fields import (
-    GluedFieldSpec,
     ManufacturedProblem,
     SolutionField,
     glued_field,
@@ -48,10 +47,8 @@ from .frequency import (
     FrequencyProfile,
     IdentityReport,
     ProfileControls,
-    ball_integral,
     frequency_profile,
     run_all_identity_checks,
-    sphere_integral,
     verify_H_prime,
     verify_N_prime_bound,
     verify_f_transport,

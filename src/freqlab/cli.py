@@ -49,12 +49,16 @@ def _build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, problem=True):
         sp.add_argument("--config", help="run/problem config file (INI)")
         sp.add_argument("--out", dest="out_dir", help="output directory")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--q", type=str, help="exponent (ode accepts a comma list)")
-        sp.add_argument("--N", dest="dimension", type=int)
+        # frequency and audit read the problem from --config or the field
+        # file, so they take no --q or --N
+        if problem:
+            sp.add_argument("--q", type=str,
+                            help="exponent (ode accepts a comma list)")
+            sp.add_argument("--N", dest="dimension", type=int)
 
     sp = sub.add_parser("ode", help="counterexample / energy / shooting / pme demos")
     common(sp)
@@ -82,14 +86,14 @@ def _build_parser():
                          "(integer k, finite eps)")
 
     sp = sub.add_parser("frequency", help="frequency profile and identity reports")
-    common(sp)
+    common(sp, problem=False)
     sp.add_argument("field_file", metavar="field", help="field file to analyze")
     sp.add_argument("--radii", dest="n_radii", type=int,
                     help="how many radii the profile and the reports list; "
                          "derivatives are taken at the field's node step")
 
     sp = sub.add_parser("audit", help="vanishing-contradiction audit")
-    common(sp)
+    common(sp, problem=False)
     sp.add_argument("field_file", metavar="field", help="field file to audit")
     sp.add_argument("--tol-d", dest="tol_d_rel", type=float)
     sp.add_argument("--residual-gate", dest="residual_gate", type=float)
@@ -107,7 +111,7 @@ def _merge_config(args):
     if args.config:
         cfg.config_path = args.config
     q_list = None
-    if args.q is not None:
+    if getattr(args, "q", None) is not None:
         q_list = [float(v) for v in args.q.split(",") if v.strip()]
         if not q_list:
             raise ConfigError("empty --q")
@@ -197,8 +201,7 @@ def cmd_ode(cfg, q_list):
         pme = PmeField(base, t0=cfg.t0)
         n = len(base.u)
         r_idx = np.arange(max(4, n // 16), n - 4, max(1, n // 64))
-        t_vals = cfg.t0 + 1.0 + np.linspace(0.0, 1.0, 64)
-        r_idx, t_vals, resgrid = pme_residual_grid(pme, r_idx, t_vals)
+        r_idx, t_vals, resgrid = pme_residual_grid(pme, r_idx)
         res = float(np.max(np.abs(resgrid)))
         w = pme.w(r_idx, t_vals)
         wsup = float(np.max(np.abs(w)))

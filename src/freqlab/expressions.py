@@ -1,15 +1,15 @@
 """Tiny arithmetic expression grammar for config-defined scalar fields.
 
 Supported: numbers, + - * / ^ (right-associative), parentheses, unary
-minus and plus, the functions exp/sin/cos, and the variables x1..xN plus s
-(the solution value slot).  Whitespace, line breaks included, separates
-tokens.  Python's parser reads the text with `^` spelled `**` (the same
-precedence and associativity); the tree is accepted only if every node is
-the grammar's and it nests at most `MAX_DEPTH` deep.  The checked tree
-compiles to closures over numpy arrays, every number read as a float; the
-text itself is never executed.  Each subtree free of variables is evaluated
-once, at compile time, and must give a finite real number (so `1/0`,
-`(0-8)^(1/3)` and `exp(1000)` are rejected before any numerics run).
+minus and plus, the functions exp/sin/cos, and the variables x1..xN.
+Whitespace, line breaks included, separates tokens.  Python's parser reads
+the text with `^` spelled `**` (the same precedence and associativity); the
+tree is accepted only if every node is the grammar's and it nests at most
+`MAX_DEPTH` deep.  The checked tree compiles to closures over numpy
+arrays, every number read as a float; the text itself is never executed.
+Each subtree free of variables is evaluated once, at compile time, and must
+give a finite real number (so `1/0`, `(0-8)^(1/3)` and `exp(1000)` are
+rejected before any numerics run).
 """
 
 import ast
@@ -95,14 +95,13 @@ def _shown(code):
     return _POINT_RE.sub(r"\1", code).replace("**", "^")
 
 
-def compile_expression(text, dim, with_s=False):
-    """Compile `text` into fn(x, s=None) evaluating on points.
+def compile_expression(text, dim):
+    """Compile `text` into fn(x) evaluating on points.
 
     `x` is an array of shape (..., dim); variables x1..x<dim> bind to its
-    components.  When `with_s`, the extra variable s binds to the second
-    argument.
+    components.
     """
-    names = {f"x{i + 1}" for i in range(dim)} | ({"s"} if with_s else set())
+    names = {f"x{i + 1}" for i in range(dim)}
     if not _CHARS_RE.fullmatch(text) or "**" in text:
         raise ExpressionError(f"character or '**' outside the grammar in {text!r}")
     # Python refuses the integers 07 and those past 4300 digits, but reads
@@ -120,12 +119,9 @@ def compile_expression(text, dim, with_s=False):
     if not callable(evaluate):
         evaluate = lambda env, value=evaluate: value  # noqa: E731
 
-    def fn(x, s=None):
+    def fn(x):
         x = np.asarray(x, dtype=float)
-        env = {f"x{i + 1}": x[..., i] for i in range(dim)}
-        if with_s:
-            env["s"] = s
-        val = evaluate(env)
+        val = evaluate({f"x{i + 1}": x[..., i] for i in range(dim)})
         return np.broadcast_to(val, x.shape[:-1]).astype(float, copy=True) \
             if np.ndim(val) == 0 else val
 

@@ -22,7 +22,6 @@ from .quadrature import deriv_periodic_fft, deriv_uniform, radial_laplacian
 __all__ = [
     "SolutionField",
     "ManufacturedProblem",
-    "GluedFieldSpec",
     "SolverError",
     "solve_radial",
     "solve_grid_2d",
@@ -223,6 +222,19 @@ def _radial_deriv_across_pole(u, h):
 # residual evaluation
 
 
+def _require_radial_route(spec):
+    """Raise ValueError unless a radial profile can stand for `spec`'s
+    problem: V = 0, an x-independent f and A nu = nu on radial fields."""
+    if spec.potential is not None:
+        raise ValueError("the radial route needs V = 0")
+    if spec.nonlinearity.kind not in ("homogeneous", "zero"):
+        raise ValueError("the radial route needs an x-independent f "
+                         "(homogeneous or zero)")
+    if spec.coefficients.kind not in ("identity", "rotation_perturbed"):
+        raise ValueError("the radial route needs A in {identity, "
+                         "rotation_perturbed} (A nu = nu on radial fields)")
+
+
 def residual_field(spec, fld, source=None):
     """rho(x) = div(A grad u) + V u + f(x, u) [+ source] from values alone.
 
@@ -237,8 +249,9 @@ def residual_field(spec, fld, source=None):
 
 
 def _residual_radial(spec, fld, source=None):
-    if spec.potential is not None or source is not None:
-        raise ValueError("radial residuals support V = 0 and no source only")
+    _require_radial_route(spec)
+    if source is not None:
+        raise ValueError("radial residuals take no source")
     # five-point differences of the values, not the stored integrator
     # derivative, so residuals judge the values themselves; the last four
     # rows read one-sided first derivatives (rows n-4 and n-3 through the
@@ -295,11 +308,10 @@ def solve_radial(spec, a, h=1e-3):
     """
     from .odes import integrate_radial
 
+    _require_radial_route(spec)
     nl = spec.nonlinearity
     if nl.kind != "homogeneous":
         raise ValueError("radial solves need the homogeneous nonlinearity")
-    if spec.potential is not None:
-        raise ValueError("radial solves need V = 0")
     if not 0.0 < abs(a) < nl.eps0:
         raise ValueError("amplitude must satisfy 0 < |a| < eps0")
     traj = integrate_radial(spec.dim, nl.q, a, spec.outer_radius, h)
@@ -725,16 +737,6 @@ def manufactured_bowl(outer_radius=1.0, q=1.5, amplitude=1.0, v0=0.25):
 # glued non-solution fields
 
 
-@dataclass
-class GluedFieldSpec:
-    """Construction record of a zero-core candidate field."""
-
-    dim: int
-    q: float
-    core_radius: float
-    outer_radius: float
-
-
 def glued_field(dim, q, core_radius, outer_radius, h=1e-3):
     """Zero on B_{core_radius}, the 1-D glued profile in |x| - core outside.
 
@@ -748,19 +750,17 @@ def glued_field(dim, q, core_radius, outer_radius, h=1e-3):
     r = h * np.arange(n + 1)
     u, _ = counterexample_profile(q, core_radius, r)
     du = counterexample_slope(q, core_radius, r)
-    fld = SolutionField.radial_from_arrays(r, u, du, dim, q)
-    fld.meta["glued"] = GluedFieldSpec(dim, q, core_radius, outer_radius)
-    return fld
+    return SolutionField.radial_from_arrays(r, u, du, dim, q)
 
 
-def glued_residual_exact(fld):
-    """Closed-form residual of a glued field (oracle for residual_field)."""
-    g = fld.meta["glued"]
+def glued_residual_exact(fld, core_radius):
+    """Closed-form residual of the glued field with that core radius
+    (oracle for residual_field)."""
     r = fld.r
-    _, upp = counterexample_profile(g.q, g.core_radius, r)
-    up = counterexample_slope(g.q, g.core_radius, r)
+    _, upp = counterexample_profile(fld.q, core_radius, r)
+    up = counterexample_slope(fld.q, core_radius, r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = 2.0 * upp + (g.dim - 1) * up / np.where(r > 0, r, np.inf)
+        rho = 2.0 * upp + (fld.dim - 1) * up / np.where(r > 0, r, np.inf)
     return rho
 
 

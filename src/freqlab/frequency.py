@@ -9,10 +9,11 @@ form: the correction terms (integrals against rho = div(A grad u) + V u + f)
 restore exactness for fields that are not exact solutions, so the checks
 apply to solver output, manufactured fields and glued candidates alike.
 
-The profile reports about `ProfileControls.n_radii` node radii, which is
-a count of outputs only: H', D' and N' are taken at the field's own node
-step, by the five-point stencil of `quadrature.deriv_uniform` on the node
-rows about each reported radius, so every reported radius has them.
+The profile reports about `ProfileControls.n_radii` node radii from
+max(8h, 0.02 R) to the rim, a count of outputs only: H', D' and N' are
+taken at the field's own node step, by the five-point stencil of
+`quadrature.deriv_uniform` on the node rows about each reported radius, so
+every reported radius has them.
 
 Radial profiles and polar grids go through one path: both are turned into
 the same node fields (`_NodeData`), a radial profile being a polar grid with
@@ -29,7 +30,8 @@ import numpy as np
 
 from .model import c_constant, eval_F, eval_f, grad1_F
 from .quadrature import cumulative_uniform, deriv_uniform, unit_sphere_area
-from .fields import _residual_grid, cartesian_gradient, residual_field
+from .fields import (_require_radial_route, _residual_grid,
+                     cartesian_gradient, residual_field)
 from .io import jsonable, write_json, write_npz
 
 __all__ = [
@@ -37,8 +39,6 @@ __all__ = [
     "IdentityReport",
     "write_identity_reports",
     "ProfileControls",
-    "sphere_integral",
-    "ball_integral",
     "frequency_profile",
     "verify_H_prime",
     "verify_pohozaev_model",
@@ -204,13 +204,7 @@ class _NodeData:
         # mu = 1, Z = x, div Z = N, div(A grad |x|) = (N - 1)/r and
         # <A grad u, nu> = u'; with V = 0 and an x-independent f no
         # coefficient is evaluated on the nodes
-        if spec.potential is not None:
-            raise ValueError("radial frequency route supports V = 0 only")
-        if spec.nonlinearity.kind not in ("homogeneous", "zero"):
-            raise ValueError("radial frequency route needs x-independent f")
-        if spec.coefficients.kind not in ("identity", "rotation_perturbed"):
-            raise ValueError("radial frequency route needs A in {identity, "
-                             "rotation_perturbed} (A nu = nu on radial fields)")
+        _require_radial_route(spec)
         n, dim = len(fld.r), fld.dim
         self.ring = unit_sphere_area(dim) * self.r ** (dim - 1)
         self.dtheta = 1.0
@@ -283,47 +277,12 @@ def _node_data(spec, fld):
 
 
 # --------------------------------------------------------------------------
-# public integrals
-
-
-def _radius_index(fld, r):
-    if not 0.0 <= r <= fld.outer_radius * (1 + 1e-12):
-        raise ValueError(f"radius {r} lies outside the field grid "
-                         f"[0, {fld.outer_radius}]")
-    return int(np.argmin(np.abs(fld.r - r)))
-
-
-def sphere_integral(spec, fld, values, r=None):
-    """Surface integrals of a node field over the node spheres.
-
-    `values`: radial representation, an array over the radial nodes;
-    grid2d, an array of shape (n_r + 1, n_theta).  Without `r`, returns an
-    array over all node radii (entry 0 is the degenerate pole sphere); with
-    `r`, the value at the nearest node radius (error if beyond the grid).
-    """
-    data = _node_data(spec, fld)
-    out = data.sphere(np.reshape(np.asarray(values, dtype=float), data.u.shape))
-    return out if r is None else float(out[_radius_index(fld, r)])
-
-
-def ball_integral(spec, fld, values, r=None):
-    """Prefix ball integrals int_{B_{r_i}} of a node field.
-
-    Same radius convention as `sphere_integral`.
-    """
-    data = _node_data(spec, fld)
-    out = data.ball(np.reshape(np.asarray(values, dtype=float), data.u.shape))
-    return out if r is None else float(out[_radius_index(fld, r)])
-
-
-# --------------------------------------------------------------------------
 # the frequency profile
 
 
 @dataclass
 class ProfileControls:
     n_radii: int = 200           # how many radii are reported, not a step
-    r_min: float = None          # defaults to max(8h, 0.02 R)
     h_floor_rel: float = 1e-14   # H floor relative to max H
 
 
@@ -353,14 +312,11 @@ def frequency_profile(spec, fld, controls=None):
     data = _node_data(spec, fld)
     r = data.r
     R = float(r[-1])
-    r_min = controls.r_min
-    if r_min is None:
-        r_min = max(8 * data.h, 0.02 * R)
     hi = len(r) - 5  # keeps the stencil's two rows beyond every radius
-    lo = max(int(np.searchsorted(r, r_min)), 2)
+    lo = max(int(np.searchsorted(r, max(8 * data.h, 0.02 * R))), 2)
     if hi - lo < 5:
-        raise ValueError("grid too coarse for a frequency profile: fewer "
-                         "than five audit radii between r_min and the rim")
+        raise ValueError("grid too coarse for a frequency profile: fewer than "
+                         "five radii between max(8h, 0.02 R) and the rim")
     count = min(controls.n_radii, hi - lo)
     stride = max(1, (hi - lo) // max(count - 1, 1))
     idx = np.arange(lo, hi + 1, stride)
@@ -399,13 +355,26 @@ def frequency_profile(spec, fld, controls=None):
 # identity checks
 
 
+# Relative tolerance of each identity report at the reference resolutions:
+# the verify_* defaults, scaled by `_grid_tolerance_factor` in
+# `run_all_identity_checks`.  surface_energy_scaling is judged with
+# gradient_energy_transport, at one tolerance.
+_TOLERANCES = {
+    "H_prime": 1e-6,
+    "pohozaev_model": 1e-6,
+    "gradient_energy_transport": 5e-6,
+    "nonlinearity_transport": 5e-6,
+    "surface_vs_volume_energy": 1e-7,
+}
+
+
 def _gradient_provenance(spec):
     """How the coefficient entry gradients were obtained."""
     return ("central_differences" if spec.coefficients.kind == "expressions"
             else "closed_form")
 
 
-def verify_H_prime(spec, fld, prof, tolerance=1e-6):
+def verify_H_prime(spec, fld, prof, tolerance=_TOLERANCES["H_prime"]):
     """H'(r) = 2 surfaceD + int_{S_r} u^2 div(A grad |x|), checked exactly.
 
     With A = id the divergence term is (N-1)/r H and the check reduces to
@@ -426,7 +395,8 @@ def verify_H_prime(spec, fld, prof, tolerance=1e-6):
     return rep
 
 
-def verify_pohozaev_model(spec, fld, prof, tolerance=1e-6):
+def verify_pohozaev_model(spec, fld, prof,
+                          tolerance=_TOLERANCES["pohozaev_model"]):
     """Residual-corrected derivative identity for D in the model case.
 
     D'(r) = (N-2)/r D - C_{N,q}/(q r) int_B |u|^q
@@ -458,7 +428,8 @@ def verify_pohozaev_model(spec, fld, prof, tolerance=1e-6):
     return rep
 
 
-def verify_rellich_general(spec, fld, prof, tolerance=5e-6):
+def verify_rellich_general(spec, fld, prof,
+                           tolerance=_TOLERANCES["gradient_energy_transport"]):
     """The two vector-calculus identities behind the variable-coefficient
     derivative formula, as exact quadrature statements with rho-correction.
 
@@ -591,7 +562,8 @@ def verify_u2_bounds(spec, fld, prof):
     return rep
 
 
-def verify_f_transport(spec, fld, prof, tolerance=5e-6):
+def verify_f_transport(spec, fld, prof,
+                       tolerance=_TOLERANCES["nonlinearity_transport"]):
     """Exact transport identity for the nonlinearity term and its surface bound.
 
     int_B f(x,u) <Z, grad u> = r int_S F - int_B (F div Z + <grad_x F, Z>),
@@ -615,7 +587,8 @@ def verify_f_transport(spec, fld, prof, tolerance=5e-6):
     return rep
 
 
-def verify_surface_volume_D(spec, fld, prof, tolerance=1e-8):
+def verify_surface_volume_D(spec, fld, prof,
+                            tolerance=_TOLERANCES["surface_vs_volume_energy"]):
     """surfaceD = D + int_B u rho: the two energy forms agree once the
     divergence defect of a non-solution is accounted for."""
     data = _node_data(spec, fld)
@@ -646,17 +619,21 @@ def run_all_identity_checks(spec, fld, prof):
     fourth-order grid factor on coarser fields.
     """
     fac = _grid_tolerance_factor(fld)
+    tol = {name: value * fac for name, value in _TOLERANCES.items()}
     out = {}
-    out["H_prime"] = verify_H_prime(spec, fld, prof, 1e-6 * fac)
+    out["H_prime"] = verify_H_prime(spec, fld, prof, tol["H_prime"])
     out["surface_vs_volume_energy"] = verify_surface_volume_D(
-        spec, fld, prof, 1e-7 * fac)
+        spec, fld, prof, tol["surface_vs_volume_energy"])
     out["surface_mass_bound"] = verify_u2_bounds(spec, fld, prof)
-    out["nonlinearity_transport"] = verify_f_transport(spec, fld, prof, 5e-6 * fac)
+    out["nonlinearity_transport"] = verify_f_transport(
+        spec, fld, prof, tol["nonlinearity_transport"])
     if spec.is_model:
-        out["pohozaev_model"] = verify_pohozaev_model(spec, fld, prof, 1e-6 * fac)
+        out["pohozaev_model"] = verify_pohozaev_model(
+            spec, fld, prof, tol["pohozaev_model"])
         out["frequency_derivative_bound"] = verify_N_prime_bound(spec, fld, prof)
     if fld.representation == "grid2d":
-        rep9, rep10 = verify_rellich_general(spec, fld, prof, 5e-6 * fac)
+        rep9, rep10 = verify_rellich_general(
+            spec, fld, prof, tol["gradient_energy_transport"])
         out["gradient_energy_transport"] = rep9
         out["surface_energy_scaling"] = rep10
     return out

@@ -251,8 +251,7 @@ class NonlinearitySpec:
     is the one term |s|^{q-2} s with coefficient 1 and `zero` the empty sum.
     """
 
-    def __init__(self, kind, q, eps0, kappa1, kappa2, terms=None, f_callable=None,
-                 quad_rel_tol=1e-10):
+    def __init__(self, kind, q, eps0, kappa1, kappa2, terms=None, f_callable=None):
         if kind not in ("homogeneous", "sum_of_powers", "tabulated", "zero"):
             raise ValueError(f"unknown nonlinearity kind {kind!r}")
         if not 1.0 <= q < 2.0:
@@ -270,7 +269,6 @@ class NonlinearitySpec:
             terms = ()
         self.terms = tuple(terms) if terms else ()
         self.f_callable = f_callable
-        self.quad_rel_tol = quad_rel_tol
         if kind == "sum_of_powers":
             if not self.terms:
                 raise ValueError("sum_of_powers needs at least one term")
@@ -304,7 +302,7 @@ class NonlinearitySpec:
         `f_callable` must broadcast: the primitive calls it with x of shape
         (..., 1, N) (or None) and s of shape (..., n) for the n = 24 and 48
         Gauss-Legendre nodes of t = s w^4, w in (0, 1).  Nodes where the two
-        rules differ by quad_rel_tol |F| or more fall back to adaptive
+        rules differ by _QUAD_REL_TOL |F| or more fall back to adaptive
         Simpson, which calls it with one point x of shape (N,) and a float s.
         """
         return cls("tabulated", q, eps0, kappa1, kappa2, f_callable=f_callable)
@@ -354,7 +352,7 @@ def eval_F(spec, x, s):
     Closed form term by term for every kind but the tabulated one.
     Tabulated nonlinearities use an embedded 24/48-node Gauss-Legendre pair
     after the substitution t = s w^4, accepted per node when the two rules
-    agree to relative `spec.quad_rel_tol`; the other nodes fall back to
+    agree to relative `_QUAD_REL_TOL`; the other nodes fall back to
     adaptive Simpson at the same tolerance.  x may be None, as in `eval_f`.
     """
     s = np.asarray(s, dtype=float)
@@ -370,6 +368,7 @@ def eval_F(spec, x, s):
 _GL_ORDERS = (24, 48)
 _GL_POWER = 4
 _GL_BLOCK = 4096
+_QUAD_REL_TOL = 1e-10  # the pair's acceptance and the Simpson fallback's target
 
 
 @lru_cache(maxsize=None)
@@ -390,7 +389,7 @@ def _tabulated_F(spec, x, s):
 
     Each block of nodes costs one call of `f_callable` per rule, with x of
     shape (block, 1, N) (or None) and s of shape (block, order).  A node is
-    accepted when the two rules differ by less than quad_rel_tol |F|; the
+    accepted when the two rules differ by less than _QUAD_REL_TOL |F|; the
     rest (kinked or rough f) go through `_adaptive_simpson` one at a time,
     on the same substituted integrand.
     """
@@ -414,7 +413,7 @@ def _tabulated_F(spec, x, s):
         F = sb * _rule_sum(spec.f_callable, xb, sb, *fine)
         vals[blk] = F
         # s = 0 is exact; everything else must pass the embedded estimate
-        accepted[blk] = (np.abs(F - rough) < spec.quad_rel_tol * np.abs(F)) | (sb == 0.0)
+        accepted[blk] = (np.abs(F - rough) < _QUAD_REL_TOL * np.abs(F)) | (sb == 0.0)
     for k in np.flatnonzero(~accepted):
         px, sk = None if flat_x is None else flat_x[k], float(flat_s[k])
 
@@ -425,7 +424,7 @@ def _tabulated_F(spec, x, s):
             return (float(spec.f_callable(px, sk * w ** _GL_POWER))
                     * _GL_POWER * w ** (_GL_POWER - 1))
 
-        vals[k] = sk * _adaptive_simpson(integrand, 0.0, 1.0, spec.quad_rel_tol)
+        vals[k] = sk * _adaptive_simpson(integrand, 0.0, 1.0, _QUAD_REL_TOL)
     return vals.reshape(shape)
 
 

@@ -48,32 +48,29 @@ class IntegrationError(RuntimeError):
 # closed-form non-uniqueness profile
 
 
+def _glued_branch(q, t0, t):
+    """alpha = 2/(2-q), K and max(t - t0, 0) of the glued profile K dt^alpha."""
+    if not 1.0 < q < 2.0:
+        raise ValueError("q must lie strictly inside (1, 2)")
+    alpha = 2.0 / (2.0 - q)
+    K = (2.0 * q / (2.0 - q) ** 2) ** (1.0 / (q - 2.0))
+    return alpha, K, np.maximum(np.asarray(t, dtype=float) - t0, 0.0)
+
+
 def counterexample_profile(q, t0, t):
     """Glued solution of u'' = |u|^{q-2} u vanishing for t <= t0.
 
     Returns (u, u'').  u(t) = (2q/(2-q)^2)^{1/(q-2)} (t-t0)^{2/(2-q)} past t0
     and 0 before; both branches satisfy the equation exactly.
     """
-    if not 1.0 < q < 2.0:
-        raise ValueError("q must lie strictly inside (1, 2)")
-    t = np.asarray(t, dtype=float)
-    alpha = 2.0 / (2.0 - q)
-    K = (2.0 * q / (2.0 - q) ** 2) ** (1.0 / (q - 2.0))
-    dt = np.maximum(t - t0, 0.0)
-    u = K * dt ** alpha
+    alpha, K, dt = _glued_branch(q, t0, t)
     upp = K * alpha * (alpha - 1.0) * dt ** (alpha - 2.0)
-    upp = np.where(dt > 0.0, upp, 0.0)
-    return u, upp
+    return K * dt ** alpha, np.where(dt > 0.0, upp, 0.0)
 
 
 def counterexample_slope(q, t0, t):
     """First derivative of the glued profile."""
-    if not 1.0 < q < 2.0:
-        raise ValueError("q must lie strictly inside (1, 2)")
-    t = np.asarray(t, dtype=float)
-    alpha = 2.0 / (2.0 - q)
-    K = (2.0 * q / (2.0 - q) ** 2) ** (1.0 / (q - 2.0))
-    dt = np.maximum(t - t0, 0.0)
+    alpha, K, dt = _glued_branch(q, t0, t)
     return K * alpha * dt ** (alpha - 1.0)
 
 

@@ -378,6 +378,45 @@ class TestCliExitCodes:
             assert "is not the field's (N=2, R=1)" in err, err
             assert not out.exists()
 
+    @pytest.mark.parametrize("mode", [
+        ["--mode", "radial"],
+        ["--mode", "grid2d", "--rings", "16", "--angles", "32",
+         "--boundary", "radial-trace"],
+    ], ids=["radial", "radial-trace"])
+    def test_radial_route_exits_2_on_a_problem_it_does_not_admit(
+            self, tmp_path, capsys, mode):
+        # A = diag(2, 1) does not keep A nu = nu on radial fields, so no
+        # radial profile stands for this problem: the radial solve, and
+        # the radial trace of a grid2d solve, stop before any output
+        config = tmp_path / "diagonal.ini"
+        config.write_text(MODEL_CONFIG.replace("field = identity",
+                                               "field = diagonal(2, 1)"))
+        out = tmp_path / "so"
+        assert main(["solve", *mode, "--amplitude", "0.5", "--config",
+                     str(config), "--out", str(out)]) == 2
+        assert "A nu = nu" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["frequency", "audit"])
+    def test_analysis_takes_no_problem_flags(self, tmp_path, capsys, command):
+        # the problem comes from --config or the field header: `--q 1.2
+        # --N 3` used to exit 0, judge the field's own q = 1.5, N = 2 and
+        # record q 1.2 and dimension 3 in record.json
+        so = tmp_path / "so"
+        assert main(["solve", "--mode", "radial", "--q", "1.5", "--N", "2",
+                     "--amplitude", "0.5", "--radius", "1.0",
+                     "--out", str(so)]) == 0
+        capsys.readouterr()
+        for flag, value in (("--q", "1.2"), ("--N", "3")):
+            out = tmp_path / flag.strip("-")
+            with pytest.raises(SystemExit) as exc:
+                main([command, str(so / "field.npz"), flag, value,
+                      "--out", str(out)])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in \
+                capsys.readouterr().err
+            assert not out.exists()
+
     def test_radial_frequency_with_zeros_passes(self, tmp_path):
         # the criterion-11 radial field (three zeros on the ball): every
         # identity passes once the profile is differentiated at the node

@@ -29,13 +29,6 @@ def test_functions_and_unary_minus():
     np.testing.assert_allclose(fn(x), [-1.0 + 0.5], rtol=1e-15)
 
 
-def test_solution_variable():
-    fn = compile_expression("x1*s^2", 1, with_s=True)
-    x = np.full((3, 1), 2.0)
-    np.testing.assert_allclose(fn(x, np.array([1.0, 2.0, 3.0])),
-                               [2.0, 8.0, 18.0])
-
-
 def test_constant_broadcasts():
     fn = compile_expression("0.25", 2)
     assert fn(np.zeros((5, 2))).shape == (5,)
@@ -145,7 +138,7 @@ def _call(name, arg):
 
 
 _TREES = st.recursive(
-    st.one_of(st.sampled_from(["x1", "x2", "s"]).map(_leaf),
+    st.one_of(st.sampled_from(["x1", "x2"]).map(_leaf),
               st.floats(0.0, 1e3).map(lambda v: _number(repr(v), v)),
               st.integers(0, 99).map(lambda k: _number(str(k), float(k)))),
     lambda kids: st.one_of(
@@ -170,18 +163,17 @@ def _outcome(fn):
 def test_random_trees_evaluate_bitwise(tree):
     text, reference, _, bad_constant = tree
     x = np.array([[0.3, -1.7], [2.0, 0.0], [-0.5, 1e-3]])
-    s = np.array([0.2, -0.7, 3.0])
     if bad_constant:
         with pytest.raises(ExpressionError, match="constant"):
-            compile_expression(text, 2, with_s=True)
+            compile_expression(text, 2)
         return
-    fn = compile_expression(text, 2, with_s=True)
+    fn = compile_expression(text, 2)
 
     def expected():
-        val = reference({"x1": x[:, 0], "x2": x[:, 1], "s": s})
+        val = reference({"x1": x[:, 0], "x2": x[:, 1]})
         return np.broadcast_to(val, (3,)).astype(float) if np.ndim(val) == 0 else val
 
-    assert _outcome(lambda: fn(x, s)) == _outcome(expected)
+    assert _outcome(lambda: fn(x)) == _outcome(expected)
 
 
 @pytest.mark.parametrize("text", ["1/0", "(0-8)^(1/3)", "exp(1000)", "10^400",

@@ -17,8 +17,8 @@ from freqlab.fields import (SolutionField, SolverError, cartesian_gradient,
                             solve_radial)
 from freqlab.fields import (_FourierFactor, _nodes, _polar_frame_entries,
                             _Stencil, glued_residual_exact)
-from freqlab.model import (CoefficientField, NonlinearitySpec, ProblemSpec,
-                           eval_f)
+from freqlab.model import (CoefficientField, NonlinearitySpec, PowerTerm,
+                           ProblemSpec, eval_f)
 
 
 class TestRadialSolve:
@@ -520,10 +520,28 @@ class TestResidualField:
         g = glued_field(2, 1.5, 0.3, 0.8, h=1e-3)
         spec = ProblemSpec.model(2, 1.5, outer_radius=0.8)
         rho = residual_field(spec, g)
-        exact = glued_residual_exact(g)
+        exact = glued_residual_exact(g, 0.3)
         mask = ~np.isnan(rho)
         assert np.max(np.abs(rho[mask] - exact[mask])) <= 1e-7
         assert np.nanmax(np.abs(rho)) > 1e-2  # detectably not a solution
+
+    @pytest.mark.parametrize("change", ["potential", "nonlinearity",
+                                        "coefficients"])
+    def test_radial_residual_rejects_a_problem_the_route_does_not_admit(
+            self, change):
+        # each problem below differs from the model in one coefficient that
+        # a radial profile cannot carry; an x-dependent f used to reach
+        # numpy as "too many indices for array"
+        fld = solve_radial(ProblemSpec.model(2, 1.5), 0.5, h=1e-2)
+        value = {
+            "potential": lambda x: np.ones(x.shape[:-1]),
+            "nonlinearity": NonlinearitySpec.sum_of_powers(
+                [PowerTerm(1.5, lambda x: 1.0 + x[..., 0] ** 2)]),
+            "coefficients": CoefficientField.diagonal([2.0, 1.0]),
+        }[change]
+        spec = dataclasses.replace(ProblemSpec.model(2, 1.5), **{change: value})
+        with pytest.raises(ValueError, match="the radial route needs"):
+            residual_field(spec, fld)
 
     def test_solver_output_truncation_order(self, bowl):
         norms = []

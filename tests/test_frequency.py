@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from freqlab.audit import audit
 from freqlab.fields import (SolutionField, cartesian_gradient, sample_grid2d,
                             solve_grid_2d, solve_radial)
-from freqlab.frequency import (ProfileControls, ball_integral,
-                               frequency_profile, run_all_identity_checks,
-                               sphere_integral, verify_H_prime,
+from freqlab.frequency import (ProfileControls, _grid_tolerance_factor,
+                               _node_data, frequency_profile,
+                               run_all_identity_checks, verify_H_prime,
                                verify_N_prime_bound, verify_f_transport,
                                verify_pohozaev_model, verify_rellich_general,
                                verify_surface_volume_D, verify_u2_bounds)
@@ -18,13 +19,13 @@ from freqlab.model import CoefficientField, NonlinearitySpec, ProblemSpec
 class TestIntegrals:
     def test_constant_on_circle(self, linear_mode_spec):
         fld = sample_grid2d(lambda x: np.ones(x.shape[:-1]), 1.0, 64, 128, 1.5)
-        vals = sphere_integral(linear_mode_spec, fld, fld.u ** 2)
+        vals = _node_data(linear_mode_spec, fld).sphere(fld.u ** 2)
         k = np.argmin(np.abs(fld.r - 1.0))
         assert vals[k] == pytest.approx(2 * np.pi, rel=1e-13)
 
     def test_linear_field_surface_mass(self, linear_mode_spec):
         fld = sample_grid2d(lambda x: x[..., 0], 1.0, 64, 128, 1.5)
-        vals = sphere_integral(linear_mode_spec, fld, fld.u ** 2)
+        vals = _node_data(linear_mode_spec, fld).sphere(fld.u ** 2)
         np.testing.assert_allclose(vals[1:], np.pi * fld.r[1:] ** 3, rtol=1e-12)
 
     def test_linear_field_dirichlet_energy(self, linear_mode_spec):
@@ -32,7 +33,7 @@ class TestIntegrals:
         gx, gy = cartesian_gradient(fld.u, fld.r, fld.theta)
         e = gx ** 2 + gy ** 2
         e[0] = 1.0  # pole row: |grad x1|^2 = 1
-        vals = ball_integral(linear_mode_spec, fld, e)
+        vals = _node_data(linear_mode_spec, fld).ball(e)
         np.testing.assert_allclose(vals[4:], np.pi * fld.r[4:] ** 2, rtol=1e-10)
 
 
@@ -270,9 +271,6 @@ class TestSharedNodeVocabulary:
     def test_radial_and_polar_node_data_agree(self):
         # u = (1 - r^2)^2 with u' exact, as a radial profile and as a polar
         # grid on the same radii: one vocabulary, the same numbers
-        from freqlab.fields import SolutionField
-        from freqlab.frequency import _node_data
-
         spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
         r = np.linspace(0.0, 1.0, 129)
         rad = SolutionField.radial_from_arrays(r, (1 - r ** 2) ** 2,
@@ -302,10 +300,10 @@ class TestRadial2dAgreement:
         trace = float(rad.u[-1])
         fld = solve_grid_2d(spec, lambda th: np.full_like(th, trace),
                             n_r=64, n_theta=64, tol=1e-12, max_iters=300)
-        p2 = frequency_profile(spec, fld, ProfileControls(n_radii=40, r_min=0.2))
+        p2 = frequency_profile(spec, fld, ProfileControls(n_radii=40))
         # full-resolution radial profile: every ring radius is a node
         p1 = frequency_profile(spec, rad,
-                               ProfileControls(n_radii=10 ** 6, r_min=0.1))
+                               ProfileControls(n_radii=10 ** 6))
         i1 = np.searchsorted(np.round(p1.r, 10), np.round(p2.r, 10))
         assert np.allclose(p1.r[i1], p2.r, atol=1e-12)
         assert len(p2.r) >= 10
@@ -321,18 +319,41 @@ class TestRadial2dAgreement:
             assert r1[name].passed == r2[name].passed == True  # noqa: E712
 
 
+class TestReferenceTolerances:
+    def test_each_report_carries_its_verify_default(self, model_specs,
+                                                    radial_solutions, bowl,
+                                                    bowl_field_256):
+        # at grid factor 1 (radial step 1e-3 R, 256 rings) a report is
+        # judged at the tolerance its verify_* function defaults to
+        verify = {"H_prime": verify_H_prime,
+                  "pohozaev_model": verify_pohozaev_model,
+                  "gradient_energy_transport": verify_rellich_general,
+                  "surface_energy_scaling": verify_rellich_general,
+                  "nonlinearity_transport": verify_f_transport,
+                  "surface_vs_volume_energy": verify_surface_volume_D}
+        seen = set()
+        for spec, fld in ((model_specs[(3, 1.5)], radial_solutions[(3, 1.5)]),
+                          (bowl.spec, bowl_field_256)):
+            assert _grid_tolerance_factor(fld) == 1.0
+            reports = run_all_identity_checks(spec, fld,
+                                              frequency_profile(spec, fld))
+            for name, rep in reports.items():
+                if np.isfinite(rep.tolerance):  # the bounds carry inf
+                    default = inspect.signature(verify[name]).parameters[
+                        "tolerance"].default
+                    assert rep.tolerance == default, name
+                    seen.add(name)
+        assert seen == set(verify)
+
+
 class TestIntegralRadiusArgument:
     def test_scalar_at_radius(self, linear_mode_spec):
         fld = sample_grid2d(lambda x: np.ones(x.shape[:-1]), 1.0, 64, 128, 1.5)
-        val = sphere_integral(linear_mode_spec, fld, fld.u ** 2, r=1.0)
-        assert val == pytest.approx(2 * np.pi, rel=1e-13)
-        area = ball_integral(linear_mode_spec, fld, np.ones_like(fld.u), r=0.5)
+        data = _node_data(linear_mode_spec, fld)
+        assert fld.r[64] == pytest.approx(1.0) and fld.r[32] == pytest.approx(0.5)
+        assert data.sphere(fld.u ** 2)[64] == pytest.approx(2 * np.pi, rel=1e-13)
+        area = data.ball(np.ones_like(fld.u))[32]
         assert area == pytest.approx(np.pi * 0.25, rel=1e-10)
-
-    def test_radius_beyond_grid_raises(self, linear_mode_spec):
-        fld = sample_grid2d(lambda x: np.ones(x.shape[:-1]), 1.0, 32, 64, 1.5)
-        with pytest.raises(ValueError):
-            sphere_integral(linear_mode_spec, fld, fld.u, r=1.5)
 
 
 class TestNPrimeDegenerateEquality:
@@ -500,7 +521,6 @@ class TestDivAGradAbsx:
                                       "diagonal", "bowl"])
     def test_grid_closed_form(self, kind):
         from freqlab.fields import manufactured_bowl
-        from freqlab.frequency import _node_data
 
         fld = sample_grid2d(lambda x: 1.0 + x[..., 0], 1.0, 32, 64, 1.5)
         x1, x2 = np.moveaxis(fld.points()[1:], -1, 0)
@@ -521,9 +541,6 @@ class TestDivAGradAbsx:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_radial_closed_form(self):
-        from freqlab.fields import SolutionField
-        from freqlab.frequency import _node_data
-
         r = np.linspace(0.0, 1.0, 65)
         fld = SolutionField.radial_from_arrays(r, 1.0 - r ** 2, -2.0 * r, 3, 1.5)
         got = _node_data(ProblemSpec.model(3, 1.5, outer_radius=1.0),
@@ -570,7 +587,6 @@ class TestCoefficientEvaluations:
         # the analysis's rho, built from the node data's A grad u, V and f,
         # is the residual the solvers compute from the field alone
         from freqlab.fields import residual_field
-        from freqlab.frequency import _node_data
 
         spec = variable_coefficients_spec
         fld = sample_grid2d(lambda x: 1.0 + 0.3 * x[..., 0] + 0.2 * x[..., 1] ** 2,

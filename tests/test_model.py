@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqlab import model
 from freqlab.model import (CoefficientField, NonlinearitySpec, PowerTerm,
                            ProblemSpec, QuadratureError, ball_grid, c_constant,
                            check_A1, check_A3, eval_F, eval_f, grad1_F,
@@ -159,7 +160,7 @@ class TestTabulatedPrimitive:
         a = np.abs(s)
         exact = np.where(a <= 0.7, a ** 1.5 / 1.5,
                          0.7 ** 1.5 / 1.5 + 0.7 ** 0.5 * (a - 0.7))
-        assert np.all(np.abs(F - exact) <= tab.quad_rel_tol * exact)
+        assert np.all(np.abs(F - exact) <= model._QUAD_REL_TOL * exact)
 
     def test_calls_f_once_per_rule_not_per_node(self):
         nl = NonlinearitySpec.homogeneous(1.5)
@@ -416,12 +417,10 @@ def _pullback_source(bowl, T, x):
 
 
 class TestQuadratureFailure:
-    def test_unreachable_tolerance_raises_with_achieved(self):
-        from freqlab.model import QuadratureError
-
+    def test_unreachable_tolerance_raises_with_achieved(self, monkeypatch):
+        monkeypatch.setattr(model, "_QUAD_REL_TOL", 0.0)
         nl = NonlinearitySpec("tabulated", 1.5, 1.0, 1.0, 0.5,
-                              f_callable=lambda x, s: np.sign(s) * np.abs(s) ** 0.5,
-                              quad_rel_tol=0.0)
+                              f_callable=lambda x, s: np.sign(s) * np.abs(s) ** 0.5)
         with pytest.raises(QuadratureError) as err:
             eval_F(nl, np.zeros((1, 2)), 0.7)
         assert err.value.achieved > 0.0

@@ -9,10 +9,15 @@ np.load call passes allow_pickle=False, so a field file cannot run code.
 
 Archives are written in one place: every np.savez sits in io.write_npz,
 which fixes the header, the handle and allow_pickle=False for all of them.
+
+Exports are live: every name in a module's __all__ exists in that module,
+so a deleted function cannot leave a stale export behind.
 """
 
 import ast
+import importlib
 import pathlib
+import types
 
 import freqlab
 
@@ -125,3 +130,24 @@ def test_one_archive_writer():
     writes = [(name, func) for source, name in _modules()
               for _, func in _archive_writes(source, name)]
     assert writes == [_ARCHIVE_WRITER]
+
+
+def _stale_exports(module):
+    return [name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)]
+
+
+def test_guard_flags_stale_exports():
+    module = types.ModuleType("snippet")
+    module.__all__ = ["kept", "deleted"]
+    module.kept = None
+    assert _stale_exports(module) == ["deleted"]
+
+
+def test_every_export_exists():
+    root = pathlib.Path(freqlab.__file__).parent
+    modules = [freqlab] + [importlib.import_module(f"freqlab.{path.stem}")
+                           for path in sorted(root.glob("*.py"))
+                           if path.stem not in ("__init__", "__main__")]
+    assert len(modules) >= 10
+    assert [(m.__name__, name) for m in modules for name in _stale_exports(m)] == []
