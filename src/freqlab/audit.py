@@ -289,6 +289,10 @@ def logH_contradiction(prof, r3, r2, C4, r0, dim):
     if r3 is None or r2 is None or not math.isfinite(C4):
         return StepVerdict("logH_contradiction", "skipped",
                            note="needs the frequency-bound step")
+    # 2 N / r <= 2 C4 / r0 on r >= r0 needs C4 > 0 (a cap of -1e10 overflows)
+    if C4 <= 0.0:
+        return StepVerdict("logH_contradiction", "skipped",
+                           note=f"needs a positive frequency cap, got {C4:.6g}")
     k3 = int(np.searchsorted(prof.r, r3 + 1e-15)) - 1
     k3 = max(k3, 0)
     if prof.H[k3] > prof.h_floor and prof.r[k3] > 0:

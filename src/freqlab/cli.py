@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .audit import AuditControls, audit
-from .config import ConfigError, RunConfig, parse_problem_spec, parse_run_config
+from .config import (ConfigError, RunConfig, parse_problem_spec,
+                     parse_run_config, read_ini)
 from .fields import (SolverError, load_field, save_field, solve_grid_2d,
                      solve_radial)
 from .frequency import (ProfileControls, frequency_profile,
@@ -106,15 +107,50 @@ def _build_parser():
     return p
 
 
-def _merge_config(args):
-    cfg = parse_run_config(args.config) if args.config else RunConfig()
-    if args.config:
-        cfg.config_path = args.config
+_PROBLEM_SECTIONS = ("domain", "coefficients", "potential", "nonlinearity")
+_PROBLEM_FLAGS = {"dimension": "--N", "q": "--q", "outer_radius": "--radius"}
+
+
+def _resolve(args):
+    """(cfg, spec, fld, q_list), from one read of the config; spec is None
+    for ode, fld is None outside frequency and audit, and cfg holds the
+    spec's dimension, q and outer_radius."""
+    cp = read_ini(args.config) if args.config else None
+    sections = cp.sections() if cp is not None else []
+    unknown = [s for s in sections if s not in ("run",) + _PROBLEM_SECTIONS]
+    if unknown:
+        raise ConfigError(f"unknown section [{unknown[0]}] in {args.config}; "
+                          f"the sections are run, {', '.join(_PROBLEM_SECTIONS)}")
+    problem = [s for s in sections if s in _PROBLEM_SECTIONS]
+    if problem and args.command == "ode":
+        raise ConfigError(f"ode takes no problem section: [{problem[0]}] "
+                          f"in {args.config}")
+    cfg = parse_run_config(cp) if cp is not None else RunConfig()
+    cfg.config_path = args.config
+    # one source: the problem sections, else the field header, else the
+    # flags and the [run] keys; a value given twice is an error
+    flags = {k: flag for k, flag in _PROBLEM_FLAGS.items()
+             if getattr(args, k, None) is not None}
+    keys = {k: f"[run] {k}" for k in _PROBLEM_FLAGS
+            if "run" in sections and k in cp["run"]}
+    if problem or args.command in ("frequency", "audit"):
+        twice = [*flags.values(), *keys.values()]
+        source = (f"[{'], ['.join(problem)}] in {args.config}" if problem
+                  else f"the header of {args.field_file}")
+    else:
+        twice = [flags[k] for k in flags if k in keys]
+        source = (f"{', '.join(keys[k] for k in flags if k in keys)} "
+                  f"in {args.config}")
+    if twice:
+        raise ConfigError(f"{', '.join(twice)}: the problem is already given "
+                          f"by {source}; give each problem value once")
     q_list = None
     if getattr(args, "q", None) is not None:
         q_list = [float(v) for v in args.q.split(",") if v.strip()]
         if not q_list:
             raise ConfigError("empty --q")
+        if len(q_list) > 1 and args.command != "ode":
+            raise ConfigError(f"--q {args.q}: only ode takes a list of exponents")
         cfg.q = q_list[0]
     # every other flag is stored under the name of the RunConfig field it sets
     for f in dataclasses.fields(RunConfig):
@@ -125,27 +161,21 @@ def _merge_config(args):
     cfg.validate()
     for q in (q_list or ()):
         RunConfig(command=cfg.command, ode_task=cfg.ode_task, q=q).validate()
-    return cfg, (q_list or [cfg.q])
 
-
-def _load_spec(cfg, field=None):
-    if cfg.config_path:
-        with open(cfg.config_path, encoding="utf-8") as fh:
-            text = fh.read()
-        if "[domain]" in text:
-            return parse_problem_spec(text)
-    dim = field.dim if field is not None else cfg.dimension
-    q = field.q if field is not None else cfg.q
-    radius = field.outer_radius if field is not None else cfg.outer_radius
-    return ProblemSpec.model(dim, q, outer_radius=radius)
-
-
-def _field_and_spec(cfg):
-    """The field file named on the command line and its problem spec."""
-    if not os.path.exists(cfg.field_file):
-        raise ConfigError(f"field file not found: {cfg.field_file}")
-    fld = load_field(cfg.field_file)
-    return fld, _load_spec(cfg, field=fld)
+    spec = parse_problem_spec(cp) if problem else None
+    fld = None
+    if args.command in ("frequency", "audit"):
+        if not os.path.exists(cfg.field_file):
+            raise ConfigError(f"field file not found: {cfg.field_file}")
+        fld = load_field(cfg.field_file)
+    if spec is None and args.command != "ode":
+        dim, q, radius = ((fld.dim, fld.q, fld.outer_radius) if fld is not None
+                          else (cfg.dimension, cfg.q, cfg.outer_radius))
+        spec = ProblemSpec.model(dim, q, outer_radius=radius)
+    if spec is not None:
+        cfg.dimension, cfg.q = spec.dim, spec.nonlinearity.q
+        cfg.outer_radius = spec.outer_radius
+    return cfg, spec, fld, q_list or [cfg.q]
 
 
 def _record(cfg):
@@ -229,10 +259,9 @@ def cmd_ode(cfg, q_list):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_solve(cfg, q_list):
-    # the spec, the boundary data and a radial solve (which rejects a step
-    # too coarse for the amplitude) come first: exit 2 before any output
-    spec = _load_spec(cfg)
+def cmd_solve(cfg, spec):
+    # the boundary data and a radial solve (which rejects a step too coarse
+    # for the amplitude) come first: exit 2 before any output
     if cfg.mode == "radial":
         fld = solve_radial(spec, cfg.amplitude, h=cfg.radial_step)
     else:
@@ -287,8 +316,7 @@ def _boundary_factory(cfg, spec):
                       f"harmonic, radial-trace or cos:<k>:<eps>)")
 
 
-def cmd_frequency(cfg, q_list):
-    fld, spec = _field_and_spec(cfg)
+def cmd_frequency(cfg, spec, fld):
     prof = frequency_profile(spec, fld, ProfileControls(
         n_radii=cfg.n_radii, h_floor_rel=cfg.h_floor_rel))
     reports = run_all_identity_checks(spec, fld, prof)
@@ -303,8 +331,7 @@ def cmd_frequency(cfg, q_list):
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def cmd_audit(cfg, q_list):
-    fld, spec = _field_and_spec(cfg)
+def cmd_audit(cfg, spec, fld):
     n_radii = max(cfg.n_radii, AuditControls().profile.n_radii)
     controls = AuditControls(
         tol_d_rel=cfg.tol_d_rel, residual_gate=cfg.residual_gate,
@@ -318,10 +345,9 @@ def cmd_audit(cfg, q_list):
     return _CLASSIFICATION_EXIT[chain.classification]
 
 
-def cmd_check(cfg, q_list, samples_x=64, samples_s=256):
+def cmd_check(cfg, spec, samples_x=64, samples_s=256):
     from .model import s_grid
 
-    spec = _load_spec(cfg)
     rec = _record(cfg)
     pts = ball_grid(spec.dim, spec.outer_radius, samples_x)
     # seeded extra interior samples so the audit is not blind to structure
@@ -349,17 +375,18 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg, q_list = _merge_config(args)
+        cfg, spec, fld, q_list = _resolve(args)
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    handler = {"ode": cmd_ode, "solve": cmd_solve, "frequency": cmd_frequency,
-               "audit": cmd_audit, "check": cmd_check}[cfg.command]
+    handler = {"ode": lambda: cmd_ode(cfg, q_list),
+               "solve": lambda: cmd_solve(cfg, spec),
+               "frequency": lambda: cmd_frequency(cfg, spec, fld),
+               "audit": lambda: cmd_audit(cfg, spec, fld),
+               "check": lambda: cmd_check(cfg, spec, args.samples_x,
+                                          args.samples_s)}[cfg.command]
     try:
-        if cfg.command == "check":
-            return handler(cfg, q_list, samples_x=args.samples_x,
-                           samples_s=args.samples_s)
-        return handler(cfg, q_list)
+        return handler()
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

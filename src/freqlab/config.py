@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .expressions import compile_expression
 from .model import CoefficientField, NonlinearitySpec, PowerTerm, ProblemSpec
 
-__all__ = ["ConfigError", "RunConfig", "parse_problem_spec",
+__all__ = ["ConfigError", "RunConfig", "read_ini", "parse_problem_spec",
            "serialize_problem_spec", "parse_run_config", "serialize_run_config"]
 
 
@@ -27,17 +27,21 @@ class ConfigError(ValueError):
 _BUILTIN_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
 
 
-def _read_ini(text_or_path):
+def read_ini(source):
+    """The parsed INI of text, a path, or an already parsed file (as is);
+    every parse function takes any of the three."""
+    if isinstance(source, configparser.ConfigParser):
+        return source
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keep case
-    text = str(text_or_path)
+    text = str(source)
     try:
         # INI text spans lines or opens with a section header; a path does
         # neither, whatever characters ('=' included) its name holds
         if "\n" in text or text.lstrip().startswith("["):
             cp.read_string(text)
         else:
-            with open(text_or_path, encoding="utf-8") as fh:
+            with open(source, encoding="utf-8") as fh:
                 cp.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
@@ -58,8 +62,8 @@ def _value(sec, key, convert=float, fallback=None):
     return _converted(convert, sec[key], f"[{sec.name}] {key}")
 
 
-def parse_problem_spec(text_or_path):
-    cp = _read_ini(text_or_path)
+def parse_problem_spec(source):
+    cp = read_ini(source)
     for section in ("domain", "nonlinearity"):
         if section not in cp:
             raise ConfigError(f"missing [{section}] section")
@@ -125,17 +129,15 @@ def _parse_potential(cp, dim):
 def _parse_nonlinearity(sec, dim):
     kind = sec.get("kind", "homogeneous")
     q = _value(sec, "q")
-    eps0 = _value(sec, "eps0", fallback=1.0)
-    kappa1 = _value(sec, "kappa1")
-    kappa2 = _value(sec, "kappa2")
+    # only the keys the section sets: the constructors own the defaults
+    given = {key: _value(sec, key) for key in ("eps0", "kappa1", "kappa2")
+             if key in sec}
     if kind == "homogeneous":
         if q is None:
             raise ConfigError("homogeneous nonlinearity needs q")
         if not 1.0 <= q < 2.0:
             raise ConfigError("q must lie in [1, 2)")
-        return NonlinearitySpec.homogeneous(q, eps0=eps0,
-                                            kappa1=kappa1 or 0.0,
-                                            kappa2=kappa2)
+        return NonlinearitySpec.homogeneous(q, **given)
     if kind == "sum_of_powers":
         terms_text = sec.get("terms")
         if not terms_text:
@@ -153,9 +155,7 @@ def _parse_nonlinearity(sec, dim):
             except ValueError:
                 coef = _converted(lambda t: compile_expression(t, dim), coef_text, where)
             terms.append(PowerTerm(expo, coef))
-        return NonlinearitySpec.sum_of_powers(
-            tuple(terms), eps0=eps0, kappa1=kappa1 if kappa1 is not None else 1.0,
-            kappa2=kappa2 if kappa2 is not None else 1e-3)
+        return NonlinearitySpec.sum_of_powers(tuple(terms), **given)
     raise ConfigError(f"unknown nonlinearity kind {kind!r} "
                       "(tabulated kinds are API-only)")
 
@@ -273,8 +273,8 @@ def _is_real(value):
 _RUN_TYPES = {int: int, float: float}
 
 
-def parse_run_config(text_or_path):
-    cp = _read_ini(text_or_path)
+def parse_run_config(source):
+    cp = read_ini(source)
     cfg = RunConfig()
     if "run" in cp:
         sec = cp["run"]

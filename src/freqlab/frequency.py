@@ -71,6 +71,7 @@ class IdentityReport:
     rhs: np.ndarray
     tolerance: float
     details: dict = field(default_factory=dict)
+    worst_index: int = None  # the radius to name; default max |lhs - rhs|
 
     def __post_init__(self):
         self.details["nan_radii"] = int(np.count_nonzero(~self._finite))
@@ -106,14 +107,13 @@ class IdentityReport:
 
     def to_dict(self):
         """The verdict, the residual, the tolerance, the scalar and flag
-        details, and the finite radius where |lhs - rhs| is largest (None
-        when no radius is finite), JSON-ready."""
-        finite = self._finite
-        worst_radius = worst_abs_residual = None
-        if np.any(finite):
-            res = np.where(finite, self.abs_residual, -np.inf)
-            k = int(np.argmax(res))
-            worst_radius, worst_abs_residual = self.radii[k], res[k]
+        details, and the worst radius with |lhs - rhs| there, JSON-ready.
+        The worst radius is `worst_index` when set, else the finite radius
+        where |lhs - rhs| is largest (None when no radius is finite)."""
+        k, finite = self.worst_index, self._finite
+        if k is None and np.any(finite):
+            k = int(np.argmax(np.where(finite, self.abs_residual, -np.inf)))
+        worst = (None, None) if k is None else (self.radii[k], self.abs_residual[k])
         scalars, _ = _split_details(self.details)
         return jsonable({
             "schema_version": 2,
@@ -121,8 +121,8 @@ class IdentityReport:
             "rel_residual": self.rel_residual,
             "tolerance": self.tolerance,
             "verdict": "pass" if self.passed else "fail",
-            "worst_radius": worst_radius,
-            "worst_abs_residual": worst_abs_residual,
+            "worst_radius": worst[0],
+            "worst_abs_residual": worst[1],
             "details": scalars,
         })
 
@@ -525,8 +525,11 @@ def verify_N_prime_bound(spec, fld, prof):
     slack = 10.0 * est + 1e-10
     ok = np.isfinite(prof.N)
     margins = (dN - rhs + slack)[ok]
+    # the worst radius has the smallest margin, not the largest |N' - rhs|
+    worst = (int(np.flatnonzero(ok)[np.nanargmin(margins)])
+             if np.any(np.isfinite(margins)) else None)
     rep = IdentityReport("frequency_derivative_bound", prof.r, dN, rhs,
-                         tolerance=np.inf)
+                         tolerance=np.inf, worst_index=worst)
     rep.details["slack"] = slack
     rep.details["inequality_margins"] = margins
     rep.details["inequality_ok"] = bool(np.all(margins >= 0.0))

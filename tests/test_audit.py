@@ -151,6 +151,33 @@ class TestLogHContradiction:
         verdict = logH_contradiction(prof, None, None, math.nan, 0.3, 2)
         assert verdict.status == "skipped"
 
+    @pytest.mark.parametrize("scale", [0.1, 1e-2, 1e-4])
+    def test_scaled_glued_field_certified_on_lower_bound(self, tmp_path,
+                                                        glued_trio, scale):
+        # scaled down, the glued candidate fails lower_bound_D with a
+        # frequency cap C4 far below 0; the backward floor's exponential
+        # overflowed (OverflowError, and `freq-lab audit` exited 1)
+        import dataclasses
+
+        from freqlab.cli import main
+        from freqlab.fields import save_field
+
+        base = glued_trio[(2, 1.5, 0.3)]
+        fld = dataclasses.replace(base, u=scale * base.u, du=scale * base.du)
+        spec = ProblemSpec.model(2, 1.5, outer_radius=0.8)
+        chain = audit(spec, fld, AuditControls(residual_gate=math.inf))
+        assert chain.constants["C4"] < 0
+        assert chain.steps["logH_contradiction"].status == "skipped"
+        assert chain.classification == "contradiction_certified"
+        assert chain.notes == ["failing step: lower_bound_D"]
+        path = tmp_path / "scaled.npz"
+        save_field(fld, path)
+        out = tmp_path / "au"
+        assert main(["audit", str(path), "--residual-gate", "inf",
+                     "--out", str(out)]) == 4
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["steps"]["logH_contradiction"]["status"] == "skipped"
+
 
 class TestFullAudit:
     def test_genuine_solutions(self, model_specs, radial_solutions):

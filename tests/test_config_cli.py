@@ -146,7 +146,7 @@ class TestRunConfig:
         assert "unknown [run] key 'spec_file'" in capsys.readouterr().err
 
     def test_every_flag_sets_a_run_config_field(self):
-        # _merge_config copies flags onto RunConfig by field name, so a flag
+        # _resolve copies flags onto RunConfig by field name, so a flag
         # stored under any other name would be dropped silently
         import argparse
         import dataclasses
@@ -291,6 +291,170 @@ class TestConfigInput:
         assert main(["check", "--config", str(missing),
                      "--out", str(tmp_path / "o")]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+
+def _radial_field(tmp_path, q="1.5", dim="2"):
+    so = tmp_path / "so"
+    assert main(["solve", "--mode", "radial", "--q", q, "--N", dim,
+                 "--amplitude", "0.5", "--radius", "1.0", "--out", str(so)]) == 0
+    return so / "field.npz"
+
+
+def _judged(out):
+    config = json.loads((out / "record.json").read_text())["config"]
+    return config["dimension"], config["q"], config["outer_radius"]
+
+
+class TestOneProblemSource:
+    """The problem comes from one source: the config's problem sections,
+    else the field header (frequency, audit), else --q / --N / --radius and
+    the matching [run] keys."""
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--N", "3", "--radius", "1.0"], "--N, --radius"),
+        (["--q", "1.2"], "--q"),
+    ])
+    def test_solve_flag_beside_problem_sections_exits_2(self, tmp_path, capsys,
+                                                         flags, named):
+        # `--N 3` used to be ignored: the run solved N = 2 and record.json
+        # said dimension 3
+        config = tmp_path / "model.ini"
+        config.write_text(MODEL_CONFIG)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(config), "--mode", "radial",
+                     *flags, "--step", "1e-3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}: the problem is already given "
+                              f"by [domain], [coefficients], [potential], "
+                              f"[nonlinearity] in {config}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["q = 1.5", "dimension = 2",
+                                     "outer_radius = 1.0"])
+    def test_run_key_beside_problem_sections_exits_2(self, tmp_path, capsys,
+                                                     key):
+        config = tmp_path / "model.ini"
+        config.write_text(MODEL_CONFIG + f"\n[run]\n{key}\n")
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(config), "--out", str(out)]) == 2
+        assert f"[run] {key.split(' = ')[0]}: the problem is already given" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_q_list_outside_ode_exits_2(self, tmp_path, capsys):
+        # the run solved q = 1.2 only and exited 0
+        out = tmp_path / "o"
+        assert main(["solve", "--mode", "radial", "--q", "1.2,1.5", "--N", "2",
+                     "--radius", "1.0", "--step", "1e-3", "--out", str(out)]) == 2
+        assert "--q 1.2,1.5: only ode takes a list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["frequency", "audit"])
+    def test_run_keys_beside_the_field_header_exit_2(self, tmp_path, capsys,
+                                                     command):
+        # `audit` exited 0 with genuine_nonvanishing on the field's own
+        # q = 1.5, N = 2, and record.json said q 1.2, dimension 3
+        field = _radial_field(tmp_path)
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nq = 1.2\ndimension = 3\n")
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main([command, str(field), "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: [run] dimension, [run] q: the problem is already given by "
+            f"the header of {field}")
+        assert not out.exists()
+
+    def test_flag_and_run_key_for_one_value_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nq = 1.5\n")
+        out = tmp_path / "o"
+        assert main(["check", "--q", "1.5", "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert "--q: the problem is already given by [run] q in" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_misspelled_section_exits_2(self, tmp_path, capsys):
+        # [domian] used to be skipped, and so was the [nonlinearity] beside
+        # it: the run solved the default q = 1.5
+        config = tmp_path / "typo.ini"
+        config.write_text(MODEL_CONFIG.replace("[domain]", "[domian]")
+                          .replace("q = 1.5", "q = 1.2"))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(config), "--mode", "radial",
+                     "--step", "1e-3", "--out", str(out)]) == 2
+        assert "unknown section [domian]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ode_takes_no_problem_section(self, tmp_path, capsys):
+        config = tmp_path / "model.ini"
+        config.write_text(MODEL_CONFIG)
+        out = tmp_path / "o"
+        assert main(["ode", "--counterexample", "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert "ode takes no problem section: [domain]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_comment_naming_domain_is_a_run_config(self, tmp_path):
+        # a substring test for "[domain]" read this as a problem config and
+        # exited 2 with "missing [domain] section"
+        config = tmp_path / "run.ini"
+        config.write_text("# no [domain] here: the problem comes from [run]\n"
+                          "[run]\nq = 1.2\ndimension = 3\n")
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(config), "--out", str(out)]) == 0
+        assert _judged(out) == (3, 1.2, 1.0)
+
+    def test_record_holds_the_judged_problem_without_domain(self, tmp_path):
+        so, config = tmp_path / "so", tmp_path / "run.ini"
+        config.write_text("[run]\nq = 1.2\ndimension = 3\nouter_radius = 1.5\n")
+        for command in ("solve", "check"):
+            out = so if command == "solve" else tmp_path / command
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+            assert _judged(out) == (3, 1.2, 1.5), command
+        for command in ("frequency", "audit"):
+            out = tmp_path / command
+            main([command, str(so / "field.npz"), "--out", str(out)])
+            assert _judged(out) == (3, 1.2, 1.5), command
+        out = tmp_path / "flags"
+        assert main(["check", "--q", "1.2", "--N", "3", "--out", str(out)]) == 0
+        assert _judged(out) == (3, 1.2, 1.0)
+
+    def test_record_holds_the_judged_problem_with_domain(self, tmp_path):
+        # the record held RunConfig's defaults (q 1.5), not the config's q
+        config = tmp_path / "model.ini"
+        config.write_text(MODEL_CONFIG.replace("q = 1.5", "q = 1.2")
+                          .replace("outer_radius = 1.0", "outer_radius = 0.8"))
+        so = tmp_path / "so"
+        assert main(["solve", "--mode", "grid2d", "--rings", "32", "--angles",
+                     "64", "--boundary", "cos:0:0.3", "--config", str(config),
+                     "--out", str(so)]) == 0
+        assert _judged(so) == (2, 1.2, 0.8)
+        for command in ("frequency", "audit", "check"):
+            out = tmp_path / command
+            field = [str(so / "field.npz")] if command != "check" else []
+            main([command, *field, "--config", str(config), "--out", str(out)])
+            assert _judged(out) == (2, 1.2, 0.8), command
+
+    @pytest.mark.parametrize("command", ["check", "audit"])
+    def test_config_file_is_opened_once(self, tmp_path, monkeypatch, command):
+        import builtins
+
+        config = tmp_path / "model.ini"
+        config.write_text(MODEL_CONFIG)
+        field = [str(_radial_field(tmp_path))] if command == "audit" else []
+        opened, real_open = [], builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        main([command, *field, "--config", str(config),
+              "--out", str(tmp_path / "o")])
+        assert opened.count(str(config)) == 1
 
 
 class TestCliExitCodes:

@@ -220,6 +220,23 @@ class TestNPrimeBound:
         prof.derivatives["N"] = (dN - 1e-3, est)
         assert not verify_N_prime_bound(spec, fld, prof).details["inequality_ok"]
 
+    def test_worst_radius_violates_the_lowered_bound(self):
+        # the report names the radius of the smallest margin; the largest
+        # |N' - rhs| sits beside a zero, where the slack excuses it
+        spec = ProblemSpec.model(3, 1.5, outer_radius=6.0)
+        fld = solve_radial(spec, 0.5, h=1e-4)
+        prof = frequency_profile(spec, fld, ProfileControls(n_radii=800))
+        dN, est = prof.derivatives["N"]
+        prof.derivatives["N"] = (dN - 1e-3, est)
+        rep = verify_N_prime_bound(spec, fld, prof)
+        blob = rep.to_dict()
+        k = int(np.flatnonzero(prof.r == blob["worst_radius"])[0])
+        assert rep.lhs[k] - rep.rhs[k] + rep.details["slack"][k] < 0.0
+        assert blob["worst_abs_residual"] == abs(rep.lhs[k] - rep.rhs[k])
+        margins = rep.details["inequality_margins"]
+        assert rep.lhs[k] - rep.rhs[k] + rep.details["slack"][k] == \
+            np.nanmin(margins)
+
     def test_2d_gap_nonnegative(self, linear_mode_spec):
         fld = sample_grid2d(lambda x: x[..., 0] + 0.3 * x[..., 1] ** 2,
                             1.0, 96, 192, 1.5)

@@ -10,6 +10,10 @@ np.load call passes allow_pickle=False, so a field file cannot run code.
 Archives are written in one place: every np.savez sits in io.write_npz,
 which fixes the header, the handle and allow_pickle=False for all of them.
 
+A config file is read in one place: only config.py imports configparser,
+and cli.py calls no builtin open, so the command line parses --config once
+and hands the parsed file to the config parsers.
+
 Exports are live: every name in a module's __all__ exists in that module,
 so a deleted function cannot leave a stale export behind.
 """
@@ -130,6 +134,48 @@ def test_one_archive_writer():
     writes = [(name, func) for source, name in _modules()
               for _, func in _archive_writes(source, name)]
     assert writes == [_ARCHIVE_WRITER]
+
+
+_CONFIG_READER = "config.py"
+
+
+def _stray_config_reads(source, filename):
+    """Imports of configparser outside config.py, and builtin open calls
+    in cli.py."""
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif (filename == "cli.py" and isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "open"):
+            hits.append(f"{filename}:{node.lineno}: open")
+            continue
+        else:
+            continue
+        if filename != _CONFIG_READER:
+            hits += [f"{filename}:{node.lineno}: import {name}" for name in names
+                     if name.split(".")[0] == "configparser"]
+    return hits
+
+
+def test_guard_flags_stray_config_reads():
+    snippet = ("import configparser\nfrom configparser import ConfigParser\n"
+               "import os\nwith open(path) as fh:\n    pass\n"
+               "os.open(path, 0)\nfh = io.open(path)\n")
+    hits = _stray_config_reads(snippet, "cli.py")
+    assert [hit.split(":")[1] for hit in hits] == ["1", "2", "4"]
+    assert [hit.split(":")[1] for hit in _stray_config_reads(
+        snippet, "audit.py")] == ["1", "2"]
+    # config.py is the one reader: it may import configparser and open files
+    assert _stray_config_reads(snippet, _CONFIG_READER) == []
+
+
+def test_one_config_reader():
+    hits = [hit for source, name in _modules()
+            for hit in _stray_config_reads(source, name)]
+    assert hits == []
 
 
 def _stale_exports(module):
