@@ -19,7 +19,6 @@ from .model import (
     check_A3,
     eval_F,
     normalize_coordinates,
-    sublinear_floor,
 )
 from .odes import (
     OdeTrajectory,
@@ -29,7 +28,6 @@ from .odes import (
     integrate_plane,
     integrate_radial,
     pme_residual_grid,
-    pme_separated_residual,
     zero_audit,
 )
 from .fields import (

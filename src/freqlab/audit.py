@@ -38,26 +38,22 @@ VETO = "residual_veto"
 INCONCLUSIVE = "inconclusive"
 
 
+_TOL_D_REL = 1e-10  # d vanishing threshold, relative to d(R)
 _MONO_SLACK_REL = 1e-8  # slack for the monotonicity ratios
 _BACKWARD_MARGIN = 0.5  # H < margin * backward bound => fired
 
 
 @dataclass
 class AuditControls:
-    tol_d_rel: float = 1e-10          # d vanishing threshold, relative to d(R)
     residual_gate: float = None       # None: 10x the field's own estimate
     # audits want the finest radius grid the field affords: the proof windows
     # near r0 can span only a few cells
     profile: ProfileControls = field(
         default_factory=lambda: ProfileControls(n_radii=2000))
 
-    def __post_init__(self):
-        if self.tol_d_rel <= 0:
-            raise ValueError(f"tol_d_rel must be positive, got {self.tol_d_rel}")
-
     def to_dict(self):
         return jsonable({
-            "tol_d_rel": self.tol_d_rel,
+            "tol_d_rel": _TOL_D_REL,
             "residual_gate": self.residual_gate,
             "mono_slack_rel": _MONO_SLACK_REL,
             "backward_margin": _BACKWARD_MARGIN,
@@ -115,8 +111,8 @@ class CertificateChain:
 # individual steps
 
 
-def vanishing_radius(prof, tol_d_rel=1e-10):
-    """Largest audited radius with d(r) below tol_d_rel * d(R); 0.0 if none.
+def vanishing_radius(prof):
+    """Largest audited radius with d(r) below _TOL_D_REL * d(R); 0.0 if none.
 
     Returns None when d is negligible over the whole grid (the field itself
     is numerically zero).
@@ -125,7 +121,7 @@ def vanishing_radius(prof, tol_d_rel=1e-10):
     dmax = float(d[-1])
     if dmax <= 0.0 or not np.isfinite(dmax):
         return None
-    mask = d <= tol_d_rel * dmax
+    mask = d <= _TOL_D_REL * dmax
     if not mask.any():
         return 0.0
     if mask.all():
@@ -141,7 +137,7 @@ def _fit_energy_mass_constant(prof, r0):
     return float(np.max(np.abs(prof.D - prof.D1)[sel] / prof.d[sel]))
 
 
-def lower_bound_certificate(prof, r0, dim, q, controls=None, route="model"):
+def lower_bound_certificate(prof, r0, dim, q, route="model"):
     """Check D(r) >= C2 d(r) on the window (r0, r1) the argument prescribes.
 
     Model route: C1 = C_{N,q}/r0^{N-1}, C2 = (2-q)/2 r0^{N-2}, and r1 caps
@@ -150,14 +146,13 @@ def lower_bound_certificate(prof, r0, dim, q, controls=None, route="model"):
     (fitted_C ||u||^{2-q} + C1 (r - r0)) e^{C0 (R - r0)} < (2-q)/2 holds.
     Returns (r1, verdict, constants).
     """
-    controls = controls or AuditControls()
     constants = {}
     if r0 is None or r0 <= 0.0:
         return None, StepVerdict("lower_bound_D", "skipped",
                                  note="needs r0 > 0"), constants
     dmax = float(prof.d[-1])
     k0 = int(np.searchsorted(prof.r, r0 + 1e-15))
-    if k0 > 0 and prof.d[k0 - 1] > controls.tol_d_rel * dmax * 4.0:
+    if k0 > 0 and prof.d[k0 - 1] > _TOL_D_REL * dmax * 4.0:
         return None, StepVerdict(
             "lower_bound_D", "veto",
             note="field is not negligible on B_r0; claimed core rejected"), constants
@@ -371,7 +366,7 @@ def audit(spec, fld, controls=None):
         data={"measured": measured, "gate": float(gate)})
 
     # vanishing radius
-    r0 = vanishing_radius(prof, controls.tol_d_rel)
+    r0 = vanishing_radius(prof)
     if r0 is None:
         chain.steps["vanishing_detected"] = StepVerdict(
             "vanishing_detected", "pass",
@@ -393,7 +388,7 @@ def audit(spec, fld, controls=None):
 
     q = spec.nonlinearity.q
     dim = fld.dim
-    r1, v1, consts = lower_bound_certificate(prof, r0, dim, q, controls, route)
+    r1, v1, consts = lower_bound_certificate(prof, r0, dim, q, route)
     chain.r1 = r1
     chain.constants.update(consts)
     chain.steps["lower_bound_D"] = v1

@@ -53,7 +53,6 @@ def _build_parser():
     def common(sp, problem=True):
         sp.add_argument("--config", help="run/problem config file (INI)")
         sp.add_argument("--out", dest="out_dir", help="output directory")
-        sp.add_argument("--seed", type=int)
         # frequency and audit read the problem from --config or the field
         # file, so they take no --q or --N
         if problem:
@@ -96,14 +95,11 @@ def _build_parser():
     sp = sub.add_parser("audit", help="vanishing-contradiction audit")
     common(sp, problem=False)
     sp.add_argument("field_file", metavar="field", help="field file to audit")
-    sp.add_argument("--tol-d", dest="tol_d_rel", type=float)
     sp.add_argument("--residual-gate", dest="residual_gate", type=float)
     sp.add_argument("--h-floor", dest="h_floor_rel", type=float)
 
     sp = sub.add_parser("check", help="assumption audit of a problem spec")
     common(sp)
-    sp.add_argument("--samples-x", type=int, default=64)
-    sp.add_argument("--samples-s", type=int, default=256)
     return p
 
 
@@ -248,6 +244,7 @@ def cmd_ode(cfg, q_list):
               "shoot": one_shoot, "pme": one_pme}[cfg.ode_task]
     results = [runner(q) for q in q_list]
     rec = _record(cfg)
+    rec.config["q"] = q_list  # every exponent the run used
     out = cfg.out_dir
     for (name, *csv), _, _ in results:
         rec.add(write_csv(os.path.join(out, name), *csv))
@@ -260,23 +257,23 @@ def cmd_ode(cfg, q_list):
 
 
 def cmd_solve(cfg, spec):
-    # the boundary data and a radial solve (which rejects a step too coarse
-    # for the amplitude) come first: exit 2 before any output
-    if cfg.mode == "radial":
-        fld = solve_radial(spec, cfg.amplitude, h=cfg.radial_step)
-    else:
-        boundary = _boundary_factory(cfg, spec)
+    # the solve comes first, so a bad input (a step too coarse for the
+    # amplitude, an odd angular count) exits 2 before any output; only a
+    # solve that does not converge leaves a record of its failure
+    try:
+        if cfg.mode == "radial":
+            fld = solve_radial(spec, cfg.amplitude, h=cfg.radial_step)
+        else:
+            fld = solve_grid_2d(spec, _boundary_factory(cfg, spec),
+                                n_r=cfg.rings, n_theta=cfg.angles,
+                                damping=cfg.damping, tol=cfg.fp_tol,
+                                max_iters=cfg.max_iters)
+    except SolverError as exc:
+        sys.stderr.write(f"solver failed: {exc}\n")
+        _record(cfg).finish({"error": str(exc), "distance": exc.distance})
+        return EXIT_SOLVER
     rec = _record(cfg)
     out = cfg.out_dir
-    if cfg.mode == "grid2d":
-        try:
-            fld = solve_grid_2d(spec, boundary, n_r=cfg.rings,
-                                n_theta=cfg.angles, damping=cfg.damping,
-                                tol=cfg.fp_tol, max_iters=cfg.max_iters)
-        except SolverError as exc:
-            sys.stderr.write(f"solver failed: {exc}\n")
-            rec.finish({"error": str(exc), "distance": exc.distance})
-            return EXIT_SOLVER
     fpath = os.path.join(out, "field.npz")
     save_field(fld, fpath)
     rec.add(fpath)
@@ -334,7 +331,7 @@ def cmd_frequency(cfg, spec, fld):
 def cmd_audit(cfg, spec, fld):
     n_radii = max(cfg.n_radii, AuditControls().profile.n_radii)
     controls = AuditControls(
-        tol_d_rel=cfg.tol_d_rel, residual_gate=cfg.residual_gate,
+        residual_gate=cfg.residual_gate,
         profile=ProfileControls(n_radii=n_radii, h_floor_rel=cfg.h_floor_rel))
     chain = audit(spec, fld, controls)
     rec = _record(cfg)
@@ -345,22 +342,18 @@ def cmd_audit(cfg, spec, fld):
     return _CLASSIFICATION_EXIT[chain.classification]
 
 
-def cmd_check(cfg, spec, samples_x=64, samples_s=256):
-    from .model import s_grid
-
+def cmd_check(cfg, spec):
     rec = _record(cfg)
-    pts = ball_grid(spec.dim, spec.outer_radius, samples_x)
+    pts = ball_grid(spec.dim, spec.outer_radius)
     # seeded extra interior samples so the audit is not blind to structure
     # that happens to dodge the tensor grid
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
     extra = rng.uniform(-spec.outer_radius, spec.outer_radius,
-                        size=(max(16, samples_x // 2), spec.dim))
+                        size=(32, spec.dim))
     extra = extra[np.sum(extra ** 2, axis=1) <= spec.outer_radius ** 2]
     pts = np.vstack([pts, extra])
     rep1 = check_A1(spec.coefficients, pts, radius=spec.outer_radius)
-    rep3 = check_A3(spec.nonlinearity, pts,
-                    s_values=s_grid(spec.nonlinearity.eps0, samples_s),
-                    radius=spec.outer_radius)
+    rep3 = check_A3(spec.nonlinearity, pts, radius=spec.outer_radius)
     blob = {"schema_version": 1,
             "A1": rep1.to_dict(), "A3": rep3.to_dict(),
             "A2_note": "potential sampled finite" if spec.potential is None
@@ -383,8 +376,7 @@ def main(argv=None):
                "solve": lambda: cmd_solve(cfg, spec),
                "frequency": lambda: cmd_frequency(cfg, spec, fld),
                "audit": lambda: cmd_audit(cfg, spec, fld),
-               "check": lambda: cmd_check(cfg, spec, args.samples_x,
-                                          args.samples_s)}[cfg.command]
+               "check": lambda: cmd_check(cfg, spec)}[cfg.command]
     try:
         return handler()
     except (ConfigError, ValueError) as exc:

@@ -4,7 +4,7 @@ Problem specs are human-readable INI with sections [domain], [coefficients],
 [potential], [nonlinearity].  Coefficient and potential fields are either
 named built-ins (identity, diagonal(d1, .., dN), rotation_perturbed(eps)) or
 expression strings over x1..xN in the small arithmetic grammar.  Run
-configurations (section [run]) round-trip exactly through serialize/parse.
+configurations live in section [run].
 """
 
 import configparser
@@ -17,7 +17,7 @@ from .expressions import compile_expression
 from .model import CoefficientField, NonlinearitySpec, PowerTerm, ProblemSpec
 
 __all__ = ["ConfigError", "RunConfig", "read_ini", "parse_problem_spec",
-           "serialize_problem_spec", "parse_run_config", "serialize_run_config"]
+           "parse_run_config"]
 
 
 class ConfigError(ValueError):
@@ -160,44 +160,6 @@ def _parse_nonlinearity(sec, dim):
                       "(tabulated kinds are API-only)")
 
 
-def serialize_problem_spec(spec):
-    """INI text for specs whose pieces came from the config vocabulary."""
-    lines = ["[domain]", f"dimension = {spec.dim}",
-             f"outer_radius = {spec.outer_radius!r}", ""]
-    coeff = spec.coefficients
-    lines.append("[coefficients]")
-    if coeff.kind == "identity":
-        lines.append("field = identity")
-    elif coeff.kind == "diagonal":
-        vals = ", ".join(repr(v) for v in coeff.params["values"])
-        lines.append(f"field = diagonal({vals})")
-    elif coeff.kind == "rotation_perturbed":
-        lines.append(f"field = rotation_perturbed({coeff.params['eps']!r})")
-    elif coeff.kind == "expressions":
-        lines.append("field = expr")
-        for k, v in sorted(coeff.params["entries"].items()):
-            lines.append(f"{k} = {v}")
-        lines.append(f"ellipticity = {coeff.params['ellipticity']!r}")
-    else:
-        raise ConfigError(f"coefficient kind {coeff.kind!r} has no config form")
-    lines += ["", "[potential]", f"field = {spec.potential_source}", ""]
-    nl = spec.nonlinearity
-    lines.append("[nonlinearity]")
-    lines.append(f"kind = {nl.kind}")
-    lines.append(f"q = {nl.q!r}")
-    lines.append(f"eps0 = {nl.eps0!r}")
-    lines.append(f"kappa1 = {nl.kappa1!r}")
-    lines.append(f"kappa2 = {nl.kappa2!r}")
-    if nl.kind == "sum_of_powers":
-        parts = []
-        for t in nl.terms:
-            coef = t.coefficient
-            parts.append(f"{t.exponent!r}: "
-                         + (coef.source if callable(coef) else repr(coef)))
-        lines.append("terms = " + " | ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
 # --------------------------------------------------------------------------
 # run configuration
 
@@ -218,14 +180,12 @@ class RunConfig:
     boundary: str = "radial-trace"
     mode: str = "radial"
     ode_task: str = "counterexample"
-    tol_d_rel: float = 1e-10
     residual_gate: float = None
     h_floor_rel: float = 1e-14
     damping: float = 0.0
     fp_tol: float = 1e-10
     max_iters: int = 400
     out_dir: str = "freq-lab-out"
-    seed: int = 0
     field_file: str = None
     config_path: str = None  # the file this run config was read from, if any
 
@@ -233,8 +193,7 @@ class RunConfig:
         if self.command not in ("ode", "solve", "frequency", "audit", "check"):
             raise ConfigError(f"unknown command {self.command!r}")
         # a key set to `none` holds None, and NaN fails every comparison
-        for name in ("radial_step", "outer_radius", "fp_tol", "tol_d_rel",
-                     "h_floor_rel"):
+        for name in ("radial_step", "outer_radius", "fp_tol", "h_floor_rel"):
             value = getattr(self, name)
             if not (_is_real(value) and math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
@@ -288,16 +247,3 @@ def parse_run_config(source):
                 setattr(cfg, f.name, None if sec[f.name] == "none"
                         else _value(sec, f.name, convert))
     return cfg
-
-
-def serialize_run_config(cfg):
-    lines = ["[run]"]
-    for f in dataclasses.fields(RunConfig):
-        val = getattr(cfg, f.name)
-        if val is None:
-            lines.append(f"{f.name} = none")
-        elif isinstance(val, float):
-            lines.append(f"{f.name} = {val!r}")
-        else:
-            lines.append(f"{f.name} = {val}")
-    return "\n".join(lines) + "\n"

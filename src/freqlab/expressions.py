@@ -125,5 +125,4 @@ def compile_expression(text, dim):
         return np.broadcast_to(val, x.shape[:-1]).astype(float, copy=True) \
             if np.ndim(val) == 0 else val
 
-    fn.source = text
     return fn

@@ -709,7 +709,7 @@ def manufactured_bowl(outer_radius=1.0, q=1.5, amplitude=1.0, v0=0.25):
     lam = min(0.999, 1.0 / (1.0 + R ** 2 / 4.0) * 0.999)
     coeff = CoefficientField(2, entries, grads,
                              lambda x: np.full(np.asarray(x).shape[:-1], lam),
-                             "bowl_diag", {"outer_radius": R})
+                             "bowl_diag")
 
     eps0 = 2.0 * amp * R ** 4 + 1.0
     nl = NonlinearitySpec.homogeneous(q, eps0=eps0)

@@ -29,7 +29,6 @@ __all__ = [
     "grad1_F",
     "check_A1",
     "check_A3",
-    "sublinear_floor",
     "c_constant",
     "normalize_coordinates",
     "ball_grid",
@@ -63,18 +62,17 @@ class CoefficientField:
     `geometry(x)`, one call per field (`frequency._NodeData`).
     """
 
-    def __init__(self, dim, entries, entry_gradients, ellipticity, kind, params=None):
+    def __init__(self, dim, entries, entry_gradients, ellipticity, kind):
         self.dim = dim
         self.entries = entries
         self.entry_gradients = entry_gradients
         self.ellipticity = ellipticity
         self.kind = kind
-        self.params = params or {}
 
     # ---- constructors
 
     @classmethod
-    def _constant(cls, mat, lam, kind, params=None):
+    def _constant(cls, mat, lam, kind):
         """The x-independent field A(x) = mat with ellipticity lam."""
         dim = len(mat)
 
@@ -86,7 +84,7 @@ class CoefficientField:
             x = np.asarray(x, dtype=float)
             return np.zeros(x.shape[:-1] + (dim, dim, dim))
 
-        return cls(dim, entries, grads, lambda x: _const_field(x, lam), kind, params)
+        return cls(dim, entries, grads, lambda x: _const_field(x, lam), kind)
 
     @classmethod
     def identity(cls, dim):
@@ -98,8 +96,7 @@ class CoefficientField:
         lam = min(min(values), 1.0 / max(values)) * 0.999
         if lam <= 0:
             raise ValueError("diagonal entries must be positive")
-        return cls._constant(np.diag(values), min(lam, 0.999), "diagonal",
-                             {"values": values})
+        return cls._constant(np.diag(values), min(lam, 0.999), "diagonal")
 
     @classmethod
     def rotation_perturbed(cls, eps, dim=2, radius=1.0):
@@ -129,7 +126,7 @@ class CoefficientField:
         # eigenvalues are 1 and 1 + eps |x|^2
         lam = min(0.999, 1.0 / (1.0 + eps * radius ** 2) * 0.999)
         return cls(dim, entries, grads, lambda x: _const_field(x, lam),
-                   "rotation_perturbed", {"eps": eps})
+                   "rotation_perturbed")
 
     @classmethod
     def from_expressions(cls, dim, entry_exprs, ellipticity=0.5):
@@ -166,7 +163,7 @@ class CoefficientField:
         if not 0.0 < lam < 1.0:
             raise ValueError("ellipticity must lie in (0, 1)")
         return cls(dim, entries, grads, lambda x: _const_field(x, lam),
-                   "expressions", {"entries": dict(entry_exprs), "ellipticity": lam})
+                   "expressions")
 
     # ---- derived fields (all closed-form in the entries and their gradients)
 
@@ -717,19 +714,6 @@ def check_A1(coeff, points=None, radius=1.0):
     return report
 
 
-def sublinear_floor(spec, x):
-    """kappa(x) = min(F(x, eps0), F(x, -eps0)) / eps0^q.
-
-    Guarantees F(x, s) >= kappa(x) |s|^q for |s| < eps0 once clause i) holds,
-    and kappa(x) >= kappa2 / eps0^q by clause iv).
-    """
-    x = np.asarray(x, dtype=float)
-    shape = x.shape[:-1] if x.ndim > 1 else ()
-    Fp = eval_F(spec, x, np.full(shape, spec.eps0) if shape else spec.eps0)
-    Fm = eval_F(spec, x, np.full(shape, -spec.eps0) if shape else -spec.eps0)
-    return np.minimum(Fp, Fm) / spec.eps0 ** spec.q
-
-
 def c_constant(dim, q):
     """The positive combination 2 N - (N - 2) q driving the energy identities."""
     if dim < 2:
@@ -782,8 +766,7 @@ def normalize_coordinates(spec, x0):
     def ell(x):
         return np.clip(lam_star * base.ellipticity(T(x)), 1e-9, 1.0 - 1e-9)
 
-    coeff = CoefficientField(dim, entries, grads, ell, "pullback",
-                             {"of": base.kind, "x0": [float(v) for v in x0]})
+    coeff = CoefficientField(dim, entries, grads, ell, "pullback")
 
     nl = spec.nonlinearity
     if nl.kind == "tabulated":

@@ -32,7 +32,6 @@ __all__ = [
     "integrate_radial",
     "zero_audit",
     "pme_residual_grid",
-    "pme_separated_residual",
 ]
 
 
@@ -631,9 +630,3 @@ def pme_residual_grid(field, r_indices=None, t_values=None):
     wt = cdot[:, None] * g[None, :]
     lap_w = (c ** field.m)[:, None] * lap[r_indices][None, :]
     return r_indices, t_values, wt - lap_w
-
-
-def pme_separated_residual(field, r_indices=None, t_values=None):
-    """Max space-time residual |w_t - Laplace(|w|^{m-1} w)| on the grid."""
-    _, _, res = pme_residual_grid(field, r_indices, t_values)
-    return float(np.max(np.abs(res)))

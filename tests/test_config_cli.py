@@ -5,8 +5,7 @@ import pytest
 
 from freqlab.cli import main
 from freqlab.config import (ConfigError, RunConfig, parse_problem_spec,
-                            parse_run_config, serialize_problem_spec,
-                            serialize_run_config)
+                            parse_run_config)
 from freqlab.io import content_hash_of_dir
 
 MODEL_CONFIG = """
@@ -75,19 +74,6 @@ class TestProblemSpecConfig:
             "field = identity", "field = rotation_perturbed(0.2)"))
         assert spec.coefficients.kind == "rotation_perturbed"
 
-    def test_spec_round_trip(self):
-        for text in (MODEL_CONFIG, VARIABLE_CONFIG):
-            spec = parse_problem_spec(text)
-            again = parse_problem_spec(serialize_problem_spec(spec))
-            assert again.dim == spec.dim
-            assert again.outer_radius == spec.outer_radius
-            assert again.nonlinearity.q == spec.nonlinearity.q
-            assert again.coefficients.kind == spec.coefficients.kind
-            pts = np.array([[0.3, -0.2]])
-            np.testing.assert_allclose(again.coefficients.entries(pts),
-                                       spec.coefficients.entries(pts))
-            np.testing.assert_allclose(again.V(pts), spec.V(pts))
-
     @pytest.mark.parametrize("mutate", [
         lambda t: t.replace("q = 1.5", "q = 2.5"),
         lambda t: t.replace("[domain]\ndimension = 2", "[domain]"),
@@ -101,14 +87,44 @@ class TestProblemSpecConfig:
 
 class TestRunConfig:
     def test_round_trip_default(self):
-        cfg = RunConfig()
-        assert parse_run_config(serialize_run_config(cfg)) == cfg
+        # every default, written out as [run] text, parses back to itself
+        text = """[run]
+command = ode
+dimension = 2
+q = 1.5
+outer_radius = 1.0
+amplitude = 0.5
+radial_step = 0.001
+t0 = 0.0
+t_max = 10.0
+rings = 64
+angles = 128
+n_radii = 800
+boundary = radial-trace
+mode = radial
+ode_task = counterexample
+residual_gate = none
+h_floor_rel = 1e-14
+damping = 0.0
+fp_tol = 1e-10
+max_iters = 400
+out_dir = freq-lab-out
+field_file = none
+config_path = none
+"""
+        assert parse_run_config(text) == RunConfig()
+        assert parse_run_config("[run]\n") == RunConfig()
 
     def test_round_trip_modified(self):
-        cfg = RunConfig(command="audit", q=1.25, rings=96, residual_gate=None,
-                        out_dir="somewhere", field_file="f.txt",
-                        radial_step=2.5e-4)
-        assert parse_run_config(serialize_run_config(cfg)) == cfg
+        # typed ints and floats, none and strings, as a config file holds them
+        cfg = parse_run_config("[run]\ncommand = audit\nq = 1.25\nrings = 96\n"
+                               "residual_gate = none\nout_dir = somewhere\n"
+                               "field_file = f.txt\nradial_step = 2.5e-4\n"
+                               "t0 = 2\n")
+        assert cfg == RunConfig(command="audit", q=1.25, rings=96,
+                                residual_gate=None, out_dir="somewhere",
+                                field_file="f.txt", radial_step=2.5e-4, t0=2.0)
+        assert type(cfg.rings) is int and type(cfg.t0) is float
 
     @pytest.mark.parametrize("line", ["jobs = 3", "dampng = 0.9",
                                       "identity_tol_scale = 2"])
@@ -159,7 +175,7 @@ class TestRunConfig:
         dests = {a.dest for sp in sub.choices.values() for a in sp._actions
                  if not isinstance(a, argparse._HelpAction)}
         fields = {f.name for f in dataclasses.fields(RunConfig)}
-        special = {"command", "config", "q", "samples_x", "samples_s"}
+        special = {"command", "config", "q"}
         assert dests - special <= fields
         assert {"out_dir", "field_file", "ode_task", "dimension"} <= dests
 
@@ -192,12 +208,12 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key, value", [
         *((key, value) for key in ("radial_step", "outer_radius", "fp_tol",
-                                   "tol_d_rel", "h_floor_rel")
+                                   "h_floor_rel")
           for value in ("none", "nan", "inf", "-inf", "0")),
         *((key, value) for key in ("rings", "angles", "n_radii", "max_iters")
           for value in ("none", "0", "-3")),
         *((key, "none") for key in ("q", "amplitude", "t0", "t_max",
-                                    "dimension", "seed")),
+                                    "dimension")),
         # a NaN or non-positive gate vetoed every field (exit 5)
         *(("residual_gate", value) for value in ("nan", "0", "-1")),
     ])
@@ -211,6 +227,31 @@ class TestRunConfig:
         assert main(["solve", "--mode", "grid2d", "--boundary", "cos:0:0.3",
                      "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_cli_exits_2_on_the_removed_keys(self, tmp_path, capsys):
+        # seed and tol_d_rel set nothing a verdict reads: check samples with
+        # default_rng(0), and the audit's d threshold is audit._TOL_D_REL
+        config = tmp_path / "run.ini"
+        for line in ("seed = 3", "tol_d_rel = 1e-8"):
+            config.write_text(f"[run]\n{line}\n")
+            assert main(["check", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 2
+            key = line.split(" = ")[0]
+            assert f"unknown [run] key {key!r}" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--tol-d", "1e-8"],
+                                      ["--samples-x", "-4"],
+                                      ["--samples-s", "64"]])
+    def test_removed_flags_exit_2(self, tmp_path, capsys, flag):
+        # `check --samples-x -4` exited 1 with a TypeError traceback
+        command = ["audit", str(tmp_path / "f.npz")] if flag[0] == "--tol-d" \
+            else ["check"]
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *flag, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_validation(self):
@@ -477,6 +518,40 @@ class TestCliExitCodes:
                      "--out", str(out)]) == 0
         blob = json.loads((out / "ode_summary.json").read_text())
         assert blob["results"][0]["relative_residual"] <= 1e-6
+
+    @pytest.mark.parametrize("grid", [["--angles", "33"], ["--rings", "3"]],
+                             ids=["odd-angles", "three-rings"])
+    def test_grid_the_solver_rejects_leaves_no_output(self, tmp_path, capsys,
+                                                      grid):
+        # the output directory used to be made before the solver checked
+        # its grid, and the run left it empty
+        out = tmp_path / "o"
+        assert main(["solve", "--mode", "grid2d", "--boundary", "cos:1:0.1",
+                     *grid, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: need ")
+        assert not out.exists()
+
+    def test_solver_failure_exits_3_with_a_record(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nmax_iters = 1\n")
+        out = tmp_path / "o"
+        assert main(["solve", "--mode", "grid2d", "--rings", "16", "--angles",
+                     "32", "--boundary", "cos:1:0.1", "--config", str(config),
+                     "--out", str(out)]) == 3
+        assert "solver failed" in capsys.readouterr().err
+        record = json.loads((out / "record.json").read_text())
+        assert record["summary"]["error"] and record["manifest"] == []
+
+    def test_ode_records_every_exponent(self, tmp_path):
+        # record.json's config.q held the first exponent of the list only
+        out = tmp_path / "o"
+        assert main(["ode", "--counterexample", "--q", "1.2,1.5",
+                     "--out", str(out)]) == 0
+        record = json.loads((out / "record.json").read_text())
+        assert record["config"]["q"] == [1.2, 1.5]
+        assert sorted(m["path"] for m in record["manifest"]) == [
+            "counterexample_q1.2.csv", "counterexample_q1.5.csv",
+            "ode_summary.json"]
 
     def test_missing_field_file(self, tmp_path, capsys):
         assert main(["frequency", str(tmp_path / "nope.txt"),

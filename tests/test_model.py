@@ -7,7 +7,7 @@ from freqlab import model
 from freqlab.model import (CoefficientField, NonlinearitySpec, PowerTerm,
                            ProblemSpec, QuadratureError, ball_grid, c_constant,
                            check_A1, check_A3, eval_F, eval_f, grad1_F,
-                           normalize_coordinates, s_grid, sublinear_floor)
+                           normalize_coordinates, s_grid)
 
 ORIGIN2 = np.zeros((1, 2))
 
@@ -252,25 +252,6 @@ class TestCheckA3:
         rep = check_A3(nl, points=pts, s_values=s_grid(1.0, 32))
         clause = rep.clauses["A3.iv"]
         assert not clause.passed and clause.witness is not None
-
-
-class TestSublinearFloor:
-    def test_homogeneous(self):
-        nl = NonlinearitySpec.homogeneous(1.5, eps0=1.0)
-        assert sublinear_floor(nl, np.zeros(2)) == pytest.approx(2 / 3, abs=1e-15)
-
-    def test_homogeneous_q1_small_eps(self):
-        nl = NonlinearitySpec.homogeneous(1.0, eps0=0.5)
-        assert sublinear_floor(nl, np.zeros(2)) == pytest.approx(1.0, abs=1e-15)
-
-    def test_scan_confirms_floor(self):
-        nl = NonlinearitySpec.sum_of_powers([PowerTerm(1.5, 2.0)], kappa2=0.5)
-        kap = float(sublinear_floor(nl, np.zeros(2)))
-        assert kap == pytest.approx(4 / 3, abs=1e-14)
-        s = s_grid(nl.eps0, 128)
-        F = eval_F(nl, ORIGIN2, s)
-        assert np.all(F >= kap * np.abs(s) ** nl.q * (1 - 1e-12))
-        assert kap >= nl.kappa2 / nl.eps0 ** nl.q
 
 
 class TestCConstant:

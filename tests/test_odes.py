@@ -11,7 +11,7 @@ from freqlab.fields import glued_field
 from freqlab.odes import (OdeTrajectory, PmeField, ZeroEvent, _bisect_hermite,
                           conserved_energy, counterexample_profile,
                           counterexample_slope, integrate_plane,
-                          integrate_radial, pme_separated_residual, zero_audit)
+                          integrate_radial, pme_residual_grid, zero_audit)
 
 
 class TestCounterexample:
@@ -278,24 +278,22 @@ class TestPme:
         base = integrate_radial(3, 1.5, 0.5, 2.0, 5e-4)
         pme = PmeField(base, t0=0.0)
         assert pme.m == pytest.approx(2.0)
-        res = pme_separated_residual(pme)
-        n = len(base.u)
-        idx = np.arange(max(4, n // 16), n - 4)
-        wsup = float(np.max(np.abs(pme.w(idx, 1.0 + np.linspace(0, 1, 64)))))
-        assert res <= 1e-6 * wsup
+        idx, t_values, res = pme_residual_grid(pme)
+        wsup = float(np.max(np.abs(pme.w(idx, t_values))))
+        assert float(np.max(np.abs(res))) <= 1e-6 * wsup
 
     def test_zero_base_gives_zero_residual(self):
         t = np.linspace(0, 1, 512)
         base = OdeTrajectory(t, np.zeros_like(t), np.zeros_like(t), 1.5, 3,
                              (0.0, 0.0), t[1] - t[0])
         pme = PmeField(base, t0=0.0)
-        assert pme_separated_residual(pme) == 0.0
+        assert not np.any(pme_residual_grid(pme)[2])
 
     def test_rejects_times_before_t0(self):
         base = integrate_radial(2, 1.5, 0.5, 1.0, 1e-3)
         pme = PmeField(base, t0=1.0)
         with pytest.raises(ValueError):
-            pme_separated_residual(pme, t_values=np.array([0.5, 2.0]))
+            pme_residual_grid(pme, t_values=np.array([0.5, 2.0]))
 
 
 # --------------------------------------------------------------------------
