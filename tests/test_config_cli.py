@@ -216,6 +216,10 @@ config_path = none
                                     "dimension")),
         # a NaN or non-positive gate vetoed every field (exit 5)
         *(("residual_gate", value) for value in ("nan", "0", "-1")),
+        # seed and tol_d_rel are no longer [run] keys: any value is refused
+        # as an unknown key, still with exit 2 and the key named
+        ("seed", "none"),
+        *(("tol_d_rel", value) for value in ("none", "nan", "inf", "-inf", "0")),
     ])
     def test_cli_exits_2_on_a_bad_numeric_value(self, tmp_path, capsys,
                                                    key, value):
