@@ -1,14 +1,15 @@
 """Replay of the quantitative vanishing-contradiction argument.
 
-Given a candidate field on a ball, the audit measures its equation residual,
-finds the radius r0 up to which the nonlinearity mass d vanishes, and then
-walks the proof chain that a genuine solution with r0 > 0 would have to
-satisfy: an energy lower bound D >= C2 d just outside the core, boundedness
-of the frequency through the monotonicity of N(r) e^{C3 r}, and finally the
-impossibility of the sphere mass H vanishing at r3 > 0 while the log-slope
-of H/r^{N-1} stays bounded.  A field that passes the residual gate with
-r0 > 0 must trip one of these steps; "genuine" is only ever reported when
-r0 = 0 (or the field is negligible outright).
+Given a candidate field on a ball, the audit measures its integrated
+equation residual (`_residual_epsilon`), finds the radius r0 up to which the
+nonlinearity mass d vanishes, and then walks the proof chain that a genuine
+solution with r0 > 0 would have to satisfy: an energy lower bound
+D >= C2 d just outside the core, boundedness of the frequency through the
+monotonicity of N(r) e^{C3 r}, and finally the impossibility of the sphere
+mass H vanishing at r3 > 0 while the log-slope of H/r^{N-1} stays bounded.
+A field that passes the residual gate with r0 > 0 must trip one of these
+steps; "genuine" is only ever reported when r0 = 0 (or the field is
+negligible outright).
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import numpy as np
 from .model import c_constant
 from .frequency import ProfileControls, _node_data, frequency_profile
 from .io import jsonable
+from .quadrature import cumulative_uniform
 
 __all__ = [
     "AuditControls",
@@ -39,13 +41,15 @@ INCONCLUSIVE = "inconclusive"
 
 
 _TOL_D_REL = 1e-10  # d vanishing threshold, relative to d(R)
+_GATE_REL = 1e-2  # default residual gate on _residual_epsilon
+_GATE_SECTORS = 8  # angular sectors of the residual gate (at most n_theta)
 _MONO_SLACK_REL = 1e-8  # slack for the monotonicity ratios
 _BACKWARD_MARGIN = 0.5  # H < margin * backward bound => fired
 
 
 @dataclass
 class AuditControls:
-    residual_gate: float = None       # None: 10x the field's own estimate
+    residual_gate: float = None       # gate on _residual_epsilon; None: _GATE_REL
     # audits want the finest radius grid the field affords: the proof windows
     # near r0 can span only a few cells
     profile: ProfileControls = field(
@@ -54,6 +58,7 @@ class AuditControls:
     def to_dict(self):
         return jsonable({
             "tol_d_rel": _TOL_D_REL,
+            "gate_rel": _GATE_REL,
             "residual_gate": self.residual_gate,
             "mono_slack_rel": _MONO_SLACK_REL,
             "backward_margin": _BACKWARD_MARGIN,
@@ -109,6 +114,32 @@ class CertificateChain:
 
 # --------------------------------------------------------------------------
 # individual steps
+
+
+def _residual_epsilon(data):
+    """The gate's step data: epsilon, the largest |int rho| over the balls
+    B_r and their min(_GATE_SECTORS, n_theta) sectors of whole cells, over
+    max_r (|int_{B_r} div(A grad u)| + int_{B_r} |V u + f|), or 0 if that
+    is 0, and the radius and sector ("disc" or an index) of the peak.  The
+    size holds a flux, which a fast ripple raises no faster than int rho.
+    """
+    rho, vu_f = data.rho0, data.V * data.u + data.fvals
+    n_sec = min(_GATE_SECTORS, rho.shape[1])
+    # rows: sphere integrals of rho per sector, of div(A grad u), of |V u + f|
+    g = np.concatenate([
+        np.add.reduceat(rho.T, np.arange(n_sec) * rho.shape[1] // n_sec, axis=0),
+        np.sum(rho - vu_f, axis=1)[None], np.sum(np.abs(vu_f), axis=1)[None]])
+    g *= data.ring * data.dtheta
+    g[:, 0] = 0.0
+    # ball integrals by one prefix pass down the contiguous rows
+    balls = cumulative_uniform(np.nan_to_num(g, nan=0.0, copy=False).T, data.h).T
+    size = float(np.max(np.abs(balls[-2]) + balls[-1]))
+    # the disc first, so that it wins ties (a radial field's one sector)
+    mass = np.abs(np.vstack([balls[:n_sec].sum(axis=0), balls[:n_sec]]))
+    s, k = np.unravel_index(np.argmax(mass), mass.shape)
+    return {"epsilon": float(mass[s, k]) / size if size > 0.0 else 0.0,
+            "radius": float(data.r[k]), "sector": "disc" if s == 0 else int(s) - 1,
+            "sectors": n_sec}
 
 
 def vanishing_radius(prof):
@@ -350,20 +381,13 @@ def audit(spec, fld, controls=None):
                              input_hash=_field_hash(fld))
 
     # residual gate, on the node data the profile has cached
-    data = _node_data(spec, fld)
-    measured = float(np.nanmax(np.abs(data.rho)))
-    gate = controls.residual_gate
-    if gate is None:
-        if fld.residual_scale is not None:
-            gate = 10.0 * fld.residual_scale
-        else:
-            fscale = float(np.max(np.abs(data.fvals)))
-            gate = 1e-6 * max(fscale, 1e-30)
-    gate_ok = measured <= gate
+    measured = _residual_epsilon(_node_data(spec, fld))
+    gate = _GATE_REL if controls.residual_gate is None else controls.residual_gate
+    gate_ok = measured["epsilon"] <= gate
     chain.steps["residual_gate"] = StepVerdict(
         "residual_gate", "pass" if gate_ok else "veto",
-        note=f"sup residual {measured:.3e} vs gate {gate:.3e}",
-        data={"measured": measured, "gate": float(gate)})
+        note=f"integrated residual {measured['epsilon']:.3e} vs gate {gate:.3e}",
+        data={**measured, "gate": float(gate)})
 
     # vanishing radius
     r0 = vanishing_radius(prof)

@@ -277,7 +277,7 @@ def cmd_solve(cfg, spec):
     fpath = os.path.join(out, "field.npz")
     save_field(fld, fpath)
     rec.add(fpath)
-    summary = {"mode": cfg.mode, "residual_scale": fld.residual_scale}
+    summary = {"mode": cfg.mode}
     if cfg.mode == "grid2d":
         solver = fld.meta["solver"]
         summary["solver"] = {"iterations": solver["iterations"],

@@ -197,6 +197,10 @@ class RunConfig:
             value = getattr(self, name)
             if not (_is_real(value) and math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
+        for name in ("amplitude", "t0", "t_max"):
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be finite, got {value}")
         # none is the audit's default gate, inf turns the gate off; a NaN or
         # non-positive gate would veto every field
         if self.residual_gate is not None and not (
@@ -206,7 +210,7 @@ class RunConfig:
         # at damping 1 every fixed-point step is zero: a false convergence
         if not (_is_real(self.damping) and 0.0 <= self.damping < 1.0):
             raise ConfigError(f"damping must lie in [0, 1), got {self.damping}")
-        for name in ("rings", "angles", "n_radii", "max_iters"):
+        for name in ("dimension", "rings", "angles", "n_radii", "max_iters"):
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, int) and value > 0):
                 raise ConfigError(f"{name} must be a positive integer, got {value}")

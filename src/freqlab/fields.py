@@ -7,7 +7,6 @@ degree of freedom; radial differentiation extends across the pole through
 u(-r, theta) = u(r, theta + pi), and angular derivatives are spectral.
 """
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -50,7 +49,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolutionField:
-    """A candidate solution on its nodes, with residual bookkeeping.
+    """A candidate solution on its nodes.
 
     A field is a value: it is validated once, when it is built, and cannot
     change afterwards.  It takes ownership of the arrays it is given: each of
@@ -61,8 +60,7 @@ class SolutionField:
     its arrays (numpy sums strided and contiguous data in different orders)
     and cached node data can never go stale.  A changed field is a new one,
     made with `dataclasses.replace`, which starts with an empty cache but
-    keeps residual_scale and the meta dict itself: a caller that changes u
-    passes residual_scale=None and meta={} too.
+    keeps the meta dict itself: a caller that changes u passes meta={} too.
     """
 
     representation: str           # "radial" | "grid2d"
@@ -72,10 +70,10 @@ class SolutionField:
     u: np.ndarray                 # radial: (n,) ; grid2d: (n_r+1, n_theta)
     du: np.ndarray = None         # radial only: profile derivative
     theta: np.ndarray = None      # grid2d only
-    residual_scale: float = None  # solver truncation estimate, if known
     meta: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    # [(spec, node data)] of the last spec analysed (frequency._node_data)
+    _node_slot: list = field(default_factory=lambda: [None], init=False,
+                             repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("r", "u", "du", "theta"):
@@ -87,21 +85,20 @@ class SolutionField:
     # ---- constructors
 
     @classmethod
-    def radial_from_arrays(cls, r, u, du, dim, q, residual_scale=None):
-        return cls("radial", dim, q, r, u, du=du, residual_scale=residual_scale)
+    def radial_from_arrays(cls, r, u, du, dim, q):
+        return cls("radial", dim, q, r, u, du=du)
 
     @classmethod
-    def grid2d_from_values(cls, r_nodes, theta, values, q, residual_scale=None):
-        return cls("grid2d", 2, q, r_nodes, values, theta=theta,
-                   residual_scale=residual_scale)
+    def grid2d_from_values(cls, r_nodes, theta, values, q):
+        return cls("grid2d", 2, q, r_nodes, values, theta=theta)
 
     def validate(self):
         """Raise ValueError unless every analysis can read this field.
 
         Checks the array shapes, finite values, nodes r uniform from 0 (the
         radial quadratures and the polar stencils take h = r[1] - r[0]), an
-        even angular count with a single-valued pole row on a grid, a finite
-        q, and a finite residual_scale when one is set.
+        even angular count with a single-valued pole row on a grid, and a
+        finite q.
         """
         if self.representation == "radial":
             arrays = {"r": self.r, "u": self.u, "du": self.du}
@@ -138,8 +135,6 @@ class SolutionField:
             raise ValueError("the pole row (i = 0) holds more than one value")
         if not math.isfinite(self.q):
             raise ValueError(f"non-finite q {self.q!r}")
-        if self.residual_scale is not None and not math.isfinite(self.residual_scale):
-            raise ValueError(f"non-finite residual_scale {self.residual_scale!r}")
 
     # ---- basic geometry
 
@@ -156,13 +151,6 @@ class SolutionField:
         if self.representation != "grid2d":
             raise ValueError("operation needs a grid2d field")
         return _polar_points(self.r, self.theta)
-
-    def cached(self, key, build, pin=None):
-        """build(), kept under `key` until `pin` is another object."""
-        entry = self._cache.get(key)
-        if entry is None or entry[0] is not pin:
-            entry = self._cache[key] = (pin, build())
-        return entry[1]
 
 
 def _read_only(a):
@@ -235,23 +223,20 @@ def _require_radial_route(spec):
                          "rotation_perturbed} (A nu = nu on radial fields)")
 
 
-def residual_field(spec, fld, source=None):
-    """rho(x) = div(A grad u) + V u + f(x, u) [+ source] from values alone.
+def residual_field(spec, fld):
+    """rho(x) = div(A grad u) + V u + f(x, u) from values alone.
 
     Stencils here are independent of the solver discretisation, so a solved
     field shows its truncation error and an arbitrary field shows its defect.
-    Pass the manufactured source to judge a source-augmented solution.
     Entries that cannot be formed (pole, outer edge, radial r < 2h) are NaN.
     """
     if fld.representation == "radial":
-        return _residual_radial(spec, fld, source)
-    return _residual_grid(spec, fld, source)
+        return _residual_radial(spec, fld)
+    return _residual_grid(spec, fld)
 
 
-def _residual_radial(spec, fld, source=None):
+def _residual_radial(spec, fld):
     _require_radial_route(spec)
-    if source is not None:
-        raise ValueError("radial residuals take no source")
     # five-point differences of the values, not the stored integrator
     # derivative, so residuals judge the values themselves; the last four
     # rows read one-sided first derivatives (rows n-4 and n-3 through the
@@ -266,7 +251,7 @@ def _residual_radial(spec, fld, source=None):
     return rho
 
 
-def _residual_grid(spec, fld, source=None, agrad=None, V=None, fvals=None):
+def _residual_grid(spec, fld, agrad=None, V=None, fvals=None):
     """The polar-grid residual; `agrad` (A grad u), `V` and `fvals`
     (f(x, u)) are the node values, if the caller has them."""
     pts = fld.points()
@@ -290,8 +275,6 @@ def _residual_grid(spec, fld, source=None, agrad=None, V=None, fvals=None):
         div = (d_rfr + d_ft) / fld.r[:, None]
     div[0] = np.nan
     rho = div + V * fld.u + fvals
-    if source is not None:
-        rho = rho + np.asarray(source(pts), dtype=float)
     rho[-1] = np.nan  # one-sided top row: keep reports interior
     return rho
 
@@ -301,11 +284,7 @@ def _residual_grid(spec, fld, source=None, agrad=None, V=None, fvals=None):
 
 
 def solve_radial(spec, a, h=1e-3):
-    """Shooting solution of the plain-Laplacian homogeneous problem.
-
-    Wraps the radial integrator and attaches the measured sup residual as
-    the field's truncation estimate.
-    """
+    """Shooting solution of the plain-Laplacian homogeneous problem."""
     from .odes import integrate_radial
 
     _require_radial_route(spec)
@@ -317,8 +296,6 @@ def solve_radial(spec, a, h=1e-3):
     traj = integrate_radial(spec.dim, nl.q, a, spec.outer_radius, h)
     fld = SolutionField.radial_from_arrays(traj.t, traj.u, traj.du, traj.dim,
                                            traj.q)
-    rho = residual_field(spec, fld)
-    fld = dataclasses.replace(fld, residual_scale=float(np.nanmax(np.abs(rho))))
     fld.meta["solver"] = {"kind": "radial_shooting", "h": h, "a": a}
     return fld
 
@@ -615,8 +592,6 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
 
     fld = SolutionField.grid2d_from_values(r_nodes, theta, _nodes(uk, g),
                                            spec.nonlinearity.q)
-    rho = residual_field(spec, fld, source=source)
-    fld = dataclasses.replace(fld, residual_scale=float(np.nanmax(np.abs(rho))))
     contraction = _contraction(distances)
     fld.meta["solver"] = {"kind": "grid2d_fixed_point", "n_r": n_r,
                           "n_theta": n_theta, "damping": damping,
@@ -779,13 +754,12 @@ def save_field(fld, path):
 
     The archive holds the float64 arrays (radial: r, u, du; grid2d: u, shape
     (n_r + 1, n_theta)) and `header`, a 0-d string array holding JSON with
-    format, representation, N, q, residual_scale when known, and for grid2d
-    n_r, n_theta and r_max.  The same field always gives the same bytes.
+    format, representation, N, q, and for grid2d n_r, n_theta and r_max;
+    load_field ignores any other key.  The same field always gives the same
+    bytes.
     """
     header = {"format": _FORMAT, "representation": fld.representation,
               "N": int(fld.dim), "q": float(fld.q)}
-    if fld.residual_scale is not None:
-        header["residual_scale"] = float(fld.residual_scale)
     if fld.representation == "grid2d":
         header.update(n_r=len(fld.r) - 1, n_theta=len(fld.theta),
                       r_max=fld.outer_radius)
@@ -854,13 +828,9 @@ def load_field(path):
         if dim < 1 or (rep == "grid2d" and dim != 2):
             raise ValueError(f"a {rep} field cannot have N={dim}")
         q = _header_value(header, "q", float)
-        residual_scale = None
-        if "residual_scale" in header:
-            residual_scale = _header_value(header, "residual_scale", float)
         if rep == "radial":
             return SolutionField.radial_from_arrays(
-                members["r"], members["u"], members["du"], dim, q,
-                residual_scale=residual_scale)
+                members["r"], members["u"], members["du"], dim, q)
         n_r = _header_value(header, "n_r", int)
         n_t = _header_value(header, "n_theta", int)
         r_max = _header_value(header, "r_max", float)
@@ -870,7 +840,6 @@ def load_field(path):
             raise ValueError(f"u has shape {members['u'].shape}, header says "
                              f"{n_r + 1} x {n_t} nodes")
         return SolutionField.grid2d_from_values(
-            np.linspace(0.0, r_max, n_r + 1), _angles(n_t), members["u"], q,
-            residual_scale=residual_scale)
+            np.linspace(0.0, r_max, n_r + 1), _angles(n_t), members["u"], q)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

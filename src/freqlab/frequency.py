@@ -197,7 +197,7 @@ class _NodeData:
         else:
             self._fill_grid(spec, fld)
         self.Fvals = eval_F(spec.nonlinearity, self.pts, self.u)
-        self.rho0 = np.nan_to_num(self.rho, nan=0.0)
+        np.nan_to_num(self.rho0, nan=0.0, copy=False)  # unformed rows count as 0
 
     def _fill_radial(self, spec, fld):
         # closed forms of the admitted kinds: A nu = nu gives A x = x, so
@@ -222,7 +222,7 @@ class _NodeData:
         self.div_a_grad_absx = np.zeros_like(self.u)
         self.div_a_grad_absx[1:, 0] = (dim - 1) / self.r[1:]
         self.fvals = eval_f(spec.nonlinearity, self.pts, self.u)
-        self.rho = residual_field(spec, fld)[:, None]
+        self.rho0 = residual_field(spec, fld)[:, None]
 
     def _fill_grid(self, spec, fld):
         pts = fld.points()
@@ -257,8 +257,8 @@ class _NodeData:
         for arr in (self.zvals, self.zjac, self.divz):
             arr[0] = 0.0
         self.z_grad_u = self.zvals[..., 0] * gx + self.zvals[..., 1] * gy
-        self.rho = _residual_grid(spec, fld, agrad=agrad, V=self.V,
-                                  fvals=self.fvals)
+        self.rho0 = _residual_grid(spec, fld, agrad=agrad, V=self.V,
+                                   fvals=self.fvals)
 
     def sphere(self, rows, idx=slice(None)):
         """Sphere integrals of node rows; `rows` holds the rows `idx` only."""
@@ -271,9 +271,14 @@ class _NodeData:
 
 
 def _node_data(spec, fld):
-    # keyed by object identity with the spec itself pinned in the entry, so
-    # a recycled id() can never alias a different spec
-    return fld.cached(("freq", id(spec)), lambda: _NodeData(spec, fld), pin=spec)
+    """The node data of fld under spec.  A field keeps only the last spec's,
+    with the spec itself held, so a recycled id() can never alias another
+    spec, and analysing under a new spec releases the last one's first."""
+    entry = fld._node_slot[0]
+    if entry is None or entry[0] is not spec:
+        fld._node_slot[0] = None
+        entry = fld._node_slot[0] = (spec, _NodeData(spec, fld))
+    return entry[1]
 
 
 # --------------------------------------------------------------------------

@@ -525,10 +525,10 @@ class ProblemSpec:
                 and self.nonlinearity.kind in ("homogeneous", "zero"))
 
     @classmethod
-    def model(cls, dim, q, outer_radius=1.0, eps0=1.0):
+    def model(cls, dim, q, outer_radius=1.0):
         """The constant-coefficient problem -Laplace(u) = |u|^{q-2} u."""
         return cls(dim, outer_radius, CoefficientField.identity(dim),
-                   NonlinearitySpec.homogeneous(q, eps0=eps0))
+                   NonlinearitySpec.homogeneous(q))
 
 
 # --------------------------------------------------------------------------
@@ -552,9 +552,6 @@ class AssumptionReport:
     @property
     def passed(self):
         return all(c.passed for c in self.clauses.values())
-
-    def worst(self):
-        return min(self.clauses.values(), key=lambda c: c.margin)
 
     def to_dict(self):
         return jsonable({

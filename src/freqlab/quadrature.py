@@ -35,13 +35,12 @@ def cumulative_uniform(g, h):
     # i = 1: integral of the cubic through nodes 0..3 over [0, h]
     out[1] = (h / 24.0) * (9.0 * g[0] + 19.0 * g[1] - 5.0 * g[2] + g[3])
     # i = 3: 3/8 rule on [0, 3h]
-    if n > 3:
-        out[3] = (3.0 * h / 8.0) * (g[0] + 3.0 * g[1] + 3.0 * g[2] + g[3])
-    # odd i >= 5: Simpson through i-3 plus a 3/8 tail
-    if n > 5:
-        idx = np.arange(5, n, 2)
-        tail = (3.0 * h / 8.0) * (g[idx - 3] + 3.0 * g[idx - 2] + 3.0 * g[idx - 1] + g[idx])
-        out[idx] = out[idx - 3] + tail
+    out[3] = (3.0 * h / 8.0) * (g[0] + 3.0 * g[1] + 3.0 * g[2] + g[3])
+    # odd i >= 5 (none when n <= 5): Simpson through i-3 plus a 3/8 tail
+    m = 2 * ((n - 4) // 2)  # span of the odd i >= 5
+    tail = (3.0 * h / 8.0) * (g[2:2 + m:2] + 3.0 * g[3:3 + m:2] + 3.0 * g[4:4 + m:2]
+                              + g[5::2])
+    out[5::2] = out[2:2 + m:2] + tail
     return out
 
 

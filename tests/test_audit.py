@@ -317,3 +317,135 @@ class TestCertificateEncoding:
         for c in (chain, real):
             path = write_json(tmp_path / "certificate.json", c.to_dict())
             assert c.to_dict() == json.loads(path.read_text())
+
+
+def _archive_claiming_a_scale(fld, path):
+    """A field file whose header claims residual_scale = 1e3, the entry that
+    once set the audit's gate."""
+    from freqlab.io import write_npz
+
+    header = {"format": "freqlab-field 2", "representation": fld.representation,
+              "N": fld.dim, "q": fld.q, "residual_scale": 1e3}
+    if fld.representation == "grid2d":
+        header.update(n_r=len(fld.r) - 1, n_theta=len(fld.theta),
+                      r_max=fld.outer_radius)
+        arrays = {"u": fld.u}
+    else:
+        arrays = {"r": fld.r, "u": fld.u, "du": fld.du}
+    return write_npz(path, header, arrays)
+
+
+class TestResidualGate:
+    """One gate rule for every field: the integrated residual epsilon of its
+    values under the problem, whatever made or wrote the field."""
+
+    @pytest.fixture(scope="class")
+    def cos1_96(self):
+        from freqlab.fields import solve_grid_2d
+
+        spec = ProblemSpec.model(2, 1.5)
+        return spec, solve_grid_2d(spec, lambda th: 0.2 * np.cos(th),
+                                   n_r=96, n_theta=192)
+
+    @pytest.mark.parametrize("case", ["sampled", "glued"])
+    def test_a_header_cannot_vouch_for_a_non_solution(self, tmp_path, capsys,
+                                                      case):
+        # a header claiming a large residual_scale passed the sampled field
+        # as genuine_nonvanishing and certified the glued one (exit 4)
+        from freqlab.cli import main
+        from freqlab.fields import glued_field, load_field
+
+        if case == "sampled":
+            fld = sample_grid2d(lambda x: 0.3 + 0.1 * x[..., 0] + 0.2 * x[..., 1] ** 2,
+                                1.0, 64, 128, 1.5)
+        else:
+            fld = glued_field(2, 1.5, 0.3, 0.8, h=1e-3)
+        path = _archive_claiming_a_scale(fld, tmp_path / "field.npz")
+        np.testing.assert_array_equal(load_field(path).u, fld.u)
+        out = tmp_path / "audit"
+        assert main(["audit", str(path), "--out", str(out)]) == 5
+        assert capsys.readouterr().out == "residual_veto\n"
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["steps"]["residual_gate"]["epsilon"] > 0.9
+
+    @pytest.mark.parametrize("case", ["grid2d", "radial"])
+    def test_rebuilt_arrays_get_the_solver_output_verdict(self, case):
+        # the same values once read genuine from the solver and residual_veto
+        # when rebuilt from their arrays
+        from freqlab.fields import solve_grid_2d, solve_radial
+
+        if case == "grid2d":
+            spec = ProblemSpec.model(2, 1.5)
+            fld = solve_grid_2d(spec, lambda th: 0.2 * np.cos(th),
+                                n_r=48, n_theta=96)
+            rebuilt = SolutionField.grid2d_from_values(
+                fld.r, fld.theta, np.array(fld.u), fld.q)
+        else:  # two zeros on the ball
+            spec = ProblemSpec.model(2, 1.5, outer_radius=5.0)
+            fld = solve_radial(spec, 0.6, h=1e-3)
+            rebuilt = SolutionField.radial_from_arrays(
+                np.array(fld.r), np.array(fld.u), np.array(fld.du), 2, 1.5)
+        solved, again = audit(spec, fld), audit(spec, rebuilt)
+        assert solved.classification == again.classification == \
+            "genuine_nonvanishing"
+        assert solved.steps["residual_gate"].to_dict() == \
+            again.steps["residual_gate"].to_dict()
+
+    def test_sectors_see_a_defect_the_disc_cancels(self, cos1_96):
+        # cos(theta) integrates to zero over every disc, so only the
+        # sectors see this perturbation of a genuine solution
+        from freqlab.frequency import _node_data
+
+        spec, fld = cos1_96
+        x = fld.points()
+        r = np.hypot(x[..., 0], x[..., 1])
+        bumped = SolutionField.grid2d_from_values(
+            fld.r, fld.theta, fld.u + 0.05 * r * (1.0 - r) * x[..., 0], fld.q)
+        assert audit(spec, fld).classification == "genuine_nonvanishing"
+        chain = audit(spec, bumped)
+        assert chain.classification == "residual_veto"
+        step = chain.steps["residual_gate"].to_dict()
+        assert step["sector"] != "disc" and step["sectors"] == 8
+        # the disc alone: |int rho| over the gate's size (V = 0 here)
+        data = _node_data(spec, bumped)
+        size = np.max(np.abs(data.ball(data.rho0 - data.fvals))
+                      + data.ball(np.abs(data.fvals)))
+        assert np.max(np.abs(data.ball(data.rho0))) / size < 1e-6 < step["epsilon"]
+
+    def test_the_gate_compares_its_threshold_with_epsilon(self, cos1_96):
+        from freqlab.audit import _GATE_REL
+
+        spec, fld = cos1_96
+        chain = audit(spec, fld)
+        step = chain.steps["residual_gate"].to_dict()
+        eps = step["epsilon"]
+        assert 0.0 < eps < _GATE_REL and step["gate"] == _GATE_REL
+        assert 0.0 < step["radius"] <= 1.0
+        assert chain.controls["gate_rel"] == _GATE_REL
+        assert audit(spec, fld, AuditControls(residual_gate=1.01 * eps)) \
+            .classification == "genuine_nonvanishing"
+        assert audit(spec, fld, AuditControls(residual_gate=0.99 * eps)) \
+            .classification == "residual_veto"
+
+    def test_a_zero_field_reads_epsilon_zero(self):
+        fld = sample_grid2d(lambda x: 0.0 * x[..., 0], 1.0, 32, 64, 1.5)
+        chain = audit(ProblemSpec.model(2, 1.5), fld)
+        assert chain.steps["residual_gate"].data["epsilon"] == 0.0
+        assert chain.classification == "genuine_nonvanishing"
+
+    @pytest.mark.parametrize("amp", [0.01, 0.1, 0.5])
+    def test_a_fast_ripple_cannot_raise_the_size(self, amp):
+        # delta sin(k r) adds about delta k^2 to |div(A grad u)| at every
+        # node but only its flux, about delta k, to int rho; a size built
+        # from the pointwise |div(A grad u)| let epsilon fall like 1/k
+        from freqlab.fields import solve_radial
+
+        spec = ProblemSpec.model(2, 1.5, outer_radius=5.0)
+        fld = solve_radial(spec, 0.6, h=1e-3)
+        k = 200.0
+        rippled = SolutionField.radial_from_arrays(
+            fld.r, fld.u + amp * np.sin(k * fld.r),
+            fld.du + amp * k * np.cos(k * fld.r), 2, 1.5)
+        chain = audit(spec, rippled)
+        assert chain.classification == "residual_veto"
+        assert chain.steps["residual_gate"].data["epsilon"] > 0.3

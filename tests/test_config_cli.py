@@ -586,6 +586,21 @@ class TestCliExitCodes:
         assert "does not resolve" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, key", [
+        (["--shoot", "--N", "0"], "dimension"),     # was ZeroDivisionError
+        (["--shoot", "--N", "-2"], "dimension"),
+        (["--energy", "--tmax", "inf"], "t_max"),   # was OverflowError
+        (["--counterexample", "--t0", "nan"], "t0"),  # was exit 7
+        (["--pme", "--t0", "nan"], "t0"),
+        (["--shoot", "--amplitude", "nan"], "amplitude"),  # named no key
+    ])
+    def test_ode_bad_value_exits_2_naming_its_key(self, tmp_path, capsys,
+                                                    args, key):
+        out = tmp_path / "o"
+        assert main(["ode", *args, "--out", str(out)]) == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["frequency", "audit"])
     def test_field_too_short_for_a_profile_leaves_no_output(self, tmp_path,
                                                              capsys, command):

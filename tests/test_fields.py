@@ -21,26 +21,36 @@ from freqlab.model import (CoefficientField, NonlinearitySpec, PowerTerm,
                            ProblemSpec, eval_f)
 
 
+def _sup_residual(spec, fld, source=None):
+    """sup |rho| over the nodes where it is formed, rho taken with the
+    manufactured source added when one is given."""
+    rho = residual_field(spec, fld)
+    if source is not None:
+        rho = rho + source(fld.points())
+    return float(np.nanmax(np.abs(rho)))
+
+
 class TestRadialSolve:
     def test_residual_scale_is_fourth_order(self, model_specs):
         # steps chosen above the finite-difference round-off floor eps/h^2
         spec = model_specs[(3, 1.5)]
         coarse = solve_radial(spec, 0.5, h=8e-3)
         fine = solve_radial(spec, 0.5, h=4e-3)
-        ratio = coarse.residual_scale / fine.residual_scale
+        ratio = _sup_residual(spec, coarse) / _sup_residual(spec, fine)
         assert 8.0 <= ratio <= 40.0  # ~16 for a fourth-order scheme
 
     def test_residual_scale_has_no_start_up_seam(self, model_specs):
         # the origin's Taylor step leaves no seam where a start-up series
         # met the integrator (5.2e-8 at r = 9h), and the last four rows,
         # which read one-sided differences, are left out
-        fld = solve_radial(model_specs[(3, 1.5)], 0.5, h=8e-3)
-        assert fld.residual_scale < 1e-9
+        spec = model_specs[(3, 1.5)]
+        fld = solve_radial(spec, 0.5, h=8e-3)
+        assert _sup_residual(spec, fld) < 1e-9
 
     def test_q1_small_amplitude_residual(self):
         spec = ProblemSpec.model(3, 1.0, outer_radius=0.5)
         fld = solve_radial(spec, 0.1, h=1e-3)
-        assert fld.residual_scale <= 1e-8
+        assert _sup_residual(spec, fld) <= 1e-8
 
     def test_amplitude_controls_sup(self, model_specs):
         spec = model_specs[(2, 1.5)]
@@ -511,8 +521,7 @@ class TestResidualField:
         norms = []
         for M in (64, 128):
             fld = bowl.to_field(n_r=M, n_theta=2 * M)
-            rho = residual_field(bowl.spec, fld, source=bowl.source)
-            norms.append(np.nanmax(np.abs(rho)))
+            norms.append(_sup_residual(bowl.spec, fld, bowl.source))
         assert 8.0 <= norms[0] / norms[1] <= 40.0
 
     def test_glued_field_matches_closed_form(self):
@@ -548,7 +557,7 @@ class TestResidualField:
         for M in (24, 48):
             fld = solve_grid_2d(bowl.spec, bowl.boundary, n_r=M, n_theta=2 * M,
                                 source=bowl.source, tol=1e-12, max_iters=200)
-            norms.append(fld.residual_scale)
+            norms.append(_sup_residual(bowl.spec, fld, bowl.source))
         order = math.log2(norms[0] / norms[1])
         assert 1.6 <= order <= 2.4
 
@@ -601,7 +610,7 @@ def _edit_archive(path, edit):
 
 def _same_field(a, b):
     return (a.representation == b.representation and a.dim == b.dim
-            and a.q == b.q and a.residual_scale == b.residual_scale
+            and a.q == b.q
             and all(np.array_equal(getattr(a, k), getattr(b, k))
                     for k in ("r", "u", "du", "theta")
                     if getattr(a, k) is not None))
@@ -618,7 +627,6 @@ class TestSerialization:
         np.testing.assert_array_equal(back.r, fld.r)
         np.testing.assert_array_equal(back.u, fld.u)
         np.testing.assert_array_equal(back.du, fld.du)
-        assert back.residual_scale == fld.residual_scale
 
     def test_grid_round_trip(self, tmp_path, bowl_field_128):
         path = tmp_path / "grid.npz"
@@ -640,14 +648,25 @@ class TestSerialization:
         assert _same_field(load_field(tmp_path / name), fld)
 
     def test_archive_layout(self, tmp_path):
-        fld = dataclasses.replace(_bowl_grid(), residual_scale=1e-3)
-        save_field(fld, tmp_path / "grid.npz")
+        save_field(_bowl_grid(), tmp_path / "grid.npz")
         header, arrays = _read_members(tmp_path / "grid.npz")
         assert header == {"format": "freqlab-field 2", "representation": "grid2d",
-                          "N": 2, "q": 1.5, "residual_scale": 1e-3, "n_r": 16,
-                          "n_theta": 32, "r_max": 1.0}
+                          "N": 2, "q": 1.5, "n_r": 16, "n_theta": 32,
+                          "r_max": 1.0}
         assert list(arrays) == ["u"] and arrays["u"].shape == (17, 32)
         assert arrays["u"].dtype == np.float64
+
+    @pytest.mark.parametrize("value", [1e3, "junk"])
+    def test_a_residual_scale_entry_is_ignored(self, tmp_path, value):
+        # older files carry the solver's residual_scale in the header; like
+        # any other unknown key it loads and sets nothing
+        path = tmp_path / "grid.npz"
+        save_field(_bowl_grid(), path)
+        _edit_archive(path, lambda header, arrays: header.update(
+            residual_scale=value))
+        fld = load_field(path)
+        assert _same_field(fld, _bowl_grid())
+        assert not hasattr(fld, "residual_scale")
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.txt"
@@ -747,12 +766,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize("line, message", [
         ("r_max=nan", "r_max must be finite"), ("r_max=inf", "r_max must be finite"),
-        ("r_max=-1.0", "r_max must be finite and positive"),
-        ("residual_scale=nan", "non-finite residual_scale")])
+        ("r_max=-1.0", "r_max must be finite and positive")])
     def test_rejects_bad_grid_header_values(self, tmp_path, line, message):
-        fld = dataclasses.replace(_bowl_grid(), residual_scale=1e-3)
         path = tmp_path / "grid.npz"
-        save_field(fld, path)
+        save_field(_bowl_grid(), path)
         key, value = line.split("=")
         _edit_archive(path, lambda header, arrays: header.update({key: float(value)}))
         with pytest.raises(ValueError, match=message):
@@ -919,8 +936,7 @@ def test_malformed_field_file_exits_2_with_a_reason(tmp_path, capsys, case, mess
 @pytest.fixture(scope="module")
 def valid_field_files(tmp_path_factory):
     r = np.linspace(0.0, 1.0, 41)
-    radial = SolutionField.radial_from_arrays(r, 1.0 - r ** 2, -2.0 * r, 2, 1.5,
-                                              residual_scale=1e-6)
+    radial = SolutionField.radial_from_arrays(r, 1.0 - r ** 2, -2.0 * r, 2, 1.5)
     files = {}
     for fld in (radial, _bowl_grid(8, 16)):
         path = tmp_path_factory.mktemp("valid") / "field.npz"
@@ -1004,8 +1020,7 @@ def test_verdicts_do_not_depend_on_array_layout(tmp_path):
     block = np.stack([fld.r, fld.u, fld.du], axis=1)
     assert not block[:, 1].flags.c_contiguous
     strided = SolutionField.radial_from_arrays(block[:, 0], block[:, 1],
-                                               block[:, 2], fld.dim, fld.q,
-                                               fld.residual_scale)
+                                               block[:, 2], fld.dim, fld.q)
     want = _verdict_files(spec, fld, tmp_path / "contiguous")
     assert sorted(want) == ["certificate.json", "identities.json",
                             "identities.npz", "profile.csv"]
@@ -1048,9 +1063,6 @@ def test_constructors_store_contiguous_float64(tmp_path):
      "even number of angular nodes"),
     (lambda g: SolutionField.grid2d_from_values(g.r, g.theta, g.u[:-1], 1.5),
      "expected .n_r_nodes, n_theta."),
-    (lambda g: SolutionField.grid2d_from_values(g.r, g.theta, g.u, 1.5,
-                                                residual_scale=math.inf),
-     "non-finite residual_scale"),
     (lambda g: SolutionField.grid2d_from_values(g.r, g.theta, g.u + np.eye(17, 32), 1.5),
      "pole row"),
     (lambda g: SolutionField.grid2d_from_values(g.r * 1.0 + 0.1, g.theta, g.u, 1.5),

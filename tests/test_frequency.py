@@ -441,6 +441,23 @@ class TestCacheSafety:
         prof2 = frequency_profile(linear_mode_spec, fld)
         np.testing.assert_array_equal(prof1.N, prof2.N)
 
+    def test_a_second_spec_releases_the_first_specs_node_data(self):
+        # a field keeps the node data of its last spec only: six specs once
+        # kept six node data sets alive on one field
+        import gc
+        import weakref
+
+        fld = sample_grid2d(lambda x: 0.5 + x[..., 0], 1.0, 32, 64, 1.5)
+        first, second = (ProblemSpec.model(2, 1.5) for _ in range(2))
+        frequency_profile(first, fld)
+        released = weakref.ref(_node_data(first, fld))
+        gc.collect()
+        assert released() is not None  # the field holds it
+        frequency_profile(second, fld)
+        gc.collect()
+        assert released() is None
+        assert _node_data(second, fld) is _node_data(second, fld)
+
 
 class TestConcurrentAudits:
     def test_threaded_audits_match_serial(self, model_specs, radial_solutions):
@@ -457,8 +474,7 @@ class TestConcurrentAudits:
 
             src = radial_solutions[key]
             fld = SolutionField.radial_from_arrays(src.r, src.u, src.du,
-                                                   src.dim, src.q,
-                                                   src.residual_scale)
+                                                   src.dim, src.q)
             return json.dumps(audit(model_specs[key], fld).to_dict(),
                               sort_keys=True)
 
@@ -602,14 +618,15 @@ class TestCoefficientEvaluations:
 
     def test_residual_from_node_values_is_bit_identical(self, variable_coefficients_spec):
         # the analysis's rho, built from the node data's A grad u, V and f,
-        # is the residual the solvers compute from the field alone
+        # is residual_field's, with its unformed (NaN) rows as 0
         from freqlab.fields import residual_field
 
         spec = variable_coefficients_spec
         fld = sample_grid2d(lambda x: 1.0 + 0.3 * x[..., 0] + 0.2 * x[..., 1] ** 2,
                             spec.outer_radius, 32, 64, spec.nonlinearity.q)
         want = residual_field(spec, fld)
-        assert _node_data(spec, fld).rho.tobytes() == want.tobytes()
+        assert _node_data(spec, fld).rho0.tobytes() == \
+            np.nan_to_num(want, nan=0.0).tobytes()
 
 
 class TestReportEncoding:
@@ -776,7 +793,7 @@ class TestReassignedArrays:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(fld, name, 2 * getattr(fld, name))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            fld.residual_scale = 1e-3
+            fld.q = 1.2
 
     def test_owned_arrays_are_kept_and_views_of_writable_memory_copied(self):
         r, u = 0.1 * np.arange(11), np.ones(11)
