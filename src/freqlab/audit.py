@@ -10,6 +10,11 @@ mass H vanishing at r3 > 0 while the log-slope of H/r^{N-1} stays bounded.
 A field that passes the residual gate with r0 > 0 must trip one of these
 steps; "genuine" is only ever reported when r0 = 0 (or the field is
 negligible outright).
+
+The chain's constants are closed forms in (r0, N, q), so it runs only where
+the field's problem is the model equation (`frequency._is_model_problem`,
+route "model").  Elsewhere (route "general") a field that passes the gate
+with r0 > 0 is classed inconclusive and gets no chain steps.
 """
 
 import hashlib
@@ -19,7 +24,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .model import c_constant
-from .frequency import ProfileControls, _node_data, frequency_profile
+from .frequency import (ProfileControls, _is_model_problem, _node_data,
+                        frequency_profile)
 from .io import jsonable
 from .quadrature import cumulative_uniform
 
@@ -160,22 +166,11 @@ def vanishing_radius(prof):
     return float(prof.r[np.nonzero(mask)[0][-1]])
 
 
-def _fit_energy_mass_constant(prof, r0):
-    """Sampled sup of |D - D1| / d past the core (the fitted O(1) constant)."""
-    sel = (prof.r > r0) & (prof.d > 0)
-    if not sel.any():
-        return 1.0
-    return float(np.max(np.abs(prof.D - prof.D1)[sel] / prof.d[sel]))
-
-
-def lower_bound_certificate(prof, r0, dim, q, route="model"):
+def lower_bound_certificate(prof, r0, dim, q):
     """Check D(r) >= C2 d(r) on the window (r0, r1) the argument prescribes.
 
-    Model route: C1 = C_{N,q}/r0^{N-1}, C2 = (2-q)/2 r0^{N-2}, and r1 caps
-    C1 (r1 - r0) at (2-q)/2.  General route: the analogous fitted constants,
-    with the window also shrunk until the sup-norm smallness condition
-    (fitted_C ||u||^{2-q} + C1 (r - r0)) e^{C0 (R - r0)} < (2-q)/2 holds.
-    Returns (r1, verdict, constants).
+    C1 = C_{N,q}/r0^{N-1}, C2 = (2-q)/2 r0^{N-2}, and r1 caps C1 (r1 - r0)
+    at (2-q)/2.  Returns (r1, verdict, constants).
     """
     constants = {}
     if r0 is None or r0 <= 0.0:
@@ -189,55 +184,31 @@ def lower_bound_certificate(prof, r0, dim, q, route="model"):
             note="field is not negligible on B_r0; claimed core rejected"), constants
 
     CNq = c_constant(dim, q)
-    constants["CNq"] = CNq
-    R = prof.outer_radius
-    if route == "model":
-        C1 = CNq / r0 ** (dim - 1)
-        C2 = 0.5 * (2.0 - q) * r0 ** (dim - 2)
-        constants["C1"] = C1
-        constants["C2"] = C2
-        r1 = min(r0 + 0.5 * (2.0 - q) / C1, R)
-        bound_const = C2
-    else:
-        c_fit = _fit_energy_mass_constant(prof, r0)
-        C_fit = max(1.0, c_fit)
-        C0 = C_fit / r0
-        C1g = C_fit * (2.0 + c_fit) / r0
-        growth = math.exp(C0 * (R - r0))
-        target = 0.5 * (2.0 - q)
-        sel = prof.r > r0
-        cond = (C_fit * prof.ball_sup ** (2.0 - q)
-                + C1g * (prof.r - r0)) * growth
-        ok = sel & (cond < target)
-        r1 = float(prof.r[np.nonzero(ok)[0][-1]]) if ok.any() else r0
-        C3g = math.exp(C0 * (r0 - R)) * target
-        constants.update({"C0": C0, "C1_general": C1g, "C3_lower": C3g,
-                          "fitted_energy_mass": c_fit})
-        bound_const = C3g
-        if r1 <= r0:
-            return r1, StepVerdict(
-                "lower_bound_D", "inconclusive",
-                note="sup-norm smallness window is empty"), constants
+    C1 = CNq / r0 ** (dim - 1)
+    C2 = 0.5 * (2.0 - q) * r0 ** (dim - 2)
+    constants.update({"CNq": CNq, "C1": C1, "C2": C2})
+    r1 = min(r0 + 0.5 * (2.0 - q) / C1, prof.outer_radius)
 
     window = (prof.r > r0) & (prof.r <= r1 * (1 + 1e-12))
     if not window.any():
         return r1, StepVerdict("lower_bound_D", "inconclusive",
                                note="no audited radii inside (r0, r1)"), constants
-    margins = prof.D[window] - bound_const * prof.d[window]
+    margins = prof.D[window] - C2 * prof.d[window]
     scale = max(float(np.max(np.abs(prof.D[window]))), 1e-300)
     worst = float(np.min(margins))
     ok = worst >= -1e-12 * scale
     verdict = StepVerdict(
         "lower_bound_D", "pass" if ok else "fail", worst / scale,
-        note=f"D >= {'C2' if route == 'model' else 'C3'} d on ({r0:.6g}, {r1:.6g})",
+        note=f"D >= C2 d on ({r0:.6g}, {r1:.6g})",
         data={"worst_margin": worst,
               "fail_radius": float(prof.r[window][int(np.argmin(margins))])
               if not ok else None})
     return r1, verdict, constants
 
 
-def frequency_bound_certificate(prof, r0, r1, dim, q, constants, route="model"):
-    """Monotonicity of N(r) e^{C3 r} on (r3, r2] and the bound N <= C4.
+def frequency_bound_certificate(prof, r0, r1, dim, q, constants):
+    """Monotonicity of N(r) e^{C3 r} on (r3, r2] and the bound N <= C4,
+    with C3 = C_{N,q}/(r0 C2).
 
     r2 is the largest audited radius in (r0, r1) with H above the floor
     (maximising the audited interval), r3 the lower edge of its positive-H
@@ -263,16 +234,7 @@ def frequency_bound_certificate(prof, r0, r1, dim, q, constants, route="model"):
     r3 = float(prof.r[k3])
 
     CNq = constants.get("CNq", c_constant(dim, q))
-    if route == "model":
-        C3 = CNq / (r0 * constants["C2"])
-    else:
-        sel = slice(k, k2 + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (prof.D1[sel] + prof.d[sel]) / (r0 * prof.D[sel])
-        ratio = ratio[np.isfinite(ratio) & (ratio > 0)]
-        c_fit = constants.get("fitted_energy_mass", 1.0)
-        C3 = max(1.0, c_fit) * (1.0 + (float(np.max(ratio)) if len(ratio) else 0.0))
-    constants["C3" if route == "model" else "C3_slope"] = C3
+    C3 = constants["C3"] = CNq / (r0 * constants["C2"])
 
     run = np.arange(k, k2 + 1)
     Nvals = prof.N[run]
@@ -282,16 +244,15 @@ def frequency_bound_certificate(prof, r0, r1, dim, q, constants, route="model"):
             "frequency_bounded", "inconclusive",
             note="fewer than two audited radii with defined frequency",
             data={"n_radii": int(finite.sum())})
-        C4 = float(Nvals[finite][-1] * math.exp(C3 * r2)) if finite.any() else math.nan
-        constants["C4" if route == "model" else "C5"] = C4
+        constants["C4"] = (float(Nvals[finite][-1] * math.exp(C3 * r2))
+                           if finite.any() else math.nan)
         return r2, r3, verdict
     prod = Nvals[finite] * np.exp(C3 * prof.r[run][finite])
     scale = float(np.max(np.abs(prod)))
     drops = np.diff(prod)
     worst = float(np.min(drops)) if len(drops) else 0.0
     ok = worst >= -_MONO_SLACK_REL * scale
-    C4 = float(prof.N[k2] * math.exp(C3 * r2))
-    constants["C4" if route == "model" else "C5"] = C4
+    C4 = constants["C4"] = float(prof.N[k2] * math.exp(C3 * r2))
     verdict = StepVerdict(
         "frequency_bounded", "pass" if ok else "fail",
         worst / scale if scale > 0 else math.nan,
@@ -373,7 +334,7 @@ def audit(spec, fld, controls=None):
     from . import __version__
 
     controls = controls or AuditControls()
-    route = "model" if spec.is_model else "general"
+    route = "model" if _is_model_problem(spec, fld) else "general"
     prof = frequency_profile(spec, fld, controls.profile)
     chain = CertificateChain(INCONCLUSIVE, route,
                              controls=controls.to_dict(),
@@ -409,10 +370,15 @@ def audit(spec, fld, controls=None):
     if r0 == 0.0:
         chain.classification = GENUINE
         return chain
+    if route != "model":
+        chain.notes.append("the general route has no chain constants from the "
+                           "problem (its ellipticity and the Lipschitz bound "
+                           "of A) yet; no certificate either way")
+        return chain
 
     q = spec.nonlinearity.q
     dim = fld.dim
-    r1, v1, consts = lower_bound_certificate(prof, r0, dim, q, route)
+    r1, v1, consts = lower_bound_certificate(prof, r0, dim, q)
     chain.r1 = r1
     chain.constants.update(consts)
     chain.steps["lower_bound_D"] = v1
@@ -421,12 +387,12 @@ def audit(spec, fld, controls=None):
         return chain
 
     r2, r3, v2 = frequency_bound_certificate(prof, r0, r1, dim, q,
-                                             chain.constants, route)
+                                             chain.constants)
     chain.r2, chain.r3 = r2, r3
     chain.steps["frequency_bounded"] = v2
 
-    C4 = chain.constants.get("C4", chain.constants.get("C5", math.nan))
-    v3 = logH_contradiction(prof, r3, r2, C4, r0, dim)
+    v3 = logH_contradiction(prof, r3, r2, chain.constants.get("C4", math.nan),
+                            r0, dim)
     chain.steps["logH_contradiction"] = v3
 
     failed = [v.name for v in (v1, v2, v3) if v.status == "fail"]

@@ -466,6 +466,9 @@ class _FourierFactor:
 # preconditioner no longer describes L.
 _INNER_TOL = 0.1
 _INNER_MAX_STEPS = 40
+# the fixed point stops on a step below tol that is also this small against
+# the iterate: an absolute tol alone stops at once on tiny boundary data
+_STEP_REL_STOP = 1e-6
 
 
 def _gmres(apply_L, precondition, F):
@@ -509,7 +512,9 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     every step is zero; it turns a contraction factor rho into
     d + (1-d) rho, which only slows the iteration when, as for an
     increasing f, the Picard map does not oscillate.  The iteration stops
-    at the first sup-norm step below `tol`, leaving an error of about
+    at the first sup-norm step below `tol` and below _STEP_REL_STOP times
+    the iterate's sup norm (so boundary data of size tol or less still
+    reach a solution), leaving an error of about
     rho/(1-rho) times that step; meta["solver"]["contraction"] estimates
     rho and meta["solver"]["error_bound"] records that error (reported
     only: the stop rule does not read it).  L is applied matrix-free from
@@ -520,7 +525,7 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     preconditioner is L and one step solves.
     `initial`, if given, is the unknown vector [pole, rings 1..n_r-1 row by
     row] of length 1 + (n_r - 1) n_theta.
-    Raises SolverError when the sup-distance fails to reach `tol`, or when
+    Raises SolverError when the sup-distance fails to meet that rule, or when
     an inner solve fails to reach _INNER_TOL in _INNER_MAX_STEPS steps.
     """
     if spec.dim != 2:
@@ -583,11 +588,12 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
         dist = float(np.max(np.abs(step)))
         distances.append(dist)
         uk = uk + step
-        if dist < tol:
+        if dist < tol and dist <= _STEP_REL_STOP * float(np.max(np.abs(uk))):
             break
     else:
         raise SolverError(
-            f"fixed point did not reach tol {tol:g} in {max_iters} iterations",
+            f"fixed point did not reach tol {tol:g} (and {_STEP_REL_STOP:g} "
+            f"of max |u|) in {max_iters} iterations",
             last=uk, distance=distances[-1])
 
     fld = SolutionField.grid2d_from_values(r_nodes, theta, _nodes(uk, g),

@@ -270,6 +270,14 @@ class _NodeData:
         return cumulative_uniform(np.nan_to_num(g, nan=0.0), self.h)
 
 
+def _is_model_problem(spec, fld):
+    """Whether fld's problem is the model equation -Laplace u = |u|^{q-2} u
+    (or f = 0): spec.is_model, or any radial field, since the radial route
+    admits only A x = x, V = 0 and an x-free f, under which a radial u
+    solves exactly that equation."""
+    return spec.is_model or fld.representation == "radial"
+
+
 def _node_data(spec, fld):
     """The node data of fld under spec.  A field keeps only the last spec's,
     with the spec itself held, so a recycled id() can never alias another
@@ -301,7 +309,6 @@ class FrequencyProfile:
     dprime: np.ndarray
     N: np.ndarray                # nan where H is below the floor
     surfaceD: np.ndarray
-    ball_sup: np.ndarray         # sup |u| on B_r
     sphere_sup: np.ndarray       # sup |u| on S_r
     h_floor: float
     indices: np.ndarray          # node indices backing each audit radius
@@ -349,7 +356,6 @@ def frequency_profile(spec, fld, controls=None):
     return FrequencyProfile(
         r=r[idx].copy(), H=H[2], D=D[2], D1=D1_all[idx], d=d_all[idx],
         dprime=dp_all[idx], N=N[2], surfaceD=S_all[idx],
-        ball_sup=np.maximum.accumulate(sup_sphere)[idx],
         sphere_sup=sup_sphere[idx],
         h_floor=floor, indices=idx, outer_radius=R,
         derivatives=derivatives,
@@ -411,9 +417,10 @@ def verify_pohozaev_model(spec, fld, prof,
     reported so the defect of the uncorrected identity can be compared
     against it directly.
     """
-    if not spec.is_model:
-        raise ValueError("the model derivative identity needs A = id, V = 0, "
-                         "homogeneous f")
+    if not _is_model_problem(spec, fld):
+        raise ValueError("the model derivative identity needs the model "
+                         "problem (A = id, V = 0, homogeneous f) or a "
+                         "radial field")
     data = _node_data(spec, fld)
     q = spec.nonlinearity.q
     N = fld.dim
@@ -506,8 +513,9 @@ def verify_N_prime_bound(spec, fld, prof):
     nonnegative (up to _CS_GAP_TOL).  The exact corrected equality (with the
     gap and rho-terms reinstated) is reported alongside.
     """
-    if not spec.is_model:
-        raise ValueError("the frequency derivative bound needs the model case")
+    if not _is_model_problem(spec, fld):
+        raise ValueError("the frequency derivative bound needs the model "
+                         "problem or a radial field")
     data = _node_data(spec, fld)
     q = spec.nonlinearity.q
     N = fld.dim
@@ -635,7 +643,7 @@ def run_all_identity_checks(spec, fld, prof):
     out["surface_mass_bound"] = verify_u2_bounds(spec, fld, prof)
     out["nonlinearity_transport"] = verify_f_transport(
         spec, fld, prof, tol["nonlinearity_transport"])
-    if spec.is_model:
+    if _is_model_problem(spec, fld):
         out["pohozaev_model"] = verify_pohozaev_model(
             spec, fld, prof, tol["pohozaev_model"])
         out["frequency_derivative_bound"] = verify_N_prime_bound(spec, fld, prof)

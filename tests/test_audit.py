@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from freqlab.audit import (AuditControls, audit, frequency_bound_certificate,
                            logH_contradiction, lower_bound_certificate,
                            vanishing_radius)
-from freqlab.fields import SolutionField, sample_grid2d
+from freqlab.fields import SolutionField, glued_field, sample_grid2d
 from freqlab.frequency import FrequencyProfile, ProfileControls, frequency_profile
 from freqlab.model import CoefficientField, NonlinearitySpec, ProblemSpec
 
@@ -24,9 +25,8 @@ def synthetic_profile(r, H, D, d, dprime=None, D1=None):
     return FrequencyProfile(
         r=r, H=H, D=D, D1=D if D1 is None else np.asarray(D1, float), d=d,
         dprime=np.gradient(d, r) if dprime is None else np.asarray(dprime, float),
-        N=N, surfaceD=D.copy(), ball_sup=np.maximum.accumulate(np.sqrt(H / r)),
-        sphere_sup=np.sqrt(H / r), h_floor=floor, indices=np.arange(len(r)),
-        outer_radius=float(r[-1]))
+        N=N, surfaceD=D.copy(), sphere_sup=np.sqrt(H / r), h_floor=floor,
+        indices=np.arange(len(r)), outer_radius=float(r[-1]))
 
 
 class TestVanishingRadius:
@@ -76,6 +76,18 @@ class TestLowerBound:
         assert verdict.status == "pass"
         assert verdict.data["worst_margin"] == pytest.approx(0.0, abs=1e-15)
 
+    def test_no_audited_radius_inside_the_window(self):
+        # r1 = r0 + (2-q)/2 r0^{N-1} / C_{N,q} = 0.31875 falls between the
+        # audited radii 0.3 and 0.4
+        r = np.arange(1, 11) / 10.0
+        r0 = 0.3
+        prof = synthetic_profile(r, r, r, np.maximum(r - r0, 0.0) ** 2)
+        r1, verdict, consts = lower_bound_certificate(prof, r0, 2, 1.5)
+        assert r1 == pytest.approx(0.31875, rel=1e-12)
+        assert verdict.status == "inconclusive"
+        assert verdict.note == "no audited radii inside (r0, r1)"
+        assert consts["C2"] == pytest.approx(0.25)
+
     def test_constants_satisfy_exact_relations(self, glued_trio):
         spec = ProblemSpec.model(2, 1.5, outer_radius=0.8)
         fld = glued_trio[(2, 1.5, 0.3)]
@@ -108,6 +120,44 @@ class TestFrequencyBoundStep:
             prof, r0, 0.51, dim, q, consts)
         assert verdict.status == "pass"
         assert consts["C4"] == pytest.approx(N_target[-1] * math.exp(C3 * r[-1]))
+
+    def test_skipped_without_the_lower_bound_window(self):
+        r = np.linspace(0.2, 1.0, 50)
+        prof = synthetic_profile(r, r, r, r)
+        r2, r3, verdict = frequency_bound_certificate(prof, 0.3, None, 2, 1.5, {})
+        assert (r2, r3) == (None, None)
+        assert verdict.status == "skipped"
+        assert verdict.note == "needs the lower-bound window"
+
+    def test_no_sphere_mass_inside_the_window(self):
+        r = np.linspace(0.2, 1.0, 200)
+        H = np.where(r <= 0.6, 0.0, r)  # the mass starts beyond r1 = 0.5
+        prof = synthetic_profile(r, H, r, np.maximum(r - 0.3, 0.0) ** 2)
+        r2, r3, verdict = frequency_bound_certificate(
+            prof, 0.3, 0.5, 2, 1.5, {"C2": 0.25})
+        assert (r2, r3) == (None, None)
+        assert verdict.status == "inconclusive"
+        assert verdict.note == ("no audited radius in (r0, r1) carries "
+                                "positive sphere mass")
+
+    def test_one_radius_with_defined_frequency(self):
+        # a single radius with positive mass: N is defined there only, and
+        # the cap C4 is still recorded from it
+        r = np.linspace(0.2, 1.0, 81)
+        k = 20  # r = 0.4
+        H = np.zeros_like(r)
+        H[k] = 1.0
+        prof = synthetic_profile(r, H, 0.5 * np.ones_like(r),
+                                 np.maximum(r - 0.3, 0.0) ** 2)
+        consts = {"C2": 0.25}
+        r2, r3, verdict = frequency_bound_certificate(
+            prof, 0.3, 0.5, 2, 1.5, consts)
+        assert r2 == r[k] and r3 == r[k - 1]
+        assert verdict.status == "inconclusive"
+        assert verdict.note == "fewer than two audited radii with defined frequency"
+        assert verdict.data["n_radii"] == 1
+        assert consts["C3"] == pytest.approx(4.0 / (0.3 * 0.25))
+        assert consts["C4"] == pytest.approx(prof.N[k] * math.exp(consts["C3"] * r[k]))
 
     def test_decreasing_product_fails(self):
         r = np.linspace(0.3, 0.5, 60)
@@ -144,6 +194,18 @@ class TestLogHContradiction:
         verdict = logH_contradiction(prof, r3, 0.55, 2.0, 0.28, 2)
         assert verdict.status == "fail"
         assert verdict.data["fired"]
+
+    def test_walks_past_radii_below_the_floor(self):
+        # H vanishes up to 0.35, past r3 = 0.3: the floor is checked at the
+        # first radius above the zero run, not one cell above r3
+        r = np.linspace(0.2, 0.6, 201)
+        H = np.where(r <= 0.35, 0.0, 1e-3 * r)
+        prof = synthetic_profile(r, H, 0.25 * np.ones_like(r),
+                                 np.maximum(r - 0.28, 0) ** 2)
+        verdict = logH_contradiction(prof, 0.3, 0.55, 2.0, 0.28, 2)
+        assert verdict.data["r_star"] == float(r[r > 0.35][0])
+        assert verdict.data["H_measured"] == float(H[r > 0.35][0])
+        assert verdict.status == "fail" and verdict.data["fired"]
 
     def test_skipped_without_prerequisites(self):
         r = np.linspace(0.2, 0.6, 50)
@@ -224,15 +286,54 @@ class TestFullAudit:
                 profile=ProfileControls(n_radii=10 ** 6, h_floor_rel=floor)))
             assert chain.classification == "contradiction_certified", key
 
-    def test_general_route_glued(self, glued_trio):
-        fld = glued_trio[(2, 1.5, 0.3)]
-        spec = ProblemSpec(2, 0.8,
-                           CoefficientField.rotation_perturbed(0.2, 2),
-                           NonlinearitySpec.homogeneous(1.5))
-        chain = audit(spec, fld, AuditControls(residual_gate=math.inf))
+    def test_general_route_glued(self, tmp_path, variable_coefficients_spec):
+        # the glued construction on the polar grid, under variable A, a
+        # potential and an x-dependent f: the chain has no constants from
+        # this problem, so the audit certifies nothing either way
+        from freqlab.cli import main
+        from freqlab.fields import save_field
+        from freqlab.odes import counterexample_profile
+
+        q, r0, R = 1.5, 0.3, 0.8
+        fld = sample_grid2d(lambda x: counterexample_profile(
+            q, r0, np.sqrt(np.sum(x * x, axis=-1)))[0], R, 256, 128, q)
+        chain = audit(variable_coefficients_spec, fld,
+                      AuditControls(residual_gate=math.inf))
         assert chain.route == "general"
-        assert chain.classification == "contradiction_certified"
-        assert "C0" in chain.constants and "C5" in chain.constants
+        assert chain.classification == "inconclusive"
+        assert chain.r0 > 0.25
+        assert list(chain.steps) == ["residual_gate", "vanishing_detected"]
+        assert not chain.constants
+        assert chain.r1 is chain.r2 is chain.r3 is None
+        assert "no chain constants from the problem" in chain.notes[0]
+        path = tmp_path / "glued.npz"
+        save_field(fld, path)
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                              "configs", "variable_coefficients.ini")
+        assert main(["audit", str(path), "--config", config,
+                     "--residual-gate", "inf", "--out", str(tmp_path / "au")]) == 6
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    def test_radial_fields_take_the_model_chain(self, h):
+        # A nu = nu on radial gradients, so under rotation_perturbed a radial
+        # field poses the model equation and gets the model spec's certificate
+        for dim, q, core, R in ((2, 1.5, 0.3, 0.8), (3, 1.5, 0.25, 0.9),
+                                (2, 1.6, 0.35, 0.9)):
+            fld = glued_field(dim, q, core, R, h=h)
+            model = ProblemSpec.model(dim, q, outer_radius=R)
+            for controls in (AuditControls(residual_gate=math.inf),
+                             AuditControls(residual_gate=math.inf,
+                                           profile=ProfileControls(
+                                               n_radii=10 ** 6,
+                                               h_floor_rel=1e-24))):
+                want = audit(model, fld, controls).to_dict()
+                assert want["route"] == "model"
+                for eps in (0.0, 0.2):
+                    spec = ProblemSpec(dim, R,
+                                       CoefficientField.rotation_perturbed(eps, dim),
+                                       NonlinearitySpec.homogeneous(q))
+                    assert audit(spec, fld, controls).to_dict() == want, \
+                        (dim, q, core, controls.profile, eps)
 
     def test_general_route_genuine_2d(self, bowl):
         from freqlab.fields import solve_grid_2d
@@ -353,7 +454,7 @@ class TestResidualGate:
         # a header claiming a large residual_scale passed the sampled field
         # as genuine_nonvanishing and certified the glued one (exit 4)
         from freqlab.cli import main
-        from freqlab.fields import glued_field, load_field
+        from freqlab.fields import load_field
 
         if case == "sampled":
             fld = sample_grid2d(lambda x: 0.3 + 0.1 * x[..., 0] + 0.2 * x[..., 1] ** 2,

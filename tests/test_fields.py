@@ -117,6 +117,21 @@ class TestGrid2dSolve:
         assert err.value.distance is not None
         assert err.value.last is not None
 
+    @pytest.mark.parametrize("eps", [1e-10, 1e-12, 1e-20])
+    def test_tiny_boundary_data_reach_a_solution(self, eps):
+        # the first step is about eps, below the absolute tol: only the
+        # step's size against the iterate keeps the solve going
+        from freqlab.audit import audit
+
+        spec = ProblemSpec.model(2, 1.5)
+        fld = solve_grid_2d(spec, lambda th: eps * np.cos(th),
+                            n_r=32, n_theta=64)
+        assert fld.meta["solver"]["iterations"] > 1
+        assert np.max(np.abs(fld.u)) > 0.04
+        chain = audit(spec, fld)
+        assert chain.classification == "genuine_nonvanishing"
+        assert chain.steps["residual_gate"].data["epsilon"] < 1e-3
+
     @pytest.mark.parametrize("n_r, n_theta, message", [
         (3, 16, "at least 4 rings"), (8, 0, "even angular count"),
         (8, 15, "even angular count")])

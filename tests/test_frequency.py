@@ -500,6 +500,26 @@ class TestGeneralRouteRadialHPrime:
         np.testing.assert_allclose(rep.rhs, rep.details["model_form_rhs"],
                                    rtol=1e-10)
 
+    def test_identities_match_the_model_spec(self, tmp_path):
+        # a radial field under rotation_perturbed poses the model equation,
+        # so it gets the model identities too, with the same bytes
+        from freqlab.frequency import write_identity_reports
+
+        model = ProblemSpec.model(3, 1.5, outer_radius=1.5)
+        fld = solve_radial(model, 0.5, h=1e-3)
+        rotated = ProblemSpec(3, 1.5, CoefficientField.rotation_perturbed(0.2, 3),
+                              NonlinearitySpec.homogeneous(1.5))
+        written = []
+        for name, spec in (("model", model), ("rotated", rotated)):
+            reports = run_all_identity_checks(spec, fld, frequency_profile(spec, fld))
+            assert "pohozaev_model" in reports
+            assert "frequency_derivative_bound" in reports
+            (tmp_path / name).mkdir()
+            json_path, _ = write_identity_reports(reports, tmp_path / name)
+            with open(json_path, "rb") as fh:
+                written.append(fh.read())
+        assert written[0] == written[1]
+
 
 class TestCoarseGridGuard:
     def test_too_few_radii_raises_clearly(self, linear_mode_spec):

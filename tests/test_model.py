@@ -389,6 +389,31 @@ class TestNormalizeCoordinates:
         assert good < 1e-4
         assert bad > 100 * good
 
+    def test_x_dependent_nonlinearity_is_pulled_back(
+            self, variable_coefficients_spec):
+        # the coefficient 1 + 0.5 x1^2 of the q = 1 term depends on x, so
+        # f is composed with T and kappa1 re-estimated on the new ball
+        spec = variable_coefficients_spec
+        x0 = np.array([0.2, 0.1])
+        out = normalize_coordinates(spec, x0)
+        assert out.nonlinearity is not spec.nonlinearity
+        w, Q = np.linalg.eigh(spec.coefficients.entries(x0))
+        M = (Q * np.sqrt(w)) @ Q.T
+
+        def T(x):
+            return np.asarray(x, dtype=float) @ M.T + x0
+
+        R = out.outer_radius
+        pts = ball_grid(2, R, 400)[:, None, :]
+        s = s_grid(out.nonlinearity.eps0, 64)[None, :]
+        np.testing.assert_array_equal(eval_f(out.nonlinearity, pts, s),
+                                      eval_f(spec.nonlinearity, T(pts), s))
+        g1 = grad1_F(out.nonlinearity, pts, s)
+        ratio = np.linalg.norm(g1, axis=-1) / eval_F(out.nonlinearity, pts, s)
+        assert np.max(ratio) <= out.nonlinearity.kappa1
+        assert check_A1(out.coefficients, radius=R).passed
+        assert check_A3(out.nonlinearity, radius=R).passed
+
 
 def _pullback_source(bowl, T, x):
     return bowl.source(T(x))
