@@ -12,6 +12,7 @@ import dataclasses
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -174,6 +175,21 @@ def _resolve(args):
     return cfg, spec, fld, q_list or [cfg.q]
 
 
+class _Clock:
+    """Seconds per stage of one command: `lap(name)` closes the stage that
+    began at the last lap (or at creation).  The record's summary carries
+    them as `timings`; `content_hash` reads only the manifest."""
+
+    def __init__(self):
+        self.timings = {}
+        self._start = time.perf_counter()
+
+    def lap(self, name):
+        now = time.perf_counter()
+        self.timings[name] = now - self._start
+        self._start = now
+
+
 def _record(cfg):
     os.makedirs(cfg.out_dir, exist_ok=True)
     snap = dataclasses.asdict(cfg)
@@ -260,6 +276,7 @@ def cmd_solve(cfg, spec):
     # the solve comes first, so a bad input (a step too coarse for the
     # amplitude, an odd angular count) exits 2 before any output; only a
     # solve that does not converge leaves a record of its failure
+    clock = _Clock()
     try:
         if cfg.mode == "radial":
             fld = solve_radial(spec, cfg.amplitude, h=cfg.radial_step)
@@ -270,8 +287,11 @@ def cmd_solve(cfg, spec):
                                 max_iters=cfg.max_iters)
     except SolverError as exc:
         sys.stderr.write(f"solver failed: {exc}\n")
-        _record(cfg).finish({"error": str(exc), "distance": exc.distance})
+        clock.lap("solve")
+        _record(cfg).finish({"error": str(exc), "distance": exc.distance,
+                             "timings": clock.timings})
         return EXIT_SOLVER
+    clock.lap("solve")
     rec = _record(cfg)
     out = cfg.out_dir
     fpath = os.path.join(out, "field.npz")
@@ -287,6 +307,8 @@ def cmd_solve(cfg, spec):
                              "error_bound": solver["error_bound"],
                              "preconditioner_entries": solver["preconditioner_entries"],
                              "inner_iterations": solver["inner_iterations"]}
+    clock.lap("write")
+    summary["timings"] = clock.timings
     rec.finish(summary)
     return EXIT_OK
 
@@ -314,17 +336,21 @@ def _boundary_factory(cfg, spec):
 
 
 def cmd_frequency(cfg, spec, fld):
+    clock = _Clock()
     prof = frequency_profile(spec, fld, ProfileControls(
         n_radii=cfg.n_radii, h_floor_rel=cfg.h_floor_rel))
+    clock.lap("profile")
     reports = run_all_identity_checks(spec, fld, prof)
+    clock.lap("identities")
     rec = _record(cfg)
     out = cfg.out_dir
     rec.add(profile_to_csv(prof, os.path.join(out, "profile.csv")))
     for path in write_identity_reports(reports, out):
         rec.add(path)
     all_ok = all(rep.passed for rep in reports.values())
+    clock.lap("write")
     rec.finish({"identities_passed": all_ok,
-                "n_radii": int(len(prof.r))})
+                "n_radii": int(len(prof.r)), "timings": clock.timings})
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -333,11 +359,15 @@ def cmd_audit(cfg, spec, fld):
     controls = AuditControls(
         residual_gate=cfg.residual_gate,
         profile=ProfileControls(n_radii=n_radii, h_floor_rel=cfg.h_floor_rel))
+    clock = _Clock()
     chain = audit(spec, fld, controls)
+    clock.lap("audit")
     rec = _record(cfg)
     rec.add(write_json(os.path.join(cfg.out_dir, "certificate.json"),
                        chain.to_dict()))
-    rec.finish({"classification": chain.classification})
+    clock.lap("write")
+    rec.finish({"classification": chain.classification,
+                "timings": clock.timings})
     sys.stdout.write(chain.classification + "\n")
     return _CLASSIFICATION_EXIT[chain.classification]
 

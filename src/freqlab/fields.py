@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .io import write_npz
-from .model import eval_f
+from .model import _plane_sum, _planes, eval_f
 from .odes import counterexample_profile, counterexample_slope
 from .quadrature import deriv_periodic_fft, deriv_uniform, radial_laplacian
 
@@ -252,18 +252,20 @@ def _residual_radial(spec, fld):
 
 
 def _residual_grid(spec, fld, agrad=None, V=None, fvals=None):
-    """The polar-grid residual; `agrad` (A grad u), `V` and `fvals`
-    (f(x, u)) are the node values, if the caller has them."""
+    """The polar-grid residual; `agrad` (A grad u, component-major: shape
+    (2, n_r, n_theta)), `V` and `fvals` (f(x, u)) are the node values, if
+    the caller has them."""
     pts = fld.points()
     if agrad is None:
-        a = spec.coefficients.entries(pts)
-        grad = np.stack(cartesian_gradient(fld.u, fld.r, fld.theta), axis=-1)
-        agrad = np.einsum("...ij,...j->...i", a, grad)
+        a = _planes(spec.coefficients.entries(pts), 2)
+        grad = cartesian_gradient(fld.u, fld.r, fld.theta)
+        agrad = [_plane_sum(a[i, j] * grad[j] for j in range(2))
+                 for i in range(2)]
     if V is None:
         V = spec.V(pts)
     if fvals is None:
         fvals = eval_f(spec.nonlinearity, pts, fld.u)
-    fx, fy = agrad[..., 0], agrad[..., 1]
+    fx, fy = agrad
     ct, st = np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :]
     fr = fx * ct + fy * st
     ft = -fx * st + fy * ct
@@ -306,13 +308,15 @@ def solve_radial(spec, a, h=1e-3):
 
 def _polar_frame_entries(coeff, r, theta):
     """a_rr, a_rt, a_tt at the tensor points (r x theta)."""
-    a = coeff.entries(_polar_points(r, theta))
-    er = _polar_points(np.ones_like(r), theta)  # unit radial vectors
-    et = np.stack([-er[..., 1], er[..., 0]], axis=-1)
-    arr = np.einsum("...ij,...i,...j->...", a, er, er)
-    art = np.einsum("...ij,...i,...j->...", a, er, et)
-    att = np.einsum("...ij,...i,...j->...", a, et, et)
-    return arr, art, att
+    a = _planes(coeff.entries(_polar_points(r, theta)), 2)
+    ct, st = np.cos(theta), np.sin(theta)
+    er, et = (ct, st), (-st, ct)  # unit radial and angular vectors
+
+    def quad(v, w):  # <A v, w>, summed over i, then j within i
+        return _plane_sum(a[i, j] * v[i] * w[j]
+                          for i in range(2) for j in range(2))
+
+    return quad(er, er), quad(er, et), quad(et, et)
 
 
 def _nodes(u, boundary):

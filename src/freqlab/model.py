@@ -59,7 +59,9 @@ class CoefficientField:
     shape (..., N, N, N) with axis order (i, j, h) for d a_ij / d x_h;
     `ellipticity(x)` returns the pointwise lambda in (0, 1) used in the
     two-sided ellipticity sandwich.  The analyses read A only through
-    `geometry(x)`, one call per field (`frequency._NodeData`).
+    `geometry(x)`, one call per field (`frequency._NodeData`), whose
+    arrays keep these shapes but hold each component as a contiguous
+    plane.  The callables themselves may return any layout.
     """
 
     def __init__(self, dim, entries, entry_gradients, ellipticity, kind):
@@ -175,26 +177,66 @@ class CoefficientField:
         shape (..., h, j) holding d z_j / d x_h; mu, z and dz are undefined
         at the origin.  Costs one call of `entries` and one of
         `entry_gradients`.
+
+        a, grads, z and dz keep the shapes above, but are views of
+        component-major arrays: each component (`a[..., i, j]`,
+        `grads[..., i, j, h]`, `z[..., i]`, `dz[..., h, j]`) is one
+        contiguous plane, and every contraction here runs plane by plane.
         """
         x = np.asarray(x, dtype=float)
-        a = self.entries(x)
-        g = self.entry_gradients(x)
-        ax = np.einsum("...ij,...j->...i", a, x)
+        n = x.shape[-1]
+        a = _planes(self.entries(x), 2)
+        g = _planes(self.entry_gradients(x), 3)
+        xs = _planes(x, 1)
         r2 = np.sum(x * x, axis=-1)
+        ax = np.stack([_plane_sum(a[i, j] * xs[j] for j in range(n))
+                       for i in range(n)])
+        dz = np.empty_like(g[0])
         with np.errstate(divide="ignore", invalid="ignore"):
-            mu = np.einsum("...i,...i->...", ax, x) / r2
-            z = ax / mu[..., None]
-            # d_h <Ax, x> = sum_ij (d_h a_ij) x_i x_j + 2 (Ax)_h
-            dq = np.einsum("...ijh,...i,...j->...h", g, x, x) + 2.0 * ax
-            dmu = dq / r2[..., None] - 2.0 * mu[..., None] * x / r2[..., None]
-            # d_h (Ax)_j = sum_l (d_h a_jl) x_l + a_jh
-            dax = np.einsum("...jlh,...l->...hj", g, x) + np.swapaxes(a, -1, -2)
-            dz = (dax / mu[..., None, None]
-                  - ax[..., None, :] * dmu[..., :, None] / (mu ** 2)[..., None, None])
-        return Geometry(a, g, mu, z, dz)
+            mu = _plane_sum(ax[i] * xs[i] for i in range(n)) / r2
+            z = ax / mu
+            mu2 = mu ** 2
+            for h in range(n):
+                # d_h <Ax, x> = sum_ij (d_h a_ij) x_i x_j + 2 (Ax)_h
+                dq = (_plane_sum(g[i, j, h] * xs[i] * xs[j]
+                                 for i in range(n) for j in range(n))
+                      + 2.0 * ax[h])
+                dmu = dq / r2 - 2.0 * mu * xs[h] / r2
+                for j in range(n):
+                    # d_h (Ax)_j = sum_l (d_h a_jl) x_l + a_jh
+                    dax = (_plane_sum(g[j, l, h] * xs[l] for l in range(n))
+                           + a[j, h])
+                    dz[h, j] = dax / mu - ax[j] * dmu / mu2
+        return Geometry(_trailing(a, 2), _trailing(g, 3), mu, _trailing(z, 1),
+                        _trailing(dz, 2))
 
 
-# what CoefficientField.geometry returns
+def _planes(arr, k):
+    """A component-major copy of arr: its last k axes moved to the front,
+    so that each component is one contiguous plane."""
+    return np.ascontiguousarray(np.moveaxis(arr, range(-k, 0), range(k)))
+
+
+def _trailing(planes, k):
+    """The view of a component-major array with its first k axes last, the
+    inverse of `_planes`."""
+    return np.moveaxis(planes, range(k), range(-k, 0))
+
+
+def _plane_sum(terms):
+    """0 + t1 + t2 + ..., left to right: np.einsum's sum over contracted
+    axes, bit for bit (signed zeros included) when the terms come in the
+    order that it visits them."""
+    terms = iter(terms)
+    total = 0.0 + next(terms)
+    for t in terms:
+        total += t
+    return total
+
+
+# what CoefficientField.geometry returns: a (..., N, N), grads
+# (..., N, N, N), mu (...), z (..., N) and dz (..., N, N), each a view of a
+# component-major array, so that every [..., i, j] is a contiguous plane
 Geometry = namedtuple("Geometry", "a grads mu z dz")
 
 

@@ -728,6 +728,35 @@ class TestCliExitCodes:
         for name in blob.keys() - {"schema_version"}:
             assert {f"{name}.radii", f"{name}.lhs", f"{name}.rhs"} <= keys
 
+    def test_stage_timings_stay_out_of_the_content_hash(self, tmp_path):
+        # solve, frequency and audit record seconds per stage in
+        # summary.timings; content_hash reads only the manifest, so a record
+        # with the timings and one without them hash alike
+        from freqlab.io import RunRecord
+
+        field = str(tmp_path / "so" / "field.npz")
+        runs = {
+            "so": (["solve", "--mode", "radial", "--q", "1.5", "--N", "2",
+                    "--amplitude", "0.5", "--radius", "1.0"],
+                   {"solve", "write"}),
+            "fq": (["frequency", field], {"profile", "identities", "write"}),
+            "au": (["audit", field], {"audit", "write"}),
+        }
+        for name, (argv, stages) in runs.items():
+            out = tmp_path / name
+            assert main(argv + ["--out", str(out)]) == 0
+            record = json.loads((out / "record.json").read_text())
+            timings = record["summary"]["timings"]
+            assert set(timings) == stages
+            assert all(t >= 0.0 for t in timings.values())
+            assert record["content_hash"] == content_hash_of_dir(out)
+            summary = dict(record["summary"])
+            del summary["timings"]
+            bare = RunRecord(record["command"], record["config"], str(out),
+                             record["tool_version"],
+                             manifest=record["manifest"], summary=summary)
+            assert bare.content_hash() == content_hash_of_dir(out)
+
     def test_frequency_exits_7_on_failed_identity(self, tmp_path, glued_trio):
         # a glued candidate is no solution: an identity fails, which is a
         # failed check (7), not a bad config (2)

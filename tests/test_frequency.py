@@ -220,6 +220,19 @@ class TestNPrimeBound:
         prof.derivatives["N"] = (dN - 1e-3, est)
         assert not verify_N_prime_bound(spec, fld, prof).details["inequality_ok"]
 
+    def test_genuine_solution_at_a_fine_step(self):
+        # at h = 3e-6 (2 M nodes) the round-off of N, formed from cumulative
+        # sums and differentiated at step h, outgrows the error estimate at
+        # 15 of 800 radii; the slack's round-off term covers it, and is far
+        # too small to excuse an N' lowered by 1%
+        spec = ProblemSpec.model(3, 1.5, outer_radius=6.0)
+        fld = solve_radial(spec, 0.5, h=3e-6)
+        prof = frequency_profile(spec, fld, ProfileControls(n_radii=800))
+        assert verify_N_prime_bound(spec, fld, prof).details["inequality_ok"]
+        dN, est = prof.derivatives["N"]
+        prof.derivatives["N"] = (dN - 0.01 * np.abs(dN), est)
+        assert not verify_N_prime_bound(spec, fld, prof).details["inequality_ok"]
+
     def test_worst_radius_violates_the_lowered_bound(self):
         # the report names the radius of the smallest margin; the largest
         # |N' - rhs| sits beside a zero, where the slack excuses it

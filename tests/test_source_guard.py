@@ -14,6 +14,11 @@ A config file is read in one place: only config.py imports configparser,
 and cli.py calls no builtin open, so the command line parses --config once
 and hands the parsed file to the config parsers.
 
+The 2-D tensor fields are contracted plane by plane: fields.py,
+frequency.py and CoefficientField.geometry name no einsum, whose inner loop
+runs over trailing axes of length 2.  check_A1 and the
+normalize_coordinates pullback run on a few dozen points and keep theirs.
+
 Exports are live: every name in a module's __all__ exists in that module,
 so a deleted function cannot leave a stale export behind.
 """
@@ -175,6 +180,64 @@ def test_guard_flags_stray_config_reads():
 def test_one_config_reader():
     hits = [hit for source, name in _modules()
             for hit in _stray_config_reads(source, name)]
+    assert hits == []
+
+
+_PLANE_MODULES = ("fields.py", "frequency.py")
+_PLANE_FUNCTION = ("model.py", "CoefficientField.geometry")
+
+
+def _einsum_uses(source, filename):
+    """Each use of einsum (np.einsum, a bare einsum, an import of it) and
+    the dotted name of the class or function it sits in."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if ((isinstance(child, ast.Attribute) and child.attr == "einsum")
+                    or (isinstance(child, ast.Name) and child.id == "einsum")
+                    or (isinstance(child, ast.ImportFrom)
+                        and any(a.name == "einsum" for a in child.names))):
+                hits.append((f"{filename}:{child.lineno}: einsum", scope))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source, filename), "")
+    return hits
+
+
+def _stray_einsums(source, filename):
+    """einsum anywhere in fields.py and frequency.py, and in
+    CoefficientField.geometry with the functions nested in it."""
+    module, func = _PLANE_FUNCTION
+    return [hit for hit, scope in _einsum_uses(source, filename)
+            if filename in _PLANE_MODULES
+            or (filename == module
+                and (scope == func or scope.startswith(func + ".")))]
+
+
+def test_guard_flags_einsum_in_plane_contractions():
+    snippet = ("import numpy as np\nfrom numpy import einsum\n"
+               "class CoefficientField:\n"
+               "    def geometry(self, x):\n"
+               "        return np.einsum('...i,...i->...', x, x)\n"
+               "    def other(self, x):\n"
+               "        return numpy.einsum('ii', x)\n"
+               "def check_A1(x):\n    f = einsum\n")
+    hits = _stray_einsums(snippet, "frequency.py")
+    assert [hit.split(":")[1] for hit in hits] == ["2", "5", "7", "9"]
+    # in model.py only geometry's body is held to planes
+    hits = _stray_einsums(snippet, "model.py")
+    assert [hit.split(":")[1] for hit in hits] == ["5"]
+    assert _stray_einsums(snippet, "audit.py") == []
+
+
+def test_no_einsum_in_plane_contractions():
+    hits = [hit for source, name in _modules()
+            for hit in _stray_einsums(source, name)]
     assert hits == []
 
 
