@@ -273,9 +273,18 @@ def cmd_ode(cfg, q_list):
 
 
 def cmd_solve(cfg, spec):
-    # the solve comes first, so a bad input (a step too coarse for the
-    # amplitude, an odd angular count) exits 2 before any output; only a
-    # solve that does not converge leaves a record of its failure
+    # the checks and the solve come first, so a bad input (a non-elliptic A,
+    # a step too coarse for the amplitude, an odd angular count) exits 2
+    # before any output; only a solve that does not converge leaves a record
+    # of its failure
+    if cfg.mode == "grid2d":
+        rep = check_A1(spec.coefficients, _check_points(spec),
+                       radius=spec.outer_radius)
+        for name in ("A1.symmetric", "A1.ellipticity"):
+            clause = rep.clauses[name]
+            if not clause.passed:
+                raise ConfigError(f"the coefficients fail {name} (margin "
+                                  f"{clause.margin:.6g}); see freq-lab check")
     clock = _Clock()
     try:
         if cfg.mode == "radial":
@@ -306,6 +315,7 @@ def cmd_solve(cfg, spec):
                              "contraction": solver["contraction"],
                              "error_bound": solver["error_bound"],
                              "preconditioner_entries": solver["preconditioner_entries"],
+                             "inner_solve": solver["inner_solve"],
                              "inner_iterations": solver["inner_iterations"]}
     clock.lap("write")
     summary["timings"] = clock.timings
@@ -372,16 +382,20 @@ def cmd_audit(cfg, spec, fld):
     return _CLASSIFICATION_EXIT[chain.classification]
 
 
-def cmd_check(cfg, spec):
-    rec = _record(cfg)
-    pts = ball_grid(spec.dim, spec.outer_radius)
-    # seeded extra interior samples so the audit is not blind to structure
-    # that happens to dodge the tensor grid
+def _check_points(spec):
+    """The sample points of `check`: the ball's tensor grid and seeded
+    extra interior samples, so the audit is not blind to structure that
+    happens to dodge the tensor grid."""
     rng = np.random.default_rng(0)
     extra = rng.uniform(-spec.outer_radius, spec.outer_radius,
                         size=(32, spec.dim))
     extra = extra[np.sum(extra ** 2, axis=1) <= spec.outer_radius ** 2]
-    pts = np.vstack([pts, extra])
+    return np.vstack([ball_grid(spec.dim, spec.outer_radius), extra])
+
+
+def cmd_check(cfg, spec):
+    rec = _record(cfg)
+    pts = _check_points(spec)
     rep1 = check_A1(spec.coefficients, pts, radius=spec.outer_radius)
     rep3 = check_A3(spec.nonlinearity, pts, radius=spec.outer_radius)
     blob = {"schema_version": 1,

@@ -270,7 +270,7 @@ def test_criterion_11_determinism(tmp_path):
             ["audit", str(base / "so" / "field.npz"), "--out",
              str(base / "au")],
             ["check", "--q", "1.5", "--out", str(base / "ck")],
-            # the 2-D path: GMRES inner solves and the Fourier preconditioner
+            # the 2-D path; A = id takes the Fourier inner solve
             ["solve", "--mode", "grid2d", "--rings", "48", "--angles", "96",
              "--boundary", "cos:1:0.2", "--out", str(base / "so2")],
             ["frequency", str(base / "so2" / "field.npz"), "--out",

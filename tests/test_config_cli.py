@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from freqlab.cli import main
 from freqlab.config import (ConfigError, RunConfig, parse_problem_spec,
                             parse_run_config)
 from freqlab.io import content_hash_of_dir
+
+DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                            "configs")
 
 MODEL_CONFIG = """
 [domain]
@@ -304,6 +308,25 @@ class TestConfigInput:
         err = capsys.readouterr().err
         assert err.startswith("error: [potential] field: constant '1/0'")
         assert not (tmp_path / "o").exists()
+
+    def test_solve_rejects_a_non_elliptic_A_before_numerics(self, tmp_path,
+                                                            capsys):
+        # a11 = x1 < 0 on half the disc: the inner GMRES stalled and the
+        # run exited 3 as a solver failure; `check` exits 7 on the same file
+        config = tmp_path / "bad.ini"
+        config.write_text("[domain]\ndimension = 2\nouter_radius = 1.0\n\n"
+                          "[coefficients]\nfield = expr\na11 = x1\na12 = 0\n"
+                          "a22 = 1\nellipticity = 0.7\n\n"
+                          "[nonlinearity]\nkind = sum_of_powers\nterms = 1.5: 1\n")
+        assert main(["solve", "--mode", "grid2d", "--rings", "16", "--angles",
+                     "32", "--boundary", "cos:1:0.1", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the coefficients fail A1.ellipticity "
+                              "(margin -1.67")
+        assert not (tmp_path / "o").exists()
+        assert main(["check", "--config", str(config),
+                     "--out", str(tmp_path / "c")]) == 7
 
     @pytest.mark.parametrize("line, key", [("a13 = x9 + bogus", "a13"),
                                            ("b11 = 1", "b11"),
@@ -858,6 +881,19 @@ class TestHarmonicBoundary:
         assert records[1]["summary"]["solver"] == solver
         assert records[0]["content_hash"] == records[1]["content_hash"]
         assert content_hash_of_dir(tmp_path / "s1") == content_hash_of_dir(tmp_path / "s2")
+
+    @pytest.mark.parametrize("config, inner_solve", [
+        (None, "fourier"), ("variable_coefficients.ini", "gmres")])
+    def test_solve_records_which_inner_solve_ran(self, tmp_path, config,
+                                                 inner_solve):
+        # theta-invariant A: the Fourier factor is L; any other A: GMRES
+        argv = ["solve", "--mode", "grid2d", "--rings", "16", "--angles", "32",
+                "--boundary", "cos:1:0.2", "--out", str(tmp_path / "o")]
+        if config:
+            argv += ["--config", os.path.join(DEMO_CONFIGS, config)]
+        assert main(argv) == 0
+        record = json.loads((tmp_path / "o" / "record.json").read_text())
+        assert record["summary"]["solver"]["inner_solve"] == inner_solve
 
     def test_solve_records_damping_and_contraction(self, tmp_path, monkeypatch):
         import freqlab.fields

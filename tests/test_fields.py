@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -377,7 +378,56 @@ class TestFourierSolve:
         lu, _ = _superlu(invariant_spec, n_r, n_t)
         fourier = _FourierFactor(stencil)
         b = np.random.default_rng(n_r).standard_normal(1 + (n_r - 1) * n_t)
-        assert _rel_gap(fourier.solve(b), lu.solve(b)) <= 1e-12
+        x = fourier.solve(b)
+        assert _rel_gap(x, lu.solve(b)) <= 1e-12
+        # the factor is L, so the solver takes it without GMRES
+        assert fourier.exact
+        Lx = -stencil.apply(_nodes(x, np.zeros(n_t)))
+        assert np.linalg.norm(b - Lx) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("coeff", [
+        "bowl", "variable_coefficients", pytest.param([5, 1], id="diagonal5"),
+        pytest.param([1 + 1e-9, 1], id="near_identity")])
+    def test_theta_dependent_coefficients_are_not_exact(
+            self, bowl, variable_coefficients_spec, coeff):
+        # near_identity's a_rr = 1 + 1e-9 cos^2(theta) spreads by about 1e7
+        # ulps along each ring; at 64x128 the superlu comparison below
+        # checks that these take GMRES
+        if coeff == "bowl":
+            spec = bowl.spec
+        elif coeff == "variable_coefficients":
+            spec = variable_coefficients_spec
+        else:
+            spec = ProblemSpec(2, 1.0, CoefficientField.diagonal(coeff),
+                               NonlinearitySpec.homogeneous(1.5))
+        assert not _FourierFactor(_Stencil(spec, *_grid(spec, 16, 32))).exact
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_invariant_solve_applies_the_stencil_once(
+            self, invariant_spec, tol, monkeypatch):
+        # B g, once: the loop solves L u+ = rhs(u) + B g with the factor
+        calls = []
+        apply = _Stencil.apply
+
+        def counted(stencil, nodes):
+            calls.append(nodes)
+            return apply(stencil, nodes)
+
+        monkeypatch.setattr(_Stencil, "apply", counted)
+        fld = solve_grid_2d(invariant_spec, lambda th: 0.3 + 0.1 * np.cos(th),
+                            n_r=16, n_theta=32, tol=tol)
+        assert fld.meta["solver"]["inner_solve"] == "fourier"
+        assert fld.meta["solver"]["iterations"] > 1
+        assert len(calls) == 1
+
+    def test_gmres_path_keeps_its_bits(self, bowl):
+        # sha256 of u.tobytes(), recorded before the theta-invariant solves
+        # left GMRES: every theta-dependent A still takes it, bit for bit
+        fld = solve_grid_2d(bowl.spec, bowl.boundary, n_r=32, n_theta=64,
+                            source=bowl.source)
+        assert fld.meta["solver"]["inner_solve"] == "gmres"
+        assert hashlib.sha256(fld.u.tobytes()).hexdigest() == (
+            "7563a657762d5576e2bb9683c33a7bc614b980477c23a4236755963c75dc9bfc")
 
     def test_every_term_reaches_the_symbol(self):
         # a symbol that drops any one offset array, or the pole row of one,
@@ -412,7 +462,8 @@ class TestFourierSolve:
 
     @pytest.mark.parametrize("coeff", [
         "bowl", pytest.param([5, 1], id="diagonal5"),
-        pytest.param([20, 1], id="diagonal20"), "variable_coefficients"])
+        pytest.param([20, 1], id="diagonal20"), "variable_coefficients",
+        pytest.param([1 + 1e-9, 1], id="near_identity")])
     def test_theta_dependent_coefficients_match_superlu(
             self, bowl, variable_coefficients_spec, coeff):
         # constant diagonal A still has a_rr = d1 cos^2 + d2 sin^2 varying
@@ -429,6 +480,7 @@ class TestFourierSolve:
         ref, ref_iterations = _superlu_fixed_point(spec, boundary, 64, 128,
                                                    source=source)
         fld = solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=source)
+        assert fld.meta["solver"]["inner_solve"] == "gmres"
         assert np.max(np.abs(fld.u - ref)) <= 1e-9
         assert fld.meta["solver"]["iterations"] <= ref_iterations + 3
 

@@ -1,12 +1,13 @@
 import dataclasses
 import inspect
+import os
 
 import numpy as np
 import pytest
 
 from freqlab.audit import audit
-from freqlab.fields import (SolutionField, cartesian_gradient, sample_grid2d,
-                            solve_grid_2d, solve_radial)
+from freqlab.fields import (SolutionField, cartesian_gradient, load_field,
+                            sample_grid2d, solve_grid_2d, solve_radial)
 from freqlab.frequency import (ProfileControls, _grid_tolerance_factor,
                                _node_data, frequency_profile,
                                run_all_identity_checks, verify_H_prime,
@@ -761,12 +762,27 @@ class TestReportEncoding:
         assert rep.passed
 
 
+# the grid field of the schema-1 pin: the solve of _pinned_grid_problem,
+# stored as written, so solver round-off cannot move the pinned verdicts
+_PINNED_GRID_FIELD = os.path.join(os.path.dirname(__file__), "data",
+                                  "schema1_grid2d_field.npz")
+
+
+def _pinned_grid_problem():
+    spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
+    return spec, lambda th: 0.2 * np.cos(th), 32, 64
+
+
 def _pinned_fields():
     spec = ProblemSpec.model(3, 1.5, outer_radius=6.0)
     yield "radial", spec, solve_radial(spec, 0.5, h=1e-4)
-    spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
-    yield "grid2d", spec, solve_grid_2d(spec, lambda th: 0.2 * np.cos(th),
-                                        n_r=32, n_theta=64)
+    yield "grid2d", _pinned_grid_problem()[0], load_field(_PINNED_GRID_FIELD)
+
+
+def test_the_pinned_grid_field_is_the_solve_of_its_problem():
+    spec, boundary, n_r, n_t = _pinned_grid_problem()
+    fld = solve_grid_2d(spec, boundary, n_r=n_r, n_theta=n_t)
+    assert np.max(np.abs(fld.u - load_field(_PINNED_GRID_FIELD).u)) <= 1e-9
 
 
 def _longest_list(obj):
@@ -780,7 +796,9 @@ def _longest_list(obj):
 def test_split_reports_keep_the_schema_1_verdicts(tmp_path):
     # tests/data/identity_verdicts_schema1.json holds the verdict,
     # rel_residual, tolerance and scalar details of each report for these
-    # two fields, in the key layout of the schema-1 writer (per-radius
+    # two fields (the grid one read from its archive, so these are the
+    # writer's bits, not the solver's), in the key layout of the schema-1
+    # writer (per-radius
     # arrays in the JSON); the values are those of the profile derivatives
     # taken at the node step, where the radial H_prime and pohozaev_model
     # pass; frequency_derivative_bound's slack is per radius, an array
