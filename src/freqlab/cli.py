@@ -314,6 +314,7 @@ def cmd_solve(cfg, spec):
                              "damping": solver["damping"],
                              "contraction": solver["contraction"],
                              "error_bound": solver["error_bound"],
+                             "extrapolations": solver["extrapolations"],
                              "preconditioner_entries": solver["preconditioner_entries"],
                              "inner_solve": solver["inner_solve"],
                              "inner_iterations": solver["inner_iterations"]}

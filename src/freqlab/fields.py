@@ -487,6 +487,12 @@ _INNER_MAX_STEPS = 40
 # the fixed point stops on a step below tol that is also this small against
 # the iterate: an absolute tol alone stops at once on tiny boundary data
 _STEP_REL_STOP = 1e-6
+# when the last _JUMP_WINDOW step ratios since the last jump agree to
+# _JUMP_AGREE of the latest, rho < 1, one mode is left, and its geometric
+# tail rho/(1 - rho) times the step is added in one move (Aitken's delta^2
+# on the step sequence; Sidi, Vector Extrapolation Methods, SIAM 2017)
+_JUMP_WINDOW = 3
+_JUMP_AGREE = 1e-3
 
 
 def _gmres(apply_L, precondition, F):
@@ -531,10 +537,19 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     increasing f, the Picard map does not oscillate.  The iteration stops
     at the first sup-norm step below `tol` and below _STEP_REL_STOP times
     the iterate's sup norm (so boundary data of size tol or less still
-    reach a solution), leaving an error of about
-    rho/(1-rho) times that step; meta["solver"]["contraction"] estimates
-    rho and meta["solver"]["error_bound"] records that error (reported
-    only: the stop rule does not read it).  L is the stencil of one
+    reach a solution), leaving an error of about rho/(1-rho) times that
+    step.  A step that does not stop may extrapolate: when the last
+    _JUMP_WINDOW ratios of successive steps taken since the last jump agree
+    to _JUMP_AGREE of the latest ratio rho, and rho < 1, one slow mode is
+    left, and its geometric tail rho/(1-rho) times the step is added to the
+    iterate (the stop is tested first, so the field returned is always a
+    plain Picard step that passed it; `iterations` counts Picard steps).
+    meta["solver"]["extrapolations"] lists each jump's iteration and rho;
+    meta["solver"]["contraction"] estimates rho from the steps since the
+    last jump, never below that jump's rho (the steps right after a jump do
+    not show it), and meta["solver"]["error_bound"] records rho/(1-rho)
+    times the last step (reported only: the stop rule does not read it).
+    L is the stencil of one
     coefficient array per offset (`_Stencil`); `_FourierFactor` solves the
     theta-mean of those arrays.  Two inner solves share the loop, and
     meta["solver"]["inner_solve"] names the one that ran:
@@ -605,6 +620,7 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
 
     uk = np.zeros(n_unknown) if initial is None else initial
     distances = []
+    jumps = []  # the iteration and rho of each extrapolation
     inner_iterations = 0
     for it in range(max_iters):
         nodes = _nodes(uk, g)
@@ -622,6 +638,10 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
         uk = uk + step
         if dist < tol and dist <= _STEP_REL_STOP * float(np.max(np.abs(uk))):
             break
+        rho = _steady_ratio(distances, jumps)
+        if rho is not None:
+            uk += rho / (1.0 - rho) * step
+            jumps.append({"iteration": it + 1, "rho": rho})
     else:
         raise SolverError(
             f"fixed point did not reach tol {tol:g} (and {_STEP_REL_STOP:g} "
@@ -630,13 +650,14 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
 
     fld = SolutionField.grid2d_from_values(r_nodes, theta, _nodes(uk, g),
                                            spec.nonlinearity.q)
-    contraction = _contraction(distances)
+    contraction = _contraction(distances, jumps)
     fld.meta["solver"] = {"kind": "grid2d_fixed_point", "n_r": n_r,
                           "n_theta": n_theta, "damping": damping,
                           "iterations": len(distances),
                           "distances": distances,
                           "contraction": contraction,
                           "error_bound": _error_bound(contraction, distances[-1]),
+                          "extrapolations": jumps,
                           "preconditioner_entries": precond.nnz,
                           "inner_solve": "fourier" if precond.exact else "gmres",
                           "inner_iterations": inner_iterations}
@@ -651,13 +672,36 @@ def _add_rows(vec, rows):
     return vec
 
 
-def _contraction(distances):
-    """The geometric-mean ratio of the last ten step sizes, an estimate of
-    the iteration's contraction factor; None after a single step."""
-    d = distances[-10:]
-    if len(d) < 2:
+def _since_last_jump(distances, jumps):
+    """The steps taken after the last jump; all of them before the first."""
+    return distances[jumps[-1]["iteration"]:] if jumps else distances
+
+
+def _steady_ratio(distances, jumps):
+    """The latest step ratio when the last _JUMP_WINDOW ratios of the steps
+    since the last jump agree with it to _JUMP_AGREE and it lies below 1,
+    else None."""
+    d = _since_last_jump(distances, jumps)[-_JUMP_WINDOW - 1:]
+    if len(d) <= _JUMP_WINDOW:
         return None
-    return (d[-1] / d[0]) ** (1.0 / (len(d) - 1))
+    ratios = [b / a for a, b in zip(d, d[1:])]
+    rho = ratios[-1]
+    if rho < 1.0 and all(abs(r - rho) <= _JUMP_AGREE * rho for r in ratios):
+        return rho
+    return None
+
+
+def _contraction(distances, jumps):
+    """An estimate of the iteration's contraction factor: the
+    geometric-mean ratio of the last ten step sizes taken since the last
+    jump, and never below the rho that jump used (the steps right after a
+    jump do not show rho); None after a single step and no jump."""
+    floor = jumps[-1]["rho"] if jumps else None
+    d = _since_last_jump(distances, jumps)[-10:]
+    if len(d) < 2:
+        return floor
+    rho = (d[-1] / d[0]) ** (1.0 / (len(d) - 1))
+    return rho if floor is None else max(rho, floor)
 
 
 def _error_bound(rho, dist):

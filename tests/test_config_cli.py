@@ -908,10 +908,20 @@ class TestHarmonicBoundary:
         assert solver["error_bound"] == (solver["contraction"]
                                          / (1.0 - solver["contraction"])
                                          * solver["final_distance"])
+        # each jump along the slow mode, with the rho it used; the last one
+        # floors the contraction
+        jumps = solver["extrapolations"]
+        assert jumps and all(set(j) == {"iteration", "rho"} for j in jumps)
+        assert jumps[-1]["iteration"] < solver["iterations"]
+        assert solver["contraction"] >= jumps[-1]["rho"]
         assert record["content_hash"] == content_hash_of_dir(tmp_path / "s1")
-        # the two keys report on the run; the artifacts' hash ignores them
-        monkeypatch.setattr(freqlab.fields, "_contraction", lambda d: 0.5)
+        # the three keys report on the run; the artifacts' hash ignores them
+        monkeypatch.setattr(freqlab.fields, "_contraction", lambda d, j: 0.5)
         assert main(argv + ["--out", str(tmp_path / "s2")]) == 0
         other = json.loads((tmp_path / "s2" / "record.json").read_text())
         assert other["summary"]["solver"]["contraction"] == 0.5
         assert other["content_hash"] == record["content_hash"]
+        monkeypatch.setattr(freqlab.fields, "_steady_ratio", lambda d, j: None)
+        assert main(argv + ["--out", str(tmp_path / "s3")]) == 0
+        plain = json.loads((tmp_path / "s3" / "record.json").read_text())
+        assert plain["summary"]["solver"]["extrapolations"] == []

@@ -331,10 +331,11 @@ def _superlu(spec, n_r, n_t):
 
 
 def _superlu_fixed_point(spec, boundary, n_r, n_t, source=None,
-                         damping=0.5, tol=1e-10, max_iters=400):
+                         damping=0.5, tol=1e-10, max_iters=400, initial=None):
     """u <- damping u + (1-damping) L^{-1}(rhs(u) + B g) with L factored
-    directly: the damped Picard iteration the solver's inner GMRES must
-    reproduce.  Returns the node values and the iteration count."""
+    directly, from u = 0 or from the node values `initial`: the damped
+    Picard iteration the solver's inner GMRES must reproduce.  Returns the
+    node values and the iteration count."""
     r_nodes, theta = _grid(spec, n_r, n_t)
     lu, B = _superlu(spec, n_r, n_t)
     g = boundary(theta)
@@ -344,6 +345,8 @@ def _superlu_fixed_point(spec, boundary, n_r, n_t, source=None,
     src = np.zeros(pts.shape[:-1]) if source is None else source(pts)
     V = spec.V(pts)
     u = np.zeros(1 + (n_r - 1) * n_t)
+    if initial is not None:
+        u[0], u[1:] = initial[0, 0], initial[1:n_r].ravel()
     for it in range(1, max_iters + 1):
         nodes = np.vstack([np.full(n_t, u[0]), u[1:].reshape(n_r - 1, n_t)])
         rows = V * nodes + eval_f(spec.nonlinearity, pts, nodes) + src
@@ -421,13 +424,17 @@ class TestFourierSolve:
         assert len(calls) == 1
 
     def test_gmres_path_keeps_its_bits(self, bowl):
-        # sha256 of u.tobytes(), recorded before the theta-invariant solves
-        # left GMRES: every theta-dependent A still takes it, bit for bit
+        # sha256 of u.tobytes(), recorded when the iteration first
+        # extrapolated along its slow mode (one jump, at iteration 11): every
+        # theta-dependent A takes GMRES, bit for bit
         fld = solve_grid_2d(bowl.spec, bowl.boundary, n_r=32, n_theta=64,
                             source=bowl.source)
         assert fld.meta["solver"]["inner_solve"] == "gmres"
         assert hashlib.sha256(fld.u.tobytes()).hexdigest() == (
-            "7563a657762d5576e2bb9683c33a7bc614b980477c23a4236755963c75dc9bfc")
+            "be26caa1b190d76ae79cb745209333157170f35ebc44b9f9a25892405d5d7158")
+        ref, _ = _superlu_fixed_point(bowl.spec, bowl.boundary, 32, 64,
+                                      source=bowl.source, tol=1e-13)
+        assert np.max(np.abs(fld.u - ref)) <= 1e-10
 
     def test_every_term_reaches_the_symbol(self):
         # a symbol that drops any one offset array, or the pole row of one,
@@ -512,20 +519,27 @@ class TestFourierSolve:
         assert solver["damping"] == 0.0
         assert 2 * solver["iterations"] <= ref_iterations
         assert np.max(np.abs(fld.u - ref)) <= 1e-9
-        # the recorded contraction is the late ratio of successive steps
-        d = solver["distances"]
-        assert solver["contraction"] == pytest.approx(
-            (d[-1] / d[-10]) ** (1.0 / 9.0))
+        # the recorded contraction is the ratio of successive steps since
+        # the last jump, and never below the rho that jump used
+        jumps = solver["extrapolations"]
+        start, floor = ((jumps[-1]["iteration"], jumps[-1]["rho"]) if jumps
+                        else (0, 0.0))
+        d = solver["distances"][start:][-10:]
+        late = (d[-1] / d[0]) ** (1.0 / (len(d) - 1)) if len(d) > 1 else 0.0
+        assert solver["contraction"] == pytest.approx(max(late, floor))
 
     def test_small_cos1_boundary_converges_at_the_cli_defaults(self, tmp_path):
         # at damping 0.5 this problem needs about 700 iterations (late
         # contraction 0.977) and exited 3 at the default 400; undamped it
-        # takes about 364 (0.955)
+        # took 366 (0.955) before the iteration extrapolated along its slow
+        # mode, and takes 124 with it
         from freqlab.cli import main
 
         out = tmp_path / "o"
         assert main(["solve", "--mode", "grid2d", "--boundary", "cos:1:0.03",
                      "--rings", "32", "--angles", "64", "--out", str(out)]) == 0
+        record = json.loads((out / "record.json").read_text())
+        assert record["summary"]["solver"]["iterations"] <= 183
         fld = load_field(str(out / "field.npz"))
         spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
         ref = solve_grid_2d(spec, lambda th: 0.03 * np.cos(th), n_r=32,
@@ -551,6 +565,152 @@ class TestFourierSolve:
         from freqlab.fields import _error_bound
 
         assert _error_bound(rho, 1e-11) is None
+
+
+def _plain_picard(monkeypatch, *args, **kwargs):
+    """solve_grid_2d with no extrapolation: every step a Picard step."""
+    with monkeypatch.context() as m:
+        m.setattr(freqlab.fields, "_steady_ratio", lambda d, j: None)
+        return solve_grid_2d(*args, **kwargs)
+
+
+def _cos1_spec(q=1.5):
+    return ProblemSpec.model(2, q, outer_radius=1.0)
+
+
+class TestExtrapolation:
+    """One jump by rho/(1 - rho) times the step once three step ratios
+    agree: the iteration's geometric tail, added in one move."""
+
+    @pytest.mark.parametrize("ratios, expected", [
+        ([0.9, 0.9, 0.9], 0.9),
+        ([0.5, 0.9, 0.9, 0.9], 0.9),
+        ([0.9, 0.9 * (1 + 9e-4), 0.9], 0.9),
+        ([0.9, 0.9 * (1 + 2e-3), 0.9], None),  # not yet one mode
+        ([0.9, 0.9], None),  # two ratios are not a window
+        ([1.2, 1.2, 1.2], None),  # a climb, however steady
+        ([1.0, 1.0, 1.0], None)])
+    def test_steady_ratio(self, ratios, expected):
+        from freqlab.fields import _steady_ratio
+
+        d = list(np.cumprod([1.0] + ratios))
+        got = _steady_ratio(d, [])
+        assert got == (None if expected is None else pytest.approx(expected))
+
+    def test_the_window_starts_after_the_last_jump(self):
+        # the step after a jump is not a Picard ratio of the one before it,
+        # even when the two happen to agree
+        from freqlab.fields import _contraction, _steady_ratio
+
+        d = list(0.9 ** np.arange(6.0))
+        assert _steady_ratio(d, []) == pytest.approx(0.9)
+        assert _steady_ratio(d, [{"iteration": 3, "rho": 0.9}]) is None
+        # the contraction reads the steps since the jump, floored by its rho
+        d = [1.0, 0.5, 0.25, 1e-3, 0.6e-3, 0.36e-3]
+        assert _contraction(d, []) == pytest.approx(0.36e-3 ** 0.2)
+        assert _contraction(d, [{"iteration": 3, "rho": 0.5}]) == pytest.approx(0.6)
+        assert _contraction(d, [{"iteration": 3, "rho": 0.7}]) == 0.7
+        assert _contraction(d, [{"iteration": 5, "rho": 0.7}]) == 0.7
+        assert _contraction(d[:1], []) is None
+
+    @pytest.mark.parametrize("amplitude, n_r, n_t", [(0.2, 48, 96),
+                                                     (0.03, 32, 64)])
+    def test_error_bound_covers_the_distance_to_the_fixed_point(
+            self, amplitude, n_r, n_t):
+        # the steps right after a jump do not show rho: on cos:1:0.03 the
+        # last ten steps of all read 0.38 where rho is 0.955, and the bound
+        # then read 4.0e-11 against a true error of 1.2e-9
+        spec = _cos1_spec()
+        boundary = lambda th: amplitude * np.cos(th)  # noqa: E731
+        fld = solve_grid_2d(spec, boundary, n_r=n_r, n_theta=n_t)
+        ref = solve_grid_2d(spec, boundary, n_r=n_r, n_theta=n_t, tol=1e-15,
+                            max_iters=2000)
+        solver = fld.meta["solver"]
+        assert solver["extrapolations"]
+        assert solver["contraction"] >= solver["extrapolations"][-1]["rho"]
+        assert np.max(np.abs(fld.u - ref.u)) <= 2.0 * solver["error_bound"]
+
+    def test_cos1_at_128x256_takes_at_most_60_steps(self):
+        # 105 plain Picard steps at rho 0.8725
+        fld = solve_grid_2d(_cos1_spec(), lambda th: 0.05 * np.cos(th),
+                            n_r=128, n_theta=256)
+        assert fld.meta["solver"]["iterations"] <= 60
+
+    @pytest.mark.parametrize("q", [1.2, 1.5])
+    @pytest.mark.parametrize("cells", [0, 5, 11, 17])
+    def test_lands_on_the_fixed_point_of_plain_picard(self, monkeypatch, q,
+                                                      cells):
+        # u and -u(-x) are both fixed points and round-off picks one
+        # (damped SuperLU from u = 0 picks the other at some of these
+        # phases): the jumps must not change the pick, and the field must
+        # be a fixed point of the directly factored L
+        spec = _cos1_spec(q)
+        n_r, n_t = 32, 64
+        phase = _grid(spec, n_r, n_t)[1][cells]
+        boundary = lambda th: 0.05 * np.cos(th - phase)  # noqa: E731
+        fld = solve_grid_2d(spec, boundary, n_r=n_r, n_theta=n_t)
+        plain = _plain_picard(monkeypatch, spec, boundary, n_r=n_r,
+                              n_theta=n_t)
+        assert fld.meta["solver"]["extrapolations"]
+        assert not plain.meta["solver"]["extrapolations"]
+        assert (fld.meta["solver"]["iterations"]
+                < plain.meta["solver"]["iterations"])
+        mirror = -np.roll(plain.u, n_t // 2, axis=1)
+        assert np.max(np.abs(plain.u - mirror)) > 1e-4
+        assert np.max(np.abs(fld.u - plain.u)) <= 2e-9
+        ref, _ = _superlu_fixed_point(spec, boundary, n_r, n_t, damping=0.0,
+                                      tol=1e-13, initial=fld.u)
+        assert np.max(np.abs(fld.u - ref)) <= 2e-9
+
+    @pytest.mark.parametrize("problem", ["bowl", "cos:1:0.2", "cos:1:0.03"])
+    def test_the_last_step_is_a_plain_picard_step(self, bowl, problem):
+        # the stop is tested before any jump, so the field returned is the
+        # result of a Picard step that passed it; each jump's rho is the
+        # ratio of the two steps before it
+        if problem == "bowl":
+            fld = solve_grid_2d(bowl.spec, bowl.boundary, n_r=32, n_theta=64,
+                                source=bowl.source)
+        else:
+            amplitude = float(problem.split(":")[2])
+            fld = solve_grid_2d(_cos1_spec(),
+                                lambda th: amplitude * np.cos(th),
+                                n_r=32, n_theta=64)
+        solver = fld.meta["solver"]
+        d = solver["distances"]
+        assert solver["extrapolations"]
+        for jump in solver["extrapolations"]:
+            assert jump["iteration"] < solver["iterations"]
+            it = jump["iteration"]
+            assert jump["rho"] == d[it - 1] / d[it - 2]
+        assert d[-1] < 1e-10
+
+    def test_a_stop_on_a_steady_window_takes_no_jump(self, bowl):
+        # stopped at the step whose ratios set off the first jump, the
+        # solve returns that Picard step as it is
+        kwargs = dict(n_r=32, n_theta=64, source=bowl.source)
+        first = solve_grid_2d(bowl.spec, bowl.boundary, **kwargs)
+        it = first.meta["solver"]["extrapolations"][0]["iteration"]
+        tol = first.meta["solver"]["distances"][it - 1] * (1.0 + 1e-9)
+        fld = solve_grid_2d(bowl.spec, bowl.boundary, tol=tol, **kwargs)
+        solver = fld.meta["solver"]
+        assert solver["iterations"] == it
+        assert solver["extrapolations"] == []
+
+    def test_no_jump_during_a_climb(self):
+        # on cos(2 theta) the steps first shrink, then grow for about ten
+        # steps (ratios up to 2.5), then converge: no jump may fall in the
+        # climb, where ratios >= 1 say no single contracting mode is left
+        fld = solve_grid_2d(_cos1_spec(), lambda th: 0.05 * np.cos(2 * th),
+                            n_r=32, n_theta=64)
+        solver = fld.meta["solver"]
+        d = solver["distances"]
+        ratios = [b / a for a, b in zip(d, d[1:])]
+        climb = [i for i, r in enumerate(ratios) if r >= 1.0]
+        assert max(ratios) > 2.0 and len(climb) >= 5
+        jumps = [jump["iteration"] for jump in solver["extrapolations"]]
+        assert jumps and min(jumps) > climb[-1] + 2
+        for it in jumps:
+            assert all(r < 1.0 for r in ratios[it - 4:it - 1])
 
 
 def _scipy_modules_after(code, prefix):

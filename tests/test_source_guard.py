@@ -21,6 +21,10 @@ normalize_coordinates pullback run on a few dozen points and keep theirs.
 
 Exports are live: every name in a module's __all__ exists in that module,
 so a deleted function cannot leave a stale export behind.
+
+The environment sets one thing: the only read of it is cli.py's
+os.environ.get("FREQ_LAB_OUT", ...), so no solver constant or tolerance can
+become a knob that a run record does not show.
 """
 
 import ast
@@ -260,3 +264,54 @@ def test_every_export_exists():
                            if path.stem not in ("__init__", "__main__")]
     assert len(modules) >= 10
     assert [(m.__name__, name) for m in modules for name in _stale_exports(m)] == []
+
+
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+_ENV_READ = ("cli.py", "FREQ_LAB_OUT")
+
+
+def _environment_reads(source, filename):
+    """Each use of os.environ / os.getenv (or an import of them) other than
+    cli.py's os.environ.get("FREQ_LAB_OUT", ...)."""
+    tree = ast.parse(source, filename)
+    allowed = set()
+    if filename == _ENV_READ[0]:
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "get"
+                    and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "environ"
+                    and isinstance(func.value.value, ast.Name)
+                    and func.value.value.id == "os" and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == _ENV_READ[1]):
+                allowed.add(id(func.value))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _ENV_NAMES:
+            if id(node) not in allowed:
+                hits.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in _ENV_NAMES:
+            hits.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            hits += [(node.lineno, f"from os import {a.name}")
+                     for a in node.names if a.name in _ENV_NAMES]
+    return [f"{filename}:{line}: {what}" for line, what in sorted(hits)]
+
+
+def test_guard_flags_stray_environment_reads():
+    snippet = ("import os\nout = os.environ.get('FREQ_LAB_OUT', out)\n"
+               "tol = float(os.environ.get('FREQ_LAB_TOL', 1e-10))\n"
+               "w = os.getenv('FREQ_LAB_WINDOW')\nx = os.environ['X']\n"
+               "from os import environ\ny = environ.get('FREQ_LAB_OUT')\n")
+    hits = _environment_reads(snippet, "cli.py")
+    assert [hit.split(":")[1] for hit in hits] == ["3", "4", "5", "6", "7"]
+    # the output directory is read in cli.py only
+    hits = _environment_reads(snippet, "fields.py")
+    assert [hit.split(":")[1] for hit in hits] == ["2", "3", "4", "5", "6", "7"]
+
+
+def test_the_environment_sets_only_the_output_directory():
+    hits = [hit for source, name in _modules()
+            for hit in _environment_reads(source, name)]
+    assert hits == []
