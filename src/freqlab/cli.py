@@ -261,6 +261,8 @@ def cmd_ode(cfg, q_list):
     results = [runner(q) for q in q_list]
     rec = _record(cfg)
     rec.config["q"] = q_list  # every exponent the run used
+    if cfg.ode_task in ("counterexample", "energy"):  # ODEs in t: no ball
+        del rec.config["dimension"], rec.config["outer_radius"]
     out = cfg.out_dir
     for (name, *csv), _, _ in results:
         rec.add(write_csv(os.path.join(out, name), *csv))
@@ -298,6 +300,8 @@ def cmd_solve(cfg, spec):
         sys.stderr.write(f"solver failed: {exc}\n")
         clock.lap("solve")
         _record(cfg).finish({"error": str(exc), "distance": exc.distance,
+                             "contraction": exc.contraction,
+                             "predicted_iterations": exc.predicted_iterations,
                              "timings": clock.timings})
         return EXIT_SOLVER
     clock.lap("solve")
@@ -317,7 +321,8 @@ def cmd_solve(cfg, spec):
                              "extrapolations": solver["extrapolations"],
                              "preconditioner_entries": solver["preconditioner_entries"],
                              "inner_solve": solver["inner_solve"],
-                             "inner_iterations": solver["inner_iterations"]}
+                             "inner_iterations": solver["inner_iterations"],
+                             "defect_gap": solver["defect_gap"]}
     clock.lap("write")
     summary["timings"] = clock.timings
     rec.finish(summary)

@@ -35,12 +35,17 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Fixed-point iteration failed; carries the last iterate and distance."""
+    """Fixed-point iteration failed; carries the last iterate and distance,
+    the contraction estimate and the iteration count it predicts (None
+    where there is no estimate below 1)."""
 
-    def __init__(self, message, last=None, distance=None):
+    def __init__(self, message, last=None, distance=None, contraction=None,
+                 predicted_iterations=None):
         super().__init__(message)
         self.last = last
         self.distance = distance
+        self.contraction = contraction
+        self.predicted_iterations = predicted_iterations
 
 
 # --------------------------------------------------------------------------
@@ -496,15 +501,18 @@ _JUMP_AGREE = 1e-3
 
 
 def _gmres(apply_L, precondition, F):
-    """c with ||F - L c||_2 <= _INNER_TOL ||F||_2, and the steps taken.
+    """(c, L c, steps) with ||F - L c||_2 <= _INNER_TOL ||F||_2.
 
     GMRES from c = 0, preconditioned on the right (Saad & Schultz, SIAM J.
     Sci. Stat. Comput. 7, 1986): the residual it minimises and tests is the
-    true one of L c = F.  c is None when _INNER_MAX_STEPS steps fall short.
+    true one of L c = F.  L c is read off the Arnoldi relation
+    L Z_k y = V_{k+1} H_k y from the basis GMRES keeps anyway, so it costs
+    no stencil application.  c and L c are None when _INNER_MAX_STEPS steps
+    fall short.
     """
     beta = float(np.linalg.norm(F))
     if beta == 0.0:
-        return np.zeros_like(F), 0
+        return np.zeros_like(F), np.zeros_like(F), 0
     basis, search = [F / beta], []
     hess = np.zeros((_INNER_MAX_STEPS + 1, _INNER_MAX_STEPS))
     rhs = np.zeros(_INNER_MAX_STEPS + 1)
@@ -519,9 +527,45 @@ def _gmres(apply_L, precondition, F):
         h = hess[:k + 2, :k + 1]
         y = np.linalg.lstsq(h, rhs[:k + 2], rcond=None)[0]
         if np.linalg.norm(rhs[:k + 2] - h @ y) <= _INNER_TOL * beta:
-            return sum(yi * z for yi, z in zip(y, search)), k + 1
+            # w is hess[k+1, k] times the next basis vector, the last
+            # column's entry of V_{k+1} H_k y
+            hy = h @ y
+            Lc = sum(hi * v for hi, v in zip(hy, basis)) + y[k] * w
+            return sum(yi * z for yi, z in zip(y, search)), Lc, k + 1
         basis.append(w / hess[k + 1, k])
-    return None, _INNER_MAX_STEPS
+    return None, None, _INNER_MAX_STEPS
+
+
+class _CarriedDefect:
+    """The defect B g - L u of the iterate u on the GMRES path, formed once
+    and then carried by the L c that GMRES returns with each correction c,
+    so a Picard step applies the stencil once, inside GMRES.  A carried
+    recurrence drifts from the true defect by round-off, so where the
+    iteration stops it is checked against, and replaced by, a freshly
+    applied one (residual replacement: van der Vorst and Ye, SIAM J. Sci.
+    Comput. 22, 2000)."""
+
+    def __init__(self, stencil, boundary, u):
+        self._stencil, self._boundary = stencil, boundary
+        self.value = stencil.apply(_nodes(u, boundary))
+
+    def step(self, L_step):
+        """u gained the step whose image under L is L_step."""
+        self.value -= L_step
+
+    def jump(self, L_step, factor):
+        """u gained `factor` times that step."""
+        self.value -= factor * L_step
+
+    def refresh(self, u, solve):
+        """Replace the carried defect by a freshly applied one; returns
+        sup |solve(carried - fresh)|, the carried defect's error in u units
+        (`solve` approximates L^-1)."""
+        fresh = self._stencil.apply(_nodes(u, self._boundary))
+        self.value -= fresh
+        gap = float(np.max(np.abs(solve(self.value))))
+        self.value = fresh
+        return gap
 
 
 def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
@@ -559,11 +603,24 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
       is applied once, for bc, and then released;
     - "gmres" otherwise: GMRES preconditioned by the factor solves
       L c = F for the defect F = rhs(u) + bc - L u, stopped at
-      ||F - L c|| <= _INNER_TOL ||F||, and u+ = u + c.
+      ||F - L c|| <= _INNER_TOL ||F||, and u+ = u + c.  bc - L u is
+      applied once, before the loop, and then carried (`_CarriedDefect`):
+      each step and each jump subtracts its own multiple of the L c that
+      GMRES returns, so a Picard step applies the stencil only inside
+      GMRES, once per inner step.  Where the stop passes, the stencil is
+      applied to the iterate once more, and the gap between the fresh and
+      the carried defect, mapped through the factor's solve into u units,
+      must be at most tol/10.  The fresh defect replaces the carried one
+      either way, and a larger gap lets the iteration go on, so a field
+      returned always stands on a true defect.
+      meta["solver"]["defect_gap"] records the gap of the stop that held
+      (None on the "fourier" path).
     `initial`, if given, is the unknown vector [pole, rings 1..n_r-1 row by
     row] of length 1 + (n_r - 1) n_theta.
     Raises SolverError when the sup-distance fails to meet that rule, or when
-    an inner solve fails to reach _INNER_TOL in _INNER_MAX_STEPS steps.
+    an inner solve fails to reach _INNER_TOL in _INNER_MAX_STEPS steps; it
+    carries the contraction estimate and the iterations it predicts for a
+    step below min(tol, _STEP_REL_STOP max |u|).
     """
     if spec.dim != 2:
         raise ValueError("the grid solver is two-dimensional")
@@ -595,58 +652,76 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
 
     stencil = _Stencil(spec, r_nodes, theta)
     precond = _FourierFactor(stencil)
+    uk = np.zeros(n_unknown) if initial is None else initial
     if precond.exact:
         # the factor is L: each step solves L u+ = rhs(u) + B g outright, so
         # after B g the loop reads no stencil coefficient
         bg = stencil.apply(_nodes(np.zeros(n_unknown), g))
         del stencil
-
-        def correct(uk, nodes, rhs):
-            return precond.solve(_add_rows(bg.copy(), rhs)) - uk, 1
+        defect = None
     else:
         zero = np.zeros(n_theta)
 
         def apply_L(c):  # L c, c zero on the boundary
             return -stencil.apply(_nodes(c, zero))
 
-        def correct(uk, nodes, rhs):  # GMRES on the defect rhs + B g - L u
-            return _gmres(apply_L, precond.solve,
-                          _add_rows(stencil.apply(nodes), rhs))
+        defect = _CarriedDefect(stencil, g, uk)
 
     # the equations' nodes: the pole (row 0, repeated) and rings 1..n_r-1
     pts = _polar_points(r_nodes[:n_r], theta)
     V = spec.V(pts)
     src = 0.0 if source is None else np.asarray(source(pts), dtype=float)
 
-    uk = np.zeros(n_unknown) if initial is None else initial
     distances = []
     jumps = []  # the iteration and rho of each extrapolation
     inner_iterations = 0
+    gap = None
     for it in range(max_iters):
         nodes = _nodes(uk, g)
         rhs = V * nodes[:n_r] + eval_f(spec.nonlinearity, pts, nodes[:n_r]) + src
-        c, steps = correct(uk, nodes, rhs)
+        # the correction c and L c, scaled in place into the step and its
+        # image under L
+        if defect is None:
+            step = precond.solve(_add_rows(bg.copy(), rhs)) - uk
+            L_step, steps = None, 1
+        else:  # GMRES on the defect rhs + B g - L u
+            step, L_step, steps = _gmres(apply_L, precond.solve,
+                                         _add_rows(defect.value.copy(), rhs))
         inner_iterations += steps
-        if c is None:
-            raise SolverError(
+        if step is None:
+            raise _solver_error(
                 f"inner GMRES did not reduce the defect to {_INNER_TOL:g} of "
                 f"its size in {_INNER_MAX_STEPS} steps (iteration {it + 1})",
-                last=uk, distance=distances[-1] if distances else None)
-        step = (1.0 - damping) * c
+                uk, distances, jumps, tol)
+        step *= 1.0 - damping
         dist = float(np.max(np.abs(step)))
         distances.append(dist)
         uk = uk + step
+        if defect is not None:
+            L_step *= 1.0 - damping
+            defect.step(L_step)
         if dist < tol and dist <= _STEP_REL_STOP * float(np.max(np.abs(uk))):
-            break
+            if defect is None:
+                break
+            # the stop stands on a true defect: the carried one must agree
+            # with a fresh one to tol/10 in u units, else the iteration goes
+            # on from the fresh one
+            gap = defect.refresh(uk, precond.solve)
+            if gap <= 0.1 * tol:
+                break
         rho = _steady_ratio(distances, jumps)
         if rho is not None:
-            uk += rho / (1.0 - rho) * step
+            factor = rho / (1.0 - rho)
+            uk += factor * step
+            if defect is not None:
+                defect.jump(L_step, factor)
             jumps.append({"iteration": it + 1, "rho": rho})
+        # freed before the next inner solve, whose peak they would raise
+        del step, L_step
     else:
-        raise SolverError(
+        raise _solver_error(
             f"fixed point did not reach tol {tol:g} (and {_STEP_REL_STOP:g} "
-            f"of max |u|) in {max_iters} iterations",
-            last=uk, distance=distances[-1])
+            f"of max |u|) in {max_iters} iterations", uk, distances, jumps, tol)
 
     fld = SolutionField.grid2d_from_values(r_nodes, theta, _nodes(uk, g),
                                            spec.nonlinearity.q)
@@ -660,7 +735,8 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
                           "extrapolations": jumps,
                           "preconditioner_entries": precond.nnz,
                           "inner_solve": "fourier" if precond.exact else "gmres",
-                          "inner_iterations": inner_iterations}
+                          "inner_iterations": inner_iterations,
+                          "defect_gap": gap}
     return fld
 
 
@@ -702,6 +778,31 @@ def _contraction(distances, jumps):
         return floor
     rho = (d[-1] / d[0]) ** (1.0 / (len(d) - 1))
     return rho if floor is None else max(rho, floor)
+
+
+def _solver_error(message, uk, distances, jumps, tol):
+    """SolverError with the last iterate and step, the contraction estimate
+    and the iterations it predicts for a step below the stop's threshold
+    min(tol, _STEP_REL_STOP max |u|)."""
+    rho = _contraction(distances, jumps)
+    stop = min(tol, _STEP_REL_STOP * float(np.max(np.abs(uk))))
+    return SolverError(message, last=uk,
+                       distance=distances[-1] if distances else None,
+                       contraction=rho,
+                       predicted_iterations=_predicted_iterations(
+                           rho, distances, stop))
+
+
+def _predicted_iterations(rho, distances, stop):
+    """The iterations taken plus those a contraction by rho needs to bring
+    the last step below `stop`; None without an estimate of rho below 1,
+    or when `stop` is 0 (an iterate of zeros)."""
+    if rho is None or rho >= 1.0 or stop <= 0.0:
+        return None
+    last = distances[-1]
+    if rho <= 0.0 or last <= stop:
+        return len(distances)
+    return len(distances) + math.ceil(math.log(stop / last) / math.log(rho))
 
 
 def _error_bound(rho, dist):

@@ -569,6 +569,19 @@ class TestCliExitCodes:
         record = json.loads((out / "record.json").read_text())
         assert record["summary"]["error"] and record["manifest"] == []
 
+    def test_solver_failure_record_says_how_far_it_had_to_go(self, tmp_path):
+        # exit 3 records the contraction estimate and the iterations it
+        # predicts, as SolverError carries them
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nmax_iters = 5\n")
+        out = tmp_path / "o"
+        assert main(["solve", "--mode", "grid2d", "--rings", "32", "--angles",
+                     "64", "--boundary", "cos:1:0.05", "--config", str(config),
+                     "--out", str(out)]) == 3
+        summary = json.loads((out / "record.json").read_text())["summary"]
+        assert 0.0 < summary["contraction"] < 1.0
+        assert summary["predicted_iterations"] > 5
+
     def test_ode_records_every_exponent(self, tmp_path):
         # record.json's config.q held the first exponent of the list only
         out = tmp_path / "o"
@@ -579,6 +592,20 @@ class TestCliExitCodes:
         assert sorted(m["path"] for m in record["manifest"]) == [
             "counterexample_q1.2.csv", "counterexample_q1.5.csv",
             "ode_summary.json"]
+
+    @pytest.mark.parametrize("task, recorded", [
+        ("--counterexample", False), ("--energy", False), ("--shoot", True),
+        ("--pme", True)])
+    def test_ode_records_only_a_ball_it_uses(self, tmp_path, task, recorded):
+        # the counterexample and the energy run integrate ODEs in t, with no
+        # dimension and no outer radius; shoot and pme integrate on a ball
+        out = tmp_path / "o"
+        assert main(["ode", task, "--q", "1.5", "--step", "2e-3", "--tmax",
+                     "2", "--out", str(out)]) == 0
+        config = json.loads((out / "record.json").read_text())["config"]
+        assert ("dimension" in config) == recorded
+        assert ("outer_radius" in config) == recorded
+        assert config["q"] == [1.5] and config["ode_task"] == task[2:]
 
     def test_missing_field_file(self, tmp_path, capsys):
         assert main(["frequency", str(tmp_path / "nope.txt"),
