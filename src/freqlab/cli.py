@@ -106,6 +106,8 @@ def _build_parser():
 
 _PROBLEM_SECTIONS = ("domain", "coefficients", "potential", "nonlinearity")
 _PROBLEM_FLAGS = {"dimension": "--N", "q": "--q", "outer_radius": "--radius"}
+# the ode tasks that integrate ODEs in t, on no ball
+_ODE_IN_T = ("counterexample", "energy")
 
 
 def _resolve(args):
@@ -155,6 +157,12 @@ def _resolve(args):
         if val is not None and f.name != "q":
             setattr(cfg, f.name, val)
     cfg.out_dir = os.environ.get("FREQ_LAB_OUT", cfg.out_dir)
+    if args.command == "ode" and cfg.ode_task in _ODE_IN_T:
+        unread = [flag for k, flag in flags.items() if k != "q"]
+        if unread:
+            raise ConfigError(f"{', '.join(unread)}: ode --{cfg.ode_task} "
+                              f"integrates in t on no ball and reads no "
+                              f"--N or --radius")
     cfg.validate()
     for q in (q_list or ()):
         RunConfig(command=cfg.command, ode_task=cfg.ode_task, q=q).validate()
@@ -261,7 +269,7 @@ def cmd_ode(cfg, q_list):
     results = [runner(q) for q in q_list]
     rec = _record(cfg)
     rec.config["q"] = q_list  # every exponent the run used
-    if cfg.ode_task in ("counterexample", "energy"):  # ODEs in t: no ball
+    if cfg.ode_task in _ODE_IN_T:
         del rec.config["dimension"], rec.config["outer_radius"]
     out = cfg.out_dir
     for (name, *csv), _, _ in results:

@@ -36,8 +36,8 @@ __all__ = [
 
 class SolverError(RuntimeError):
     """Fixed-point iteration failed; carries the last iterate and distance,
-    the contraction estimate and the iteration count it predicts (None
-    where there is no estimate below 1)."""
+    the contraction estimate and the iteration count a steady step ratio
+    predicts (None where the ratio is not steady)."""
 
     def __init__(self, message, last=None, distance=None, contraction=None,
                  predicted_iterations=None):
@@ -259,8 +259,10 @@ def _residual_radial(spec, fld):
 def _residual_grid(spec, fld, agrad=None, V=None, fvals=None):
     """The polar-grid residual; `agrad` (A grad u, component-major: shape
     (2, n_r, n_theta)), `V` and `fvals` (f(x, u)) are the node values, if
-    the caller has them."""
-    pts = fld.points()
+    the caller has them; the node points are built only for those it
+    has not."""
+    if agrad is None or V is None or fvals is None:
+        pts = fld.points()
     if agrad is None:
         a = _planes(spec.coefficients.entries(pts), 2)
         grad = cartesian_gradient(fld.u, fld.r, fld.theta)
@@ -272,16 +274,16 @@ def _residual_grid(spec, fld, agrad=None, V=None, fvals=None):
         fvals = eval_f(spec.nonlinearity, pts, fld.u)
     fx, fy = agrad
     ct, st = np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :]
-    fr = fx * ct + fy * st
-    ft = -fx * st + fy * ct
-    # div F = (1/r) d_r (r F_r) + (1/r) d_theta F_theta
-    rfr = fld.r[:, None] * fr
-    d_rfr = _radial_deriv_across_pole(rfr, fld.h)
-    d_ft = deriv_periodic_fft(ft)
+    # div F = (1/r) d_r (r F_r) + (1/r) d_theta F_theta, with F_r and
+    # F_theta dropped once differentiated and the sums taken in place
+    rho = _radial_deriv_across_pole(fld.r[:, None] * (fx * ct + fy * st),
+                                    fld.h)
+    rho += deriv_periodic_fft(-fx * st + fy * ct)
     with np.errstate(divide="ignore", invalid="ignore"):
-        div = (d_rfr + d_ft) / fld.r[:, None]
-    div[0] = np.nan
-    rho = div + V * fld.u + fvals
+        rho /= fld.r[:, None]
+    rho[0] = np.nan
+    rho += V * fld.u
+    rho += fvals
     rho[-1] = np.nan  # one-sided top row: keep reports interior
     return rho
 
@@ -619,8 +621,9 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     row] of length 1 + (n_r - 1) n_theta.
     Raises SolverError when the sup-distance fails to meet that rule, or when
     an inner solve fails to reach _INNER_TOL in _INNER_MAX_STEPS steps; it
-    carries the contraction estimate and the iterations it predicts for a
-    step below min(tol, _STEP_REL_STOP max |u|).
+    carries the contraction estimate and, where the step ratio is steady,
+    the iterations that ratio predicts for a step below
+    min(tol, _STEP_REL_STOP max |u|) (`_solver_error`).
     """
     if spec.dim != 2:
         raise ValueError("the grid solver is two-dimensional")
@@ -781,16 +784,20 @@ def _contraction(distances, jumps):
 
 
 def _solver_error(message, uk, distances, jumps, tol):
-    """SolverError with the last iterate and step, the contraction estimate
-    and the iterations it predicts for a step below the stop's threshold
-    min(tol, _STEP_REL_STOP max |u|)."""
-    rho = _contraction(distances, jumps)
+    """SolverError with the last iterate and step, the contraction estimate,
+    and the iterations a steady ratio predicts for a step below the stop's
+    threshold min(tol, _STEP_REL_STOP max |u|).  The ratio is steady by
+    `_steady_ratio`'s rule, on the steps up to the last one: a jump made at
+    the last step was made on that ratio.  With no steady ratio (the steps
+    are still in their transient) there is no prediction."""
     stop = min(tol, _STEP_REL_STOP * float(np.max(np.abs(uk))))
+    steady = _steady_ratio(distances, [j for j in jumps
+                                       if j["iteration"] < len(distances)])
     return SolverError(message, last=uk,
                        distance=distances[-1] if distances else None,
-                       contraction=rho,
+                       contraction=_contraction(distances, jumps),
                        predicted_iterations=_predicted_iterations(
-                           rho, distances, stop))
+                           steady, distances, stop))
 
 
 def _predicted_iterations(rho, distances, stop):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .model import _plane_sum, c_constant, eval_F, eval_f, grad1_F
 from .quadrature import cumulative_uniform, deriv_uniform, unit_sphere_area
-from .fields import (_require_radial_route, _residual_grid,
+from .fields import (_polar_points, _require_radial_route, _residual_grid,
                      cartesian_gradient, residual_field)
 from .io import jsonable, write_json, write_npz
 
@@ -167,21 +167,48 @@ def write_identity_reports(reports, out_dir):
 # node-level integrand machinery
 
 
-class _NodeData:
-    """Cached node fields of one field under one spec, whose ball must be
-    the field's: the same N, and an R that the solvers' rule round(R/h)
-    turns into the field's node count.
+# ring blocks of `_NodeData`'s grid pass: at most _BLOCK_NODES nodes each,
+# and at least _MIN_BLOCKS of them on a grid of _SPLIT_NODES nodes or more.
+# A block's tensors (A, grad A, Z, DZ and the temporaries of `geometry`)
+# come to about 35 arrays of its size, so the pass adds at most a few node
+# fields to the rows it fills; a smaller grid is one block, whose tensors
+# take about a megabyte, and a coefficient callable is called once for it.
+_BLOCK_NODES = 1 << 15
+_MIN_BLOCKS = 8
+_SPLIT_NODES = 1 << 12
 
-    Both representations share one vocabulary.  Every node array has rows
-    over the radial nodes and columns over the angles, shape
-    (n_r + 1, n_theta); a radial field is a polar grid with one angular
-    column, ring weight |S^{N-1}| r^{N-1} and dtheta = 1.  `sphere(rows)`
-    is ring * sum_theta rows * dtheta, and `ball(rows)` its prefix integral
-    in r.  Only this constructor looks at the representation.  A polar
-    grid also keeps `a`, `agrads`, `grad` and `zjac` for the general
-    identities, which need one.  On a grid, A (by one `geometry` call), V
-    and f are evaluated here only, and the residual rho reads them from
-    here.
+
+def _ring_blocks(n_rows, n_theta):
+    """Row slices of the ring blocks, the rows shared out as evenly as
+    whole rings allow."""
+    nodes = n_rows * n_theta
+    count = -(-nodes // _BLOCK_NODES)
+    if nodes >= _SPLIT_NODES:
+        count = max(count, _MIN_BLOCKS)
+    count = min(count, n_rows)
+    bounds = [k * n_rows // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+class _NodeData:
+    """Node rows of one field under one spec, whose ball must be the
+    field's: the same N, and an R that the solvers' rule round(R/h) turns
+    into the field's node count.
+
+    Both representations share one vocabulary.  Every array here is a node
+    row, shape (n_r + 1, n_theta): rows over the radial nodes, columns over
+    the angles; a radial field is a polar grid with one angular column,
+    ring weight |S^{N-1}| r^{N-1} and dtheta = 1.  `sphere(rows)` is
+    ring * sum_theta rows * dtheta, and `ball(rows)` its prefix integral
+    in r.  Only this constructor looks at the representation.
+
+    A polar grid also keeps the rows only the general identities read:
+    <Z, grad e> (`z_grad_e`), the integrands of `verify_rellich_general`'s
+    terms T1 and T4 (`t1_rows`, `t4_rows`), <grad_x F, Z> (`grad_x_F_z`)
+    and |x| (`absx`).  On a grid, A (by `geometry`), V and f are evaluated
+    here only, ring block by ring block (`_ring_blocks`), and each block's
+    tensors are dropped once its rows are written; the residual rho reads
+    A grad u, V and f from here.
     """
 
     def __init__(self, spec, fld):
@@ -196,73 +223,106 @@ class _NodeData:
             self._fill_radial(spec, fld)
         else:
             self._fill_grid(spec, fld)
-        self.Fvals = eval_F(spec.nonlinearity, self.pts, self.u)
         np.nan_to_num(self.rho0, nan=0.0, copy=False)  # unformed rows count as 0
 
     def _fill_radial(self, spec, fld):
         # closed forms of the admitted kinds: A nu = nu gives A x = x, so
         # mu = 1, Z = x, div Z = N, div(A grad |x|) = (N - 1)/r and
-        # <A grad u, nu> = u'; with V = 0 and an x-independent f no
-        # coefficient is evaluated on the nodes
+        # <A grad u, nu> = u'; with V = 0 and an x-independent f (so
+        # grad_x F = 0) no coefficient is evaluated on the nodes
         _require_radial_route(spec)
-        n, dim = len(fld.r), fld.dim
+        dim = fld.dim
         self.ring = unit_sphere_area(dim) * self.r ** (dim - 1)
         self.dtheta = 1.0
         self.u = fld.u[:, None]
         du = fld.du[:, None]
-        self.pts = np.zeros((n, 1, dim))
-        self.pts[:, 0, 0] = self.r
         self.u_nu = self.flux_r = du
         self.e_density = du * du
         self.x_grad_u = self.z_grad_u = self.r[:, None] * du
         self.mu = np.broadcast_to(1.0, self.u.shape)
-        self.V = np.broadcast_to(0.0, self.u.shape)
-        self.zvals = self.pts
+        self.V = self.grad_x_F_z = np.broadcast_to(0.0, self.u.shape)
         self.divz = np.broadcast_to(float(dim), self.u.shape)
         self.div_a_grad_absx = np.zeros_like(self.u)
         self.div_a_grad_absx[1:, 0] = (dim - 1) / self.r[1:]
-        self.fvals = eval_f(spec.nonlinearity, self.pts, self.u)
+        self.fvals = eval_f(spec.nonlinearity, None, self.u)
+        self.Fvals = eval_F(spec.nonlinearity, None, self.u)
         self.rho0 = residual_field(spec, fld)[:, None]
 
+    _GRID_ROWS = ("mu", "flux_r", "e_density", "u_nu", "x_grad_u",
+                  "div_a_grad_absx", "V", "fvals", "Fvals", "divz",
+                  "z_grad_u", "t1_rows", "t4_rows", "grad_x_F_z", "absx")
+
     def _fill_grid(self, spec, fld):
-        pts = fld.points()
-        geo = spec.coefficients.geometry(pts)
         self.ring = self.r
         self.dtheta = float(fld.theta[1] - fld.theta[0])
         self.u = fld.u
-        self.pts = pts
-        self.a, self.agrads = geo.a, geo.grads
-        gx, gy = cartesian_gradient(fld.u, fld.r, fld.theta)
-        grad = np.stack([gx, gy])  # component-major, as geometry's arrays
-        self.grad = np.moveaxis(grad, 0, -1)
-        ct, st = np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :]
-        a, g, nu = geo.a, geo.grads, (ct, st)
-        agrad = np.stack([_plane_sum(a[..., i, j] * grad[j] for j in range(2))
-                          for i in range(2)])
-        self.flux_r = _plane_sum(agrad[i] * nu[i] for i in range(2))
-        self.e_density = _plane_sum(agrad[i] * grad[i] for i in range(2))
-        self.u_nu = gx * ct + gy * st
-        self.x_grad_u = gx * pts[..., 0] + gy * pts[..., 1]
-        self.mu = geo.mu
-        # div(A grad |x|) = (d_j a_ji) nu_i + (tr A - mu) / r, summed over
-        # j within i: tests/test_plane_contractions.py pins that order
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.div_a_grad_absx = (
-                _plane_sum(_plane_sum(g[..., j, i, j] * nu[i] for j in range(2))
-                           for i in range(2))
-                + (_plane_sum(a[..., i, i] for i in range(2)) - self.mu)
-                / self.r[:, None])
-        self.div_a_grad_absx[0], self.mu[0] = 0.0, 1.0  # finite; r = 0 weighs them out
-        self.V = spec.V(pts)
-        self.fvals = eval_f(spec.nonlinearity, pts, self.u)
-        # Z = A x / mu, its Jacobian and divergence, undefined at the pole
-        self.zvals, self.zjac = geo.z, geo.dz
-        self.divz = _plane_sum(self.zjac[..., h, h] for h in range(2))
-        for arr in (self.zvals, self.zjac, self.divz):
-            arr[0] = 0.0
-        self.z_grad_u = self.zvals[..., 0] * gx + self.zvals[..., 1] * gy
+        shape = fld.u.shape
+        for name in self._GRID_ROWS:
+            setattr(self, name, np.empty(shape))
+        # grad u, A grad u and Z are whole-grid while a derivative needs
+        # them: the residual takes div(A grad u), <Z, grad e> takes grad e
+        grad = cartesian_gradient(fld.u, fld.r, fld.theta)
+        agrad, z = np.empty((2,) + shape), np.empty((2,) + shape)
+        for rows in _ring_blocks(*shape):
+            self._fill_block(spec, fld, rows, [g[rows] for g in grad],
+                             agrad[:, rows], z[:, rows])
+        del grad
         self.rho0 = _residual_grid(spec, fld, agrad=agrad, V=self.V,
                                    fvals=self.fvals)
+        del agrad
+        egrad = cartesian_gradient(self.e_density, fld.r, fld.theta)
+        self.z_grad_e = _plane_sum(z[i] * egrad[i] for i in range(2))
+
+    def _fill_block(self, spec, fld, rows, grad, agrad, z):
+        """The node rows `rows` (a slice of rings) from one `geometry`
+        call; writes A grad u and Z of those rings into `agrad` and `z`.
+        Each product and sum is taken in the order np.einsum took it
+        (tests/test_plane_contractions.py pins the bits)."""
+        r, u = self.r[rows], fld.u[rows]
+        pts = _polar_points(r, fld.theta)
+        geo = spec.coefficients.geometry(pts)
+        a, g, dz = geo.a, geo.grads, geo.dz
+        nu = (np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :])
+        gx, gy = grad
+        for i in range(2):
+            agrad[i] = _plane_sum(a[..., i, j] * grad[j] for j in range(2))
+        self.flux_r[rows] = _plane_sum(agrad[i] * nu[i] for i in range(2))
+        self.e_density[rows] = _plane_sum(agrad[i] * grad[i] for i in range(2))
+        self.u_nu[rows] = gx * nu[0] + gy * nu[1]
+        self.x_grad_u[rows] = gx * pts[..., 0] + gy * pts[..., 1]
+        # div(A grad |x|) = (d_j a_ji) nu_i + (tr A - mu) / r, summed over
+        # j within i
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.div_a_grad_absx[rows] = (
+                _plane_sum(_plane_sum(g[..., j, i, j] * nu[i] for j in range(2))
+                           for i in range(2))
+                + (_plane_sum(a[..., i, i] for i in range(2)) - geo.mu)
+                / r[:, None])
+        self.mu[rows] = geo.mu
+        self.V[rows] = spec.V(pts)
+        self.fvals[rows] = eval_f(spec.nonlinearity, pts, u)
+        self.Fvals[rows] = eval_F(spec.nonlinearity, pts, u)
+        self.absx[rows] = np.linalg.norm(pts, axis=-1)
+        # Z = A x / mu, its Jacobian and divergence, undefined at the pole
+        z[...] = np.moveaxis(geo.z, -1, 0)
+        divz = _plane_sum(dz[..., h, h] for h in range(2))
+        if rows.start == 0:
+            # finite at the pole, where r = 0 weighs them out
+            self.div_a_grad_absx[0], self.mu[0] = 0.0, 1.0
+            for arr in (z[:, 0], dz[0], divz[0]):
+                arr[...] = 0.0
+        self.divz[rows] = divz
+        self.z_grad_u[rows] = z[0] * gx + z[1] * gy
+        # the integrands of T1, (d_h a_li) Z_i d_h u d_l u, and of T4,
+        # -2 a_hl d_h Z_j d_j u d_l u, summed over (h, l, i) and (h, j, l)
+        self.t1_rows[rows] = _plane_sum(
+            g[..., h, l, i] * z[i] * grad[h] * grad[l]
+            for h in range(2) for l in range(2) for i in range(2))
+        self.t4_rows[rows] = -2.0 * _plane_sum(
+            a[..., h, l] * dz[..., h, j] * grad[j] * grad[l]
+            for h in range(2) for j in range(2) for l in range(2))
+        g1 = grad1_F(spec.nonlinearity, pts, u)
+        self.grad_x_F_z[rows] = _plane_sum(g1[..., i] * z[i] for i in range(2))
 
     def sphere(self, rows, idx=slice(None)):
         """Sphere integrals of node rows; `rows` holds the rows `idx` only."""
@@ -444,24 +504,6 @@ def verify_pohozaev_model(spec, fld, prof,
     return rep
 
 
-def _transport_rows(data, fld):
-    """Node rows of <Z, grad e> (e = <A grad u, grad u>), of
-    (d_h a_li) Z_i d_h u d_l u and of -2 a_hl d_h Z_j d_j u d_l u: the
-    integrands of `verify_rellich_general`'s left side and of its terms
-    T1 and T4.  The products are summed over (h, l, i) and (h, j, l) in
-    that order, which fixes the rows' bits."""
-    z, g, a, dz, grad = data.zvals, data.agrads, data.a, data.zjac, data.grad
-    egrad = cartesian_gradient(data.e_density, fld.r, fld.theta)
-    lhs9_rows = _plane_sum(z[..., i] * egrad[i] for i in range(2))
-    t1_rows = _plane_sum(
-        g[..., h, l, i] * z[..., i] * grad[..., h] * grad[..., l]
-        for h in range(2) for l in range(2) for i in range(2))
-    t4_rows = -2.0 * _plane_sum(
-        a[..., h, l] * dz[..., h, j] * grad[..., j] * grad[..., l]
-        for h in range(2) for j in range(2) for l in range(2))
-    return lhs9_rows, t1_rows, t4_rows
-
-
 def verify_rellich_general(spec, fld, prof,
                            tolerance=_TOLERANCES["gradient_energy_transport"]):
     """The two vector-calculus identities behind the variable-coefficient
@@ -482,15 +524,14 @@ def verify_rellich_general(spec, fld, prof,
     data = _node_data(spec, fld)
     idx = prof.indices
     divz, zgradu, e = data.divz, data.z_grad_u, data.e_density
-    lhs9_rows, t1_rows, t4_rows = _transport_rows(data, fld)
     vu_f = data.V * data.u + data.fvals
     t3_rows = 2.0 * zgradu * vu_f
     corr_rows = -2.0 * zgradu * data.rho0
 
-    lhs9 = data.ball(lhs9_rows)[idx]
-    T1 = data.ball(t1_rows)[idx]
+    lhs9 = data.ball(data.z_grad_e)[idx]
+    T1 = data.ball(data.t1_rows)[idx]
     T3 = data.ball(t3_rows)[idx]
-    T4 = data.ball(t4_rows)[idx]
+    T4 = data.ball(data.t4_rows)[idx]
     CORR = data.ball(corr_rows)[idx]
     T2 = data.sphere(2.0 * zgradu * data.flux_r)[idx]
 
@@ -508,7 +549,7 @@ def verify_rellich_general(spec, fld, prof,
                            tolerance)
     rep10.details["div_z_term"] = DIVZ
     rep10.details["fitted_divz_O_r_constant"] = float(np.nanmax(
-        np.abs(divz[1:] - fld.dim) / np.linalg.norm(data.pts[1:], axis=-1)))
+        np.abs(divz[1:] - fld.dim) / data.absx[1:]))
     rep9.details["coefficient_derivatives"] = _gradient_provenance(spec)
     rep10.details["coefficient_derivatives"] = _gradient_provenance(spec)
     return rep9, rep10
@@ -610,9 +651,7 @@ def verify_f_transport(spec, fld, prof,
     q = spec.nonlinearity.q
     lhs = data.ball(data.fvals * data.z_grad_u)[idx]
     divz_term = data.ball(data.Fvals * data.divz)[idx]
-    g1 = grad1_F(spec.nonlinearity, data.pts, data.u)
-    g1_term = data.ball(_plane_sum(g1[..., i] * data.zvals[..., i]
-                                   for i in range(fld.dim)))[idx]
+    g1_term = data.ball(data.grad_x_F_z)[idx]
     surf_2F_fu = data.sphere(2.0 * data.Fvals - data.fvals * data.u)[idx]
     rhs = prof.r * prof.dprime - divz_term - g1_term
     rep = IdentityReport("nonlinearity_transport", prof.r, lhs, rhs, tolerance)

@@ -59,9 +59,10 @@ class CoefficientField:
     shape (..., N, N, N) with axis order (i, j, h) for d a_ij / d x_h;
     `ellipticity(x)` returns the pointwise lambda in (0, 1) used in the
     two-sided ellipticity sandwich.  The analyses read A only through
-    `geometry(x)`, one call per field (`frequency._NodeData`), whose
-    arrays keep these shapes but hold each component as a contiguous
-    plane.  The callables themselves may return any layout.
+    `geometry(x)`, one call per ring block of a field
+    (`frequency._NodeData`), whose arrays keep these shapes but hold each
+    component as a contiguous plane.  The callables themselves may return
+    any layout.
     """
 
     def __init__(self, dim, entries, entry_gradients, ellipticity, kind):

@@ -571,16 +571,17 @@ class TestCliExitCodes:
 
     def test_solver_failure_record_says_how_far_it_had_to_go(self, tmp_path):
         # exit 3 records the contraction estimate and the iterations it
-        # predicts, as SolverError carries them
+        # predicts, as SolverError carries them; a steady ratio shows at
+        # step 38, where the iteration jumps on it
         config = tmp_path / "run.ini"
-        config.write_text("[run]\nmax_iters = 5\n")
+        config.write_text("[run]\nmax_iters = 38\n")
         out = tmp_path / "o"
         assert main(["solve", "--mode", "grid2d", "--rings", "32", "--angles",
                      "64", "--boundary", "cos:1:0.05", "--config", str(config),
                      "--out", str(out)]) == 3
         summary = json.loads((out / "record.json").read_text())["summary"]
         assert 0.0 < summary["contraction"] < 1.0
-        assert summary["predicted_iterations"] > 5
+        assert summary["predicted_iterations"] > 38
 
     def test_ode_records_every_exponent(self, tmp_path):
         # record.json's config.q held the first exponent of the list only
@@ -606,6 +607,21 @@ class TestCliExitCodes:
         assert ("dimension" in config) == recorded
         assert ("outer_radius" in config) == recorded
         assert config["q"] == [1.5] and config["ode_task"] == task[2:]
+
+    @pytest.mark.parametrize("task", ["--counterexample", "--energy"])
+    @pytest.mark.parametrize("args, named", [
+        (["--N", "3"], "--N"), (["--radius", "2"], "--radius"),
+        (["--N", "3", "--radius", "2"], "--N, --radius")])
+    def test_ode_in_t_rejects_the_ball_flags(self, tmp_path, capsys, task,
+                                             args, named):
+        # both tasks integrate in t on no ball; --N and --radius were
+        # accepted and ignored
+        out = tmp_path / "o"
+        assert main(["ode", task, "--q", "1.5", *args, "--step", "2e-3",
+                     "--tmax", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}: ode {task} integrates in t")
+        assert not out.exists()
 
     def test_missing_field_file(self, tmp_path, capsys):
         assert main(["frequency", str(tmp_path / "nope.txt"),

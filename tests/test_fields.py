@@ -119,17 +119,41 @@ class TestGrid2dSolve:
         assert err.value.last is not None
 
     def test_nonconvergence_says_how_far_it_had_to_go(self):
-        # the contraction estimate, and the iterations taken plus those a
-        # contraction by it needs to bring the last step below tol
+        # the contraction estimate, and no prediction from the transient:
+        # after five steps the ratios read 0.19-0.31, and the slow mode
+        # (rho ~ 0.84) shows only from step 20 on; the solve takes 50
         spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
         with pytest.raises(SolverError) as err:
             solve_grid_2d(spec, lambda th: 0.05 * np.cos(th), n_r=32,
                           n_theta=64, max_iters=5)
+        assert 0.0 < err.value.contraction < 1.0
+        assert err.value.predicted_iterations is None
+
+    def test_a_steady_ratio_predicts(self):
+        # at step 38 three ratios agree and the iteration jumps on them; the
+        # prediction takes that ratio and the last step, and so counts the
+        # steps the jump saves too: it errs long (the solve takes 50)
+        spec = ProblemSpec.model(2, 1.5, outer_radius=1.0)
+        with pytest.raises(SolverError) as err:
+            solve_grid_2d(spec, lambda th: 0.05 * np.cos(th), n_r=32,
+                          n_theta=64, max_iters=38)
         rho, last = err.value.contraction, err.value.distance
-        assert 0.0 < rho < 1.0
-        assert err.value.predicted_iterations == 5 + math.ceil(
-            math.log(1e-10 / last) / math.log(rho))
-        assert err.value.predicted_iterations > 5
+        assert err.value.predicted_iterations == 38 + math.ceil(
+            math.log(1e-10 / last) / math.log(rho)) >= 50
+
+    @pytest.mark.parametrize("distances, jumps, expected", [
+        ([1.0, 0.5, 0.25, 0.125], [], 4 + 31),            # steady 0.5
+        ([1.0, 0.5, 0.25, 0.125], [{"iteration": 4, "rho": 0.5}], 4 + 31),
+        ([1.0, 0.5, 0.3, 0.125], [], None),                # transient
+        ([1.0, 0.5, 0.25], [], None),                      # too few ratios
+        ([1.0, 0.5, 0.25, 0.125, 0.0625],                  # reset by a jump
+         [{"iteration": 4, "rho": 0.5}], None)])
+    def test_prediction_reads_a_steady_ratio_only(self, distances, jumps,
+                                                  expected):
+        from freqlab.fields import _solver_error
+
+        err = _solver_error("x", np.ones(3), distances, jumps, 1e-10)
+        assert err.predicted_iterations == expected
 
     @pytest.mark.parametrize("rho, distances, stop, expected", [
         (None, [1.0, 0.5], 1e-10, None),

@@ -618,8 +618,9 @@ class TestDivAGradAbsx:
 
 class TestCoefficientEvaluations:
     def test_one_polar_analysis(self, variable_coefficients_spec, monkeypatch):
-        # A and its gradients, V and f are evaluated once, for the node
-        # data: the residual, div(A grad |x|) and the audit all read it
+        # A and its gradients, V and f are evaluated once per ring block,
+        # for the node data (a 32 x 64 grid is one block): the residual,
+        # div(A grad |x|) and the audit all read it
         from collections import Counter
 
         import freqlab.fields
@@ -661,6 +662,57 @@ class TestCoefficientEvaluations:
         want = residual_field(spec, fld)
         assert _node_data(spec, fld).rho0.tobytes() == \
             np.nan_to_num(want, nan=0.0).tobytes()
+
+
+class TestNodeDataMemory:
+    def test_the_residual_builds_no_points(self, variable_coefficients_spec,
+                                           monkeypatch):
+        # the node data hands the residual A grad u, V and f, so neither it
+        # nor the block pass asks the field for its points
+        spec = variable_coefficients_spec
+        fld = sample_grid2d(lambda x: 1.0 + 0.3 * x[..., 0] + 0.2 * x[..., 1] ** 2,
+                            spec.outer_radius, 64, 128, spec.nonlinearity.q)
+
+        def refuse(self):
+            raise AssertionError("points() called")
+
+        monkeypatch.setattr(SolutionField, "points", refuse)
+        prof = frequency_profile(spec, fld)
+        run_all_identity_checks(spec, fld, prof)
+        audit(spec, fld)
+
+    def test_the_analysis_peaks_below_the_solve(self):
+        # profile + identities + audit of the bowl hold less at their peak
+        # than the solve that made the field (tracemalloc, after a small
+        # run has made every import)
+        import gc
+        import tracemalloc
+
+        from freqlab.fields import manufactured_bowl
+
+        mp = manufactured_bowl(amplitude=1.0, v0=0.25)
+
+        def solve(n_r, n_theta):
+            return solve_grid_2d(mp.spec, mp.boundary, n_r=n_r,
+                                 n_theta=n_theta, source=mp.source)
+
+        def analyse(fld):
+            run_all_identity_checks(mp.spec, fld, frequency_profile(mp.spec, fld))
+            audit(mp.spec, fld)
+
+        analyse(solve(32, 64))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fld = solve(64, 128)
+            solve_peak = tracemalloc.get_traced_memory()[1]
+            gc.collect()
+            tracemalloc.reset_peak()
+            analyse(fld)
+            analysis_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert analysis_peak <= solve_peak
 
 
 class TestReportEncoding:

@@ -11,11 +11,12 @@ in the same places.
 import numpy as np
 import pytest
 
-from freqlab.fields import (_polar_frame_entries, _polar_points,
-                            _residual_grid, cartesian_gradient,
+from freqlab import frequency
+from freqlab.fields import (SolutionField, _polar_frame_entries,
+                            _polar_points, _residual_grid, cartesian_gradient,
                             manufactured_bowl, sample_grid2d)
-from freqlab.frequency import (_node_data, _transport_rows,
-                               frequency_profile, verify_f_transport)
+from freqlab.frequency import (_node_data, frequency_profile,
+                               verify_f_transport, verify_rellich_general)
 from freqlab.model import (CoefficientField, NonlinearitySpec, ProblemSpec,
                            grad1_F)
 
@@ -89,15 +90,18 @@ def test_geometry(case):
                 assert geo.grads[..., h, j, i].flags.c_contiguous
 
 
-def test_node_data(case):
-    spec, fld = case
-    data = _node_data(spec, fld)
+def einsum_node_rows(spec, fld):
+    """The node data's geometry rows and its transport rows, by the einsum
+    forms the plane sums replace: (div(A grad |x|), div Z, <Z, grad u>,
+    <Z, grad e>, T1's and T4's integrands, <grad_x F, Z>), with A grad u,
+    grad u and e."""
     a, g, mu, z, dz = einsum_geometry(spec.coefficients, fld.points())
     grad = np.stack(cartesian_gradient(fld.u, fld.r, fld.theta), axis=-1)
     ct, st = np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :]
     nu = np.stack([np.broadcast_to(ct, fld.u.shape),
                    np.broadcast_to(st, fld.u.shape)], axis=-1)
     agrad = np.einsum("...ij,...j->...i", a, grad)
+    e = np.einsum("...i,...i->...", agrad, grad)
     with np.errstate(divide="ignore", invalid="ignore"):
         div_a_grad_absx = (np.einsum("...jij,...i->...", g, nu)
                            + (np.einsum("...ii->...", a) - mu) / fld.r[:, None])
@@ -105,38 +109,85 @@ def test_node_data(case):
     divz = np.einsum("...hh->...", dz)
     for arr in (z, dz, divz):
         arr[0] = 0.0
-    same_bits(data.grad, grad)
-    same_bits(data.flux_r, np.einsum("...i,...i->...", agrad, nu))
-    same_bits(data.e_density, np.einsum("...i,...i->...", agrad, grad))
-    same_bits(data.div_a_grad_absx, div_a_grad_absx)
-    same_bits(data.zvals, z)
-    same_bits(data.zjac, dz)
-    same_bits(data.divz, divz)
+    egrad = np.stack(cartesian_gradient(e, fld.r, fld.theta), axis=-1)
+    g1 = grad1_F(spec.nonlinearity, fld.points(), fld.u)
+    rows = {
+        "flux_r": np.einsum("...i,...i->...", agrad, nu),
+        "e_density": e,
+        "div_a_grad_absx": div_a_grad_absx,
+        "divz": divz,
+        "z_grad_u": np.einsum("...i,...i->...", z, grad),
+        "z_grad_e": np.einsum("...i,...i->...", z, egrad),
+        "t1_rows": np.einsum("...hli,...i,...h,...l->...", g, z, grad, grad),
+        "t4_rows": -2.0 * np.einsum("...hl,...hj,...j,...l->...", a, dz,
+                                    grad, grad),
+        "grad_x_F_z": np.einsum("...i,...i->...", g1, z),
+    }
+    return rows, agrad
+
+
+def test_node_data(case):
+    spec, fld = case
+    data = _node_data(spec, fld)
+    rows, agrad = einsum_node_rows(spec, fld)
+    for name, ref in rows.items():
+        same_bits(getattr(data, name), ref)
+    same_bits(data.absx, np.linalg.norm(fld.points(), axis=-1))
     # the residual reads A grad u from the node data, or forms it itself
     same_bits(data.rho0, np.nan_to_num(_residual_grid(
         spec, fld, agrad=np.moveaxis(agrad, -1, 0)), nan=0.0))
     same_bits(data.rho0, np.nan_to_num(_residual_grid(spec, fld), nan=0.0))
-    for i in range(2):
-        assert data.grad[..., i].flags.c_contiguous
 
 
 def test_transport_identity_rows(case):
+    # the general identities integrate the node data's transport rows
     spec, fld = case
     data = _node_data(spec, fld)
-    egrad = np.stack(cartesian_gradient(data.e_density, fld.r, fld.theta),
-                     axis=-1)
-    old = (np.einsum("...i,...i->...", data.zvals, egrad),
-           np.einsum("...hli,...i,...h,...l->...", data.agrads, data.zvals,
-                     data.grad, data.grad),
-           -2.0 * np.einsum("...hl,...hj,...j,...l->...", data.a, data.zjac,
-                            data.grad, data.grad))
-    for new, ref in zip(_transport_rows(data, fld), old):
-        same_bits(new, ref)
+    rows, _ = einsum_node_rows(spec, fld)
     prof = frequency_profile(spec, fld)
-    g1 = grad1_F(spec.nonlinearity, data.pts, data.u)
+    idx = prof.indices
+    rep9, rep10 = verify_rellich_general(spec, fld, prof)
+    same_bits(rep9.lhs, data.ball(rows["z_grad_e"])[idx])
+    terms = rep9.details["terms"]
+    same_bits(terms["coefficient_gradient"], data.ball(rows["t1_rows"])[idx])
+    same_bits(terms["z_jacobian"], data.ball(rows["t4_rows"])[idx])
     same_bits(verify_f_transport(spec, fld, prof).details["grad1F_term"],
-              data.ball(np.einsum("...i,...i->...", g1, data.zvals))[
-                  prof.indices])
+              data.ball(rows["grad_x_F_z"])[idx])
+
+
+def node_arrays(data):
+    return {k: v for k, v in vars(data).items() if isinstance(v, np.ndarray)}
+
+
+def test_ring_blocks_keep_the_bits(case, monkeypatch):
+    # one ring per block and the whole grid in one block give the same rows
+    spec, fld = case
+    monkeypatch.setattr(frequency, "_BLOCK_NODES", 1)
+    assert len(frequency._ring_blocks(*fld.u.shape)) == N_R + 1
+    rings = node_arrays(frequency._NodeData(spec, fld))
+    monkeypatch.setattr(frequency, "_BLOCK_NODES", 10 ** 9)
+    monkeypatch.setattr(frequency, "_MIN_BLOCKS", 1)
+    assert len(frequency._ring_blocks(*fld.u.shape)) == 1
+    whole = node_arrays(frequency._NodeData(spec, fld))
+    assert rings.keys() == whole.keys()
+    for name in whole:
+        same_bits(rings[name], whole[name])
+
+
+def test_node_data_holds_node_rows_only(case):
+    # no tensor, point or gradient array outlives the constructor, on a
+    # grid or on a radial profile (one angular column)
+    r = np.linspace(0.0, 1.0, 65)
+    radial = (ProblemSpec.model(3, 1.5), SolutionField.radial_from_arrays(
+        r, 1.0 - r ** 2, -2.0 * r, 3, 1.5))
+    for spec, fld in (case, radial):
+        data = frequency._NodeData(spec, fld)
+        shape = data.u.shape
+        assert shape == (len(fld.r), 1 if fld.representation == "radial"
+                         else len(fld.theta))
+        for name, value in node_arrays(data).items():
+            if name not in ("r", "ring"):  # the radial axis, not a row
+                assert value.shape == shape, name
 
 
 def test_polar_frame_entries(case):
