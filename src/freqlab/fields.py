@@ -340,9 +340,14 @@ class _Stencil:
     of shape (n_r, n_theta): coef[di, dj][i, j] multiplies u[i + di, j + dj]
     in the equation of node (i, j).  Row 0 is the pole equation (a disk of
     radius dr/2), whose rows j all land in one equation, as the pole is one
-    value; rows 1..n_r-1 are the rings.  `apply` reads the boundary ring as
-    the last row of the node array, so the equations L u = b + B g read
-    apply(_nodes(u, g)) + b = 0.
+    value; rows 1..n_r-1 are the rings.  `apply(u, g)` reads the unknown
+    vector u and the boundary ring g, so the equations L u = b + B g read
+    apply(u, g) + b = 0.
+
+    `apply` copies u and g into a node array it keeps, and sums the
+    products a block of equation rows at a time: the pole row, then the
+    rings in the blocks of `frequency._ring_blocks` (whole rings, at most
+    256 KiB of float64 a block), so a block's terms stay in cache.
     """
 
     def __init__(self, spec, r_nodes, theta):
@@ -398,18 +403,45 @@ class _Stencil:
             for di, dj2, s2 in ((1, 0, 1.0), (-1, 0, -1.0), (1, 1, 1.0), (-1, 1, -1.0)):
                 coef[di, dj_face + dj2][i] += s * s2 * coefs
 
-    def apply(self, nodes):
-        """div(A grad .) at the unknowns, as a vector like theirs."""
+        # `apply`'s node array, with one ghost row above the pole (read with
+        # zero coefficients only, so it stays zero) and one wrapped column
+        # on each side; the equation rows of its blocks; one block of products
+        from .frequency import _ring_blocks
+
+        n_t = len(theta)
+        self._ext = np.zeros((M + 2, n_t + 2))
+        self._blocks = [slice(0, 1)] + [slice(1 + rows.start, 1 + rows.stop)
+                                        for rows in _ring_blocks(M - 1, n_t)]
+        self._term = np.empty((max(b.stop - b.start for b in self._blocks), n_t))
+
+    def apply(self, u, boundary):
+        """div(A grad .) at the unknowns, as a vector like the unknown
+        vector u, with `boundary` on the boundary ring.  Each node sums its
+        nine terms in `_coef`'s order, from 0, as a whole-grid sum() of the
+        nine product arrays does, so the blocks change no bit.
+        """
         M, n_t = self.shape
-        # one ghost row above the pole (read with zero coefficients only)
-        # and one wrapped column on each side
-        ext = np.zeros((M + 2, n_t + 2))
-        ext[1:, 1:-1] = nodes
+        ext = self._ext
+        ext[1, 1:-1] = u[0]
+        ext[2:M + 1, 1:-1] = u[1:].reshape(M - 1, n_t)
+        ext[M + 1, 1:-1] = boundary
         ext[:, 0] = ext[:, -2]
         ext[:, -1] = ext[:, 1]
-        rows = sum(coef * ext[1 + di:1 + di + M, 1 + dj:1 + dj + n_t]
-                   for (di, dj), coef in self._coef.items())
-        return np.concatenate(([rows[0].sum()], rows[1:].ravel()))
+        out = np.empty(len(u))
+        pole = np.empty((1, n_t))
+        rings = out[1:].reshape(M - 1, n_t)
+        for rows in self._blocks:
+            acc = rings[rows.start - 1:rows.stop - 1] if rows.start else pole
+            term = self._term[:len(acc)]
+            for k, ((di, dj), coef) in enumerate(self._coef.items()):
+                shifted = ext[1 + di + rows.start:1 + di + rows.stop,
+                              1 + dj:1 + dj + n_t]
+                np.multiply(coef[rows], shifted, out=term if k else acc)
+                if k:
+                    acc += term
+            acc += 0.0  # from 0: nine terms of -0.0 sum to +0.0
+        out[0] = pole[0].sum()
+        return out
 
 
 # a stencil whose offset arrays each spread along every ring by at most this
@@ -472,15 +504,24 @@ class _FourierFactor:
         self.nnz = len(dl) + len(d) + len(du) + len(du2)
 
     def solve(self, b):
+        """The theta-mean factor's solution x of L x = b, a new vector like
+        the unknown vector b, which is left as it is.
+
+        Each ring's FFT writes straight into the mode-major right-hand side
+        (rfft along axis 0 of the rings' transposed view), which gttrs
+        overwrites with the solution; each ring's inverse FFT writes into
+        the result through its transposed view.  These are the transforms
+        of the rings one by one, so no transposing copy is made.
+        """
         m, n_t, n_k = self.n_ring, self.n_theta, self.n_mode
         bh = np.empty(1 + n_k * m, dtype=complex)
         bh[0] = b[0]
-        bh[1:].reshape(n_k, m)[...] = np.fft.rfft(b[1:].reshape(m, n_t), axis=1).T
-        x, _ = self._gttrs(*self._factor, bh)
+        np.fft.rfft(b[1:].reshape(m, n_t).T, axis=0, out=bh[1:].reshape(n_k, m))
+        x, _ = self._gttrs(*self._factor, bh, overwrite_b=True)
         out = np.empty(len(b))
         out[0] = x[0].real
-        out[1:].reshape(m, n_t)[...] = np.fft.irfft(x[1:].reshape(n_k, m).T,
-                                                    n=n_t, axis=1)
+        np.fft.irfft(x[1:].reshape(n_k, m), n=n_t, axis=0,
+                     out=out[1:].reshape(m, n_t).T)
         return out
 
 
@@ -510,12 +551,13 @@ def _gmres(apply_L, precondition, F):
     true one of L c = F.  L c is read off the Arnoldi relation
     L Z_k y = V_{k+1} H_k y from the basis GMRES keeps anyway, so it costs
     no stencil application.  c and L c are None when _INNER_MAX_STEPS steps
-    fall short.
+    fall short.  F is scaled in place into the first basis vector.
     """
     beta = float(np.linalg.norm(F))
     if beta == 0.0:
         return np.zeros_like(F), np.zeros_like(F), 0
-    basis, search = [F / beta], []
+    F /= beta
+    basis, search = [F], []
     hess = np.zeros((_INNER_MAX_STEPS + 1, _INNER_MAX_STEPS))
     rhs = np.zeros(_INNER_MAX_STEPS + 1)
     rhs[0] = beta
@@ -549,7 +591,7 @@ class _CarriedDefect:
 
     def __init__(self, stencil, boundary, u):
         self._stencil, self._boundary = stencil, boundary
-        self.value = stencil.apply(_nodes(u, boundary))
+        self.value = stencil.apply(u, boundary)
 
     def step(self, L_step):
         """u gained the step whose image under L is L_step."""
@@ -563,9 +605,9 @@ class _CarriedDefect:
         """Replace the carried defect by a freshly applied one; returns
         sup |solve(carried - fresh)|, the carried defect's error in u units
         (`solve` approximates L^-1)."""
-        fresh = self._stencil.apply(_nodes(u, self._boundary))
+        fresh = self._stencil.apply(u, self._boundary)
         self.value -= fresh
-        gap = float(np.max(np.abs(solve(self.value))))
+        gap = _sup_abs(solve(self.value))
         self.value = fresh
         return gap
 
@@ -596,8 +638,12 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     not show it), and meta["solver"]["error_bound"] records rho/(1-rho)
     times the last step (reported only: the stop rule does not read it).
     L is the stencil of one
-    coefficient array per offset (`_Stencil`); `_FourierFactor` solves the
-    theta-mean of those arrays.  Two inner solves share the loop, and
+    coefficient array per offset (`_Stencil`), applied to the unknown
+    vector and the boundary ring one cache-sized block of rings at a time;
+    `_FourierFactor` solves the theta-mean of those arrays.  A step forms
+    the right-hand side rhs(u) once, in the unknown vector's layout, and
+    adds B g or the carried defect to it in place.  Two inner solves share
+    the loop, and
     meta["solver"]["inner_solve"] names the one that ran:
     - "fourier" when the factor is exact (A theta-invariant in the polar
       frame, so the theta-mean is L): u+ is the factor's solve of
@@ -655,18 +701,20 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
 
     stencil = _Stencil(spec, r_nodes, theta)
     precond = _FourierFactor(stencil)
-    uk = np.zeros(n_unknown) if initial is None else initial
+    # a copy, as the iterate is updated in place
+    uk = np.zeros(n_unknown) if initial is None else initial.copy()
     if precond.exact:
         # the factor is L: each step solves L u+ = rhs(u) + B g outright, so
         # after B g the loop reads no stencil coefficient
-        bg = stencil.apply(_nodes(np.zeros(n_unknown), g))
+        bg = stencil.apply(np.zeros(n_unknown), g)
         del stencil
         defect = None
     else:
         zero = np.zeros(n_theta)
 
         def apply_L(c):  # L c, c zero on the boundary
-            return -stencil.apply(_nodes(c, zero))
+            Lc = stencil.apply(c, zero)
+            return np.negative(Lc, out=Lc)
 
         defect = _CarriedDefect(stencil, g, uk)
 
@@ -674,36 +722,50 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     pts = _polar_points(r_nodes[:n_r], theta)
     V = spec.V(pts)
     src = 0.0 if source is None else np.asarray(source(pts), dtype=float)
+    nodes = np.empty((n_r, n_theta))
 
     distances = []
     jumps = []  # the iteration and rho of each extrapolation
     inner_iterations = 0
     gap = None
     for it in range(max_iters):
-        nodes = _nodes(uk, g)
-        rhs = V * nodes[:n_r] + eval_f(spec.nonlinearity, pts, nodes[:n_r]) + src
+        nodes[0] = uk[0]
+        nodes[1:] = uk[1:].reshape(n_r - 1, n_theta)
+        rhs = V * nodes
+        rhs += eval_f(spec.nonlinearity, pts, nodes)
+        rhs += src
+        # the right-hand side at the unknowns is the tail of rhs's rows
+        # from the pole row's last entry, which takes the pole's first; the
+        # carried defect (or B g) is added to it in place
+        F = rhs.reshape(-1)[n_theta - 1:]
+        F[0] = rhs[0, 0]
         # the correction c and L c, scaled in place into the step and its
         # image under L
         if defect is None:
-            step = precond.solve(_add_rows(bg.copy(), rhs)) - uk
+            F += bg
+            step = precond.solve(F)
+            step -= uk
             L_step, steps = None, 1
         else:  # GMRES on the defect rhs + B g - L u
-            step, L_step, steps = _gmres(apply_L, precond.solve,
-                                         _add_rows(defect.value.copy(), rhs))
+            F += defect.value
+            step, L_step, steps = _gmres(apply_L, precond.solve, F)
+        del rhs, F  # freed before the stop's fresh defect and the next rhs
         inner_iterations += steps
         if step is None:
             raise _solver_error(
                 f"inner GMRES did not reduce the defect to {_INNER_TOL:g} of "
                 f"its size in {_INNER_MAX_STEPS} steps (iteration {it + 1})",
                 uk, distances, jumps, tol)
-        step *= 1.0 - damping
-        dist = float(np.max(np.abs(step)))
+        if damping:
+            step *= 1.0 - damping
+            if L_step is not None:
+                L_step *= 1.0 - damping
+        dist = _sup_abs(step)
         distances.append(dist)
-        uk = uk + step
+        uk += step
         if defect is not None:
-            L_step *= 1.0 - damping
             defect.step(L_step)
-        if dist < tol and dist <= _STEP_REL_STOP * float(np.max(np.abs(uk))):
+        if dist < tol and dist <= _STEP_REL_STOP * _sup_abs(uk):
             if defect is None:
                 break
             # the stop stands on a true defect: the carried one must agree
@@ -743,12 +805,10 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     return fld
 
 
-def _add_rows(vec, rows):
-    """vec plus the node rows `rows` (pole row first) at the unknowns, in
-    place: the pole takes its row's first entry."""
-    vec[0] += rows[0, 0]
-    vec[1:] += rows[1:].ravel()
-    return vec
+def _sup_abs(x):
+    """max |x|, read off x's extremes without an |x| temporary (+0.0, not
+    -0.0, for an x of zeros)."""
+    return max(float(x.max()), -float(x.min())) + 0.0
 
 
 def _since_last_jump(distances, jumps):
@@ -790,7 +850,7 @@ def _solver_error(message, uk, distances, jumps, tol):
     `_steady_ratio`'s rule, on the steps up to the last one: a jump made at
     the last step was made on that ratio.  With no steady ratio (the steps
     are still in their transient) there is no prediction."""
-    stop = min(tol, _STEP_REL_STOP * float(np.max(np.abs(uk))))
+    stop = min(tol, _STEP_REL_STOP * _sup_abs(uk))
     steady = _steady_ratio(distances, [j for j in jumps
                                        if j["iteration"] < len(distances)])
     return SolverError(message, last=uk,

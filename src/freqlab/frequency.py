@@ -167,24 +167,25 @@ def write_identity_reports(reports, out_dir):
 # node-level integrand machinery
 
 
-# ring blocks of `_NodeData`'s grid pass: at most _BLOCK_NODES nodes each,
-# and at least _MIN_BLOCKS of them on a grid of _SPLIT_NODES nodes or more.
-# A block's tensors (A, grad A, Z, DZ and the temporaries of `geometry`)
-# come to about 35 arrays of its size, so the pass adds at most a few node
-# fields to the rows it fills; a smaller grid is one block, whose tensors
-# take about a megabyte, and a coefficient callable is called once for it.
+# ring blocks, of at most _BLOCK_NODES nodes each: a block's float64 rows
+# take at most 256 KiB, so the few a pass reads and writes stay in a core's
+# L2 cache.  The 2-D stencil (`fields._Stencil.apply`) sums its products in
+# them, and `_NodeData`'s grid pass evaluates its tensors in them.  The
+# grid pass also cuts a grid of _SPLIT_NODES nodes or more into at least
+# _MIN_BLOCKS blocks: a block's tensors (A, grad A, Z, DZ and the
+# temporaries of `geometry`) come to about 35 arrays of its size, so the
+# pass adds at most a few node fields to the rows it fills; a smaller grid
+# is one block, whose tensors take about a megabyte, and a coefficient
+# callable is called once for it.
 _BLOCK_NODES = 1 << 15
 _MIN_BLOCKS = 8
 _SPLIT_NODES = 1 << 12
 
 
-def _ring_blocks(n_rows, n_theta):
-    """Row slices of the ring blocks, the rows shared out as evenly as
-    whole rings allow."""
-    nodes = n_rows * n_theta
-    count = -(-nodes // _BLOCK_NODES)
-    if nodes >= _SPLIT_NODES:
-        count = max(count, _MIN_BLOCKS)
+def _ring_blocks(n_rows, n_theta, min_count=1):
+    """Row slices of at least `min_count` ring blocks (as many as there are
+    rows at most), the rows shared out as evenly as whole rings allow."""
+    count = max(-(-n_rows * n_theta // _BLOCK_NODES), min_count)
     count = min(count, n_rows)
     bounds = [k * n_rows // count for k in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -263,7 +264,8 @@ class _NodeData:
         # them: the residual takes div(A grad u), <Z, grad e> takes grad e
         grad = cartesian_gradient(fld.u, fld.r, fld.theta)
         agrad, z = np.empty((2,) + shape), np.empty((2,) + shape)
-        for rows in _ring_blocks(*shape):
+        split = shape[0] * shape[1] >= _SPLIT_NODES
+        for rows in _ring_blocks(*shape, _MIN_BLOCKS if split else 1):
             self._fill_block(spec, fld, rows, [g[rows] for g in grad],
                              agrad[:, rows], z[:, rows])
         del grad

@@ -343,11 +343,73 @@ class TestOperatorAssembly:
         rng = np.random.default_rng(n_r)
         x = rng.standard_normal(L.shape[0])
         g = rng.standard_normal(n_t)
-        for got, ref in ((stencil.apply(_nodes(x, g)), B @ g - L @ x),
-                         (stencil.apply(_nodes(x, 0.0 * g)), -(L @ x)),
-                         (stencil.apply(_nodes(0.0 * x, g)), B @ g)):
+        for got, ref in ((stencil.apply(x, g), B @ g - L @ x),
+                         (stencil.apply(x, 0.0 * g), -(L @ x)),
+                         (stencil.apply(0.0 * x, g), B @ g)):
             np.testing.assert_allclose(got, ref, rtol=1e-14,
                                        atol=1e-14 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("block_rings, n_blocks", [(1, 10), (3, 4),
+                                                       (None, 1)])
+    @pytest.mark.parametrize("n_t", [2, 6, 64])
+    @pytest.mark.parametrize("coeff", ["bowl", "spiral"])
+    def test_blocking_keeps_the_bits(self, bowl, coeff, n_t, block_rings,
+                                     n_blocks, monkeypatch):
+        # 10 rings in blocks of at most 1 or 3 rings (2, 3, 2, 3: 10 is no
+        # multiple of 3), or in one block; the pole row is a block of its
+        # own, so a block edge always lies at ring 1, where it meets the pole
+        spec = {"bowl": bowl.spec,
+                "spiral": ProblemSpec(2, 1.0, _spiral(0.4),
+                                      NonlinearitySpec.zero())}[coeff]
+        if block_rings is not None:
+            monkeypatch.setattr(freqlab.frequency, "_BLOCK_NODES",
+                                block_rings * n_t)
+        stencil = _Stencil(spec, *_grid(spec, 11, n_t))
+        assert len(stencil._blocks) == 1 + n_blocks
+        rng = np.random.default_rng(n_t)
+        u = rng.standard_normal(1 + 10 * n_t)
+        g = rng.standard_normal(n_t)
+        for x, b in ((u, g), (u, 0.0 * g), (0.0 * u, g)):
+            assert stencil.apply(x, b).tobytes() == \
+                _whole_grid_apply(stencil, x, b).tobytes()
+
+    def test_nine_negative_zero_terms_sum_to_plus_zero(self, bowl):
+        # sum() starts from 0, so a node whose nine products are all -0.0
+        # reads +0.0; zero coefficients signed against the values they
+        # multiply make every node such a node
+        stencil = _Stencil(bowl.spec, *_grid(bowl.spec, 11, 6))
+        M, n_t = stencil.shape
+        rng = np.random.default_rng(3)
+        u, g = rng.standard_normal(1 + 10 * n_t), rng.standard_normal(n_t)
+        ext = _padded_nodes(stencil, u, g)
+        for (di, dj), coef in stencil._coef.items():
+            coef[...] = np.copysign(
+                0.0, -ext[1 + di:1 + di + M, 1 + dj:1 + dj + n_t])
+        ref = _whole_grid_apply(stencil, u, g)
+        assert np.all(ref == 0.0) and not np.any(np.signbit(ref))
+        assert stencil.apply(u, g).tobytes() == ref.tobytes()
+
+
+def _padded_nodes(stencil, u, g):
+    """The node array of u and g with a zero ghost row above the pole and
+    one wrapped column on each side."""
+    M, n_t = stencil.shape
+    ext = np.zeros((M + 2, n_t + 2))
+    ext[1:, 1:-1] = _nodes(u, g)
+    ext[:, 0] = ext[:, -2]
+    ext[:, -1] = ext[:, 1]
+    return ext
+
+
+def _whole_grid_apply(stencil, u, g):
+    """The stencil as one sum() over whole-grid products, the pole's row
+    summed over its angles: the unblocked formula that `_Stencil.apply`
+    keeps bit for bit."""
+    M, n_t = stencil.shape
+    ext = _padded_nodes(stencil, u, g)
+    rows = sum(coef * ext[1 + di:1 + di + M, 1 + dj:1 + dj + n_t]
+               for (di, dj), coef in stencil._coef.items())
+    return np.concatenate(([rows[0].sum()], rows[1:].ravel()))
 
 
 def _spiral(c):
@@ -434,7 +496,7 @@ class TestFourierSolve:
         assert _rel_gap(x, lu.solve(b)) <= 1e-12
         # the factor is L, so the solver takes it without GMRES
         assert fourier.exact
-        Lx = -stencil.apply(_nodes(x, np.zeros(n_t)))
+        Lx = -stencil.apply(x, np.zeros(n_t))
         assert np.linalg.norm(b - Lx) <= 1e-12 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("coeff", [
@@ -461,9 +523,9 @@ class TestFourierSolve:
         calls = []
         apply = _Stencil.apply
 
-        def counted(stencil, nodes):
-            calls.append(nodes)
-            return apply(stencil, nodes)
+        def counted(stencil, u, boundary):
+            calls.append(u)
+            return apply(stencil, u, boundary)
 
         monkeypatch.setattr(_Stencil, "apply", counted)
         fld = solve_grid_2d(invariant_spec, lambda th: 0.3 + 0.1 * np.cos(th),
@@ -486,6 +548,35 @@ class TestFourierSolve:
                                       source=bowl.source, tol=1e-13)
         assert np.max(np.abs(fld.u - ref)) <= 1e-10
 
+    @pytest.mark.parametrize("path", ["fourier", "gmres"])
+    def test_solves_leave_their_arguments_alone(self, bowl, path,
+                                                monkeypatch):
+        # GMRES hands the factor's solve and the stencil its basis and
+        # search vectors, and the Fourier path hands the factor its
+        # right-hand side: no call may write into what it is given
+        calls = []
+
+        def guarded(method):
+            def call(self, *args):
+                before = [a.tobytes() for a in args]
+                out = method(self, *args)
+                assert [a.tobytes() for a in args] == before
+                calls.append(method.__name__)
+                return out
+            return call
+
+        monkeypatch.setattr(_Stencil, "apply", guarded(_Stencil.apply))
+        monkeypatch.setattr(_FourierFactor, "solve",
+                            guarded(_FourierFactor.solve))
+        if path == "fourier":
+            fld = solve_grid_2d(_cos1_spec(), lambda th: 0.2 * np.cos(th),
+                                n_r=32, n_theta=64)
+        else:
+            fld = solve_grid_2d(bowl.spec, bowl.boundary, n_r=32, n_theta=64,
+                                source=bowl.source)
+        assert fld.meta["solver"]["inner_solve"] == path
+        assert {"apply", "solve"} <= set(calls)
+
     def test_gmres_solve_applies_the_stencil_once_per_inner_step(
             self, bowl, monkeypatch):
         # the defect is applied once before the loop and carried by GMRES's
@@ -494,9 +585,9 @@ class TestFourierSolve:
         calls = []
         apply = _Stencil.apply
 
-        def counted(stencil, nodes):
-            calls.append(nodes)
-            return apply(stencil, nodes)
+        def counted(stencil, u, boundary):
+            calls.append(u)
+            return apply(stencil, u, boundary)
 
         monkeypatch.setattr(_Stencil, "apply", counted)
         fld = solve_grid_2d(bowl.spec, bowl.boundary, n_r=32, n_theta=64,
@@ -855,6 +946,32 @@ def test_grid_solve_leaves_scipy_sparse_unloaded():
             "b = manufactured_bowl(); "
             "solve_grid_2d(b.spec, b.boundary, n_r=16, n_theta=32, source=b.source)")
     assert _scipy_modules_after(code, "scipy.sparse") == "[]"
+
+
+def test_the_bowl_solve_peaks_within_its_ceiling():
+    # the tracemalloc peak of the bowl solve at 64x128, after a 32x64 solve
+    # has made every import, in node fields of 65 x 128 float64s: 29.2
+    # while the stencil summed whole-grid products
+    import gc
+    import tracemalloc
+
+    from freqlab.fields import manufactured_bowl
+
+    mp = manufactured_bowl(amplitude=1.0, v0=0.25)
+
+    def solve(n_r, n_theta):
+        return solve_grid_2d(mp.spec, mp.boundary, n_r=n_r, n_theta=n_theta,
+                             source=mp.source)
+
+    solve(32, 64)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        solve(64, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 29.2 * 65 * 128 * 8
 
 
 class TestResidualField:
