@@ -16,6 +16,7 @@ from .model import (
     AssumptionReport,
     c_constant,
     check_A1,
+    check_A2,
     check_A3,
     eval_F,
     normalize_coordinates,

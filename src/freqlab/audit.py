@@ -138,7 +138,7 @@ def _residual_epsilon(data):
     g *= data.ring * data.dtheta
     g[:, 0] = 0.0
     # ball integrals by one prefix pass down the contiguous rows
-    balls = cumulative_uniform(np.nan_to_num(g, nan=0.0, copy=False).T, data.h).T
+    balls = cumulative_uniform(g.T, data.h).T
     size = float(np.max(np.abs(balls[-2]) + balls[-1]))
     # the disc first, so that it wins ties (a radial field's one sector)
     mass = np.abs(np.vstack([balls[:n_sec].sum(axis=0), balls[:n_sec]]))

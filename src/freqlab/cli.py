@@ -25,7 +25,7 @@ from .fields import (SolverError, load_field, save_field, solve_grid_2d,
 from .frequency import (ProfileControls, frequency_profile,
                         run_all_identity_checks, write_identity_reports)
 from .io import RunRecord, jsonable, profile_to_csv, write_csv, write_json
-from .model import ProblemSpec, ball_grid, check_A1, check_A3
+from .model import ProblemSpec, ball_grid, check_A1, check_A2, check_A3
 from .odes import (PmeField, conserved_energy, counterexample_profile,
                    integrate_plane, integrate_radial, zero_audit)
 
@@ -410,13 +410,16 @@ def _check_points(spec):
 def cmd_check(cfg, spec):
     rec = _record(cfg)
     pts = _check_points(spec)
-    rep1 = check_A1(spec.coefficients, pts, radius=spec.outer_radius)
-    rep3 = check_A3(spec.nonlinearity, pts, radius=spec.outer_radius)
-    blob = {"schema_version": 1,
-            "A1": rep1.to_dict(), "A3": rep3.to_dict(),
-            "A2_note": "potential sampled finite" if spec.potential is None
-            else "potential is a bounded expression on the closed ball"}
-    ok = rep1.passed and rep3.passed
+    radius = spec.outer_radius
+    reports = {"A1": check_A1(spec.coefficients, pts, radius=radius),
+               "A3": check_A3(spec.nonlinearity, pts, radius=radius)}
+    blob = {"schema_version": 1}
+    if spec.potential is None:
+        blob["A2_note"] = "potential sampled finite"
+    else:
+        reports["A2"] = check_A2(spec, pts)
+    blob.update((name, rep.to_dict()) for name, rep in reports.items())
+    ok = all(rep.passed for rep in reports.values())
     rec.add(write_json(os.path.join(cfg.out_dir, "assumptions.json"), blob))
     rec.finish({"passed": bool(ok)})
     return EXIT_OK if ok else EXIT_CHECK_FAILED

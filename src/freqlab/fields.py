@@ -185,6 +185,19 @@ def _polar_points(r, theta):
                      np.multiply.outer(r, np.sin(theta))], axis=-1)
 
 
+def _require_finite(quantity, values, r, theta=None):
+    """Raise ValueError naming `quantity` and the first node (i, j) where
+    the node rows `values` (rows r, columns theta; theta None on a radial
+    profile) are not finite, with that node's r or point x."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    i, j = np.unravel_index(np.argmin(finite), finite.shape)
+    where = (f"r = {r[i]:.6g}" if theta is None else
+             "x = ({:.6g}, {:.6g})".format(*_polar_points(r[i], theta[j])))
+    raise ValueError(f"{quantity} is not finite at node ({i}, {j}), {where}")
+
+
 def cartesian_gradient(values, r, theta):
     """(gx, gy) of a polar node field with rows r and columns theta.
 
@@ -333,6 +346,25 @@ def _nodes(u, boundary):
     return np.vstack([np.full(n_t, u[0]), u[1:].reshape(-1, n_t), boundary])
 
 
+# ring blocks: at least _MIN_BLOCKS (one ring each at most) of at most
+# _BLOCK_NODES nodes, so a block's float64 rows take at most 256 KiB and
+# stay in a core's L2 cache.  `_Stencil.apply` sums its products in them;
+# the node pass of `frequency._NodeData` evaluates A, grad A, Z and DZ in
+# them, about 35 arrays of a block's size, so the minimum keeps that pass
+# within a few node fields of the rows it fills
+_BLOCK_NODES = 1 << 15
+_MIN_BLOCKS = 8
+
+
+def _ring_blocks(n_rows, n_theta):
+    """Row slices of the ring blocks of n_rows rows of n_theta nodes, the
+    rows shared out as evenly as whole rings allow."""
+    count = max(-(-n_rows * n_theta // _BLOCK_NODES), _MIN_BLOCKS)
+    count = min(count, n_rows)
+    bounds = [k * n_rows // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 class _Stencil:
     """div(A grad .) on the polar grid, applied matrix-free.
 
@@ -346,8 +378,8 @@ class _Stencil:
 
     `apply` copies u and g into a node array it keeps, and sums the
     products a block of equation rows at a time: the pole row, then the
-    rings in the blocks of `frequency._ring_blocks` (whole rings, at most
-    256 KiB of float64 a block), so a block's terms stay in cache.
+    rings in the blocks of `_ring_blocks`, so a block's terms stay in
+    cache.
     """
 
     def __init__(self, spec, r_nodes, theta):
@@ -406,8 +438,6 @@ class _Stencil:
         # `apply`'s node array, with one ghost row above the pole (read with
         # zero coefficients only, so it stays zero) and one wrapped column
         # on each side; the equation rows of its blocks; one block of products
-        from .frequency import _ring_blocks
-
         n_t = len(theta)
         self._ext = np.zeros((M + 2, n_t + 2))
         self._blocks = [slice(0, 1)] + [slice(1 + rows.start, 1 + rows.stop)
@@ -665,6 +695,8 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
       (None on the "fourier" path).
     `initial`, if given, is the unknown vector [pole, rings 1..n_r-1 row by
     row] of length 1 + (n_r - 1) n_theta.
+    Raises ValueError, naming the node, when V or the source is not finite
+    at a node, or f is not at the first iterate.
     Raises SolverError when the sup-distance fails to meet that rule, or when
     an inner solve fails to reach _INNER_TOL in _INNER_MAX_STEPS steps; it
     carries the contraction estimate and, where the step ratio is steady,
@@ -723,6 +755,9 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     V = spec.V(pts)
     src = 0.0 if source is None else np.asarray(source(pts), dtype=float)
     nodes = np.empty((n_r, n_theta))
+    for quantity, values in (("V", V), ("the source", src)):
+        _require_finite(quantity, np.broadcast_to(values, nodes.shape),
+                        r_nodes, theta)
 
     distances = []
     jumps = []  # the iteration and rho of each extrapolation
@@ -732,8 +767,12 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
         nodes[0] = uk[0]
         nodes[1:] = uk[1:].reshape(n_r - 1, n_theta)
         rhs = V * nodes
-        rhs += eval_f(spec.nonlinearity, pts, nodes)
+        fvals = eval_f(spec.nonlinearity, pts, nodes)
+        if not it:  # before the first inner solve, as V and the source
+            _require_finite("f", fvals, r_nodes, theta)
+        rhs += fvals
         rhs += src
+        del fvals
         # the right-hand side at the unknowns is the tail of rhs's rows
         # from the pole row's last entry, which takes the pole's first; the
         # carried defect (or B g) is added to it in place

@@ -30,8 +30,9 @@ import numpy as np
 
 from .model import _plane_sum, c_constant, eval_F, eval_f, grad1_F
 from .quadrature import cumulative_uniform, deriv_uniform, unit_sphere_area
-from .fields import (_polar_points, _require_radial_route, _residual_grid,
-                     cartesian_gradient, residual_field)
+from .fields import (_polar_points, _require_finite, _require_radial_route,
+                     _residual_grid, _ring_blocks, cartesian_gradient,
+                     residual_field)
 from .io import jsonable, write_json, write_npz
 
 __all__ = [
@@ -167,30 +168,6 @@ def write_identity_reports(reports, out_dir):
 # node-level integrand machinery
 
 
-# ring blocks, of at most _BLOCK_NODES nodes each: a block's float64 rows
-# take at most 256 KiB, so the few a pass reads and writes stay in a core's
-# L2 cache.  The 2-D stencil (`fields._Stencil.apply`) sums its products in
-# them, and `_NodeData`'s grid pass evaluates its tensors in them.  The
-# grid pass also cuts a grid of _SPLIT_NODES nodes or more into at least
-# _MIN_BLOCKS blocks: a block's tensors (A, grad A, Z, DZ and the
-# temporaries of `geometry`) come to about 35 arrays of its size, so the
-# pass adds at most a few node fields to the rows it fills; a smaller grid
-# is one block, whose tensors take about a megabyte, and a coefficient
-# callable is called once for it.
-_BLOCK_NODES = 1 << 15
-_MIN_BLOCKS = 8
-_SPLIT_NODES = 1 << 12
-
-
-def _ring_blocks(n_rows, n_theta, min_count=1):
-    """Row slices of at least `min_count` ring blocks (as many as there are
-    rows at most), the rows shared out as evenly as whole rings allow."""
-    count = max(-(-n_rows * n_theta // _BLOCK_NODES), min_count)
-    count = min(count, n_rows)
-    bounds = [k * n_rows // count for k in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
 class _NodeData:
     """Node rows of one field under one spec, whose ball must be the
     field's: the same N, and an R that the solvers' rule round(R/h) turns
@@ -205,12 +182,23 @@ class _NodeData:
 
     A polar grid also keeps the rows only the general identities read:
     <Z, grad e> (`z_grad_e`), the integrands of `verify_rellich_general`'s
-    terms T1 and T4 (`t1_rows`, `t4_rows`), <grad_x F, Z> (`grad_x_F_z`)
-    and |x| (`absx`).  On a grid, A (by `geometry`), V and f are evaluated
-    here only, ring block by ring block (`_ring_blocks`), and each block's
-    tensors are dropped once its rows are written; the residual rho reads
-    A grad u, V and f from here.
+    terms T1 and T4 (`t1_rows`, `t4_rows`) and <grad_x F, Z>
+    (`grad_x_F_z`).  On a grid, A (by `geometry`), V and f are evaluated
+    here only, ring block by ring block (`fields._ring_blocks`), and each
+    block's tensors are dropped once its rows are written; the residual rho
+    reads A grad u, V and f from here.
+
+    Every row is finite: the residual's unformed rows (`residual_field`'s
+    NaNs) count as 0, and a row of A, V or f that is not finite raises
+    ValueError naming the quantity and its first such node, so no identity
+    or gate is formed from it.
     """
+
+    # the rows in which A, V and f first show a value that is not finite;
+    # grad_x_F_z reads Z too, so it is looked at once A's rows are finite
+    _SOURCES = (("A", ("mu", "flux_r", "e_density", "div_a_grad_absx",
+                       "divz", "z_grad_u", "t1_rows", "t4_rows", "z_grad_e")),
+                ("V", ("V",)), ("f", ("fvals", "Fvals", "grad_x_F_z")))
 
     def __init__(self, spec, fld):
         if spec.dim != fld.dim or \
@@ -225,6 +213,12 @@ class _NodeData:
         else:
             self._fill_grid(spec, fld)
         np.nan_to_num(self.rho0, nan=0.0, copy=False)  # unformed rows count as 0
+        theta = fld.theta if fld.representation == "grid2d" else None
+        for quantity, names in self._SOURCES:
+            for name in names:
+                if name in vars(self):  # a radial profile has no z_grad_e
+                    _require_finite(quantity, getattr(self, name), self.r,
+                                    theta)
 
     def _fill_radial(self, spec, fld):
         # closed forms of the admitted kinds: A nu = nu gives A x = x, so
@@ -251,7 +245,7 @@ class _NodeData:
 
     _GRID_ROWS = ("mu", "flux_r", "e_density", "u_nu", "x_grad_u",
                   "div_a_grad_absx", "V", "fvals", "Fvals", "divz",
-                  "z_grad_u", "t1_rows", "t4_rows", "grad_x_F_z", "absx")
+                  "z_grad_u", "t1_rows", "t4_rows", "grad_x_F_z")
 
     def _fill_grid(self, spec, fld):
         self.ring = self.r
@@ -264,8 +258,7 @@ class _NodeData:
         # them: the residual takes div(A grad u), <Z, grad e> takes grad e
         grad = cartesian_gradient(fld.u, fld.r, fld.theta)
         agrad, z = np.empty((2,) + shape), np.empty((2,) + shape)
-        split = shape[0] * shape[1] >= _SPLIT_NODES
-        for rows in _ring_blocks(*shape, _MIN_BLOCKS if split else 1):
+        for rows in _ring_blocks(*shape):
             self._fill_block(spec, fld, rows, [g[rows] for g in grad],
                              agrad[:, rows], z[:, rows])
         del grad
@@ -304,7 +297,6 @@ class _NodeData:
         self.V[rows] = spec.V(pts)
         self.fvals[rows] = eval_f(spec.nonlinearity, pts, u)
         self.Fvals[rows] = eval_F(spec.nonlinearity, pts, u)
-        self.absx[rows] = np.linalg.norm(pts, axis=-1)
         # Z = A x / mu, its Jacobian and divergence, undefined at the pole
         z[...] = np.moveaxis(geo.z, -1, 0)
         divz = _plane_sum(dz[..., h, h] for h in range(2))
@@ -333,7 +325,7 @@ class _NodeData:
     def ball(self, rows):
         g = self.sphere(rows)
         g[0] = 0.0
-        return cumulative_uniform(np.nan_to_num(g, nan=0.0), self.h)
+        return cumulative_uniform(g, self.h)
 
 
 def _is_model_problem(spec, fld):
@@ -550,8 +542,8 @@ def verify_rellich_general(spec, fld, prof,
     rep10 = IdentityReport("surface_energy_scaling", prof.r, lhs10, rhs10,
                            tolerance)
     rep10.details["div_z_term"] = DIVZ
-    rep10.details["fitted_divz_O_r_constant"] = float(np.nanmax(
-        np.abs(divz[1:] - fld.dim) / data.absx[1:]))
+    rep10.details["fitted_divz_O_r_constant"] = float(np.max(
+        np.abs(divz[1:] - fld.dim) / data.r[1:, None]))
     rep9.details["coefficient_derivatives"] = _gradient_provenance(spec)
     rep10.details["coefficient_derivatives"] = _gradient_provenance(spec)
     return rep9, rep10

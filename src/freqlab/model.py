@@ -28,6 +28,7 @@ __all__ = [
     "eval_f",
     "grad1_F",
     "check_A1",
+    "check_A2",
     "check_A3",
     "c_constant",
     "normalize_coordinates",
@@ -669,10 +670,14 @@ def check_A3(spec, points=None, s_values=None, radius=1.0):
 
     g1 = grad1_F(spec, X, S)
     gnorm = np.sqrt(np.sum(g1 * g1, axis=-1))
-    finite = np.isfinite(gnorm).all() and np.isfinite(F).all()
+    finite = np.isfinite(gnorm) & np.isfinite(F)
+    witness = None  # else the first (x, s) where F or |grad_x F| is not finite
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        witness = [float(v) for v in points[i]] + [float(s_values[j])]
     report.clauses["A3.ii"] = ClauseVerdict(
-        "A3.ii", bool(finite), 0.0 if finite else -np.inf,
-        note="F(., s) differentiable in x at sampled points")
+        "A3.ii", witness is None, 0.0 if witness is None else -np.inf,
+        witness, note="F(., s) differentiable in x at sampled points")
     record("A3.iii", spec.kappa1 * F - gnorm, note="|grad_x F| <= kappa1 F")
 
     Fp = eval_F(spec, points, np.full(len(points), spec.eps0))
@@ -707,6 +712,23 @@ def check_A3(spec, points=None, s_values=None, radius=1.0):
     return report
 
 
+def check_A2(spec, points):
+    """V bounded on the ball, as far as the samples show: V finite at every
+    sampled point, the first point where it is not as the witness."""
+    points = np.asarray(points, dtype=float)
+    V = np.broadcast_to(spec.V(points), points.shape[:-1])
+    finite = np.isfinite(V)
+    report = AssumptionReport()
+    report.sample_counts = {"x": len(points)}
+    sup = float(np.max(np.abs(V[finite]), initial=0.0))
+    witness = (None if finite.all()
+               else [float(v) for v in points[int(np.argmin(finite))]])
+    report.clauses["A2.bounded"] = ClauseVerdict(
+        "A2.bounded", witness is None, -sup if witness is None else -np.inf,
+        witness, note=f"V finite at sampled points, sup |V| = {sup:.6g}")
+    return report
+
+
 _A1_DIRECTIONS = 16  # xi samples of the ellipticity sandwich
 _A1_GRAD_TOL = 1e-4  # closed-form vs central-difference entry gradients
 
@@ -720,9 +742,13 @@ def check_A1(coeff, points=None, radius=1.0):
     report = AssumptionReport()
     report.sample_counts = {"x": len(points), "directions": _A1_DIRECTIONS}
 
-    sym = float(np.max(np.abs(a - np.swapaxes(a, -1, -2))))
+    asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
+    sym = float(np.max(asym))
+    ok = asym <= 1e-12  # False where a is not finite
     report.clauses["A1.symmetric"] = ClauseVerdict(
-        "A1.symmetric", sym <= 1e-12, -sym, note="a_ij == a_ji at samples")
+        "A1.symmetric", bool(ok.all()), -sym,
+        None if ok.all() else [float(v) for v in points[int(np.argmin(ok))]],
+        note="a_ij == a_ji at samples")
 
     lam = coeff.ellipticity(points)
     ok_lam = bool(np.all((lam > 0) & (lam < 1)))

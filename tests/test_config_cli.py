@@ -7,6 +7,7 @@ import pytest
 from freqlab.cli import main
 from freqlab.config import (ConfigError, RunConfig, parse_problem_spec,
                             parse_run_config)
+from freqlab.fields import sample_grid2d, save_field
 from freqlab.io import content_hash_of_dir
 
 DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
@@ -884,6 +885,91 @@ class TestCliExitCodes:
         assert main(["ode", "--counterexample", "--q", "1.4",
                      "--out", str(tmp_path / "ignored")]) == 0
         assert (target / "ode_summary.json").exists()
+
+
+# x1^0.5 is NaN on the half disc x1 < 0, in V, in A and in f in turn
+_NAN_CONFIGS = {
+    "V": MODEL_CONFIG.replace("[potential]\nfield = 0",
+                              "[potential]\nfield = x1^0.5"),
+    "A": MODEL_CONFIG.replace("field = identity",
+                              "field = expr\na11 = 1 + x1^0.5\na12 = 0\n"
+                              "a22 = 1\nellipticity = 0.5"),
+    "f": MODEL_CONFIG.replace("kind = homogeneous\nq = 1.5",
+                              "kind = sum_of_powers\nterms = 1.5: x1^0.5\n"
+                              "kappa1 = 2.0\nkappa2 = 0.4"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+class TestNonFiniteInputs:
+    """A config expression that is NaN on part of the ball stops every
+    command before a verdict: the analysis and the solve exit 2 naming
+    the quantity and a node, and check records a failing clause with a
+    witness point."""
+
+    @pytest.fixture
+    def config(self, tmp_path, request):
+        path = tmp_path / f"{request.param}.ini"
+        text = _NAN_CONFIGS[request.param]
+        assert text != MODEL_CONFIG
+        path.write_text(text)
+        return request.param, path
+
+    @pytest.mark.parametrize("config", ["V", "A", "f"], indirect=True)
+    @pytest.mark.parametrize("command", ["audit", "frequency"])
+    def test_analysis_exits_2_naming_the_quantity(self, tmp_path, capsys,
+                                                  config, command):
+        # before, the gate's sums were NaN and masked to 0: audit read
+        # genuine_nonvanishing with epsilon 0, and frequency exited 7
+        quantity, path = config
+        fpath = tmp_path / "field.npz"
+        save_field(sample_grid2d(lambda x: 0.5 + 0.1 * x[..., 0], 1.0, 32,
+                                 64, 1.5), str(fpath))
+        out = tmp_path / command
+        assert main([command, str(fpath), "--config", str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {quantity} is not finite at node (1, 17), x = (" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", ["V", "f"], indirect=True)
+    def test_solve_exits_2_before_the_first_inner_solve(self, tmp_path,
+                                                        capsys, config):
+        # before, the Picard iteration ran its 400 steps and exited 3
+        quantity, path = config
+        out = tmp_path / "so"
+        assert main(["solve", "--mode", "grid2d", "--rings", "16",
+                     "--angles", "32", "--boundary", "cos:1:0.2", "--config",
+                     str(path), "--out", str(out)]) == 2
+        assert f"error: {quantity} is not finite at node" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, clause", [("V", "A2.bounded"),
+                                                ("A", "A1.symmetric"),
+                                                ("f", "A3.ii")],
+                             indirect=["config"])
+    def test_check_records_a_failing_clause_with_a_witness(self, tmp_path,
+                                                           config, clause):
+        # before, a potential was written up as "a bounded expression on
+        # the closed ball" without being sampled, and check exited 0
+        _, path = config
+        out = tmp_path / "ck"
+        assert main(["check", "--config", str(path), "--out", str(out)]) == 7
+        blob = json.loads((out / "assumptions.json").read_text())
+        verdict = blob[clause.split(".")[0]]["clauses"][clause]
+        assert not verdict["passed"]
+        assert verdict["witness"][0] < 0.0  # x1 < 0, where x1^0.5 is NaN
+
+    def test_check_samples_a_bounded_potential(self, tmp_path):
+        out = tmp_path / "ck"
+        cfgfile = tmp_path / "variable.ini"
+        cfgfile.write_text(VARIABLE_CONFIG)
+        assert main(["check", "--config", str(cfgfile),
+                     "--out", str(out)]) == 0
+        blob = json.loads((out / "assumptions.json").read_text())
+        assert blob["A2"]["clauses"]["A2.bounded"]["passed"]
+        assert "A2_note" not in blob
 
 
 class TestHarmonicBoundary:

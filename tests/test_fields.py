@@ -17,7 +17,7 @@ from freqlab.fields import (SolutionField, SolverError, cartesian_gradient,
                             sample_grid2d, save_field, solve_grid_2d,
                             solve_radial)
 from freqlab.fields import (_FourierFactor, _nodes, _polar_frame_entries,
-                            _Stencil, glued_residual_exact)
+                            _ring_blocks, _Stencil, glued_residual_exact)
 from freqlab.model import (CoefficientField, NonlinearitySpec, PowerTerm,
                            ProblemSpec, eval_f)
 
@@ -223,6 +223,16 @@ class TestGrid2dSolve:
             solve_grid_2d(bowl.spec, bowl.boundary, n_r=8, n_theta=16,
                           source=bowl.source, initial=initial)
 
+    def test_rejects_a_source_that_is_not_finite_naming_its_node(self, bowl):
+        # NaN where x2 < 0: node (1, 9) is ring 1's first angle past pi
+        def source(x):
+            return np.where(x[..., 1] < 0.0, np.nan, bowl.source(x))
+
+        with pytest.raises(ValueError, match=r"the source is not finite at "
+                           r"node \(1, 9\), x = \(-0\.115485, -0\.0478354\)"):
+            solve_grid_2d(bowl.spec, bowl.boundary, n_r=8, n_theta=16,
+                          source=source)
+
     def test_bowl_takes_one_inner_step_per_iteration(self, bowl):
         # the theta-mean of L is about 1% off L on the bowl, well inside
         # the inner tolerance; the preconditioner stores gttrf's four bands
@@ -361,8 +371,9 @@ class TestOperatorAssembly:
         spec = {"bowl": bowl.spec,
                 "spiral": ProblemSpec(2, 1.0, _spiral(0.4),
                                       NonlinearitySpec.zero())}[coeff]
+        monkeypatch.setattr(freqlab.fields, "_MIN_BLOCKS", 1)
         if block_rings is not None:
-            monkeypatch.setattr(freqlab.frequency, "_BLOCK_NODES",
+            monkeypatch.setattr(freqlab.fields, "_BLOCK_NODES",
                                 block_rings * n_t)
         stencil = _Stencil(spec, *_grid(spec, 11, n_t))
         assert len(stencil._blocks) == 1 + n_blocks
@@ -372,6 +383,25 @@ class TestOperatorAssembly:
         for x, b in ((u, g), (u, 0.0 * g), (0.0 * u, g)):
             assert stencil.apply(x, b).tobytes() == \
                 _whole_grid_apply(stencil, x, b).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.one_of(
+        st.just((33, 64)),
+        st.tuples(st.integers(2, 2049), st.sampled_from([1, 2, 64, 128, 2048]))))
+    def test_one_ring_block_rule(self, shape):
+        # the stencil's ring rows and the node pass's node rows share one
+        # rule: the blocks cover the rows in order, there are
+        # min(rows, max(ceil(nodes / _BLOCK_NODES), _MIN_BLOCKS)) of them,
+        # and their sizes differ by at most one ring
+        n_rows, n_theta = shape
+        blocks = _ring_blocks(n_rows, n_theta)
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == n_rows
+        want = max(-(-n_rows * n_theta // freqlab.fields._BLOCK_NODES),
+                   freqlab.fields._MIN_BLOCKS)
+        assert len(blocks) == min(n_rows, want)
+        sizes = [b.stop - b.start for b in blocks]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
     def test_nine_negative_zero_terms_sum_to_plus_zero(self, bowl):
         # sum() starts from 0, so a node whose nine products are all -0.0

@@ -619,8 +619,8 @@ class TestDivAGradAbsx:
 class TestCoefficientEvaluations:
     def test_one_polar_analysis(self, variable_coefficients_spec, monkeypatch):
         # A and its gradients, V and f are evaluated once per ring block,
-        # for the node data (a 32 x 64 grid is one block): the residual,
-        # div(A grad |x|) and the audit all read it
+        # for the node data: the residual, div(A grad |x|) and the audit
+        # all read it
         from collections import Counter
 
         import freqlab.fields
@@ -648,8 +648,10 @@ class TestCoefficientEvaluations:
         prof = frequency_profile(spec, fld)
         run_all_identity_checks(spec, fld, prof)
         audit(spec, fld)
-        assert calls == {"entries": 1, "entry_gradients": 1, "potential": 1,
-                         "eval_f": 1}
+        blocks = len(freqlab.fields._ring_blocks(*fld.u.shape))
+        assert blocks == 8
+        assert calls == {"entries": blocks, "entry_gradients": blocks,
+                         "potential": blocks, "eval_f": blocks}
 
     def test_residual_from_node_values_is_bit_identical(self, variable_coefficients_spec):
         # the analysis's rho, built from the node data's A grad u, V and f,

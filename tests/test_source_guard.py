@@ -19,6 +19,14 @@ frequency.py and CoefficientField.geometry name no einsum, whose inner loop
 runs over trailing axes of length 2.  check_A1 and the
 normalize_coordinates pullback run on a few dozen points and keep theirs.
 
+Node rows are finite by one rule: np.nan_to_num appears only in
+frequency._NodeData.__init__, which zeroes the residual's unformed rows
+and rejects every other row that is not finite, so no later pass masks a
+NaN that a config expression let through.
+
+The ring-block rule and the 2-D stencil live in fields.py, which imports
+nothing from frequency.py: the package has no import cycle.
+
 Exports are live: every name in a module's __all__ exists in that module,
 so a deleted function cannot leave a stale export behind.
 
@@ -314,4 +322,88 @@ def test_guard_flags_stray_environment_reads():
 def test_the_environment_sets_only_the_output_directory():
     hits = [hit for source, name in _modules()
             for hit in _environment_reads(source, name)]
+    assert hits == []
+
+
+_NAN_TO_NUM = ("frequency.py", "_NodeData.__init__")
+
+
+def _nan_to_num_uses(source, filename):
+    """Each use of nan_to_num (np.nan_to_num, a bare name, an import of it)
+    and the dotted name of the class or function it sits in."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if ((isinstance(child, ast.Attribute) and child.attr == "nan_to_num")
+                    or (isinstance(child, ast.Name) and child.id == "nan_to_num")
+                    or (isinstance(child, ast.ImportFrom)
+                        and any(a.name == "nan_to_num" for a in child.names))):
+                hits.append((f"{filename}:{child.lineno}: nan_to_num", scope))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source, filename), "")
+    return [hit for hit, scope in hits if (filename, scope) != _NAN_TO_NUM]
+
+
+def test_guard_flags_stray_nan_to_num():
+    snippet = ("import numpy as np\nfrom numpy import nan_to_num\n"
+               "class _NodeData:\n"
+               "    def __init__(self):\n"
+               "        np.nan_to_num(self.rho0, nan=0.0, copy=False)\n"
+               "    def ball(self, g):\n"
+               "        return np.nan_to_num(g)\n"
+               "def _residual_epsilon(g):\n    numpy.nan_to_num(g, copy=False)\n")
+    hits = _nan_to_num_uses(snippet, "frequency.py")
+    assert [hit.split(":")[1] for hit in hits] == ["2", "7", "9"]
+    # the constructor's one use is allowed in frequency.py only
+    hits = _nan_to_num_uses(snippet, "audit.py")
+    assert [hit.split(":")[1] for hit in hits] == ["2", "5", "7", "9"]
+
+
+def test_nan_to_num_only_in_the_node_data_constructor():
+    hits = [hit for source, name in _modules()
+            for hit in _nan_to_num_uses(source, name)]
+    assert hits == []
+
+
+def _imports_of_frequency(source, filename):
+    """Each import in fields.py of the frequency module or from it,
+    relative or absolute, at module level or inside a function."""
+    if filename != "fields.py":
+        return []
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [a.name for a in node.names]
+            if (module.split(".")[-1] == "frequency"
+                    or (module in ("", "freqlab") and "frequency" in names)):
+                hits.append((node.lineno, f"from {module} import "
+                                          f"{', '.join(names)}"))
+        elif isinstance(node, ast.Import):
+            hits += [(node.lineno, f"import {a.name}") for a in node.names
+                     if a.name.split(".")[-1] == "frequency"]
+    return [f"{filename}:{line}: {what}" for line, what in sorted(hits)]
+
+
+def test_guard_flags_imports_of_frequency_in_fields():
+    snippet = ("from .model import eval_f\n"
+               "def f():\n    from .frequency import _ring_blocks\n"
+               "from . import frequency\nimport freqlab.frequency\n"
+               "from freqlab.frequency import _NodeData\n"
+               "from .frequency_tools import x\n")
+    hits = _imports_of_frequency(snippet, "fields.py")
+    assert [hit.split(":")[1] for hit in hits] == ["3", "4", "5", "6"]
+    # other modules may import frequency
+    assert _imports_of_frequency(snippet, "audit.py") == []
+
+
+def test_fields_imports_nothing_from_frequency():
+    hits = [hit for source, name in _modules()
+            for hit in _imports_of_frequency(source, name)]
     assert hits == []
