@@ -185,14 +185,16 @@ def _polar_points(r, theta):
                      np.multiply.outer(r, np.sin(theta))], axis=-1)
 
 
-def _require_finite(quantity, values, r, theta=None):
+def _require_finite(quantity, values, r, theta=None, first_row=0):
     """Raise ValueError naming `quantity` and the first node (i, j) where
-    the node rows `values` (rows r, columns theta; theta None on a radial
-    profile) are not finite, with that node's r or point x."""
+    the node rows `values` (rows r[first_row:], columns theta; theta None on
+    a radial profile; any further axes a node's components) are not finite,
+    with that node's r or point x."""
     finite = np.isfinite(values)
     if finite.all():
         return
-    i, j = np.unravel_index(np.argmin(finite), finite.shape)
+    i, j = np.unravel_index(np.argmin(finite), finite.shape)[:2]
+    i += first_row
     where = (f"r = {r[i]:.6g}" if theta is None else
              "x = ({:.6g}, {:.6g})".format(*_polar_points(r[i], theta[j])))
     raise ValueError(f"{quantity} is not finite at node ({i}, {j}), {where}")
@@ -346,20 +348,23 @@ def _nodes(u, boundary):
     return np.vstack([np.full(n_t, u[0]), u[1:].reshape(-1, n_t), boundary])
 
 
-# ring blocks: at least _MIN_BLOCKS (one ring each at most) of at most
-# _BLOCK_NODES nodes, so a block's float64 rows take at most 256 KiB and
-# stay in a core's L2 cache.  `_Stencil.apply` sums its products in them;
-# the node pass of `frequency._NodeData` evaluates A, grad A, Z and DZ in
-# them, about 35 arrays of a block's size, so the minimum keeps that pass
-# within a few node fields of the rows it fills
+# ring blocks of at most _BLOCK_NODES nodes, so a block's float64 rows take
+# at most 256 KiB and stay in a core's L2 cache.  `_Stencil.apply` sums its
+# products in them.  The node pass of `frequency._NodeData` evaluates A,
+# grad A, Z and DZ in them, about 35 arrays of a block's size, and asks for
+# at least _MIN_BLOCKS, which keeps that pass within a few node fields of
+# the rows it fills (one block peaks at 56 field sizes at 64x128, eight at
+# 27).  The stencil asks for no minimum: at 64x128 eight blocks cost it
+# about 3x per application and a GMRES solve about 1.3x
 _BLOCK_NODES = 1 << 15
 _MIN_BLOCKS = 8
 
 
-def _ring_blocks(n_rows, n_theta):
-    """Row slices of the ring blocks of n_rows rows of n_theta nodes, the
-    rows shared out as evenly as whole rings allow."""
-    count = max(-(-n_rows * n_theta // _BLOCK_NODES), _MIN_BLOCKS)
+def _ring_blocks(n_rows, n_theta, min_count=1):
+    """Row slices of at least `min_count` ring blocks (one ring each at
+    most) of n_rows rows of n_theta nodes, the rows shared out as evenly as
+    whole rings allow."""
+    count = max(-(-n_rows * n_theta // _BLOCK_NODES), min_count)
     count = min(count, n_rows)
     bounds = [k * n_rows // count for k in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -731,6 +736,15 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     if np.any(~np.isfinite(g)):
         raise ValueError("boundary data must be finite")
 
+    # the equations' nodes: the pole (row 0, repeated) and rings 1..n_r-1;
+    # V and the source are checked before the stencil is assembled
+    pts = _polar_points(r_nodes[:n_r], theta)
+    V = spec.V(pts)
+    src = 0.0 if source is None else np.asarray(source(pts), dtype=float)
+    for quantity, values in (("V", V), ("the source", src)):
+        _require_finite(quantity, np.broadcast_to(values, (n_r, n_theta)),
+                        r_nodes, theta)
+
     stencil = _Stencil(spec, r_nodes, theta)
     precond = _FourierFactor(stencil)
     # a copy, as the iterate is updated in place
@@ -750,15 +764,7 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
 
         defect = _CarriedDefect(stencil, g, uk)
 
-    # the equations' nodes: the pole (row 0, repeated) and rings 1..n_r-1
-    pts = _polar_points(r_nodes[:n_r], theta)
-    V = spec.V(pts)
-    src = 0.0 if source is None else np.asarray(source(pts), dtype=float)
     nodes = np.empty((n_r, n_theta))
-    for quantity, values in (("V", V), ("the source", src)):
-        _require_finite(quantity, np.broadcast_to(values, nodes.shape),
-                        r_nodes, theta)
-
     distances = []
     jumps = []  # the iteration and rho of each extrapolation
     inner_iterations = 0

@@ -30,9 +30,9 @@ import numpy as np
 
 from .model import _plane_sum, c_constant, eval_F, eval_f, grad1_F
 from .quadrature import cumulative_uniform, deriv_uniform, unit_sphere_area
-from .fields import (_polar_points, _require_finite, _require_radial_route,
-                     _residual_grid, _ring_blocks, cartesian_gradient,
-                     residual_field)
+from .fields import (_MIN_BLOCKS, _polar_points, _require_finite,
+                     _require_radial_route, _residual_grid, _ring_blocks,
+                     cartesian_gradient, residual_field)
 from .io import jsonable, write_json, write_npz
 
 __all__ = [
@@ -189,16 +189,11 @@ class _NodeData:
     reads A grad u, V and f from here.
 
     Every row is finite: the residual's unformed rows (`residual_field`'s
-    NaNs) count as 0, and a row of A, V or f that is not finite raises
-    ValueError naming the quantity and its first such node, so no identity
+    NaNs) count as 0, and a value of A, grad A, V, f, F or grad_x F that
+    is not finite at a node raises ValueError, where it is evaluated,
+    naming the quantity (A, V or f) and its first such node, so no identity
     or gate is formed from it.
     """
-
-    # the rows in which A, V and f first show a value that is not finite;
-    # grad_x_F_z reads Z too, so it is looked at once A's rows are finite
-    _SOURCES = (("A", ("mu", "flux_r", "e_density", "div_a_grad_absx",
-                       "divz", "z_grad_u", "t1_rows", "t4_rows", "z_grad_e")),
-                ("V", ("V",)), ("f", ("fvals", "Fvals", "grad_x_F_z")))
 
     def __init__(self, spec, fld):
         if spec.dim != fld.dim or \
@@ -213,12 +208,6 @@ class _NodeData:
         else:
             self._fill_grid(spec, fld)
         np.nan_to_num(self.rho0, nan=0.0, copy=False)  # unformed rows count as 0
-        theta = fld.theta if fld.representation == "grid2d" else None
-        for quantity, names in self._SOURCES:
-            for name in names:
-                if name in vars(self):  # a radial profile has no z_grad_e
-                    _require_finite(quantity, getattr(self, name), self.r,
-                                    theta)
 
     def _fill_radial(self, spec, fld):
         # closed forms of the admitted kinds: A nu = nu gives A x = x, so
@@ -241,6 +230,8 @@ class _NodeData:
         self.div_a_grad_absx[1:, 0] = (dim - 1) / self.r[1:]
         self.fvals = eval_f(spec.nonlinearity, None, self.u)
         self.Fvals = eval_F(spec.nonlinearity, None, self.u)
+        for values in (self.fvals, self.Fvals):
+            _require_finite("f", values, self.r)
         self.rho0 = residual_field(spec, fld)[:, None]
 
     _GRID_ROWS = ("mu", "flux_r", "e_density", "u_nu", "x_grad_u",
@@ -258,7 +249,7 @@ class _NodeData:
         # them: the residual takes div(A grad u), <Z, grad e> takes grad e
         grad = cartesian_gradient(fld.u, fld.r, fld.theta)
         agrad, z = np.empty((2,) + shape), np.empty((2,) + shape)
-        for rows in _ring_blocks(*shape):
+        for rows in _ring_blocks(*shape, _MIN_BLOCKS):
             self._fill_block(spec, fld, rows, [g[rows] for g in grad],
                              agrad[:, rows], z[:, rows])
         del grad
@@ -317,6 +308,10 @@ class _NodeData:
             for h in range(2) for j in range(2) for l in range(2))
         g1 = grad1_F(spec.nonlinearity, pts, u)
         self.grad_x_F_z[rows] = _plane_sum(g1[..., i] * z[i] for i in range(2))
+        for quantity, values in (("A", a), ("A", g), ("V", self.V[rows]),
+                                 ("f", self.fvals[rows]),
+                                 ("f", self.Fvals[rows]), ("f", g1)):
+            _require_finite(quantity, values, self.r, fld.theta, rows.start)
 
     def sphere(self, rows, idx=slice(None)):
         """Sphere integrals of node rows; `rows` holds the rows `idx` only."""

@@ -654,11 +654,11 @@ def check_A3(spec, points=None, s_values=None, radius=1.0):
     report.sample_counts = {"x": len(points), "s": len(s_values)}
 
     def record(name, margins, note=""):
-        flat = np.argmin(margins)
+        flat = np.argmin(margins)  # the first NaN, if margins has one
         i, j = np.unravel_index(flat, margins.shape) if margins.ndim == 2 else (flat, None)
         worst = float(margins.flat[flat])
         witness = None
-        if worst < -_A3_SLACK * max(1.0, float(np.max(np.abs(F)))):
+        if not worst >= -_A3_SLACK * max(1.0, float(np.max(np.abs(F)))):
             witness = [float(v) for v in points[i]]
             if j is not None:
                 witness.append(float(s_values[j]))
@@ -695,14 +695,16 @@ def check_A3(spec, points=None, s_values=None, radius=1.0):
         for t in spec.terms:
             c = t.coef(points)
             g = t.coef_grad(points)
-            k = int(np.argmin(c))
-            if c[k] < worst_pos:
+            k = int(np.argmin(c))  # the first NaN, if c has one
+            # a NaN is the worst value: it takes the place of any number
+            # and keeps it
+            if not c[k] >= worst_pos and not math.isnan(worst_pos):
                 worst_pos = float(c[k])
-                if c[k] <= 0:
+                if not c[k] > 0:
                     wit = [float(v) for v in points[k]]
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.sqrt(np.sum(g * g, axis=-1)) / c
-            worst_ratio = max(worst_ratio, float(np.max(np.abs(ratio))))
+            worst_ratio = float(np.max(np.abs(ratio), initial=worst_ratio))
         report.clauses["coefficients.positive"] = ClauseVerdict(
             "coefficients.positive", worst_pos > 0.0, worst_pos, wit,
             note="every c_k > 0 on the domain")

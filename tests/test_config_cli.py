@@ -961,6 +961,22 @@ class TestNonFiniteInputs:
         assert not verdict["passed"]
         assert verdict["witness"][0] < 0.0  # x1 < 0, where x1^0.5 is NaN
 
+    @pytest.mark.parametrize("config", ["f"], indirect=True)
+    def test_check_fails_every_clause_whose_margin_is_nan(self, tmp_path,
+                                                          config):
+        # before, A3.i, A3.iii and both coefficient clauses passed with a
+        # null margin: a NaN margin never compares below the slack
+        _, path = config
+        out = tmp_path / "ck"
+        assert main(["check", "--config", str(path), "--out", str(out)]) == 7
+        clauses = json.loads((out / "assumptions.json").read_text())["A3"][
+            "clauses"]
+        assert len(clauses) == 7
+        for name, verdict in clauses.items():
+            assert not verdict["passed"], name
+            if name != "coefficients.log_gradient":  # a sup, with no point
+                assert verdict["witness"][0] < 0.0, name
+
     def test_check_samples_a_bounded_potential(self, tmp_path):
         out = tmp_path / "ck"
         cfgfile = tmp_path / "variable.ini"

@@ -233,6 +233,20 @@ class TestGrid2dSolve:
             solve_grid_2d(bowl.spec, bowl.boundary, n_r=8, n_theta=16,
                           source=source)
 
+    def test_rejects_a_potential_that_is_not_finite_before_assembly(
+            self, bowl, monkeypatch):
+        # V and the source are read before the stencil is built, so a NaN
+        # among them costs no assembly
+        def no_stencil(*args):
+            raise AssertionError("the stencil was assembled")
+
+        monkeypatch.setattr(freqlab.fields, "_Stencil", no_stencil)
+        spec = dataclasses.replace(
+            bowl.spec, potential=lambda x: np.where(x[..., 1] < 0.0, np.nan, 0.0))
+        with pytest.raises(ValueError, match=r"V is not finite at node \(1, 9\)"):
+            solve_grid_2d(spec, bowl.boundary, n_r=8, n_theta=16,
+                          source=bowl.source)
+
     def test_bowl_takes_one_inner_step_per_iteration(self, bowl):
         # the theta-mean of L is about 1% off L on the bowl, well inside
         # the inner tolerance; the preconditioner stores gttrf's four bands
@@ -371,7 +385,6 @@ class TestOperatorAssembly:
         spec = {"bowl": bowl.spec,
                 "spiral": ProblemSpec(2, 1.0, _spiral(0.4),
                                       NonlinearitySpec.zero())}[coeff]
-        monkeypatch.setattr(freqlab.fields, "_MIN_BLOCKS", 1)
         if block_rings is not None:
             monkeypatch.setattr(freqlab.fields, "_BLOCK_NODES",
                                 block_rings * n_t)
@@ -387,18 +400,20 @@ class TestOperatorAssembly:
     @settings(max_examples=300, deadline=None)
     @given(shape=st.one_of(
         st.just((33, 64)),
-        st.tuples(st.integers(2, 2049), st.sampled_from([1, 2, 64, 128, 2048]))))
-    def test_one_ring_block_rule(self, shape):
-        # the stencil's ring rows and the node pass's node rows share one
-        # rule: the blocks cover the rows in order, there are
-        # min(rows, max(ceil(nodes / _BLOCK_NODES), _MIN_BLOCKS)) of them,
-        # and their sizes differ by at most one ring
+        st.tuples(st.integers(2, 2049), st.sampled_from([1, 2, 64, 128, 2048]))),
+        min_count=st.sampled_from([None, freqlab.fields._MIN_BLOCKS]))
+    def test_one_ring_block_rule(self, shape, min_count):
+        # the stencil's ring rows (no minimum) and the node pass's node rows
+        # (at least _MIN_BLOCKS) share one rule: the blocks cover the rows
+        # in order, there are min(rows, max(ceil(nodes / _BLOCK_NODES),
+        # minimum)) of them, and their sizes differ by at most one ring
         n_rows, n_theta = shape
-        blocks = _ring_blocks(n_rows, n_theta)
+        blocks = (_ring_blocks(n_rows, n_theta) if min_count is None
+                  else _ring_blocks(n_rows, n_theta, min_count))
         assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
         assert blocks[-1].stop == n_rows
         want = max(-(-n_rows * n_theta // freqlab.fields._BLOCK_NODES),
-                   freqlab.fields._MIN_BLOCKS)
+                   min_count or 1)
         assert len(blocks) == min(n_rows, want)
         sizes = [b.stop - b.start for b in blocks]
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1

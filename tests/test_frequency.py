@@ -648,7 +648,8 @@ class TestCoefficientEvaluations:
         prof = frequency_profile(spec, fld)
         run_all_identity_checks(spec, fld, prof)
         audit(spec, fld)
-        blocks = len(freqlab.fields._ring_blocks(*fld.u.shape))
+        blocks = len(freqlab.fields._ring_blocks(*fld.u.shape,
+                                                 freqlab.fields._MIN_BLOCKS))
         assert blocks == 8
         assert calls == {"entries": blocks, "entry_gradients": blocks,
                          "potential": blocks, "eval_f": blocks}

@@ -162,11 +162,12 @@ def test_ring_blocks_keep_the_bits(case, monkeypatch):
     # one ring per block and the whole grid in one block give the same rows
     spec, fld = case
     monkeypatch.setattr(fields, "_BLOCK_NODES", 1)
-    assert len(fields._ring_blocks(*fld.u.shape)) == N_R + 1
+    assert len(fields._ring_blocks(*fld.u.shape,
+                                   frequency._MIN_BLOCKS)) == N_R + 1
     rings = node_arrays(frequency._NodeData(spec, fld))
     monkeypatch.setattr(fields, "_BLOCK_NODES", 10 ** 9)
-    monkeypatch.setattr(fields, "_MIN_BLOCKS", 1)
-    assert len(fields._ring_blocks(*fld.u.shape)) == 1
+    monkeypatch.setattr(frequency, "_MIN_BLOCKS", 1)
+    assert len(fields._ring_blocks(*fld.u.shape, frequency._MIN_BLOCKS)) == 1
     whole = node_arrays(frequency._NodeData(spec, fld))
     assert rings.keys() == whole.keys()
     for name in whole:
