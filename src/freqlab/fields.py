@@ -486,6 +486,53 @@ class _Stencil:
 _EXACT_ULPS = 64
 
 
+class _RingSweep:
+    """One triangular sweep of the factor's block-major work array, for
+    every mode at once: x_r += a_r x_(r-1) down the rows r, or
+    x_r += a_r x_(r+1) up them when `upward`.  Row r of the
+    (s, n_blocks, n_modes) arrays `work` and `a` sits at [r % s, r // s],
+    so the blocks hold s consecutive rows each, and the same row of every
+    block is one contiguous slab.
+
+    A plain sweep takes one step per row.  This one makes three passes
+    (Wang's partition method, ACM TOMS 7, 1981): the sweep inside every
+    block at once, as if nothing came in; then block to block, each
+    block's last row gaining the product of its block's a times the last
+    row of the block before; then the other rows of each block gain their
+    share of that carry.  That is 2s + n_blocks steps, each a product and a
+    sum into views made here.
+    """
+
+    def __init__(self, work, a, upward):
+        s, n_blocks, n_k = work.shape
+        rows = range(s - 1, -1, -1) if upward else range(s)
+        last = rows[-1]
+        # the blocks that take a carry, and the blocks they take it from
+        taking, giving = ((slice(0, -1), slice(1, None)) if upward
+                          else (slice(1, None), slice(0, -1)))
+        self._steps = [(a[j], work[i], work[j]) for i, j in zip(rows, rows[1:])]
+        carries = list(zip(a[:, taking].prod(axis=0), work[last, giving],
+                           work[last, taking]))
+        self._carries = carries[::-1] if upward else carries
+        self._carried = work[last, giving]
+        self._shares = [(a[j, taking], work[j, taking]) for j in rows[:-1]]
+        self._product = np.empty((n_blocks, n_k), dtype=complex)
+        self._share = np.empty((n_blocks - 1, n_k), dtype=complex)
+        self.nnz = (n_blocks - 1) * n_k  # the block products it keeps
+
+    def __call__(self):
+        mul, add, product, share = np.multiply, np.add, self._product, self._share
+        for a, src, dst in self._steps:
+            add(dst, mul(a, src, out=product), out=dst)
+        product = product[0]
+        for a, src, dst in self._carries:
+            add(dst, mul(a, src, out=product), out=dst)
+        src = self._carried
+        for a, dst in self._shares:
+            add(dst, mul(a, src, out=share), out=dst)
+            src = share
+
+
 class _FourierFactor:
     """The theta-mean of L = -div(A grad .), solved one angular mode at a
     time: T. Chan's optimal circulant preconditioner (SIAM J. Sci. Stat.
@@ -494,69 +541,127 @@ class _FourierFactor:
     A real FFT in theta turns the ring equations into n_theta/2 + 1 radial
     systems, tridiagonal in the ring index; only mode 0 also couples to the
     pole.  Mode k's symbol is the theta-mean of each of `stencil`'s offset
-    arrays times exp(2 pi i k dj / n_theta).  The systems are stacked into
-    one tridiagonal matrix, blocks joined by zeros, and factored once by
-    LAPACK's gttrf; `nnz` counts the entries of its four bands.  `exact` is
-    true when every offset array is constant in theta to _EXACT_ULPS ulps of
+    arrays times exp(2 pi i k dj / n_theta).  The systems are the columns
+    of one ring-major array, a row per ring.  Row 0 is the pole: in mode 0
+    its unknown is n_theta u(0), the mode-0 coefficient of a ring of one
+    value, and in every other mode it is an identity row.  Each column is
+    factored L U without pivoting, in one pass down the rings for all
+    modes at once.  `solve` copies the rings' FFT into a block-major work
+    array, blocks of about sqrt(n_r) rings, and runs both triangular sweeps
+    there for all modes and blocks at once (`_RingSweep`).
+
+    No pivoting is needed.  For A = I each mode's matrix is diagonally
+    dominant by rows: its off-diagonals are the radial fluxes through a
+    ring's two faces, its diagonal the same fluxes plus the angular term,
+    and with the pole's unknown n_theta u(0) the pole row and ring 1's are
+    dominant too.  Elimination without pivoting keeps the pivots of such a
+    matrix dominant (Wilkinson, J. ACM 8, 1961).  With the unknown u(0)
+    instead, ring 1's coupling to the pole, n_theta times its mean,
+    outgrows the pole's own entry (n_theta / 8 times it for A = I), and
+    partial pivoting (LAPACK's gttrf) swaps the two rows.  The cross terms
+    of a general A can break the dominance (A = I + 0.4 (x x_perp^T +
+    x_perp x^T), diagonal([20, 1]) and the manufactured bowl keep it at
+    64x128); the tests hold the sweeps to LAPACK and SuperLU on such
+    fields.
+
+    The factor keeps both sweeps' multipliers, the inverse pivots and the
+    sweeps' block products; `nnz` counts their entries.  `exact` is true
+    when every offset array is constant in theta to _EXACT_ULPS ulps of
     the stencil's largest entry: the theta-mean is then L, and `solve`
-    inverts L to round-off (||b - L x|| / ||b|| for a random b reads 5e-14
-    at 64x128 and 3e-10 at 1024x2048 under rotation_perturbed(0.3)).
+    inverts L to round-off (||b - L x|| / ||b|| for a random b reads 6e-14
+    at 64x128 and 2e-12 at 128x256 under the identity).  Raises
+    LinAlgError, naming the mode and the ring, at a pivot that is zero or
+    not finite.
     """
 
     def __init__(self, stencil):
-        from scipy.linalg import lapack
-
         n_r, n_t = stencil._coef[0, 0].shape
-        self.n_ring = m = n_r - 1
+        n_k = n_t // 2 + 1
         self.n_theta = n_t
-        self.n_mode = n_k = n_t // 2 + 1
-        phase = np.exp(2j * math.pi * np.arange(n_k)[:, None] / n_t)
-        # bands[di] holds, for mode k and ring i, the coefficient of mode k
-        # of ring i + di in ring i's equation; pole[di] that of the pole
-        # (di = 0) and of ring 1's mode 0 (di = 1) in the pole equation
-        bands = {di: np.zeros((n_k, m), dtype=complex) for di in (-1, 0, 1)}
-        pole = {0: 0.0, 1: 0.0}
         ulp = np.spacing(max(np.max(np.abs(c)) for c in stencil._coef.values()))
         self.exact = all(np.max(np.ptp(c, axis=1)) <= _EXACT_ULPS * ulp
                          for c in stencil._coef.values())
-        for (di, dj), coef in stencil._coef.items():
-            mean = coef.mean(axis=1)
-            bands[di] += mean[1:] * phase ** dj
-            if di in pole:  # the pole equation sums its rows over the angles
-                pole[di] += mean[0] * (n_t if di == 0 else 1.0)
-        # ring 1 couples to the pole, a single value, in mode 0 only
-        bands[-1][0, 0] *= n_t
-        bands[-1][1:, 0] = 0.0
-        bands[1][:, -1] = 0.0  # the boundary ring is known
-        dl = -bands[-1].ravel()
-        d = -np.concatenate(([pole[0]], bands[0].ravel()))
-        du = -np.concatenate(([pole[1]], bands[1].ravel()[:-1]))
-        dl, d, du, du2, ipiv, info = lapack.zgttrf(dl, d, du)
-        if info:
-            raise np.linalg.LinAlgError(f"mode system is singular (gttrf info {info})")
-        self._factor = (dl, d, du, du2, ipiv)
-        self._gttrs = lapack.zgttrs
-        self.nnz = len(dl) + len(d) + len(du) + len(du2)
+        # blocks of math.isqrt(n_r) rows, the last padded with identity rows
+        size = math.isqrt(n_r)
+        n_blocks = -(-n_r // size)
+        self._work = np.empty((size, n_blocks, n_k), dtype=complex)
+        # the bands of L: lower, diag and upper hold, for ring i (row) and
+        # mode k (column), the coefficient of ring i-1, i and i+1 in ring i's
+        # equation, -(mean_0 + mean_1 e^(i angle) + mean_-1 e^(-i angle)) of
+        # the offsets (di, dj) with di = -1, 0 and 1
+        angle = (2.0 * math.pi / n_t) * np.arange(n_k)
+        cos, sin = np.cos(angle), np.sin(angle)
+        bands = []
+        for di in (-1, 0, 1):
+            m0, m1, m_1 = (stencil._coef[di, dj].mean(axis=1) for dj in (0, 1, -1))
+            band = np.zeros((n_blocks * size, n_k), dtype=complex)
+            np.multiply.outer(-(m1 + m_1), cos, out=band.real[:n_r])
+            band.real[:n_r] -= m0[:, None]
+            np.multiply.outer(m_1 - m1, sin, out=band.imag[:n_r])
+            bands.append(band)
+        lower, diag, upper = bands
+        del bands
+        diag[0, 1:] = 1.0  # the pole has mode 0 only
+        upper[0, 1:] = 0.0
+        lower[1, 1:] = 0.0
+        upper[n_r - 1] = 0.0  # the boundary ring is known
+        diag[n_r:] = 1.0
+        # L U: the pivots p_i = d_i - l_i u_(i-1) / p_(i-1) in place of the
+        # diagonal, then the multipliers l_i / p_(i-1) in place of lower
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            coupling = lower[1:n_r] * upper[:n_r - 1]
+            for i in range(1, n_r):
+                diag[i] -= np.divide(coupling[i - 1], diag[i - 1], out=coupling[i - 1])
+            del coupling
+            lower[1:] /= diag[:-1]
+        bad = ~np.isfinite(diag) | (diag == 0.0)
+        if np.any(bad):
+            i, k = np.argwhere(bad)[0]
+            where = "the pole" if i == 0 else f"ring {i}"
+            raise np.linalg.LinAlgError(
+                f"mode {k} of the theta-mean factor has a "
+                f"{'zero' if diag[i, k] == 0.0 else 'non-finite'} pivot at {where}")
+        # the sweeps add: y_i += -multiplier_i y_(i-1), then, from y / pivot,
+        # x_i += -(u_i / p_i) x_(i+1)
+        upper /= diag
+        self._inverse_pivots = np.reciprocal(self._blocked(diag), order="C")
+        del diag
+        self._forward = _RingSweep(
+            self._work, np.negative(self._blocked(lower), order="C"), upward=False)
+        del lower
+        self._backward = _RingSweep(
+            self._work, np.negative(self._blocked(upper), order="C"), upward=True)
+        self.nnz = 3 * self._work.size + self._forward.nnz + self._backward.nnz
+
+    def _blocked(self, rows):
+        """The block-major view of the ring-major `rows`."""
+        s, n_blocks, n_k = self._work.shape
+        return rows.reshape(n_blocks, s, n_k).transpose(1, 0, 2)
 
     def solve(self, b):
         """The theta-mean factor's solution x of L x = b, a new vector like
         the unknown vector b, which is left as it is.
 
-        Each ring's FFT writes straight into the mode-major right-hand side
-        (rfft along axis 0 of the rings' transposed view), which gttrs
-        overwrites with the solution; each ring's inverse FFT writes into
-        the result through its transposed view.  These are the transforms
-        of the rings one by one, so no transposing copy is made.
+        The rings' FFT writes straight into the rows of a ring-major array,
+        which is copied into the block-major work array for the sweeps and
+        back, and their inverse FFT writes straight into the result.
         """
-        m, n_t, n_k = self.n_ring, self.n_theta, self.n_mode
-        bh = np.empty(1 + n_k * m, dtype=complex)
-        bh[0] = b[0]
-        np.fft.rfft(b[1:].reshape(m, n_t).T, axis=0, out=bh[1:].reshape(n_k, m))
-        x, _ = self._gttrs(*self._factor, bh, overwrite_b=True)
+        n_t = self.n_theta
+        m = (len(b) - 1) // n_t
+        y = self._work
+        rows = np.empty((y.shape[0] * y.shape[1], y.shape[2]), dtype=complex)
+        rows[0] = 0.0
+        rows[0, 0] = b[0]
+        rows[1 + m:] = 0.0
+        np.fft.rfft(b[1:].reshape(m, n_t), axis=1, out=rows[1:1 + m])
+        np.copyto(y, self._blocked(rows))
+        self._forward()
+        y *= self._inverse_pivots
+        self._backward()
+        np.copyto(self._blocked(rows), y)
         out = np.empty(len(b))
-        out[0] = x[0].real
-        np.fft.irfft(x[1:].reshape(n_k, m), n=n_t, axis=0,
-                     out=out[1:].reshape(m, n_t).T)
+        out[0] = rows[0, 0].real / n_t
+        np.fft.irfft(rows[1:1 + m], n=n_t, axis=1, out=out[1:].reshape(m, n_t))
         return out
 
 
@@ -576,6 +681,17 @@ _STEP_REL_STOP = 1e-6
 # on the step sequence; Sidi, Vector Extrapolation Methods, SIAM 2017)
 _JUMP_WINDOW = 3
 _JUMP_AGREE = 1e-3
+
+
+def _combination(coefs, vectors):
+    """sum(c * v for c, v in zip(coefs, vectors)), bit for bit, with one
+    product alive at a time: the first product plus 0.0 in place has the
+    bits of sum()'s 0 plus it."""
+    out = coefs[0] * vectors[0]
+    out += 0.0
+    for c, v in zip(coefs[1:], vectors[1:]):
+        out += c * v
+    return out
 
 
 def _gmres(apply_L, precondition, F):
@@ -609,8 +725,8 @@ def _gmres(apply_L, precondition, F):
             # w is hess[k+1, k] times the next basis vector, the last
             # column's entry of V_{k+1} H_k y
             hy = h @ y
-            Lc = sum(hi * v for hi, v in zip(hy, basis)) + y[k] * w
-            return sum(yi * z for yi, z in zip(y, search)), Lc, k + 1
+            Lc = _combination([*hy[:k + 1], y[k]], [*basis, w])
+            return _combination(y, search), Lc, k + 1
         basis.append(w / hess[k + 1, k])
     return None, None, _INNER_MAX_STEPS
 

@@ -355,24 +355,42 @@ class NonlinearitySpec:
 
 
 def _term_sum(spec, x, s, term_values):
-    """sum_k c_k(x) term_values(s, exponent_k), accumulated in place into
-    zeros of the broadcast shape of x[..., 0] and s (of s for x = None)."""
+    """sum_k c_k(x) term_values(s, exponent_k), of the broadcast shape of
+    x[..., 0] and s (of s for x = None).  Each term's new array of values
+    is scaled in place where its shape allows, and the first term is the
+    sum's start: c v + 0.0 has the bits of the 0.0 + c v of a sum from
+    zeros."""
     shape = s.shape if x is None else np.broadcast_shapes(np.shape(x)[:-1], s.shape)
-    out = np.zeros(shape)
+    out = None
     for t in spec.terms:
-        values = term_values(s, t.exponent)
-        if callable(t.coefficient):
-            out += t.coef(x) * values
+        values = np.asarray(term_values(s, t.exponent))
+        coef = t.coef(x) if callable(t.coefficient) else float(t.coefficient)
+        if np.broadcast_shapes(np.shape(coef), values.shape) == values.shape:
+            np.multiply(coef, values, out=values)
         else:
-            out += float(t.coefficient) * values
-    return out
+            values = coef * values
+        if out is not None:
+            out += values
+        elif values.shape == shape:
+            out = values
+            out += 0.0
+        else:
+            out = np.zeros(shape)
+            out += values
+    return np.zeros(shape) if out is None else out
 
 
 def _f_term(s, p):
     # |s|^{p-2} s with f(0) = 0; sgn(0) = 0 at p = 1
     if p == 1.0:
         return np.sign(s)
-    return np.where(s != 0.0, np.abs(np.where(s != 0, s, 1.0)) ** (p - 2.0) * s, 0.0)
+    # in place, in four passes: 0 ** (p - 2) * 0 reads nan, and is zeroed
+    out = np.abs(s, out=np.empty(np.shape(s)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out **= p - 2.0
+        out *= s
+    out[s == 0.0] = 0.0
+    return out
 
 
 def _F_term(s, p):

@@ -1022,7 +1022,9 @@ class TestHarmonicBoundary:
         # A = id: the preconditioner is L, so one inner step per iteration
         assert solver["inner_iterations"] == solver["iterations"]
         assert 0.0 <= solver["final_distance"] < 1e-10
-        assert solver["preconditioner_entries"] == 4 * (1 + 15 * 17) - 4
+        # three arrays of 16 rows (4 blocks of 4) by 17 modes, and 3 block
+        # products per mode for each of the factor's two sweeps
+        assert solver["preconditioner_entries"] == 3 * 16 * 17 + 2 * 3 * 17
         assert records[1]["summary"]["solver"] == solver
         assert records[0]["content_hash"] == records[1]["content_hash"]
         assert content_hash_of_dir(tmp_path / "s1") == content_hash_of_dir(tmp_path / "s2")

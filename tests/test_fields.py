@@ -249,12 +249,14 @@ class TestGrid2dSolve:
 
     def test_bowl_takes_one_inner_step_per_iteration(self, bowl):
         # the theta-mean of L is about 1% off L on the bowl, well inside
-        # the inner tolerance; the preconditioner stores gttrf's four bands
+        # the inner tolerance; the factor keeps three arrays of 64 rows (the
+        # pole and 63 rings, 8 blocks of 8) by 65 modes, and each sweep 7
+        # block products per mode
         fld = solve_grid_2d(bowl.spec, bowl.boundary, n_r=64, n_theta=128,
                             source=bowl.source)
         solver = fld.meta["solver"]
         assert solver["inner_iterations"] == solver["iterations"]
-        assert solver["preconditioner_entries"] == 4 * (1 + 63 * 65) - 4
+        assert solver["preconditioner_entries"] == 3 * 64 * 65 + 2 * 7 * 65
 
 
 def _loop_assembly(spec, r_nodes, theta):
@@ -520,6 +522,135 @@ def _rel_gap(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
+def _stacked_mode_solve(stencil, b):
+    """The theta-mean factor's solve by LAPACK: the mode systems stacked
+    mode-major into one tridiagonal matrix, the pole first and ring 1's
+    pole coupling n_theta times its mean, factored by zgttrf with row
+    interchanges and solved by zgttrs.  The oracle for `_FourierFactor`'s
+    numpy sweeps, which solve the same systems."""
+    from scipy.linalg import lapack
+
+    n_r, n_t = stencil._coef[0, 0].shape
+    m, n_k = n_r - 1, n_t // 2 + 1
+    phase = np.exp(2j * math.pi * np.arange(n_k)[:, None] / n_t)
+    bands = {di: np.zeros((n_k, m), dtype=complex) for di in (-1, 0, 1)}
+    pole = {0: 0.0, 1: 0.0}
+    for (di, dj), coef in stencil._coef.items():
+        mean = coef.mean(axis=1)
+        bands[di] += mean[1:] * phase ** dj
+        if di in pole:  # the pole equation sums its rows over the angles
+            pole[di] += mean[0] * (n_t if di == 0 else 1.0)
+    bands[-1][0, 0] *= n_t
+    bands[-1][1:, 0] = 0.0
+    bands[1][:, -1] = 0.0
+    *factor, info = lapack.zgttrf(
+        -bands[-1].ravel(), -np.concatenate(([pole[0]], bands[0].ravel())),
+        -np.concatenate(([pole[1]], bands[1].ravel()[:-1])))
+    assert info == 0
+    rhs = np.fft.rfft(b[1:].reshape(m, n_t), axis=1).T.ravel()
+    x, info = lapack.zgttrs(*factor, np.concatenate(([b[0]], rhs)))
+    assert info == 0
+    rings = np.fft.irfft(x[1:].reshape(n_k, m).T, n=n_t, axis=1)
+    return np.concatenate(([x[0].real], rings.ravel()))
+
+
+class TestModeSweeps:
+    @pytest.fixture(params=["identity", "rotation_perturbed", "spiral",
+                            "diagonal20", "bowl", "variable_coefficients"])
+    def named_spec(self, request, bowl, variable_coefficients_spec):
+        name = request.param
+        if name == "bowl":
+            return name, bowl.spec
+        if name == "variable_coefficients":
+            return name, variable_coefficients_spec
+        coeff = {"identity": CoefficientField.identity(2),
+                 "rotation_perturbed": CoefficientField.rotation_perturbed(0.3),
+                 "spiral": _spiral(0.4),
+                 "diagonal20": CoefficientField.diagonal([20, 1])}[name]
+        return name, ProblemSpec(2, 1.0, coeff, NonlinearitySpec.homogeneous(1.5))
+
+    @pytest.mark.parametrize("n_r, n_t", [(16, 32), (64, 128), (128, 256)])
+    def test_matches_lapack_and_superlu(self, named_spec, n_r, n_t):
+        # the same mode systems as LAPACK's pivoted gttrf/gttrs, to 1e-12;
+        # where the theta-mean is L, L's SuperLU solve too.  Two solves of
+        # L in double precision differ by about cond(L) eps: under the
+        # spiral at 128x256 LAPACK and SuperLU differ by 1.5e-12, and there
+        # the sweeps must come as close to both as they are to each other
+        name, spec = named_spec
+        stencil = _Stencil(spec, *_grid(spec, n_r, n_t))
+        factor = _FourierFactor(stencil)
+        b = np.random.default_rng(n_r).standard_normal(1 + (n_r - 1) * n_t)
+        x = factor.solve(b)
+        lapack = _stacked_mode_solve(stencil, b)
+        tol = 1e-12
+        assert factor.exact == (name in ("identity", "rotation_perturbed", "spiral"))
+        if factor.exact:
+            lu, _ = _superlu(spec, n_r, n_t)
+            ref = lu.solve(b)
+            tol = max(tol, _rel_gap(lapack, ref))
+            assert _rel_gap(x, ref) <= tol
+        assert _rel_gap(x, lapack) <= tol
+
+    @pytest.mark.parametrize("n_r", [4, 5, 11, 17])
+    def test_block_counts_keep_the_solve(self, bowl, n_r):
+        # the last block padded with identity rows (5, 11 and 17 rows are
+        # no square), or one row per block (4 rows in blocks of 2)
+        stencil = _Stencil(bowl.spec, *_grid(bowl.spec, n_r, 8))
+        b = np.random.default_rng(n_r).standard_normal(1 + (n_r - 1) * 8)
+        got = _FourierFactor(stencil).solve(b)
+        assert _rel_gap(got, _stacked_mode_solve(stencil, b)) <= 1e-13
+
+    def test_a_zero_pivot_names_its_mode_and_ring(self, bowl):
+        # ring 3 with no radial coupling and the angular symbol
+        # 2 + 2 cos(2 pi k / 16), which is 0 exactly at the Nyquist mode 8
+        stencil = _Stencil(bowl.spec, *_grid(bowl.spec, 8, 16))
+        for offset, coef in stencil._coef.items():
+            coef[3] = {(0, 0): 2.0, (0, 1): 1.0, (0, -1): 1.0}.get(offset, 0.0)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^mode 8 of the theta-mean factor has a zero "
+                                 r"pivot at ring 3$"):
+            _FourierFactor(stencil)
+
+    def test_a_pole_without_coefficients_is_singular(self, bowl):
+        stencil = _Stencil(bowl.spec, *_grid(bowl.spec, 8, 16))
+        for coef in stencil._coef.values():
+            coef[0] = 0.0
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^mode 0 .* zero pivot at the pole$"):
+            _FourierFactor(stencil)
+
+    def test_a_coefficient_that_is_not_finite_is_named(self, bowl):
+        stencil = _Stencil(bowl.spec, *_grid(bowl.spec, 8, 16))
+        # ring 5's mean turns every mode of its row NaN, mode 0 first
+        stencil._coef[0, 1][5, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^mode 0 .* non-finite pivot at ring 5$"):
+            _FourierFactor(stencil)
+
+    def test_solves_repeat_after_a_solve_that_is_not_finite(self, bowl):
+        # the factor's work array keeps nothing from one solve to the next
+        stencil = _Stencil(bowl.spec, *_grid(bowl.spec, 11, 16))
+        factor = _FourierFactor(stencil)
+        b = np.random.default_rng(4).standard_normal(1 + 10 * 16)
+        first = factor.solve(b)
+        assert not np.all(np.isfinite(factor.solve(np.full_like(b, np.nan))))
+        assert factor.solve(b).tobytes() == first.tobytes()
+
+
+def test_combination_keeps_the_bits_of_sum():
+    # GMRES forms c and L c in place, one product at a time; signed zeros
+    # sum as sum() sums them, from 0
+    rng = np.random.default_rng(2)
+    vectors = [rng.standard_normal(64) for _ in range(4)]
+    vectors[0][:4] = [0.0, -0.0, 0.0, -0.0]
+    vectors[1][:4] = [0.0, 0.0, -0.0, -0.0]
+    for coefs in ([-1.0, 2.0, 0.5, -3.0], [1.0, -0.0, 1e-300, 7.0]):
+        for n in range(1, 5):
+            ref = sum(c * v for c, v in zip(coefs[:n], vectors[:n]))
+            got = freqlab.fields._combination(coefs[:n], vectors[:n])
+            assert got.tobytes() == ref.tobytes()
+
+
 class TestFourierSolve:
     @pytest.fixture(params=["identity", "rotation_perturbed", "linear_mode",
                             "spiral"])
@@ -580,15 +711,15 @@ class TestFourierSolve:
         assert len(calls) == 1
 
     def test_gmres_path_keeps_its_bits(self, bowl):
-        # sha256 of u.tobytes(), recorded when the GMRES path first carried
-        # its defect B g - L u by GMRES's L c instead of re-applying the
-        # stencil (one jump, at iteration 12): every theta-dependent A takes
-        # GMRES, bit for bit
+        # sha256 of u.tobytes(), recorded when the theta-mean factor's mode
+        # systems became numpy sweeps without pivoting in place of LAPACK's
+        # gttrf/gttrs (12 steps, one jump, as before): every theta-dependent
+        # A takes GMRES, bit for bit
         fld = solve_grid_2d(bowl.spec, bowl.boundary, n_r=32, n_theta=64,
                             source=bowl.source)
         assert fld.meta["solver"]["inner_solve"] == "gmres"
         assert hashlib.sha256(fld.u.tobytes()).hexdigest() == (
-            "edac782cca5ad971d77c4aa2d0ec7ca9e650e9d2c08c4989f7e60d76b272979f")
+            "5f23d37f7801ffe4b2d86d6adb909a66fafc53e1513a7f3b62ec42f1bf0121fe")
         ref, _ = _superlu_fixed_point(bowl.spec, bowl.boundary, 32, 64,
                                       source=bowl.source, tol=1e-13)
         assert np.max(np.abs(fld.u - ref)) <= 1e-10
@@ -685,7 +816,10 @@ class TestFourierSolve:
                     continue
                 kept = coef.copy()
                 coef[rows] = 0.0
-                gap = _rel_gap(_FourierFactor(stencil).solve(b), ref)
+                try:
+                    gap = _rel_gap(_FourierFactor(stencil).solve(b), ref)
+                except np.linalg.LinAlgError:  # a singular symbol is caught too
+                    gap = math.inf
                 coef[...] = kept
                 assert gap > 1e-6, f"offset {offset}, {part}"
                 mutants += 1
@@ -697,8 +831,9 @@ class TestFourierSolve:
                             n_r=16, n_theta=32)
         solver = fld.meta["solver"]
         assert solver["inner_iterations"] == solver["iterations"]
-        # gttrf's four bands
-        assert solver["preconditioner_entries"] == 4 * (1 + 15 * 17) - 4
+        # three arrays of 16 rows (4 blocks of 4) by 17 modes, and 3 block
+        # products per mode for each sweep
+        assert solver["preconditioner_entries"] == 3 * 16 * 17 + 2 * 3 * 17
 
     @pytest.mark.parametrize("coeff", [
         "bowl", pytest.param([5, 1], id="diagonal5"),
@@ -985,18 +1120,26 @@ def test_import_leaves_scipy_unloaded():
     assert _scipy_modules_after("import freqlab, freqlab.cli", "scipy") == "[]"
 
 
-def test_grid_solve_leaves_scipy_sparse_unloaded():
-    # the solver is matrix-free; scipy.linalg.lapack does not load sparse
+def test_grid_solve_leaves_scipy_unloaded():
+    # the solver is matrix-free and its mode systems are numpy sweeps: no
+    # scipy module loads on either inner-solve path
     code = ("from freqlab.fields import manufactured_bowl, solve_grid_2d; "
+            "from freqlab.model import ProblemSpec; import numpy as np; "
             "b = manufactured_bowl(); "
-            "solve_grid_2d(b.spec, b.boundary, n_r=16, n_theta=32, source=b.source)")
-    assert _scipy_modules_after(code, "scipy.sparse") == "[]"
+            "f = solve_grid_2d(b.spec, b.boundary, n_r=16, n_theta=32, source=b.source); "
+            "g = solve_grid_2d(ProblemSpec.model(2, 1.5), lambda th: 0.2 * np.cos(th), "
+            "n_r=16, n_theta=32); "
+            "assert [f.meta['solver']['inner_solve'], g.meta['solver']['inner_solve']]"
+            " == ['gmres', 'fourier']")
+    assert _scipy_modules_after(code, "scipy") == "[]"
 
 
 def test_the_bowl_solve_peaks_within_its_ceiling():
     # the tracemalloc peak of the bowl solve at 64x128, after a 32x64 solve
     # has made every import, in node fields of 65 x 128 float64s: 29.2
-    # while the stencil summed whole-grid products
+    # while the stencil summed whole-grid products, 28.1 while LAPACK's
+    # gttrf factored the theta-mean, 27.95 with the numpy sweeps and GMRES
+    # summing c and L c one product at a time
     import gc
     import tracemalloc
 
@@ -1016,7 +1159,7 @@ def test_the_bowl_solve_peaks_within_its_ceiling():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 29.2 * 65 * 128 * 8
+    assert peak <= 28.0 * 65 * 128 * 8
 
 
 class TestResidualField:

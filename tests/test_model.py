@@ -76,6 +76,37 @@ class TestPowerLawAsTermSum:
             assert got.shape == shape
             assert np.array_equal(_bits(got), _bits(np.broadcast_to(ref, shape)))
 
+    @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 1.99])
+    @pytest.mark.parametrize("coefficient", ["none", "callable"])
+    def test_f_keeps_the_bits_of_the_whole_array_formula(self, p, coefficient):
+        # f is formed in place, and its sum starts from its first term; the
+        # bits are those of the masked formula summed into zeros, for every
+        # kind of float s can hold
+        rng = np.random.default_rng(int(p * 100))
+        s = rng.standard_normal((16, 32)) * 10.0 ** rng.integers(-320, 3, (16, 32))
+        s.ravel()[:10] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                          -1e-310, 2.2e-308, -np.nan]
+        x = rng.standard_normal((16, 32, 2))
+
+        def c(x):
+            return np.where(x[..., 0] > 0.0, -x[..., 1], 0.0)
+
+        if coefficient == "none":
+            nl, x, terms = NonlinearitySpec.homogeneous(p), None, [(p, 1.0)]
+        else:
+            terms = [(p, c), (1.0, 0.5)] if p > 1.0 else [(p, c)]
+            nl = NonlinearitySpec.sum_of_powers(
+                [PowerTerm(e, k) for e, k in terms])
+        ref = np.zeros(s.shape)
+        with np.errstate(invalid="ignore"):
+            for e, k in terms:
+                values = (np.sign(s) if e == 1.0 else np.where(
+                    s != 0.0, np.abs(np.where(s != 0, s, 1.0)) ** (e - 2.0) * s, 0.0))
+                ref += (k(x) if callable(k) else k) * values
+        got = eval_f(nl, x, s)
+        assert np.array_equal(_bits(got), _bits(ref))
+        assert np.signbit(got.ravel()[1]) == np.signbit(ref.ravel()[1])
+
     @pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.9])
     @pytest.mark.parametrize("form", ["full", "column"])
     def test_grad1_F_is_zero(self, q, form):

@@ -30,6 +30,10 @@ nothing from frequency.py: the package has no import cycle.
 Exports are live: every name in a module's __all__ exists in that module,
 so a deleted function cannot leave a stale export behind.
 
+The package runs on numpy alone: no module under src/freqlab imports
+scipy, in any form, so a run never pays for loading it.  The tests use
+scipy as an oracle only.
+
 The environment sets one thing: the only read of it is cli.py's
 os.environ.get("FREQ_LAB_OUT", ...), so no solver constant or tolerance can
 become a knob that a run record does not show.
@@ -406,4 +410,49 @@ def test_guard_flags_imports_of_frequency_in_fields():
 def test_fields_imports_nothing_from_frequency():
     hits = [hit for source, name in _modules()
             for hit in _imports_of_frequency(source, name)]
+    assert hits == []
+
+
+def _scipy_imports(source, filename):
+    """Each import of scipy or of a scipy module (import, from-import, and
+    importlib.import_module or __import__ of a literal name)."""
+    def scipy_name(name):
+        return name.split(".")[0] == "scipy"
+
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            hits += [(node.lineno, f"import {a.name}") for a in node.names
+                     if scipy_name(a.name)]
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and scipy_name(node.module or "")):
+            hits.append((node.lineno, f"from {node.module} import ..."))
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and isinstance(node.args[0].value, str)
+              and scipy_name(node.args[0].value)
+              and ((isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "import_module")
+                   or (isinstance(node.func, ast.Name)
+                       and node.func.id in ("import_module", "__import__")))):
+            hits.append((node.lineno, f"import_module({node.args[0].value!r})"))
+    return [f"{filename}:{line}: {what}" for line, what in sorted(hits)]
+
+
+def test_guard_flags_scipy_imports():
+    snippet = ("import numpy as np\nimport scipy\n"
+               "from scipy.linalg import lapack\n"
+               "def f():\n    import os, scipy.sparse as sp\n"
+               "from scipy import integrate\n"
+               "m = importlib.import_module('scipy.linalg')\n"
+               "n = __import__('scipy')\n"
+               "import scipy_tools\nfrom .scipy import x\n"
+               "importlib.import_module('numpy')\n")
+    hits = _scipy_imports(snippet, "fields.py")
+    assert [hit.split(":")[1] for hit in hits] == ["2", "3", "5", "6", "7", "8"]
+
+
+def test_no_module_imports_scipy():
+    hits = [hit for source, name in _modules()
+            for hit in _scipy_imports(source, name)]
     assert hits == []
