@@ -151,10 +151,11 @@ def _parse_nonlinearity(sec, dim):
                 raise ConfigError(f"{where}: every exponent must lie in [1, 2)")
             coef_text = coef_text.strip()
             try:
-                coef = float(coef_text)
+                coef, grad = float(coef_text), None
             except ValueError:
                 coef = _converted(lambda t: compile_expression(t, dim), coef_text, where)
-            terms.append(PowerTerm(expo, coef))
+                grad = coef.gradient
+            terms.append(PowerTerm(expo, coef, grad))
         return NonlinearitySpec.sum_of_powers(tuple(terms), **given)
     raise ConfigError(f"unknown nonlinearity kind {kind!r} "
                       "(tabulated kinds are API-only)")

@@ -255,7 +255,9 @@ def residual_field(spec, fld):
     return _residual_grid(spec, fld)
 
 
-def _residual_radial(spec, fld):
+def _residual_radial(spec, fld, fvals=None):
+    """The radial residual; `fvals` (f(u) on the nodes) if the caller has
+    them."""
     _require_radial_route(spec)
     # five-point differences of the values, not the stored integrator
     # derivative, so residuals judge the values themselves; the last four
@@ -265,7 +267,8 @@ def _residual_radial(spec, fld):
     rho = np.full_like(fld.u, np.nan)
     inner = slice(2, len(r) - 4)
     lap = radial_laplacian(fld.u, r, fld.dim)
-    fvals = eval_f(spec.nonlinearity, None, fld.u)
+    if fvals is None:
+        fvals = eval_f(spec.nonlinearity, None, fld.u)
     rho[inner] = (lap + fvals)[inner]
     rho[r < 2 * fld.h] = np.nan
     return rho

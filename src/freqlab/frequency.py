@@ -31,8 +31,8 @@ import numpy as np
 from .model import _plane_sum, c_constant, eval_F, eval_f, grad1_F
 from .quadrature import cumulative_uniform, deriv_uniform, unit_sphere_area
 from .fields import (_MIN_BLOCKS, _polar_points, _require_finite,
-                     _require_radial_route, _residual_grid, _ring_blocks,
-                     cartesian_gradient, residual_field)
+                     _require_radial_route, _residual_grid, _residual_radial,
+                     _ring_blocks, cartesian_gradient)
 from .io import jsonable, write_json, write_npz
 
 __all__ = [
@@ -191,8 +191,8 @@ class _NodeData:
     Every row is finite: the residual's unformed rows (`residual_field`'s
     NaNs) count as 0, and a value of A, grad A, V, f, F or grad_x F that
     is not finite at a node raises ValueError, where it is evaluated,
-    naming the quantity (A, V or f) and its first such node, so no identity
-    or gate is formed from it.
+    naming the quantity (A, grad A, V, f for f and F, or grad_x F) and its
+    first such node, so no identity or gate is formed from it.
     """
 
     def __init__(self, spec, fld):
@@ -232,7 +232,7 @@ class _NodeData:
         self.Fvals = eval_F(spec.nonlinearity, None, self.u)
         for values in (self.fvals, self.Fvals):
             _require_finite("f", values, self.r)
-        self.rho0 = residual_field(spec, fld)[:, None]
+        self.rho0 = _residual_radial(spec, fld, fvals=self.fvals[:, 0])[:, None]
 
     _GRID_ROWS = ("mu", "flux_r", "e_density", "u_nu", "x_grad_u",
                   "div_a_grad_absx", "V", "fvals", "Fvals", "divz",
@@ -308,9 +308,9 @@ class _NodeData:
             for h in range(2) for j in range(2) for l in range(2))
         g1 = grad1_F(spec.nonlinearity, pts, u)
         self.grad_x_F_z[rows] = _plane_sum(g1[..., i] * z[i] for i in range(2))
-        for quantity, values in (("A", a), ("A", g), ("V", self.V[rows]),
+        for quantity, values in (("A", a), ("grad A", g), ("V", self.V[rows]),
                                  ("f", self.fvals[rows]),
-                                 ("f", self.Fvals[rows]), ("f", g1)):
+                                 ("f", self.Fvals[rows]), ("grad_x F", g1)):
             _require_finite(quantity, values, self.r, fld.theta, rows.start)
 
     def sphere(self, rows, idx=slice(None)):
@@ -432,12 +432,6 @@ _TOLERANCES = {
 }
 
 
-def _gradient_provenance(spec):
-    """How the coefficient entry gradients were obtained."""
-    return ("central_differences" if spec.coefficients.kind == "expressions"
-            else "closed_form")
-
-
 def verify_H_prime(spec, fld, prof, tolerance=_TOLERANCES["H_prime"]):
     """H'(r) = 2 surfaceD + int_{S_r} u^2 div(A grad |x|), checked exactly.
 
@@ -453,7 +447,7 @@ def verify_H_prime(spec, fld, prof, tolerance=_TOLERANCES["H_prime"]):
     rep = IdentityReport("H_prime", prof.r, dH, rhs, tolerance)
     rep.details["diff_error_estimate"] = est
     rep.details["model_form_rhs"] = model_rhs
-    rep.details["coefficient_derivatives"] = _gradient_provenance(spec)
+    rep.details["coefficient_derivatives"] = "closed_form"
     rep.details["fitted_O1_constant"] = float(
         np.max(np.abs(dH - model_rhs) / np.maximum(prof.H, 1e-300)))
     return rep
@@ -539,8 +533,8 @@ def verify_rellich_general(spec, fld, prof,
     rep10.details["div_z_term"] = DIVZ
     rep10.details["fitted_divz_O_r_constant"] = float(np.max(
         np.abs(divz[1:] - fld.dim) / data.r[1:, None]))
-    rep9.details["coefficient_derivatives"] = _gradient_provenance(spec)
-    rep10.details["coefficient_derivatives"] = _gradient_provenance(spec)
+    rep9.details["coefficient_derivatives"] = "closed_form"
+    rep10.details["coefficient_derivatives"] = "closed_form"
     return rep9, rep10
 
 

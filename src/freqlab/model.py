@@ -49,8 +49,11 @@ class QuadratureError(RuntimeError):
 # --------------------------------------------------------------------------
 # coefficient fields
 
-_ENTRY_FD_STEP = 1e-6  # central-difference step for expression entries and A1
-_F_FD_STEP = 1e-5  # central-difference step for coefficients c_k and tabulated F
+# central-difference steps, for the gradients no formula gives: check_A1's
+# reference for the entry gradients, and grad_x F of a tabulated f or of a
+# coefficient c_k given as a callable without its gradient
+_ENTRY_FD_STEP = 1e-6  # check_A1's reference gradient of the entries
+_F_FD_STEP = 1e-5  # tabulated F, and API coefficients c_k without a gradient
 
 
 class CoefficientField:
@@ -136,32 +139,45 @@ class CoefficientField:
     def from_expressions(cls, dim, entry_exprs, ellipticity=0.5):
         """Entries given as expression strings keyed 'a11', 'a12', ...
 
-        Missing symmetric partners are filled in; entry gradients fall back
-        to central differences of the compiled entries.
+        Missing symmetric partners are filled in.  Each distinct text is
+        compiled once, and the entries that share it share its value and
+        its gradient, which is differentiated from the compiled tree.
         """
         from .expressions import ExpressionError, compile_expression
 
-        fns = {}
+        compiled = {}  # text -> (its Expression, the slots (i, j) it fills)
         for i in range(dim):
             for j in range(dim):
                 key, alt = f"a{i + 1}{j + 1}", f"a{j + 1}{i + 1}"
                 name = key if key in entry_exprs else alt
                 if name not in entry_exprs:
                     raise ValueError(f"missing coefficient entry {key}")
-                try:
-                    fns[(i, j)] = compile_expression(str(entry_exprs[name]), dim)
-                except ExpressionError as exc:
-                    raise ExpressionError(f"{name}: {exc}") from exc
+                text = str(entry_exprs[name])
+                if text not in compiled:
+                    try:
+                        compiled[text] = (compile_expression(text, dim), [])
+                    except ExpressionError as exc:
+                        raise ExpressionError(f"{name}: {exc}") from exc
+                compiled[text][1].append((i, j))
+        groups = list(compiled.values())
 
         def entries(x):
             x = np.asarray(x, dtype=float)
             out = np.empty(x.shape[:-1] + (dim, dim))
-            for (i, j), fn in fns.items():
-                out[..., i, j] = fn(x)
+            for expr, slots in groups:
+                value = expr(x)
+                for i, j in slots:
+                    out[..., i, j] = value
             return out
 
         def grads(x):
-            return _central_gradient(entries, x, _ENTRY_FD_STEP)
+            x = np.asarray(x, dtype=float)
+            out = np.zeros(x.shape[:-1] + (dim, dim, dim))
+            for expr, slots in groups:
+                for h, d in expr.partials(x):
+                    for i, j in slots:
+                        out[..., i, j, h] = d
+            return out
 
         lam = float(ellipticity)
         if not 0.0 < lam < 1.0:
@@ -859,7 +875,9 @@ def normalize_coordinates(spec, x0):
         new_nl = NonlinearitySpec("tabulated", nl.q, nl.eps0, nl.kappa1, nl.kappa2,
                                   f_callable=(lambda x, s: nl.f_callable(T(x), s)))
     elif any(callable(t.coefficient) for t in nl.terms):
-        terms = tuple(PowerTerm(t.exponent, (lambda fn: lambda x: fn(T(x)))(t.coefficient))
+        # the chain rule, as grads does for A: grad (c o T) = (grad c)(T x) M
+        terms = tuple(PowerTerm(t.exponent, lambda x, t=t: t.coefficient(T(x)),
+                                lambda x, t=t: t.coef_grad(T(x)) @ M)
                       if callable(t.coefficient) else t for t in nl.terms)
         new_nl = NonlinearitySpec(nl.kind, nl.q, nl.eps0, nl.kappa1, nl.kappa2,
                                   terms=terms)

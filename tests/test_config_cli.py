@@ -900,6 +900,34 @@ _NAN_CONFIGS = {
 }
 
 
+# finite on the ball, but not Lipschitz: its gradient is infinite on the
+# line x1 = 0, which check's samples miss and the polar nodes' pole is on
+_NON_LIPSCHITZ_CONFIG = MODEL_CONFIG.replace(
+    "field = identity", "field = expr\na11 = 1 + (x1^2)^0.25\na12 = 0\n"
+                        "a22 = 1\nellipticity = 0.5")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_entry_without_a_finite_gradient_stops_the_analysis(tmp_path, capsys):
+    path = tmp_path / "sqrt_abs.ini"
+    path.write_text(_NON_LIPSCHITZ_CONFIG)
+    fpath = tmp_path / "field.npz"
+    save_field(sample_grid2d(lambda x: 0.5 + 0.1 * x[..., 0], 1.0, 32, 64, 1.5),
+               str(fpath))
+    assert main(["check", "--config", str(path), "--out",
+                 str(tmp_path / "ck")]) == 0
+    blob = json.loads((tmp_path / "ck" / "assumptions.json").read_text())
+    assert blob["A1"]["clauses"]["A1.entry_gradients"]["passed"]
+    capsys.readouterr()
+    for command in ("frequency", "audit"):
+        out = tmp_path / command
+        assert main([command, str(fpath), "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: grad A is not finite at node (0, 0), x = (0, 0)\n"
+        assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 class TestNonFiniteInputs:
     """A config expression that is NaN on part of the ball stops every

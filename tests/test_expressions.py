@@ -208,3 +208,134 @@ def test_cli_rejects_deep_potential_before_the_audit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[potential] field" in err and f"deeper than {MAX_DEPTH}" in err
     assert not out.exists()  # no record, no certificate: nothing ran
+
+
+# --------------------------------------------------------------------------
+# gradients, differentiated from the checked tree
+
+
+def test_gradient_of_the_benchmark_entry_is_exact():
+    # the tabulated workload's a11: (2 x1^1) / 4 is x1/2 in every bit
+    expr = compile_expression("1 + x1^2/4", 2)
+    x = np.random.default_rng(3).normal(size=(200, 2))
+    x[:3, 0] = [0.0, -0.0, 5e-324]
+    partials = expr.partials(x)
+    assert [h for h, _ in partials] == [0]  # x2 is absent: never evaluated
+    assert partials[0][1].tobytes() == (x[:, 0] / 2).tobytes()
+    grad = expr.gradient(x)
+    assert grad.shape == x.shape and not grad[:, 1].any()
+
+
+def test_constant_and_linear_expressions_have_constant_partials():
+    assert compile_expression("0", 2).partials(np.zeros((3, 2))) == []
+    assert compile_expression("1 + 0*exp(2)", 2).partials(np.zeros((3, 2))) == []
+    assert compile_expression("3*x2 - x1/4", 2).partials(np.ones((3, 2))) == \
+        [(0, -0.25), (1, 3.0)]
+    np.testing.assert_array_equal(
+        compile_expression("3*x2", 2).gradient(np.ones((2, 3, 2))),
+        np.broadcast_to([0.0, 3.0], (2, 3, 2)))
+
+
+def _fd_gap(expr, x, step=1e-5):
+    """|compiled gradient - central differences| at x, and the bound of the
+    differences' own error: four times Richardson's estimate of their
+    truncation error (the step against twice the step) plus the rounding
+    of two values of the size of those near x, over 2 step."""
+    grad = expr.gradient(x)
+    fd, fd2, size = [], [], 1.0
+    for h in range(x.shape[-1]):
+        e = np.zeros(x.shape[-1])
+        e[h] = step
+        near = [expr(x + k * e) for k in (1, -1, 2, -2)]
+        size = np.maximum(size, np.max(np.abs(near), axis=0))
+        fd.append((near[0] - near[1]) / (2 * step))
+        fd2.append((near[2] - near[3]) / (4 * step))
+    fd, fd2 = np.stack(fd, axis=-1), np.stack(fd2, axis=-1)
+    bound = 4.0 * np.abs(fd - fd2) + 1e3 * np.finfo(float).eps * size[..., None] / step
+    return np.abs(grad - fd), bound
+
+
+# every rule: the four operators, unary signs, the power with a constant
+# exponent, with a constant base and with both variable, and exp, sin, cos
+@pytest.mark.parametrize("text", [
+    "x1 + x2", "x1 - x2", "-x1*x2", "+x1/x2", "x2/(1 + x1^2)", "1/x1",
+    "x1^3", "x1^-1.5", "(x1*x2)^0.5", "2^x1", "x1^x2", "(x1 + x2)^(x1*x2)",
+    "exp(x1*x2)", "sin(x1)*cos(x2)", "cos(x1^2 - x2)/exp(-x2)",
+    "x1*(x2 - 3)^2 - 2*x1^2*x2", "-(x1^2)^0.25 + sin(3*x2)^3",
+])
+def test_gradient_matches_central_differences(text):
+    x = np.random.default_rng(5).uniform(0.5, 1.5, size=(64, 2))
+    gap, bound = _fd_gap(compile_expression(text, 2), x)
+    assert np.all(gap <= bound) and np.max(bound) < 1e-6
+
+
+# smooth trees: each denominator, power base and exponential takes an
+# operand kept inside its domain (c + sin(t) with c >= 1.5, sin(t)), so the
+# values and their derivatives are finite and moderate at every point
+def _smooth(kids):
+    def positive(t):
+        return f"(1.5 + sin({t}))"
+
+    return st.one_of(
+        st.builds(lambda t, sign: f"{sign}({t})", kids, st.sampled_from("+-")),
+        st.builds(lambda a, op, b: f"({a}) {op} ({b})", kids,
+                  st.sampled_from("+-*"), kids),
+        st.builds(lambda a, b: f"({a}) / {positive(b)}", kids, kids),
+        st.builds(lambda a, c: f"{positive(a)}^{c}", kids,
+                  st.sampled_from(["2", "3", "0.5", "-1.5", "(0-1)", "1.25"])),
+        st.builds(lambda a, b: f"{positive(a)}^sin({b})", kids, kids),
+        st.builds(lambda t: f"exp(sin({t}))", kids),
+        st.builds(lambda fn, t: f"{fn}({t})", st.sampled_from(["sin", "cos"]),
+                  kids))
+
+
+_SMOOTH_TREES = st.recursive(
+    st.one_of(st.sampled_from(["x1", "x2"]),
+              st.sampled_from(["0.5", "1", "2", "0.75"])),
+    _smooth, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SMOOTH_TREES)
+def test_random_smooth_trees_differentiate_exactly(text):
+    x = np.array([[0.3, -1.7], [2.0, 0.0], [-0.5, 1e-3], [1.1, 0.9]])
+    gap, bound = _fd_gap(compile_expression(text, 2), x)
+    assert np.all(gap <= bound), (text, gap, bound)
+
+
+def test_gradient_raises_no_warning_where_it_has_no_finite_value():
+    # (x1^2)^0.25 is finite at x1 = 0, its derivative is not
+    expr = compile_expression("1 + (x1^2)^0.25 + x2/x1", 2)
+    x = np.array([[0.0, 1.0], [0.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad = expr.gradient(x)
+    assert not np.isfinite(grad[0]).any() and np.isfinite(grad[1]).all()
+    # a constant derivative over a zero constant is inf, not ZeroDivisionError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert compile_expression("x1/0", 2).partials(x) == [(0, np.inf)]
+
+
+def test_gradient_evaluates_each_node_once(monkeypatch):
+    # forward mode: sin nested 150 deep costs 150 sines and 150 cosines a
+    # gradient, where differentiating each level from its operand's value
+    # would cost about 150^2 / 2 sines
+    from freqlab import expressions
+
+    calls = []
+    fn, slope = expressions._FUNCTIONS["sin"]
+
+    def counted(a, fn=fn):
+        calls.append(a)
+        return fn(a)
+
+    monkeypatch.setitem(expressions._FUNCTIONS, "sin", (counted, slope))
+    expr = compile_expression("sin(" * 150 + "x1" + ")" * 150, 2)
+    x = np.array([[0.3, 0.2], [1.0, -1.0]])
+    grad = expr.gradient(x)
+    assert len(calls) == 150
+    want, d = x[:, 0], np.ones(2)
+    for _ in range(150):
+        want, d = np.sin(want), np.cos(want) * d
+    assert grad[:, 0].tobytes() == d.tobytes() and not grad[:, 1].any()

@@ -654,6 +654,37 @@ class TestCoefficientEvaluations:
         assert calls == {"entries": blocks, "entry_gradients": blocks,
                          "potential": blocks, "eval_f": blocks}
 
+    def test_one_f_evaluation_per_radial_pass(self, model_specs, monkeypatch):
+        # the radial rows and the residual read one evaluation of f, and the
+        # residual keeps the bits of residual_field's
+        import freqlab.fields
+        import freqlab.frequency
+        from freqlab.fields import residual_field
+
+        spec = model_specs[(2, 1.5)]
+        fld = solve_radial(spec, 0.5, h=1e-2)
+        want = np.nan_to_num(residual_field(spec, fld), nan=0.0)
+        calls = []
+
+        def counted(*args, eval_f=freqlab.frequency.eval_f):
+            calls.append(args)
+            return eval_f(*args)
+
+        for module in (freqlab.frequency, freqlab.fields):
+            monkeypatch.setattr(module, "eval_f", counted)
+        data = _node_data(spec, fld)
+        assert len(calls) == 1
+        assert data.rho0[:, 0].tobytes() == want.tobytes()
+
+    def test_coefficient_derivatives_are_closed_form(self, variable_coefficients_spec):
+        spec = variable_coefficients_spec
+        fld = sample_grid2d(lambda x: 1.0 + 0.3 * x[..., 0] + 0.2 * x[..., 1] ** 2,
+                            spec.outer_radius, 32, 64, spec.nonlinearity.q)
+        reports = run_all_identity_checks(spec, fld, frequency_profile(spec, fld))
+        found = [rep.details["coefficient_derivatives"] for rep in reports.values()
+                 if "coefficient_derivatives" in rep.details]
+        assert found == ["closed_form"] * 3
+
     def test_residual_from_node_values_is_bit_identical(self, variable_coefficients_spec):
         # the analysis's rho, built from the node data's A grad u, V and f,
         # is residual_field's, with its unformed (NaN) rows as 0

@@ -332,6 +332,59 @@ class TestCoefficientFields:
         rep = check_A1(CoefficientField.rotation_perturbed(0.2, 2))
         assert rep.passed
 
+    def test_each_distinct_entry_text_is_evaluated_once(self, monkeypatch):
+        # a21 takes a12's text, and a22 repeats a11's: two expressions, each
+        # evaluated (and differentiated) once a call, written to both slots
+        from freqlab.expressions import Expression
+
+        coeff = CoefficientField.from_expressions(
+            2, {"a11": "1 + x1^2/4", "a12": "x1*x2/8", "a22": "1 + x1^2/4"}, 0.5)
+        calls = {"__call__": 0, "partials": 0}
+        for name in calls:
+            def counted(self, x, fn=getattr(Expression, name), name=name):
+                calls[name] += 1
+                return fn(self, x)
+            monkeypatch.setattr(Expression, name, counted)
+        x = np.random.default_rng(2).normal(size=(7, 2))
+        a = coeff.entries(x)
+        g = coeff.entry_gradients(x)
+        assert calls == {"__call__": 2, "partials": 2}
+        assert a[:, 0, 1].tobytes() == a[:, 1, 0].tobytes()
+        assert a[:, 0, 0].tobytes() == a[:, 1, 1].tobytes()
+        assert g[:, 0, 1].tobytes() == g[:, 1, 0].tobytes()
+        assert a[:, 0, 1].tobytes() == (x[:, 0] * x[:, 1] / 8).tobytes()
+
+    def test_entry_gradients_are_differentiated_not_differenced(self):
+        coeff = CoefficientField.from_expressions(
+            2, {"a11": "1 + x1^2/4", "a12": "0", "a22": "exp(x2)"}, 0.5)
+        x = np.random.default_rng(4).normal(size=(9, 2))
+        g = coeff.entry_gradients(x)
+        want = np.zeros((9, 2, 2, 2))
+        want[:, 0, 0, 0] = x[:, 0] / 2
+        want[:, 1, 1, 1] = np.exp(x[:, 1]) * 1.0
+        assert g.tobytes() == want.tobytes()
+
+    def test_a1_entry_gradients_fails_on_a_wrong_derivative(self, monkeypatch):
+        # the gate compares the compiled gradients with central differences:
+        # a power rule off by 1e-3 of the derivative fails it at the
+        # demo's a11 = 1 + x1^2/4, where the gap reaches 1e-3 max|x1|/2
+        import ast
+
+        from freqlab import expressions
+
+        entries = {"a11": "1 + x1^2/4", "a12": "0", "a22": "1"}
+        assert check_A1(CoefficientField.from_expressions(2, entries, 0.7),
+                        radius=0.8).clauses["A1.entry_gradients"].passed
+        rule = expressions._DERIVATIVES[ast.Pow]
+        monkeypatch.setitem(expressions._DERIVATIVES, ast.Pow,
+                            lambda *args: 1.001 * rule(*args))
+        rep = check_A1(CoefficientField.from_expressions(2, entries, 0.7),
+                       radius=0.8)
+        clause = rep.clauses["A1.entry_gradients"]
+        assert not clause.passed and clause.margin < 0
+        assert rep.clauses["A1.symmetric"].passed
+        assert rep.clauses["A1.ellipticity"].passed
+
 
 class TestZField:
     """Z = A x / mu sampled straight from the coefficient field."""
@@ -444,6 +497,27 @@ class TestNormalizeCoordinates:
         assert np.max(ratio) <= out.nonlinearity.kappa1
         assert check_A1(out.coefficients, radius=R).passed
         assert check_A3(out.nonlinearity, radius=R).passed
+
+
+    def test_pulled_back_coefficients_carry_their_chain_rule(
+            self, variable_coefficients_spec):
+        # grad (c o T) = (grad c)(T x) M, against central differences of
+        # the pulled-back coefficient itself, for a config expression and
+        # for an API callable without a gradient
+        spec = variable_coefficients_spec
+        api = PowerTerm(1.2, lambda x: 1.5 + np.sin(x[..., 0] * x[..., 1]))
+        nl = NonlinearitySpec.sum_of_powers(
+            spec.nonlinearity.terms + (api,), kappa1=4.0, kappa2=0.4)
+        x0 = np.array([0.2, -0.1])
+        out = normalize_coordinates(ProblemSpec(2, spec.outer_radius,
+                                                spec.coefficients, nl), x0)
+        pts = ball_grid(2, out.outer_radius, 64)
+        step = 1e-6
+        for t in out.nonlinearity.terms[1:]:
+            assert t.coefficient_grad is not None
+            fd = np.stack([(t.coef(pts + step * e) - t.coef(pts - step * e))
+                           / (2 * step) for e in np.eye(2)], axis=-1)
+            np.testing.assert_allclose(t.coef_grad(pts), fd, rtol=0, atol=1e-8)
 
 
 def _pullback_source(bowl, T, x):

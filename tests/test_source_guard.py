@@ -34,6 +34,13 @@ The package runs on numpy alone: no module under src/freqlab imports
 scipy, in any form, so a run never pays for loading it.  The tests use
 scipy as an oracle only.
 
+Central differences stand in only where no formula exists: model.py's
+_central_gradient has three callers, check_A1 (the reference that the
+entry gradients are checked against), PowerTerm.coef_grad (an API
+coefficient given without its gradient) and grad1_F (a tabulated f).
+Config expressions are differentiated from their tree, so a new caller
+is a second gradient path.
+
 The environment sets one thing: the only read of it is cli.py's
 os.environ.get("FREQ_LAB_OUT", ...), so no solver constant or tolerance can
 become a knob that a run record does not show.
@@ -455,4 +462,62 @@ def test_guard_flags_scipy_imports():
 def test_no_module_imports_scipy():
     hits = [hit for source, name in _modules()
             for hit in _scipy_imports(source, name)]
+    assert hits == []
+
+
+_CENTRAL_GRADIENT = "_central_gradient"
+_CENTRAL_GRADIENT_CALLERS = {("model.py", "check_A1"),
+                             ("model.py", "PowerTerm.coef_grad"),
+                             ("model.py", "grad1_F")}
+
+
+def _central_gradient_uses(source, filename):
+    """Each use of _central_gradient (a name, an attribute, an import of
+    it) outside its three allowed callers."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if ((isinstance(child, ast.Attribute) and child.attr == _CENTRAL_GRADIENT)
+                    or (isinstance(child, ast.Name) and child.id == _CENTRAL_GRADIENT)
+                    or (isinstance(child, ast.ImportFrom)
+                        and any(a.name == _CENTRAL_GRADIENT for a in child.names))):
+                if (filename, scope) not in _CENTRAL_GRADIENT_CALLERS:
+                    hits.append(f"{filename}:{child.lineno}: {_CENTRAL_GRADIENT} "
+                                f"in {scope or 'the module'}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source, filename), "")
+    return hits
+
+
+def test_guard_flags_new_central_gradient_callers():
+    snippet = ("from .model import _central_gradient\n"
+               "def _central_gradient(fn, x, step):\n    return fn(x)\n"
+               "class PowerTerm:\n"
+               "    def coef_grad(self, x):\n"
+               "        return _central_gradient(self.coef, x, 1e-5)\n"
+               "def grad1_F(spec, x, s):\n"
+               "    return _central_gradient(lambda y: y, x, 1e-5)\n"
+               "def check_A1(coeff, points):\n"
+               "    return _central_gradient(coeff.entries, points, 1e-6)\n"
+               "class CoefficientField:\n"
+               "    def from_expressions(cls, dim):\n"
+               "        def grads(x):\n"
+               "            return _central_gradient(entries, x, 1e-6)\n"
+               "step = model._central_gradient\n")
+    hits = _central_gradient_uses(snippet, "model.py")
+    assert [hit.split(":")[1] for hit in hits] == ["1", "14", "15"]
+    # the three callers are allowed in model.py only
+    hits = _central_gradient_uses(snippet, "frequency.py")
+    assert [hit.split(":")[1] for hit in hits] == ["1", "6", "8", "10", "14", "15"]
+
+
+def test_central_differences_have_three_callers():
+    hits = [hit for source, name in _modules()
+            for hit in _central_gradient_uses(source, name)]
     assert hits == []
