@@ -397,14 +397,20 @@ def cmd_audit(cfg, spec, fld):
 
 
 def _check_points(spec):
-    """The sample points of `check`: the ball's tensor grid and seeded
-    extra interior samples, so the audit is not blind to structure that
-    happens to dodge the tensor grid."""
+    """The sample points of `check`: the ball's tensor grid, seeded extra
+    interior samples, so the audit is not blind to structure that happens
+    to dodge the tensor grid, and the origin with four points each way
+    along every coordinate axis, where a coordinate is exactly 0 (the
+    tensor grid's even count per axis and the random draws never are)."""
+    dim, radius = spec.dim, spec.outer_radius
     rng = np.random.default_rng(0)
-    extra = rng.uniform(-spec.outer_radius, spec.outer_radius,
-                        size=(32, spec.dim))
-    extra = extra[np.sum(extra ** 2, axis=1) <= spec.outer_radius ** 2]
-    return np.vstack([ball_grid(spec.dim, spec.outer_radius), extra])
+    extra = rng.uniform(-radius, radius, size=(32, dim))
+    extra = extra[np.sum(extra ** 2, axis=1) <= radius ** 2]
+    steps = 0.97 * radius * np.arange(1, 5) / 4.0
+    on_axes = (np.concatenate([steps, -steps])[:, None, None]
+               * np.eye(dim)).reshape(-1, dim)
+    return np.vstack([ball_grid(dim, radius), extra, np.zeros((1, dim)),
+                      on_axes])
 
 
 def cmd_check(cfg, spec):

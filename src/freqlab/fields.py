@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .io import write_npz
-from .model import _plane_sum, _planes, eval_f
+from .model import _nonzero_planes, _plane_sum, _planes, eval_f
 from .odes import counterexample_profile, counterexample_slope
 from .quadrature import deriv_periodic_fft, deriv_uniform, radial_laplacian
 
@@ -283,8 +283,10 @@ def _residual_grid(spec, fld, agrad=None, V=None, fvals=None):
         pts = fld.points()
     if agrad is None:
         a = _planes(spec.coefficients.entries(pts), 2)
+        nonzero = _nonzero_planes(a, 2)
         grad = cartesian_gradient(fld.u, fld.r, fld.theta)
-        agrad = [_plane_sum(a[i, j] * grad[j] for j in range(2))
+        agrad = [_plane_sum((a[i, j] * grad[j] for j in range(2)
+                             if nonzero[i, j]), fld.u.shape)
                  for i in range(2)]
     if V is None:
         V = spec.V(pts)
@@ -331,17 +333,20 @@ def solve_radial(spec, a, h=1e-3):
 # 2-D variable-coefficient solver (node-centred polar grid)
 
 
-def _polar_frame_entries(coeff, r, theta):
-    """a_rr, a_rt, a_tt at the tensor points (r x theta)."""
+def _polar_frame_entries(coeff, r, theta, forms=("rr", "rt", "tt")):
+    """<A v, w> at the tensor points (r x theta) for each vw of `forms`, v
+    and w the unit radial (r) or angular (t) vector: a_rr, a_rt and a_tt
+    by default.  A plane of A that is zero there adds no term."""
     a = _planes(coeff.entries(_polar_points(r, theta)), 2)
+    nonzero = _nonzero_planes(a, 2)
     ct, st = np.cos(theta), np.sin(theta)
-    er, et = (ct, st), (-st, ct)  # unit radial and angular vectors
+    frame = {"r": (ct, st), "t": (-st, ct)}
 
     def quad(v, w):  # <A v, w>, summed over i, then j within i
-        return _plane_sum(a[i, j] * v[i] * w[j]
-                          for i in range(2) for j in range(2))
+        return _plane_sum((a[i, j] * v[i] * w[j] for i in range(2)
+                           for j in range(2) if nonzero[i, j]), a.shape[2:])
 
-    return quad(er, er), quad(er, et), quad(et, et)
+    return tuple(quad(frame[v], frame[w]) for v, w in forms)
 
 
 def _nodes(u, boundary):
@@ -400,8 +405,10 @@ class _Stencil:
         self._coef = coef = {off: np.zeros(self.shape) for off in offsets}
 
         half_r = r_nodes[:-1] + 0.5 * dr  # faces i+1/2, i = 0..M-1
-        arr_f, art_f, _ = _polar_frame_entries(spec.coefficients, half_r, theta)
-        _, art_t, att_t = _polar_frame_entries(spec.coefficients, r_nodes[1:M], theta + 0.5 * dth)
+        arr_f, art_f = _polar_frame_entries(spec.coefficients, half_r, theta,
+                                            ("rr", "rt"))
+        art_t, att_t = _polar_frame_entries(spec.coefficients, r_nodes[1:M],
+                                            theta + 0.5 * dth, ("rt", "tt"))
         i = slice(1, M)  # the ring equations
         r_i = r_nodes[1:M, None]
 

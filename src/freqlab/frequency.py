@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _plane_sum, c_constant, eval_F, eval_f, grad1_F
+from .model import (_plane_sum, _trailing, c_constant, eval_F, eval_f,
+                    grad1_F)
 from .quadrature import cumulative_uniform, deriv_uniform, unit_sphere_area
 from .fields import (_MIN_BLOCKS, _polar_points, _require_finite,
                      _require_radial_route, _residual_grid, _residual_radial,
@@ -183,10 +184,14 @@ class _NodeData:
     A polar grid also keeps the rows only the general identities read:
     <Z, grad e> (`z_grad_e`), the integrands of `verify_rellich_general`'s
     terms T1 and T4 (`t1_rows`, `t4_rows`) and <grad_x F, Z>
-    (`grad_x_F_z`).  On a grid, A (by `geometry`), V and f are evaluated
-    here only, ring block by ring block (`fields._ring_blocks`), and each
-    block's tensors are dropped once its rows are written; the residual rho
-    reads A grad u, V and f from here.
+    (`grad_x_F_z`).  The rows only the model-problem identities read, the
+    radial derivative u_nu and <x, grad u> (`x_grad_u`), are filled on a
+    grid only when `_is_model_problem` holds, and are None otherwise.  On
+    a grid, A (by `geometry`), V and f are evaluated here only, ring block
+    by ring block (`fields._ring_blocks`), and each block's tensors are
+    dropped once its rows are written; the residual rho reads A grad u, V
+    and f from here.  A block's sums over A and grad A skip the planes
+    that are exactly zero on it, keeping every bit (`model._plane_sum`).
 
     Every row is finite: the residual's unformed rows (`residual_field`'s
     NaNs) count as 0, and a value of A, grad A, V, f, F or grad_x F that
@@ -234,16 +239,19 @@ class _NodeData:
             _require_finite("f", values, self.r)
         self.rho0 = _residual_radial(spec, fld, fvals=self.fvals[:, 0])[:, None]
 
-    _GRID_ROWS = ("mu", "flux_r", "e_density", "u_nu", "x_grad_u",
-                  "div_a_grad_absx", "V", "fvals", "Fvals", "divz",
-                  "z_grad_u", "t1_rows", "t4_rows", "grad_x_F_z")
+    _GRID_ROWS = ("mu", "flux_r", "e_density", "div_a_grad_absx", "V",
+                  "fvals", "Fvals", "divz", "z_grad_u", "t1_rows", "t4_rows",
+                  "grad_x_F_z")
 
     def _fill_grid(self, spec, fld):
         self.ring = self.r
         self.dtheta = float(fld.theta[1] - fld.theta[0])
         self.u = fld.u
         shape = fld.u.shape
-        for name in self._GRID_ROWS:
+        # u_nu and x_grad_u are read by the model-problem identities only
+        self.u_nu = self.x_grad_u = None
+        model_rows = ("u_nu", "x_grad_u") if _is_model_problem(spec, fld) else ()
+        for name in self._GRID_ROWS + model_rows:
             setattr(self, name, np.empty(shape))
         # grad u, A grad u and Z are whole-grid while a derivative needs
         # them: the residual takes div(A grad u), <Z, grad e> takes grad e
@@ -263,53 +271,66 @@ class _NodeData:
         """The node rows `rows` (a slice of rings) from one `geometry`
         call; writes A grad u and Z of those rings into `agrad` and `z`.
         Each product and sum is taken in the order np.einsum took it
-        (tests/test_plane_contractions.py pins the bits)."""
+        (tests/test_plane_contractions.py pins the bits), less the terms
+        whose plane of A or grad A is zero on these rings (`_plane_sum`).
+        """
         r, u = self.r[rows], fld.u[rows]
+        shape = u.shape
         pts = _polar_points(r, fld.theta)
-        geo = spec.coefficients.geometry(pts)
+        geo = spec.coefficients._geometry_planes(pts)
         a, g, dz = geo.a, geo.grads, geo.dz
+        a_nz, g_nz = geo.a_nonzero, geo.grads_nonzero
         nu = (np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :])
         gx, gy = grad
         for i in range(2):
-            agrad[i] = _plane_sum(a[..., i, j] * grad[j] for j in range(2))
+            agrad[i] = _plane_sum((a[i, j] * grad[j] for j in range(2)
+                                   if a_nz[i, j]), shape)
         self.flux_r[rows] = _plane_sum(agrad[i] * nu[i] for i in range(2))
         self.e_density[rows] = _plane_sum(agrad[i] * grad[i] for i in range(2))
-        self.u_nu[rows] = gx * nu[0] + gy * nu[1]
-        self.x_grad_u[rows] = gx * pts[..., 0] + gy * pts[..., 1]
+        if self.u_nu is not None:
+            self.u_nu[rows] = gx * nu[0] + gy * nu[1]
+            self.x_grad_u[rows] = gx * pts[..., 0] + gy * pts[..., 1]
         # div(A grad |x|) = (d_j a_ji) nu_i + (tr A - mu) / r, summed over
-        # j within i
+        # j within i; an i whose d_j a_ji all vanish adds no term
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.div_a_grad_absx[rows] = (
-                _plane_sum(_plane_sum(g[..., j, i, j] * nu[i] for j in range(2))
-                           for i in range(2))
-                + (_plane_sum(a[..., i, i] for i in range(2)) - geo.mu)
-                / r[:, None])
+            div_g = _plane_sum(
+                (_plane_sum(g[j, i, j] * nu[i] for j in range(2) if g_nz[j, i, j])
+                 for i in range(2) if g_nz[0, i, 0] or g_nz[1, i, 1]), shape)
+            trace = _plane_sum((a[i, i] for i in range(2) if a_nz[i, i]), shape)
+            self.div_a_grad_absx[rows] = div_g + (trace - geo.mu) / r[:, None]
         self.mu[rows] = geo.mu
         self.V[rows] = spec.V(pts)
         self.fvals[rows] = eval_f(spec.nonlinearity, pts, u)
         self.Fvals[rows] = eval_F(spec.nonlinearity, pts, u)
         # Z = A x / mu, its Jacobian and divergence, undefined at the pole
-        z[...] = np.moveaxis(geo.z, -1, 0)
-        divz = _plane_sum(dz[..., h, h] for h in range(2))
+        z[...] = geo.z
+        divz = _plane_sum(dz[h, h] for h in range(2))
         if rows.start == 0:
-            # finite at the pole, where r = 0 weighs them out
+            # finite at the pole, where r = 0 weighs them out.  Zeroed
+            # before T1 and T4 are formed: a term they drop for a zero
+            # plane of A or grad A must have been 0 times finite factors,
+            # and Z and DZ are NaN at the pole (off it they are finite
+            # wherever mu != 0)
             self.div_a_grad_absx[0], self.mu[0] = 0.0, 1.0
-            for arr in (z[:, 0], dz[0], divz[0]):
+            for arr in (z[:, 0], dz[:, :, 0], divz[0]):
                 arr[...] = 0.0
         self.divz[rows] = divz
         self.z_grad_u[rows] = z[0] * gx + z[1] * gy
         # the integrands of T1, (d_h a_li) Z_i d_h u d_l u, and of T4,
         # -2 a_hl d_h Z_j d_j u d_l u, summed over (h, l, i) and (h, j, l)
         self.t1_rows[rows] = _plane_sum(
-            g[..., h, l, i] * z[i] * grad[h] * grad[l]
-            for h in range(2) for l in range(2) for i in range(2))
+            (g[h, l, i] * z[i] * grad[h] * grad[l]
+             for h in range(2) for l in range(2) for i in range(2)
+             if g_nz[h, l, i]), shape)
         self.t4_rows[rows] = -2.0 * _plane_sum(
-            a[..., h, l] * dz[..., h, j] * grad[j] * grad[l]
-            for h in range(2) for j in range(2) for l in range(2))
+            (a[h, l] * dz[h, j] * grad[j] * grad[l]
+             for h in range(2) for j in range(2) for l in range(2)
+             if a_nz[h, l]), shape)
         g1 = grad1_F(spec.nonlinearity, pts, u)
         self.grad_x_F_z[rows] = _plane_sum(g1[..., i] * z[i] for i in range(2))
-        for quantity, values in (("A", a), ("grad A", g), ("V", self.V[rows]),
-                                 ("f", self.fvals[rows]),
+        for quantity, values in (("A", _trailing(a, 2)),
+                                 ("grad A", _trailing(g, 3)),
+                                 ("V", self.V[rows]), ("f", self.fvals[rows]),
                                  ("f", self.Fvals[rows]), ("grad_x F", g1)):
             _require_finite(quantity, values, self.r, fld.theta, rows.start)
 

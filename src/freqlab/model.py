@@ -11,6 +11,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -63,10 +64,11 @@ class CoefficientField:
     shape (..., N, N, N) with axis order (i, j, h) for d a_ij / d x_h;
     `ellipticity(x)` returns the pointwise lambda in (0, 1) used in the
     two-sided ellipticity sandwich.  The analyses read A only through
-    `geometry(x)`, one call per ring block of a field
-    (`frequency._NodeData`), whose arrays keep these shapes but hold each
-    component as a contiguous plane.  The callables themselves may return
-    any layout.
+    `geometry(x)`, whose arrays keep these shapes but hold each component
+    as a contiguous plane, or through its component-major form
+    `_geometry_planes(x)`, one call per ring block of a field
+    (`frequency._NodeData`).  The callables themselves may return any
+    layout.
     """
 
     def __init__(self, dim, entries, entry_gradients, ellipticity, kind):
@@ -200,14 +202,26 @@ class CoefficientField:
         component-major arrays: each component (`a[..., i, j]`,
         `grads[..., i, j, h]`, `z[..., i]`, `dz[..., h, j]`) is one
         contiguous plane, and every contraction here runs plane by plane.
+        A plane of A or grad A that is exactly zero on x adds no term to
+        A x, mu, d<A x, x> or d(A x) (`_plane_sum` says why no bit moves).
         """
+        p = self._geometry_planes(x)
+        return Geometry(_trailing(p.a, 2), _trailing(p.grads, 3), p.mu,
+                        _trailing(p.z, 1), _trailing(p.dz, 2))
+
+    def _geometry_planes(self, x):
+        """`geometry`'s arrays as their component-major planes (a[i, j],
+        grads[i, j, h], z[i], dz[h, j]), with `_nonzero_planes` of a and
+        of grads, for callers that contract them further."""
         x = np.asarray(x, dtype=float)
-        n = x.shape[-1]
+        n, shape = x.shape[-1], x.shape[:-1]
         a = _planes(self.entries(x), 2)
         g = _planes(self.entry_gradients(x), 3)
+        a_nz, g_nz = _nonzero_planes(a, 2), _nonzero_planes(g, 3)
         xs = _planes(x, 1)
         r2 = np.sum(x * x, axis=-1)
-        ax = np.stack([_plane_sum(a[i, j] * xs[j] for j in range(n))
+        ax = np.stack([_plane_sum((a[i, j] * xs[j] for j in range(n)
+                                   if a_nz[i, j]), shape)
                        for i in range(n)])
         dz = np.empty_like(g[0])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -216,37 +230,60 @@ class CoefficientField:
             mu2 = mu ** 2
             for h in range(n):
                 # d_h <Ax, x> = sum_ij (d_h a_ij) x_i x_j + 2 (Ax)_h
-                dq = (_plane_sum(g[i, j, h] * xs[i] * xs[j]
-                                 for i in range(n) for j in range(n))
-                      + 2.0 * ax[h])
+                dq = _plane_sum(chain(
+                    (g[i, j, h] * xs[i] * xs[j] for i in range(n)
+                     for j in range(n) if g_nz[i, j, h]), (2.0 * ax[h],)))
                 dmu = dq / r2 - 2.0 * mu * xs[h] / r2
                 for j in range(n):
                     # d_h (Ax)_j = sum_l (d_h a_jl) x_l + a_jh
-                    dax = (_plane_sum(g[j, l, h] * xs[l] for l in range(n))
-                           + a[j, h])
+                    dax = _plane_sum(chain(
+                        (g[j, l, h] * xs[l] for l in range(n) if g_nz[j, l, h]),
+                        (a[j, h],) if a_nz[j, h] else ()), shape)
                     dz[h, j] = dax / mu - ax[j] * dmu / mu2
-        return Geometry(_trailing(a, 2), _trailing(g, 3), mu, _trailing(z, 1),
-                        _trailing(dz, 2))
+        return _GeometryPlanes(a, g, mu, z, dz, a_nz, g_nz)
 
 
 def _planes(arr, k):
     """A component-major copy of arr: its last k axes moved to the front,
     so that each component is one contiguous plane."""
-    return np.ascontiguousarray(np.moveaxis(arr, range(-k, 0), range(k)))
+    lead = arr.ndim - k
+    return np.ascontiguousarray(
+        arr.transpose(*range(lead, arr.ndim), *range(lead)))
 
 
 def _trailing(planes, k):
     """The view of a component-major array with its first k axes last, the
     inverse of `_planes`."""
-    return np.moveaxis(planes, range(k), range(-k, 0))
+    return planes.transpose(*range(k, planes.ndim), *range(k))
 
 
-def _plane_sum(terms):
+def _nonzero_planes(planes, k):
+    """Which components of a contiguous component-major array hold a value
+    other than +-0 (a NaN counts): a boolean array over its first k axes,
+    from one reduction over the planes.  Taken per ring block, so a plane
+    that vanishes on some blocks only is skipped on those."""
+    lead = planes.shape[:k]
+    return planes.reshape(math.prod(lead), -1).any(axis=1).reshape(lead)
+
+
+def _plane_sum(terms, shape=None):
     """0 + t1 + t2 + ..., left to right: np.einsum's sum over contracted
     axes, bit for bit (signed zeros included) when the terms come in the
-    order that it visits them."""
+    order that it visits them.
+
+    A caller drops the terms whose plane of A or grad A is exactly zero
+    (`_nonzero_planes`), when every other factor of such a term is finite,
+    and no bit moves: the total starts at +0.0, and a sum that starts there
+    is never -0.0 under round-to-nearest, so adding the dropped +-0 would
+    have left it unchanged (x + (+-0) = x for x != 0, NaN and inf
+    included, and +0 + (+-0) = +0).  A sum left with no terms is +0.0 of
+    `shape`.
+    """
     terms = iter(terms)
-    total = 0.0 + next(terms)
+    first = next(terms, None)
+    if first is None:
+        return np.zeros(shape)
+    total = 0.0 + first
     for t in terms:
         total += t
     return total
@@ -256,6 +293,10 @@ def _plane_sum(terms):
 # (..., N, N, N), mu (...), z (..., N) and dz (..., N, N), each a view of a
 # component-major array, so that every [..., i, j] is a contiguous plane
 Geometry = namedtuple("Geometry", "a grads mu z dz")
+# the same arrays as component-major planes, and which planes of a and
+# grads are nonzero (`CoefficientField._geometry_planes`)
+_GeometryPlanes = namedtuple("_GeometryPlanes",
+                             "a grads mu z dz a_nonzero grads_nonzero")
 
 
 def _const_field(x, value):

@@ -25,22 +25,31 @@ def cumulative_uniform(g, h):
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
-    out = np.zeros_like(g)
     if n < 4:
         raise ValueError("need at least 4 samples for 4th-order prefixes")
-    # Simpson pairs: S[i] = S[i-2] + h/3 (g[i-2] + 4 g[i-1] + g[i]), even i
-    pair = (h / 3.0) * (g[:-2:2] + 4.0 * g[1:-1:2] + g[2::2])
-    even = np.concatenate([np.zeros((1,) + g.shape[1:]), np.cumsum(pair, axis=0)])
-    out[0::2] = even
+    out = np.empty_like(g)
+    # Simpson pairs: S[i] = S[i-2] + h/3 (g[i-2] + 4 g[i-1] + g[i]), even i,
+    # summed left to right in one work array
+    pair = np.multiply(g[1:-1:2], 4.0)
+    np.add(g[:-2:2], pair, out=pair)
+    np.add(pair, g[2::2], out=pair)
+    np.multiply(pair, h / 3.0, out=pair)
+    out[0] = 0.0
+    np.cumsum(pair, axis=0, out=out[2::2])
     # i = 1: integral of the cubic through nodes 0..3 over [0, h]
     out[1] = (h / 24.0) * (9.0 * g[0] + 19.0 * g[1] - 5.0 * g[2] + g[3])
     # i = 3: 3/8 rule on [0, 3h]
     out[3] = (3.0 * h / 8.0) * (g[0] + 3.0 * g[1] + 3.0 * g[2] + g[3])
     # odd i >= 5 (none when n <= 5): Simpson through i-3 plus a 3/8 tail
+    # (g[i-3] + 3 g[i-2] + 3 g[i-1] + g[i]), its 3 g[i-1] parked in out[i]
     m = 2 * ((n - 4) // 2)  # span of the odd i >= 5
-    tail = (3.0 * h / 8.0) * (g[2:2 + m:2] + 3.0 * g[3:3 + m:2] + 3.0 * g[4:4 + m:2]
-                              + g[5::2])
-    out[5::2] = out[2:2 + m:2] + tail
+    odd = out[5::2]
+    tail = np.multiply(g[3:3 + m:2], 3.0)
+    np.add(g[2:2 + m:2], tail, out=tail)
+    np.add(tail, np.multiply(g[4:4 + m:2], 3.0, out=odd), out=tail)
+    np.add(tail, g[5::2], out=tail)
+    np.multiply(tail, 3.0 * h / 8.0, out=tail)
+    np.add(out[2:2 + m:2], tail, out=odd)
     return out
 
 

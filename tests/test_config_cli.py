@@ -901,7 +901,8 @@ _NAN_CONFIGS = {
 
 
 # finite on the ball, but not Lipschitz: its gradient is infinite on the
-# line x1 = 0, which check's samples miss and the polar nodes' pole is on
+# line x1 = 0, which check samples on the x2 axis and the polar nodes' pole
+# is on
 _NON_LIPSCHITZ_CONFIG = MODEL_CONFIG.replace(
     "field = identity", "field = expr\na11 = 1 + (x1^2)^0.25\na12 = 0\n"
                         "a22 = 1\nellipticity = 0.5")
@@ -915,9 +916,12 @@ def test_an_entry_without_a_finite_gradient_stops_the_analysis(tmp_path, capsys)
     save_field(sample_grid2d(lambda x: 0.5 + 0.1 * x[..., 0], 1.0, 32, 64, 1.5),
                str(fpath))
     assert main(["check", "--config", str(path), "--out",
-                 str(tmp_path / "ck")]) == 0
+                 str(tmp_path / "ck")]) == 7
     blob = json.loads((tmp_path / "ck" / "assumptions.json").read_text())
-    assert blob["A1"]["clauses"]["A1.entry_gradients"]["passed"]
+    failed = sorted(name for report in ("A1", "A3")
+                    for name, clause in blob[report]["clauses"].items()
+                    if not clause["passed"])
+    assert failed == ["A1.entry_gradients", "A1.lipschitz"]
     capsys.readouterr()
     for command in ("frequency", "audit"):
         out = tmp_path / command

@@ -8,6 +8,8 @@ operands, and asks for the same bits: signed zeros count, and NaNs must sit
 in the same places.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,10 @@ from freqlab.fields import (SolutionField, _polar_frame_entries,
                             _polar_points, _residual_grid, cartesian_gradient,
                             manufactured_bowl, sample_grid2d)
 from freqlab.frequency import (_node_data, frequency_profile,
-                               verify_f_transport, verify_rellich_general)
+                               run_all_identity_checks, verify_f_transport,
+                               verify_rellich_general, write_identity_reports)
 from freqlab.model import (CoefficientField, NonlinearitySpec, ProblemSpec,
-                           grad1_F)
+                           _plane_sum, grad1_F)
 
 N_R, N_THETA = 32, 64
 
@@ -31,14 +34,47 @@ def same_bits(a, b):
     assert np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
 
 
+def _zero_inside(radius):
+    """a11 = 1 + x1^2/4, a22 = 1 and a12 = 0.4 (|x|^2 - R^2/4)^2 outside
+    |x| = R/2, exactly 0 inside, with its exact gradient: the planes of
+    a12 and its gradient are zero on the inner ring blocks only."""
+    edge = radius ** 2 / 4.0
+
+    def entries(x):
+        x = np.asarray(x, dtype=float)
+        s = np.maximum(np.sum(x * x, axis=-1) - edge, 0.0)
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0 + x[..., 0] ** 2 / 4.0
+        out[..., 0, 1] = out[..., 1, 0] = 0.4 * s * s
+        out[..., 1, 1] = 1.0
+        return out
+
+    def grads(x):
+        x = np.asarray(x, dtype=float)
+        s = np.maximum(np.sum(x * x, axis=-1) - edge, 0.0)
+        out = np.zeros(x.shape[:-1] + (2, 2, 2))
+        out[..., 0, 0, 0] = x[..., 0] / 2.0
+        for h in range(2):
+            out[..., 0, 1, h] = out[..., 1, 0, h] = 1.6 * s * x[..., h]
+        return out
+
+    return CoefficientField(2, entries, grads,
+                            lambda x: np.full(np.shape(x)[:-1], 0.5),
+                            "zero_inside")
+
+
 @pytest.fixture(scope="module", params=["rotation_perturbed", "bowl",
                                         "variable_coefficients", "identity",
-                                        "generic"])
+                                        "generic", "zero_inside"])
 def case(request, variable_coefficients_spec):
     # A = id has grad A = 0, so whole sums of zero products read +0, not -0;
     # "generic" has no vanishing entry gradient, so every summation order
-    # shows in the bits
-    if request.param == "identity":
+    # shows in the bits; "zero_inside" has planes that are zero on some
+    # ring blocks and not on others
+    if request.param == "zero_inside":
+        spec = ProblemSpec(2, 1.0, _zero_inside(1.0),
+                           NonlinearitySpec.homogeneous(1.5))
+    elif request.param == "identity":
         spec = ProblemSpec.model(2, 1.5)
     elif request.param == "generic":
         spec = ProblemSpec(2, 0.8, CoefficientField.from_expressions(2, {
@@ -200,3 +236,79 @@ def test_polar_frame_entries(case):
            for v, w in ((er, er), (er, et), (et, et))]
     for new, ref in zip(_polar_frame_entries(spec.coefficients, r, theta), old):
         same_bits(new, ref)
+
+
+def test_zero_planes_change_between_ring_blocks():
+    # the inner blocks of "zero_inside" have a12 = 0 and grad a12 = 0, the
+    # outer ones do not, so a zero pattern taken once for the whole grid
+    # (or from one block) would drop or keep the wrong terms
+    coeff = _zero_inside(1.0)
+    fld = sample_grid2d(lambda x: 1.0 - x[..., 0] ** 2, 1.0, N_R, N_THETA, 1.5)
+    blocks = fields._ring_blocks(*fld.u.shape, frequency._MIN_BLOCKS)
+    patterns = [coeff._geometry_planes(_polar_points(fld.r[rows], fld.theta))
+                for rows in blocks]
+    assert not patterns[0].a_nonzero[0, 1] and patterns[-1].a_nonzero[0, 1]
+    assert not patterns[0].grads_nonzero[0, 1].any()
+    assert patterns[-1].grads_nonzero[0, 1].all()
+
+
+def test_dropping_zero_terms_keeps_the_bits():
+    # 0 + t1 + t2 + ... without its exact +-0 terms, or with none left,
+    # gives the full sum's bits, signed zeros, infs and NaNs included
+    rng = np.random.default_rng(3)
+    shape = (5, 7)
+    special = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+    for _ in range(200):
+        count = int(rng.integers(1, 7))
+        terms = [special[rng.integers(0, len(special), shape)]
+                 * rng.choice([1.0, 1e-300, 1e300], shape)
+                 for _ in range(count)]
+        zero = rng.random(count) < 0.5
+        for k in np.flatnonzero(zero):
+            terms[k] = rng.choice([0.0, -0.0], shape)
+        kept = [t for t, z in zip(terms, zero) if not z]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            same_bits(_plane_sum(kept, shape), _plane_sum(terms))
+    # an empty sum is +0.0 of the block's shape, as a sum of -0 terms is
+    empty = _plane_sum([], shape)
+    same_bits(empty, _plane_sum([np.full(shape, -0.0)] * 3))
+    assert empty.shape == shape and not np.signbit(empty).any()
+
+
+def test_a_non_elliptic_constant_a_keeps_its_report_bytes(tmp_path):
+    # A = diag(1, -1) has mu = cos(2 theta), exactly 0 at two nodes of this
+    # grid, where Z and DZ are NaN: T1 drops its grad A = 0 terms there
+    # (the plane rule), and the identities.json written before that rule
+    # is kept byte for byte
+    coeff = CoefficientField._constant(np.diag([1.0, -1.0]), 0.5, "diagonal")
+    spec = ProblemSpec(2, 1.0, coeff, NonlinearitySpec.homogeneous(1.5))
+    fld = sample_grid2d(lambda x: 0.3 * (1 - x[..., 0] ** 2 - 2 * x[..., 1] ** 2)
+                        + 0.1 * x[..., 0] * x[..., 1], 1.0, N_R, N_THETA, 1.5)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert np.count_nonzero(_node_data(spec, fld).mu == 0) == 2
+        reports = run_all_identity_checks(spec, fld,
+                                          frequency_profile(spec, fld))
+    path, _ = write_identity_reports(reports, str(tmp_path))
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == (
+            "e524dfb098a56b9a3eae4294b8836cf1cd16f40fb2d7ef2373828705eb9b9feb")
+
+
+def test_frame_entries_form_only_the_forms_asked_for(case):
+    spec, fld = case
+    r, theta = fld.r[1:], fld.theta
+    rr, rt, tt = _polar_frame_entries(spec.coefficients, r, theta)
+    for forms, refs in ((("rr", "rt"), (rr, rt)), (("rt", "tt"), (rt, tt))):
+        got = _polar_frame_entries(spec.coefficients, r, theta, forms)
+        assert len(got) == 2
+        for new, ref in zip(got, refs):
+            same_bits(new, ref)
+
+
+def test_model_rows_only_for_the_model_problem(case):
+    # u_nu and x_grad_u are read by the model-problem identities only
+    spec, fld = case
+    data = _node_data(spec, fld)
+    filled = data.u_nu is not None
+    assert filled == spec.is_model
+    assert (data.x_grad_u is not None) == filled

@@ -19,6 +19,11 @@ frequency.py and CoefficientField.geometry name no einsum, whose inner loop
 runs over trailing axes of length 2.  check_A1 and the
 normalize_coordinates pullback run on a few dozen points and keep theirs.
 
+The node pass changes layout by fixed transposes: CoefficientField's
+geometry (and _geometry_planes), model._planes, model._trailing and
+frequency._NodeData._fill_block name no np.moveaxis, which normalises its
+axes in Python on every call, per ring block and per tensor.
+
 Node rows are finite by one rule: np.nan_to_num appears only in
 frequency._NodeData.__init__, which zeroes the residual's unformed rows
 and rejects every other row that is not finite, so no later pass masks a
@@ -210,18 +215,18 @@ _PLANE_MODULES = ("fields.py", "frequency.py")
 _PLANE_FUNCTION = ("model.py", "CoefficientField.geometry")
 
 
-def _einsum_uses(source, filename):
-    """Each use of einsum (np.einsum, a bare einsum, an import of it) and
-    the dotted name of the class or function it sits in."""
+def _scoped_uses(source, filename, name):
+    """Each use of numpy's `name` (np.<name>, a bare name, an import of it)
+    and the dotted name of the class or function it sits in."""
     hits = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if ((isinstance(child, ast.Attribute) and child.attr == "einsum")
-                    or (isinstance(child, ast.Name) and child.id == "einsum")
+            if ((isinstance(child, ast.Attribute) and child.attr == name)
+                    or (isinstance(child, ast.Name) and child.id == name)
                     or (isinstance(child, ast.ImportFrom)
-                        and any(a.name == "einsum" for a in child.names))):
-                hits.append((f"{filename}:{child.lineno}: einsum", scope))
+                        and any(a.name == name for a in child.names))):
+                hits.append((f"{filename}:{child.lineno}: {name}", scope))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
@@ -230,6 +235,10 @@ def _einsum_uses(source, filename):
 
     visit(ast.parse(source, filename), "")
     return hits
+
+
+def _einsum_uses(source, filename):
+    return _scoped_uses(source, filename, "einsum")
 
 
 def _stray_einsums(source, filename):
@@ -261,6 +270,49 @@ def test_guard_flags_einsum_in_plane_contractions():
 def test_no_einsum_in_plane_contractions():
     hits = [hit for source, name in _modules()
             for hit in _stray_einsums(source, name)]
+    assert hits == []
+
+
+# the functions of the node pass whose layout changes are fixed transposes
+_NO_MOVEAXIS = {("model.py", "CoefficientField.geometry"),
+                ("model.py", "CoefficientField._geometry_planes"),
+                ("model.py", "_planes"), ("model.py", "_trailing"),
+                ("frequency.py", "_NodeData._fill_block")}
+
+
+def _stray_moveaxis(source, filename):
+    """np.moveaxis in the node pass's functions (and those nested in
+    them), whose per-call axis normalisation the pass would pay per ring
+    block and per tensor."""
+    return [hit for hit, scope in _scoped_uses(source, filename, "moveaxis")
+            if any(filename == module
+                   and (scope == func or scope.startswith(func + "."))
+                   for module, func in _NO_MOVEAXIS)]
+
+
+def test_guard_flags_moveaxis_in_the_node_pass():
+    snippet = ("import numpy as np\nfrom numpy import moveaxis\n"
+               "class CoefficientField:\n"
+               "    def geometry(self, x):\n"
+               "        return np.moveaxis(x, -1, 0)\n"
+               "    def entries(self, x):\n"
+               "        return np.moveaxis(x, -1, 0)\n"
+               "def _planes(arr, k):\n"
+               "    def inner(a):\n        return moveaxis(a, 0, -1)\n"
+               "    return inner(arr)\n"
+               "class _NodeData:\n"
+               "    def _fill_block(self, z):\n"
+               "        z[...] = np.moveaxis(z, -1, 0)\n")
+    hits = _stray_moveaxis(snippet, "model.py")
+    assert [hit.split(":")[1] for hit in hits] == ["5", "10"]
+    hits = _stray_moveaxis(snippet, "frequency.py")
+    assert [hit.split(":")[1] for hit in hits] == ["14"]
+    assert _stray_moveaxis(snippet, "audit.py") == []
+
+
+def test_no_moveaxis_in_the_node_pass():
+    hits = [hit for source, name in _modules()
+            for hit in _stray_moveaxis(source, name)]
     assert hits == []
 
 
@@ -340,25 +392,9 @@ _NAN_TO_NUM = ("frequency.py", "_NodeData.__init__")
 
 
 def _nan_to_num_uses(source, filename):
-    """Each use of nan_to_num (np.nan_to_num, a bare name, an import of it)
-    and the dotted name of the class or function it sits in."""
-    hits = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if ((isinstance(child, ast.Attribute) and child.attr == "nan_to_num")
-                    or (isinstance(child, ast.Name) and child.id == "nan_to_num")
-                    or (isinstance(child, ast.ImportFrom)
-                        and any(a.name == "nan_to_num" for a in child.names))):
-                hits.append((f"{filename}:{child.lineno}: nan_to_num", scope))
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-            else:
-                visit(child, scope)
-
-    visit(ast.parse(source, filename), "")
-    return [hit for hit, scope in hits if (filename, scope) != _NAN_TO_NUM]
+    """Each use of nan_to_num outside frequency._NodeData.__init__."""
+    return [hit for hit, scope in _scoped_uses(source, filename, "nan_to_num")
+            if (filename, scope) != _NAN_TO_NUM]
 
 
 def test_guard_flags_stray_nan_to_num():
