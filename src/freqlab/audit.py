@@ -151,8 +151,9 @@ def _residual_epsilon(data):
 def vanishing_radius(prof):
     """Largest audited radius with d(r) below _TOL_D_REL * d(R); 0.0 if none.
 
-    Returns None when d is negligible over the whole grid (the field itself
-    is numerically zero).
+    Returns None when d(R) is not positive and finite (the field itself is
+    numerically zero).  Otherwise d(R) itself is above the threshold, so a
+    radius returned lies below R.
     """
     d = prof.d
     dmax = float(d[-1])
@@ -161,8 +162,6 @@ def vanishing_radius(prof):
     mask = d <= _TOL_D_REL * dmax
     if not mask.any():
         return 0.0
-    if mask.all():
-        return None
     return float(prof.r[np.nonzero(mask)[0][-1]])
 
 

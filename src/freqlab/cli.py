@@ -21,7 +21,7 @@ from .audit import AuditControls, audit
 from .config import (ConfigError, RunConfig, parse_problem_spec,
                      parse_run_config, read_ini)
 from .fields import (SolverError, load_field, save_field, solve_grid_2d,
-                     solve_radial)
+                     solve_radial, solver_summary)
 from .frequency import (ProfileControls, frequency_profile,
                         run_all_identity_checks, write_identity_reports)
 from .io import RunRecord, jsonable, profile_to_csv, write_csv, write_json
@@ -180,6 +180,16 @@ def _resolve(args):
     if spec is not None:
         cfg.dimension, cfg.q = spec.dim, spec.nonlinearity.q
         cfg.outer_radius = spec.outer_radius
+    if args.command in ("solve", "frequency", "audit"):
+        # a non-elliptic A is bad input for every command that solves or
+        # analyses a field: it exits 2 before any output
+        rep = check_A1(spec.coefficients, _check_points(spec),
+                       radius=spec.outer_radius)
+        for name in ("A1.symmetric", "A1.ellipticity"):
+            clause = rep.clauses[name]
+            if not clause.passed:
+                raise ConfigError(f"the coefficients fail {name} (margin "
+                                  f"{clause.margin:.6g}); see freq-lab check")
     return cfg, spec, fld, q_list or [cfg.q]
 
 
@@ -283,18 +293,10 @@ def cmd_ode(cfg, q_list):
 
 
 def cmd_solve(cfg, spec):
-    # the checks and the solve come first, so a bad input (a non-elliptic A,
-    # a step too coarse for the amplitude, an odd angular count) exits 2
-    # before any output; only a solve that does not converge leaves a record
-    # of its failure
-    if cfg.mode == "grid2d":
-        rep = check_A1(spec.coefficients, _check_points(spec),
-                       radius=spec.outer_radius)
-        for name in ("A1.symmetric", "A1.ellipticity"):
-            clause = rep.clauses[name]
-            if not clause.passed:
-                raise ConfigError(f"the coefficients fail {name} (margin "
-                                  f"{clause.margin:.6g}); see freq-lab check")
+    # the solve comes first, so a bad input (a step too coarse for the
+    # amplitude, an odd angular count) exits 2 before any output; only a
+    # solve that does not converge leaves a record of its failure, and
+    # either record carries the solver's report as it stands
     clock = _Clock()
     try:
         if cfg.mode == "radial":
@@ -307,33 +309,18 @@ def cmd_solve(cfg, spec):
     except SolverError as exc:
         sys.stderr.write(f"solver failed: {exc}\n")
         clock.lap("solve")
-        _record(cfg).finish({"error": str(exc), "distance": exc.distance,
-                             "contraction": exc.contraction,
-                             "predicted_iterations": exc.predicted_iterations,
+        _record(cfg).finish({"error": str(exc),
+                             "solver": solver_summary(exc.report),
                              "timings": clock.timings})
         return EXIT_SOLVER
     clock.lap("solve")
     rec = _record(cfg)
-    out = cfg.out_dir
-    fpath = os.path.join(out, "field.npz")
+    fpath = os.path.join(cfg.out_dir, "field.npz")
     save_field(fld, fpath)
     rec.add(fpath)
-    summary = {"mode": cfg.mode}
-    if cfg.mode == "grid2d":
-        solver = fld.meta["solver"]
-        summary["solver"] = {"iterations": solver["iterations"],
-                             "final_distance": solver["distances"][-1],
-                             "damping": solver["damping"],
-                             "contraction": solver["contraction"],
-                             "error_bound": solver["error_bound"],
-                             "extrapolations": solver["extrapolations"],
-                             "preconditioner_entries": solver["preconditioner_entries"],
-                             "inner_solve": solver["inner_solve"],
-                             "inner_iterations": solver["inner_iterations"],
-                             "defect_gap": solver["defect_gap"]}
     clock.lap("write")
-    summary["timings"] = clock.timings
-    rec.finish(summary)
+    rec.finish({"mode": cfg.mode, "solver": solver_summary(fld.meta["solver"]),
+                "timings": clock.timings})
     return EXIT_OK
 
 
@@ -449,9 +436,6 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except SolverError as exc:
-        sys.stderr.write(f"solver failed: {exc}\n")
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ __all__ = [
     "SolutionField",
     "ManufacturedProblem",
     "SolverError",
+    "solver_summary",
     "solve_radial",
     "solve_grid_2d",
     "residual_field",
@@ -35,17 +36,15 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Fixed-point iteration failed; carries the last iterate and distance,
-    the contraction estimate and the iteration count a steady step ratio
-    predicts (None where the ratio is not steady)."""
+    """Fixed-point iteration failed; carries the last iterate and the
+    solve's report, the dict a converged solve keeps as meta["solver"],
+    plus the iteration count a steady step ratio predicts
+    (`predicted_iterations`, None where the ratio is not steady)."""
 
-    def __init__(self, message, last=None, distance=None, contraction=None,
-                 predicted_iterations=None):
+    def __init__(self, message, last=None, report=None):
         super().__init__(message)
         self.last = last
-        self.distance = distance
-        self.contraction = contraction
-        self.predicted_iterations = predicted_iterations
+        self.report = report
 
 
 # --------------------------------------------------------------------------
@@ -528,7 +527,6 @@ class _RingSweep:
         self._shares = [(a[j, taking], work[j, taking]) for j in rows[:-1]]
         self._product = np.empty((n_blocks, n_k), dtype=complex)
         self._share = np.empty((n_blocks - 1, n_k), dtype=complex)
-        self.nnz = (n_blocks - 1) * n_k  # the block products it keeps
 
     def __call__(self):
         mul, add, product, share = np.multiply, np.add, self._product, self._share
@@ -574,14 +572,12 @@ class _FourierFactor:
     64x128); the tests hold the sweeps to LAPACK and SuperLU on such
     fields.
 
-    The factor keeps both sweeps' multipliers, the inverse pivots and the
-    sweeps' block products; `nnz` counts their entries.  `exact` is true
-    when every offset array is constant in theta to _EXACT_ULPS ulps of
-    the stencil's largest entry: the theta-mean is then L, and `solve`
-    inverts L to round-off (||b - L x|| / ||b|| for a random b reads 6e-14
-    at 64x128 and 2e-12 at 128x256 under the identity).  Raises
-    LinAlgError, naming the mode and the ring, at a pivot that is zero or
-    not finite.
+    `exact` is true when every offset array is constant in theta to
+    _EXACT_ULPS ulps of the stencil's largest entry: the theta-mean is then
+    L, and `solve` inverts L to round-off (||b - L x|| / ||b|| for a random
+    b reads 6e-14 at 64x128 and 2e-12 at 128x256 under the identity).
+    Raises LinAlgError, naming the mode and the ring, at a pivot that is
+    zero or not finite.
     """
 
     def __init__(self, stencil):
@@ -641,7 +637,6 @@ class _FourierFactor:
         del lower
         self._backward = _RingSweep(
             self._work, np.negative(self._blocked(upper), order="C"), upward=True)
-        self.nnz = 3 * self._work.size + self._forward.nnz + self._backward.nnz
 
     def _blocked(self, rows):
         """The block-major view of the ring-major `rows`."""
@@ -792,20 +787,13 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     to _JUMP_AGREE of the latest ratio rho, and rho < 1, one slow mode is
     left, and its geometric tail rho/(1-rho) times the step is added to the
     iterate (the stop is tested first, so the field returned is always a
-    plain Picard step that passed it; `iterations` counts Picard steps).
-    meta["solver"]["extrapolations"] lists each jump's iteration and rho;
-    meta["solver"]["contraction"] estimates rho from the steps since the
-    last jump, never below that jump's rho (the steps right after a jump do
-    not show it), and meta["solver"]["error_bound"] records rho/(1-rho)
-    times the last step (reported only: the stop rule does not read it).
-    L is the stencil of one
+    plain Picard step that passed it).  L is the stencil of one
     coefficient array per offset (`_Stencil`), applied to the unknown
     vector and the boundary ring one cache-sized block of rings at a time;
     `_FourierFactor` solves the theta-mean of those arrays.  A step forms
     the right-hand side rhs(u) once, in the unknown vector's layout, and
     adds B g or the carried defect to it in place.  Two inner solves share
-    the loop, and
-    meta["solver"]["inner_solve"] names the one that ran:
+    the loop:
     - "fourier" when the factor is exact (A theta-invariant in the polar
       frame, so the theta-mean is L): u+ is the factor's solve of
       rhs(u) + bc, one FFT-tridiagonal solve per iteration, and the stencil
@@ -822,17 +810,15 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
       must be at most tol/10.  The fresh defect replaces the carried one
       either way, and a larger gap lets the iteration go on, so a field
       returned always stands on a true defect.
-      meta["solver"]["defect_gap"] records the gap of the stop that held
-      (None on the "fourier" path).
     `initial`, if given, is the unknown vector [pole, rings 1..n_r-1 row by
     row] of length 1 + (n_r - 1) n_theta.
     Raises ValueError, naming the node, when V or the source is not finite
     at a node, or f is not at the first iterate.
     Raises SolverError when the sup-distance fails to meet that rule, or when
-    an inner solve fails to reach _INNER_TOL in _INNER_MAX_STEPS steps; it
-    carries the contraction estimate and, where the step ratio is steady,
-    the iterations that ratio predicts for a step below
-    min(tol, _STEP_REL_STOP max |u|) (`_solver_error`).
+    an inner solve fails to reach _INNER_TOL in _INNER_MAX_STEPS steps.
+    The solve's report is built in one place, `report` below: it becomes
+    meta["solver"] of the field returned, or the SolverError's `report`,
+    with the iterations a steady step ratio predicts (`_solver_error`).
     """
     if spec.dim != 2:
         raise ValueError("the grid solver is two-dimensional")
@@ -895,6 +881,24 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     jumps = []  # the iteration and rho of each extrapolation
     inner_iterations = 0
     gap = None
+
+    def report():
+        """What the solve did so far.  `contraction` estimates rho from the
+        steps since the last jump (`_contraction`), `error_bound` is
+        rho/(1-rho) times the last step (the stop rule does not read it),
+        and `defect_gap` is the gap of the stop that held on the "gmres"
+        path."""
+        contraction = _contraction(distances, jumps)
+        last = distances[-1] if distances else None
+        return {"kind": "grid2d_fixed_point", "n_r": n_r, "n_theta": n_theta,
+                "damping": damping, "iterations": len(distances),
+                "distances": distances, "final_distance": last,
+                "contraction": contraction,
+                "error_bound": _error_bound(contraction, last),
+                "extrapolations": jumps,
+                "inner_solve": "fourier" if precond.exact else "gmres",
+                "inner_iterations": inner_iterations, "defect_gap": gap}
+
     for it in range(max_iters):
         nodes[0] = uk[0]
         nodes[1:] = uk[1:].reshape(n_r - 1, n_theta)
@@ -926,7 +930,7 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
             raise _solver_error(
                 f"inner GMRES did not reduce the defect to {_INNER_TOL:g} of "
                 f"its size in {_INNER_MAX_STEPS} steps (iteration {it + 1})",
-                uk, distances, jumps, tol)
+                uk, report(), tol)
         if damping:
             step *= 1.0 - damping
             if L_step is not None:
@@ -957,22 +961,11 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
     else:
         raise _solver_error(
             f"fixed point did not reach tol {tol:g} (and {_STEP_REL_STOP:g} "
-            f"of max |u|) in {max_iters} iterations", uk, distances, jumps, tol)
+            f"of max |u|) in {max_iters} iterations", uk, report(), tol)
 
     fld = SolutionField.grid2d_from_values(r_nodes, theta, _nodes(uk, g),
                                            spec.nonlinearity.q)
-    contraction = _contraction(distances, jumps)
-    fld.meta["solver"] = {"kind": "grid2d_fixed_point", "n_r": n_r,
-                          "n_theta": n_theta, "damping": damping,
-                          "iterations": len(distances),
-                          "distances": distances,
-                          "contraction": contraction,
-                          "error_bound": _error_bound(contraction, distances[-1]),
-                          "extrapolations": jumps,
-                          "preconditioner_entries": precond.nnz,
-                          "inner_solve": "fourier" if precond.exact else "gmres",
-                          "inner_iterations": inner_iterations,
-                          "defect_gap": gap}
+    fld.meta["solver"] = report()
     return fld
 
 
@@ -1014,21 +1007,26 @@ def _contraction(distances, jumps):
     return rho if floor is None else max(rho, floor)
 
 
-def _solver_error(message, uk, distances, jumps, tol):
-    """SolverError with the last iterate and step, the contraction estimate,
-    and the iterations a steady ratio predicts for a step below the stop's
-    threshold min(tol, _STEP_REL_STOP max |u|).  The ratio is steady by
-    `_steady_ratio`'s rule, on the steps up to the last one: a jump made at
-    the last step was made on that ratio.  With no steady ratio (the steps
-    are still in their transient) there is no prediction."""
+def _solver_error(message, uk, report, tol):
+    """SolverError with the last iterate and the solve's `report`, which
+    gains the iterations a steady ratio predicts for a step below the
+    stop's threshold min(tol, _STEP_REL_STOP max |u|).  The ratio is steady
+    by `_steady_ratio`'s rule, on the steps up to the last one: a jump made
+    at the last step was made on that ratio.  With no steady ratio (the
+    steps are still in their transient) there is no prediction."""
+    distances = report["distances"]
     stop = min(tol, _STEP_REL_STOP * _sup_abs(uk))
-    steady = _steady_ratio(distances, [j for j in jumps
+    steady = _steady_ratio(distances, [j for j in report["extrapolations"]
                                        if j["iteration"] < len(distances)])
-    return SolverError(message, last=uk,
-                       distance=distances[-1] if distances else None,
-                       contraction=_contraction(distances, jumps),
-                       predicted_iterations=_predicted_iterations(
-                           steady, distances, stop))
+    report["predicted_iterations"] = _predicted_iterations(steady, distances,
+                                                           stop)
+    return SolverError(message, last=uk, report=report)
+
+
+def solver_summary(report):
+    """A solver's report less its per-step `distances`: what a run record
+    keeps."""
+    return {key: value for key, value in report.items() if key != "distances"}
 
 
 def _predicted_iterations(rho, distances, stop):

@@ -184,9 +184,10 @@ class _NodeData:
     A polar grid also keeps the rows only the general identities read:
     <Z, grad e> (`z_grad_e`), the integrands of `verify_rellich_general`'s
     terms T1 and T4 (`t1_rows`, `t4_rows`) and <grad_x F, Z>
-    (`grad_x_F_z`).  The rows only the model-problem identities read, the
-    radial derivative u_nu and <x, grad u> (`x_grad_u`), are filled on a
-    grid only when `_is_model_problem` holds, and are None otherwise.  On
+    (`grad_x_F_z`).  The row only the model-problem identities read,
+    <x, grad u> (`x_grad_u`), is filled on a grid only when
+    `_is_model_problem` holds, and is None otherwise; their radial
+    derivative u_nu is `flux_r`, <A grad u, nu>, as A = I there.  On
     a grid, A (by `geometry`), V and f are evaluated here only, ring block
     by ring block (`fields._ring_blocks`), and each block's tensors are
     dropped once its rows are written; the residual rho reads A grad u, V
@@ -225,7 +226,7 @@ class _NodeData:
         self.dtheta = 1.0
         self.u = fld.u[:, None]
         du = fld.du[:, None]
-        self.u_nu = self.flux_r = du
+        self.flux_r = du
         self.e_density = du * du
         self.x_grad_u = self.z_grad_u = self.r[:, None] * du
         self.mu = np.broadcast_to(1.0, self.u.shape)
@@ -248,9 +249,9 @@ class _NodeData:
         self.dtheta = float(fld.theta[1] - fld.theta[0])
         self.u = fld.u
         shape = fld.u.shape
-        # u_nu and x_grad_u are read by the model-problem identities only
-        self.u_nu = self.x_grad_u = None
-        model_rows = ("u_nu", "x_grad_u") if _is_model_problem(spec, fld) else ()
+        # x_grad_u is read by the model-problem identities only
+        self.x_grad_u = None
+        model_rows = ("x_grad_u",) if _is_model_problem(spec, fld) else ()
         for name in self._GRID_ROWS + model_rows:
             setattr(self, name, np.empty(shape))
         # grad u, A grad u and Z are whole-grid while a derivative needs
@@ -287,8 +288,7 @@ class _NodeData:
                                    if a_nz[i, j]), shape)
         self.flux_r[rows] = _plane_sum(agrad[i] * nu[i] for i in range(2))
         self.e_density[rows] = _plane_sum(agrad[i] * grad[i] for i in range(2))
-        if self.u_nu is not None:
-            self.u_nu[rows] = gx * nu[0] + gy * nu[1]
+        if self.x_grad_u is not None:
             self.x_grad_u[rows] = gx * pts[..., 0] + gy * pts[..., 1]
         # div(A grad |x|) = (d_j a_ji) nu_i + (tr A - mu) / r, summed over
         # j within i; an i whose d_j a_ji all vanish adds no term
@@ -496,7 +496,7 @@ def verify_pohozaev_model(spec, fld, prof,
     idx = prof.indices
     dD, est = prof.derivatives["D"]
     uq = q * data.Fvals  # |u|^q for the power law; 0 in linear mode
-    S2 = data.sphere(2.0 * data.u_nu ** 2 + (2.0 - q) / q * uq)[idx]
+    S2 = data.sphere(2.0 * data.flux_r ** 2 + (2.0 - q) / q * uq)[idx]
     X = data.ball(data.x_grad_u * data.rho0)[idx]
     Q = q * prof.d  # int_B |u|^q
     base = (N - 2.0) / prof.r * prof.D - C / (q * prof.r) * Q + S2
@@ -589,7 +589,7 @@ def verify_N_prime_bound(spec, fld, prof):
         rhs = (prof.r * (2.0 - q) / q * S_q - C / q * Q) / prof.H
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        cs_gap = data.sphere(data.u_nu ** 2)[idx] - prof.surfaceD ** 2 / prof.H
+        cs_gap = data.sphere(data.flux_r ** 2)[idx] - prof.surfaceD ** 2 / prof.H
         X = data.ball(data.x_grad_u * data.rho0)[idx]
         Y = data.ball(data.u * data.rho0)[idx]
         equality_rhs = (2.0 * prof.r / prof.H * cs_gap + rhs

@@ -310,8 +310,8 @@ class TestSharedNodeVocabulary:
                              1.0, 128, 256, 1.5)
         one, two = _node_data(spec, rad), _node_data(spec, grid)
         assert one.u.shape == (129, 1) and two.u.shape == (129, 256)
-        for name in ("u_nu", "flux_r", "e_density", "x_grad_u", "z_grad_u",
-                     "divz", "mu"):
+        for name in ("flux_r", "e_density", "x_grad_u", "z_grad_u", "divz",
+                     "mu"):
             # the pole row is a convention (divz, mu), not a value
             b = getattr(two, name)[1:]
             np.testing.assert_allclose(

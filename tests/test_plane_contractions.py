@@ -306,9 +306,8 @@ def test_frame_entries_form_only_the_forms_asked_for(case):
 
 
 def test_model_rows_only_for_the_model_problem(case):
-    # u_nu and x_grad_u are read by the model-problem identities only
+    # x_grad_u is read by the model-problem identities only; they read
+    # u_nu from flux_r
     spec, fld = case
     data = _node_data(spec, fld)
-    filled = data.u_nu is not None
-    assert filled == spec.is_model
-    assert (data.x_grad_u is not None) == filled
+    assert (data.x_grad_u is not None) == spec.is_model

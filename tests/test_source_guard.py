@@ -46,6 +46,11 @@ coefficient given without its gradient) and grad1_F (a tabulated f).
 Config expressions are differentiated from their tree, so a new caller
 is a second gradient path.
 
+The solver's report is written once: fields.solve_grid_2d builds it, and
+cli.py spells none of its keys as a string literal, so the CLI writes the
+report as it stands and a new fact is added in one place.  The keys come
+from a tiny real solve, converged and not.
+
 The environment sets one thing: the only read of it is cli.py's
 os.environ.get("FREQ_LAB_OUT", ...), so no solver constant or tolerance can
 become a knob that a run record does not show.
@@ -56,7 +61,12 @@ import importlib
 import pathlib
 import types
 
+import numpy as np
+import pytest
+
 import freqlab
+from freqlab.fields import SolverError, solve_grid_2d
+from freqlab.model import ProblemSpec
 
 _FORBIDDEN = {"eval", "exec", "compile"}
 
@@ -556,4 +566,45 @@ def test_guard_flags_new_central_gradient_callers():
 def test_central_differences_have_three_callers():
     hits = [hit for source, name in _modules()
             for hit in _central_gradient_uses(source, name)]
+    assert hits == []
+
+
+@pytest.fixture(scope="module")
+def report_keys():
+    """The keys of the grid solver's report, from a tiny solve that
+    converges and one that stops at its iteration budget."""
+    spec = ProblemSpec.model(2, 1.5)
+    boundary = lambda th: 0.1 * np.cos(th)  # noqa: E731
+    keys = set(solve_grid_2d(spec, boundary, n_r=4, n_theta=4).meta["solver"])
+    with pytest.raises(SolverError) as err:
+        solve_grid_2d(spec, boundary, n_r=4, n_theta=4, max_iters=1)
+    return keys | set(err.value.report)
+
+
+def _spelled_report_keys(source, filename, keys):
+    """Each string literal in cli.py that is a key of the solver's report."""
+    if filename != "cli.py":
+        return []
+    return [f"{filename}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(ast.parse(source, filename))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in keys]
+
+
+def test_guard_flags_report_keys_in_the_cli(report_keys):
+    snippet = ('summary = {"mode": cfg.mode}\n'
+               'summary["contraction"] = exc.report["contraction"]\n'
+               'summary["solver"] = solver_summary(fld.meta["solver"])\n'
+               'last = solver.get("final_distance")\n'
+               'sys.stderr.write(f"solver failed: {exc}")\n')
+    hits = _spelled_report_keys(snippet, "cli.py", report_keys)
+    assert [hit.split(":")[1] for hit in hits] == ["2", "2", "4"]
+    # the solver itself builds the report
+    assert _spelled_report_keys(snippet, "fields.py", report_keys) == []
+
+
+def test_the_cli_names_no_report_key(report_keys):
+    assert "predicted_iterations" in report_keys
+    hits = [hit for source, name in _modules()
+            for hit in _spelled_report_keys(source, name, report_keys)]
     assert hits == []
