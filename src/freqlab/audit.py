@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .fields import _ring_blocks
 from .model import c_constant
 from .frequency import (ProfileControls, _is_model_problem, _node_data,
                         frequency_profile)
@@ -137,8 +138,12 @@ def _residual_epsilon(data):
         np.sum(rho - vu_f, axis=1)[None], np.sum(np.abs(vu_f), axis=1)[None]])
     g *= data.ring * data.dtheta
     g[:, 0] = 0.0
-    # ball integrals by one prefix pass down the contiguous rows
-    balls = cumulative_uniform(g.T, data.h).T
+    # ball integrals by prefix passes down the contiguous rows, a
+    # cache-sized block of rows at a time: one block on a polar grid, one
+    # row per pass on a long radial field
+    balls = np.empty_like(g)
+    for rows in _ring_blocks(*g.shape):
+        balls[rows] = cumulative_uniform(g[rows].T, data.h).T
     size = float(np.max(np.abs(balls[-2]) + balls[-1]))
     # the disc first, so that it wins ties (a radial field's one sector)
     mass = np.abs(np.vstack([balls[:n_sec].sum(axis=0), balls[:n_sec]]))

@@ -887,7 +887,9 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
         steps since the last jump (`_contraction`), `error_bound` is
         rho/(1-rho) times the last step (the stop rule does not read it),
         and `defect_gap` is the gap of the stop that held on the "gmres"
-        path."""
+        path.  `u_origin`, the iterate's u(0), and `negative_fraction`, the
+        share of its unknowns below zero (the pole counted once), say which
+        solution the iteration is on."""
         contraction = _contraction(distances, jumps)
         last = distances[-1] if distances else None
         return {"kind": "grid2d_fixed_point", "n_r": n_r, "n_theta": n_theta,
@@ -897,7 +899,9 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
                 "error_bound": _error_bound(contraction, last),
                 "extrapolations": jumps,
                 "inner_solve": "fourier" if precond.exact else "gmres",
-                "inner_iterations": inner_iterations, "defect_gap": gap}
+                "inner_iterations": inner_iterations, "defect_gap": gap,
+                "u_origin": float(uk[0]),
+                "negative_fraction": int(np.count_nonzero(uk < 0.0)) / n_unknown}
 
     for it in range(max_iters):
         nodes[0] = uk[0]

@@ -335,7 +335,12 @@ class _NodeData:
             _require_finite(quantity, values, self.r, fld.theta, rows.start)
 
     def sphere(self, rows, idx=slice(None)):
-        """Sphere integrals of node rows; `rows` holds the rows `idx` only."""
+        """Sphere integrals ring * sum_theta rows * dtheta at the node radii
+        `idx` (every radius by default), of rows that hold those radii
+        only.  A sphere term that is read at the reported radii alone
+        (`FrequencyProfile.indices`) is formed on their rows, so no
+        node-length integrand is made for it; a ball integral (`ball`)
+        needs the sphere integral at every radius."""
         return self.ring[idx] * np.sum(rows, axis=1) * self.dtheta
 
     def ball(self, rows):
@@ -410,13 +415,15 @@ def frequency_profile(spec, fld, controls=None):
 
     u = data.u
     H_all = data.sphere(u * u * data.mu)
-    S_all = data.sphere(u * data.flux_r)
     D1_all = data.ball(data.e_density)
     fu_all = data.ball(data.V * u * u + data.fvals * u)
     d_all = data.ball(data.Fvals)
-    dp_all = data.sphere(data.Fvals)
-    sup_sphere = np.max(np.abs(u), axis=1)
     D_all = D1_all - fu_all
+    # the sphere terms read at the reported radii only are formed there
+    u_idx = u[idx]
+    surfaceD = data.sphere(u_idx * data.flux_r[idx], idx)
+    dprime = data.sphere(data.Fvals[idx], idx)
+    sphere_sup = np.max(np.abs(u_idx), axis=1)
     H, D = H_all[rows], D_all[rows]
     floor = controls.h_floor_rel * max(float(np.max(H_all)), 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -429,8 +436,7 @@ def frequency_profile(spec, fld, controls=None):
     derivatives = {key: (dy[k], est[k]) for k, key in enumerate("HDN")}
     return FrequencyProfile(
         r=r[idx].copy(), H=H[2], D=D[2], D1=D1_all[idx], d=d_all[idx],
-        dprime=dp_all[idx], N=N[2], surfaceD=S_all[idx],
-        sphere_sup=sup_sphere[idx],
+        dprime=dprime, N=N[2], surfaceD=surfaceD, sphere_sup=sphere_sup,
         h_floor=floor, indices=idx, outer_radius=R,
         derivatives=derivatives,
     )
@@ -495,8 +501,8 @@ def verify_pohozaev_model(spec, fld, prof,
     C = c_constant(N, q)
     idx = prof.indices
     dD, est = prof.derivatives["D"]
-    uq = q * data.Fvals  # |u|^q for the power law; 0 in linear mode
-    S2 = data.sphere(2.0 * data.flux_r ** 2 + (2.0 - q) / q * uq)[idx]
+    uq = q * data.Fvals[idx]  # |u|^q for the power law; 0 in linear mode
+    S2 = data.sphere(2.0 * data.flux_r[idx] ** 2 + (2.0 - q) / q * uq, idx)
     X = data.ball(data.x_grad_u * data.rho0)[idx]
     Q = q * prof.d  # int_B |u|^q
     base = (N - 2.0) / prof.r * prof.D - C / (q * prof.r) * Q + S2
@@ -537,7 +543,7 @@ def verify_rellich_general(spec, fld, prof,
     T3 = data.ball(t3_rows)[idx]
     T4 = data.ball(data.t4_rows)[idx]
     CORR = data.ball(corr_rows)[idx]
-    T2 = data.sphere(2.0 * zgradu * data.flux_r)[idx]
+    T2 = data.sphere(2.0 * zgradu[idx] * data.flux_r[idx], idx)
 
     rhs9 = T1 + T2 + T3 + T4 + CORR
     rep9 = IdentityReport("gradient_energy_transport", prof.r, lhs9, rhs9,
@@ -546,7 +552,7 @@ def verify_rellich_general(spec, fld, prof,
                              "equation": T3, "z_jacobian": T4,
                              "residual_correction": CORR}
 
-    lhs10 = prof.r * data.sphere(e)[idx]
+    lhs10 = prof.r * data.sphere(e[idx], idx)
     DIVZ = data.ball(divz * e)[idx]
     rhs10 = DIVZ + T1 + T2 + T3 + T4 + CORR
     rep10 = IdentityReport("surface_energy_scaling", prof.r, lhs10, rhs10,
@@ -589,7 +595,8 @@ def verify_N_prime_bound(spec, fld, prof):
         rhs = (prof.r * (2.0 - q) / q * S_q - C / q * Q) / prof.H
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        cs_gap = data.sphere(data.flux_r ** 2)[idx] - prof.surfaceD ** 2 / prof.H
+        cs_gap = (data.sphere(data.flux_r[idx] ** 2, idx)
+                  - prof.surfaceD ** 2 / prof.H)
         X = data.ball(data.x_grad_u * data.rho0)[idx]
         Y = data.ball(data.u * data.rho0)[idx]
         equality_rhs = (2.0 * prof.r / prof.H * cs_gap + rhs
@@ -627,7 +634,7 @@ def verify_u2_bounds(spec, fld, prof):
     data = _node_data(spec, fld)
     nl = spec.nonlinearity
     idx = prof.indices
-    u2_surf = data.sphere(data.u ** 2)[idx]
+    u2_surf = data.sphere(data.u[idx] ** 2, idx)
     ceiling = nl.eps0 ** nl.q / nl.kappa2
     bound = ceiling * prof.sphere_sup ** (2.0 - nl.q) * prof.dprime
     rep = IdentityReport("surface_mass_bound", prof.r, u2_surf, bound,
@@ -656,7 +663,8 @@ def verify_f_transport(spec, fld, prof,
     lhs = data.ball(data.fvals * data.z_grad_u)[idx]
     divz_term = data.ball(data.Fvals * data.divz)[idx]
     g1_term = data.ball(data.grad_x_F_z)[idx]
-    surf_2F_fu = data.sphere(2.0 * data.Fvals - data.fvals * data.u)[idx]
+    surf_2F_fu = data.sphere(2.0 * data.Fvals[idx]
+                             - data.fvals[idx] * data.u[idx], idx)
     rhs = prof.r * prof.dprime - divz_term - g1_term
     rep = IdentityReport("nonlinearity_transport", prof.r, lhs, rhs, tolerance)
     margin = surf_2F_fu - (2.0 - q) * prof.dprime

@@ -66,15 +66,16 @@ def write_npz(path, header, arrays):
 def write_csv(path, columns, arrays, schema_comment):
     """CSV under a '# <schema_comment>' line and a header of `columns`.
 
-    Each column is converted to floats once; a value is written with repr,
-    a NaN (None included) as an empty field.
+    Each column is converted to floats and then to text once, by repr; a
+    NaN (None included), whose repr 'nan' no other float's repr contains,
+    is blanked to an empty field in one pass over the rows' text.
     """
-    cols = [np.asarray(a, dtype=float).tolist() for a in arrays]
-    rows = (",".join(["" if v != v else repr(v) for v in row])
-            for row in zip(*cols))
+    cols = [map(repr, np.asarray(a, dtype=float).tolist()) for a in arrays]
+    rows = list(map(",".join, zip(*cols)))
+    head = f"# {schema_comment}\n{','.join(columns)}\n"
+    body = "\n".join(rows).replace("nan", "") + "\n" if rows else ""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([f"# {schema_comment}", ",".join(columns), *rows])
-                 + "\n")
+        fh.write(head + body)
     return path
 
 

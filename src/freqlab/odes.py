@@ -15,6 +15,7 @@ inside a 3h band.
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,20 +96,30 @@ class OdeTrajectory:
         s = np.asarray(s, dtype=float)
         idx = np.clip(np.searchsorted(self.t, s) - 1, 0, len(self.t) - 2)
         t0 = self.t[idx]
-        x = (s - t0) / self.h
-        u0, u1 = self.u[idx], self.u[idx + 1]
-        m0, m1 = self.du[idx] * self.h, self.du[idx + 1] * self.h
-        h00 = (1 + 2 * x) * (1 - x) ** 2
-        h10 = x * (1 - x) ** 2
-        h01 = x * x * (3 - 2 * x)
-        h11 = x * x * (x - 1)
-        uu = h00 * u0 + h10 * m0 + h01 * u1 + h11 * m1
-        d00 = 6 * x * (x - 1)
-        d10 = (1 - x) * (1 - 3 * x)
-        d01 = -d00
-        d11 = x * (3 * x - 2)
-        dd = (d00 * u0 + d10 * m0 + d01 * u1 + d11 * m1) / self.h
-        return uu, dd
+        return _hermite_cell((s - t0) / self.h, self.u[idx], self.u[idx + 1],
+                             self.du[idx] * self.h, self.du[idx + 1] * self.h,
+                             self.h)
+
+
+def _hermite_cell(x, u0, u1, m0, m1, h):
+    """u and u' of the cubic Hermite interpolant at x = (s - t0)/h in a cell
+    of length h, from the end values u0, u1 and the scaled slopes h u'.
+
+    The same operations serve arrays and scalars, so Python floats round as
+    numpy scalars do: (1 - x) ** 2 is libm's pow on both (numpy squares
+    arrays instead).
+    """
+    h00 = (1 + 2 * x) * (1 - x) ** 2
+    h10 = x * (1 - x) ** 2
+    h01 = x * x * (3 - 2 * x)
+    h11 = x * x * (x - 1)
+    uu = h00 * u0 + h10 * m0 + h01 * u1 + h11 * m1
+    d00 = 6 * x * (x - 1)
+    d10 = (1 - x) * (1 - 3 * x)
+    d01 = -d00
+    d11 = x * (3 * x - 2)
+    dd = (d00 * u0 + d10 * m0 + d01 * u1 + d11 * m1) / h
+    return uu, dd
 
 
 def _energy(u, v, q):
@@ -302,8 +313,15 @@ def _taylor_step(u, v, r0, h, q, dim, nodes_left):
     length = cap if root == 0.0 else min(_TAYLOR_SAFETY / root, cap)
     m = int(min(length / h, nodes_left))
     s = h * np.arange(1, m + 1)
-    us = np.polyval(a[::-1], s)
-    vs = np.polyval(ja[:0:-1], s)
+    # Horner sums in place, each step rounded as np.polyval rounds it: from
+    # zeros, times s, plus the next coefficient
+    us, vs = np.zeros(m), np.zeros(m)
+    for c in reversed(a):
+        us *= s
+        us += c
+    for c in reversed(ja[1:]):
+        vs *= s
+        vs += c
     bad = ~((us * u > 0.0) & np.isfinite(us) & np.isfinite(vs))
     band = _in_band(us, vs, h)
     end = min(m, int(bad.argmax()) if bad.any() else m,
@@ -490,8 +508,11 @@ class ZeroEvent:
 def zero_audit(traj):
     """Locate the zeros of a trajectory and rate each as simple or degenerate.
 
-    Sign changes are refined by bisection on the cubic Hermite dense output;
-    a zero is degenerate when |u'| falls below 1e-6 sqrt(2 E_0), an
+    Sign changes are refined by bisection on the cubic Hermite dense output,
+    evaluated in Python floats over the one or two cells that bracket the
+    change (`_hermite_floats`: `OdeTrajectory.hermite`'s cell rule and
+    operation order, so every location and slope is the one that method
+    gives); a zero is degenerate when |u'| falls below 1e-6 sqrt(2 E_0), an
     energy-aware scale.  Plateau edges (the field is flat zero on one side:
     an edge of a run of two or more zero nodes) are reported as degenerate
     zeros.
@@ -515,13 +536,13 @@ def zero_audit(traj):
     for i in sorted(np.flatnonzero(cross).tolist() + list(run_end)):
         j = run_end.get(i)
         if j is None:
-            events.append(_simple_zero(traj, t[i], t[i + 1], threshold))
+            events.append(_simple_zero(traj, i, i + 1, threshold))
             continue
         left_val = u[i - 1] if i > 0 else None
         right_val = u[j] if j < n else None
         if j - i == 1 and left_val is not None and right_val is not None \
                 and left_val * right_val < 0.0:
-            events.append(_simple_zero(traj, t[i - 1], t[j], threshold))
+            events.append(_simple_zero(traj, i - 1, j, threshold))
             continue
         # plateau or touching zero: report the interior-facing edges
         plateau = j - i > 1
@@ -534,24 +555,40 @@ def zero_audit(traj):
     return events
 
 
-def _simple_zero(traj, lo, hi, threshold):
-    """The sign change inside [lo, hi], located on the dense output."""
-    loc = _bisect_hermite(traj, lo, hi)
-    _, slope = traj.hermite(loc)
-    return ZeroEvent(float(loc), abs(float(slope)), abs(slope) < threshold)
-
-
-def _bisect_hermite(traj, lo, hi):
-    ulo, _ = traj.hermite(lo)
+def _simple_zero(traj, i, j, threshold):
+    """The sign change between the nodes i < j, located on the dense output
+    by 80 bisection steps."""
+    hermite = _hermite_floats(traj, i, j)
+    lo, hi = float(traj.t[i]), float(traj.t[j])
+    ulo, _ = hermite(lo)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        um, _ = traj.hermite(mid)
+        um, _ = hermite(mid)
         if ulo * um <= 0.0:
             hi = mid
         else:
             lo = mid
             ulo = um
-    return 0.5 * (lo + hi)
+    loc = 0.5 * (lo + hi)
+    _, slope = hermite(loc)
+    return ZeroEvent(loc, abs(slope), abs(slope) < threshold)
+
+
+def _hermite_floats(traj, i, j):
+    """`traj.hermite` at one abscissa s in [t[i], t[j]], in Python floats:
+    the cells `hermite` takes there (searchsorted-left - 1, clipped at 0),
+    from the nodes max(i - 1, 0)..j, and its `_hermite_cell`."""
+    base = max(i - 1, 0)
+    t, u, du = (a[base:j + 1].tolist() for a in (traj.t, traj.u, traj.du))
+    h = float(traj.h)
+
+    def hermite(s):
+        # s >= t[i] > t[base] unless i = 0, so only i = 0 can clip
+        k = max(bisect_left(t, s) - 1, 0)
+        return _hermite_cell((s - t[k]) / h, u[k], u[k + 1], du[k] * h,
+                             du[k + 1] * h, h)
+
+    return hermite
 
 
 # --------------------------------------------------------------------------

@@ -1169,3 +1169,47 @@ class TestHarmonicBoundary:
         solver = json.loads((tmp_path / "o" / "record.json").read_text())[
             "summary"]["solver"]
         assert solver == {k: v for k, v in report.items() if k != "distances"}
+
+    @pytest.mark.parametrize("config, code", [
+        pytest.param(None, 0, id="fourier"),
+        pytest.param("variable_coefficients.ini", 0, id="gmres"),
+        pytest.param("[run]\nmax_iters = 3\n", 3, id="exit3")])
+    def test_the_report_names_the_solution(self, tmp_path, monkeypatch,
+                                           config, code):
+        # u(0) and the share of negative unknowns, the pole counted once,
+        # of the field returned or the last iterate: in meta["solver"] or
+        # SolverError.report, and so in summary.solver
+        import freqlab.cli
+        from freqlab.fields import SolverError
+
+        seen = []
+
+        def kept(*args, _solve=freqlab.cli.solve_grid_2d, **kwargs):
+            try:
+                fld = _solve(*args, **kwargs)
+            except SolverError as exc:
+                seen.append((exc.report, exc.last))
+                raise
+            unknowns = np.concatenate([fld.u[0, :1], fld.u[1:-1].ravel()])
+            seen.append((fld.meta["solver"], unknowns))
+            return fld
+
+        monkeypatch.setattr(freqlab.cli, "solve_grid_2d", kept)
+        argv = ["solve", "--mode", "grid2d", "--rings", "16", "--angles", "32",
+                "--boundary", "cos:1:0.2", "--out", str(tmp_path / "o")]
+        if config and config.endswith(".ini"):
+            argv += ["--config", os.path.join(DEMO_CONFIGS, config)]
+        elif config:
+            (tmp_path / "run.ini").write_text(config)
+            argv += ["--config", str(tmp_path / "run.ini")]
+        assert main(argv) == code
+        [(report, unknowns)] = seen
+        assert len(unknowns) == 1 + 15 * 32
+        assert report["u_origin"] == unknowns[0]
+        negative = np.count_nonzero(unknowns < 0.0)
+        assert report["negative_fraction"] == negative / len(unknowns)
+        assert 0 < negative < len(unknowns)  # cos:1 data change sign
+        solver = json.loads((tmp_path / "o" / "record.json").read_text())[
+            "summary"]["solver"]
+        assert (solver["u_origin"], solver["negative_fraction"]) == \
+            (report["u_origin"], report["negative_fraction"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from freqlab import odes
 from freqlab.fields import glued_field
-from freqlab.odes import (OdeTrajectory, PmeField, ZeroEvent, _bisect_hermite,
+from freqlab.odes import (OdeTrajectory, PmeField, ZeroEvent,
                           conserved_energy, counterexample_profile,
                           counterexample_slope, integrate_plane,
                           integrate_radial, pme_residual_grid, zero_audit)
@@ -376,7 +376,23 @@ def test_golden_bits(kind, args, u_sha, du_sha, crossings_sha):
 
 
 # --------------------------------------------------------------------------
-# zero audit: the node scan against a node-by-node walk
+# zero audit: the node scan against a node-by-node walk, and its Python-float
+# bisection against one on OdeTrajectory.hermite
+
+
+def _bisect_hermite(traj, lo, hi):
+    """The oracle: 80 bisection steps on OdeTrajectory.hermite, which
+    evaluates on numpy scalars."""
+    ulo, _ = traj.hermite(lo)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        um, _ = traj.hermite(mid)
+        if ulo * um <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+            ulo = um
+    return 0.5 * (lo + hi)
 
 
 def _walked_zero_audit(traj, threshold=None):
@@ -389,7 +405,9 @@ def _walked_zero_audit(traj, threshold=None):
     if scale == 0.0:
         return []
     ztol = 1e-12 * scale
-    is_zero = np.abs(u) <= ztol
+    # the walk reads one node at a time, so it reads Python values
+    is_zero = (np.abs(u) <= ztol).tolist()
+    u, du, t = traj.u.tolist(), traj.du.tolist(), traj.t.tolist()
     events = []
     n = len(u)
     i = 0
@@ -496,3 +514,48 @@ class TestZeroAuditScan:
     def test_random_sign_patterns(self, u):
         traj = _node_traj(u)
         assert zero_audit(traj) == _walked_zero_audit(traj)
+
+
+class TestZeroAuditOracle:
+    """zero_audit's Python-float bisection gives every event's location,
+    slope and rating as the bisection on OdeTrajectory.hermite does, bit
+    for bit."""
+
+    @staticmethod
+    def _same_events(traj):
+        events = zero_audit(traj)
+        oracle = _walked_zero_audit(traj)
+        assert [(e.location, e.slope, bool(e.degenerate)) for e in events] \
+            == [(e.location, e.slope, bool(e.degenerate)) for e in oracle]
+        return len(events)
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    @pytest.mark.parametrize("q", [1.0, 1.1, 1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_radial_runs(self, dim, q, h):
+        count = sum(self._same_events(integrate_radial(dim, q, a, 6.0, h))
+                    for a in (0.3, 0.5, 1.0, -0.7))
+        assert count >= 4
+
+    @pytest.mark.parametrize("q, u0, du0", [(1.5, 1.0, 0.0), (1.0, 0.0, 1.0),
+                                            (1.2, 0.3, -0.8)])
+    def test_plane_runs(self, q, u0, du0):
+        assert self._same_events(integrate_plane(q, u0, du0, 1e-3, 10.0)) >= 2
+
+    def test_exact_zero_nodes(self):
+        # u = -t (t - 1) (t - 2)^2 (t - 3): zeros at both ends, a crossing
+        # through an exact zero node (bisected over its two cells) and a
+        # touching zero, rated degenerate by its slope
+        p = -np.polynomial.Polynomial.fromroots([0.0, 1.0, 2.0, 2.0, 3.0])
+        t = np.linspace(0.0, 3.0, 3001)
+        u, du = p(t), p.deriv()(t)
+        u[[0, 1000, 2000, 3000]] = 0.0
+        traj = OdeTrajectory(t, u, du, 1.5, 1, (0.0, du[0]), t[1] - t[0])
+        assert self._same_events(traj) == 4
+        assert [e.degenerate for e in zero_audit(traj)] == \
+            [False, False, True, False]
+
+    def test_glued_plateau(self):
+        fld = glued_field(3, 1.5, 0.25, 0.9, h=1e-4)
+        traj = OdeTrajectory(fld.r, fld.u, fld.du, 1.5, 3, (0.0, 0.0), 1e-4)
+        assert self._same_events(traj) == 1
