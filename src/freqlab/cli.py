@@ -90,8 +90,9 @@ def _build_parser():
     common(sp, problem=False)
     sp.add_argument("field_file", metavar="field", help="field file to analyze")
     sp.add_argument("--radii", dest="n_radii", type=int,
-                    help="how many radii the profile and the reports list; "
-                         "derivatives are taken at the field's node step")
+                    help="the fewest radii to list (a whole-node stride "
+                         "lists up to about twice as many, or every node "
+                         "radius if fewer); derivatives use the node step")
 
     sp = sub.add_parser("audit", help="vanishing-contradiction audit")
     common(sp, problem=False)

@@ -57,7 +57,7 @@ class SolutionField:
 
     A field is a value: it is validated once, when it is built, and cannot
     change afterwards.  It takes ownership of the arrays it is given: each of
-    r, u, du and theta is stored as a C-contiguous float64 array and made
+    r, u and du is stored as a C-contiguous float64 array and made
     read-only.  That is the array itself when it already is one and nothing
     else can write its memory (it owns its data, or views a read-only
     array), else a copy.  So no verdict depends on how the caller laid out
@@ -65,6 +65,10 @@ class SolutionField:
     and cached node data can never go stale.  A changed field is a new one,
     made with `dataclasses.replace`, which starts with an empty cache but
     keeps the meta dict itself: a caller that changes u passes meta={} too.
+
+    A grid's angles are not an input: `theta` is 2 pi j / n_theta for u's
+    n_theta columns (`_angles`), set when the field is built, and every
+    analysis assumes them.
     """
 
     representation: str           # "radial" | "grid2d"
@@ -73,18 +77,21 @@ class SolutionField:
     r: np.ndarray                 # radial nodes (uniform, starts at 0)
     u: np.ndarray                 # radial: (n,) ; grid2d: (n_r+1, n_theta)
     du: np.ndarray = None         # radial only: profile derivative
-    theta: np.ndarray = None      # grid2d only
+    theta: np.ndarray = field(default=None, init=False)  # grid2d only
     meta: dict = field(default_factory=dict)
     # [(spec, node data)] of the last spec analysed (frequency._node_data)
     _node_slot: list = field(default_factory=lambda: [None], init=False,
                              repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("r", "u", "du", "theta"):
+        for name in ("r", "u", "du"):
             a = getattr(self, name)
             if a is not None:
                 object.__setattr__(self, name, _read_only(a))
         self.validate()
+        if self.representation == "grid2d":
+            object.__setattr__(self, "theta",
+                               _read_only(_angles(self.u.shape[1])))
 
     # ---- constructors
 
@@ -93,8 +100,8 @@ class SolutionField:
         return cls("radial", dim, q, r, u, du=du)
 
     @classmethod
-    def grid2d_from_values(cls, r_nodes, theta, values, q):
-        return cls("grid2d", 2, q, r_nodes, values, theta=theta)
+    def grid2d_from_values(cls, r_nodes, values, q):
+        return cls("grid2d", 2, q, r_nodes, values)
 
     def validate(self):
         """Raise ValueError unless every analysis can read this field.
@@ -111,11 +118,11 @@ class SolutionField:
                 raise ValueError("radial r, u, du must be 1-D of one length, got "
                                  + ", ".join(f"{k} {a.shape}" for k, a in arrays.items()))
         elif self.representation == "grid2d":
-            arrays = {"r": self.r, "theta": self.theta, "u": self.u}
-            n_t = len(self.theta) if self.theta.ndim == 1 else None
+            arrays = {"r": self.r, "u": self.u}
+            n_t = self.u.shape[-1]
             if self.r.ndim != 1 or self.u.shape != (len(self.r), n_t):
                 raise ValueError(f"grid u has shape {self.u.shape}; expected "
-                                 f"(n_r_nodes, n_theta) = ({len(self.r)}, {n_t})")
+                                 f"(n_r_nodes, n_theta) = ({len(self.r)}, n_theta)")
             if n_t < 2 or n_t % 2:
                 raise ValueError(f"need an even number of angular nodes, got {n_t}")
         else:
@@ -967,7 +974,7 @@ def solve_grid_2d(spec, boundary, n_r=64, n_theta=128, source=None,
             f"fixed point did not reach tol {tol:g} (and {_STEP_REL_STOP:g} "
             f"of max |u|) in {max_iters} iterations", uk, report(), tol)
 
-    fld = SolutionField.grid2d_from_values(r_nodes, theta, _nodes(uk, g),
+    fld = SolutionField.grid2d_from_values(r_nodes, _nodes(uk, g),
                                            spec.nonlinearity.q)
     fld.meta["solver"] = report()
     return fld
@@ -1085,7 +1092,7 @@ def sample_grid2d(fn, R, n_r, n_theta, q):
     theta = _angles(n_theta)
     vals = np.asarray(fn(_polar_points(r_nodes, theta)), dtype=float)
     vals[0] = vals[0, 0]  # enforce an exactly single-valued pole row
-    return SolutionField.grid2d_from_values(r_nodes, theta, vals, q)
+    return SolutionField.grid2d_from_values(r_nodes, vals, q)
 
 
 def manufactured_bowl(outer_radius=1.0, q=1.5, amplitude=1.0, v0=0.25):
@@ -1272,6 +1279,6 @@ def load_field(path):
             raise ValueError(f"u has shape {members['u'].shape}, header says "
                              f"{n_r + 1} x {n_t} nodes")
         return SolutionField.grid2d_from_values(
-            np.linspace(0.0, r_max, n_r + 1), _angles(n_t), members["u"], q)
+            np.linspace(0.0, r_max, n_r + 1), members["u"], q)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

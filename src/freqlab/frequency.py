@@ -9,11 +9,12 @@ form: the correction terms (integrals against rho = div(A grad u) + V u + f)
 restore exactness for fields that are not exact solutions, so the checks
 apply to solver output, manufactured fields and glued candidates alike.
 
-The profile reports about `ProfileControls.n_radii` node radii from
-max(8h, 0.02 R) to the rim, a count of outputs only: H', D' and N' are
-taken at the field's own node step, by the five-point stencil of
-`quadrature.deriv_uniform` on the node rows about each reported radius, so
-every reported radius has them.
+The profile reports at least `ProfileControls.n_radii` node radii (a
+whole-node stride, so up to about twice as many, or every node radius when
+there are fewer) from max(8h, 0.02 R) to the rim, a count of outputs only:
+H', D' and N' are taken at the field's own node step, by the five-point
+stencil of `quadrature.deriv_uniform` on the node rows about each reported
+radius, so every reported radius has them.
 
 Radial profiles and polar grids go through one path: both are turned into
 the same node fields (`_NodeData`), a radial profile being a polar grid with
@@ -129,27 +130,18 @@ class IdentityReport:
         })
 
     def arrays(self):
-        """radii, lhs, rhs and every array of `details`, a nested dict's
-        keyed by its dotted path ("terms.boundary"); abs_residual is
-        |lhs - rhs| and is left out."""
+        """radii, lhs, rhs and every array of `details`, by its key; a key
+        may be dotted ("terms.boundary").  abs_residual is |lhs - rhs| and
+        is left out."""
         _, arrays = _split_details(self.details)
         return {"radii": self.radii, "lhs": self.lhs, "rhs": self.rhs, **arrays}
 
 
-def _split_details(details, prefix=""):
-    """(scalars, arrays) of a details dict: the arrays by dotted key, the
-    rest nested as in `details`."""
+def _split_details(details):
+    """(scalars, arrays) of a flat details dict."""
     scalars, arrays = {}, {}
     for key, value in details.items():
-        if isinstance(value, np.ndarray):
-            arrays[prefix + key] = value
-        elif isinstance(value, dict):
-            sub, sub_arrays = _split_details(value, f"{prefix}{key}.")
-            arrays.update(sub_arrays)
-            if sub:
-                scalars[key] = sub
-        else:
-            scalars[key] = value
+        (arrays if isinstance(value, np.ndarray) else scalars)[key] = value
     return scalars, arrays
 
 
@@ -184,15 +176,15 @@ class _NodeData:
     A polar grid also keeps the rows only the general identities read:
     <Z, grad e> (`z_grad_e`), the integrands of `verify_rellich_general`'s
     terms T1 and T4 (`t1_rows`, `t4_rows`) and <grad_x F, Z>
-    (`grad_x_F_z`).  The row only the model-problem identities read,
-    <x, grad u> (`x_grad_u`), is filled on a grid only when
-    `_is_model_problem` holds, and is None otherwise; their radial
-    derivative u_nu is `flux_r`, <A grad u, nu>, as A = I there.  On
-    a grid, A (by `geometry`), V and f are evaluated here only, ring block
-    by ring block (`fields._ring_blocks`), and each block's tensors are
-    dropped once its rows are written; the residual rho reads A grad u, V
-    and f from here.  A block's sums over A and grad A skip the planes
-    that are exactly zero on it, keeping every bit (`model._plane_sum`).
+    (`grad_x_F_z`).  The model-problem identities read the transport row
+    <Z, grad u> (`z_grad_u`) as <x, grad u> and `flux_r` as u_nu: under
+    A = I, mu = 1 and Z = x exactly off the pole, whose row every ball
+    integral drops.  On a grid, A (by `geometry`), V and f are evaluated
+    here only, ring block by ring block (`fields._ring_blocks`), and each
+    block's tensors are dropped once its rows are written; the residual
+    rho reads A grad u, V and f from here.  A block's sums over A and
+    grad A skip the planes that are exactly zero on it, keeping every bit
+    (`model._plane_sum`).
 
     Every row is finite: the residual's unformed rows (`residual_field`'s
     NaNs) count as 0, and a value of A, grad A, V, f, F or grad_x F that
@@ -228,7 +220,7 @@ class _NodeData:
         du = fld.du[:, None]
         self.flux_r = du
         self.e_density = du * du
-        self.x_grad_u = self.z_grad_u = self.r[:, None] * du
+        self.z_grad_u = self.r[:, None] * du
         self.mu = np.broadcast_to(1.0, self.u.shape)
         self.V = self.grad_x_F_z = np.broadcast_to(0.0, self.u.shape)
         self.divz = np.broadcast_to(float(dim), self.u.shape)
@@ -249,10 +241,7 @@ class _NodeData:
         self.dtheta = float(fld.theta[1] - fld.theta[0])
         self.u = fld.u
         shape = fld.u.shape
-        # x_grad_u is read by the model-problem identities only
-        self.x_grad_u = None
-        model_rows = ("x_grad_u",) if _is_model_problem(spec, fld) else ()
-        for name in self._GRID_ROWS + model_rows:
+        for name in self._GRID_ROWS:
             setattr(self, name, np.empty(shape))
         # grad u, A grad u and Z are whole-grid while a derivative needs
         # them: the residual takes div(A grad u), <Z, grad e> takes grad e
@@ -278,7 +267,7 @@ class _NodeData:
         r, u = self.r[rows], fld.u[rows]
         shape = u.shape
         pts = _polar_points(r, fld.theta)
-        geo = spec.coefficients._geometry_planes(pts)
+        geo = spec.coefficients.geometry(pts)
         a, g, dz = geo.a, geo.grads, geo.dz
         a_nz, g_nz = geo.a_nonzero, geo.grads_nonzero
         nu = (np.cos(fld.theta)[None, :], np.sin(fld.theta)[None, :])
@@ -288,8 +277,6 @@ class _NodeData:
                                    if a_nz[i, j]), shape)
         self.flux_r[rows] = _plane_sum(agrad[i] * nu[i] for i in range(2))
         self.e_density[rows] = _plane_sum(agrad[i] * grad[i] for i in range(2))
-        if self.x_grad_u is not None:
-            self.x_grad_u[rows] = gx * pts[..., 0] + gy * pts[..., 1]
         # div(A grad |x|) = (d_j a_ji) nu_i + (tr A - mu) / r, summed over
         # j within i; an i whose d_j a_ji all vanish adds no term
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -374,7 +361,7 @@ def _node_data(spec, fld):
 
 @dataclass
 class ProfileControls:
-    n_radii: int = 200           # how many radii are reported, not a step
+    n_radii: int = 200           # the fewest radii reported, not a step
     h_floor_rel: float = 1e-14   # H floor relative to max H
 
 
@@ -503,7 +490,7 @@ def verify_pohozaev_model(spec, fld, prof,
     dD, est = prof.derivatives["D"]
     uq = q * data.Fvals[idx]  # |u|^q for the power law; 0 in linear mode
     S2 = data.sphere(2.0 * data.flux_r[idx] ** 2 + (2.0 - q) / q * uq, idx)
-    X = data.ball(data.x_grad_u * data.rho0)[idx]
+    X = data.ball(data.z_grad_u * data.rho0)[idx]
     Q = q * prof.d  # int_B |u|^q
     base = (N - 2.0) / prof.r * prof.D - C / (q * prof.r) * Q + S2
     corr = -(2.0 / prof.r) * X
@@ -548,9 +535,10 @@ def verify_rellich_general(spec, fld, prof,
     rhs9 = T1 + T2 + T3 + T4 + CORR
     rep9 = IdentityReport("gradient_energy_transport", prof.r, lhs9, rhs9,
                           tolerance)
-    rep9.details["terms"] = {"coefficient_gradient": T1, "boundary": T2,
-                             "equation": T3, "z_jacobian": T4,
-                             "residual_correction": CORR}
+    rep9.details.update({"terms.coefficient_gradient": T1,
+                         "terms.boundary": T2, "terms.equation": T3,
+                         "terms.z_jacobian": T4,
+                         "terms.residual_correction": CORR})
 
     lhs10 = prof.r * data.sphere(e[idx], idx)
     DIVZ = data.ball(divz * e)[idx]
@@ -597,7 +585,7 @@ def verify_N_prime_bound(spec, fld, prof):
     with np.errstate(divide="ignore", invalid="ignore"):
         cs_gap = (data.sphere(data.flux_r[idx] ** 2, idx)
                   - prof.surfaceD ** 2 / prof.H)
-        X = data.ball(data.x_grad_u * data.rho0)[idx]
+        X = data.ball(data.z_grad_u * data.rho0)[idx]
         Y = data.ball(data.u * data.rho0)[idx]
         equality_rhs = (2.0 * prof.r / prof.H * cs_gap + rhs
                         - 2.0 / prof.H * X

@@ -64,11 +64,9 @@ class CoefficientField:
     shape (..., N, N, N) with axis order (i, j, h) for d a_ij / d x_h;
     `ellipticity(x)` returns the pointwise lambda in (0, 1) used in the
     two-sided ellipticity sandwich.  The analyses read A only through
-    `geometry(x)`, whose arrays keep these shapes but hold each component
-    as a contiguous plane, or through its component-major form
-    `_geometry_planes(x)`, one call per ring block of a field
-    (`frequency._NodeData`).  The callables themselves may return any
-    layout.
+    `geometry(x)`, which holds each component as a contiguous plane, one
+    call per ring block of a field (`frequency._NodeData`).  The callables
+    themselves may return any layout.
     """
 
     def __init__(self, dim, entries, entry_gradients, ellipticity, kind):
@@ -190,29 +188,19 @@ class CoefficientField:
     # ---- derived fields (all closed-form in the entries and their gradients)
 
     def geometry(self, x):
-        """A, its entry gradients and the fields built from them, at x.
+        """A, its entry gradients and the fields built from them, at x, as
+        component-major planes: a[i, j], grads[i, j, h] (d a_ij / d x_h),
+        z[i] and dz[h, j] (d z_j / d x_h) are each one contiguous array of
+        x's leading shape, and every contraction here runs plane by plane.
 
         mu = <A x, x> / |x|^2 is the surface weight, z = A x / mu the
-        transport field (<z, x/|x|> = |x| identically) and dz its Jacobian,
-        shape (..., h, j) holding d z_j / d x_h; mu, z and dz are undefined
-        at the origin.  Costs one call of `entries` and one of
-        `entry_gradients`.
-
-        a, grads, z and dz keep the shapes above, but are views of
-        component-major arrays: each component (`a[..., i, j]`,
-        `grads[..., i, j, h]`, `z[..., i]`, `dz[..., h, j]`) is one
-        contiguous plane, and every contraction here runs plane by plane.
-        A plane of A or grad A that is exactly zero on x adds no term to
-        A x, mu, d<A x, x> or d(A x) (`_plane_sum` says why no bit moves).
+        transport field (<z, x/|x|> = |x| identically) and dz its Jacobian;
+        mu, z and dz are undefined at the origin.  `a_nonzero` and
+        `grads_nonzero` say which planes of a and grads are nonzero
+        (`_nonzero_planes`).  A plane that is exactly zero on x adds no
+        term to A x, mu, d<A x, x> or d(A x) (`_plane_sum` says why no bit
+        moves).  Costs one call of `entries` and one of `entry_gradients`.
         """
-        p = self._geometry_planes(x)
-        return Geometry(_trailing(p.a, 2), _trailing(p.grads, 3), p.mu,
-                        _trailing(p.z, 1), _trailing(p.dz, 2))
-
-    def _geometry_planes(self, x):
-        """`geometry`'s arrays as their component-major planes (a[i, j],
-        grads[i, j, h], z[i], dz[h, j]), with `_nonzero_planes` of a and
-        of grads, for callers that contract them further."""
         x = np.asarray(x, dtype=float)
         n, shape = x.shape[-1], x.shape[:-1]
         a = _planes(self.entries(x), 2)
@@ -240,7 +228,7 @@ class CoefficientField:
                         (g[j, l, h] * xs[l] for l in range(n) if g_nz[j, l, h]),
                         (a[j, h],) if a_nz[j, h] else ()), shape)
                     dz[h, j] = dax / mu - ax[j] * dmu / mu2
-        return _GeometryPlanes(a, g, mu, z, dz, a_nz, g_nz)
+        return Geometry(a, g, mu, z, dz, a_nz, g_nz)
 
 
 def _planes(arr, k):
@@ -289,14 +277,11 @@ def _plane_sum(terms, shape=None):
     return total
 
 
-# what CoefficientField.geometry returns: a (..., N, N), grads
-# (..., N, N, N), mu (...), z (..., N) and dz (..., N, N), each a view of a
-# component-major array, so that every [..., i, j] is a contiguous plane
-Geometry = namedtuple("Geometry", "a grads mu z dz")
-# the same arrays as component-major planes, and which planes of a and
-# grads are nonzero (`CoefficientField._geometry_planes`)
-_GeometryPlanes = namedtuple("_GeometryPlanes",
-                             "a grads mu z dz a_nonzero grads_nonzero")
+# what CoefficientField.geometry returns: a (N, N, ...), grads
+# (N, N, N, ...), mu (...), z (N, ...) and dz (N, N, ...), component-major
+# so that every [i, j] is a contiguous plane, and which planes of a and
+# grads are nonzero
+Geometry = namedtuple("Geometry", "a grads mu z dz a_nonzero grads_nonzero")
 
 
 def _const_field(x, value):

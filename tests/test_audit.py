@@ -480,7 +480,7 @@ class TestResidualGate:
             fld = solve_grid_2d(spec, lambda th: 0.2 * np.cos(th),
                                 n_r=48, n_theta=96)
             rebuilt = SolutionField.grid2d_from_values(
-                fld.r, fld.theta, np.array(fld.u), fld.q)
+                fld.r, np.array(fld.u), fld.q)
         else:  # two zeros on the ball
             spec = ProblemSpec.model(2, 1.5, outer_radius=5.0)
             fld = solve_radial(spec, 0.6, h=1e-3)
@@ -501,7 +501,7 @@ class TestResidualGate:
         x = fld.points()
         r = np.hypot(x[..., 0], x[..., 1])
         bumped = SolutionField.grid2d_from_values(
-            fld.r, fld.theta, fld.u + 0.05 * r * (1.0 - r) * x[..., 0], fld.q)
+            fld.r, fld.u + 0.05 * r * (1.0 - r) * x[..., 0], fld.q)
         assert audit(spec, fld).classification == "genuine_nonvanishing"
         chain = audit(spec, bumped)
         assert chain.classification == "residual_veto"
@@ -550,3 +550,44 @@ class TestResidualGate:
         chain = audit(spec, rippled)
         assert chain.classification == "residual_veto"
         assert chain.steps["residual_gate"].data["epsilon"] > 0.3
+
+
+# ROADMAP item 15's negative control: -Delta u = -|u|^{1/2} sgn u on the
+# disc of radius 0.8, the absorption sign the theorem excludes.  u =
+# K (x1 - 0.2)_+^4 solves it exactly and vanishes on the half-disc x1 < 0.2.
+_ABSORPTION = """[domain]
+dimension = 2
+outer_radius = 0.8
+[nonlinearity]
+kind = sum_of_powers
+terms = 1.5: -1
+"""
+
+
+def _planar_dead_core(rings):
+    from freqlab.config import parse_problem_spec
+    from freqlab.odes import counterexample_profile
+
+    spec = parse_problem_spec(_ABSORPTION)
+    fld = sample_grid2d(
+        lambda x: counterexample_profile(1.5, 0.2, x[..., 0])[0],
+        spec.outer_radius, rings, 2 * rings, spec.nonlinearity.q)
+    return spec, fld
+
+
+class TestAbsorptionDeadCore:
+    def test_the_problem_fails_A3(self):
+        from freqlab.model import check_A3
+
+        spec, _ = _planar_dead_core(16)
+        assert not check_A3(spec.nonlinearity,
+                            radius=spec.outer_radius).passed
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 15: the audit does "
+                       "not check (A3), and reads d = int F <= 0 as a "
+                       "negligible field")
+    @pytest.mark.parametrize("rings", [64, 128, 256])
+    def test_is_never_genuine_nor_certified(self, rings):
+        spec, fld = _planar_dead_core(rings)
+        assert audit(spec, fld).classification not in (
+            "genuine_nonvanishing", "contradiction_certified")

@@ -1714,20 +1714,36 @@ def test_constructors_store_contiguous_float64(tmp_path):
         assert a.flags.c_contiguous and a.dtype == np.float64
         assert not a.flags.writeable
     grid = _bowl_grid()
-    fld = SolutionField.grid2d_from_values(grid.r, grid.theta,
-                                           np.asfortranarray(grid.u), 1.5)
+    fld = SolutionField.grid2d_from_values(grid.r, np.asfortranarray(grid.u),
+                                           1.5)
     for a in (fld.r, fld.u, fld.theta):
         assert a.flags.c_contiguous and not a.flags.writeable
 
 
+def test_grid_angles_come_from_the_field():
+    # theta is 2 pi j / n_theta of u's columns, and not an input
+    grid = _bowl_grid()
+    n_t = grid.u.shape[1]
+    np.testing.assert_array_equal(grid.theta,
+                                  np.arange(n_t) * (2.0 * math.pi / n_t))
+    with pytest.raises(TypeError):
+        SolutionField("grid2d", 2, 1.5, grid.r, grid.u, theta=grid.theta)
+    half = dataclasses.replace(grid, u=grid.u[:, ::2], meta={})
+    np.testing.assert_array_equal(half.theta, grid.theta[::2])
+
+
 @pytest.mark.parametrize("build, message", [
-    (lambda g: SolutionField.grid2d_from_values(g.r, g.theta[:-1], g.u[:, :-1], 1.5),
+    (lambda g: SolutionField.grid2d_from_values(g.r, g.u[:, :-1], 1.5),
      "even number of angular nodes"),
-    (lambda g: SolutionField.grid2d_from_values(g.r, g.theta, g.u[:-1], 1.5),
+    (lambda g: SolutionField.grid2d_from_values(g.r, g.u[:, :0], 1.5),
+     "angular nodes, got 0"),
+    (lambda g: SolutionField.grid2d_from_values(g.r, g.u[:-1], 1.5),
      "expected .n_r_nodes, n_theta."),
-    (lambda g: SolutionField.grid2d_from_values(g.r, g.theta, g.u + np.eye(17, 32), 1.5),
+    (lambda g: SolutionField.grid2d_from_values(g.r, g.u[:, 0], 1.5),
+     "grid u has shape .17,.;"),
+    (lambda g: SolutionField.grid2d_from_values(g.r, g.u + np.eye(17, 32), 1.5),
      "pole row"),
-    (lambda g: SolutionField.grid2d_from_values(g.r * 1.0 + 0.1, g.theta, g.u, 1.5),
+    (lambda g: SolutionField.grid2d_from_values(g.r * 1.0 + 0.1, g.u, 1.5),
      "must start at 0"),
 ])
 def test_grid_constructor_validates(build, message):

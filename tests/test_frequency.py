@@ -180,7 +180,7 @@ class TestRellichGeneral:
                                              tolerance=1e-8)
         assert rep9.passed and rep10.passed
         # with A = id the z-jacobian term is -2 D1 exactly
-        t4 = np.asarray(rep9.details["terms"]["z_jacobian"])
+        t4 = np.asarray(rep9.details["terms.z_jacobian"])
         np.testing.assert_allclose(t4, -2.0 * prof.D1, rtol=1e-10)
 
     def test_constant_field_everything_vanishes(self, bowl):
@@ -310,8 +310,7 @@ class TestSharedNodeVocabulary:
                              1.0, 128, 256, 1.5)
         one, two = _node_data(spec, rad), _node_data(spec, grid)
         assert one.u.shape == (129, 1) and two.u.shape == (129, 256)
-        for name in ("flux_r", "e_density", "x_grad_u", "z_grad_u", "divz",
-                     "mu"):
+        for name in ("flux_r", "e_density", "z_grad_u", "divz", "mu"):
             # the pole row is a convention (divz, mu), not a value
             b = getattr(two, name)[1:]
             np.testing.assert_allclose(
@@ -791,14 +790,14 @@ class TestReportEncoding:
             np.array([1.5, 1.0, 2.25, 1.0]), 1e-3,
             {"margins": np.array([np.nan, -np.inf, np.inf, 1.5]),
              "flag_ok": np.bool_(False), "worst": np.float64(-np.inf),
-             "terms": {"t": np.array([2.0, np.nan]), "note": "kept"}})
+             "terms.t": np.array([2.0, np.nan]), "terms.note": "kept"})
         blob = rep.to_dict()
         assert blob == {
             "schema_version": 2, "name": "encoded", "verdict": "fail",
             "rel_residual": 0.5 / 2.25, "tolerance": 1e-3,
             "worst_radius": 0.1, "worst_abs_residual": 0.5,
             "details": {"nan_radii": 2, "flag_ok": False, "worst": None,
-                        "terms": {"note": "kept"}}}
+                        "terms.note": "kept"}}
         arrays = rep.arrays()
         assert list(arrays) == ["radii", "lhs", "rhs", "margins", "terms.t"]
 

@@ -21,7 +21,7 @@ from freqlab.frequency import (_node_data, frequency_profile,
                                run_all_identity_checks, verify_f_transport,
                                verify_rellich_general, write_identity_reports)
 from freqlab.model import (CoefficientField, NonlinearitySpec, ProblemSpec,
-                           _plane_sum, grad1_F)
+                           _plane_sum, _trailing, grad1_F)
 
 N_R, N_THETA = 32, 64
 
@@ -115,15 +115,22 @@ def test_geometry(case):
     spec, fld = case
     pts = fld.points()
     geo = spec.coefficients.geometry(pts)
-    for new, old in zip(geo, einsum_geometry(spec.coefficients, pts)):
-        same_bits(new, old)
+    a, g, mu, z, dz = einsum_geometry(spec.coefficients, pts)
+    same_bits(_trailing(geo.a, 2), a)
+    same_bits(_trailing(geo.grads, 3), g)
+    same_bits(geo.mu, mu)
+    same_bits(_trailing(geo.z, 1), z)
+    same_bits(_trailing(geo.dz, 2), dz)
+    # a plane is nonzero where any of its values is not +-0 (NaN included)
+    assert np.array_equal(geo.a_nonzero, (a != 0).any(axis=(0, 1)))
+    assert np.array_equal(geo.grads_nonzero, (g != 0).any(axis=(0, 1)))
     for h in range(2):
-        assert geo.z[..., h].flags.c_contiguous
+        assert geo.z[h].flags.c_contiguous
         for j in range(2):
-            assert geo.a[..., h, j].flags.c_contiguous
-            assert geo.dz[..., h, j].flags.c_contiguous
+            assert geo.a[h, j].flags.c_contiguous
+            assert geo.dz[h, j].flags.c_contiguous
             for i in range(2):
-                assert geo.grads[..., h, j, i].flags.c_contiguous
+                assert geo.grads[h, j, i].flags.c_contiguous
 
 
 def einsum_node_rows(spec, fld):
@@ -183,9 +190,10 @@ def test_transport_identity_rows(case):
     idx = prof.indices
     rep9, rep10 = verify_rellich_general(spec, fld, prof)
     same_bits(rep9.lhs, data.ball(rows["z_grad_e"])[idx])
-    terms = rep9.details["terms"]
-    same_bits(terms["coefficient_gradient"], data.ball(rows["t1_rows"])[idx])
-    same_bits(terms["z_jacobian"], data.ball(rows["t4_rows"])[idx])
+    same_bits(rep9.details["terms.coefficient_gradient"],
+              data.ball(rows["t1_rows"])[idx])
+    same_bits(rep9.details["terms.z_jacobian"],
+              data.ball(rows["t4_rows"])[idx])
     same_bits(verify_f_transport(spec, fld, prof).details["grad1F_term"],
               data.ball(rows["grad_x_F_z"])[idx])
 
@@ -245,7 +253,7 @@ def test_zero_planes_change_between_ring_blocks():
     coeff = _zero_inside(1.0)
     fld = sample_grid2d(lambda x: 1.0 - x[..., 0] ** 2, 1.0, N_R, N_THETA, 1.5)
     blocks = fields._ring_blocks(*fld.u.shape, frequency._MIN_BLOCKS)
-    patterns = [coeff._geometry_planes(_polar_points(fld.r[rows], fld.theta))
+    patterns = [coeff.geometry(_polar_points(fld.r[rows], fld.theta))
                 for rows in blocks]
     assert not patterns[0].a_nonzero[0, 1] and patterns[-1].a_nonzero[0, 1]
     assert not patterns[0].grads_nonzero[0, 1].any()
@@ -305,9 +313,28 @@ def test_frame_entries_form_only_the_forms_asked_for(case):
             same_bits(new, ref)
 
 
-def test_model_rows_only_for_the_model_problem(case):
-    # x_grad_u is read by the model-problem identities only; they read
-    # u_nu from flux_r
-    spec, fld = case
-    data = _node_data(spec, fld)
-    assert (data.x_grad_u is not None) == spec.is_model
+@pytest.mark.parametrize("radius", [0.8, 1.0, 6.0])
+@pytest.mark.parametrize("rings", [16, 32, 64, 128, 256, 512])
+def test_identity_geometry_is_exact_off_the_origin(radius, rings):
+    # under A = I the general route's weight and transport field are the
+    # model route's exactly: mu = 1, Z = x and DZ = I, so the model
+    # identities can read the transport row <Z, grad u> as <x, grad u>
+    r = np.linspace(0.0, radius, rings + 1)[1:]
+    pts = _polar_points(r, fields._angles(2 * rings))
+    geo = CoefficientField.identity(2).geometry(pts)
+    assert np.all(geo.mu == 1.0)
+    assert np.array_equal(geo.z, np.moveaxis(pts, -1, 0))
+    for h in range(2):
+        for j in range(2):
+            assert np.all(geo.dz[h, j] == float(h == j))
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_model_transport_row_is_x_grad_u(q):
+    spec = ProblemSpec.model(2, q, outer_radius=0.8)
+    fld = sample_grid2d(lambda x: 0.3 * (0.64 - x[..., 0] ** 2)
+                        + 0.1 * x[..., 0] * x[..., 1], 0.8, N_R, N_THETA, q)
+    gx, gy = cartesian_gradient(fld.u, fld.r, fld.theta)
+    pts = fld.points()
+    x_grad_u = gx * pts[..., 0] + gy * pts[..., 1]
+    assert np.array_equal(_node_data(spec, fld).z_grad_u, x_grad_u)

@@ -19,10 +19,11 @@ frequency.py and CoefficientField.geometry name no einsum, whose inner loop
 runs over trailing axes of length 2.  check_A1 and the
 normalize_coordinates pullback run on a few dozen points and keep theirs.
 
-The node pass changes layout by fixed transposes: CoefficientField's
-geometry (and _geometry_planes), model._planes, model._trailing and
+The node pass changes layout by fixed transposes:
+CoefficientField.geometry, model._planes, model._trailing and
 frequency._NodeData._fill_block name no np.moveaxis, which normalises its
-axes in Python on every call, per ring block and per tensor.
+axes in Python on every call, per ring block and per tensor; each of them
+must exist, so a rename cannot leave the guard watching nothing.
 
 Node rows are finite by one rule: np.nan_to_num appears only in
 frequency._NodeData.__init__, which zeroes the residual's unformed rows
@@ -285,7 +286,6 @@ def test_no_einsum_in_plane_contractions():
 
 # the functions of the node pass whose layout changes are fixed transposes
 _NO_MOVEAXIS = {("model.py", "CoefficientField.geometry"),
-                ("model.py", "CoefficientField._geometry_planes"),
                 ("model.py", "_planes"), ("model.py", "_trailing"),
                 ("frequency.py", "_NodeData._fill_block")}
 
@@ -324,6 +324,28 @@ def test_no_moveaxis_in_the_node_pass():
     hits = [hit for source, name in _modules()
             for hit in _stray_moveaxis(source, name)]
     assert hits == []
+
+
+def _function_scopes(source):
+    """The dotted names of the classes and functions defined in source."""
+    names = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+                names.append(name)
+                visit(child, name)
+
+    visit(ast.parse(source), "")
+    return names
+
+
+def test_guarded_functions_exist():
+    scopes = {name: set(_function_scopes(source)) for source, name in _modules()}
+    for module, func in sorted(_NO_MOVEAXIS | {_PLANE_FUNCTION}):
+        assert func in scopes[module], (module, func)
 
 
 def _stale_exports(module):
