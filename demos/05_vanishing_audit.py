@@ -19,7 +19,7 @@ def show(chain, title):
     print(f"classification: {chain.classification}   (route: {chain.route})")
     print(f"radii: r0={chain.r0}  r1={chain.r1}  r2={chain.r2}  r3={chain.r3}")
     for name in ("residual_gate", "vanishing_detected", "lower_bound_D",
-                 "frequency_bounded", "logH_contradiction"):
+                 "frequency_bounded"):
         if name in chain.steps:
             v = chain.steps[name]
             print(f"  {name:20s} {v.status:6s} {v.note}")

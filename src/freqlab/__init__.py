@@ -61,7 +61,6 @@ from .audit import (
     CertificateChain,
     audit,
     frequency_bound_certificate,
-    logH_contradiction,
     lower_bound_certificate,
     vanishing_radius,
 )

@@ -4,12 +4,10 @@ Given a candidate field on a ball, the audit measures its integrated
 equation residual (`_residual_epsilon`), finds the radius r0 up to which the
 nonlinearity mass d vanishes, and then walks the proof chain that a genuine
 solution with r0 > 0 would have to satisfy: an energy lower bound
-D >= C2 d just outside the core, boundedness of the frequency through the
-monotonicity of N(r) e^{C3 r}, and finally the impossibility of the sphere
-mass H vanishing at r3 > 0 while the log-slope of H/r^{N-1} stays bounded.
-A field that passes the residual gate with r0 > 0 must trip one of these
-steps; "genuine" is only ever reported when r0 = 0 (or the field is
-negligible outright).
+D >= C2 d just outside the core, then boundedness of the frequency through
+the monotonicity of N(r) e^{C3 r}.  A field that passes the residual gate
+with r0 > 0 and trips neither step is inconclusive; "genuine" is only ever
+reported when r0 = 0 (or the field is negligible outright).
 
 The chain's constants are closed forms in (r0, N, q), so it runs only where
 the field's problem is the model equation (`frequency._is_model_problem`,
@@ -37,7 +35,6 @@ __all__ = [
     "vanishing_radius",
     "lower_bound_certificate",
     "frequency_bound_certificate",
-    "logH_contradiction",
     "audit",
 ]
 
@@ -51,7 +48,6 @@ _TOL_D_REL = 1e-10  # d vanishing threshold, relative to d(R)
 _GATE_REL = 1e-2  # default residual gate on _residual_epsilon
 _GATE_SECTORS = 8  # angular sectors of the residual gate (at most n_theta)
 _MONO_SLACK_REL = 1e-8  # slack for the monotonicity ratios
-_BACKWARD_MARGIN = 0.5  # H < margin * backward bound => fired
 
 
 @dataclass
@@ -68,7 +64,6 @@ class AuditControls:
             "gate_rel": _GATE_REL,
             "residual_gate": self.residual_gate,
             "mono_slack_rel": _MONO_SLACK_REL,
-            "backward_margin": _BACKWARD_MARGIN,
             "profile": asdict(self.profile),
         })
 
@@ -240,23 +235,29 @@ def frequency_bound_certificate(prof, r0, r1, dim, q, constants):
     CNq = constants.get("CNq", c_constant(dim, q))
     C3 = constants["C3"] = CNq / (r0 * constants["C2"])
 
+    # the cap N(r2) e^{C3 r2}; past the float range it reads inf (null)
+    N2 = float(prof.N[k2])
+    try:
+        C4 = N2 * math.exp(C3 * r2)
+    except OverflowError:
+        C4 = N2 * math.inf
+    constants["C4"] = C4
+
     run = np.arange(k, k2 + 1)
     Nvals = prof.N[run]
     finite = np.isfinite(Nvals)
     if finite.sum() < 2:
-        verdict = StepVerdict(
+        return r2, r3, StepVerdict(
             "frequency_bounded", "inconclusive",
             note="fewer than two audited radii with defined frequency",
             data={"n_radii": int(finite.sum())})
-        constants["C4"] = (float(Nvals[finite][-1] * math.exp(C3 * r2))
-                           if finite.any() else math.nan)
-        return r2, r3, verdict
-    prod = Nvals[finite] * np.exp(C3 * prof.r[run][finite])
+    # N e^{C3 r} scaled by e^{-C3 r2}: the same ratios, and no overflow on
+    # the window, where C3 r2 passes 709 once the profile resolves (r0, r1]
+    prod = Nvals[finite] * np.exp(C3 * (prof.r[run][finite] - r2))
     scale = float(np.max(np.abs(prod)))
     drops = np.diff(prod)
     worst = float(np.min(drops)) if len(drops) else 0.0
     ok = worst >= -_MONO_SLACK_REL * scale
-    C4 = constants["C4"] = float(prof.N[k2] * math.exp(C3 * r2))
     verdict = StepVerdict(
         "frequency_bounded", "pass" if ok else "fail",
         worst / scale if scale > 0 else math.nan,
@@ -266,67 +267,6 @@ def frequency_bound_certificate(prof, r0, r1, dim, q, constants):
               "fail_radius": float(prof.r[run][finite][1:][int(np.argmin(drops))])
               if not ok and len(drops) else None})
     return r2, r3, verdict
-
-
-def logH_contradiction(prof, r3, r2, C4, r0, dim):
-    """Backward integration of the bounded log-slope against H(r3) ~ 0.
-
-    With the frequency capped at C4, integrating d/dr log(H/r^{N-1}) =
-    2 N / r <= 2 C4 / r0 backward from r2 forces
-    H(r) >= H(r2) (r/r2)^{N-1} exp(-2 C4 (r2 - r)/r0) > 0 down to r3.  The
-    check evaluates this floor one audit cell above r3 (discrete-infimum
-    uncertainty) and fires when the measured H falls below it.
-    """
-    if r3 is None or r2 is None or not math.isfinite(C4):
-        return StepVerdict("logH_contradiction", "skipped",
-                           note="needs the frequency-bound step")
-    # 2 N / r <= 2 C4 / r0 on r >= r0 needs C4 > 0 (a cap of -1e10 overflows)
-    if C4 <= 0.0:
-        return StepVerdict("logH_contradiction", "skipped",
-                           note=f"needs a positive frequency cap, got {C4:.6g}")
-    k3 = int(np.searchsorted(prof.r, r3 + 1e-15)) - 1
-    k3 = max(k3, 0)
-    if prof.H[k3] > prof.h_floor and prof.r[k3] > 0:
-        return StepVerdict(
-            "logH_contradiction", "pass",
-            note="no vanishing at r3: the sphere mass stays positive",
-            data={"H_r3": float(prof.H[k3])})
-    k_star = k3 + 1
-    k2 = int(np.searchsorted(prof.r, r2 - 1e-15))
-    while k_star < k2 and prof.H[k_star] <= prof.h_floor:
-        k_star += 1
-    r_star = float(prof.r[k_star])
-    H2 = float(prof.H[k2])
-
-    def backward_floor(r):
-        return H2 * (r / prof.r[k2]) ** (dim - 1) \
-            * math.exp(-2.0 * C4 * (prof.r[k2] - r) / r0)
-
-    # two evaluation points: one audit cell above r3 (discrete-infimum
-    # uncertainty) and the r3 limit itself, where the measured mass sits at
-    # the floor by construction
-    predicted = backward_floor(r_star)
-    measured = float(prof.H[k_star])
-    fired = measured < _BACKWARD_MARGIN * predicted
-    at_r3 = backward_floor(float(prof.r[k3])) if prof.r[k3] > 0 else 0.0
-    fired = fired or (max(float(prof.H[k3]), prof.h_floor)
-                      < _BACKWARD_MARGIN * at_r3)
-    # bounded-slope bookkeeping on the run above r_star
-    run = np.arange(k_star, k2 + 1)
-    Hrun = prof.H[run]
-    ok = Hrun > prof.h_floor
-    slopes = np.diff(np.log(Hrun[ok]) - (dim - 1) * np.log(prof.r[run][ok])) \
-        / np.diff(prof.r[run][ok])
-    bound = 2.0 * C4 / r0
-    return StepVerdict(
-        "logH_contradiction", "fail" if fired else "pass",
-        note=("sphere mass vanishes at r3 yet the frequency stays capped: "
-              "backward integration forbids it" if fired else
-              "backward floor not violated at this resolution"),
-        data={"r_star": r_star, "H_measured": measured,
-              "H_backward_floor": predicted, "slope_bound": bound,
-              "max_slope": float(np.max(slopes)) if len(slopes) else math.nan,
-              "fired": bool(fired)})
 
 
 # --------------------------------------------------------------------------
@@ -395,11 +335,7 @@ def audit(spec, fld, controls=None):
     chain.r2, chain.r3 = r2, r3
     chain.steps["frequency_bounded"] = v2
 
-    v3 = logH_contradiction(prof, r3, r2, chain.constants.get("C4", math.nan),
-                            r0, dim)
-    chain.steps["logH_contradiction"] = v3
-
-    failed = [v.name for v in (v1, v2, v3) if v.status == "fail"]
+    failed = [v.name for v in (v1, v2) if v.status == "fail"]
     if failed:
         chain.classification = CONTRADICTION
         chain.notes.append(f"failing step: {failed[0]}")

@@ -256,8 +256,8 @@ def test_criterion_10_pme_separated_solution():
 # were recorded with Python 3.11 and numpy 2.4; another numpy's FFT or
 # libm may move a last bit of the 2-D artifacts.
 CRITERION_11_HASHES = {
-    "au": "205601712509930b7f7f05909eefbb9c68c2ccbe616ec445c911f19b53abda91",
-    "au2": "704fe2531b8d8227a129ebee1f05a8571218c74948b9698895cacdd1a38b7825",
+    "au": "fa5b97783d05bfaffa7d2a73d73fe70b59f735fa8335b89206dafd6a3a0ba6a1",
+    "au2": "fc8f3e5afbf18c7eb11a3e30c44c3ef812f8ab4135cb453bb6f501fea313d9e6",
     "ce": "3772e695c29184975c31cb8659c091bf38537ef9d991986125cfc348076553c5",
     "ck": "edd16ae9f067c14f31dce25b400f25f6e7746816e968a7ff5642d19a75c7591d",
     "en": "ad01e4d7ad9f7d0d5e23f61d7752df5f45b2e03c3dad817590f69e79784bea60",

@@ -2,8 +2,8 @@
 
 Criterion 11 pins a radial ball without zeros and a model grid.  These pin
 the general-route identities (a solved and a sampled variable-coefficient
-field), the proof chain through all three steps (a glued candidate with
-the gate off) and a radial ball with zeros: the sha256 of each of
+field), the proof chain through both of its steps (a glued candidate
+with the gate off) and a radial ball with zeros: the sha256 of each of
 `identities.json`, `identities.npz`, `profile.csv` and `certificate.json`,
 written as `freq-lab frequency` and `freq-lab audit` write them.
 """
@@ -62,7 +62,7 @@ def _radial_with_zeros():
 PINS = {
     "bowl": (_bowl, {
         "certificate.json":
-            "0b051265a6d6db4b05ce8d342b2335aaf7234e481a0b2db7a1ea9f0d0462c5a8",
+            "40b5ea72755eab8879e4519a2d75d9a5c1c176710eba9af7fbc14d49c6c33e47",
         "identities.json":
             "2c20678273c75c30d057acc4477bb226ca54e5a3050b491c9fb75e73275f7ec7",
         "identities.npz":
@@ -72,7 +72,7 @@ PINS = {
     }),
     "variable_coefficients": (_variable_coefficients, {
         "certificate.json":
-            "f6c4ef08e2e0e136254d3ed6340c4c93c0fae9fbe4edf0448cb410f880dc601f",
+            "0cc9c33f440380b7600e5acc0bf7c34d33d48bfad949fe201351ffb1c48d633c",
         "identities.json":
             "7df54951d42712b14cdc6d580a847776abca98b94fbb36e83e17f360acbb3d25",
         "identities.npz":
@@ -82,7 +82,7 @@ PINS = {
     }),
     "glued": (_glued, {
         "certificate.json":
-            "dae6700c4c1fcd87775ec10e6ffc087ddd1de17a54d23079b32952eb514bf876",
+            "c6c8e5cd863b86a619dadaba757dcc85d1090baa2cfb94099767eeb7173f1a32",
         "identities.json":
             "3988038ab83015b0b62ff39f7590bf57cdaec09bed92963dc9c74550c4241ca1",
         "identities.npz":
@@ -92,7 +92,7 @@ PINS = {
     }),
     "radial_with_zeros": (_radial_with_zeros, {
         "certificate.json":
-            "95f158cd52650c9161485903b469c8031d76fbbe46d3f5673f84b1aed219c789",
+            "7ebd8e0cdac4c373f914a2b1d2307fadf6f50cc03ad964fe948beecb3c3acf10",
         "identities.json":
             "506cdb2ccca96da9e9410ca972b9c46ba308de9328a0ea758969d1aa912e0718",
         "identities.npz":

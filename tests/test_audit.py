@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from freqlab.audit import (AuditControls, audit, frequency_bound_certificate,
-                           logH_contradiction, lower_bound_certificate,
-                           vanishing_radius)
+                           lower_bound_certificate, vanishing_radius)
 from freqlab.fields import SolutionField, glued_field, sample_grid2d
 from freqlab.frequency import FrequencyProfile, ProfileControls, frequency_profile
 from freqlab.model import CoefficientField, NonlinearitySpec, ProblemSpec
@@ -99,6 +98,31 @@ class TestLowerBound:
         assert C["C3"] * r0 * C["C2"] == pytest.approx(C["CNq"], rel=1e-12)
         assert all(v > 0 for v in C.values())
 
+    @pytest.mark.parametrize("scale", [0.1, 1e-2, 1e-4])
+    def test_scaled_glued_field_certified_on_lower_bound(self, tmp_path,
+                                                        glued_trio, scale):
+        # scaled down, the glued candidate fails lower_bound_D with a
+        # frequency cap C4 far below 0
+        import dataclasses
+
+        from freqlab.cli import main
+        from freqlab.fields import save_field
+
+        base = glued_trio[(2, 1.5, 0.3)]
+        fld = dataclasses.replace(base, u=scale * base.u, du=scale * base.du)
+        spec = ProblemSpec.model(2, 1.5, outer_radius=0.8)
+        chain = audit(spec, fld, AuditControls(residual_gate=math.inf))
+        assert chain.constants["C4"] < 0
+        assert chain.classification == "contradiction_certified"
+        assert chain.notes == ["failing step: lower_bound_D"]
+        path = tmp_path / "scaled.npz"
+        save_field(fld, path)
+        out = tmp_path / "au"
+        assert main(["audit", str(path), "--residual-gate", "inf",
+                     "--out", str(out)]) == 4
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["notes"] == ["failing step: lower_bound_D"]
+
 
 class TestFrequencyBoundStep:
     def test_constant_product_passes_with_equality(self):
@@ -175,70 +199,31 @@ class TestFrequencyBoundStep:
             prof, r0, 0.51, dim, q, {"CNq": CNq, "C2": C2})
         assert verdict.status == "fail"
 
-
-class TestLogHContradiction:
-    def test_power_law_mass_no_vanishing(self):
-        r = np.linspace(0.05, 1.0, 200)
-        prof = synthetic_profile(r, r, 0.5 * np.ones_like(r), r ** 2)
-        verdict = logH_contradiction(prof, float(r[0]), 0.9, 1.0, 0.05, 2)
-        assert verdict.status == "pass"
-        assert "no vanishing" in verdict.note
-
-    def test_constructed_vanishing_with_bounded_slope_fires(self):
-        r = np.linspace(0.2, 0.6, 200)
-        r3 = 0.3
-        H = np.where(r <= r3, 0.0, 1e-3 * r)  # jump to a bounded-slope branch
-        D = 0.25 * np.ones_like(r)
-        d = np.maximum(r - 0.28, 0) ** 2
-        prof = synthetic_profile(r, H, D, d)
-        verdict = logH_contradiction(prof, r3, 0.55, 2.0, 0.28, 2)
-        assert verdict.status == "fail"
-        assert verdict.data["fired"]
-
-    def test_walks_past_radii_below_the_floor(self):
-        # H vanishes up to 0.35, past r3 = 0.3: the floor is checked at the
-        # first radius above the zero run, not one cell above r3
-        r = np.linspace(0.2, 0.6, 201)
-        H = np.where(r <= 0.35, 0.0, 1e-3 * r)
-        prof = synthetic_profile(r, H, 0.25 * np.ones_like(r),
-                                 np.maximum(r - 0.28, 0) ** 2)
-        verdict = logH_contradiction(prof, 0.3, 0.55, 2.0, 0.28, 2)
-        assert verdict.data["r_star"] == float(r[r > 0.35][0])
-        assert verdict.data["H_measured"] == float(H[r > 0.35][0])
-        assert verdict.status == "fail" and verdict.data["fired"]
-
-    def test_skipped_without_prerequisites(self):
-        r = np.linspace(0.2, 0.6, 50)
-        prof = synthetic_profile(r, r, r, r)
-        verdict = logH_contradiction(prof, None, None, math.nan, 0.3, 2)
-        assert verdict.status == "skipped"
-
-    @pytest.mark.parametrize("scale", [0.1, 1e-2, 1e-4])
-    def test_scaled_glued_field_certified_on_lower_bound(self, tmp_path,
-                                                        glued_trio, scale):
-        # scaled down, the glued candidate fails lower_bound_D with a
-        # frequency cap C4 far below 0; the backward floor's exponential
-        # overflowed (OverflowError, and `freq-lab audit` exited 1)
-        import dataclasses
-
+    @pytest.mark.parametrize("dim, core", [(4, 0.1), (5, 0.2)])
+    def test_a_cap_past_the_float_range_reads_null(self, tmp_path, dim, core):
+        # the window (r0, r1] has width 1/C3, so C3 r2 passes 709 once 10^6
+        # radii resolve it: e^{C3 r} overflowed (OverflowError, and
+        # `freq-lab audit` exited 1)
         from freqlab.cli import main
         from freqlab.fields import save_field
 
-        base = glued_trio[(2, 1.5, 0.3)]
-        fld = dataclasses.replace(base, u=scale * base.u, du=scale * base.du)
-        spec = ProblemSpec.model(2, 1.5, outer_radius=0.8)
-        chain = audit(spec, fld, AuditControls(residual_gate=math.inf))
-        assert chain.constants["C4"] < 0
-        assert chain.steps["logH_contradiction"].status == "skipped"
-        assert chain.classification == "contradiction_certified"
-        assert chain.notes == ["failing step: lower_bound_D"]
-        path = tmp_path / "scaled.npz"
+        fld = glued_field(dim, 1.5, core, 0.8, h=1e-4)
+        spec = ProblemSpec.model(dim, 1.5, outer_radius=0.8)
+        chain = audit(spec, fld, AuditControls(
+            residual_gate=math.inf, profile=ProfileControls(n_radii=10 ** 6)))
+        assert chain.constants["C3"] * chain.r2 > 709.8
+        assert chain.classification == "inconclusive"
+        assert chain.steps["frequency_bounded"].status == "pass"
+        assert chain.to_dict()["constants"]["C4"] is None
+        path = tmp_path / "glued.npz"
         save_field(fld, path)
+        config = tmp_path / "fine.ini"
+        config.write_text("[run]\nn_radii = 1000000\n")
         out = tmp_path / "au"
-        assert main(["audit", str(path), "--residual-gate", "inf",
-                     "--out", str(out)]) == 4
+        assert main(["audit", str(path), "--config", str(config),
+                     "--residual-gate", "inf", "--out", str(out)]) == 6
         cert = json.loads((out / "certificate.json").read_text())
-        assert cert["steps"]["logH_contradiction"]["status"] == "skipped"
+        assert cert["steps"]["frequency_bounded"]["frequency_cap"] is None
 
 
 class TestFullAudit:
