@@ -1167,17 +1167,6 @@ def glued_field(dim, q, core_radius, outer_radius, h=1e-3):
     return SolutionField.radial_from_arrays(r, u, du, dim, q)
 
 
-def glued_residual_exact(fld, core_radius):
-    """Closed-form residual of the glued field with that core radius
-    (oracle for residual_field)."""
-    r = fld.r
-    _, upp = counterexample_profile(fld.q, core_radius, r)
-    up = counterexample_slope(fld.q, core_radius, r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = 2.0 * upp + (fld.dim - 1) * up / np.where(r > 0, r, np.inf)
-    return rho
-
-
 # --------------------------------------------------------------------------
 # field files (external interface)
 

@@ -457,13 +457,8 @@ def verify_H_prime(spec, fld, prof, tolerance=_TOLERANCES["H_prime"]):
     idx = prof.indices
     divterm = data.sphere(data.u[idx] ** 2 * data.div_a_grad_absx[idx], idx)
     rhs = 2.0 * prof.surfaceD + divterm
-    model_rhs = 2.0 * prof.surfaceD + (fld.dim - 1) / prof.r * prof.H
     rep = IdentityReport("H_prime", prof.r, dH, rhs, tolerance)
     rep.details["diff_error_estimate"] = est
-    rep.details["model_form_rhs"] = model_rhs
-    rep.details["coefficient_derivatives"] = "closed_form"
-    rep.details["fitted_O1_constant"] = float(
-        np.max(np.abs(dH - model_rhs) / np.maximum(prof.H, 1e-300)))
     return rep
 
 
@@ -546,14 +541,7 @@ def verify_rellich_general(spec, fld, prof,
     rep10 = IdentityReport("surface_energy_scaling", prof.r, lhs10, rhs10,
                            tolerance)
     rep10.details["div_z_term"] = DIVZ
-    rep10.details["fitted_divz_O_r_constant"] = float(np.max(
-        np.abs(divz[1:] - fld.dim) / data.r[1:, None]))
-    rep9.details["coefficient_derivatives"] = "closed_form"
-    rep10.details["coefficient_derivatives"] = "closed_form"
     return rep9, rep10
-
-
-_CS_GAP_TOL = 1e-10
 
 
 def verify_N_prime_bound(spec, fld, prof):
@@ -562,10 +550,13 @@ def verify_N_prime_bound(spec, fld, prof):
     Asserts N'(r) >= (1/H)[ r (2-q)/q int_S |u|^q - C_{N,q}/q int_B |u|^q ]
     minus a differentiation slack (ten times the derivative's error
     estimate at that radius, plus N's round-off, eps sqrt(n) |N| / h on n
-    nodes at step h) at every audited radius with H above the floor, and
-    that the Cauchy-Schwarz gap int_S u_nu^2 - surfaceD^2 / H is
-    nonnegative (up to _CS_GAP_TOL).  The exact corrected equality (with the
-    gap and rho-terms reinstated) is reported alongside.
+    nodes at step h) at every audited radius with H above the floor.  The
+    Cauchy-Schwarz gap int_S u_nu^2 - surfaceD^2 / H is reported, not
+    judged: this report runs only where mu = 1, where the gap is a
+    Cauchy-Schwarz defect over positive ring weights, nonnegative in exact
+    arithmetic, so only round-off could fail a flag on it.  The exact
+    corrected equality (with the gap and rho-terms reinstated) is reported
+    alongside.
     """
     if not _is_model_problem(spec, fld):
         raise ValueError("the frequency derivative bound needs the model "
@@ -607,7 +598,6 @@ def verify_N_prime_bound(spec, fld, prof):
     rep.details["inequality_margins"] = margins
     rep.details["inequality_ok"] = bool(np.all(margins >= 0.0))
     rep.details["cs_gap"] = cs_gap
-    rep.details["cs_gap_ok"] = bool(np.nanmin(cs_gap) >= -_CS_GAP_TOL)
     rep.details["equality_residual"] = dN - equality_rhs
     rep.details["diff_error_estimate"] = est
     return rep
@@ -672,7 +662,6 @@ def verify_surface_volume_D(spec, fld, prof,
     Y = data.ball(data.u * data.rho0)[idx]
     rep = IdentityReport("surface_vs_volume_energy", prof.r,
                          prof.surfaceD, prof.D + Y, tolerance)
-    rep.details["divergence_defect"] = prof.surfaceD - prof.D
     return rep
 
 

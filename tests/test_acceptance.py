@@ -261,8 +261,8 @@ CRITERION_11_HASHES = {
     "ce": "3772e695c29184975c31cb8659c091bf38537ef9d991986125cfc348076553c5",
     "ck": "edd16ae9f067c14f31dce25b400f25f6e7746816e968a7ff5642d19a75c7591d",
     "en": "ad01e4d7ad9f7d0d5e23f61d7752df5f45b2e03c3dad817590f69e79784bea60",
-    "fr": "f54a498ba1c7e17535e15dd186c111bcdd49680c638094f2debd7659311e5fea",
-    "fr2": "6c9a7bdbf3e370ab9bf1d883e8f2638650edf22c9283fec9e90585ac8eb495ba",
+    "fr": "63ec7c0ccd37b05300ecaf1db633e89ab58e59e9a2374d63f7b99ac33d97b27c",
+    "fr2": "9b291ba4106a55126d90d4448735fce4e7c0b0ee15b3e9f5772546fa40e56b8b",
     "pm": "67e688460f55216773fba60b05e45956120af526b9b15495d3e7b0cfa90a542c",
     "sh": "9c77df20ff1d8a2863bc448ce787a3809877a2b3cb3467893cae9a7b47d458cb",
     "so": "49c20e7699f151940c82cd6be8b7e5ac6129e7f6e98aee922eb57a9f1d6230e1",

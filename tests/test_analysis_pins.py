@@ -64,9 +64,9 @@ PINS = {
         "certificate.json":
             "40b5ea72755eab8879e4519a2d75d9a5c1c176710eba9af7fbc14d49c6c33e47",
         "identities.json":
-            "2c20678273c75c30d057acc4477bb226ca54e5a3050b491c9fb75e73275f7ec7",
+            "d5bea1fcee7d5a3caabca5c41fd67839c5f7c3bf4d12f8db6d04ca5509d72177",
         "identities.npz":
-            "6b5cc1374355fb07bb612983b12078604da9d8f1b1c7824edd71ea44e4c76957",
+            "d7233884f845e5c8af7af10a93c4bcd1f0cf1018e351b3c907cb2e127a098816",
         "profile.csv":
             "babf98132045cc8bfe8a0102f04a63de810e9e02b6bf13b2b21d28af3b0a744c",
     }),
@@ -74,9 +74,9 @@ PINS = {
         "certificate.json":
             "0cc9c33f440380b7600e5acc0bf7c34d33d48bfad949fe201351ffb1c48d633c",
         "identities.json":
-            "7df54951d42712b14cdc6d580a847776abca98b94fbb36e83e17f360acbb3d25",
+            "8512a09e2898fdc897be9d1c888f93b0a21452312ac14e78ffa6c03d713707f4",
         "identities.npz":
-            "4c033e7bbff8ade5be4d645a84291b056abbf6a196bbd66ad26ef4dcc884d072",
+            "ca0127c243fdc9ac28a6190e06ad6c81fee02ab895c38c6ca165dcc26cd30087",
         "profile.csv":
             "700ce668187b8ea71a2e09f4e3663bd1fc8b98417c009f732489e737707a7e96",
     }),
@@ -84,9 +84,9 @@ PINS = {
         "certificate.json":
             "c6c8e5cd863b86a619dadaba757dcc85d1090baa2cfb94099767eeb7173f1a32",
         "identities.json":
-            "3988038ab83015b0b62ff39f7590bf57cdaec09bed92963dc9c74550c4241ca1",
+            "ab198872698e797253a211353ddf0503c0df8faa0a783473a6bf84a61e8db5db",
         "identities.npz":
-            "f1f3a107c4bd5f8ce263aa4a672b452c07e03919b5977713b15464234c137166",
+            "6ead6ccaf83714c2137bb8e0561d62310b12c3279944ec8a954fe1f6d77c3555",
         "profile.csv":
             "a3f55c4c38728422b17effb86bdf41328a8add0d37d7312a02ef2998dcc7a565",
     }),
@@ -94,9 +94,9 @@ PINS = {
         "certificate.json":
             "7ebd8e0cdac4c373f914a2b1d2307fadf6f50cc03ad964fe948beecb3c3acf10",
         "identities.json":
-            "506cdb2ccca96da9e9410ca972b9c46ba308de9328a0ea758969d1aa912e0718",
+            "adbce75e640f1c7a6f8466e7d59a2c79f12a969d9690dd68bc633414f06937f5",
         "identities.npz":
-            "007a51c097a987a915efebb0d2571e1c36ab0fe38dc0b8338a33f7666da5328a",
+            "c834e2bdb46f93d9944a4d62f36d2b27d9d3cc8cc052e88289a383b358143a5b",
         "profile.csv":
             "0151cb7059f8006ce0e0f334cc4fcfb55d13545983cbb6e0aa2de105b3dae52d",
     }),

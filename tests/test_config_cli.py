@@ -381,6 +381,42 @@ class TestConfigInput:
                      "--out", str(tmp_path / "o")]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, reason", [
+        ("[domain]\ndimension = 2\nouter_radius = 1.0\n", "",
+         "missing [domain] section"),
+        ("dimension = 2", "dimension = 1", "dimension must be at least 2"),
+        ("outer_radius = 1.0", "outer_radius = -1",
+         "outer radius must be positive"),
+        ("field = identity", "field = 2x", "bad coefficient field '2x'"),
+        ("field = identity", "field = diagonal(1, 2, 3)",
+         "diagonal() needs 2 entries"),
+        ("field = identity", "field = diagonal(1, -1)",
+         "diagonal entries must be positive"),
+        ("field = identity", "field = rotation_perturbed(-0.1)",
+         "eps must be nonnegative"),
+        ("field = identity", "field = expr\na11 = 1\na12 = 0",
+         "[coefficients] missing coefficient entry a22"),
+        ("field = identity",
+         "field = expr\na11 = 1\na12 = 0\na22 = 1\nellipticity = 1.5",
+         "[coefficients] ellipticity must lie in (0, 1)"),
+        ("q = 1.5\n", "", "homogeneous nonlinearity needs q"),
+        ("kind = homogeneous", "kind = sum_of_powers",
+         "sum_of_powers needs terms = q1: expr | q2: expr"),
+        ("kind = homogeneous", "kind = sum_of_powers\nterms = 2.5: 1",
+         "[nonlinearity] terms, term 1 ('2.5: 1'): every exponent must lie "
+         "in [1, 2)"),
+        ("eps0 = 1.0", "eps0 = -1", "need eps0 > 0, kappa2 > 0, kappa1 >= 0"),
+    ])
+    def test_bad_problem_exits_2_with_its_reason(self, tmp_path, capsys, old,
+                                                 new, reason):
+        assert old in MODEL_CONFIG
+        config = tmp_path / "bad.ini"
+        config.write_text(MODEL_CONFIG.replace(old, new))
+        assert main(["check", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not (tmp_path / "o").exists()
+
 
 def _radial_field(tmp_path, q="1.5", dim="2"):
     so = tmp_path / "so"
@@ -644,6 +680,22 @@ class TestCliExitCodes:
                      "--tmax", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}: ode {task} integrates in t")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, run, reason", [
+        (["--q", ","], None, "empty --q"),
+        ([], "[run]\nq = 2.5\n", "q must lie in [1, 2)"),
+        (["--mode", "grid2d", "--N", "3", "--boundary", "cos:1:0.1"], None,
+         "the grid solver is two-dimensional"),
+    ], ids=["empty-q", "run-q", "grid-N3"])
+    def test_bad_solve_exits_2_with_its_reason(self, tmp_path, capsys, argv,
+                                               run, reason):
+        if run is not None:
+            (tmp_path / "run.ini").write_text(run)
+            argv = [*argv, "--config", str(tmp_path / "run.ini")]
+        out = tmp_path / "o"
+        assert main(["solve", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
         assert not out.exists()
 
     def test_missing_field_file(self, tmp_path, capsys):

@@ -17,9 +17,21 @@ from freqlab.fields import (SolutionField, SolverError, cartesian_gradient,
                             sample_grid2d, save_field, solve_grid_2d,
                             solve_radial)
 from freqlab.fields import (_FourierFactor, _nodes, _polar_frame_entries,
-                            _ring_blocks, _Stencil, glued_residual_exact)
+                            _ring_blocks, _Stencil)
 from freqlab.model import (CoefficientField, NonlinearitySpec, PowerTerm,
                            ProblemSpec, eval_f)
+from freqlab.odes import counterexample_profile, counterexample_slope
+
+
+def glued_residual_exact(fld, core_radius):
+    """Closed-form residual of the glued field with that core radius
+    (oracle for residual_field)."""
+    r = fld.r
+    _, upp = counterexample_profile(fld.q, core_radius, r)
+    up = counterexample_slope(fld.q, core_radius, r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = 2.0 * upp + (fld.dim - 1) * up / np.where(r > 0, r, np.inf)
+    return rho
 
 
 def _sup_residual(spec, fld, source=None):
@@ -814,6 +826,43 @@ class TestFourierSolve:
         assert fld.meta["solver"]["defect_gap"] <= 1e-11
         assert np.max(np.abs(fld.u - ref)) <= 1e-10
 
+    def test_an_inner_solve_that_falls_short_raises(
+            self, tmp_path, capsys, variable_coefficients_spec, monkeypatch):
+        # no inner solve meets a tolerance of 0 in two steps: the solve
+        # raises naming the inner GMRES, and the CLI exits 3 with a record
+        # of the solver's report
+        from freqlab.cli import main
+
+        monkeypatch.setattr(freqlab.fields, "_INNER_TOL", 0.0)
+        monkeypatch.setattr(freqlab.fields, "_INNER_MAX_STEPS", 2)
+        with pytest.raises(SolverError, match="inner GMRES") as failure:
+            solve_grid_2d(variable_coefficients_spec,
+                          lambda th: 0.3 + 0.1 * np.cos(th), n_r=16, n_theta=32)
+        assert failure.value.report["inner_solve"] == "gmres"
+        out = tmp_path / "o"
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                              "configs", "variable_coefficients.ini")
+        assert main(["solve", "--mode", "grid2d", "--rings", "16", "--angles",
+                     "32", "--boundary", "cos:1:0.2", "--config", config,
+                     "--out", str(out)]) == 3
+        assert "inner GMRES" in capsys.readouterr().err
+        solver = json.loads((out / "record.json").read_text())["summary"][
+            "solver"]
+        assert solver["inner_solve"] == "gmres"
+        assert solver["iterations"] == 0
+
+    def test_zero_data_stops_after_one_step_of_no_inner_steps(
+            self, variable_coefficients_spec):
+        # f(x, 0) = 0 and V 0 = 0, so the first defect is 0: GMRES returns
+        # c = 0 without a step, and the stop holds on a fresh defect of 0
+        fld = solve_grid_2d(variable_coefficients_spec, np.zeros_like,
+                            n_r=16, n_theta=32)
+        solver = fld.meta["solver"]
+        assert solver["inner_solve"] == "gmres"
+        assert solver["iterations"] == 1 and solver["inner_iterations"] == 0
+        assert solver["defect_gap"] == 0.0
+        assert not np.any(fld.u)
+
     def test_every_term_reaches_the_symbol(self):
         # a symbol that drops any one offset array, or the pole row of one,
         # no longer reproduces L
@@ -1560,6 +1609,15 @@ def _malformed(case, path):
         _write_members(path, dict(radial, q=10 ** 400), arrays)
     elif case == "nan-q":
         _write_members(path, dict(radial, q=math.nan), arrays)
+    elif case == "other-format":
+        _write_members(path, dict(radial, format="freqlab-field 3"), arrays)
+    elif case == "float-N":
+        _write_members(path, dict(radial, N=2.0), arrays)
+    elif case == "unknown-representation":
+        _write_members(path, dict(radial, representation="sphere"), arrays)
+    elif case == "grid-N3":
+        save_field(_bowl_grid(), path)
+        _edit_archive(path, lambda header, a: header.update(N=3))
     elif case == "text-format":
         path.write_text("# freqlab-field 1\nrepresentation=radial\nN=2\nq=1.5\n"
                         "count=2\nr,u,du\n0.0,1.0,0.0\n0.1,0.99,-0.2\n")
@@ -1582,6 +1640,10 @@ def _malformed(case, path):
     ("huge-q", "header q is out of range"),
     ("nan-q", "non-finite q"),
     ("text-format", "text field format is retired"),
+    ("other-format", "the header is not a 'freqlab-field 2' header"),
+    ("float-N", "header N must be int, got 2.0"),
+    ("unknown-representation", "unknown representation 'sphere'"),
+    ("grid-N3", "a grid2d field cannot have N=3"),
 ])
 def test_malformed_field_file_exits_2_with_a_reason(tmp_path, capsys, case, message):
     from freqlab.cli import main

@@ -93,8 +93,8 @@ class TestHPrime:
         key = (3, 1.5)
         prof = frequency_profile(model_specs[key], radial_solutions[key])
         rep = verify_H_prime(model_specs[key], radial_solutions[key], prof)
-        np.testing.assert_allclose(rep.rhs, rep.details["model_form_rhs"],
-                                   rtol=1e-12)
+        model_rhs = 2.0 * prof.surfaceD + (3 - 1) / prof.r * prof.H
+        np.testing.assert_allclose(rep.rhs, model_rhs, rtol=1e-12)
 
 
 class TestNodeStepDerivatives:
@@ -198,7 +198,7 @@ class TestNPrimeBound:
             prof = frequency_profile(spec, fld)
             rep = verify_N_prime_bound(spec, fld, prof)
             assert rep.details["inequality_ok"], key
-            assert rep.details["cs_gap_ok"], key
+            assert np.nanmin(rep.details["cs_gap"]) >= -1e-10, key
 
     def test_radial_case_is_equality(self, model_specs, radial_solutions):
         # cs_gap = 0 for radial fields, so the corrected bound is an equality
@@ -256,8 +256,24 @@ class TestNPrimeBound:
                             1.0, 96, 192, 1.5)
         prof = frequency_profile(linear_mode_spec, fld)
         rep = verify_N_prime_bound(linear_mode_spec, fld, prof)
-        assert rep.details["cs_gap_ok"]
         assert np.nanmin(rep.details["cs_gap"]) >= -1e-10
+
+    @pytest.mark.parametrize("n_r", [64, 128])
+    def test_round_off_in_the_gap_fails_no_report(self, tmp_path, n_r):
+        # under A = I the gap is nonnegative in exact arithmetic; on this
+        # large field its round-off reads -5.6e-9, and no verdict reads it
+        from freqlab.cli import main
+        from freqlab.fields import save_field
+
+        spec = ProblemSpec.model(2, 1.5)
+        fld = sample_grid2d(lambda x: 1e3 * (1.0 - np.sum(x * x, axis=-1)),
+                            spec.outer_radius, n_r, 2 * n_r, 1.5)
+        reports = run_all_identity_checks(spec, fld, frequency_profile(spec, fld))
+        assert np.nanmin(reports["frequency_derivative_bound"].details["cs_gap"]) < 0
+        assert [name for name, rep in reports.items() if not rep.passed] == []
+        save_field(fld, tmp_path / "field.npz")
+        assert main(["frequency", str(tmp_path / "field.npz"),
+                     "--out", str(tmp_path / "fr")]) == 0
 
 
 class TestOtherChecks:
@@ -510,8 +526,8 @@ class TestGeneralRouteRadialHPrime:
         prof = frequency_profile(spec, fld)
         rep = verify_H_prime(spec, fld, prof, tolerance=1e-6)
         assert rep.passed, rep.rel_residual
-        np.testing.assert_allclose(rep.rhs, rep.details["model_form_rhs"],
-                                   rtol=1e-10)
+        model_rhs = 2.0 * prof.surfaceD + (2 - 1) / prof.r * prof.H
+        np.testing.assert_allclose(rep.rhs, model_rhs, rtol=1e-10)
 
     def test_identities_match_the_model_spec(self, tmp_path):
         # a radial field under rotation_perturbed poses the model equation,
@@ -539,6 +555,27 @@ class TestCoarseGridGuard:
         fld = sample_grid2d(lambda x: x[..., 0], 1.0, 8, 16, 1.5)
         with pytest.raises(ValueError, match="too coarse"):
             frequency_profile(linear_mode_spec, fld)
+
+
+class TestRouteGuards:
+    # the model identities need the model problem, the general ones a grid
+    @pytest.mark.parametrize("verify, message", [
+        (verify_pohozaev_model, "model derivative identity needs the model"),
+        (verify_N_prime_bound, "frequency derivative bound needs the model"),
+    ])
+    def test_model_identities_refuse_variable_coefficients(
+            self, variable_coefficients_spec, verify, message):
+        spec = variable_coefficients_spec
+        fld = sample_grid2d(lambda x: 1.0 + 0.3 * x[..., 0], spec.outer_radius,
+                            32, 64, spec.nonlinearity.q)
+        with pytest.raises(ValueError, match=message):
+            verify(spec, fld, frequency_profile(spec, fld))
+
+    def test_general_identities_refuse_a_radial_field(self, model_specs,
+                                                      radial_solutions):
+        spec, fld = model_specs[(2, 1.5)], radial_solutions[(2, 1.5)]
+        with pytest.raises(ValueError, match="need a grid2d field"):
+            verify_rellich_general(spec, fld, frequency_profile(spec, fld))
 
 
 class TestCorrectedEqualityOnNonSolution:
@@ -674,15 +711,6 @@ class TestCoefficientEvaluations:
         data = _node_data(spec, fld)
         assert len(calls) == 1
         assert data.rho0[:, 0].tobytes() == want.tobytes()
-
-    def test_coefficient_derivatives_are_closed_form(self, variable_coefficients_spec):
-        spec = variable_coefficients_spec
-        fld = sample_grid2d(lambda x: 1.0 + 0.3 * x[..., 0] + 0.2 * x[..., 1] ** 2,
-                            spec.outer_radius, 32, 64, spec.nonlinearity.q)
-        reports = run_all_identity_checks(spec, fld, frequency_profile(spec, fld))
-        found = [rep.details["coefficient_derivatives"] for rep in reports.values()
-                 if "coefficient_derivatives" in rep.details]
-        assert found == ["closed_form"] * 3
 
     def test_residual_from_node_values_is_bit_identical(self, variable_coefficients_spec):
         # the analysis's rho, built from the node data's A grad u, V and f,

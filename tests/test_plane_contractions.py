@@ -299,7 +299,7 @@ def test_a_non_elliptic_constant_a_keeps_its_report_bytes(tmp_path):
     path, _ = write_identity_reports(reports, str(tmp_path))
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == (
-            "e524dfb098a56b9a3eae4294b8836cf1cd16f40fb2d7ef2373828705eb9b9feb")
+            "87339a4a0426097bccb75e28d8b3d120f8c0c0db07a0f3fe3cb8e2d9086e7e69")
 
 
 def test_frame_entries_form_only_the_forms_asked_for(case):
